@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn typed_names_keep_historical_strings() {
         // The report strings must never drift: external tooling parses
-        // them (bench_json, figure outputs).
+        // them (the benchmark, figure outputs).
         assert_eq!(names::MAP_OUTPUT_RECORDS.as_str(), "map.output.records");
         assert_eq!(names::SHUFFLE_BATCH_REUSE.as_str(), "shuffle.batch_reuse");
         assert_eq!(names::SPILL_MERGED_STATES.as_str(), "spill.merged.states");

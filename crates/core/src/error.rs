@@ -18,7 +18,7 @@ pub enum MrError {
     },
     /// Spill file or KV store I/O failed.
     Io(io::Error),
-    /// A spill file failed to decode.
+    /// A spill file or a shuffle batch failed to decode.
     Codec(CodecError),
     /// A worker thread panicked (bug in an application function).
     WorkerPanic(String),
@@ -41,7 +41,7 @@ impl std::fmt::Display for MrError {
                 "reducer {reducer} out of memory: {used_bytes} bytes used, cap {cap_bytes}"
             ),
             MrError::Io(e) => write!(f, "I/O error: {e}"),
-            MrError::Codec(e) => write!(f, "spill decode error: {e}"),
+            MrError::Codec(e) => write!(f, "decode error: {e}"),
             MrError::WorkerPanic(what) => write!(f, "worker panicked: {what}"),
             MrError::InvalidConfig(what) => write!(f, "invalid job config: {what}"),
         }

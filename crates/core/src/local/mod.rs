@@ -18,18 +18,22 @@
 //! genuine map/reduce pipelining, the local analogue of the paper's
 //! overlapped shuffle.
 //!
-//! The shuffle transport is **batched**: each map task buffers records
-//! per reducer under [`JobConfig::shuffle_batch_bytes`] and hands whole
-//! batches to the channel, so the per-record cost of the hot path is one
-//! `Vec` push instead of one channel rendezvous. Back-pressure is
-//! preserved — the batch channels are bounded, and a full reducer parks
-//! its mappers. Batch boundaries are decided **per split by byte
-//! budget**, never by channel timing, so `shuffle.batches` and
-//! `shuffle.records` are deterministic at any pool width.
+//! The shuffle transport is **batched and serialized**: each map task
+//! encodes records per reducer into a flat byte buffer (`batch.rs`) under
+//! [`JobConfig::shuffle_batch_bytes`] and hands whole batches to the
+//! channel, so the per-record cost of the hot path is one codec append
+//! instead of one channel rendezvous — and the application's
+//! heap-allocated keys never leave the thread (and allocator arena) that
+//! made them; the reducer decodes its own. Back-pressure is preserved —
+//! the batch channels are bounded, and a full reducer parks its mappers.
+//! Batch boundaries are decided **per split by byte budget** (the
+//! [`SizeEstimate`] of the records, not their encoded length), never by
+//! channel timing, so `shuffle.batches` and `shuffle.records` are
+//! deterministic at any pool width.
 //! `shuffle.batch_reuse` is likewise *modelled* from those deterministic
 //! batch counts (every batch beyond a channel's depth must reuse a
-//! drained buffer); the physical free-list that recycles buffers still
-//! runs, it just no longer drives the counter. When the application opts
+//! drained buffer); the physical free-list that recycles byte buffers
+//! still runs, it just does not drive the counter. When the application opts
 //! into map-side combining ([`Application::combine_enabled`]), the
 //! per-reducer buffers become [`CombinerBuffer`]s: records are
 //! pre-aggregated under the combiner byte budget and the shuffle carries
@@ -44,6 +48,7 @@
 //! has no partial state to observe, so its reducers publish exactly one
 //! snapshot each: their finished output.
 
+mod batch;
 pub mod cache;
 pub mod memo;
 pub mod pool;
@@ -61,6 +66,7 @@ use crate::partition::{HashPartitioner, Partitioner};
 use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, Emit, FnEmit};
+use batch::FlatBatch;
 use cache::{SharedCache, SplitCachePlan, SplitParts};
 use mr_cache::StableHash;
 use mr_trace::{
@@ -131,8 +137,10 @@ pub(crate) fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters
     }
 }
 
-/// A batch of shuffle records bound for one reducer.
-pub(crate) type Batch<A> = Vec<(<A as Application>::MapKey, <A as Application>::MapValue)>;
+/// Typed map-output records bound for one reducer: what the barrier
+/// engine parks in its partition slots. (The pipelined engine ships
+/// [`FlatBatch`]es instead.)
+pub(crate) type Partition<A> = Vec<(<A as Application>::MapKey, <A as Application>::MapValue)>;
 
 /// One input split (or one handed-off chain batch): the record shape a
 /// stage's map tasks consume.
@@ -205,12 +213,19 @@ impl<A: Application> ReduceSink<A> for Vec<(A::OutKey, A::OutValue)> {
     }
 }
 
+/// A recycled byte buffer from a stage's free-list, or a new one.
+fn fresh_batch(pool: &Mutex<Vec<FlatBatch>>) -> FlatBatch {
+    pool.lock().unwrap().pop().unwrap_or_default()
+}
+
 /// Per-map-task output fan-out for the pipelined shuffle: per-reducer
-/// buffers (plain byte-budgeted batches, or combiners when map-side
-/// combining is active), non-blocking sends into the pool's bounded
-/// batch channels, and free-list buffer recycling. Shared by the
-/// pipelined map tasks and the chain driver's downstream map intake, so
-/// both transports batch, combine and recycle identically.
+/// buffers (plain byte-budgeted [`FlatBatch`]es, or combiners when
+/// map-side combining is active), non-blocking sends into the pool's
+/// bounded batch channels, and free-list buffer recycling. Records are
+/// encoded into the batch on this thread and dropped here; only bytes
+/// cross to the reducer. Shared by the pipelined map tasks and the chain
+/// driver's downstream map intake, so both transports batch, combine and
+/// recycle identically.
 ///
 /// Sends never block: a full channel moves the batch to a local pending
 /// queue that the owning task drains via [`pump`](ShuffleEmitter::pump),
@@ -221,12 +236,16 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     app: &'a A,
     partitioner: &'a P,
     reducers: usize,
-    senders: Vec<PoolSender<Batch<A>>>,
-    batch_pool: &'a Mutex<Vec<Batch<A>>>,
+    senders: Vec<PoolSender<FlatBatch>>,
+    batch_pool: &'a Mutex<Vec<FlatBatch>>,
     /// Staged batches a full channel refused; drained front-first so
     /// per-reducer FIFO order is preserved.
-    pending: VecDeque<(usize, Batch<A>)>,
-    plain: Vec<Batch<A>>,
+    pending: VecDeque<(usize, FlatBatch)>,
+    plain: Vec<FlatBatch>,
+    /// [`SizeEstimate`] bytes buffered per reducer since the last cut —
+    /// the batch budget is charged in modelled heap bytes, not encoded
+    /// bytes, so cuts (and the shuffle counters) do not depend on the
+    /// wire format.
     plain_bytes: Vec<usize>,
     combs: Vec<CombinerBuffer<A>>,
     combining: bool,
@@ -241,8 +260,8 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         app: &'a A,
         cfg: &JobConfig,
         partitioner: &'a P,
-        senders: Vec<PoolSender<Batch<A>>>,
-        batch_pool: &'a Mutex<Vec<Batch<A>>>,
+        senders: Vec<PoolSender<FlatBatch>>,
+        batch_pool: &'a Mutex<Vec<FlatBatch>>,
     ) -> Self {
         let reducers = senders.len();
         let combining = combining_active(app, cfg);
@@ -254,7 +273,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             senders,
             batch_pool,
             pending: VecDeque::new(),
-            plain: (0..reducers).map(|_| Vec::new()).collect(),
+            plain: (0..reducers).map(|_| FlatBatch::default()).collect(),
             plain_bytes: vec![0; reducers],
             combs: if combining {
                 (0..reducers)
@@ -272,18 +291,32 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     }
 
     /// One map-output record: count, partition, buffer (or combine), and
-    /// stage a full batch for the transport. Returns the partition the
-    /// record was routed to (cache-miss capture records it there), or
-    /// `None` when the emitter is dead and the record was dropped —
-    /// capture must record nothing then, lest a truncated, misrouted
-    /// artifact be published for a healthy future run to hit.
-    pub(crate) fn push(&mut self, key: A::MapKey, value: A::MapValue) -> Option<usize> {
+    /// stage a full batch for the transport. A dead emitter drops it.
+    pub(crate) fn push(&mut self, key: A::MapKey, value: A::MapValue) {
+        if self.dead {
+            return;
+        }
+        let p = self.count_and_partition(&key);
+        if self.combining {
+            self.combine(p, key, value);
+        } else {
+            self.buffer(p, &key, &value);
+        }
+    }
+
+    /// [`push`] for a caller that keeps the record (cache-miss capture):
+    /// returns the partition it was routed to, or `None` when the
+    /// emitter is dead and the record was dropped — capture must record
+    /// nothing then, lest a truncated, misrouted artifact be published
+    /// for a healthy future run to hit.
+    ///
+    /// [`push`]: ShuffleEmitter::push
+    pub(crate) fn push_ref(&mut self, key: &A::MapKey, value: &A::MapValue) -> Option<usize> {
         if self.dead {
             return None;
         }
-        self.counters.incr(names::MAP_OUTPUT_RECORDS);
-        let p = self.partitioner.partition(&key, self.reducers);
-        self.route(p, key, value);
+        let p = self.count_and_partition(key);
+        self.replay(p, key, value);
         Some(p)
     }
 
@@ -291,52 +324,56 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// the same combine-or-buffer routing and batch cuts as [`push`],
     /// minus the partition call (the artifact is already partitioned)
     /// and the `map.output.records` count (the map function never ran) —
-    /// so a warm run's shuffle is byte-identical to the cold run's.
+    /// so a warm run's shuffle is byte-identical to the cold run's. The
+    /// record is cloned only when a combiner must own the key.
     ///
     /// [`push`]: ShuffleEmitter::push
-    pub(crate) fn replay(&mut self, p: usize, key: A::MapKey, value: A::MapValue) {
+    pub(crate) fn replay(&mut self, p: usize, key: &A::MapKey, value: &A::MapValue) {
         if self.dead {
             return;
         }
-        self.route(p, key, value);
+        if self.combining {
+            self.combine(p, key.clone(), value.clone());
+        } else {
+            self.buffer(p, key, value);
+        }
     }
 
-    /// The shared routing tail of [`push`](ShuffleEmitter::push) and
-    /// [`replay`](ShuffleEmitter::replay).
-    fn route(&mut self, p: usize, key: A::MapKey, value: A::MapValue) {
-        let batch = if self.combining {
-            // Fold into the combiner; it drains a combined batch when
-            // over budget. The buffer for a drain comes from the
-            // free-list, grabbed lazily on the drain's first record so
-            // under-budget pushes touch no lock.
-            let app = self.app;
-            let pool = self.batch_pool;
-            let mut drained: Batch<A> = Vec::new();
-            self.combs[p].push(app, key, value, &mut |k2, v2| {
-                if drained.capacity() == 0 {
-                    if let Some(buf) = pool.lock().unwrap().pop() {
-                        drained = buf;
-                    }
-                }
-                drained.push((k2, v2));
-            });
-            if drained.is_empty() {
-                None
-            } else {
-                Some(drained)
-            }
-        } else {
-            self.plain_bytes[p] += key.estimated_bytes() + value.estimated_bytes();
-            self.plain[p].push((key, value));
-            if self.plain_bytes[p] >= self.batch_bytes {
-                self.plain_bytes[p] = 0;
-                let fresh = self.batch_pool.lock().unwrap().pop().unwrap_or_default();
-                Some(std::mem::replace(&mut self.plain[p], fresh))
-            } else {
-                None
-            }
-        };
-        if let Some(batch) = batch {
+    fn count_and_partition(&mut self, key: &A::MapKey) -> usize {
+        self.counters.incr(names::MAP_OUTPUT_RECORDS);
+        self.partitioner.partition(key, self.reducers)
+    }
+
+    /// Encodes the record into reducer `p`'s batch, cutting the batch
+    /// when its modelled size reaches the budget.
+    fn buffer(&mut self, p: usize, key: &A::MapKey, value: &A::MapValue) {
+        self.plain_bytes[p] += key.estimated_bytes() + value.estimated_bytes();
+        self.plain[p].push(key, value);
+        if self.plain_bytes[p] >= self.batch_bytes {
+            self.cut(p);
+        }
+    }
+
+    /// Stages reducer `p`'s buffered batch and starts a new one.
+    fn cut(&mut self, p: usize) {
+        self.plain_bytes[p] = 0;
+        let batch = std::mem::replace(&mut self.plain[p], fresh_batch(self.batch_pool));
+        self.stage(p, batch);
+    }
+
+    /// Folds the record into reducer `p`'s combiner; when that pushes it
+    /// over budget the combiner drains, and the drained partials ship as
+    /// one batch. Its buffer is taken from the free-list on the drain's
+    /// first record, so under-budget pushes touch no lock.
+    fn combine(&mut self, p: usize, key: A::MapKey, value: A::MapValue) {
+        let mut drained: Option<FlatBatch> = None;
+        let pool = self.batch_pool;
+        self.combs[p].push(self.app, key, value, &mut |k, v| {
+            drained
+                .get_or_insert_with(|| fresh_batch(pool))
+                .push(&k, &v);
+        });
+        if let Some(batch) = drained {
             self.stage(p, batch);
         }
     }
@@ -344,10 +381,10 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// Accounts a finished batch and hands it to the transport if there
     /// is room, queueing it locally otherwise. The global FIFO of the
     /// pending queue preserves per-reducer send order.
-    fn stage(&mut self, p: usize, batch: Batch<A>) {
+    fn stage(&mut self, p: usize, batch: FlatBatch) {
         self.counters.incr(names::SHUFFLE_BATCHES);
         self.counters
-            .add(names::SHUFFLE_RECORDS, batch.len() as u64);
+            .add(names::SHUFFLE_RECORDS, batch.records() as u64);
         self.batches_per_reducer[p] += 1;
         if !self.pending.is_empty() {
             self.pending.push_back((p, batch));
@@ -400,21 +437,16 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         if self.dead {
             return;
         }
-        let app = self.app;
         for p in 0..self.reducers {
-            let mut batch: Batch<A> = std::mem::take(&mut self.plain[p]);
-            self.plain_bytes[p] = 0;
-            if self.combining && self.combs[p].entries() > 0 {
-                if batch.capacity() == 0 {
-                    if let Some(buf) = self.batch_pool.lock().unwrap().pop() {
-                        batch = buf;
-                    }
-                }
-                let sink = &mut batch;
-                self.combs[p].drain(app, &mut |k, v| sink.push((k, v)));
+            if !self.plain[p].is_empty() {
+                self.cut(p);
             }
-            if !batch.is_empty() {
-                self.stage(p, batch);
+            if self.combining && self.combs[p].entries() > 0 {
+                let mut batch = fresh_batch(self.batch_pool);
+                self.combs[p].drain(self.app, &mut |k, v| batch.push(&k, &v));
+                if !batch.is_empty() {
+                    self.stage(p, batch);
+                }
             }
         }
     }
@@ -443,8 +475,7 @@ pub(crate) struct MapTotals {
 }
 
 /// Per-split partitioned map output, parked in a deterministic slot.
-pub(crate) type MapSlot<A> =
-    Option<Vec<Vec<(<A as Application>::MapKey, <A as Application>::MapValue)>>>;
+pub(crate) type MapSlot<A> = Option<Vec<Partition<A>>>;
 
 /// What one finished reduce task leaves behind: its sink, the driver
 /// report (pipelined engine only), task counters and snapshots.
@@ -458,10 +489,10 @@ pub(crate) struct StageState<A: Application, S> {
     tracing: bool,
     dispatcher: TraceDispatcher,
     totals: Mutex<MapTotals>,
-    batch_pool: Mutex<Vec<Batch<A>>>,
+    batch_pool: Mutex<Vec<FlatBatch>>,
     reduce_slots: Vec<Mutex<Option<ReduceDone<A, S>>>>,
     map_slots: Vec<Mutex<MapSlot<A>>>,
-    partition_slots: Vec<Mutex<Option<Batch<A>>>>,
+    partition_slots: Vec<Mutex<Option<Partition<A>>>>,
     next: AtomicUsize,
     finished: Mutex<f64>,
     started: Instant,
@@ -526,6 +557,36 @@ struct SplitMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
 }
 
 impl<'a, A: Application, P: Partitioner<A::MapKey>> SplitMapTask<'a, A, P> {
+    fn new<S>(
+        app: &'a A,
+        cfg: &JobConfig,
+        partitioner: &'a P,
+        state: &'a StageState<A, S>,
+        splits: &'a [InputSplit<A>],
+        senders: Vec<PoolSender<FlatBatch>>,
+        cache: Option<&'a SplitCachePlan<A>>,
+    ) -> Self {
+        SplitMapTask {
+            app,
+            splits,
+            next: &state.next,
+            emitter: Some(ShuffleEmitter::new(
+                app,
+                cfg,
+                partitioner,
+                senders,
+                &state.batch_pool,
+            )),
+            totals: &state.totals,
+            dispatcher: &state.dispatcher,
+            tracing: state.tracing,
+            started: state.started,
+            cache,
+            capture: None,
+            cur: None,
+        }
+    }
+
     fn finish(&mut self) -> Step {
         if let Some(emitter) = self.emitter.take() {
             let (counters, per_reducer) = emitter.finish();
@@ -565,7 +626,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
                     emitter.counters.add(names::CACHE_HIT_BYTES, bytes);
                     for (p, records) in cached.iter().enumerate() {
                         for (k, v) in records {
-                            emitter.replay(p, k.clone(), v.clone());
+                            emitter.replay(p, k, v);
                         }
                     }
                     emitter.end_split();
@@ -594,7 +655,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
             let mut capture = self.capture.as_mut();
             let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
                 if let Some(cap) = capture.as_deref_mut() {
-                    if let Some(p) = emitter.push(k.clone(), v.clone()) {
+                    if let Some(p) = emitter.push_ref(&k, &v) {
                         cap[p].push((k, v));
                     }
                 } else {
@@ -732,18 +793,18 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMap
     }
 }
 
-/// A pipelined reduce task: absorbs shuffle batches in arrival order
-/// through an [`IncrementalDriver`], recycles drained buffers, publishes
-/// snapshots per policy, finalizes at EOF, then pumps its sink dry and
-/// parks its result in the stage slot.
+/// A pipelined reduce task: decodes shuffle batches in arrival order
+/// straight into an [`IncrementalDriver`], recycles drained buffers,
+/// publishes snapshots per policy, finalizes at EOF, then pumps its sink
+/// dry and parks its result in the stage slot.
 struct PipelinedReduceTask<'a, A: Application, S: ReduceSink<A>> {
     app: &'a A,
     cfg: &'a JobConfig,
     r: usize,
     started: Instant,
     t0: Option<f64>,
-    rx: Option<PoolReceiver<Batch<A>>>,
-    batch_pool: &'a Mutex<Vec<Batch<A>>>,
+    rx: Option<PoolReceiver<FlatBatch>>,
+    batch_pool: &'a Mutex<Vec<FlatBatch>>,
     pool_cap: usize,
     driver: Option<IncrementalDriver<A>>,
     sink: Option<S>,
@@ -758,6 +819,37 @@ struct PipelinedReduceTask<'a, A: Application, S: ReduceSink<A>> {
 }
 
 impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
+    /// Config errors surface here, before the pool runs.
+    fn new(
+        app: &'a A,
+        cfg: &'a JobConfig,
+        state: &'a StageState<A, S>,
+        r: usize,
+        rx: PoolReceiver<FlatBatch>,
+        sink: S,
+    ) -> MrResult<Self> {
+        Ok(PipelinedReduceTask {
+            app,
+            cfg,
+            r,
+            started: state.started,
+            t0: None,
+            rx: Some(rx),
+            batch_pool: &state.batch_pool,
+            pool_cap: cfg.reducers * BATCH_CHANNEL_DEPTH,
+            driver: Some(IncrementalDriver::new(app, cfg, r)?),
+            sink: Some(sink),
+            counters: Counters::new(),
+            snapshots: Vec::new(),
+            report: None,
+            slot: &state.reduce_slots[r],
+            finished: &state.finished,
+            dispatcher: &state.dispatcher,
+            tracing: state.tracing,
+            drained: false,
+        })
+    }
+
     fn try_absorb(&mut self, cx: &Ctx) -> MrResult<Step> {
         let app = self.app;
         let snapping = self.cfg.snapshots.is_enabled();
@@ -772,9 +864,9 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
                         driver.set_now_secs(self.started.elapsed().as_secs_f64());
                     }
                     let sink = self.sink.as_mut().unwrap();
-                    for (k, v) in batch.drain(..) {
-                        driver.push(app, k, v, sink)?;
-                    }
+                    // A batch that fails to decode fails this reducer
+                    // (and so the job) with a typed error, like an OOM.
+                    batch.drain(|k, v| driver.push(app, k, v, sink))?;
                     // Return the drained buffer to the mappers.
                     {
                         let mut pool = self.batch_pool.lock().unwrap();
@@ -1073,7 +1165,7 @@ struct BarrierIntakeTask<'a, A: Application, P: Partitioner<A::MapKey>> {
     combining: bool,
     rx: Option<PoolReceiver<InputSplit<A>>>,
     idx: usize,
-    parts: Vec<Batch<A>>,
+    parts: Vec<Partition<A>>,
     combs: Vec<CombinerBuffer<A>>,
     counters: Counters,
     slot: &'a Mutex<MapSlot<A>>,
@@ -1160,7 +1252,7 @@ struct AssembleTask<'a, A: Application> {
     maps_done: Gate,
     assembled: Gate,
     map_slots: &'a [Mutex<MapSlot<A>>],
-    partition_slots: &'a [Mutex<Option<Batch<A>>>],
+    partition_slots: &'a [Mutex<Option<Partition<A>>>],
 }
 
 impl<'a, A: Application> pool::PoolTask for AssembleTask<'a, A> {
@@ -1192,7 +1284,7 @@ struct BarrierReduceTask<'a, A: Application, S: ReduceSink<A>> {
     cfg: &'a JobConfig,
     r: usize,
     assembled: Gate,
-    partition: &'a Mutex<Option<Batch<A>>>,
+    partition: &'a Mutex<Option<Partition<A>>>,
     sink: Option<S>,
     counters: Counters,
     snapshots: Vec<Snapshot<A>>,
@@ -1299,60 +1391,36 @@ where
     let reducers = cfg.reducers;
     match &cfg.engine {
         Engine::BarrierLess { .. } => {
-            let mut txs: Vec<PoolSender<Batch<A>>> = Vec::with_capacity(reducers);
-            let mut rxs: Vec<PoolReceiver<Batch<A>>> = Vec::with_capacity(reducers);
+            let mut txs: Vec<PoolSender<FlatBatch>> = Vec::with_capacity(reducers);
+            let mut rxs: Vec<PoolReceiver<FlatBatch>> = Vec::with_capacity(reducers);
             for _ in 0..reducers {
-                let (tx, rx) = pool.channel::<Batch<A>>(BATCH_CHANNEL_DEPTH);
+                let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
                 txs.push(tx);
                 rxs.push(rx);
             }
             for (r, rx) in rxs.into_iter().enumerate() {
-                // Config errors surface here, before the pool runs.
-                let driver = IncrementalDriver::new(app, cfg, r)?;
-                pool.spawn(PipelinedReduceTask {
+                pool.spawn(PipelinedReduceTask::new(
                     app,
                     cfg,
+                    state,
                     r,
-                    started: state.started,
-                    t0: None,
-                    rx: Some(rx),
-                    batch_pool: &state.batch_pool,
-                    pool_cap: reducers * BATCH_CHANNEL_DEPTH,
-                    driver: Some(driver),
-                    sink: Some(make_sink(r)),
-                    counters: Counters::new(),
-                    snapshots: Vec::new(),
-                    report: None,
-                    slot: &state.reduce_slots[r],
-                    finished: &state.finished,
-                    dispatcher: &state.dispatcher,
-                    tracing: state.tracing,
-                    drained: false,
-                });
+                    rx,
+                    make_sink(r),
+                )?);
             }
             match input {
                 StageInput::Splits(splits) => {
                     let n = map_tasks.max(1).min(splits.len().max(1));
                     for _ in 0..n {
-                        pool.spawn(SplitMapTask {
+                        pool.spawn(SplitMapTask::new(
                             app,
+                            cfg,
+                            partitioner,
+                            state,
                             splits,
-                            next: &state.next,
-                            emitter: Some(ShuffleEmitter::new(
-                                app,
-                                cfg,
-                                partitioner,
-                                txs.clone(),
-                                &state.batch_pool,
-                            )),
-                            totals: &state.totals,
-                            dispatcher: &state.dispatcher,
-                            tracing: state.tracing,
-                            started: state.started,
-                            cur: None,
+                            txs.clone(),
                             cache,
-                            capture: None,
-                        });
+                        ));
                     }
                 }
                 StageInput::Intakes(intakes) => {
@@ -2105,6 +2173,71 @@ mod tests {
                 "workers {pool_workers}: expected OOM, got {:?}",
                 err.err().map(|e| e.to_string())
             );
+        }
+    }
+
+    #[test]
+    fn truncated_batch_fails_the_job_with_a_typed_error() {
+        // The reducer's first batch arrives cut short. The contract is
+        // the one an OOM has: a typed error for this job, the receiver
+        // dropped so mappers unwind instead of parking forever, nothing
+        // published to the shared cache, no panic and no hang — at a
+        // one-record batch budget, where mappers fill the channel.
+        let app = WordCountApp;
+        let splits = text_splits(4, 200);
+        let mapped: u64 = 4 * 200 * 3;
+        for pool_workers in [1, 2] {
+            let cfg = JobConfig::new(1)
+                .engine(Engine::barrierless())
+                .shuffle_batch_bytes(1);
+            let cache = SharedCache::new(16 << 20);
+            let plan = SplitCachePlan::new(&cache, &app, &cfg, "hash", &splits).unwrap();
+            let state: StageState<WordCountApp, Vec<(String, u64)>> =
+                StageState::new(&cfg, splits.len());
+            let mut pool = Pool::new();
+            let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
+            let mut bad = FlatBatch::default();
+            bad.push(&"truncated".to_string(), &1u64);
+            bad.truncate_bytes(3);
+            assert!(tx.try_send_now(bad).is_ok());
+            pool.spawn(PipelinedReduceTask::new(&app, &cfg, &state, 0, rx, Vec::new()).unwrap());
+            for _ in 0..2 {
+                pool.spawn(SplitMapTask::new(
+                    &app,
+                    &cfg,
+                    &HashPartitioner,
+                    &state,
+                    &splits,
+                    vec![tx.clone()],
+                    Some(&plan),
+                ));
+            }
+            drop(tx);
+            pool.run(pool_workers).unwrap();
+            let done = state.reduce_slots[0].lock().unwrap().take();
+            assert!(
+                matches!(
+                    done,
+                    Some(Err(MrError::Codec(crate::codec::CodecError::UnexpectedEof)))
+                ),
+                "workers {pool_workers}: expected a decode error"
+            );
+            let emitted = state
+                .totals
+                .lock()
+                .unwrap()
+                .counters
+                .get(names::MAP_OUTPUT_RECORDS);
+            assert!(
+                emitted < mapped,
+                "workers {pool_workers}: mappers kept feeding a dead reducer"
+            );
+            if pool_workers == 1 {
+                // One worker steps the reducer first, so it is gone before
+                // any split completes: every capture is cut short by the
+                // dead emitter and none may be published.
+                assert!(cache.is_empty(), "a failing job published an artifact");
+            }
         }
     }
 

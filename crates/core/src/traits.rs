@@ -17,9 +17,11 @@ use std::hash::Hash;
 pub trait Key: Clone + Ord + Hash + Send + Codec + SizeEstimate + 'static {}
 impl<T: Clone + Ord + Hash + Send + Codec + SizeEstimate + 'static> Key for T {}
 
-/// Intermediate value requirements.
-pub trait Value: Clone + Send + SizeEstimate + 'static {}
-impl<T: Clone + Send + SizeEstimate + 'static> Value for T {}
+/// Intermediate value requirements: shuffled alongside the key, so they
+/// share its [`Codec`] bound — the pipelined shuffle ships records as
+/// encoded bytes, not as per-record heap objects.
+pub trait Value: Clone + Send + Codec + SizeEstimate + 'static {}
+impl<T: Clone + Send + Codec + SizeEstimate + 'static> Value for T {}
 
 /// Output sink passed to map / reduce functions.
 pub trait Emit<K, V> {

@@ -973,3 +973,83 @@ fn failed_jobs_never_poison_the_shared_cache() {
         "artifacts published by a dying run must be complete and correctly partitioned"
     );
 }
+
+/// The shuffle's wire format is not allowed to show: at the degenerate
+/// one-record batch budget (and at a budget that cuts mid-split), with
+/// the combiner on and off, at every pool width, uncached, cold-cached
+/// and replayed from split artifacts, the pipelined engine's output is
+/// byte-identical to the barrier engine's and `shuffle.batches`,
+/// `shuffle.records` and `shuffle.batch_reuse` are the values pinned
+/// below — recorded from the typed `Vec<(key, value)>` transport that
+/// the flat serialized batches replaced. Batch cuts are charged in
+/// `SizeEstimate` bytes, not encoded bytes, which is what keeps them
+/// (and every canonical trace) where they were.
+#[test]
+fn flat_batches_pin_the_shuffle_accounting() {
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{CacheBudget, SharedCache};
+    let splits: Vec<Vec<(u64, String)>> = (0..6u64)
+        .map(|s| {
+            (0..60u64)
+                .map(|l| {
+                    let line = format!("w{} word{} {}", (s * 7 + l) % 23, (s + l * 3) % 11, l % 5);
+                    (s * 100 + l, line)
+                })
+                .collect()
+        })
+        .collect();
+    let barrier = LocalRunner::new(2)
+        .run(&WordCount, splits.clone(), &JobConfig::new(2))
+        .unwrap()
+        .partitions;
+    // (batch budget, combiner) -> (batches, records, batch_reuse).
+    let pinned = [
+        (1usize, CombinerPolicy::Disabled, (1080u64, 1080u64, 952u64)),
+        (1, CombinerPolicy::enabled(), (12, 234, 0)),
+        (
+            1,
+            CombinerPolicy::Enabled { budget_bytes: 1 },
+            (1080, 1080, 952),
+        ),
+        (200, CombinerPolicy::Disabled, (186, 1080, 58)),
+    ];
+    for (budget, combiner, expect) in pinned {
+        for workers in [1usize, 2, 4] {
+            let cfg = JobConfig::new(2)
+                .engine(Engine::barrierless())
+                .shuffle_batch_bytes(budget)
+                .combiner(combiner)
+                .pool_workers(workers)
+                // Snapshots keep the whole-job artifact out of the cache,
+                // so the warm run below replays split artifacts through
+                // the shuffle instead of skipping it.
+                .snapshots(SnapshotPolicy::EveryRecords { records: 500 })
+                .cache(CacheBudget::enabled());
+            let runner = LocalRunner::new(2);
+            let cache = SharedCache::new(64 << 20);
+            let uncached = runner.run(&WordCount, splits.clone(), &cfg).unwrap();
+            let cold = runner
+                .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                .unwrap();
+            let warm = runner
+                .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                .unwrap();
+            assert_eq!(warm.counters.get(names::CACHE_HITS), splits.len() as u64);
+            for (what, out) in [("uncached", uncached), ("cold", cold), ("warm", warm)] {
+                let got = (
+                    out.counters.get(names::SHUFFLE_BATCHES),
+                    out.counters.get(names::SHUFFLE_RECORDS),
+                    out.counters.get(names::SHUFFLE_BATCH_REUSE),
+                );
+                assert_eq!(
+                    got, expect,
+                    "{what} run, budget {budget}, {combiner:?}, {workers} workers"
+                );
+                assert_eq!(
+                    out.partitions, barrier,
+                    "{what} run, budget {budget}, {combiner:?}, {workers} workers"
+                );
+            }
+        }
+    }
+}
