@@ -584,8 +584,8 @@ impl LocalRunner {
         // Declared before the stage states: stage 1's sinks borrow it.
         let stats = Mutex::new(HandoffStats::default());
         let state1: StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>> =
-            StageState::new(cfg1, splits.len());
-        let state2: StageState<B, StageOut<B>> = StageState::new(cfg2, cfg1.reducers);
+            StageState::new(cfg1);
+        let state2: StageState<B, StageOut<B>> = StageState::new(cfg2);
         let mut pool = Pool::new();
         let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(cfg1.reducers);
         let mut rxs = Vec::with_capacity(cfg1.reducers);
@@ -726,13 +726,11 @@ impl LocalRunner {
         let branch_stats: Vec<Mutex<HandoffStats>> = (0..branches)
             .map(|_| Mutex::new(HandoffStats::default()))
             .collect();
-        let branch_states: Vec<StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>>> =
-            branch_splits
-                .iter()
-                .enumerate()
-                .map(|(b, splits)| StageState::new(&spec.stages[b], splits.len()))
-                .collect();
-        let state2: StageState<B, Vec<(B::OutKey, B::OutValue)>> = StageState::new(cfg2, r1);
+        let branch_states: Vec<StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>>> = (0
+            ..branches)
+            .map(|b| StageState::new(&spec.stages[b]))
+            .collect();
+        let state2: StageState<B, Vec<(B::OutKey, B::OutValue)>> = StageState::new(cfg2);
         let mut pool = Pool::new();
         let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(r1);
         let mut rxs = Vec::with_capacity(r1);
@@ -886,17 +884,9 @@ impl LocalRunner {
             .map(|_| Mutex::new(HandoffStats::default()))
             .collect();
         let mid_states: Vec<StageState<A, MidSink<'_, A>>> = (0..k - 1)
-            .map(|j| {
-                let n_map_slots = if j == 0 {
-                    splits.len()
-                } else {
-                    spec.stages[j - 1].reducers
-                };
-                StageState::new(&spec.stages[j], n_map_slots)
-            })
+            .map(|j| StageState::new(&spec.stages[j]))
             .collect();
-        let last_state: StageState<A, StageOut<A>> =
-            StageState::new(&spec.stages[k - 1], spec.stages[k - 2].reducers);
+        let last_state: StageState<A, StageOut<A>> = StageState::new(&spec.stages[k - 1]);
         let mut pool = Pool::new();
         let mut boundary_txs: Vec<Vec<PoolSender<Handoff<A>>>> = Vec::with_capacity(k - 1);
         let mut boundary_rxs: Vec<Option<Vec<_>>> = Vec::with_capacity(k - 1);

@@ -21,14 +21,24 @@ pub enum CounterName {
     /// Combined records the combiners emitted into the shuffle.
     CombineOutputRecords,
     /// Record batches handed to the shuffle transport (local executor).
+    /// Both engines shuffle through the same map side, so a staged
+    /// barrier-engine run reports this (and [`ShuffleRecords`]) too,
+    /// with the values the barrier-less engine reports for the same
+    /// input and config.
+    ///
+    /// [`ShuffleRecords`]: CounterName::ShuffleRecords
     ShuffleBatches,
     /// Shuffle batches that ran past the transport channel's depth and
     /// so were built on a recycled buffer rather than a fresh
     /// allocation. Modelled deterministically from batch counts (per
     /// channel, `batches.saturating_sub(depth)`), not sampled from
-    /// free-list timing, so the value is schedule-independent.
+    /// free-list timing, so the value is schedule-independent. Charged
+    /// only where buffers really recycle: a barrier-less reducer hands
+    /// each drained buffer back to the mappers; a barrier reducer holds
+    /// every batch until the barrier and charges nothing.
     ShuffleBatchReuse,
-    /// Records that actually crossed the shuffle (post-combine).
+    /// Records that actually crossed the shuffle (post-combine), under
+    /// either engine.
     ShuffleRecords,
     /// Records written to job output.
     ReduceOutputRecords,

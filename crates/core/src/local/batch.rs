@@ -1,11 +1,14 @@
-//! The pipelined shuffle's wire format: one flat, serialized batch per
-//! channel send (Hadoop's kvbuffer shape).
+//! The shuffle's wire format under both engines: one flat, serialized
+//! batch per channel send (Hadoop's kvbuffer shape).
 //!
 //! A batch is the [`Codec`] encoding of its records laid end to end —
 //! `key, value, key, value, …` — plus an **explicit record count**. The
 //! count is carried, never inferred from the byte length: a record may
 //! encode to zero bytes (`((), ())`), and a `(u8, ())` record is a single
 //! byte. Nothing else is framed; the reducer knows the record types.
+//! Beside the records rides the index of the split (or chain intake) the
+//! batch was cut from — a batch never spans two — which is all a barrier
+//! reducer needs to put held batches back into split order.
 //!
 //! The point of the shape is what does *not* cross the channel: the
 //! application's keys and values stay on the thread that allocated them
@@ -23,6 +26,9 @@ use crate::codec::{Codec, CodecError};
 pub(crate) struct FlatBatch {
     bytes: Vec<u8>,
     records: usize,
+    /// The split (or chain intake) these records were mapped from,
+    /// stamped by the emitter when the batch is staged.
+    pub(crate) split: usize,
 }
 
 impl FlatBatch {

@@ -448,7 +448,14 @@ mod tests {
         fn init(&self, _k: &String) -> u64 {
             0
         }
-        fn absorb(&self, _k: &String, st: &mut u64, v: u64, _s: &mut (), _o: &mut dyn Emit<String, u64>) {
+        fn absorb(
+            &self,
+            _k: &String,
+            st: &mut u64,
+            v: u64,
+            _s: &mut (),
+            _o: &mut dyn Emit<String, u64>,
+        ) {
             *st += v;
         }
         fn merge(&self, _k: &String, a: u64, b: u64) -> u64 {
@@ -496,7 +503,14 @@ mod tests {
         fn init(&self, _k: &String) -> u64 {
             0
         }
-        fn absorb(&self, _k: &String, st: &mut u64, v: u64, _s: &mut (), _o: &mut dyn Emit<String, u64>) {
+        fn absorb(
+            &self,
+            _k: &String,
+            st: &mut u64,
+            v: u64,
+            _s: &mut (),
+            _o: &mut dyn Emit<String, u64>,
+        ) {
             *st += v;
         }
         fn merge(&self, _k: &String, a: u64, b: u64) -> u64 {
@@ -511,8 +525,12 @@ mod tests {
     fn instance_parameters_shape_the_key() {
         let cfg = JobConfig::new(2);
         let input = split(1);
-        let foo = NeedleCount { needle: "foo".into() };
-        let bar = NeedleCount { needle: "bar".into() };
+        let foo = NeedleCount {
+            needle: "foo".into(),
+        };
+        let bar = NeedleCount {
+            needle: "bar".into(),
+        };
         let a = split_key(&foo, &cfg, "hash", &input).unwrap();
         let b = split_key(&bar, &cfg, "hash", &input).unwrap();
         assert_ne!(a, b, "differently parameterized instances must not alias");
@@ -524,7 +542,9 @@ mod tests {
     #[test]
     fn incomplete_identity_declines_every_key() {
         let cfg = JobConfig::new(2);
-        let app = UnkeyedNeedle { needle: "foo".into() };
+        let app = UnkeyedNeedle {
+            needle: "foo".into(),
+        };
         assert!(!identity_complete(&app));
         assert!(split_key(&app, &cfg, "hash", &split(1)).is_none());
         assert!(job_key(&app, &cfg, "hash", &[split(1)]).is_none());

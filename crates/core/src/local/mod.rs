@@ -9,14 +9,22 @@
 //! data, so hundreds of small concurrent jobs multiplex on N cores with
 //! a bounded thread count — see [`LocalRunner::run_many`].
 //!
-//! Under the barrier engine, map tasks claim splits from a shared
-//! cursor, per-split partitioned output lands in deterministic slots, an
-//! assembly task concatenates them in split order behind a gate, and one
-//! grouped sort-reduce task per partition runs after the barrier. Under
-//! the barrier-less engine, map tasks stream records into bounded
-//! per-reducer channels while reduce tasks absorb them concurrently —
-//! genuine map/reduce pipelining, the local analogue of the paper's
-//! overlapped shuffle.
+//! **Both engines share one map side.** Map tasks claim splits from a
+//! shared cursor (or drain a chain intake) and stream records into
+//! bounded per-reducer channels; the stage barrier is a property of the
+//! *reduce* task alone. Under the barrier-less engine a reduce task
+//! absorbs each batch as it arrives — genuine map/reduce pipelining, the
+//! local analogue of the paper's overlapped shuffle. Under the barrier
+//! engine a reduce task only *holds* arriving batches (pointer moves, so
+//! mappers are never stalled for long); channel EOF — every map task has
+//! finished — **is** the barrier, after which it restores split order,
+//! decodes the batches into its own records and runs the grouped
+//! sort-reduce. Every batch carries the index of the split (or intake)
+//! it was cut from; one split is mapped by one task over a FIFO channel,
+//! so a stable sort of the held batches by that index is exactly the
+//! split-order concatenation the stable-sort contract of
+//! [`reduce_partition_barrier`] needs ("equal sort keys stay in fetch
+//! order"), at any pool width.
 //!
 //! The shuffle transport is **batched and serialized**: each map task
 //! encodes records per reducer into a flat byte buffer (`batch.rs`) under
@@ -29,11 +37,13 @@
 //! Batch boundaries are decided **per split by byte budget** (the
 //! [`SizeEstimate`] of the records, not their encoded length), never by
 //! channel timing, so `shuffle.batches` and `shuffle.records` are
-//! deterministic at any pool width.
-//! `shuffle.batch_reuse` is likewise *modelled* from those deterministic
-//! batch counts (every batch beyond a channel's depth must reuse a
-//! drained buffer); the physical free-list that recycles byte buffers
-//! still runs, it just does not drive the counter. When the application opts
+//! deterministic at any pool width — and the same under both engines.
+//! `shuffle.batch_reuse` is likewise *modelled* from deterministic batch
+//! counts: a pipelined reducer hands every drained buffer back to the
+//! mappers, so each batch it received beyond its channel's depth must
+//! have ridden a recycled one (the physical free-list still runs, it
+//! just does not drive the counter). A barrier reducer holds every batch
+//! until EOF, recycles nothing, and charges nothing. When the application opts
 //! into map-side combining ([`Application::combine_enabled`]), the
 //! per-reducer buffers become [`CombinerBuffer`]s: records are
 //! pre-aggregated under the combiner byte budget and the shuffle carries
@@ -50,7 +60,6 @@
 
 mod batch;
 pub mod cache;
-pub mod memo;
 pub mod pool;
 pub mod service;
 
@@ -58,7 +67,7 @@ use crate::combine::CombinerBuffer;
 use crate::config::{Engine, JobConfig};
 use crate::counters::{names, Counters};
 use crate::engine::barrier::reduce_partition_barrier;
-use crate::engine::pipeline::{reduce_partition_barrierless_traced, IncrementalDriver};
+use crate::engine::pipeline::IncrementalDriver;
 use crate::engine::DriverReport;
 use crate::error::{MrError, MrResult};
 use crate::output::JobOutput;
@@ -72,7 +81,7 @@ use mr_cache::StableHash;
 use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
 };
-use pool::{Ctx, Gate, Pool, PoolReceiver, PoolSender, Step, TryRecv, TrySend};
+use pool::{Ctx, Pool, PoolReceiver, PoolSender, Step, TryRecv, TrySend};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -136,11 +145,6 @@ pub(crate) fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters
         });
     }
 }
-
-/// Typed map-output records bound for one reducer: what the barrier
-/// engine parks in its partition slots. (The pipelined engine ships
-/// [`FlatBatch`]es instead.)
-pub(crate) type Partition<A> = Vec<(<A as Application>::MapKey, <A as Application>::MapValue)>;
 
 /// One input split (or one handed-off chain batch): the record shape a
 /// stage's map tasks consume.
@@ -218,14 +222,14 @@ fn fresh_batch(pool: &Mutex<Vec<FlatBatch>>) -> FlatBatch {
     pool.lock().unwrap().pop().unwrap_or_default()
 }
 
-/// Per-map-task output fan-out for the pipelined shuffle: per-reducer
-/// buffers (plain byte-budgeted [`FlatBatch`]es, or combiners when
-/// map-side combining is active), non-blocking sends into the pool's
-/// bounded batch channels, and free-list buffer recycling. Records are
-/// encoded into the batch on this thread and dropped here; only bytes
-/// cross to the reducer. Shared by the pipelined map tasks and the chain
-/// driver's downstream map intake, so both transports batch, combine and
-/// recycle identically.
+/// Per-map-task output fan-out for the shuffle: per-reducer buffers
+/// (plain byte-budgeted [`FlatBatch`]es, or combiners when map-side
+/// combining is active), non-blocking sends into the pool's bounded
+/// batch channels, and free-list buffer recycling. Records are encoded
+/// into the batch on this thread and dropped here; only bytes cross to
+/// the reducer. Shared by the split map tasks and the chain driver's
+/// downstream map intake, under either engine, so every transport
+/// batches, combines and recycles identically.
 ///
 /// Sends never block: a full channel moves the batch to a local pending
 /// queue that the owning task drains via [`pump`](ShuffleEmitter::pump),
@@ -238,6 +242,10 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     reducers: usize,
     senders: Vec<PoolSender<FlatBatch>>,
     batch_pool: &'a Mutex<Vec<FlatBatch>>,
+    totals: &'a Mutex<Counters>,
+    /// Index of the split (or intake) being mapped; stamped on every
+    /// batch staged from it.
+    split: usize,
     /// Staged batches a full channel refused; drained front-first so
     /// per-reducer FIFO order is preserved.
     pending: VecDeque<(usize, FlatBatch)>,
@@ -251,17 +259,16 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     combining: bool,
     batch_bytes: usize,
     counters: Counters,
-    batches_per_reducer: Vec<u64>,
     dead: bool,
 }
 
 impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
-    pub(crate) fn new(
+    pub(crate) fn new<S>(
         app: &'a A,
         cfg: &JobConfig,
         partitioner: &'a P,
         senders: Vec<PoolSender<FlatBatch>>,
-        batch_pool: &'a Mutex<Vec<FlatBatch>>,
+        state: &'a StageState<A, S>,
     ) -> Self {
         let reducers = senders.len();
         let combining = combining_active(app, cfg);
@@ -271,7 +278,9 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             partitioner,
             reducers,
             senders,
-            batch_pool,
+            batch_pool: &state.batch_pool,
+            totals: &state.totals,
+            split: 0,
             pending: VecDeque::new(),
             plain: (0..reducers).map(|_| FlatBatch::default()).collect(),
             plain_bytes: vec![0; reducers],
@@ -285,9 +294,15 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             combining,
             batch_bytes: cfg.shuffle_batch_bytes,
             counters: Counters::new(),
-            batches_per_reducer: vec![0; reducers],
             dead: false,
         }
+    }
+
+    /// Split (or intake) `idx` starts: every batch staged until the next
+    /// call carries that index, which is how a barrier reducer restores
+    /// split order however the tasks interleaved.
+    pub(crate) fn begin_split(&mut self, idx: usize) {
+        self.split = idx;
     }
 
     /// One map-output record: count, partition, buffer (or combine), and
@@ -381,11 +396,11 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// Accounts a finished batch and hands it to the transport if there
     /// is room, queueing it locally otherwise. The global FIFO of the
     /// pending queue preserves per-reducer send order.
-    fn stage(&mut self, p: usize, batch: FlatBatch) {
+    fn stage(&mut self, p: usize, mut batch: FlatBatch) {
         self.counters.incr(names::SHUFFLE_BATCHES);
         self.counters
             .add(names::SHUFFLE_RECORDS, batch.records() as u64);
-        self.batches_per_reducer[p] += 1;
+        batch.split = self.split;
         if !self.pending.is_empty() {
             self.pending.push_back((p, batch));
             return;
@@ -451,73 +466,82 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         }
     }
 
-    /// End of this task's input: settle the (monotonic) combiner totals
-    /// and surrender the accumulated counters plus per-reducer batch
-    /// counts. Dropping the emitter drops its senders — EOF for the
+    /// End of this task's input (nothing may be pending): settle the
+    /// (monotonic) combiner totals, merge the accumulated counters into
+    /// the stage's map-side totals and drop the senders — EOF for the
     /// reducers once every map task finished.
-    pub(crate) fn finish(mut self) -> (Counters, Vec<u64>) {
+    pub(crate) fn finish(&mut self) -> Step {
         for comb in &self.combs {
             self.counters
                 .add(names::COMBINE_INPUT_RECORDS, comb.records_in());
             self.counters
                 .add(names::COMBINE_OUTPUT_RECORDS, comb.records_out());
         }
-        (self.counters, self.batches_per_reducer)
+        self.totals.lock().unwrap().merge(&self.counters);
+        self.senders.clear();
+        Step::Done
     }
 }
-
-/// Map-side totals a stage accumulates: merged counters from every map
-/// task plus deterministic per-reducer batch counts (the input to the
-/// modelled `shuffle.batch_reuse`).
-pub(crate) struct MapTotals {
-    counters: Counters,
-    batches_per_reducer: Vec<u64>,
-}
-
-/// Per-split partitioned map output, parked in a deterministic slot.
-pub(crate) type MapSlot<A> = Option<Vec<Partition<A>>>;
 
 /// What one finished reduce task leaves behind: its sink, the driver
 /// report (pipelined engine only), task counters and snapshots.
 pub(crate) type ReduceDone<A, S> = MrResult<(S, Option<DriverReport>, Counters, Vec<Snapshot<A>>)>;
 
-/// The shared state of one job stage running on the pool: deterministic
-/// result slots for every task, the trace dispatcher, and the shuffle
-/// free-list. Lives on the caller's stack for the pool's borrowed tasks
-/// to reference; [`collect_stage`] consumes it after [`Pool::run`].
-pub(crate) struct StageState<A: Application, S> {
+/// The stage's trace handle and clock, borrowed by every task.
+pub(crate) struct StageTrace {
     tracing: bool,
     dispatcher: TraceDispatcher,
-    totals: Mutex<MapTotals>,
-    batch_pool: Mutex<Vec<FlatBatch>>,
-    reduce_slots: Vec<Mutex<Option<ReduceDone<A, S>>>>,
-    map_slots: Vec<Mutex<MapSlot<A>>>,
-    partition_slots: Vec<Mutex<Option<Partition<A>>>>,
-    next: AtomicUsize,
-    finished: Mutex<f64>,
     started: Instant,
 }
 
+impl StageTrace {
+    /// Seconds since the stage started.
+    fn now(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
+    /// Records the span of map task `idx` — a split or a chain intake —
+    /// from `t0` to now.
+    fn map_span(&self, idx: usize, t0: f64) {
+        if self.tracing {
+            let mut rec =
+                TraceRecorder::new(Scope::task(0, TaskKind::Map, idx as u32, 0, NO_NODE), true);
+            rec.span_wall(SpanKind::Map, t0, self.now());
+            rec.flush_into(&self.dispatcher);
+        }
+    }
+}
+
+/// The shared state of one job stage running on the pool: deterministic
+/// result slots for every reduce task, the map side's merged counters,
+/// the trace handle, and the shuffle free-list. Lives on the caller's
+/// stack for the pool's borrowed tasks to reference; [`collect_stage`]
+/// consumes it after [`Pool::run`].
+pub(crate) struct StageState<A: Application, S> {
+    trace: StageTrace,
+    /// Job-scope counters: every map task's, merged, plus the pipelined
+    /// reducers' modelled `shuffle.batch_reuse`.
+    totals: Mutex<Counters>,
+    batch_pool: Mutex<Vec<FlatBatch>>,
+    reduce_slots: Vec<Mutex<Option<ReduceDone<A, S>>>>,
+    next: AtomicUsize,
+    finished: Mutex<f64>,
+}
+
 impl<A: Application, S> StageState<A, S> {
-    /// `n_map_slots` is the number of deterministic map-output slots the
-    /// barrier engine needs: one per split (or one per intake for
-    /// streamed chain stages). The pipelined engine leaves them unused.
-    pub(crate) fn new(cfg: &JobConfig, n_map_slots: usize) -> Self {
+    pub(crate) fn new(cfg: &JobConfig) -> Self {
         let tracing = cfg.trace.is_enabled();
         StageState {
-            tracing,
-            dispatcher: TraceDispatcher::new(tracing),
-            totals: Mutex::new(MapTotals {
-                counters: Counters::new(),
-                batches_per_reducer: vec![0; cfg.reducers],
-            }),
+            trace: StageTrace {
+                tracing,
+                dispatcher: TraceDispatcher::new(tracing),
+                started: Instant::now(),
+            },
+            totals: Mutex::new(Counters::new()),
             batch_pool: Mutex::new(Vec::new()),
             reduce_slots: (0..cfg.reducers).map(|_| Mutex::new(None)).collect(),
-            map_slots: (0..n_map_slots).map(|_| Mutex::new(None)).collect(),
-            partition_slots: (0..cfg.reducers).map(|_| Mutex::new(None)).collect(),
             next: AtomicUsize::new(0),
             finished: Mutex::new(0.0),
-            started: Instant::now(),
         }
     }
 }
@@ -532,21 +556,18 @@ pub(crate) enum StageInput<'a, A: Application> {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined-engine task state machines
+// Map task state machines (both engines)
 // ---------------------------------------------------------------------
 
-/// A pipelined map task: claims splits from the shared cursor, runs the
-/// map function in bounded slices, and streams batches through its
-/// emitter — parking when a reducer's channel is full.
+/// A map task: claims splits from the shared cursor, runs the map
+/// function in bounded slices, and streams batches through its emitter —
+/// parking when a reducer's channel is full.
 struct SplitMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
     app: &'a A,
-    splits: &'a [Vec<(A::InKey, A::InValue)>],
+    splits: &'a [InputSplit<A>],
     next: &'a AtomicUsize,
-    emitter: Option<ShuffleEmitter<'a, A, P>>,
-    totals: &'a Mutex<MapTotals>,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
-    started: Instant,
+    emitter: ShuffleEmitter<'a, A, P>,
+    trace: &'a StageTrace,
     /// Shared-cache consultation plan; `None` runs uncached.
     cache: Option<&'a SplitCachePlan<A>>,
     /// Raw partitioned output of the in-flight cache-miss split,
@@ -570,58 +591,38 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> SplitMapTask<'a, A, P> {
             app,
             splits,
             next: &state.next,
-            emitter: Some(ShuffleEmitter::new(
-                app,
-                cfg,
-                partitioner,
-                senders,
-                &state.batch_pool,
-            )),
-            totals: &state.totals,
-            dispatcher: &state.dispatcher,
-            tracing: state.tracing,
-            started: state.started,
+            emitter: ShuffleEmitter::new(app, cfg, partitioner, senders, state),
+            trace: &state.trace,
             cache,
             capture: None,
             cur: None,
         }
     }
-
-    fn finish(&mut self) -> Step {
-        if let Some(emitter) = self.emitter.take() {
-            let (counters, per_reducer) = emitter.finish();
-            let mut totals = self.totals.lock().unwrap();
-            totals.counters.merge(&counters);
-            for (p, n) in per_reducer.iter().enumerate() {
-                totals.batches_per_reducer[p] += n;
-            }
-        }
-        Step::Done
-    }
 }
 
 impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapTask<'a, A, P> {
     fn step(&mut self, cx: &mut Ctx) -> Step {
-        if !self.emitter.as_mut().unwrap().pump(cx) {
+        if !self.emitter.pump(cx) {
             return Step::Park;
         }
-        if self.emitter.as_ref().unwrap().is_dead() {
+        if self.emitter.is_dead() {
             // The job is failing downstream; stop mapping.
-            return self.finish();
+            return self.emitter.finish();
         }
+        let emitter = &mut self.emitter;
         if self.cur.is_none() {
             let idx = self.next.fetch_add(1, Ordering::Relaxed);
             if idx >= self.splits.len() {
                 // Pending is empty (pump said so), so nothing is left
                 // in flight: surrender counters and drop the senders.
-                return self.finish();
+                return emitter.finish();
             }
-            let t0 = self.started.elapsed().as_secs_f64();
+            let t0 = self.trace.now();
+            emitter.begin_split(idx);
             if let Some(plan) = self.cache {
                 if let Some((cached, bytes)) = plan.lookup(idx) {
                     // Hit: replay the artifact through the normal shuffle
                     // routing — the map function is the only thing skipped.
-                    let emitter = self.emitter.as_mut().unwrap();
                     emitter.counters.incr(names::CACHE_HITS);
                     emitter.counters.add(names::CACHE_HIT_BYTES, bytes);
                     for (p, records) in cached.iter().enumerate() {
@@ -630,17 +631,9 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
                         }
                     }
                     emitter.end_split();
-                    if self.tracing {
-                        let mut rec = TraceRecorder::new(
-                            Scope::task(0, TaskKind::Map, idx as u32, 0, NO_NODE),
-                            true,
-                        );
-                        rec.span_wall(SpanKind::Map, t0, self.started.elapsed().as_secs_f64());
-                        rec.flush_into(self.dispatcher);
-                    }
+                    self.trace.map_span(idx, t0);
                     return Step::Yield;
                 }
-                let emitter = self.emitter.as_mut().unwrap();
                 emitter.counters.incr(names::CACHE_MISSES);
                 self.capture = Some((0..emitter.reducers).map(|_| Vec::new()).collect());
             }
@@ -651,7 +644,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
         let split = &self.splits[idx];
         let end = (cursor + MAP_RECORDS_PER_STEP).min(split.len());
         {
-            let emitter = self.emitter.as_mut().unwrap();
             let mut capture = self.capture.as_mut();
             let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
                 if let Some(cap) = capture.as_deref_mut() {
@@ -667,7 +659,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
             }
         }
         if end == split.len() {
-            let emitter = self.emitter.as_mut().unwrap();
             emitter.end_split();
             // A dead emitter means the job is failing and the capture is
             // truncated: publishing it would poison the shared cache for
@@ -677,12 +668,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
                     plan.insert(idx, raw).charge(&mut emitter.counters);
                 }
             }
-            if self.tracing {
-                let mut rec =
-                    TraceRecorder::new(Scope::task(0, TaskKind::Map, idx as u32, 0, NO_NODE), true);
-                rec.span_wall(SpanKind::Map, t0, self.started.elapsed().as_secs_f64());
-                rec.flush_into(self.dispatcher);
-            }
+            self.trace.map_span(idx, t0);
             self.cur = None;
         } else {
             self.cur = Some((idx, end, t0));
@@ -700,11 +686,8 @@ struct IntakeMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
     app: &'a A,
     rx: Option<PoolReceiver<InputSplit<A>>>,
     idx: usize,
-    emitter: Option<ShuffleEmitter<'a, A, P>>,
-    totals: &'a Mutex<MapTotals>,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
-    started: Instant,
+    emitter: ShuffleEmitter<'a, A, P>,
+    trace: &'a StageTrace,
     cur: Option<(InputSplit<A>, usize)>,
     t0: Option<f64>,
     input_done: bool,
@@ -713,31 +696,21 @@ struct IntakeMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
 impl<'a, A: Application, P: Partitioner<A::MapKey>> IntakeMapTask<'a, A, P> {
     fn finish(&mut self) -> Step {
         self.rx = None;
-        if let Some(emitter) = self.emitter.take() {
-            let (counters, per_reducer) = emitter.finish();
-            let mut totals = self.totals.lock().unwrap();
-            totals.counters.merge(&counters);
-            for (p, n) in per_reducer.iter().enumerate() {
-                totals.batches_per_reducer[p] += n;
-            }
-        }
-        Step::Done
+        self.emitter.finish()
     }
 }
 
 impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMapTask<'a, A, P> {
     fn step(&mut self, cx: &mut Ctx) -> Step {
-        if self.t0.is_none() {
-            self.t0 = Some(self.started.elapsed().as_secs_f64());
-        }
-        if !self.emitter.as_mut().unwrap().pump(cx) {
+        let t0 = *self.t0.get_or_insert_with(|| self.trace.now());
+        if !self.emitter.pump(cx) {
             return Step::Park;
         }
         if self.input_done {
             // end_split's staged batches are pumped (pump said empty).
             return self.finish();
         }
-        if self.emitter.as_ref().unwrap().is_dead() {
+        if self.emitter.is_dead() {
             // Downstream is failing: keep draining the intake so the
             // upstream stage can unwind instead of parking forever.
             self.cur = None;
@@ -755,16 +728,8 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMap
                 Err(TryRecv::Empty) => return Step::Park,
                 Err(TryRecv::Disconnected) => {
                     // EOF: the intake's whole stream was one split.
-                    self.emitter.as_mut().unwrap().end_split();
-                    if self.tracing {
-                        let now = self.started.elapsed().as_secs_f64();
-                        let mut rec = TraceRecorder::new(
-                            Scope::task(0, TaskKind::Map, self.idx as u32, 0, NO_NODE),
-                            true,
-                        );
-                        rec.span_wall(SpanKind::Map, self.t0.unwrap_or(now), now);
-                        rec.flush_into(self.dispatcher);
-                    }
+                    self.emitter.end_split();
+                    self.trace.map_span(self.idx, t0);
                     self.input_done = true;
                     return Step::Yield;
                 }
@@ -775,7 +740,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMap
         if let Some((batch, cursor)) = self.cur.as_mut() {
             let end = (*cursor + MAP_RECORDS_PER_STEP).min(batch.len());
             {
-                let emitter = self.emitter.as_mut().unwrap();
+                let emitter = &mut self.emitter;
                 let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
                     emitter.push(k, v);
                 });
@@ -793,6 +758,78 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMap
     }
 }
 
+// ---------------------------------------------------------------------
+// Reduce task state machines (one per engine)
+// ---------------------------------------------------------------------
+
+/// The result side both reduce tasks share: the sink, what the task
+/// accumulated, and where it parks its outcome.
+struct ReduceOut<'a, A: Application, S: ReduceSink<A>> {
+    r: usize,
+    sink: Option<S>,
+    counters: Counters,
+    snapshots: Vec<Snapshot<A>>,
+    slot: &'a Mutex<Option<ReduceDone<A, S>>>,
+    finished: &'a Mutex<f64>,
+    trace: &'a StageTrace,
+}
+
+impl<'a, A: Application, S: ReduceSink<A>> ReduceOut<'a, A, S> {
+    fn new(state: &'a StageState<A, S>, r: usize, sink: S) -> Self {
+        ReduceOut {
+            r,
+            sink: Some(sink),
+            counters: Counters::new(),
+            snapshots: Vec::new(),
+            slot: &state.reduce_slots[r],
+            finished: &state.finished,
+            trace: &state.trace,
+        }
+    }
+
+    /// Everything is reduced and pumped: close the sink, record the
+    /// task's span (`kind`, from `t0`), snapshots and counter totals,
+    /// and park the outcome in the stage slot.
+    fn complete(&mut self, kind: SpanKind, t0: f64, report: Option<DriverReport>) -> Step {
+        let now = self.trace.now();
+        let mut sink = self.sink.take().unwrap();
+        sink.close();
+        if self.trace.tracing {
+            let mut rec = TraceRecorder::new(
+                Scope::task(0, TaskKind::Reduce, self.r as u32, 0, NO_NODE),
+                true,
+            );
+            rec.span_wall(kind, t0, now);
+            for s in &self.snapshots {
+                rec.snapshot_wall(s.at_secs, s.seq, s.records_absorbed, s.live_entries as u64);
+            }
+            record_counter_totals(&mut rec, &self.counters);
+            rec.flush_into(&self.trace.dispatcher);
+        }
+        {
+            let mut f = self.finished.lock().unwrap();
+            *f = f.max(now);
+        }
+        *self.slot.lock().unwrap() = Some(Ok((
+            sink,
+            report,
+            std::mem::replace(&mut self.counters, Counters::new()),
+            std::mem::take(&mut self.snapshots),
+        )));
+        Step::Done
+    }
+
+    /// The task failed: dropping a streaming sink lets its downstream
+    /// see EOF, and the error becomes the job's. The caller drops its
+    /// receiver, which disconnects the channel: blocked mappers get a
+    /// send error instead of waiting on a consumer that is gone.
+    fn fail(&mut self, e: MrError) -> Step {
+        self.sink = None;
+        *self.slot.lock().unwrap() = Some(Err(e));
+        Step::Done
+    }
+}
+
 /// A pipelined reduce task: decodes shuffle batches in arrival order
 /// straight into an [`IncrementalDriver`], recycles drained buffers,
 /// publishes snapshots per policy, finalizes at EOF, then pumps its sink
@@ -800,21 +837,16 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMap
 struct PipelinedReduceTask<'a, A: Application, S: ReduceSink<A>> {
     app: &'a A,
     cfg: &'a JobConfig,
-    r: usize,
-    started: Instant,
     t0: Option<f64>,
     rx: Option<PoolReceiver<FlatBatch>>,
+    /// Batches received, for the modelled `shuffle.batch_reuse`.
+    received: u64,
     batch_pool: &'a Mutex<Vec<FlatBatch>>,
     pool_cap: usize,
+    totals: &'a Mutex<Counters>,
     driver: Option<IncrementalDriver<A>>,
-    sink: Option<S>,
-    counters: Counters,
-    snapshots: Vec<Snapshot<A>>,
     report: Option<DriverReport>,
-    slot: &'a Mutex<Option<ReduceDone<A, S>>>,
-    finished: &'a Mutex<f64>,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
+    out: ReduceOut<'a, A, S>,
     drained: bool,
 }
 
@@ -831,21 +863,15 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
         Ok(PipelinedReduceTask {
             app,
             cfg,
-            r,
-            started: state.started,
             t0: None,
             rx: Some(rx),
+            received: 0,
             batch_pool: &state.batch_pool,
             pool_cap: cfg.reducers * BATCH_CHANNEL_DEPTH,
+            totals: &state.totals,
             driver: Some(IncrementalDriver::new(app, cfg, r)?),
-            sink: Some(sink),
-            counters: Counters::new(),
-            snapshots: Vec::new(),
             report: None,
-            slot: &state.reduce_slots[r],
-            finished: &state.finished,
-            dispatcher: &state.dispatcher,
-            tracing: state.tracing,
+            out: ReduceOut::new(state, r, sink),
             drained: false,
         })
     }
@@ -857,13 +883,14 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
         for _ in 0..BATCHES_PER_STEP {
             match self.rx.as_ref().unwrap().try_recv(cx) {
                 Ok(mut batch) => {
+                    self.received += 1;
                     let driver = self.driver.as_mut().unwrap();
                     if snapping {
                         // Stamp wall time so record-driven snapshots
                         // carry a meaningful clock.
-                        driver.set_now_secs(self.started.elapsed().as_secs_f64());
+                        driver.set_now_secs(self.out.trace.now());
                     }
-                    let sink = self.sink.as_mut().unwrap();
+                    let sink = self.out.sink.as_mut().unwrap();
                     // A batch that fails to decode fails this reducer
                     // (and so the job) with a typed error, like an OOM.
                     batch.drain(|k, v| driver.push(app, k, v, sink))?;
@@ -875,7 +902,7 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
                         }
                     }
                     if timed {
-                        driver.maybe_time_snapshot(app, self.started.elapsed().as_secs_f64())?;
+                        driver.maybe_time_snapshot(app, self.out.trace.now())?;
                     }
                 }
                 Err(TryRecv::Empty) => return Ok(Step::Park),
@@ -896,467 +923,154 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
             // End-of-input snapshot: the last estimate a periodic
             // observer sees equals the final answer.
             let driver = self.driver.as_mut().unwrap();
-            driver.set_now_secs(self.started.elapsed().as_secs_f64());
+            driver.set_now_secs(self.out.trace.now());
             driver.snapshot_now(app)?;
         }
         let mut driver = self.driver.take().unwrap();
-        self.snapshots = driver.take_snapshots();
-        let sink = self.sink.as_mut().unwrap();
-        let report = driver.finish(app, &mut self.counters, sink)?;
-        self.counters
+        self.out.snapshots = driver.take_snapshots();
+        let sink = self.out.sink.as_mut().unwrap();
+        let report = driver.finish(app, &mut self.out.counters, sink)?;
+        self.out
+            .counters
             .add(names::REDUCE_OUTPUT_RECORDS, sink.emitted());
         sink.seal();
+        // Modelled buffer reuse: the channel holds at most
+        // `BATCH_CHANNEL_DEPTH` batches and every drained buffer went
+        // back to the mappers, so each batch received beyond that depth
+        // rode a recycled buffer in the steady state. Derived from the
+        // deterministic batch count — unlike observed free-list pops, it
+        // does not depend on thread timing — and charged to the job
+        // scope, like the map side's shuffle counters.
+        let reuse = self.received.saturating_sub(BATCH_CHANNEL_DEPTH as u64);
+        if reuse > 0 {
+            self.totals
+                .lock()
+                .unwrap()
+                .add(names::SHUFFLE_BATCH_REUSE, reuse);
+        }
         self.report = Some(report);
         self.rx = None;
         self.drained = true;
         Ok(())
     }
-
-    fn complete(&mut self) -> Step {
-        let now = self.started.elapsed().as_secs_f64();
-        let mut sink = self.sink.take().unwrap();
-        sink.close();
-        if self.tracing {
-            let mut rec = TraceRecorder::new(
-                Scope::task(0, TaskKind::Reduce, self.r as u32, 0, NO_NODE),
-                true,
-            );
-            rec.span_wall(SpanKind::ShuffleReduce, self.t0.unwrap_or(now), now);
-            for s in &self.snapshots {
-                rec.snapshot_wall(s.at_secs, s.seq, s.records_absorbed, s.live_entries as u64);
-            }
-            record_counter_totals(&mut rec, &self.counters);
-            rec.flush_into(self.dispatcher);
-        }
-        {
-            let mut f = self.finished.lock().unwrap();
-            *f = f.max(now);
-        }
-        *self.slot.lock().unwrap() = Some(Ok((
-            sink,
-            self.report.take(),
-            std::mem::replace(&mut self.counters, Counters::new()),
-            std::mem::take(&mut self.snapshots),
-        )));
-        Step::Done
-    }
-
-    fn fail(&mut self, e: MrError) -> Step {
-        // Dropping the receiver disconnects the channel: blocked mappers
-        // get a send error instead of waiting on a consumer that's gone,
-        // and dropping a streaming sink lets its downstream see EOF.
-        self.rx = None;
-        self.driver = None;
-        self.sink = None;
-        *self.slot.lock().unwrap() = Some(Err(e));
-        Step::Done
-    }
 }
 
 impl<'a, A: Application, S: ReduceSink<A>> pool::PoolTask for PipelinedReduceTask<'a, A, S> {
     fn step(&mut self, cx: &mut Ctx) -> Step {
-        if self.t0.is_none() {
-            self.t0 = Some(self.started.elapsed().as_secs_f64());
-        }
-        if !self.sink.as_mut().unwrap().pump(cx) {
+        let t0 = *self.t0.get_or_insert_with(|| self.out.trace.now());
+        if !self.out.sink.as_mut().unwrap().pump(cx) {
             return Step::Park;
         }
         if self.drained {
-            return self.complete();
+            return self
+                .out
+                .complete(SpanKind::ShuffleReduce, t0, self.report.take());
         }
         match self.try_absorb(cx) {
             Ok(step) => step,
-            Err(e) => self.fail(e),
+            Err(e) => {
+                self.rx = None;
+                self.driver = None;
+                self.out.fail(e)
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Barrier-engine task state machines
-// ---------------------------------------------------------------------
-
-/// In-flight state of one barrier map split.
-struct BarrierCur<A: Application> {
-    idx: usize,
-    cursor: usize,
-    t0: f64,
-    parts: Vec<Vec<(A::MapKey, A::MapValue)>>,
-    combs: Vec<CombinerBuffer<A>>,
-    /// Raw pre-combine partitioned output, captured on a cache miss for
-    /// publication at end-of-split (`None` when running uncached).
-    raw: Option<SplitParts<A>>,
-}
-
-/// A barrier map task: claims splits from the shared cursor and buffers
-/// per-split partitioned (optionally combined) output into deterministic
-/// slots. Never parks — there is no back-pressure before the barrier.
-struct BarrierSplitMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
-    app: &'a A,
-    cfg: &'a JobConfig,
-    partitioner: &'a P,
-    splits: &'a [Vec<(A::InKey, A::InValue)>],
-    next: &'a AtomicUsize,
-    reducers: usize,
-    combining: bool,
-    combine_budget: usize,
-    slots: &'a [Mutex<MapSlot<A>>],
-    totals: &'a Mutex<MapTotals>,
-    maps_done: Gate,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
-    started: Instant,
-    counters: Counters,
-    /// Shared-cache consultation plan; `None` runs uncached.
-    cache: Option<&'a SplitCachePlan<A>>,
-    cur: Option<BarrierCur<A>>,
-}
-
-impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask
-    for BarrierSplitMapTask<'a, A, P>
-{
-    fn step(&mut self, _cx: &mut Ctx) -> Step {
-        let app = self.app;
-        if self.cur.is_none() {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            if idx >= self.splits.len() {
-                self.totals.lock().unwrap().counters.merge(&self.counters);
-                self.maps_done.arrive();
-                return Step::Done;
-            }
-            let t0 = self.started.elapsed().as_secs_f64();
-            if let Some(plan) = self.cache {
-                if let Some((cached, bytes)) = plan.lookup(idx) {
-                    // Hit: rebuild the slot from the raw artifact through
-                    // the same per-split combiner path a cold run takes;
-                    // only the map function is skipped.
-                    self.counters.incr(names::CACHE_HITS);
-                    self.counters.add(names::CACHE_HIT_BYTES, bytes);
-                    let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
-                        (0..self.reducers).map(|_| Vec::new()).collect();
-                    if self.combining {
-                        for (p, records) in cached.iter().enumerate() {
-                            let mut comb: CombinerBuffer<A> =
-                                CombinerBuffer::new(app, self.combine_budget, self.cfg.store_index);
-                            let sink = &mut parts[p];
-                            for (k, v) in records {
-                                comb.push(app, k.clone(), v.clone(), &mut |k2, v2| {
-                                    sink.push((k2, v2))
-                                });
-                            }
-                            comb.drain(app, &mut |k, v| sink.push((k, v)));
-                            self.counters
-                                .add(names::COMBINE_INPUT_RECORDS, comb.records_in());
-                            self.counters
-                                .add(names::COMBINE_OUTPUT_RECORDS, comb.records_out());
-                        }
-                    } else {
-                        for (p, records) in cached.iter().enumerate() {
-                            parts[p].extend(records.iter().cloned());
-                        }
-                    }
-                    *self.slots[idx].lock().unwrap() = Some(parts);
-                    if self.tracing {
-                        let mut rec = TraceRecorder::new(
-                            Scope::task(0, TaskKind::Map, idx as u32, 0, NO_NODE),
-                            true,
-                        );
-                        rec.span_wall(SpanKind::Map, t0, self.started.elapsed().as_secs_f64());
-                        rec.flush_into(self.dispatcher);
-                    }
-                    return Step::Yield;
-                }
-                self.counters.incr(names::CACHE_MISSES);
-            }
-            self.cur = Some(BarrierCur {
-                idx,
-                cursor: 0,
-                t0,
-                parts: (0..self.reducers).map(|_| Vec::new()).collect(),
-                // Combiners are per-split so slot contents stay
-                // deterministic.
-                combs: if self.combining {
-                    (0..self.reducers)
-                        .map(|_| {
-                            CombinerBuffer::new(app, self.combine_budget, self.cfg.store_index)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                raw: self
-                    .cache
-                    .map(|_| (0..self.reducers).map(|_| Vec::new()).collect()),
-            });
-        }
-        let partitioner = self.partitioner;
-        let reducers = self.reducers;
-        let combining = self.combining;
-        let counters = &mut self.counters;
-        let mut split_done = false;
-        if let Some(cur) = self.cur.as_mut() {
-            let split = &self.splits[cur.idx];
-            let end = (cur.cursor + MAP_RECORDS_PER_STEP).min(split.len());
-            let BarrierCur {
-                idx,
-                cursor,
-                t0,
-                parts,
-                combs,
-                raw,
-            } = cur;
-            {
-                let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                    counters.incr(names::MAP_OUTPUT_RECORDS);
-                    let p = partitioner.partition(&k, reducers);
-                    if let Some(raw) = raw.as_mut() {
-                        raw[p].push((k.clone(), v.clone()));
-                    }
-                    if combining {
-                        let sink = &mut parts[p];
-                        combs[p].push(app, k, v, &mut |k2, v2| sink.push((k2, v2)));
-                    } else {
-                        parts[p].push((k, v));
-                    }
-                });
-                for (k, v) in &split[*cursor..end] {
-                    app.map(k, v, &mut emit);
-                }
-            }
-            if end == split.len() {
-                if combining {
-                    for (p, comb) in combs.iter_mut().enumerate() {
-                        let sink = &mut parts[p];
-                        comb.drain(app, &mut |k, v| sink.push((k, v)));
-                        counters.add(names::COMBINE_INPUT_RECORDS, comb.records_in());
-                        counters.add(names::COMBINE_OUTPUT_RECORDS, comb.records_out());
-                    }
-                }
-                if let (Some(plan), Some(raw_parts)) = (self.cache, raw.take()) {
-                    plan.insert(*idx, raw_parts).charge(counters);
-                }
-                *self.slots[*idx].lock().unwrap() = Some(std::mem::take(parts));
-                if self.tracing {
-                    let mut rec = TraceRecorder::new(
-                        Scope::task(0, TaskKind::Map, *idx as u32, 0, NO_NODE),
-                        true,
-                    );
-                    rec.span_wall(SpanKind::Map, *t0, self.started.elapsed().as_secs_f64());
-                    rec.flush_into(self.dispatcher);
-                }
-                split_done = true;
-            } else {
-                *cursor = end;
-            }
-        }
-        if split_done {
-            self.cur = None;
-        }
-        Step::Yield
-    }
-}
-
-/// A barrier chain intake: drains its upstream channel into per-intake
-/// partitioned buffers (with per-intake combiners, drained at EOF), then
-/// parks the result in its deterministic slot and arrives at the gate.
-struct BarrierIntakeTask<'a, A: Application, P: Partitioner<A::MapKey>> {
-    app: &'a A,
-    partitioner: &'a P,
-    reducers: usize,
-    combining: bool,
-    rx: Option<PoolReceiver<InputSplit<A>>>,
-    idx: usize,
-    parts: Vec<Partition<A>>,
-    combs: Vec<CombinerBuffer<A>>,
-    counters: Counters,
-    slot: &'a Mutex<MapSlot<A>>,
-    totals: &'a Mutex<MapTotals>,
-    maps_done: Gate,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
-    started: Instant,
-    t0: Option<f64>,
-}
-
-impl<'a, A: Application, P: Partitioner<A::MapKey>> BarrierIntakeTask<'a, A, P> {
-    fn finish(&mut self) -> Step {
-        let app = self.app;
-        if self.combining {
-            for (p, comb) in self.combs.iter_mut().enumerate() {
-                let sink = &mut self.parts[p];
-                comb.drain(app, &mut |k, v| sink.push((k, v)));
-                self.counters
-                    .add(names::COMBINE_INPUT_RECORDS, comb.records_in());
-                self.counters
-                    .add(names::COMBINE_OUTPUT_RECORDS, comb.records_out());
-            }
-        }
-        *self.slot.lock().unwrap() = Some(std::mem::take(&mut self.parts));
-        if self.tracing {
-            let now = self.started.elapsed().as_secs_f64();
-            let mut rec = TraceRecorder::new(
-                Scope::task(0, TaskKind::Map, self.idx as u32, 0, NO_NODE),
-                true,
-            );
-            rec.span_wall(SpanKind::Map, self.t0.unwrap_or(now), now);
-            rec.flush_into(self.dispatcher);
-        }
-        self.totals.lock().unwrap().counters.merge(&self.counters);
-        self.rx = None;
-        self.maps_done.arrive();
-        Step::Done
-    }
-}
-
-impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for BarrierIntakeTask<'a, A, P> {
-    fn step(&mut self, cx: &mut Ctx) -> Step {
-        if self.t0.is_none() {
-            self.t0 = Some(self.started.elapsed().as_secs_f64());
-        }
-        let app = self.app;
-        let partitioner = self.partitioner;
-        let reducers = self.reducers;
-        let combining = self.combining;
-        for _ in 0..BATCHES_PER_STEP {
-            let got = self.rx.as_ref().unwrap().try_recv(cx);
-            match got {
-                Ok(batch) => {
-                    let counters = &mut self.counters;
-                    let parts = &mut self.parts;
-                    let combs = &mut self.combs;
-                    let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                        counters.incr(names::MAP_OUTPUT_RECORDS);
-                        let p = partitioner.partition(&k, reducers);
-                        if combining {
-                            let sink = &mut parts[p];
-                            combs[p].push(app, k, v, &mut |k2, v2| sink.push((k2, v2)));
-                        } else {
-                            parts[p].push((k, v));
-                        }
-                    });
-                    for (k, v) in &batch {
-                        app.map(k, v, &mut emit);
-                    }
-                }
-                Err(TryRecv::Empty) => return Step::Park,
-                Err(TryRecv::Disconnected) => return self.finish(),
-            }
-        }
-        Step::Yield
-    }
-}
-
-/// The stage-barrier join: waits (parked) for every map task, then
-/// concatenates per-split partitions in split order — determinism — and
-/// releases the reduce tasks.
-struct AssembleTask<'a, A: Application> {
-    maps_done: Gate,
-    assembled: Gate,
-    map_slots: &'a [Mutex<MapSlot<A>>],
-    partition_slots: &'a [Mutex<Option<Partition<A>>>],
-}
-
-impl<'a, A: Application> pool::PoolTask for AssembleTask<'a, A> {
-    fn step(&mut self, cx: &mut Ctx) -> Step {
-        if !self.maps_done.open(cx) {
-            return Step::Park;
-        }
-        let reducers = self.partition_slots.len();
-        let mut partitions: Vec<Vec<(A::MapKey, A::MapValue)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        for slot in self.map_slots {
-            let parts = slot.lock().unwrap().take().expect("every split was mapped");
-            for (p, mut records) in parts.into_iter().enumerate() {
-                partitions[p].append(&mut records);
-            }
-        }
-        for (p, records) in partitions.into_iter().enumerate() {
-            *self.partition_slots[p].lock().unwrap() = Some(records);
-        }
-        self.assembled.arrive();
-        Step::Done
-    }
-}
-
-/// A barrier reduce task: parks until assembly, runs the grouped
-/// sort-reduce over its partition, then pumps its sink dry.
+/// A barrier reduce task: *holds* arriving batches — pointer moves, so
+/// mappers are never stalled for long — until channel EOF, which **is**
+/// the stage barrier; then restores split order, decodes into its own
+/// records, runs the grouped sort-reduce, and pumps its sink dry.
 struct BarrierReduceTask<'a, A: Application, S: ReduceSink<A>> {
     app: &'a A,
     cfg: &'a JobConfig,
-    r: usize,
-    assembled: Gate,
-    partition: &'a Mutex<Option<Partition<A>>>,
-    sink: Option<S>,
-    counters: Counters,
-    snapshots: Vec<Snapshot<A>>,
-    slot: &'a Mutex<Option<ReduceDone<A, S>>>,
-    finished: &'a Mutex<f64>,
-    dispatcher: &'a TraceDispatcher,
-    tracing: bool,
-    started: Instant,
+    /// `None` once the barrier has passed.
+    rx: Option<PoolReceiver<FlatBatch>>,
+    held: Vec<FlatBatch>,
+    /// When the barrier fell (the sort-reduce span's start).
     t0: f64,
-    reduced: bool,
+    out: ReduceOut<'a, A, S>,
+}
+
+impl<'a, A: Application, S: ReduceSink<A>> BarrierReduceTask<'a, A, S> {
+    fn new(
+        app: &'a A,
+        cfg: &'a JobConfig,
+        state: &'a StageState<A, S>,
+        r: usize,
+        rx: PoolReceiver<FlatBatch>,
+        sink: S,
+    ) -> Self {
+        BarrierReduceTask {
+            app,
+            cfg,
+            rx: Some(rx),
+            held: Vec::new(),
+            t0: 0.0,
+            out: ReduceOut::new(state, r, sink),
+        }
+    }
+
+    /// Past the barrier: every map task has finished and everything it
+    /// sent is in `held`.
+    fn reduce(&mut self) -> MrResult<()> {
+        self.t0 = self.out.trace.now();
+        let mut held = std::mem::take(&mut self.held);
+        // Batches of different splits interleave in arrival order, but
+        // one split is mapped by one task over a FIFO channel: a stable
+        // sort by split index is the split-order concatenation, the
+        // fetch order `reduce_partition_barrier`'s stable sort keeps.
+        held.sort_by_key(|batch| batch.split);
+        let mut records = Vec::with_capacity(held.iter().map(FlatBatch::records).sum());
+        for mut batch in held {
+            // A batch that fails to decode fails this reducer (and so
+            // the job) with a typed error.
+            batch.drain(|k, v| {
+                records.push((k, v));
+                Ok::<(), MrError>(())
+            })?;
+        }
+        let absorbed = records.len() as u64;
+        let out = reduce_partition_barrier(self.app, records, &mut self.out.counters)?;
+        self.out.snapshots = barrier_snapshot::<A>(
+            self.cfg,
+            self.out.r,
+            absorbed,
+            self.out.trace.now(),
+            &out,
+            &mut self.out.counters,
+        );
+        let sink = self.out.sink.as_mut().unwrap();
+        sink.absorb_batch(out);
+        sink.seal();
+        Ok(())
+    }
 }
 
 impl<'a, A: Application, S: ReduceSink<A>> pool::PoolTask for BarrierReduceTask<'a, A, S> {
     fn step(&mut self, cx: &mut Ctx) -> Step {
-        if !self.reduced {
-            if !self.assembled.open(cx) {
-                return Step::Park;
-            }
-            let records = self.partition.lock().unwrap().take().expect("one taker");
-            let absorbed = records.len() as u64;
-            self.t0 = self.started.elapsed().as_secs_f64();
-            let out = match reduce_partition_barrier(self.app, records, &mut self.counters) {
-                Ok(out) => out,
-                Err(e) => {
-                    self.sink = None;
-                    *self.slot.lock().unwrap() = Some(Err(e));
-                    return Step::Done;
+        if let Some(rx) = &self.rx {
+            // At most one channel's worth per step: holding is cheap,
+            // but a step stays bounded.
+            for _ in 0..BATCH_CHANNEL_DEPTH {
+                match rx.try_recv(cx) {
+                    Ok(batch) => self.held.push(batch),
+                    Err(TryRecv::Empty) => return Step::Park,
+                    Err(TryRecv::Disconnected) => {
+                        self.rx = None;
+                        return match self.reduce() {
+                            Ok(()) => Step::Yield,
+                            Err(e) => self.out.fail(e),
+                        };
+                    }
                 }
-            };
-            self.snapshots = barrier_snapshot::<A>(
-                self.cfg,
-                self.r,
-                absorbed,
-                self.started.elapsed().as_secs_f64(),
-                &out,
-                &mut self.counters,
-            );
-            let sink = self.sink.as_mut().unwrap();
-            sink.absorb_batch(out);
-            sink.seal();
-            self.reduced = true;
+            }
             return Step::Yield;
         }
-        if !self.sink.as_mut().unwrap().pump(cx) {
+        if !self.out.sink.as_mut().unwrap().pump(cx) {
             return Step::Park;
         }
-        let now = self.started.elapsed().as_secs_f64();
-        let mut sink = self.sink.take().unwrap();
-        sink.close();
-        if self.tracing {
-            let mut rec = TraceRecorder::new(
-                Scope::task(0, TaskKind::Reduce, self.r as u32, 0, NO_NODE),
-                true,
-            );
-            rec.span_wall(SpanKind::SortReduce, self.t0, now);
-            for s in &self.snapshots {
-                rec.snapshot_wall(s.at_secs, s.seq, s.records_absorbed, s.live_entries as u64);
-            }
-            record_counter_totals(&mut rec, &self.counters);
-            rec.flush_into(self.dispatcher);
-        }
-        {
-            let mut f = self.finished.lock().unwrap();
-            *f = f.max(now);
-        }
-        *self.slot.lock().unwrap() = Some(Ok((
-            sink,
-            None,
-            std::mem::replace(&mut self.counters, Counters::new()),
-            std::mem::take(&mut self.snapshots),
-        )));
-        Step::Done
+        self.out.complete(SpanKind::SortReduce, self.t0, None)
     }
 }
 
@@ -1365,11 +1079,13 @@ impl<'a, A: Application, S: ReduceSink<A>> pool::PoolTask for BarrierReduceTask<
 // ---------------------------------------------------------------------
 
 /// Spawns one job stage's full task graph onto `pool` — reduce tasks
-/// first (they consume as mappers produce), then map (or intake) tasks —
-/// for whichever engine `cfg` selects. `map_tasks` bounds concurrent map
-/// *tasks* (the legacy `LocalRunner::map_threads` meaning, preserving
-/// trace/counter shape); OS threads are bounded separately by
-/// `JobConfig::pool_workers` at [`Pool::run`].
+/// first (they consume as mappers produce), then map (or intake) tasks.
+/// The map side is the same for both engines; `cfg.engine` only picks
+/// the reduce task, and with it where the stage barrier falls.
+/// `map_tasks` bounds concurrent map *tasks* (the legacy
+/// `LocalRunner::map_threads` meaning, preserving trace/counter shape);
+/// OS threads are bounded separately by `JobConfig::pool_workers` at
+/// [`Pool::run`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_stage<'a, A, P, S, F>(
     pool: &mut Pool<'a>,
@@ -1388,17 +1104,12 @@ where
     S: ReduceSink<A> + 'a,
     F: Fn(usize) -> S,
 {
-    let reducers = cfg.reducers;
-    match &cfg.engine {
-        Engine::BarrierLess { .. } => {
-            let mut txs: Vec<PoolSender<FlatBatch>> = Vec::with_capacity(reducers);
-            let mut rxs: Vec<PoolReceiver<FlatBatch>> = Vec::with_capacity(reducers);
-            for _ in 0..reducers {
-                let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            for (r, rx) in rxs.into_iter().enumerate() {
+    let mut txs: Vec<PoolSender<FlatBatch>> = Vec::with_capacity(cfg.reducers);
+    for r in 0..cfg.reducers {
+        let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
+        txs.push(tx);
+        match &cfg.engine {
+            Engine::BarrierLess { .. } => {
                 pool.spawn(PipelinedReduceTask::new(
                     app,
                     cfg,
@@ -1408,132 +1119,39 @@ where
                     make_sink(r),
                 )?);
             }
-            match input {
-                StageInput::Splits(splits) => {
-                    let n = map_tasks.max(1).min(splits.len().max(1));
-                    for _ in 0..n {
-                        pool.spawn(SplitMapTask::new(
-                            app,
-                            cfg,
-                            partitioner,
-                            state,
-                            splits,
-                            txs.clone(),
-                            cache,
-                        ));
-                    }
-                }
-                StageInput::Intakes(intakes) => {
-                    for (i, rx) in intakes.into_iter().enumerate() {
-                        pool.spawn(IntakeMapTask {
-                            app,
-                            rx: Some(rx),
-                            idx: i,
-                            emitter: Some(ShuffleEmitter::new(
-                                app,
-                                cfg,
-                                partitioner,
-                                txs.clone(),
-                                &state.batch_pool,
-                            )),
-                            totals: &state.totals,
-                            dispatcher: &state.dispatcher,
-                            tracing: state.tracing,
-                            started: state.started,
-                            cur: None,
-                            t0: None,
-                            input_done: false,
-                        });
-                    }
-                }
+            Engine::Barrier => {
+                pool.spawn(BarrierReduceTask::new(app, cfg, state, r, rx, make_sink(r)));
             }
         }
-        Engine::Barrier => {
-            let combining = combining_active(app, cfg);
-            let combine_budget = cfg.combiner.budget_bytes().unwrap_or(0) as usize;
-            let assembled = pool.gate(1);
-            let maps_done;
-            match input {
-                StageInput::Splits(splits) => {
-                    let n = map_tasks.max(1).min(splits.len().max(1));
-                    maps_done = pool.gate(n);
-                    for _ in 0..n {
-                        pool.spawn(BarrierSplitMapTask {
-                            app,
-                            cfg,
-                            partitioner,
-                            splits,
-                            next: &state.next,
-                            reducers,
-                            combining,
-                            combine_budget,
-                            slots: &state.map_slots,
-                            totals: &state.totals,
-                            maps_done: maps_done.clone(),
-                            dispatcher: &state.dispatcher,
-                            tracing: state.tracing,
-                            started: state.started,
-                            counters: Counters::new(),
-                            cur: None,
-                            cache,
-                        });
-                    }
-                }
-                StageInput::Intakes(intakes) => {
-                    maps_done = pool.gate(intakes.len());
-                    for (i, rx) in intakes.into_iter().enumerate() {
-                        pool.spawn(BarrierIntakeTask {
-                            app,
-                            partitioner,
-                            reducers,
-                            combining,
-                            rx: Some(rx),
-                            idx: i,
-                            parts: (0..reducers).map(|_| Vec::new()).collect(),
-                            combs: if combining {
-                                (0..reducers)
-                                    .map(|_| {
-                                        CombinerBuffer::new(app, combine_budget, cfg.store_index)
-                                    })
-                                    .collect()
-                            } else {
-                                Vec::new()
-                            },
-                            counters: Counters::new(),
-                            slot: &state.map_slots[i],
-                            totals: &state.totals,
-                            maps_done: maps_done.clone(),
-                            dispatcher: &state.dispatcher,
-                            tracing: state.tracing,
-                            started: state.started,
-                            t0: None,
-                        });
-                    }
-                }
-            }
-            pool.spawn(AssembleTask::<A> {
-                maps_done,
-                assembled: assembled.clone(),
-                map_slots: &state.map_slots,
-                partition_slots: &state.partition_slots,
-            });
-            for r in 0..reducers {
-                pool.spawn(BarrierReduceTask {
+    }
+    match input {
+        StageInput::Splits(splits) => {
+            let n = map_tasks.max(1).min(splits.len().max(1));
+            for _ in 0..n {
+                pool.spawn(SplitMapTask::new(
                     app,
                     cfg,
-                    r,
-                    assembled: assembled.clone(),
-                    partition: &state.partition_slots[r],
-                    sink: Some(make_sink(r)),
-                    counters: Counters::new(),
-                    snapshots: Vec::new(),
-                    slot: &state.reduce_slots[r],
-                    finished: &state.finished,
-                    dispatcher: &state.dispatcher,
-                    tracing: state.tracing,
-                    started: state.started,
-                    t0: 0.0,
-                    reduced: false,
+                    partitioner,
+                    state,
+                    splits,
+                    txs.clone(),
+                    cache,
+                ));
+            }
+        }
+        StageInput::Intakes(intakes) => {
+            for (idx, rx) in intakes.into_iter().enumerate() {
+                let mut emitter = ShuffleEmitter::new(app, cfg, partitioner, txs.clone(), state);
+                emitter.begin_split(idx);
+                pool.spawn(IntakeMapTask {
+                    app,
+                    rx: Some(rx),
+                    idx,
+                    emitter,
+                    trace: &state.trace,
+                    cur: None,
+                    t0: None,
+                    input_done: false,
                 });
             }
         }
@@ -1542,30 +1160,19 @@ where
 }
 
 /// Consumes a run stage's state after the pool finished: merges task
-/// counters (map totals to the job scope, reduce totals per task —
-/// preserving the legacy trace layout), models `shuffle.batch_reuse`
-/// from the deterministic batch counts, and assembles the [`SinkedRun`].
+/// counters (job-scope totals to the job scope, reduce totals per task —
+/// preserving the legacy trace layout) and assembles the [`SinkedRun`].
 pub(crate) fn collect_stage<A, S>(state: StageState<A, S>) -> MrResult<SinkedRun<A, S>>
 where
     A: Application,
     S: ReduceSink<A>,
 {
-    let tracing = state.tracing;
-    let totals = state.totals.into_inner().unwrap();
-    let mut counters = totals.counters;
-    // Modelled buffer reuse: a channel holds at most `BATCH_CHANNEL_DEPTH`
-    // batches, so every batch a reducer received beyond that depth must
-    // have ridden a recycled buffer in the steady state. Derived from
-    // deterministic batch counts — unlike observed free-list pops, it
-    // does not depend on thread timing.
-    let reuse: u64 = totals
-        .batches_per_reducer
-        .iter()
-        .map(|&b| b.saturating_sub(BATCH_CHANNEL_DEPTH as u64))
-        .sum();
-    if reuse > 0 {
-        counters.add(names::SHUFFLE_BATCH_REUSE, reuse);
-    }
+    let StageTrace {
+        tracing,
+        dispatcher,
+        ..
+    } = state.trace;
+    let mut counters = state.totals.into_inner().unwrap();
     // The non-reduce counters (map phase or chain intake) are attributed
     // to the job scope as one pre-merged batch: per-task attribution
     // would depend on which task claimed which split, and the log's
@@ -1573,7 +1180,7 @@ where
     if tracing {
         let mut rec = TraceRecorder::new(Scope::job(0), true);
         record_counter_totals(&mut rec, &counters);
-        rec.flush_into(&state.dispatcher);
+        rec.flush_into(&dispatcher);
     }
     let mut sinks = Vec::with_capacity(state.reduce_slots.len());
     let mut reports = Vec::new();
@@ -1588,7 +1195,7 @@ where
         snapshots.push(snaps);
         sinks.push(sink);
     }
-    let trace = state.dispatcher.finish();
+    let trace = dispatcher.finish();
     // Eat our own dogfood: with tracing on, the counters the caller sees
     // are *derived from the log* (equal to the direct merge by
     // construction — the trace carries every task's totals).
@@ -1597,7 +1204,7 @@ where
     } else {
         counters
     };
-    let finished_secs = *state.finished.lock().unwrap();
+    let finished_secs = state.finished.into_inner().unwrap();
     Ok(SinkedRun {
         sinks,
         counters,
@@ -1705,8 +1312,7 @@ impl LocalRunner {
     /// Runs `app` over `splits` through the shared content-addressed
     /// result cache: each split's partitioned map output is looked up by
     /// a stable hash of its input bytes plus the app identity — type
-    /// *and* instance parameters, per
-    /// [`Application::cache_identity`](crate::traits::Application::cache_identity)
+    /// *and* instance parameters, per [`Application::cache_identity`]
     /// — and the output-shaping config knobs, and whole-job results are
     /// memoized the same way. Warm runs replay cached artifacts through
     /// the normal shuffle routing, so their output is byte-identical to
@@ -1859,10 +1465,8 @@ impl LocalRunner {
         P: Partitioner<A::MapKey> + Sync,
     {
         cfg.validate()?;
-        let states: Vec<StageState<A, Vec<(A::OutKey, A::OutValue)>>> = jobs
-            .iter()
-            .map(|splits| StageState::new(cfg, splits.len()))
-            .collect();
+        let states: Vec<StageState<A, Vec<(A::OutKey, A::OutValue)>>> =
+            jobs.iter().map(|_| StageState::new(cfg)).collect();
         let mut pool = Pool::new();
         for (state, splits) in states.iter().zip(jobs.iter()) {
             build_stage(
@@ -1909,7 +1513,7 @@ impl LocalRunner {
         S: ReduceSink<A>,
         F: Fn(usize) -> S,
     {
-        let state = StageState::new(cfg, splits.len());
+        let state = StageState::new(cfg);
         let mut pool = Pool::new();
         build_stage(
             &mut pool,
@@ -1925,136 +1529,13 @@ impl LocalRunner {
         pool.run(cfg.pool_workers)?;
         collect_stage(state)
     }
-
-    /// Runs `app` with DryadInc-style map-output memoization (§8 of the
-    /// paper): splits whose [`memo::Fingerprint`] is already cached skip
-    /// the map function entirely. Pass the same `cache` across runs of an
-    /// iterative job; clear it when the map function changes.
-    ///
-    /// The reduce side runs the configured engine as usual (the cached
-    /// map output feeds it all at once, so this path favours iterative
-    /// re-runs over first-run pipelining).
-    #[allow(clippy::type_complexity)]
-    pub fn run_memoized<A, P>(
-        &self,
-        app: &A,
-        splits: Vec<(memo::Fingerprint, Vec<(A::InKey, A::InValue)>)>,
-        cfg: &JobConfig,
-        partitioner: &P,
-        cache: &mut memo::MemoCache<A>,
-    ) -> MrResult<JobOutput<A>>
-    where
-        A: Application,
-        P: Partitioner<A::MapKey>,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
-    {
-        cfg.validate()?;
-        let started = Instant::now();
-        let reducers = cfg.reducers;
-        let tracing = cfg.trace.is_enabled();
-        let dispatcher = TraceDispatcher::new(tracing);
-        let mut counters = Counters::new();
-        let mut partitions: Vec<Vec<(A::MapKey, A::MapValue)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        for (fp, split) in &splits {
-            if let Some(cached) = cache.lookup(*fp, reducers) {
-                counters.incr(names::CACHE_HITS);
-                for (p, records) in cached.iter().enumerate() {
-                    partitions[p].extend(records.iter().cloned());
-                }
-                continue;
-            }
-            counters.incr(names::CACHE_MISSES);
-            let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
-                (0..reducers).map(|_| Vec::new()).collect();
-            {
-                let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                    counters.incr(names::MAP_OUTPUT_RECORDS);
-                    let p = partitioner.partition(&k, reducers);
-                    parts[p].push((k, v));
-                });
-                for (k, v) in split {
-                    app.map(k, v, &mut emit);
-                }
-            }
-            for (p, records) in parts.iter().enumerate() {
-                partitions[p].extend(records.iter().cloned());
-            }
-            cache.insert(*fp, reducers, parts);
-        }
-
-        let mut outputs = Vec::with_capacity(reducers);
-        let mut reports = Vec::new();
-        let mut snapshots: Vec<Vec<Snapshot<A>>> = Vec::with_capacity(reducers);
-        for (r, records) in partitions.into_iter().enumerate() {
-            let t0 = started.elapsed().as_secs_f64();
-            let span_kind = match &cfg.engine {
-                Engine::Barrier => SpanKind::SortReduce,
-                Engine::BarrierLess { .. } => SpanKind::ShuffleReduce,
-            };
-            match &cfg.engine {
-                Engine::Barrier => {
-                    let absorbed = records.len() as u64;
-                    let out = reduce_partition_barrier(app, records, &mut counters)?;
-                    snapshots.push(barrier_snapshot(
-                        cfg,
-                        r,
-                        absorbed,
-                        started.elapsed().as_secs_f64(),
-                        &out,
-                        &mut counters,
-                    ));
-                    outputs.push(out);
-                }
-                Engine::BarrierLess { .. } => {
-                    let (out, report, snaps) =
-                        reduce_partition_barrierless_traced(app, cfg, r, records, &mut counters)?;
-                    outputs.push(out);
-                    reports.push(report);
-                    snapshots.push(snaps);
-                }
-            }
-            if tracing {
-                let mut rec = TraceRecorder::new(
-                    Scope::task(0, TaskKind::Reduce, r as u32, 0, NO_NODE),
-                    true,
-                );
-                rec.span_wall(span_kind, t0, started.elapsed().as_secs_f64());
-                for s in snapshots.last().into_iter().flatten() {
-                    rec.snapshot_wall(s.at_secs, s.seq, s.records_absorbed, s.live_entries as u64);
-                }
-                rec.flush_into(&dispatcher);
-            }
-        }
-        // Single-threaded path: every counter (map and reduce alike) is
-        // already merged, so the whole total is one job-scope batch.
-        if tracing {
-            let mut rec = TraceRecorder::new(Scope::job(0), true);
-            record_counter_totals(&mut rec, &counters);
-            rec.flush_into(&dispatcher);
-        }
-        let trace = dispatcher.finish();
-        let counters = if tracing {
-            Counters::from_trace(&trace)
-        } else {
-            counters
-        };
-        Ok(JobOutput {
-            partitions: outputs,
-            counters,
-            reports,
-            snapshots,
-            trace,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MemoryPolicy;
-    use crate::testutil::{scratch_dir, GlobalSum, WordCountApp};
+    use crate::testutil::{scratch_dir, ArrivalOrder, GlobalSum, WordCountApp};
     use std::collections::BTreeMap;
 
     fn text_splits(n_splits: usize, lines_per_split: usize) -> Vec<Vec<(u64, String)>> {
@@ -2179,64 +1660,81 @@ mod tests {
     #[test]
     fn truncated_batch_fails_the_job_with_a_typed_error() {
         // The reducer's first batch arrives cut short. The contract is
-        // the one an OOM has: a typed error for this job, the receiver
-        // dropped so mappers unwind instead of parking forever, nothing
-        // published to the shared cache, no panic and no hang — at a
-        // one-record batch budget, where mappers fill the channel.
+        // the one an OOM has: a typed error for this job, no reduce
+        // output, nothing unsound published to the shared cache, no
+        // panic and no hang — at a one-record batch budget, where
+        // mappers fill the channel.
         let app = WordCountApp;
         let splits = text_splits(4, 200);
         let mapped: u64 = 4 * 200 * 3;
-        for pool_workers in [1, 2] {
-            let cfg = JobConfig::new(1)
-                .engine(Engine::barrierless())
-                .shuffle_batch_bytes(1);
-            let cache = SharedCache::new(16 << 20);
-            let plan = SplitCachePlan::new(&cache, &app, &cfg, "hash", &splits).unwrap();
-            let state: StageState<WordCountApp, Vec<(String, u64)>> =
-                StageState::new(&cfg, splits.len());
-            let mut pool = Pool::new();
-            let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
-            let mut bad = FlatBatch::default();
-            bad.push(&"truncated".to_string(), &1u64);
-            bad.truncate_bytes(3);
-            assert!(tx.try_send_now(bad).is_ok());
-            pool.spawn(PipelinedReduceTask::new(&app, &cfg, &state, 0, rx, Vec::new()).unwrap());
-            for _ in 0..2 {
-                pool.spawn(SplitMapTask::new(
-                    &app,
-                    &cfg,
-                    &HashPartitioner,
-                    &state,
-                    &splits,
-                    vec![tx.clone()],
-                    Some(&plan),
-                ));
-            }
-            drop(tx);
-            pool.run(pool_workers).unwrap();
-            let done = state.reduce_slots[0].lock().unwrap().take();
-            assert!(
-                matches!(
-                    done,
-                    Some(Err(MrError::Codec(crate::codec::CodecError::UnexpectedEof)))
-                ),
-                "workers {pool_workers}: expected a decode error"
-            );
-            let emitted = state
-                .totals
-                .lock()
-                .unwrap()
-                .counters
-                .get(names::MAP_OUTPUT_RECORDS);
-            assert!(
-                emitted < mapped,
-                "workers {pool_workers}: mappers kept feeding a dead reducer"
-            );
-            if pool_workers == 1 {
-                // One worker steps the reducer first, so it is gone before
-                // any split completes: every capture is cut short by the
-                // dead emitter and none may be published.
-                assert!(cache.is_empty(), "a failing job published an artifact");
+        for engine in [Engine::barrierless(), Engine::Barrier] {
+            for pool_workers in [1, 2] {
+                let cfg = JobConfig::new(1)
+                    .engine(engine.clone())
+                    .shuffle_batch_bytes(1);
+                let cache = SharedCache::new(16 << 20);
+                let plan = SplitCachePlan::new(&cache, &app, &cfg, "hash", &splits).unwrap();
+                let state: StageState<WordCountApp, Vec<(String, u64)>> = StageState::new(&cfg);
+                let mut pool = Pool::new();
+                let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
+                let mut bad = FlatBatch::default();
+                bad.push(&"truncated".to_string(), &1u64);
+                bad.truncate_bytes(3);
+                assert!(tx.try_send_now(bad).is_ok());
+                if engine == Engine::Barrier {
+                    pool.spawn(BarrierReduceTask::new(
+                        &app,
+                        &cfg,
+                        &state,
+                        0,
+                        rx,
+                        Vec::new(),
+                    ));
+                } else {
+                    pool.spawn(
+                        PipelinedReduceTask::new(&app, &cfg, &state, 0, rx, Vec::new()).unwrap(),
+                    );
+                }
+                for _ in 0..2 {
+                    pool.spawn(SplitMapTask::new(
+                        &app,
+                        &cfg,
+                        &HashPartitioner,
+                        &state,
+                        &splits,
+                        vec![tx.clone()],
+                        Some(&plan),
+                    ));
+                }
+                drop(tx);
+                pool.run(pool_workers).unwrap();
+                let done = state.reduce_slots[0].lock().unwrap().take();
+                assert!(
+                    matches!(
+                        done,
+                        Some(Err(MrError::Codec(crate::codec::CodecError::UnexpectedEof)))
+                    ),
+                    "{engine:?}, workers {pool_workers}: expected a decode error"
+                );
+                let emitted = state.totals.lock().unwrap().get(names::MAP_OUTPUT_RECORDS);
+                if engine == Engine::Barrier {
+                    // A barrier reducer decodes nothing before the
+                    // barrier, so every map ran to completion first: the
+                    // split artifacts its mappers published are whole
+                    // and sound, unlike a dying pipelined run's.
+                    assert_eq!(emitted, mapped, "workers {pool_workers}");
+                    continue;
+                }
+                assert!(
+                    emitted < mapped,
+                    "workers {pool_workers}: mappers kept feeding a dead reducer"
+                );
+                if pool_workers == 1 {
+                    // One worker steps the reducer first, so it is gone
+                    // before any split completes: every capture is cut
+                    // short by the dead emitter and none may be published.
+                    assert!(cache.is_empty(), "a failing job published an artifact");
+                }
             }
         }
     }
@@ -2301,13 +1799,98 @@ mod tests {
                 combined.counters.get(names::COMBINE_INPUT_RECORDS),
                 combined.counters.get(names::COMBINE_OUTPUT_RECORDS)
             );
-            if engine != Engine::Barrier {
-                // Only combined records crossed the shuffle transport.
+            // Only combined records crossed the shuffle transport.
+            assert_eq!(
+                combined.counters.get(names::SHUFFLE_RECORDS),
+                combined.counters.get(names::COMBINE_OUTPUT_RECORDS)
+            );
+        }
+    }
+
+    /// What the barrier engine owes an order-sensitive application:
+    /// `reduce_partition_barrier` over each partition's records
+    /// concatenated in split order.
+    fn split_order_reference<A: Application>(
+        app: &A,
+        splits: &[InputSplit<A>],
+        reducers: usize,
+    ) -> Vec<Vec<(A::OutKey, A::OutValue)>> {
+        let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
+            (0..reducers).map(|_| Vec::new()).collect();
+        for (k, v) in splits.iter().flatten() {
+            let mut emit = FnEmit(|mk: A::MapKey, mv: A::MapValue| {
+                parts[HashPartitioner.partition(&mk, reducers)].push((mk, mv));
+            });
+            app.map(k, v, &mut emit);
+        }
+        parts
+            .into_iter()
+            .map(|records| reduce_partition_barrier(app, records, &mut Counters::new()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn barrier_reducers_receive_values_in_split_order() {
+        // More splits than map tasks, so consecutive splits are mapped
+        // by different tasks and their records reach a reducer
+        // interleaved; the stable-sort contract still owes the
+        // application split order, at every width and batch budget.
+        use crate::chain::{ChainableApplication, InputAdapter};
+        use crate::config::{ChainSpec, CombinerPolicy, HandoffMode};
+        let splits = text_splits(9, 25);
+        let expect = split_order_reference(&ArrivalOrder, &splits, 2);
+        assert!(expect.iter().all(|p| p.len() > 9), "every reducer has work");
+        for pool_workers in [1, 2, 4] {
+            for batch_bytes in [Some(1), None] {
+                let mut cfg = JobConfig::new(2)
+                    .engine(Engine::Barrier)
+                    .combiner(CombinerPolicy::Disabled)
+                    .pool_workers(pool_workers);
+                if let Some(bytes) = batch_bytes {
+                    cfg = cfg.shuffle_batch_bytes(bytes);
+                }
+                let out = LocalRunner::new(2)
+                    .run(&ArrivalOrder, splits.clone(), &cfg)
+                    .unwrap();
                 assert_eq!(
-                    combined.counters.get(names::SHUFFLE_RECORDS),
-                    combined.counters.get(names::COMBINE_OUTPUT_RECORDS)
+                    out.partitions, expect,
+                    "{pool_workers} workers, batch budget {batch_bytes:?}"
                 );
             }
+        }
+        // Downstream of a streaming chain the "splits" are the intakes:
+        // upstream reducer i's output, in the order it was emitted.
+        let second = InputAdapter::new(ArrivalOrder, |word: String, count: u64| (count, word));
+        let cfg1 = JobConfig::new(3);
+        let intakes: Vec<Vec<(u64, String)>> = LocalRunner::new(2)
+            .run(&WordCountApp, splits.clone(), &cfg1)
+            .unwrap()
+            .partitions
+            .into_iter()
+            .map(|p| {
+                p.into_iter()
+                    .map(|(k, v)| second.adapt_input(k, v))
+                    .collect()
+            })
+            .collect();
+        let expect = split_order_reference(&second, &intakes, 2);
+        for pool_workers in [1, 2, 4] {
+            let cfg2 = JobConfig::new(2).pool_workers(pool_workers);
+            let spec = ChainSpec::new(vec![cfg1.clone(), cfg2]).handoff(HandoffMode::Streaming);
+            let out = LocalRunner::new(2)
+                .run_chain2(
+                    &WordCountApp,
+                    &second,
+                    splits.clone(),
+                    &spec,
+                    &HashPartitioner,
+                    &HashPartitioner,
+                )
+                .unwrap();
+            assert_eq!(
+                out.output.partitions, expect,
+                "chained, {pool_workers} workers"
+            );
         }
     }
 
@@ -2380,11 +1963,12 @@ mod tests {
         // Batch boundaries are cut per split by byte budget, so the
         // shuffle accounting must be byte-identical at every pool width
         // — including the reuse counter, which is modelled from batch
-        // counts rather than observed free-list traffic.
+        // counts rather than observed free-list traffic — and, the map
+        // side being one and the same, identical under both engines.
         let splits = text_splits(6, 40);
-        let run = |pool_workers: usize, combine: bool| {
+        let run = |engine: &Engine, pool_workers: usize, combine: bool| {
             let mut cfg = JobConfig::new(3)
-                .engine(Engine::barrierless())
+                .engine(engine.clone())
                 .pool_workers(pool_workers);
             if combine {
                 cfg = cfg.combiner(crate::config::CombinerPolicy::enabled());
@@ -2393,22 +1977,41 @@ mod tests {
                 .run(&WordCountApp, splits.clone(), &cfg)
                 .unwrap()
         };
+        let map_side = [
+            names::MAP_OUTPUT_RECORDS,
+            names::COMBINE_INPUT_RECORDS,
+            names::COMBINE_OUTPUT_RECORDS,
+            names::SHUFFLE_BATCHES,
+            names::SHUFFLE_RECORDS,
+        ];
         for combine in [false, true] {
-            let base = run(1, combine);
-            for workers in [2, 4] {
-                let other = run(workers, combine);
-                assert_eq!(
-                    base.partitions, other.partitions,
-                    "combine {combine}: output changed at {workers} workers"
-                );
-                let m = |c: &Counters| -> BTreeMap<String, u64> {
-                    c.iter().map(|(k, v)| (k.to_string(), v)).collect()
-                };
-                assert_eq!(
-                    m(&base.counters),
-                    m(&other.counters),
-                    "combine {combine}: counters changed at {workers} workers"
-                );
+            let pipelined = run(&Engine::barrierless(), 1, combine);
+            assert!(pipelined.counters.get(names::SHUFFLE_BATCHES) > 0);
+            for engine in [Engine::barrierless(), Engine::Barrier] {
+                let base = run(&engine, 1, combine);
+                for name in map_side {
+                    assert_eq!(
+                        base.counters.get(name),
+                        pipelined.counters.get(name),
+                        "combine {combine}: {engine:?} disagrees on {}",
+                        name.as_str()
+                    );
+                }
+                for workers in [2, 4] {
+                    let other = run(&engine, workers, combine);
+                    assert_eq!(
+                        base.partitions, other.partitions,
+                        "{engine:?}, combine {combine}: output changed at {workers} workers"
+                    );
+                    let m = |c: &Counters| -> BTreeMap<String, u64> {
+                        c.iter().map(|(k, v)| (k.to_string(), v)).collect()
+                    };
+                    assert_eq!(
+                        m(&base.counters),
+                        m(&other.counters),
+                        "{engine:?}, combine {combine}: counters changed at {workers} workers"
+                    );
+                }
             }
         }
     }

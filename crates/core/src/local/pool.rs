@@ -4,7 +4,7 @@
 //! state machines** from a ready queue on a fixed set of worker threads.
 //! A task's `PoolTask::step` runs a bounded slice of work and
 //! returns `Step::Yield` (more work, requeue me), `Step::Park` (I am
-//! blocked on a channel or gate; requeue me when woken) or
+//! blocked on a channel; requeue me when woken) or
 //! `Step::Done`. Blocked tasks hold no thread: a full shuffle channel
 //! parks the producing map task and the worker moves on to whichever
 //! task is ready, so hundreds of small concurrent jobs multiplex on N
@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 pub(crate) enum Step {
     /// More work immediately available: requeue at the back (fairness).
     Yield,
-    /// Blocked on a channel or gate this step registered with; requeue
+    /// Blocked on a channel this step registered with; requeue
     /// on wake. If a wake raced the step, the task requeues immediately.
     Park,
     /// Finished; the task is dropped (releasing its channel handles).
@@ -43,7 +43,7 @@ pub(crate) enum Step {
 }
 
 /// The stepping task's identity, handed to every `step` call; channel
-/// and gate operations use it to register the task for wakeup.
+/// operations use it to register the task for wakeup.
 pub(crate) struct Ctx {
     pub(crate) task: usize,
 }
@@ -81,8 +81,8 @@ struct Sched {
     accepting: bool,
 }
 
-/// The shared scheduler handle: channels and gates hold an `Arc<Waker>`
-/// so wakeups need no lifetime ties to the pool's borrowed tasks.
+/// The shared scheduler handle: channels hold an `Arc<Waker>` so
+/// wakeups need no lifetime ties to the pool's borrowed tasks.
 pub(crate) struct Waker {
     sched: Mutex<Sched>,
     cv: Condvar,
@@ -159,8 +159,8 @@ pub struct PoolReport {
 }
 
 /// A fixed-size worker pool over borrowed task state machines. Build the
-/// whole task graph first ([`spawn`](Pool::spawn), [`channel`](Pool::channel),
-/// [`gate`](Pool::gate)), then [`run`](Pool::run) it to completion.
+/// whole task graph first ([`spawn`](Pool::spawn), [`channel`](Pool::channel)),
+/// then [`run`](Pool::run) it to completion.
 pub(crate) struct Pool<'a> {
     waker: Arc<Waker>,
     slots: Vec<Mutex<Option<Box<dyn PoolTask + 'a>>>>,
@@ -211,21 +211,6 @@ impl<'a> Pool<'a> {
     /// submit path) that needs to wake parked tasks.
     pub(crate) fn waker(&self) -> Arc<Waker> {
         Arc::clone(&self.waker)
-    }
-
-    /// A countdown latch: tasks [`arrive`](Gate::arrive) to count it
-    /// down and [`open`](Gate::open) to wait (parked) until it hits
-    /// zero. The local analogue of a phase barrier.
-    pub(crate) fn gate(&self, count: usize) -> Gate {
-        Gate {
-            inner: Arc::new(GateInner {
-                state: Mutex::new(GateState {
-                    remaining: count,
-                    waiters: Vec::new(),
-                }),
-                waker: Arc::clone(&self.waker),
-            }),
-        }
     }
 
     /// Drives every task to completion on `workers` OS threads.
@@ -588,54 +573,6 @@ impl<T> Drop for PoolReceiver<T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Gate
-// ---------------------------------------------------------------------
-
-struct GateState {
-    remaining: usize,
-    waiters: Vec<usize>,
-}
-
-struct GateInner {
-    state: Mutex<GateState>,
-    waker: Arc<Waker>,
-}
-
-/// A countdown latch for phase boundaries (the barrier engine's
-/// map→reduce join): producers [`arrive`](Gate::arrive), consumers park
-/// on [`open`](Gate::open) until the count hits zero.
-#[derive(Clone)]
-pub(crate) struct Gate {
-    inner: Arc<GateInner>,
-}
-
-impl Gate {
-    /// Counts down one arrival; at zero, every parked waiter wakes.
-    pub(crate) fn arrive(&self) {
-        let mut s = self.inner.state.lock().unwrap();
-        s.remaining = s.remaining.saturating_sub(1);
-        if s.remaining == 0 {
-            let woken = std::mem::take(&mut s.waiters);
-            drop(s);
-            self.inner.waker.wake_all_of(woken);
-        }
-    }
-
-    /// True once every arrival happened; otherwise registers the task
-    /// for wakeup (caller should `Park`).
-    pub(crate) fn open(&self, cx: &Ctx) -> bool {
-        let mut s = self.inner.state.lock().unwrap();
-        if s.remaining == 0 {
-            return true;
-        }
-        if !s.waiters.contains(&cx.task) {
-            s.waiters.push(cx.task);
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,52 +695,6 @@ mod tests {
             matches!(err, Err(MrError::WorkerPanic(ref what)) if what.contains("stalled")),
             "expected a stall report, got {err:?}"
         );
-    }
-
-    /// The gate opens exactly once every arrival happened.
-    #[test]
-    fn gate_holds_until_all_arrivals() {
-        let order = Mutex::new(Vec::new());
-        let pool = Pool::new();
-        let gate = pool.gate(3);
-        let mut pool = pool;
-        struct Arriver<'g> {
-            gate: Gate,
-            order: &'g Mutex<Vec<&'static str>>,
-        }
-        impl PoolTask for Arriver<'_> {
-            fn step(&mut self, _cx: &mut Ctx) -> Step {
-                self.order.lock().unwrap().push("arrive");
-                self.gate.arrive();
-                Step::Done
-            }
-        }
-        struct Waiter<'g> {
-            gate: Gate,
-            order: &'g Mutex<Vec<&'static str>>,
-        }
-        impl PoolTask for Waiter<'_> {
-            fn step(&mut self, cx: &mut Ctx) -> Step {
-                if !self.gate.open(cx) {
-                    return Step::Park;
-                }
-                self.order.lock().unwrap().push("open");
-                Step::Done
-            }
-        }
-        pool.spawn(Waiter {
-            gate: gate.clone(),
-            order: &order,
-        });
-        for _ in 0..3 {
-            pool.spawn(Arriver {
-                gate: gate.clone(),
-                order: &order,
-            });
-        }
-        pool.run(1).expect("pool run");
-        let order = order.into_inner().unwrap();
-        assert_eq!(order, vec!["arrive", "arrive", "arrive", "open"]);
     }
 
     /// Service mode: tasks park on an empty work queue, an *external*

@@ -656,12 +656,7 @@ where
                     // No job-level artifact for snapshot jobs: a
                     // whole-job hit cannot replay the snapshot stream.
                     let cache_key = if cached && !job.cfg.snapshots.is_enabled() {
-                        cache::job_key(
-                            self.app,
-                            &job.cfg,
-                            std::any::type_name::<P>(),
-                            &job.splits,
-                        )
+                        cache::job_key(self.app, &job.cfg, std::any::type_name::<P>(), &job.splits)
                     } else {
                         None
                     };

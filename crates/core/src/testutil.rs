@@ -229,3 +229,74 @@ impl Application for GlobalSum {
         "test-global-sum"
     }
 }
+
+/// Order-sensitive on purpose: the grouped reducer emits a group's
+/// values in the order it received them, so the output bytes reveal the
+/// fetch order the barrier's stable sort kept. Keys are coarse (the
+/// value's length mod 3), so every group draws values from every split.
+pub struct ArrivalOrder;
+
+impl Application for ArrivalOrder {
+    type InKey = u64;
+    type InValue = String;
+    type MapKey = u8;
+    type MapValue = String;
+    type OutKey = u8;
+    type OutValue = String;
+    type State = Vec<String>;
+    type Shared = ();
+
+    fn map(&self, key: &u64, value: &String, out: &mut dyn Emit<u8, String>) {
+        out.emit((value.len() % 3) as u8, format!("{key}:{value}"));
+    }
+
+    fn new_shared(&self) {}
+
+    fn reduce_grouped(
+        &self,
+        key: &u8,
+        values: Vec<String>,
+        _shared: &mut (),
+        out: &mut dyn Emit<u8, String>,
+    ) {
+        for value in values {
+            out.emit(*key, value);
+        }
+    }
+
+    fn init(&self, _key: &u8) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn absorb(
+        &self,
+        _key: &u8,
+        state: &mut Vec<String>,
+        value: String,
+        _shared: &mut (),
+        _out: &mut dyn Emit<u8, String>,
+    ) {
+        state.push(value);
+    }
+
+    fn merge(&self, _key: &u8, mut a: Vec<String>, mut b: Vec<String>) -> Vec<String> {
+        a.append(&mut b);
+        a
+    }
+
+    fn finalize(
+        &self,
+        key: u8,
+        state: Vec<String>,
+        _shared: &mut (),
+        out: &mut dyn Emit<u8, String>,
+    ) {
+        for value in state {
+            out.emit(key, value);
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "test-arrival-order"
+    }
+}

@@ -830,7 +830,10 @@ fn unkeyed_parameterized_apps_bypass_the_cache() {
         assert_eq!(out.counters.get(names::CACHE_HITS), 0);
         assert_eq!(out.counters.get(names::CACHE_MISSES), 0);
     }
-    assert!(cache.is_empty(), "nothing may be published under an incomplete key");
+    assert!(
+        cache.is_empty(),
+        "nothing may be published under an incomplete key"
+    );
 }
 
 /// Review regression: a job with an enabled snapshot policy must keep
@@ -974,16 +977,61 @@ fn failed_jobs_never_poison_the_shared_cache() {
     );
 }
 
+/// The iterative re-run the retired per-run memo suite pinned, on the
+/// cache that superseded it: after a cold run, changing one split
+/// re-maps only that split — the job key misses, the changed split
+/// misses, every other split hits and replays without its map function
+/// running — and the output equals a from-scratch run, under both
+/// engines.
+#[test]
+fn one_changed_split_remaps_only_that_split() {
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{CacheBudget, SharedCache};
+    let splits: Vec<Vec<(u64, String)>> = vec![
+        vec![(0, "alpha beta alpha".into())],
+        vec![(1, "beta gamma".into())],
+        vec![(2, "gamma gamma delta".into())],
+    ];
+    let mut updated = splits.clone();
+    updated[1] = vec![(1, "beta epsilon".into())];
+    for engine in [Engine::Barrier, Engine::barrierless()] {
+        let cfg = JobConfig::new(2)
+            .engine(engine.clone())
+            .cache(CacheBudget::enabled());
+        let runner = LocalRunner::new(2);
+        let cache = SharedCache::new(16 << 20);
+        let cold = runner
+            .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+            .unwrap();
+        assert_eq!(cold.counters.get(names::MAP_OUTPUT_RECORDS), 8);
+        assert_eq!(cold.counters.get(names::CACHE_HITS), 0);
+        // Three splits and the job key.
+        assert_eq!(cold.counters.get(names::CACHE_MISSES), 4);
+
+        let out = runner
+            .run_cached(&WordCount, updated.clone(), &cfg, &HashPartitioner, &cache)
+            .unwrap();
+        // Only the changed split was mapped: two words.
+        assert_eq!(out.counters.get(names::MAP_OUTPUT_RECORDS), 2, "{engine:?}");
+        assert_eq!(out.counters.get(names::CACHE_HITS), 2, "{engine:?}");
+        assert_eq!(out.counters.get(names::CACHE_MISSES), 2, "{engine:?}");
+        let fresh = runner.run(&WordCount, updated.clone(), &cfg).unwrap();
+        assert_eq!(out.partitions, fresh.partitions, "{engine:?}");
+    }
+}
+
 /// The shuffle's wire format is not allowed to show: at the degenerate
 /// one-record batch budget (and at a budget that cuts mid-split), with
 /// the combiner on and off, at every pool width, uncached, cold-cached
-/// and replayed from split artifacts, the pipelined engine's output is
-/// byte-identical to the barrier engine's and `shuffle.batches`,
-/// `shuffle.records` and `shuffle.batch_reuse` are the values pinned
-/// below — recorded from the typed `Vec<(key, value)>` transport that
-/// the flat serialized batches replaced. Batch cuts are charged in
-/// `SizeEstimate` bytes, not encoded bytes, which is what keeps them
-/// (and every canonical trace) where they were.
+/// and replayed from split artifacts, every run's output is
+/// byte-identical and `shuffle.batches`, `shuffle.records` and
+/// `shuffle.batch_reuse` are the values pinned below — recorded from the
+/// typed `Vec<(key, value)>` transport that the flat serialized batches
+/// replaced. Batch cuts are charged in `SizeEstimate` bytes, not encoded
+/// bytes, which is what keeps them (and every canonical trace) where
+/// they were. Both engines share the map side, so the barrier engine
+/// reports the same batches and records; it holds every batch until the
+/// barrier, recycles no buffer, and so charges no reuse.
 #[test]
 fn flat_batches_pin_the_shuffle_accounting() {
     use barrier_mapreduce::core::counters::names;
@@ -1013,43 +1061,60 @@ fn flat_batches_pin_the_shuffle_accounting() {
         ),
         (200, CombinerPolicy::Disabled, (186, 1080, 58)),
     ];
-    for (budget, combiner, expect) in pinned {
+    for (budget, combiner, pipelined_expect) in pinned {
         for workers in [1usize, 2, 4] {
-            let cfg = JobConfig::new(2)
-                .engine(Engine::barrierless())
-                .shuffle_batch_bytes(budget)
-                .combiner(combiner)
-                .pool_workers(workers)
-                // Snapshots keep the whole-job artifact out of the cache,
-                // so the warm run below replays split artifacts through
-                // the shuffle instead of skipping it.
-                .snapshots(SnapshotPolicy::EveryRecords { records: 500 })
-                .cache(CacheBudget::enabled());
-            let runner = LocalRunner::new(2);
-            let cache = SharedCache::new(64 << 20);
-            let uncached = runner.run(&WordCount, splits.clone(), &cfg).unwrap();
-            let cold = runner
-                .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-                .unwrap();
-            let warm = runner
-                .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-                .unwrap();
-            assert_eq!(warm.counters.get(names::CACHE_HITS), splits.len() as u64);
-            for (what, out) in [("uncached", uncached), ("cold", cold), ("warm", warm)] {
-                let got = (
-                    out.counters.get(names::SHUFFLE_BATCHES),
-                    out.counters.get(names::SHUFFLE_RECORDS),
-                    out.counters.get(names::SHUFFLE_BATCH_REUSE),
-                );
-                assert_eq!(
-                    got, expect,
-                    "{what} run, budget {budget}, {combiner:?}, {workers} workers"
-                );
-                assert_eq!(
-                    out.partitions, barrier,
-                    "{what} run, budget {budget}, {combiner:?}, {workers} workers"
-                );
+            // Per engine, per run: what the shared map side counted.
+            let mut map_side = Vec::new();
+            for engine in [Engine::barrierless(), Engine::Barrier] {
+                let expect = match engine {
+                    Engine::Barrier => (pipelined_expect.0, pipelined_expect.1, 0),
+                    Engine::BarrierLess { .. } => pipelined_expect,
+                };
+                let cfg = JobConfig::new(2)
+                    .engine(engine.clone())
+                    .shuffle_batch_bytes(budget)
+                    .combiner(combiner)
+                    .pool_workers(workers)
+                    // Snapshots keep the whole-job artifact out of the
+                    // cache, so the warm run below replays split
+                    // artifacts through the shuffle instead of skipping
+                    // it.
+                    .snapshots(SnapshotPolicy::EveryRecords { records: 500 })
+                    .cache(CacheBudget::enabled());
+                let runner = LocalRunner::new(2);
+                let cache = SharedCache::new(64 << 20);
+                let uncached = runner.run(&WordCount, splits.clone(), &cfg).unwrap();
+                let cold = runner
+                    .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                    .unwrap();
+                let warm = runner
+                    .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                    .unwrap();
+                assert_eq!(warm.counters.get(names::CACHE_HITS), splits.len() as u64);
+                map_side.push([&uncached, &cold, &warm].map(|out| {
+                    [
+                        out.counters.get(names::MAP_OUTPUT_RECORDS),
+                        out.counters.get(names::COMBINE_INPUT_RECORDS),
+                        out.counters.get(names::COMBINE_OUTPUT_RECORDS),
+                    ]
+                }));
+                for (what, out) in [("uncached", uncached), ("cold", cold), ("warm", warm)] {
+                    let got = (
+                        out.counters.get(names::SHUFFLE_BATCHES),
+                        out.counters.get(names::SHUFFLE_RECORDS),
+                        out.counters.get(names::SHUFFLE_BATCH_REUSE),
+                    );
+                    let case = format!(
+                        "{engine:?}, {what} run, budget {budget}, {combiner:?}, {workers} workers"
+                    );
+                    assert_eq!(got, expect, "{case}");
+                    assert_eq!(out.partitions, barrier, "{case}");
+                }
             }
+            assert_eq!(
+                map_side[0], map_side[1],
+                "engines disagree on the map side: budget {budget}, {combiner:?}, {workers} workers"
+            );
         }
     }
 }
