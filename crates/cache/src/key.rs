@@ -7,6 +7,19 @@
 //! with a fixed, documented key — and value types opt in through
 //! [`StableHash`].
 //!
+//! # Absorbing
+//!
+//! Keying reads every input byte of a cached job, so the builder
+//! compresses eight bytes at a time: `write_u64` is one SipHash block
+//! (two when the word straddles a pending partial block), and
+//! `write_bytes` / `write_str` top up that partial block, then load
+//! whole little-endian words straight from the slice and hold back only
+//! the trailing `len % 8` bytes. The byte stream SipHash sees is the one
+//! a byte-at-a-time absorb would feed it, so keys are bit-identical to
+//! those of earlier builds (the published SipHash-2-4-128 vectors, the
+//! pinned golden and a proptest against the byte-wise reference hold it
+//! there).
+//!
 //! # Collision and trust model
 //!
 //! Key equality is treated as proof of artifact identity: a hit is served
@@ -55,11 +68,21 @@ pub struct KeyBuilder {
     v1: u64,
     v2: u64,
     v3: u64,
-    /// Bytes absorbed but not yet a full 8-byte block.
-    tail: [u8; 8],
+    /// Bytes absorbed but not yet a full 8-byte block: little-endian in
+    /// the low `tail_len` bytes, zero above them.
+    tail: u64,
+    /// Always `< 8` between calls.
     tail_len: usize,
     /// Total bytes absorbed (mod 256 enters the final block per spec).
     len: u64,
+}
+
+/// The little-endian word whose low bytes are `bytes` (at most 8 of them).
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 #[inline]
@@ -85,7 +108,7 @@ impl KeyBuilder {
             v1: KEY1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
             v2: KEY0 ^ 0x6c79_6765_6e65_7261,
             v3: KEY1 ^ 0x7465_6462_7974_6573,
-            tail: [0; 8],
+            tail: 0,
             tail_len: 0,
             len: 0,
         }
@@ -100,31 +123,46 @@ impl KeyBuilder {
         self.v0 ^= m;
     }
 
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.tail[self.tail_len] = b;
-        self.tail_len += 1;
-        self.len = self.len.wrapping_add(1);
-        if self.tail_len == 8 {
-            let m = u64::from_le_bytes(self.tail);
-            self.tail_len = 0;
-            self.block(m);
-        }
-    }
-
     /// Absorbs one `u64` (little-endian bytes).
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
+        self.len = self.len.wrapping_add(8);
+        if self.tail_len == 0 {
+            self.block(v);
+        } else {
+            // The word straddles two blocks: its low bytes complete the
+            // pending one, its high bytes become the new tail.
+            let held = 8 * self.tail_len as u32;
+            self.block(self.tail | v << held);
+            self.tail = v >> (64 - held);
         }
     }
 
     /// Absorbs a byte slice, length-prefixed.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.byte(b);
+        self.absorb_raw(bytes);
+    }
+
+    /// Absorbs raw bytes with no length prefix: tops up a pending tail,
+    /// compresses whole words straight from the slice, parks the rest.
+    fn absorb_raw(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.tail_len != 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail |= le_word(&bytes[..take]) << (8 * self.tail_len);
+            self.tail_len += take;
+            if self.tail_len < 8 {
+                return;
+            }
+            self.block(self.tail);
+            bytes = &bytes[take..];
         }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.block(le_word(word));
+        }
+        self.tail = le_word(words.remainder());
+        self.tail_len = words.remainder().len();
     }
 
     /// Absorbs a string's UTF-8 bytes, length-prefixed.
@@ -137,10 +175,7 @@ impl KeyBuilder {
     pub fn finish(&self) -> CacheKey {
         let mut s = self.clone();
         // Final block: remaining tail bytes, length byte on top.
-        let mut last = [0u8; 8];
-        last[..s.tail_len].copy_from_slice(&s.tail[..s.tail_len]);
-        last[7] = s.len as u8;
-        s.block(u64::from_le_bytes(last));
+        s.block(s.tail | (s.len & 0xff) << 56);
         // 128-bit finalization: 4 rounds per output word, per spec.
         s.v2 ^= 0xee;
         for _ in 0..4 {
@@ -175,10 +210,16 @@ impl KeyBuilder {
         b
     }
 
-    /// Test hook: absorbs raw bytes with no length prefix.
-    fn absorb_raw(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
+    /// The byte-at-a-time absorb the block-wise one replaced, kept as
+    /// the reference the equivalence proptest compares against.
+    fn byte(&mut self, b: u8) {
+        self.tail |= u64::from(b) << (8 * self.tail_len);
+        self.tail_len += 1;
+        self.len = self.len.wrapping_add(1);
+        if self.tail_len == 8 {
+            self.block(self.tail);
+            self.tail = 0;
+            self.tail_len = 0;
         }
     }
 }
@@ -300,6 +341,7 @@ stable_hash_tuple!(A, B, C, D);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key_of(f: impl Fn(&mut KeyBuilder)) -> CacheKey {
         let mut k = KeyBuilder::new();
@@ -424,6 +466,66 @@ mod tests {
         );
         let rendered = format!("{k:?}");
         assert_eq!(rendered, GOLDEN, "key derivation changed");
+    }
+
+    /// The same writes, one byte at a time, through the reference.
+    struct ByteWise(KeyBuilder);
+
+    impl ByteWise {
+        fn write_u64(&mut self, v: u64) {
+            for b in v.to_le_bytes() {
+                self.0.byte(b);
+            }
+        }
+
+        fn write_bytes(&mut self, bytes: &[u8]) {
+            self.write_u64(bytes.len() as u64);
+            for &b in bytes {
+                self.0.byte(b);
+            }
+        }
+    }
+
+    proptest! {
+        /// Any interleaving of the three writes keys identically
+        /// block-wise and byte-wise, after every step: slices of 0..=40
+        /// bytes bring every tail length to every length mod 8. And a
+        /// `finish` in mid-stream disturbs nothing that follows: the
+        /// builder finished after every step ends where one finished
+        /// only once does.
+        #[test]
+        fn block_wise_absorb_matches_the_byte_wise_reference(
+            ops in prop::collection::vec(
+                (0u8..3, any::<u64>(), prop::collection::vec(any::<u8>(), 0..=40usize)),
+                0..24,
+            ),
+        ) {
+            let mut fast = KeyBuilder::new();
+            let mut slow = ByteWise(KeyBuilder::new());
+            let mut unfinished = KeyBuilder::new();
+            for (op, word, bytes) in &ops {
+                match op {
+                    0 => {
+                        fast.write_u64(*word);
+                        unfinished.write_u64(*word);
+                        slow.write_u64(*word);
+                    }
+                    1 => {
+                        fast.write_bytes(bytes);
+                        unfinished.write_bytes(bytes);
+                        slow.write_bytes(bytes);
+                    }
+                    _ => {
+                        let ascii: String = bytes.iter().map(|b| char::from(b & 0x7f)).collect();
+                        fast.write_str(&ascii);
+                        unfinished.write_str(&ascii);
+                        slow.write_bytes(ascii.as_bytes());
+                    }
+                }
+                prop_assert_eq!(fast.finish(), slow.0.finish());
+            }
+            prop_assert_eq!(unfinished.finish(), fast.finish());
+        }
     }
 
     /// Filled in from the first run of `keys_are_stable_across_builds`;

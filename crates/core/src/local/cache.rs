@@ -18,12 +18,14 @@
 //! its type name **plus** its instance parameters, via
 //! [`Application::cache_identity`] — the partitioner type and the
 //! `JobConfig` fields that affect the artifact (reducers, combiner,
-//! store index; plus the engine for job artifacts). Identical work keys
-//! identically *across jobs, tenants and executors*; anything differing
-//! in content, parameters or config cannot alias. That content
-//! addressing is also the isolation story: a tenant can only ever hit an
-//! artifact it would have computed bit-for-bit itself. Two guard rails
-//! protect it:
+//! store index; plus the engine for job artifacts). One derivation
+//! (`JobKeys::derive`) serves both cached entry points and reads each
+//! input byte once: the split keys hash the content, and the job key
+//! hashes the split keys. Identical work keys identically *across jobs,
+//! tenants and executors*; anything differing in content, parameters or
+//! config cannot alias. That content addressing is also the isolation
+//! story: a tenant can only ever hit an artifact it would have computed
+//! bit-for-bit itself. Two guard rails protect it:
 //!
 //! * An application that does not vouch for its identity (a
 //!   parameterized app without a
@@ -257,83 +259,84 @@ fn write_identity<A: Application>(k: &mut KeyBuilder, app: &A, partitioner_id: &
     app.cache_identity(k)
 }
 
-/// Whether `app` vouches for a complete cache identity — parameterless
-/// (zero-sized) or carrying a faithful
-/// [`cache_identity`](Application::cache_identity) override. Apps that
-/// do not must bypass the shared cache entirely.
-pub(crate) fn identity_complete<A: Application>(app: &A) -> bool {
-    app.cache_identity(&mut KeyBuilder::new())
+/// Every cache key of one job, from a single pass over its input.
+pub(crate) struct JobKeys {
+    /// One key per input split's map-output artifact, in split order.
+    pub(crate) splits: Vec<CacheKey>,
+    /// The key of the whole job's sealed output artifact.
+    pub(crate) job: CacheKey,
 }
 
-/// Content-addressed key of one input split's map-output artifact;
-/// `None` when the app's identity is incomplete (the split must then run
-/// uncached).
-pub(crate) fn split_key<A>(
-    app: &A,
-    cfg: &JobConfig,
-    partitioner_id: &str,
-    split: &[(A::InKey, A::InValue)],
-) -> Option<CacheKey>
-where
-    A: Application,
-    A::InKey: StableHash,
-    A::InValue: StableHash,
-{
-    let mut k = KeyBuilder::new();
-    k.write_str("mr.split.v2");
-    if !write_identity(&mut k, app, partitioner_id) {
-        return None;
-    }
-    write_config(&mut k, cfg);
-    k.write_u64(split.len() as u64);
-    for (key, value) in split {
-        key.stable_hash(&mut k);
-        value.stable_hash(&mut k);
-    }
-    Some(k.finish())
-}
-
-/// Content-addressed key of one whole job's sealed output artifact, or
-/// `None` when the app's identity is incomplete. Adds the engine
-/// discriminant on top of the split-key ingredients: both engines
-/// produce byte-identical partitions, but keeping their sealed
-/// artifacts distinct keeps the key an honest description of what ran.
-pub(crate) fn job_key<A>(
-    app: &A,
-    cfg: &JobConfig,
-    partitioner_id: &str,
-    splits: &[Vec<(A::InKey, A::InValue)>],
-) -> Option<CacheKey>
-where
-    A: Application,
-    A::InKey: StableHash,
-    A::InValue: StableHash,
-{
-    let mut k = KeyBuilder::new();
-    k.write_str("mr.job.v2");
-    if !write_identity(&mut k, app, partitioner_id) {
-        return None;
-    }
-    write_config(&mut k, cfg);
-    k.write_u64(match cfg.engine {
-        Engine::Barrier => 0,
-        Engine::BarrierLess { .. } => 1,
-    });
-    k.write_u64(splits.len() as u64);
-    for split in splits {
-        k.write_u64(split.len() as u64);
-        for (key, value) in split {
-            key.stable_hash(&mut k);
-            value.stable_hash(&mut k);
+impl JobKeys {
+    /// Derives the split keys — each `H("mr.split.v2", identity, config,
+    /// records)`, the content hash that reads the input — and from them
+    /// the job key, `H("mr.job.v3", identity, config, engine, n_splits,
+    /// split keys)`. The split keys already cover identity, config and
+    /// every record in order, cut where the splits are cut, so hashing
+    /// them stands in for hashing the input a second time. The engine
+    /// discriminant on top keeps the two engines' sealed artifacts
+    /// distinct: they are byte-identical, but the key stays an honest
+    /// description of what ran. `None` when the app's identity is
+    /// incomplete (the job must then bypass the cache).
+    ///
+    /// Both cached entry points (`LocalRunner::run_cached`, `serve`) key
+    /// through here, once per job.
+    pub(crate) fn derive<A>(
+        app: &A,
+        cfg: &JobConfig,
+        partitioner_id: &str,
+        splits: &[Vec<(A::InKey, A::InValue)>],
+    ) -> Option<Self>
+    where
+        A: Application,
+        A::InKey: StableHash,
+        A::InValue: StableHash,
+    {
+        // What every split key starts with, absorbed once and cloned.
+        let mut prefix = KeyBuilder::new();
+        prefix.write_str("mr.split.v2");
+        if !write_identity(&mut prefix, app, partitioner_id) {
+            return None;
         }
+        write_config(&mut prefix, cfg);
+        let split_keys: Vec<CacheKey> = splits
+            .iter()
+            .map(|split| {
+                let mut k = prefix.clone();
+                k.write_u64(split.len() as u64);
+                for (key, value) in split {
+                    key.stable_hash(&mut k);
+                    value.stable_hash(&mut k);
+                }
+                k.finish()
+            })
+            .collect();
+
+        let mut k = KeyBuilder::new();
+        k.write_str("mr.job.v3");
+        // Vouched for above.
+        write_identity(&mut k, app, partitioner_id);
+        write_config(&mut k, cfg);
+        k.write_u64(match cfg.engine {
+            Engine::Barrier => 0,
+            Engine::BarrierLess { .. } => 1,
+        });
+        k.write_u64(split_keys.len() as u64);
+        for key in &split_keys {
+            k.write_u64(key.hi);
+            k.write_u64(key.lo);
+        }
+        Some(JobKeys {
+            splits: split_keys,
+            job: k.finish(),
+        })
     }
-    Some(k.finish())
 }
 
-/// A job-scoped consultation plan for per-split artifacts: keys are
-/// derived up front (where the `StableHash`/`Sync` bounds hold) and the
-/// cache handle is captured in boxed closures, so the generic task state
-/// machines consult the cache without carrying any cache bounds.
+/// A job-scoped consultation plan for per-split artifacts: the cache
+/// handle and the split keys are captured in boxed closures (where the
+/// `Sync` bounds hold), so the generic task state machines consult the
+/// cache without carrying any cache bounds.
 pub(crate) struct SplitCachePlan<A: Application> {
     #[allow(clippy::type_complexity)]
     lookup: Box<dyn Fn(usize) -> Option<(Arc<SplitParts<A>>, u64)> + Send + Sync>,
@@ -342,33 +345,20 @@ pub(crate) struct SplitCachePlan<A: Application> {
 }
 
 impl<A: Application> SplitCachePlan<A> {
-    /// Derives one key per split and binds both cache directions;
-    /// `None` when the app's instance identity is incomplete (the job
-    /// must then bypass the cache).
-    pub(crate) fn new(
-        cache: &SharedCache,
-        app: &A,
-        cfg: &JobConfig,
-        partitioner_id: &str,
-        splits: &[Vec<(A::InKey, A::InValue)>],
-    ) -> Option<Self>
+    /// Binds both cache directions to `keys`, one per split
+    /// ([`JobKeys::splits`]).
+    pub(crate) fn new(cache: &SharedCache, keys: Vec<CacheKey>) -> Self
     where
-        A::InKey: StableHash,
-        A::InValue: StableHash,
         A::MapKey: Sync,
         A::MapValue: Sync,
     {
-        let keys: Vec<CacheKey> = splits
-            .iter()
-            .map(|s| split_key(app, cfg, partitioner_id, s))
-            .collect::<Option<_>>()?;
         let keys2 = keys.clone();
         let lookup_cache = cache.clone();
         let insert_cache = cache.clone();
-        Some(SplitCachePlan {
+        SplitCachePlan {
             lookup: Box::new(move |idx| lookup_cache.get_split::<A>(keys[idx])),
             insert: Box::new(move |idx, parts| insert_cache.put_split::<A>(keys2[idx], parts)),
-        })
+        }
     }
 
     /// Consults the cache for split `idx`'s artifact.
@@ -392,27 +382,125 @@ mod tests {
         (0..4).map(|i| (i, format!("word{tag} w{i}"))).collect()
     }
 
+    fn split_key_of<A>(app: &A, cfg: &JobConfig, pid: &str, split: &[(u64, String)]) -> CacheKey
+    where
+        A: Application<InKey = u64, InValue = String>,
+    {
+        JobKeys::derive(app, cfg, pid, &[split.to_vec()])
+            .expect("complete identity")
+            .splits[0]
+    }
+
+    fn job_key_of<A>(app: &A, cfg: &JobConfig, splits: &[Vec<(u64, String)>]) -> CacheKey
+    where
+        A: Application<InKey = u64, InValue = String>,
+    {
+        JobKeys::derive(app, cfg, "hash", splits)
+            .expect("complete identity")
+            .job
+    }
+
     #[test]
     fn split_keys_are_content_addressed() {
         let cfg = JobConfig::new(2);
-        let a = split_key(&WordCountApp, &cfg, "hash", &split(1)).unwrap();
-        let b = split_key(&WordCountApp, &cfg, "hash", &split(1)).unwrap();
-        let c = split_key(&WordCountApp, &cfg, "hash", &split(2)).unwrap();
+        let a = split_key_of(&WordCountApp, &cfg, "hash", &split(1));
+        let b = split_key_of(&WordCountApp, &cfg, "hash", &split(1));
+        let c = split_key_of(&WordCountApp, &cfg, "hash", &split(2));
         assert_eq!(a, b, "same content, same config: same key");
         assert_ne!(a, c, "different content: different key");
-        let other_reducers =
-            split_key(&WordCountApp, &JobConfig::new(3), "hash", &split(1)).unwrap();
+        let other_reducers = split_key_of(&WordCountApp, &JobConfig::new(3), "hash", &split(1));
         assert_ne!(a, other_reducers, "reducer count shapes the artifact");
-        let other_partitioner = split_key(&WordCountApp, &cfg, "range", &split(1)).unwrap();
+        let other_partitioner = split_key_of(&WordCountApp, &cfg, "range", &split(1));
         assert_ne!(a, other_partitioner, "partitioner shapes the artifact");
+    }
+
+    #[test]
+    fn split_keys_did_not_move_with_the_one_pass_derivation() {
+        // Taken from `split_key` at the commit before `JobKeys`: the
+        // `mr.split.v2` format (tag, identity, config, records) is the
+        // same byte stream, whoever derives it and however it is
+        // absorbed. A split's key does not depend on its neighbours.
+        let keys = JobKeys::derive(
+            &WordCountApp,
+            &JobConfig::new(2),
+            "hash",
+            &[split(2), split(1)],
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{:?}", keys.splits[1]),
+            "CacheKey(9ab6ff4a9dceb5dc6fe97afa8b9a6c11)"
+        );
     }
 
     #[test]
     fn job_and_split_keys_never_alias() {
         let cfg = JobConfig::new(2);
-        let s = split_key(&WordCountApp, &cfg, "hash", &split(1));
-        let j = job_key(&WordCountApp, &cfg, "hash", &[split(1)]);
-        assert_ne!(s, j, "artifact classes are key-separated");
+        let one = JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1)]).unwrap();
+        assert_ne!(one.splits[0], one.job, "artifact classes are key-separated");
+        let three =
+            JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1), split(2), split(1)]).unwrap();
+        assert!(three.splits.iter().all(|s| *s != three.job));
+        let none = JobKeys::derive(&WordCountApp, &cfg, "hash", &[]).unwrap();
+        assert!(none.splits.is_empty());
+        assert_ne!(none.job, one.job);
+    }
+
+    #[test]
+    fn job_key_covers_content_order_and_split_boundaries() {
+        let cfg = JobConfig::new(2);
+        let base = job_key_of(&WordCountApp, &cfg, &[split(1), split(2)]);
+        assert_eq!(base, job_key_of(&WordCountApp, &cfg, &[split(1), split(2)]));
+        let mut edited = split(2);
+        edited[3].1.push('!');
+        assert_ne!(
+            base,
+            job_key_of(&WordCountApp, &cfg, &[split(1), edited]),
+            "one changed record"
+        );
+        assert_ne!(
+            base,
+            job_key_of(&WordCountApp, &cfg, &[split(2), split(1)]),
+            "two splits swapped"
+        );
+        // The same eight records in the same order, cut 4+4, 3+5 and 8.
+        let all: Vec<(u64, String)> = split(1).into_iter().chain(split(2)).collect();
+        let recut = [all[..3].to_vec(), all[3..].to_vec()];
+        assert_ne!(base, job_key_of(&WordCountApp, &cfg, &recut), "re-cut");
+        assert_ne!(base, job_key_of(&WordCountApp, &cfg, &[all]), "uncut");
+    }
+
+    #[test]
+    fn job_key_covers_engine_and_output_shaping_config() {
+        let input = [split(1), split(2)];
+        let cfg = JobConfig::new(2);
+        let base = job_key_of(&WordCountApp, &cfg, &input);
+        let barrierless = cfg.clone().engine(Engine::barrierless());
+        let moved = [
+            ("engine", barrierless.clone()),
+            ("reducers", JobConfig::new(3)),
+            (
+                "combiner",
+                cfg.clone().combiner(CombinerPolicy::Enabled {
+                    budget_bytes: 1 << 10,
+                }),
+            ),
+            ("store index", cfg.clone().store_index(StoreIndex::Ordered)),
+        ];
+        for (what, other) in &moved {
+            assert_ne!(base, job_key_of(&WordCountApp, other, &input), "{what}");
+        }
+        // The engine is the one knob split keys ignore: map output is
+        // the same artifact under both.
+        assert_eq!(
+            split_key_of(&WordCountApp, &cfg, "hash", &split(1)),
+            split_key_of(&WordCountApp, &barrierless, "hash", &split(1))
+        );
+        // Knobs that do not shape the artifact do not move the key.
+        assert_eq!(
+            base,
+            job_key_of(&WordCountApp, &cfg.clone().pool_workers(7), &input)
+        );
     }
 
     /// A parameterized app whose `needle` shapes map output, with a
@@ -531,11 +619,11 @@ mod tests {
         let bar = NeedleCount {
             needle: "bar".into(),
         };
-        let a = split_key(&foo, &cfg, "hash", &input).unwrap();
-        let b = split_key(&bar, &cfg, "hash", &input).unwrap();
+        let a = split_key_of(&foo, &cfg, "hash", &input);
+        let b = split_key_of(&bar, &cfg, "hash", &input);
         assert_ne!(a, b, "differently parameterized instances must not alias");
-        let j1 = job_key(&foo, &cfg, "hash", std::slice::from_ref(&input)).unwrap();
-        let j2 = job_key(&bar, &cfg, "hash", std::slice::from_ref(&input)).unwrap();
+        let j1 = job_key_of(&foo, &cfg, std::slice::from_ref(&input));
+        let j2 = job_key_of(&bar, &cfg, std::slice::from_ref(&input));
         assert_ne!(j1, j2);
     }
 
@@ -545,13 +633,10 @@ mod tests {
         let app = UnkeyedNeedle {
             needle: "foo".into(),
         };
-        assert!(!identity_complete(&app));
-        assert!(split_key(&app, &cfg, "hash", &split(1)).is_none());
-        assert!(job_key(&app, &cfg, "hash", &[split(1)]).is_none());
-        let cache = SharedCache::new(1 << 20);
-        assert!(SplitCachePlan::new(&cache, &app, &cfg, "hash", &[split(1)]).is_none());
+        assert!(JobKeys::derive(&app, &cfg, "hash", &[split(1)]).is_none());
+        assert!(JobKeys::derive(&app, &cfg, "hash", &[]).is_none());
         // Zero-sized apps vouch for themselves.
-        assert!(identity_complete(&WordCountApp));
+        assert!(JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1)]).is_some());
     }
 
     #[test]
@@ -559,7 +644,7 @@ mod tests {
         let cache = SharedCache::new(1 << 20);
         let clone = cache.clone();
         let cfg = JobConfig::new(2);
-        let key = split_key(&WordCountApp, &cfg, "hash", &split(7)).unwrap();
+        let key = split_key_of(&WordCountApp, &cfg, "hash", &split(7));
         let parts: SplitParts<WordCountApp> = vec![vec![("a".into(), 1)], vec![("b".into(), 2)]];
         let outcome = cache.put_split::<WordCountApp>(key, parts);
         assert!(!outcome.oversize);
@@ -574,7 +659,7 @@ mod tests {
     fn oversize_outcome_charges_the_typed_counter() {
         let cache = SharedCache::new(8);
         let cfg = JobConfig::new(1);
-        let key = split_key(&WordCountApp, &cfg, "hash", &split(3)).unwrap();
+        let key = split_key_of(&WordCountApp, &cfg, "hash", &split(3));
         let parts: SplitParts<WordCountApp> = vec![vec![("oversized".into(), 1); 64]];
         let outcome = cache.put_split::<WordCountApp>(key, parts);
         assert!(outcome.oversize);

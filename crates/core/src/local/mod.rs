@@ -76,7 +76,7 @@ use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, Emit, FnEmit};
 use batch::FlatBatch;
-use cache::{SharedCache, SplitCachePlan, SplitParts};
+use cache::{JobKeys, SharedCache, SplitCachePlan, SplitParts};
 use mr_cache::StableHash;
 use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
@@ -1359,8 +1359,7 @@ impl LocalRunner {
         if !cfg.cache.is_enabled() {
             return self.run_with_partitioner(app, splits, cfg, partitioner);
         }
-        let partitioner_id = std::any::type_name::<P>();
-        let Some(plan) = SplitCachePlan::new(cache, app, cfg, partitioner_id, &splits) else {
+        let Some(keys) = JobKeys::derive(app, cfg, std::any::type_name::<P>(), &splits) else {
             // The app cannot vouch for its instance identity: caching
             // under an incomplete key would let differently-configured
             // instances serve each other's results. Run uncached and
@@ -1383,11 +1382,7 @@ impl LocalRunner {
         // The whole-job artifact is only sound when a hit's fabricated
         // output (sealed partitions, nothing else) matches what a cold
         // run would publish — an enabled snapshot policy breaks that.
-        let job_key = if cfg.snapshots.is_enabled() {
-            None
-        } else {
-            cache::job_key(app, cfg, partitioner_id, &splits)
-        };
+        let job_key = (!cfg.snapshots.is_enabled()).then_some(keys.job);
         if let Some(key) = job_key {
             if let Some((parts, bytes)) = cache.get_job::<A>(key) {
                 let mut counters = Counters::new();
@@ -1413,6 +1408,8 @@ impl LocalRunner {
                 });
             }
         }
+        // Only a run that will look splits up pays for the plan.
+        let plan = SplitCachePlan::new(cache, keys.splits);
         let mut out = self
             .run_sinked(app, splits, cfg, partitioner, Some(&plan), |_| Vec::new())?
             .into_job_output();
@@ -1673,7 +1670,8 @@ mod tests {
                     .engine(engine.clone())
                     .shuffle_batch_bytes(1);
                 let cache = SharedCache::new(16 << 20);
-                let plan = SplitCachePlan::new(&cache, &app, &cfg, "hash", &splits).unwrap();
+                let keys = JobKeys::derive(&app, &cfg, "hash", &splits).unwrap();
+                let plan = SplitCachePlan::new(&cache, keys.splits);
                 let state: StageState<WordCountApp, Vec<(String, u64)>> = StageState::new(&cfg);
                 let mut pool = Pool::new();
                 let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);

@@ -30,7 +30,7 @@
 //! deterministic map → partition → reduce the engines use, and jobs
 //! share nothing but the slot scheduler.
 
-use super::cache::{self, SharedCache};
+use super::cache::{JobKeys, SharedCache, SplitParts};
 use super::pool::{panic_message, Ctx, Pool, PoolTask, Step, Waker};
 use super::{barrier_snapshot, record_counter_totals, InputSplit, PoolStats};
 use crate::config::{Engine, JobConfig, ServiceConfig, TenantSpec};
@@ -352,14 +352,16 @@ struct Active<A: Application> {
     tracing: bool,
     dispatcher: TraceDispatcher,
     phase: Phase<A>,
-    /// Whether this job consults the shared cache at all: the service
-    /// has a cache, the job's own `cfg.cache` opts in, *and* the app
-    /// vouches for a complete instance identity.
-    cached: bool,
-    /// The job's sealed-artifact cache key — `Some` iff `cached` and
-    /// the job's snapshot policy is disabled (a whole-job hit performs
-    /// no run, so it cannot reproduce a cold run's snapshot stream;
-    /// such jobs use only the per-split artifacts).
+    /// The job's per-split artifact keys, derived once when it was
+    /// picked — `Some` iff this job consults the shared cache at all:
+    /// the service has a cache, the job's own `cfg.cache` opts in, *and*
+    /// the app vouches for a complete instance identity.
+    split_keys: Option<Vec<CacheKey>>,
+    /// The job's sealed-artifact cache key, from the same derivation —
+    /// `Some` iff `split_keys` is and the job's snapshot policy is
+    /// disabled (a whole-job hit performs no run, so it cannot reproduce
+    /// a cold run's snapshot stream; such jobs use only the per-split
+    /// artifacts).
     cache_key: Option<CacheKey>,
 }
 
@@ -404,7 +406,10 @@ where
                 // Before any split runs, consult the sealed-job
                 // artifact: a whole-job hit skips map and reduce alike.
                 if *next_split == 0 {
-                    if shared_cache.is_some() && job.cfg.cache.is_enabled() && !active.cached {
+                    if shared_cache.is_some()
+                        && job.cfg.cache.is_enabled()
+                        && active.split_keys.is_none()
+                    {
                         // The app's instance identity is incomplete:
                         // the job wanted caching but runs uncached.
                         counters.incr(names::CACHE_BYPASS);
@@ -449,16 +454,7 @@ where
                 if *next_split < job.splits.len() {
                     let idx = *next_split;
                     let t0 = started.elapsed().as_secs_f64();
-                    let split_key = if active.cached {
-                        cache::split_key(
-                            app,
-                            &job.cfg,
-                            std::any::type_name::<P>(),
-                            &job.splits[idx],
-                        )
-                    } else {
-                        None
-                    };
+                    let split_key = active.split_keys.as_ref().map(|keys| keys[idx]);
                     let cached = split_key
                         .zip(shared_cache)
                         .and_then(|(k, c)| c.get_split::<A>(k));
@@ -472,7 +468,7 @@ where
                             partitions[p].extend(records.iter().cloned());
                         }
                     } else {
-                        let mut raw: Option<cache::SplitParts<A>> = split_key.map(|_| {
+                        let mut raw: Option<SplitParts<A>> = split_key.map(|_| {
                             counters.incr(names::CACHE_MISSES);
                             (0..reducers).map(|_| Vec::new()).collect()
                         });
@@ -585,7 +581,7 @@ where
                     let mut rec =
                         TraceRecorder::new(Scope::job(job.id as u32).with_tenant(tenant), true);
                     record_counter_totals(&mut rec, counters);
-                    if let Some(c) = shared_cache.filter(|_| active.cached) {
+                    if let Some(c) = shared_cache.filter(|_| active.split_keys.is_some()) {
                         rec.cache_mark_wall(
                             started.elapsed().as_secs_f64(),
                             counters.get(names::CACHE_HITS),
@@ -650,16 +646,20 @@ where
                 Some(job) => {
                     drop(core);
                     let tracing = job.cfg.trace.is_enabled();
-                    let cached = self.shared.cache.is_some()
-                        && job.cfg.cache.is_enabled()
-                        && cache::identity_complete(self.app);
-                    // No job-level artifact for snapshot jobs: a
-                    // whole-job hit cannot replay the snapshot stream.
-                    let cache_key = if cached && !job.cfg.snapshots.is_enabled() {
-                        cache::job_key(self.app, &job.cfg, std::any::type_name::<P>(), &job.splits)
+                    // Every key the job will use, from one pass over
+                    // its input; `None` also when the app's identity is
+                    // incomplete.
+                    let keys = if self.shared.cache.is_some() && job.cfg.cache.is_enabled() {
+                        JobKeys::derive(self.app, &job.cfg, std::any::type_name::<P>(), &job.splits)
                     } else {
                         None
                     };
+                    // No job-level artifact for snapshot jobs: a
+                    // whole-job hit cannot replay the snapshot stream.
+                    let cache_key = keys
+                        .as_ref()
+                        .filter(|_| !job.cfg.snapshots.is_enabled())
+                        .map(|keys| keys.job);
                     self.cur = Some(Active {
                         job,
                         tracing,
@@ -669,7 +669,7 @@ where
                             partitions: Vec::new(),
                             counters: Counters::new(),
                         },
-                        cached,
+                        split_keys: keys.map(|keys| keys.splits),
                         cache_key,
                     });
                     // Partition buffers need the job's reducer count.

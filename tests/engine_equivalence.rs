@@ -1020,6 +1020,131 @@ fn one_changed_split_remaps_only_that_split() {
     }
 }
 
+/// Keying is one pass: every cached entry point hashes each input record
+/// exactly once per job — a cold run, a run that hits some split
+/// artifacts, a whole-job hit, and the same three through the service.
+/// The input value type counts its own `stable_hash` calls, so this
+/// holds or fails independently of any clock.
+#[test]
+fn cached_jobs_hash_each_input_record_exactly_once() {
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{
+        serve, Application, CacheBudget, Emit, KeyBuilder, ServiceConfig, SharedCache, StableHash,
+    };
+    use std::sync::atomic::AtomicUsize;
+
+    static HASHED: AtomicUsize = AtomicUsize::new(0);
+
+    #[derive(Clone)]
+    struct CountedLine(String);
+    impl StableHash for CountedLine {
+        fn stable_hash(&self, k: &mut KeyBuilder) {
+            HASHED.fetch_add(1, Ordering::Relaxed);
+            self.0.stable_hash(k);
+        }
+    }
+
+    struct WordTally;
+    impl Application for WordTally {
+        type InKey = u64;
+        type InValue = CountedLine;
+        type MapKey = String;
+        type MapValue = u64;
+        type OutKey = String;
+        type OutValue = u64;
+        type State = u64;
+        type Shared = ();
+        fn map(&self, _k: &u64, v: &CountedLine, out: &mut dyn Emit<String, u64>) {
+            for word in v.0.split_whitespace() {
+                out.emit(word.to_string(), 1);
+            }
+        }
+        fn new_shared(&self) {}
+        fn reduce_grouped(
+            &self,
+            key: &String,
+            values: Vec<u64>,
+            _s: &mut (),
+            out: &mut dyn Emit<String, u64>,
+        ) {
+            out.emit(key.clone(), values.iter().sum());
+        }
+        fn init(&self, _k: &String) -> u64 {
+            0
+        }
+        fn absorb(
+            &self,
+            _k: &String,
+            st: &mut u64,
+            v: u64,
+            _s: &mut (),
+            _o: &mut dyn Emit<String, u64>,
+        ) {
+            *st += v;
+        }
+        fn merge(&self, _k: &String, a: u64, b: u64) -> u64 {
+            a + b
+        }
+        fn finalize(&self, k: String, st: u64, _s: &mut (), out: &mut dyn Emit<String, u64>) {
+            out.emit(k, st);
+        }
+    }
+
+    let splits: Vec<Vec<(u64, CountedLine)>> = (0..4u64)
+        .map(|s| {
+            (0..6u64)
+                .map(|l| {
+                    (
+                        s * 10 + l,
+                        CountedLine(format!("w{} w{}", (s + l) % 5, l % 3)),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let records = 24;
+    let mut edited = splits.clone();
+    edited[2][0].1 = CountedLine("something else".into());
+    let cfg = JobConfig::new(2).cache(CacheBudget::enabled());
+    // (what the job finds in the cache, its input, hits, misses): four
+    // splits and the job key are looked up.
+    let cases = [
+        ("cold", &splits, 0, 5),
+        ("job-warm", &splits, 1, 0),
+        ("split-warm", &edited, 3, 2),
+    ];
+
+    let cache = SharedCache::new(16 << 20);
+    let runner = LocalRunner::new(2);
+    for (what, input, hits, misses) in cases {
+        HASHED.store(0, Ordering::Relaxed);
+        let out = runner
+            .run_cached(&WordTally, input.clone(), &cfg, &HashPartitioner, &cache)
+            .unwrap();
+        assert_eq!(
+            HASHED.load(Ordering::Relaxed),
+            records,
+            "run_cached, {what}"
+        );
+        assert_eq!(out.counters.get(names::CACHE_HITS), hits, "{what}");
+        assert_eq!(out.counters.get(names::CACHE_MISSES), misses, "{what}");
+    }
+
+    let svc_cfg = ServiceConfig::new(1)
+        .pool_workers(2)
+        .cache(CacheBudget::Limit { bytes: 16 << 20 });
+    serve(&WordTally, &HashPartitioner, &svc_cfg, |svc| {
+        for (what, input, hits, misses) in cases {
+            HASHED.store(0, Ordering::Relaxed);
+            let out = svc.submit(0, input.clone(), &cfg).unwrap().wait().unwrap();
+            assert_eq!(HASHED.load(Ordering::Relaxed), records, "serve, {what}");
+            assert_eq!(out.counters.get(names::CACHE_HITS), hits, "{what}");
+            assert_eq!(out.counters.get(names::CACHE_MISSES), misses, "{what}");
+        }
+    })
+    .unwrap();
+}
+
 /// The shuffle's wire format is not allowed to show: at the degenerate
 /// one-record batch budget (and at a budget that cuts mid-split), with
 /// the combiner on and off, at every pool width, uncached, cold-cached
