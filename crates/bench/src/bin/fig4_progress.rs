@@ -11,7 +11,7 @@ use mr_bench::appcfg::{barrierless, run_wordcount};
 use mr_bench::chart::line_chart;
 use mr_bench::stats::improvement_pct;
 use mr_cluster::SpanKind;
-use mr_core::Engine;
+use mr_core::{Engine, TraceQuery};
 
 fn main() {
     let gb = 3.0;
@@ -21,11 +21,11 @@ fn main() {
     let barrier = run_wordcount(gb, reducers, Engine::Barrier, 42);
     let t_barrier = barrier.completion_secs();
     {
-        let horizon = barrier.timeline.last_end();
-        let step = horizon.as_secs_f64() / 60.0;
-        let tl = &barrier.timeline;
+        let tl = TraceQuery::new(&barrier.trace);
+        let horizon = tl.last_end_secs();
+        let step = horizon / 60.0;
         let to_pts = |kind| {
-            tl.series(kind, step, horizon)
+            tl.series(0, kind, step, horizon)
                 .into_iter()
                 .map(|(x, y)| (x, y as f64))
                 .collect::<Vec<_>>()
@@ -52,22 +52,21 @@ fn main() {
             barrier.last_map_done.as_secs_f64(),
             barrier.shuffle_done.as_secs_f64(),
         );
-        let reduce_window = tl.kind_window(SpanKind::SortReduce).expect("reduce ran");
+        let reduce_window = tl.kind_window(0, SpanKind::SortReduce).expect("reduce ran");
         println!(
             "  reduce began   {:>6.1}s (after the barrier) | job completed {:>6.1}s\n",
-            reduce_window.0.as_secs_f64(),
-            t_barrier
+            reduce_window.0, t_barrier
         );
     }
 
     let pipelined = run_wordcount(gb, reducers, barrierless(), 42);
     let t_pipelined = pipelined.completion_secs();
     {
-        let horizon = pipelined.timeline.last_end();
-        let step = horizon.as_secs_f64() / 60.0;
-        let tl = &pipelined.timeline;
+        let tl = TraceQuery::new(&pipelined.trace);
+        let horizon = tl.last_end_secs();
+        let step = horizon / 60.0;
         let to_pts = |kind| {
-            tl.series(kind, step, horizon)
+            tl.series(0, kind, step, horizon)
                 .into_iter()
                 .map(|(x, y)| (x, y as f64))
                 .collect::<Vec<_>>()
@@ -88,7 +87,7 @@ fn main() {
                 14,
             )
         );
-        let sr = tl.kind_window(SpanKind::ShuffleReduce).expect("ran");
+        let sr = tl.kind_window(0, SpanKind::ShuffleReduce).expect("ran");
         println!(
             "  first map done {:>6.1}s | last map done {:>6.1}s",
             pipelined.first_map_done.as_secs_f64(),
@@ -96,8 +95,7 @@ fn main() {
         );
         println!(
             "  shuffle+reduce began {:>6.1}s (overlapping maps) | job completed {:>6.1}s",
-            sr.0.as_secs_f64(),
-            t_pipelined
+            sr.0, t_pipelined
         );
         println!(
             "  gap between final map and job end: {:.1}s (paper: ~10s)\n",

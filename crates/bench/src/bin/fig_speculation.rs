@@ -108,8 +108,7 @@ fn sweep(engine: Engine, label: &str) {
             );
             off.push(r_off.completion_secs());
             on.push(r_on.completion_secs());
-            // Speculation marks come straight from the unified trace —
-            // the timeline view above it is derived from the same log.
+            // Speculation marks come straight from the unified trace.
             let q = TraceQuery::new(&r_on.trace);
             launched += q.speculation_count(SpecEvent::Launched);
             won += q.speculation_count(SpecEvent::Won);

@@ -2,11 +2,11 @@
 
 use mr_bench::appcfg::{barrierless, run_knn, run_wordcount};
 use mr_cluster::SpanKind;
-use mr_core::Engine;
+use mr_core::{Engine, TraceQuery};
 
 fn main() {
     for (name, report) in [("knn barrier 16GB", run_knn(16.0, 40, Engine::Barrier, 42))] {
-        let t = &report.timeline;
+        let t = TraceQuery::new(&report.trace);
         println!("=== {name} ===");
         println!(
             "first_map {:.1} last_map {:.1} shuffle_done {:.1} total {:.1}",
@@ -21,12 +21,8 @@ fn main() {
             SpanKind::SortReduce,
             SpanKind::Output,
         ] {
-            if let Some((s, e)) = t.kind_window(kind) {
-                println!(
-                    "  {kind:?}: {:.1} .. {:.1}",
-                    s.as_secs_f64(),
-                    e.as_secs_f64()
-                );
+            if let Some((s, e)) = t.kind_window(0, kind) {
+                println!("  {kind:?}: {s:.1} .. {e:.1}");
             }
         }
     }
@@ -38,14 +34,10 @@ fn main() {
         report.shuffle_done.as_secs_f64(),
         report.completion_secs()
     );
-    let t = &report.timeline;
+    let t = TraceQuery::new(&report.trace);
     for kind in [SpanKind::ShuffleReduce, SpanKind::Output] {
-        if let Some((s, e)) = t.kind_window(kind) {
-            println!(
-                "  {kind:?}: {:.1} .. {:.1}",
-                s.as_secs_f64(),
-                e.as_secs_f64()
-            );
+        if let Some((s, e)) = t.kind_window(0, kind) {
+            println!("  {kind:?}: {s:.1} .. {e:.1}");
         }
     }
     let report = run_wordcount(16.0, 40, Engine::Barrier, 42);
@@ -56,14 +48,10 @@ fn main() {
         report.shuffle_done.as_secs_f64(),
         report.completion_secs()
     );
-    let t = &report.timeline;
+    let t = TraceQuery::new(&report.trace);
     for kind in [SpanKind::SortReduce, SpanKind::Output] {
-        if let Some((s, e)) = t.kind_window(kind) {
-            println!(
-                "  {kind:?}: {:.1} .. {:.1}",
-                s.as_secs_f64(),
-                e.as_secs_f64()
-            );
+        if let Some((s, e)) = t.kind_window(0, kind) {
+            println!("  {kind:?}: {s:.1} .. {e:.1}");
         }
     }
 }

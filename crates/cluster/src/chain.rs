@@ -2,12 +2,16 @@
 //! stage consumes job 1's reduce output inside one shared event loop,
 //! so the inter-job boundary can be measured like the intra-job one.
 //!
+//! Both jobs are [`Stage`]s on one [`SimCtx`]: stage 1 reads the DFS,
+//! stage 2's map tasks are fed by the *chain edge* modelled here — the
+//! handoff flows, the downstream tasks' intake ([`Map2`]), stage-1 slot
+//! priority, and the recovery rules that cross the edge.
+//!
 //! Under [`HandoffMode::Streaming`] every increment an upstream reduce
 //! task emits (per absorbed batch for emit-during-absorb apps, at
 //! finalize for aggregations) departs immediately as a *handoff flow* —
 //! a network transfer from the upstream reducer's node to the downstream
-//! chained map task's node, recorded as a
-//! [`HandoffMark`](crate::timeline::HandoffMark) timeline event and
+//! chained map task's node, recorded as a `HandoffMark` trace event and
 //! charged `CostModel::chain_map_cpu_per_record` on arrival. Downstream
 //! map work therefore overlaps the upstream reduce stage; the
 //! intermediate dataset is never written to the DFS.
@@ -40,43 +44,40 @@
 //!   feeding them.
 //! * Job-2 map tasks ship their shuffle partitions when the task
 //!   completes, exactly like job-1 maps — the *chain edge* streams; the
-//!   downstream job's own shuffle then behaves like any single job's.
+//!   downstream job's own shuffle then behaves like any single job's
+//!   (except that every transfer on or after the edge moves at least
+//!   one byte: handed-off volumes are real bytes scaled up, and can
+//!   round to nothing).
 //! * Stage-1 reducers honor the effective
-//!   [`SpeculationPolicy`](mr_core::SpeculationPolicy) (cluster override
-//!   first, then stage-1's `JobConfig`): a reduce attempt straggling by
-//!   shuffle deliveries gets one backup attempt on another node, the
-//!   first attempt to finish its reduce work wins, and a backup win
-//!   restarts the downstream map that consumed the losing attempt's
-//!   stream — the promoted winner re-ships its byte-identical output.
-//!   Stage-1 maps and all stage-2 tasks are not speculated here (the
-//!   single-job executor models map speculation).
+//!   [`SpeculationPolicy`] (cluster override
+//!   first, then stage-1's `JobConfig`): a reduce attempt on a node
+//!   measurably slower than the alive-node median gets one backup
+//!   attempt on another node, the first attempt to finish its reduce
+//!   work wins, and a backup win restarts the downstream map that
+//!   consumed the losing attempt's stream — the promoted winner re-ships
+//!   its byte-identical output. Stage-1 maps and all stage-2 tasks are
+//!   not speculated here (the single-job executor models map
+//!   speculation).
 //! * The chain executor ignores combiner, snapshot and deadline knobs
 //!   (all modeled for single jobs by [`SimExecutor`](crate::SimExecutor));
 //!   store-index overrides apply as usual.
 
 use crate::costs::CostModel;
+use crate::ctx::{self, Driver, Ev, SimCtx, Tag};
 use crate::executor::Fault;
 use crate::input::SimInput;
 use crate::params::ClusterParams;
-use crate::placement::{SlotLedger, TieBreak};
+use crate::placement::TieBreak;
 use crate::report::Outcome;
-use crate::timeline::{SpanKind, SpecEvent, SpecTaskKind, Timeline};
-use crate::trace::SimTracer;
+use crate::stage::{MapState, Note, RedState, Stage, StageError};
 use mr_core::chain::ChainableApplication;
 use mr_core::counters::names;
-use mr_core::engine::barrier::reduce_partition_barrier;
-use mr_core::engine::pipeline::IncrementalDriver;
-use mr_core::engine::DriverReport;
 use mr_core::{
-    Application, ChainSpec, Counters, DeadlinePolicy, Engine, HandoffMode, JobOutput, MemoryPolicy,
-    Partitioner, Scope, SnapshotPolicy, SpeculationPolicy, TaskKind, TraceLog,
+    Application, ChainSpec, CombinerPolicy, Counters, DeadlinePolicy, HandoffMode, JobConfig,
+    JobOutput, Partitioner, Scope, SnapshotPolicy, SpeculationPolicy, TraceLog,
 };
-use mr_dfs::{ChunkId, Dfs, DfsConfig};
-use mr_net::{Network, NetworkConfig, NodeId};
-use mr_sim::{EventQueue, FifoResource, SimDuration, SimTime};
-use mr_workloads::dist::hetero_factor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mr_net::NodeId;
+use mr_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Public entry point: runs two-job chains on a simulated cluster.
@@ -145,8 +146,6 @@ impl ChainSimExecutor {
             },
             output: None,
             trace: TraceLog::new(),
-            timeline1: Timeline::default(),
-            timeline2: Timeline::default(),
             stage1_last_reduce_done: SimTime::ZERO,
             stage1_complete: SimTime::ZERO,
             stage2_first_work: None,
@@ -176,22 +175,53 @@ impl ChainSimExecutor {
                 return failed(e.to_string());
             }
         }
-        let mut sim = ChainSim::new(
-            &self.params,
-            first,
-            second,
-            input,
-            chunks,
-            spec,
-            costs,
-            pa,
-            pb,
-        );
-        for &(secs, node) in faults {
-            sim.queue
-                .schedule(SimTime::from_secs_f64(secs), Ev::NodeFail(node));
+        let p = &self.params;
+        // Effective straggler policy for stage-1 reducers, resolved
+        // before the per-stage configs are scrubbed below.
+        let speculation = p.speculation.unwrap_or(spec.stages[0].speculation);
+        // Effective per-stage configs: every cluster override applied in
+        // one place (`ClusterParams::effective_config` — store index and
+        // trace matter here), then the knobs this executor does not model
+        // are scrubbed: combiner, snapshot and deadline modeling is the
+        // single-job executor's domain (see module docs), and speculation
+        // lives in `ChainSim::speculation`, not the cfgs.
+        let effective = |cfg: &JobConfig| {
+            let mut cfg = p.effective_config(cfg);
+            cfg.combiner = CombinerPolicy::Disabled;
+            cfg.snapshots = SnapshotPolicy::Disabled;
+            cfg.speculation = SpeculationPolicy::Disabled;
+            cfg.deadline = DeadlinePolicy::Disabled;
+            cfg
+        };
+        let (mut ctx, chunk_ids) = SimCtx::new(p, costs, chunks);
+        if let SpeculationPolicy::Enabled { check_secs, .. } = speculation {
+            ctx.queue
+                .schedule(SimTime::from_secs_f64(check_secs), Ev::SpecTick);
         }
-        sim.run()
+        ctx.schedule_faults(faults);
+        let s1 = Stage::on_dfs(0, first, pa, effective(&spec.stages[0]), chunk_ids);
+        // One downstream map task per upstream reduce partition.
+        let r1 = s1.reds.len();
+        let s2 = Stage::fed_by_owner(1, second, pb, effective(&spec.stages[1]), r1);
+        let mut sim = ChainSim {
+            ctx,
+            input,
+            s1,
+            s2,
+            streaming: spec.chain.handoff == HandoffMode::Streaming,
+            speculation,
+            intake: (0..r1).map(|_| Map2::default()).collect(),
+            handed: vec![0; r1],
+            stage1_last_reduce_done: SimTime::ZERO,
+            stage1_complete: None,
+            stage2_first_work: None,
+            downstream_map_restarts: 0,
+            handoff_edges: 0,
+            handoff_records: 0,
+            handoff_bytes: 0,
+        };
+        ctx::run(&mut sim);
+        sim.finish_report()
     }
 }
 
@@ -205,15 +235,10 @@ pub struct ChainSimReport<B: Application> {
     pub output: Option<JobOutput<B>>,
     /// The run's full structured trace — both stages in one stream
     /// (stage 1 is job 0, stage 2 is job 1). Query it with
-    /// [`mr_core::TraceQuery`]. Empty when the effective
-    /// [`TracePolicy`](mr_core::TracePolicy) is `Disabled`.
+    /// [`mr_core::TraceQuery`]. Empty unless *every* stage's effective
+    /// [`TracePolicy`](mr_core::TracePolicy) is `Enabled` (the local
+    /// chain executor's rule).
     pub trace: TraceLog,
-    /// Stage-1 task spans, heap samples and handoff departures — a
-    /// compatibility view derived from `trace` (job 0).
-    pub timeline1: Timeline,
-    /// Stage-2 task spans and heap samples — derived from `trace`
-    /// (job 1).
-    pub timeline2: Timeline,
     /// When the last stage-1 reduce task finished reducing.
     pub stage1_last_reduce_done: SimTime,
     /// When stage 1 fully completed (= `stage1_last_reduce_done` under
@@ -260,304 +285,121 @@ impl<B: Application> ChainSimReport<B> {
     }
 }
 
-/// Events. Task events carry an attempt stamp so events addressed to a
-/// killed attempt are ignored.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Schedule,
-    M1Fetched(usize, u32),
-    M1Computed(usize, u32),
-    M1Written(usize, u32),
-    R1Batch(usize, u32),
-    R1SortDone(usize, u32),
-    R1GroupedDone(usize, u32),
-    R1FinalizeDone(usize, u32),
-    R1OutputPart(usize, u32),
-    M2Work(usize, u32),
-    M2Written(usize, u32),
-    R2Batch(usize, u32),
-    R2SortDone(usize, u32),
-    R2GroupedDone(usize, u32),
-    R2FinalizeDone(usize, u32),
-    R2OutputPart(usize, u32),
-    /// Periodic straggler check for stage-1 reducers.
-    SpecTick,
-    /// A stage-1 backup reduce attempt finishes its launch overhead and
-    /// starts pulling shuffle flows.
-    Red1BackupStart(usize, u32),
-    /// A cancelled speculative attempt's reduce slot frees on the node.
-    SpecSlotFree(usize),
-    NodeFail(usize),
-}
-
-/// Network flow tags.
-#[derive(Debug, Clone, Copy)]
-enum Tag {
-    /// Remote input-chunk fetch for stage-1 map `m`.
-    Fetch1(usize, u32),
-    /// Stage-1 shuffle of map `m`'s partition for reducer `r`.
-    Shuffle1 {
-        map: usize,
-        map_attempt: u32,
-        red: usize,
-        red_attempt: u32,
-    },
-    /// Cross-job handoff: upstream reducer `red`'s output records
-    /// `start..end` bound for downstream map `map`.
-    Handoff {
-        red: usize,
-        red_attempt: u32,
-        map: usize,
-        map_attempt: u32,
-        start: usize,
-        end: usize,
-    },
-    /// Barrier-mode materialized read of upstream partition `m`'s whole
-    /// output by downstream map `m`.
-    Fetch2(usize, u32),
-    /// Stage-2 shuffle of map `m`'s partition for reducer `r`.
-    Shuffle2 {
-        map: usize,
-        map_attempt: u32,
-        red: usize,
-        red_attempt: u32,
-    },
-    /// Output replica write for stage-1 reducer `r` (barrier mode only).
-    Output1(usize, u32, NodeId),
-    /// Output replica write for stage-2 reducer `r`.
-    Output2(usize, u32, NodeId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MState {
-    Pending,
-    Fetching,
-    Computing,
-    Writing,
-    Done,
-}
-
-struct Map1<A: Application> {
-    chunk: ChunkId,
-    state: MState,
-    node: usize,
-    attempt: u32,
-    started: SimTime,
-    #[allow(clippy::type_complexity)]
-    output: Option<Vec<Vec<(A::MapKey, A::MapValue)>>>,
-    out_bytes: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RState {
-    Pending,
-    Running,
-    Finalizing,
-    Writing,
-    Done,
-}
-
-/// One reduce task of either stage (`X` is that stage's application).
-struct RedTask<X: Application> {
-    state: RState,
-    node: usize,
-    attempt: u32,
-    started: SimTime,
-    fetched_from: Vec<bool>,
-    flow_from: Vec<bool>,
-    buffer: Vec<(X::MapKey, X::MapValue)>,
-    driver: Option<IncrementalDriver<X>>,
-    batches: VecDeque<Vec<(X::MapKey, X::MapValue)>>,
-    cpu_free: SimTime,
-    io_charged: u64,
-    shuffle_done_at: Option<SimTime>,
-    input_bytes: u64,
-    out: Vec<(X::OutKey, X::OutValue)>,
-    counters: Counters,
-    report: Option<DriverReport>,
-    write_parts_left: usize,
-    write_started: SimTime,
-    write_bytes: u64,
-    /// Stage 1 only: output records already shipped downstream.
-    handed: usize,
-}
-
-impl<X: Application> RedTask<X> {
-    fn fresh() -> Self {
-        RedTask {
-            state: RState::Pending,
-            node: usize::MAX,
-            attempt: 0,
-            started: SimTime::ZERO,
-            fetched_from: Vec::new(),
-            flow_from: Vec::new(),
-            buffer: Vec::new(),
-            driver: None,
-            batches: VecDeque::new(),
-            cpu_free: SimTime::ZERO,
-            io_charged: 0,
-            shuffle_done_at: None,
-            input_bytes: 0,
-            out: Vec::new(),
-            counters: Counters::new(),
-            report: None,
-            write_parts_left: 0,
-            write_started: SimTime::ZERO,
-            write_bytes: 0,
-            handed: 0,
-        }
-    }
-
-    /// Resets for a restart on another node (attempt bumped).
-    fn restart(&mut self) {
-        self.state = RState::Pending;
-        self.attempt += 1;
-        self.node = usize::MAX;
-        self.fetched_from.clear();
-        self.flow_from.clear();
-        self.buffer.clear();
-        self.driver = None;
-        self.batches.clear();
-        self.shuffle_done_at = None;
-        self.input_bytes = 0;
-        self.out.clear();
-        self.counters = Counters::new();
-        self.report = None;
-        self.write_parts_left = 0;
-        self.write_started = SimTime::ZERO;
-        self.write_bytes = 0;
-        self.io_charged = 0;
-        self.handed = 0;
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum M2State {
-    Pending,
-    Consuming,
-    Writing,
-    Done,
-}
-
-/// One downstream (stage-2) chained map task: consumes upstream reduce
-/// partition `i`'s record stream and produces stage-2 shuffle output.
+/// The chain-edge half of downstream map task `m` (the stage-machine
+/// half — state, node, attempt, shuffle output — is `s2.maps[m]`): what
+/// it has taken in of upstream reduce partition `m`'s record stream.
 struct Map2<B: Application> {
-    state: M2State,
-    node: usize,
-    attempt: u32,
-    started: SimTime,
     /// Delivered handoff batches awaiting CPU (already adapted).
     queued: VecDeque<Vec<(B::InKey, B::InValue)>>,
     /// Upstream records delivered so far (queued or mapped).
     received: usize,
     /// Nominal wire bytes delivered.
     wire_bytes: u64,
-    /// Accumulated per-reducer shuffle output.
-    parts: Vec<Vec<(B::MapKey, B::MapValue)>>,
+    /// When the task's CPU drains everything scheduled on it (carried
+    /// across restarts, like the core it stands for).
     cpu_free: SimTime,
-    out_bytes: u64,
 }
 
-impl<B: Application> Map2<B> {
-    fn fresh(reducers: usize) -> Self {
+impl<B: Application> Default for Map2<B> {
+    fn default() -> Self {
         Map2 {
-            state: M2State::Pending,
-            node: usize::MAX,
-            attempt: 0,
-            started: SimTime::ZERO,
             queued: VecDeque::new(),
             received: 0,
             wire_bytes: 0,
-            parts: (0..reducers).map(|_| Vec::new()).collect(),
             cpu_free: SimTime::ZERO,
-            out_bytes: 0,
         }
     }
-
-    fn restart(&mut self, reducers: usize) {
-        self.state = M2State::Pending;
-        self.attempt += 1;
-        self.node = usize::MAX;
-        self.queued.clear();
-        self.received = 0;
-        self.wire_bytes = 0;
-        self.parts = (0..reducers).map(|_| Vec::new()).collect();
-        self.out_bytes = 0;
-    }
-}
-
-/// Mutable access to stage-1 reduce attempt `(r, bk)` — the primary in
-/// `reds1` or the live backup in `reds1_bk` — without taking a borrow
-/// of the whole `ChainSim` (expands inline, so disjoint fields stay
-/// usable).
-macro_rules! red1_mut {
-    ($s:expr, $r:expr, $bk:expr) => {
-        if $bk {
-            $s.reds1_bk[$r]
-                .as_mut()
-                .expect("backup reduce attempt present")
-        } else {
-            &mut $s.reds1[$r]
-        }
-    };
 }
 
 struct ChainSim<'a, A: Application, B: Application, I, PA, PB> {
-    p: &'a ClusterParams,
-    first: &'a A,
-    second: &'a B,
+    ctx: SimCtx<'a>,
     input: &'a I,
-    cfg1: mr_core::JobConfig,
-    cfg2: mr_core::JobConfig,
+    s1: Stage<'a, A, PA>,
+    s2: Stage<'a, B, PB>,
     streaming: bool,
-    costs: &'a CostModel,
-    pa: &'a PA,
-    pb: &'a PB,
-    queue: EventQueue<Ev>,
-    net: Network<Tag>,
-    disks: Vec<FifoResource>,
-    dfs: Dfs,
-    slots: SlotLedger,
-    node_factor: Vec<f64>,
-    maps1: Vec<Map1<A>>,
-    reds1: Vec<RedTask<A>>,
-    /// Live speculative backup attempts, one at most per stage-1 reducer.
-    reds1_bk: Vec<Option<RedTask<A>>>,
-    /// Highest attempt stamp issued per stage-1 reducer: restarts and
-    /// backup launches draw from here so no two live attempts ever share
-    /// a stamp.
-    red1_seq: Vec<u32>,
-    /// Whether a backup was ever launched for stage-1 reducer `r`.
-    red1_speculated: Vec<bool>,
     /// Effective straggler policy for stage-1 reducers (cluster override
     /// first, then stage-1's own config).
     speculation: SpeculationPolicy,
-    maps2: Vec<Map2<B>>,
-    reds2: Vec<RedTask<B>>,
-    maps1_done: usize,
-    reds1_done: usize,
-    maps2_done: usize,
-    reds2_done: usize,
-    /// One trace recorder for the whole chain: stage 1 records as job 0,
-    /// stage 2 as job 1, so a run yields one canonical stream. Always
-    /// records; the effective trace policy gates export (see
-    /// `SimTracer`).
-    tracer: SimTracer,
+    intake: Vec<Map2<B>>,
+    /// Per stage-1 reducer: output records already shipped downstream.
+    handed: Vec<usize>,
     stage1_last_reduce_done: SimTime,
     stage1_complete: Option<SimTime>,
     stage2_first_work: Option<SimTime>,
-    map1_tasks_run: usize,
-    red1_tasks_run: usize,
-    map2_tasks_run: usize,
-    red2_tasks_run: usize,
     downstream_map_restarts: usize,
     handoff_edges: usize,
     handoff_records: u64,
     handoff_bytes: u64,
-    map_counters: Counters,
-    noise_rng: StdRng,
-    failure: Option<(SimTime, String)>,
-    now: SimTime,
+}
+
+impl<'a, A, B, I, PA, PB> Driver<'a> for ChainSim<'a, A, B, I, PA, PB>
+where
+    A: Application,
+    B: ChainableApplication<A::OutKey, A::OutValue>,
+    I: SimInput<A>,
+    PA: Partitioner<A::MapKey>,
+    PB: Partitioner<B::MapKey>,
+{
+    const WHAT: &'static str = "chain";
+
+    fn ctx(&mut self) -> &mut SimCtx<'a> {
+        &mut self.ctx
+    }
+
+    fn finished(&self) -> bool {
+        self.s2.reds_done == self.s2.reds.len()
+    }
+
+    fn handle_event(&mut self, at: SimTime, ev: Ev) {
+        match ev {
+            Ev::Schedule => self.schedule_tasks(at),
+            Ev::Task(0, ev) => {
+                let note = self.s1.on_event(&mut self.ctx, at, ev);
+                self.follow_up1(at, note);
+            }
+            Ev::Task(_, ev) => {
+                let note = self.s2.on_event(&mut self.ctx, at, ev);
+                self.follow_up2(at, note);
+            }
+            Ev::ChainMapWork(m, a) => {
+                if self.map2_consuming(m, a) {
+                    self.map2_work(at, m);
+                }
+            }
+            Ev::SpecTick => self.spec_tick(at),
+            Ev::SpecSlotFree(n, is_map) => self.ctx.spec_slot_free(at, n, is_map),
+            Ev::NodeFail(n) => self.fail_node(at, n),
+            Ev::SnapshotTick | Ev::Deadline => {
+                unreachable!("chains model neither snapshots nor deadlines")
+            }
+        }
+    }
+
+    fn handle_flow(&mut self, at: SimTime, tag: Tag) {
+        match tag {
+            Tag::Task(0, tag) => self.s1.on_flow(&mut self.ctx, at, tag),
+            Tag::Task(_, tag) => self.s2.on_flow(&mut self.ctx, at, tag),
+            Tag::Handoff {
+                red,
+                red_attempt,
+                map,
+                map_attempt,
+                start,
+                end,
+            } => {
+                if self.s1.reds[red].attempt == red_attempt && self.map2_consuming(map, map_attempt)
+                {
+                    self.handoff_delivery(at, red, map, start, end);
+                }
+            }
+            Tag::ChainFetch(m, a) => {
+                if self.map2_consuming(m, a) {
+                    let len = self.s1.reds[m].out.len();
+                    self.handoff_delivery(at, m, m, 0, len);
+                }
+            }
+        }
+    }
 }
 
 impl<'a, A, B, I, PA, PB> ChainSim<'a, A, B, I, PA, PB>
@@ -568,299 +410,149 @@ where
     PA: Partitioner<A::MapKey>,
     PB: Partitioner<B::MapKey>,
 {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        p: &'a ClusterParams,
-        first: &'a A,
-        second: &'a B,
-        input: &'a I,
-        chunks: u64,
-        spec: &ChainSpec,
-        costs: &'a CostModel,
-        pa: &'a PA,
-        pb: &'a PB,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(p.seed ^ 0xC1A5_7E12);
-        let node_factor: Vec<f64> = (0..p.nodes)
-            .map(|_| hetero_factor(&mut rng, p.hetero_sigma))
-            .collect();
-        let mut dfs = Dfs::new(
-            DfsConfig {
-                nodes: p.nodes,
-                chunk_bytes: p.chunk_bytes,
-                replication: p.replication,
-            },
-            p.seed,
-        );
-        let file = dfs.create_file("chain-input", chunks * p.chunk_bytes);
-        let maps1 = dfs
-            .file_chunks(file)
-            .to_vec()
-            .into_iter()
-            .map(|chunk| Map1 {
-                chunk,
-                state: MState::Pending,
-                node: usize::MAX,
-                attempt: 0,
-                started: SimTime::ZERO,
-                output: None,
-                out_bytes: (p.chunk_bytes as f64 * costs.shuffle_selectivity) as u64,
-            })
-            .collect();
-        // Effective straggler policy for stage-1 reducers, resolved
-        // before the per-stage configs are scrubbed below.
-        let speculation = p.speculation.unwrap_or(spec.stages[0].speculation);
-        // Effective per-stage configs: every cluster override applied in
-        // one place (`ClusterParams::effective_config` — store index and
-        // trace matter here), then the knobs this executor does not model
-        // are scrubbed: combiner, snapshot and deadline modeling is the
-        // single-job executor's domain (see module docs), and speculation
-        // lives in `ChainSim::speculation`, not the cfgs.
-        let effective = |cfg: &mr_core::JobConfig| {
-            let mut cfg = p.effective_config(cfg);
-            cfg.combiner = mr_core::CombinerPolicy::Disabled;
-            cfg.snapshots = SnapshotPolicy::Disabled;
-            cfg.speculation = SpeculationPolicy::Disabled;
-            cfg.deadline = DeadlinePolicy::Disabled;
-            cfg
+    /// Does what stage 1 left to its owner, or fails the chain.
+    fn follow_up1(&mut self, at: SimTime, note: Result<Option<Note>, StageError>) {
+        match note {
+            Ok(Some(Note::MapInput(m, bk))) => {
+                let chunk = self.ctx.dfs.chunk(self.s1.chunk(m)).index as u64;
+                let records = self.input.records(chunk);
+                self.s1.map_write(&mut self.ctx, at, m, bk, records);
+            }
+            // Emit-during-absorb applications produced new output:
+            // stream it downstream right now.
+            Ok(Some(Note::OutputGrew(r))) => {
+                if self.streaming {
+                    self.ship_handoff(at, r);
+                }
+            }
+            Ok(Some(Note::ReduceFinished { r, backup_won })) => {
+                // A backup win restarts the downstream map that consumed
+                // the losing attempt's stream (cancelling the loser's
+                // handoff flows, all bound for that map); the promoted
+                // winner re-ships its byte-identical output when the map
+                // comes back.
+                if backup_won {
+                    self.restart_downstream_of(at, r);
+                }
+                self.red1_reduce_finished(at, r);
+            }
+            Ok(Some(Note::ReduceDone)) => self.red1_done(at),
+            Ok(None) => {}
+            Err(e) => self.fail(at, 1, e),
+        }
+    }
+
+    /// Does what stage 2 left to its owner, or fails the chain.
+    fn follow_up2(&mut self, at: SimTime, note: Result<Option<Note>, StageError>) {
+        match note {
+            // Stage 2's sink is the DFS.
+            Ok(Some(Note::ReduceFinished { r, .. })) => {
+                let nominal =
+                    self.s2.reds[r].input_bytes as f64 * self.ctx.costs.output_selectivity;
+                self.s2
+                    .start_output_write(&mut self.ctx, at, r, (nominal as u64).max(1));
+            }
+            Ok(Some(Note::ReduceDone)) => {
+                if self.finished() {
+                    self.ctx.tracer.stage_done(1, at);
+                }
+            }
+            Ok(Some(Note::MapInput(..))) => unreachable!("stage-2 maps are fed by the edge"),
+            Ok(Some(Note::OutputGrew(_)) | None) => {}
+            Err(e) => self.fail(at, 2, e),
+        }
+    }
+
+    fn fail(&mut self, at: SimTime, stage: usize, e: StageError) {
+        let reason = match e {
+            StageError::DriverInit {
+                backup: false,
+                source,
+            } => format!("stage-{stage} driver init failed: {source}"),
+            StageError::DriverInit {
+                backup: true,
+                source,
+            } => format!("stage-{stage} backup driver init failed: {source}"),
+            StageError::Reducer { r, source } => {
+                format!("stage-{stage} reducer {r} failed: {source}")
+            }
         };
-        let cfg1 = effective(&spec.stages[0]);
-        let cfg2 = effective(&spec.stages[1]);
-        let r1 = cfg1.reducers;
-        let reds1 = (0..r1).map(|_| RedTask::fresh()).collect();
-        let maps2 = (0..r1).map(|_| Map2::fresh(cfg2.reducers)).collect();
-        let reds2 = (0..cfg2.reducers).map(|_| RedTask::fresh()).collect();
-        let mut queue = EventQueue::new();
-        queue.schedule(SimTime::ZERO, Ev::Schedule);
-        if let SpeculationPolicy::Enabled { check_secs, .. } = speculation {
-            queue.schedule(SimTime::from_secs_f64(check_secs), Ev::SpecTick);
-        }
-        ChainSim {
-            net: Network::new(NetworkConfig {
-                nodes: p.nodes,
-                link_bytes_per_sec: p.link_bytes_per_sec,
-                oversubscription: p.oversubscription,
-            }),
-            disks: (0..p.nodes)
-                .map(|_| FifoResource::new(p.disk_bytes_per_sec))
-                .collect(),
-            slots: SlotLedger::new(p.nodes, p.map_slots, p.reduce_slots),
-            noise_rng: StdRng::seed_from_u64(p.seed ^ 0x5EED_0F0F),
-            streaming: spec.chain.handoff == HandoffMode::Streaming,
-            p,
-            first,
-            second,
-            input,
-            cfg1,
-            cfg2,
-            costs,
-            pa,
-            pb,
-            queue,
-            dfs,
-            node_factor,
-            maps1,
-            reds1,
-            reds1_bk: (0..r1).map(|_| None).collect(),
-            red1_seq: vec![0; r1],
-            red1_speculated: vec![false; r1],
-            speculation,
-            maps2,
-            reds2,
-            maps1_done: 0,
-            reds1_done: 0,
-            maps2_done: 0,
-            reds2_done: 0,
-            tracer: SimTracer::new(),
-            stage1_last_reduce_done: SimTime::ZERO,
-            stage1_complete: None,
-            stage2_first_work: None,
-            map1_tasks_run: 0,
-            red1_tasks_run: 0,
-            map2_tasks_run: 0,
-            red2_tasks_run: 0,
-            downstream_map_restarts: 0,
-            handoff_edges: 0,
-            handoff_records: 0,
-            handoff_bytes: 0,
-            map_counters: Counters::new(),
-            failure: None,
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn pipelined1(&self) -> bool {
-        matches!(self.cfg1.engine, Engine::BarrierLess { .. })
-    }
-
-    fn pipelined2(&self) -> bool {
-        matches!(self.cfg2.engine, Engine::BarrierLess { .. })
-    }
-
-    fn absorb_cost(cfg: &mr_core::JobConfig, costs: &CostModel) -> f64 {
-        match &cfg.engine {
-            Engine::BarrierLess {
-                memory: MemoryPolicy::KvStore { .. },
-            } => costs.kv_cpu_per_record,
-            Engine::BarrierLess { .. } => {
-                costs.reduce_cpu_per_record + costs.absorb_extra_per_record
-            }
-            Engine::Barrier => costs.reduce_cpu_per_record,
-        }
-    }
-
-    fn noise(&mut self) -> f64 {
-        hetero_factor(&mut self.noise_rng, self.p.task_noise_sigma)
-    }
-
-    /// Least-loaded alive node with a free slot of the given kind, or
-    /// `None` when every slot is occupied. Ties prefer *high* node
-    /// indexes — the stage-1 loops fill low indexes first, so stage-2
-    /// tasks spread away from the stage-1 tasks feeding them instead of
-    /// stacking onto the same nodes.
-    fn free_slot_node(&self, is_map: bool) -> Option<usize> {
-        self.slots.least_loaded(is_map, TieBreak::HighIndex)
-    }
-
-    /// Which live stage-1 reduce attempt carries `attempt`:
-    /// `Some(false)` = primary, `Some(true)` = backup, `None` = a dead
-    /// (cancelled, lost or superseded) attempt whose events are dropped.
-    fn red1_slot(&self, r: usize, attempt: u32) -> Option<bool> {
-        if self.reds1[r].attempt == attempt {
-            Some(false)
-        } else if self.reds1_bk[r]
-            .as_ref()
-            .is_some_and(|t| t.attempt == attempt)
-        {
-            Some(true)
-        } else {
-            None
-        }
-    }
-
-    // ---------------------------------------------------------------- run
-
-    fn run(mut self) -> ChainSimReport<B> {
-        loop {
-            if self.failure.is_some() {
-                break;
-            }
-            let tq = self.queue.peek_time();
-            let tn = self.net.next_event_time();
-            match (tq, tn) {
-                (None, None) => break,
-                (Some(tq_at), tn_opt) if tn_opt.is_none_or(|tn_at| tq_at <= tn_at) => {
-                    let (at, ev) = self.queue.pop().expect("peeked");
-                    self.now = at;
-                    self.handle_event(at, ev);
-                }
-                (_, Some(tn_at)) => {
-                    self.now = tn_at;
-                    for (_, tag) in self.net.advance_to(tn_at) {
-                        self.handle_flow(tn_at, tag);
-                    }
-                }
-                (Some(_), None) => unreachable!("guard above covers this"),
-            }
-            if self.reds2_done == self.reds2.len() {
-                break;
-            }
-        }
-        self.finish_report()
+        self.ctx.failure = Some((at, reason));
     }
 
     fn finish_report(mut self) -> ChainSimReport<B> {
-        let complete = self.reds2_done == self.reds2.len();
-        let outcome = match self.failure.take() {
+        let complete = self.finished();
+        let outcome = match self.ctx.failure.take() {
             Some((at, reason)) => Outcome::Failed { at, reason },
-            None if complete => Outcome::Completed {
-                at: self.tracer.last_end(),
-            },
-            None => Outcome::Failed {
-                at: self.now,
-                reason: "chain simulation stalled before completion".to_string(),
+            None => Outcome::Completed {
+                at: self.ctx.tracer.last_end(),
             },
         };
         // Emit the chain's counter totals into the trace: map-side
         // tallies of both stages plus the handoff counters as the job-0
         // batch (the handoff is a stage-1 output fact), each reducer's
         // tallies under its own task scope in its own stage. The direct
-        // merge of exactly these values is what the legacy report
-        // carried, so the trace-derived `Counters` is equal by
+        // merge of exactly these values is what the untraced report
+        // carries, so the trace-derived `Counters` is equal by
         // construction.
-        let mut job0 = self.map_counters.clone();
+        let mut job0 = std::mem::take(&mut self.s1.map_counters);
+        job0.merge(&self.s2.map_counters);
         if complete {
             job0.add(names::CHAIN_HANDOFF_RECORDS, self.handoff_records);
             job0.add(names::CHAIN_HANDOFF_BATCHES, self.handoff_edges as u64);
             job0.add(names::CHAIN_HANDOFF_BYTES, self.handoff_bytes);
         }
-        self.tracer.counters(Scope::job(0), &job0);
-        for (idx, r) in self.reds1.iter().enumerate() {
-            self.tracer.counters(
-                Scope::task(0, TaskKind::Reduce, idx as u32, r.attempt, r.node as u32),
-                &r.counters,
-            );
-        }
-        for (idx, r) in self.reds2.iter().enumerate() {
-            self.tracer.counters(
-                Scope::task(1, TaskKind::Reduce, idx as u32, r.attempt, r.node as u32),
-                &r.counters,
-            );
-        }
-        let trace_on = self.cfg1.trace.is_enabled();
-        let (trace, timeline1, timeline2) = if trace_on {
-            let log = std::mem::take(&mut self.tracer).into_log();
-            let t1 = Timeline::from_log(&log, 0);
-            let t2 = Timeline::from_log(&log, 1);
-            (log, t1, t2)
+        self.ctx.tracer.counters(Scope::job(0), &job0);
+        self.s1.trace_reducer_counters(&mut self.ctx);
+        self.s2.trace_reducer_counters(&mut self.ctx);
+        let trace_on = self.s1.cfg.trace.is_enabled() && self.s2.cfg.trace.is_enabled();
+        let trace = if trace_on {
+            self.ctx.tracer.into_log()
         } else {
-            (TraceLog::new(), Timeline::default(), Timeline::default())
+            TraceLog::new()
         };
-        let output = if outcome.is_completed() {
+        let output = outcome.is_completed().then(|| {
             let counters = if trace_on {
                 Counters::from_trace(&trace)
             } else {
                 let mut c = job0;
-                for r in &self.reds1 {
+                for r in &self.s1.reds {
                     c.merge(&r.counters);
                 }
-                for r in &self.reds2 {
+                for r in &self.s2.reds {
                     c.merge(&r.counters);
                 }
                 c
             };
-            let mut partitions = Vec::with_capacity(self.reds2.len());
             let mut reports = Vec::new();
-            for r in &mut self.reds2 {
-                partitions.push(std::mem::take(&mut r.out));
-                if let Some(rep) = r.report.take() {
-                    reports.push(rep);
-                }
+            for r in &mut self.s2.reds {
+                reports.extend(r.report.take());
             }
-            let snapshots = (0..partitions.len()).map(|_| Vec::new()).collect();
-            Some(JobOutput {
+            let partitions: Vec<_> = self
+                .s2
+                .reds
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r.out))
+                .collect();
+            JobOutput {
+                snapshots: partitions.iter().map(|_| Vec::new()).collect(),
                 partitions,
                 counters,
                 reports,
-                snapshots,
                 trace: TraceLog::new(),
-            })
-        } else {
-            None
-        };
+            }
+        });
         ChainSimReport {
             outcome,
             output,
             trace,
-            timeline1,
-            timeline2,
             stage1_last_reduce_done: self.stage1_last_reduce_done,
             stage1_complete: self.stage1_complete.unwrap_or(SimTime::ZERO),
             stage2_first_work: self.stage2_first_work,
-            map1_tasks_run: self.map1_tasks_run,
-            red1_tasks_run: self.red1_tasks_run,
-            map2_tasks_run: self.map2_tasks_run,
-            red2_tasks_run: self.red2_tasks_run,
+            map1_tasks_run: self.s1.map_tasks_run,
+            red1_tasks_run: self.s1.reduce_tasks_run,
+            map2_tasks_run: self.s2.map_tasks_run,
+            red2_tasks_run: self.s2.reduce_tasks_run,
             downstream_map_restarts: self.downstream_map_restarts,
             handoff_edges: self.handoff_edges,
             handoff_records: self.handoff_records,
@@ -869,118 +561,6 @@ where
 
     // ---------------------------------------------------------- scheduler
 
-    fn handle_event(&mut self, at: SimTime, ev: Ev) {
-        match ev {
-            Ev::Schedule => self.schedule_tasks(at),
-            Ev::M1Fetched(m, a) => {
-                if self.maps1[m].attempt == a && self.maps1[m].state == MState::Fetching {
-                    self.map1_compute(at, m);
-                }
-            }
-            Ev::M1Computed(m, a) => {
-                if self.maps1[m].attempt == a && self.maps1[m].state == MState::Computing {
-                    self.map1_write(at, m);
-                }
-            }
-            Ev::M1Written(m, a) => {
-                if self.maps1[m].attempt == a && self.maps1[m].state == MState::Writing {
-                    self.map1_done(at, m);
-                }
-            }
-            Ev::R1Batch(r, a) => {
-                if let Some(bk) = self.red1_slot(r, a) {
-                    if red1_mut!(self, r, bk).state == RState::Running {
-                        self.red1_batch(at, r, bk);
-                    }
-                }
-            }
-            Ev::R1SortDone(r, a) => {
-                if let Some(bk) = self.red1_slot(r, a) {
-                    self.red1_grouped_start(at, r, bk);
-                }
-            }
-            Ev::R1GroupedDone(r, a) => {
-                if let Some(bk) = self.red1_slot(r, a) {
-                    self.red1_grouped_done(at, r, bk);
-                }
-            }
-            Ev::R1FinalizeDone(r, a) => {
-                if let Some(bk) = self.red1_slot(r, a) {
-                    if red1_mut!(self, r, bk).state == RState::Finalizing {
-                        self.red1_finalize_done(at, r, bk);
-                    }
-                }
-            }
-            Ev::R1OutputPart(r, a) => {
-                // Barrier-mode output writes happen strictly after the
-                // speculative race is resolved: primary only.
-                if self.reds1[r].attempt == a && self.reds1[r].state == RState::Writing {
-                    self.red1_output_part_done(at, r);
-                }
-            }
-            Ev::M2Work(m, a) => {
-                if self.maps2[m].attempt == a && self.maps2[m].state == M2State::Consuming {
-                    self.map2_work(at, m);
-                }
-            }
-            Ev::M2Written(m, a) => {
-                if self.maps2[m].attempt == a && self.maps2[m].state == M2State::Writing {
-                    self.map2_done(at, m);
-                }
-            }
-            Ev::R2Batch(r, a) => {
-                if self.reds2[r].attempt == a && self.reds2[r].state == RState::Running {
-                    self.red2_batch(at, r);
-                }
-            }
-            Ev::R2SortDone(r, a) => {
-                if self.reds2[r].attempt == a {
-                    self.red2_grouped_start(at, r);
-                }
-            }
-            Ev::R2GroupedDone(r, a) => {
-                if self.reds2[r].attempt == a {
-                    self.red2_grouped_done(at, r);
-                }
-            }
-            Ev::R2FinalizeDone(r, a) => {
-                if self.reds2[r].attempt == a && self.reds2[r].state == RState::Finalizing {
-                    self.red2_finalize_done(at, r);
-                }
-            }
-            Ev::R2OutputPart(r, a) => {
-                if self.reds2[r].attempt == a && self.reds2[r].state == RState::Writing {
-                    self.red2_output_part_done(at, r);
-                }
-            }
-            Ev::SpecTick => self.spec_tick(at),
-            // Resolved by attempt, not by assuming the backup slot: a
-            // kill of the original's node during the launch overhead
-            // promotes the not-yet-started backup to primary, and the
-            // attempt must start pulling from wherever it now lives.
-            Ev::Red1BackupStart(r, a) => {
-                if let Some(bk) = self.red1_slot(r, a) {
-                    if red1_mut!(self, r, bk).state == RState::Running {
-                        for m in 0..self.maps1.len() {
-                            let wants = self.maps1[m].state == MState::Done
-                                && !red1_mut!(self, r, bk).flow_from[m];
-                            if wants {
-                                self.start_shuffle1_flow(at, m, r, bk);
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::SpecSlotFree(n) => {
-                if self.slots.alive[n] {
-                    self.slots.red_used[n] = self.slots.red_used[n].saturating_sub(1);
-                    self.queue.schedule(at, Ev::Schedule);
-                }
-            }
-            Ev::NodeFail(n) => self.fail_node(at, n),
-        }
-    }
-
     fn schedule_tasks(&mut self, at: SimTime) {
         // Stage 1 has strict slot priority: pending stage-1 work that
         // cannot find a free slot evicts unfinished stage-2 tasks of the
@@ -988,42 +568,47 @@ where
         // holds (see module docs).
         self.evict_for_stage1(at);
         // Stage-1 maps: chunk-local placement onto map slots.
-        while let Some(node) = self.slots.first_free_map() {
-            let local = self.maps1.iter().position(|m| {
-                m.state == MState::Pending && self.dfs.is_local(m.chunk, NodeId(node as u32))
-            });
-            let pick = local.or_else(|| self.maps1.iter().position(|m| m.state == MState::Pending));
-            let Some(m) = pick else { break };
-            self.start_map1(at, m, node);
-        }
-        // Stage-1 reducers: id order onto reduce slots.
-        while let Some(r) = self.reds1.iter().position(|r| r.state == RState::Pending) {
-            let Some(node) = self.slots.least_loaded(false, TieBreak::LowIndex) else {
+        while let Some(node) = self.ctx.slots.first_free_map() {
+            let Some(m) = self.s1.next_pending_map(&self.ctx, node) else {
                 break;
             };
-            self.start_reduce1(at, r, node);
+            self.s1.start_map(&mut self.ctx, at, m, node);
         }
-        // Stage-2 tasks take whatever slots stage 1 left free.
-        // Streaming-mode maps start consuming as soon as a map slot
-        // opens; barrier-mode maps wait for stage 1 to complete, then
-        // fetch their materialized input.
-        let stage2_ready = self.streaming || self.stage1_complete.is_some();
-        if stage2_ready {
-            while let Some(m) = self.maps2.iter().position(|t| t.state == M2State::Pending) {
-                let Some(node) = self.free_slot_node(true) else {
-                    break;
-                };
-                self.start_map2(at, m, node);
+        // Stage-1 reducers: id order onto reduce slots.
+        while let Some(r) = self.s1.next_pending_reducer() {
+            let Some(node) = self.ctx.slots.least_loaded(false, TieBreak::LowIndex) else {
+                break;
+            };
+            if let Err(e) = self.s1.start_reduce(&mut self.ctx, at, r, node) {
+                self.fail(at, 1, e);
             }
-            // Stage-2 reducers launch with their job: as slots free for
-            // a streaming chain, only after the inter-job barrier
-            // otherwise — so barrier-mode timeline spans never pretend
-            // job 2 existed early.
-            while let Some(r) = self.reds2.iter().position(|t| t.state == RState::Pending) {
-                let Some(node) = self.free_slot_node(false) else {
-                    break;
-                };
-                self.start_reduce2(at, r, node);
+        }
+        // Stage-2 tasks take whatever slots stage 1 left free, least
+        // loaded first with ties preferring *high* node indexes — the
+        // stage-1 loops fill low indexes first, so stage-2 tasks spread
+        // away from the stage-1 tasks feeding them instead of stacking
+        // onto the same nodes. Streaming-mode maps start consuming as
+        // soon as a map slot opens; barrier-mode maps wait for stage 1
+        // to complete, then fetch their materialized input.
+        if !(self.streaming || self.stage1_complete.is_some()) {
+            return;
+        }
+        while let Some(m) = (self.s2.maps.iter()).position(|t| t.state == MapState::Pending) {
+            let Some(node) = self.ctx.slots.least_loaded(true, TieBreak::HighIndex) else {
+                break;
+            };
+            self.start_map2(at, m, node);
+        }
+        // Stage-2 reducers launch with their job: as slots free for
+        // a streaming chain, only after the inter-job barrier
+        // otherwise — so barrier-mode trace spans never pretend
+        // job 2 existed early.
+        while let Some(r) = self.s2.next_pending_reducer() {
+            let Some(node) = self.ctx.slots.least_loaded(false, TieBreak::HighIndex) else {
+                break;
+            };
+            if let Err(e) = self.s2.start_reduce(&mut self.ctx, at, r, node) {
+                self.fail(at, 2, e);
             }
         }
     }
@@ -1038,433 +623,42 @@ where
     /// ordinary machinery; their in-flight flows are cancelled and stale
     /// events are dropped by the attempt bump.
     fn evict_for_stage1(&mut self, at: SimTime) {
-        while self.maps1.iter().any(|m| m.state == MState::Pending)
-            && self.free_slots(true) == 0
-            && !self.maps1.iter().any(|m| {
-                matches!(
-                    m.state,
-                    MState::Fetching | MState::Computing | MState::Writing
-                )
-            })
+        while self.s1.maps.iter().any(|m| m.state == MapState::Pending)
+            && self.ctx.slots.free_slots(true) == 0
+            && !self.s1.maps.iter().any(|m| m.state.is_running())
         {
-            let Some(m) = (0..self.maps2.len())
-                .rev()
-                .find(|&m| matches!(self.maps2[m].state, M2State::Consuming | M2State::Writing))
-            else {
+            let Some(m) = self.s2.maps.iter().rposition(|m| m.state.is_running()) else {
                 break;
             };
-            self.evict_map2(at, m);
+            let old = self.s2.maps[m].attempt;
+            self.ctx.slots.release(true, self.s2.maps[m].node);
+            self.restart_map2(m);
+            self.ctx.net.cancel_where(at, |t| match *t {
+                Tag::Handoff {
+                    map, map_attempt, ..
+                } => map == m && map_attempt == old,
+                Tag::ChainFetch(mm, aa) => mm == m && aa == old,
+                _ => false,
+            });
         }
         // Backups are not counted as runnable stage-1 reducers here: a
         // live backup implies a live primary, so the primary already
         // witnesses progress.
-        while self.reds1.iter().any(|r| r.state == RState::Pending)
-            && self.free_slots(false) == 0
-            && !self.reds1.iter().any(|r| {
-                matches!(
-                    r.state,
-                    RState::Running | RState::Finalizing | RState::Writing
-                )
-            })
+        while self.s1.next_pending_reducer().is_some()
+            && self.ctx.slots.free_slots(false) == 0
+            && !self.s1.reds.iter().any(|r| r.state.is_running())
         {
-            let Some(r) = (0..self.reds2.len()).rev().find(|&r| {
-                matches!(
-                    self.reds2[r].state,
-                    RState::Running | RState::Finalizing | RState::Writing
-                )
-            }) else {
+            let Some(r) = self.s2.reds.iter().rposition(|r| r.state.is_running()) else {
                 break;
             };
-            self.evict_red2(at, r);
+            let old = self.s2.reds[r].attempt;
+            self.ctx.slots.release(false, self.s2.reds[r].node);
+            self.s2.restart_reducer(r);
+            self.s2.cancel_red_flows(&mut self.ctx, at, r, old);
         }
     }
 
-    fn free_slots(&self, is_map: bool) -> usize {
-        self.slots.free_slots(is_map)
-    }
-
-    fn evict_map2(&mut self, at: SimTime, m: usize) {
-        let old = self.maps2[m].attempt;
-        self.slots.map_used[self.maps2[m].node] -= 1;
-        self.maps2[m].restart(self.cfg2.reducers);
-        self.net.cancel_where(at, |t| match *t {
-            Tag::Handoff {
-                map, map_attempt, ..
-            } => map == m && map_attempt == old,
-            Tag::Fetch2(mm, aa) => mm == m && aa == old,
-            _ => false,
-        });
-    }
-
-    fn evict_red2(&mut self, at: SimTime, r: usize) {
-        let old = self.reds2[r].attempt;
-        self.slots.red_used[self.reds2[r].node] -= 1;
-        self.reds2[r].restart();
-        self.net.cancel_where(at, |t| match *t {
-            Tag::Shuffle2 {
-                red, red_attempt, ..
-            } => red == r && red_attempt == old,
-            Tag::Output2(rr, aa, _) => rr == r && aa == old,
-            _ => false,
-        });
-    }
-
-    // --------------------------------------------------------- stage 1 map
-
-    fn start_map1(&mut self, at: SimTime, m: usize, node: usize) {
-        self.slots.map_used[node] += 1;
-        self.map1_tasks_run += 1;
-        let task = &mut self.maps1[m];
-        task.state = MState::Fetching;
-        task.node = node;
-        task.started = at;
-        self.start_fetch1(at, m);
-    }
-
-    fn start_fetch1(&mut self, at: SimTime, m: usize) {
-        let task = &self.maps1[m];
-        let node = task.node;
-        let chunk = task.chunk;
-        let attempt = task.attempt;
-        let bytes = self.dfs.chunk(chunk).bytes;
-        let src = self.dfs.read_source(chunk, NodeId(node as u32));
-        if src.local {
-            let done = self.disks[node].submit(at, bytes);
-            self.queue.schedule(done, Ev::M1Fetched(m, attempt));
-        } else {
-            self.disks[src.node.0 as usize].submit(at, bytes);
-            self.net.start_flow(
-                at,
-                src.node,
-                NodeId(node as u32),
-                bytes,
-                Tag::Fetch1(m, attempt),
-            );
-        }
-    }
-
-    fn map1_compute(&mut self, at: SimTime, m: usize) {
-        let node = self.maps1[m].node;
-        self.maps1[m].state = MState::Computing;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.map_cpu_per_chunk * self.node_factor[node] * self.noise(),
-        );
-        self.queue
-            .schedule(at + dur, Ev::M1Computed(m, self.maps1[m].attempt));
-    }
-
-    fn map1_write(&mut self, at: SimTime, m: usize) {
-        let chunk_index = self.dfs.chunk(self.maps1[m].chunk).index as u64;
-        let records = self.input.records(chunk_index);
-        let reducers = self.cfg1.reducers;
-        let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        let mut emitted = 0u64;
-        {
-            let mut emit = mr_core::FnEmit(|k: A::MapKey, v: A::MapValue| {
-                emitted += 1;
-                let p = self.pa.partition(&k, reducers);
-                parts[p].push((k, v));
-            });
-            for (k, v) in &records {
-                self.first.map(k, v, &mut emit);
-            }
-        }
-        self.map_counters.add(names::MAP_OUTPUT_RECORDS, emitted);
-        let node = self.maps1[m].node;
-        let task = &mut self.maps1[m];
-        task.output = Some(parts);
-        task.state = MState::Writing;
-        let out_bytes = task.out_bytes;
-        let done = self.disks[node].submit(at, out_bytes);
-        self.queue.schedule(done, Ev::M1Written(m, task.attempt));
-    }
-
-    fn map1_done(&mut self, at: SimTime, m: usize) {
-        let node = self.maps1[m].node;
-        self.maps1[m].state = MState::Done;
-        self.maps1_done += 1;
-        self.slots.map_used[node] -= 1;
-        self.tracer.span(
-            0,
-            SpanKind::Map,
-            m,
-            self.maps1[m].attempt,
-            node,
-            self.maps1[m].started,
-            at,
-        );
-        for r in 0..self.reds1.len() {
-            if self.reds1[r].state == RState::Running && !self.reds1[r].flow_from[m] {
-                self.start_shuffle1_flow(at, m, r, false);
-            }
-            // Backups past their launch overhead pull too.
-            if self.reds1_bk[r]
-                .as_ref()
-                .is_some_and(|t| t.state == RState::Running && t.started <= at && !t.flow_from[m])
-            {
-                self.start_shuffle1_flow(at, m, r, true);
-            }
-        }
-        for r in 0..self.reds1.len() {
-            if self.reds1[r].state == RState::Running {
-                self.check_shuffle1_complete(at, r, false);
-            }
-            if self.reds1_bk[r]
-                .as_ref()
-                .is_some_and(|t| t.state == RState::Running && t.started <= at)
-            {
-                self.check_shuffle1_complete(at, r, true);
-            }
-        }
-        self.queue.schedule(at, Ev::Schedule);
-    }
-
-    // ------------------------------------------------------ stage 1 reduce
-
-    fn start_reduce1(&mut self, at: SimTime, r: usize, node: usize) {
-        self.slots.red_used[node] += 1;
-        self.red1_tasks_run += 1;
-        let n_maps = self.maps1.len();
-        let task = &mut self.reds1[r];
-        task.state = RState::Running;
-        task.node = node;
-        task.started = at;
-        task.fetched_from = vec![false; n_maps];
-        task.flow_from = vec![false; n_maps];
-        task.cpu_free = at;
-        if self.pipelined1() {
-            match IncrementalDriver::new(self.first, &self.cfg1, r) {
-                Ok(driver) => self.reds1[r].driver = Some(driver),
-                Err(e) => {
-                    self.failure = Some((at, format!("stage-1 driver init failed: {e}")));
-                    return;
-                }
-            }
-        }
-        for m in 0..n_maps {
-            if self.maps1[m].state == MState::Done {
-                self.start_shuffle1_flow(at, m, r, false);
-            }
-        }
-    }
-
-    fn start_shuffle1_flow(&mut self, at: SimTime, m: usize, r: usize, bk: bool) {
-        let total_records: usize = self.maps1[m]
-            .output
-            .as_ref()
-            .expect("done map has output")
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let part_records = self.maps1[m].output.as_ref().unwrap()[r].len();
-        let bytes = if total_records > 0 {
-            (self.maps1[m].out_bytes as f64 * part_records as f64 / total_records as f64) as u64
-        } else {
-            self.maps1[m].out_bytes / self.cfg1.reducers as u64
-        };
-        let src = NodeId(self.maps1[m].node as u32);
-        let map_attempt = self.maps1[m].attempt;
-        let task = red1_mut!(self, r, bk);
-        task.flow_from[m] = true;
-        let dst = NodeId(task.node as u32);
-        let red_attempt = task.attempt;
-        self.net.start_flow(
-            at,
-            src,
-            dst,
-            bytes,
-            Tag::Shuffle1 {
-                map: m,
-                map_attempt,
-                red: r,
-                red_attempt,
-            },
-        );
-    }
-
-    fn shuffle1_delivery(&mut self, at: SimTime, m: usize, r: usize, bk: bool) {
-        let batch = self.maps1[m].output.as_ref().expect("done map")[r].clone();
-        let total_records: usize = self.maps1[m]
-            .output
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let bytes = if total_records > 0 {
-            (self.maps1[m].out_bytes as f64 * batch.len() as f64 / total_records as f64) as u64
-        } else {
-            self.maps1[m].out_bytes / self.cfg1.reducers as u64
-        };
-        let pipelined = self.pipelined1();
-        let absorb = Self::absorb_cost(&self.cfg1, self.costs);
-        let task = red1_mut!(self, r, bk);
-        task.fetched_from[m] = true;
-        task.input_bytes += bytes;
-        if pipelined {
-            let cost = absorb * batch.len() as f64;
-            let dur = SimDuration::from_secs_f64(cost * self.node_factor[task.node]);
-            let start = task.cpu_free.max(at);
-            task.cpu_free = start + dur;
-            task.batches.push_back(batch);
-            self.queue
-                .schedule(task.cpu_free, Ev::R1Batch(r, task.attempt));
-        } else {
-            task.buffer.extend(batch);
-        }
-        self.check_shuffle1_complete(at, r, bk);
-    }
-
-    fn check_shuffle1_complete(&mut self, at: SimTime, r: usize, bk: bool) {
-        let n_maps = self.maps1.len();
-        let maps_done = self.maps1_done == n_maps;
-        let task = red1_mut!(self, r, bk);
-        let all =
-            task.fetched_from.iter().all(|&f| f) && task.fetched_from.len() == n_maps && maps_done;
-        if !all || task.shuffle_done_at.is_some() {
-            return;
-        }
-        task.shuffle_done_at = Some(at);
-        if self.pipelined1() {
-            let task = red1_mut!(self, r, bk);
-            let when = task.cpu_free.max(at);
-            self.queue.schedule(when, Ev::R1Batch(r, task.attempt));
-        } else {
-            let task = red1_mut!(self, r, bk);
-            let (started, node, attempt) = (task.started, task.node, task.attempt);
-            let n = task.buffer.len() as f64;
-            if !bk {
-                self.tracer
-                    .span(0, SpanKind::Shuffle, r, attempt, node, started, at);
-            }
-            let sort = self.costs.sort_cpu_coeff * n * n.max(2.0).log2() * self.node_factor[node];
-            self.queue.schedule(
-                at + SimDuration::from_secs_f64(sort),
-                Ev::R1SortDone(r, attempt),
-            );
-        }
-    }
-
-    fn red1_batch(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = red1_mut!(self, r, bk);
-        if let Some(batch) = task.batches.pop_front() {
-            let node = task.node;
-            let attempt = task.attempt;
-            let driver = task.driver.as_mut().expect("pipelined reducer");
-            for (k, v) in batch {
-                if let Err(e) = driver.push(self.first, k, v, &mut task.out) {
-                    self.fail_job(at, 1, r, e);
-                    return;
-                }
-            }
-            let bytes = driver.modelled_bytes();
-            let io = driver.io_bytes();
-            let delta = io - task.io_charged;
-            if delta > 0 {
-                task.io_charged = io;
-                self.disks[node].submit(at, delta);
-            }
-            if !bk {
-                self.tracer.heap_sample(0, r, attempt, node, at, bytes);
-                // Emit-during-absorb applications produced new output:
-                // stream it downstream right now. Backups never ship —
-                // only the primary attempt feeds the chain edge.
-                if self.streaming {
-                    self.ship_handoff(at, r);
-                }
-            }
-        }
-        let task = red1_mut!(self, r, bk);
-        if task.shuffle_done_at.is_some() && task.batches.is_empty() && task.cpu_free <= at {
-            self.red1_start_finalize(at, r, bk);
-        }
-    }
-
-    fn red1_start_finalize(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = red1_mut!(self, r, bk);
-        task.state = RState::Finalizing;
-        let entries = task.driver.as_ref().map_or(0, |d| d.entries());
-        let dur = SimDuration::from_secs_f64(
-            self.costs.finalize_cpu_per_entry * entries as f64 * self.node_factor[task.node],
-        );
-        self.queue
-            .schedule(at + dur, Ev::R1FinalizeDone(r, task.attempt));
-    }
-
-    fn red1_finalize_done(&mut self, at: SimTime, r: usize, bk: bool) {
-        // First attempt to get here wins the speculative race; from here
-        // on `self.reds1[r]` is the winner.
-        self.resolve_red1_winner(at, r, bk);
-        let driver = self.reds1[r].driver.take().expect("pipelined reducer");
-        let mut out = std::mem::take(&mut self.reds1[r].out);
-        let mut counters = std::mem::take(&mut self.reds1[r].counters);
-        match driver.finish(self.first, &mut counters, &mut out) {
-            Ok(report) => {
-                let merge_read = report.store.spill_bytes;
-                if merge_read > 0 {
-                    self.disks[self.reds1[r].node].submit(at, merge_read);
-                }
-                counters.add(names::REDUCE_OUTPUT_RECORDS, out.len() as u64);
-                self.reds1[r].report = Some(report);
-                self.reds1[r].out = out;
-                self.reds1[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, 1, r, e);
-                return;
-            }
-        }
-        self.tracer.span(
-            0,
-            SpanKind::ShuffleReduce,
-            r,
-            self.reds1[r].attempt,
-            self.reds1[r].node,
-            self.reds1[r].started,
-            at,
-        );
-        self.red1_reduce_finished(at, r);
-    }
-
-    fn red1_grouped_start(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = red1_mut!(self, r, bk);
-        let n = task.buffer.len() as f64;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.reduce_cpu_per_record * n * self.node_factor[task.node],
-        );
-        self.queue
-            .schedule(at + dur, Ev::R1GroupedDone(r, task.attempt));
-    }
-
-    fn red1_grouped_done(&mut self, at: SimTime, r: usize, bk: bool) {
-        // First attempt to get here wins the speculative race; from here
-        // on `self.reds1[r]` is the winner.
-        self.resolve_red1_winner(at, r, bk);
-        let records = std::mem::take(&mut self.reds1[r].buffer);
-        let mut counters = std::mem::take(&mut self.reds1[r].counters);
-        match reduce_partition_barrier(self.first, records, &mut counters) {
-            Ok(out) => {
-                self.reds1[r].out = out;
-                self.reds1[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, 1, r, e);
-                return;
-            }
-        }
-        let start = self.reds1[r].shuffle_done_at.expect("sorted after shuffle");
-        self.tracer.span(
-            0,
-            SpanKind::SortReduce,
-            r,
-            self.reds1[r].attempt,
-            self.reds1[r].node,
-            start,
-            at,
-        );
-        self.red1_reduce_finished(at, r);
-    }
+    // ----------------------------------------------------- stage-1 sinks
 
     /// The reduce work of stage-1 partition `r` is complete: under the
     /// streaming handoff ship the remaining output and finish the task;
@@ -1473,138 +667,33 @@ where
     fn red1_reduce_finished(&mut self, at: SimTime, r: usize) {
         self.stage1_last_reduce_done = self.stage1_last_reduce_done.max(at);
         if self.streaming {
-            self.reds1[r].state = RState::Done;
+            self.s1.reduce_done(&mut self.ctx, r);
             self.ship_handoff(at, r);
-            self.red1_done(at, r);
+            self.red1_done(at);
+            // The downstream map may already hold everything it needs
+            // and be idle: re-evaluate its completion.
+            let m = r;
+            if self.s2.maps[m].state == MapState::Consuming {
+                let when = self.intake[m].cpu_free.max(at);
+                let work = Ev::ChainMapWork(m, self.s2.maps[m].attempt);
+                self.ctx.queue.schedule(when, work);
+            }
+            self.ctx.queue.schedule(at, Ev::Schedule);
         } else {
             // The materialized intermediate is exactly what would have
             // been handed off: charge its nominal wire volume as the
-            // replicated DFS write (symmetric with the Fetch2 read).
-            let len = self.reds1[r].out.len();
-            let real = self.handoff_real_bytes(r, 0, len);
-            let task = &mut self.reds1[r];
-            task.state = RState::Writing;
-            task.write_started = at;
-            let bytes = ((real as f64 * self.costs.chain_handoff_byte_scale) as u64).max(1);
-            task.write_bytes = bytes;
-            let node = task.node;
-            let attempt = task.attempt;
-            let targets = self.dfs.write_targets(NodeId(node as u32));
-            task.write_parts_left = targets.len();
-            let local_done = self.disks[node].submit(at, bytes);
-            self.queue
-                .schedule(local_done, Ev::R1OutputPart(r, attempt));
-            for &replica in targets.iter().skip(1) {
-                self.net.start_flow(
-                    at,
-                    NodeId(node as u32),
-                    replica,
-                    bytes,
-                    Tag::Output1(r, attempt, replica),
-                );
-            }
+            // replicated DFS write (symmetric with the `ChainFetch` read).
+            let bytes = self.handoff_wire_bytes(r, 0, self.s1.reds[r].out.len());
+            self.s1.start_output_write(&mut self.ctx, at, r, bytes);
         }
     }
 
-    fn red1_output_part_done(&mut self, at: SimTime, r: usize) {
-        self.reds1[r].write_parts_left -= 1;
-        if self.reds1[r].write_parts_left > 0 {
-            return;
-        }
-        self.reds1[r].state = RState::Done;
-        self.tracer.span(
-            0,
-            SpanKind::Output,
-            r,
-            self.reds1[r].attempt,
-            self.reds1[r].node,
-            self.reds1[r].write_started,
-            at,
-        );
-        self.red1_done(at, r);
-    }
-
-    fn red1_done(&mut self, at: SimTime, r: usize) {
-        self.reds1_done += 1;
-        self.slots.red_used[self.reds1[r].node] -= 1;
-        if self.reds1_done == self.reds1.len() && self.stage1_complete.is_none() {
+    /// A stage-1 reducer is done; the last one completes the stage.
+    fn red1_done(&mut self, at: SimTime) {
+        if self.s1.reds_done == self.s1.reds.len() && self.stage1_complete.is_none() {
             self.stage1_complete = Some(at);
-            self.tracer.stage_done(0, at);
+            self.ctx.tracer.stage_done(0, at);
         }
-        // The downstream map may already hold everything it needs and be
-        // idle: re-evaluate its completion.
-        if self.streaming {
-            let m = r;
-            if self.maps2[m].state == M2State::Consuming {
-                let when = self.maps2[m].cpu_free.max(at);
-                self.queue
-                    .schedule(when, Ev::M2Work(m, self.maps2[m].attempt));
-            }
-        }
-        self.queue.schedule(at, Ev::Schedule);
-    }
-
-    // ------------------------------------------- stage-1 reduce speculation
-
-    /// First-wins resolution, called the moment attempt `(r, bk)`
-    /// finishes its reduce work — before any handoff ship or output
-    /// write, so downstream only ever sees one winning attempt. A
-    /// winning backup is promoted into the primary slot and the loser
-    /// cancelled; a backup win also restarts the downstream map that
-    /// consumed the losing attempt's stream (the promoted winner
-    /// re-ships its byte-identical output when the map comes back).
-    fn resolve_red1_winner(&mut self, at: SimTime, r: usize, bk: bool) {
-        if bk {
-            let backup = self.reds1_bk[r].take().expect("resolving backup attempt");
-            let node = backup.node;
-            let loser = std::mem::replace(&mut self.reds1[r], backup);
-            self.cancel_red1_attempt(at, r, &loser);
-            self.map_counters.add(names::SPECULATION_WON, 1);
-            let attempt = self.reds1[r].attempt;
-            self.tracer.speculation_mark(
-                0,
-                SpecTaskKind::Reduce,
-                r,
-                attempt,
-                node,
-                at,
-                SpecEvent::Won,
-            );
-            self.restart_downstream_of(at, r);
-        } else if let Some(backup) = self.reds1_bk[r].take() {
-            self.cancel_red1_attempt(at, r, &backup);
-        }
-    }
-
-    /// Cancels a losing stage-1 reduce attempt: its in-flight shuffle
-    /// and handoff flows are rescinded (disk work already submitted is
-    /// not — as with node failure) and its slot frees after the
-    /// cancellation overhead.
-    fn cancel_red1_attempt(&mut self, at: SimTime, r: usize, loser: &RedTask<A>) {
-        let (node, attempt) = (loser.node, loser.attempt);
-        self.net.cancel_where(at, |t| match *t {
-            Tag::Shuffle1 {
-                red, red_attempt, ..
-            } => red == r && red_attempt == attempt,
-            Tag::Handoff {
-                red, red_attempt, ..
-            } => red == r && red_attempt == attempt,
-            _ => false,
-        });
-        self.map_counters.add(names::SPECULATION_CANCELLED, 1);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Reduce,
-            r,
-            attempt,
-            node,
-            at,
-            SpecEvent::Cancelled,
-        );
-        self.queue.schedule(
-            at + SimDuration::from_secs_f64(self.costs.speculation_cancel_overhead_secs),
-            Ev::SpecSlotFree(node),
-        );
     }
 
     /// The stage-1 attempt downstream map `r` was consuming went away
@@ -1614,41 +703,28 @@ where
     /// same counter witnesses both.
     fn restart_downstream_of(&mut self, at: SimTime, r: usize) {
         let m = r;
-        let was = self.maps2[m].state;
-        if was == M2State::Pending {
+        let (was, node, old) = {
+            let t = &self.s2.maps[m];
+            (t.state, t.node, t.attempt)
+        };
+        if was == MapState::Pending {
             return;
         }
-        if was == M2State::Done {
-            self.maps2_done -= 1;
-        } else if self.slots.alive[self.maps2[m].node] {
-            self.slots.map_used[self.maps2[m].node] -= 1;
+        if was != MapState::Done && self.ctx.slots.alive[node] {
+            self.ctx.slots.release(true, node);
         }
         self.downstream_map_restarts += 1;
-        let old = self.maps2[m].attempt;
-        self.maps2[m].restart(self.cfg2.reducers);
-        self.net.cancel_where(
+        self.restart_map2(m);
+        self.ctx.net.cancel_where(
             at,
             |t| matches!(*t, Tag::Handoff { map, map_attempt, .. } if map == m && map_attempt == old),
         );
-        // Stage-2 reducers that had an in-flight or delivered flow from
-        // this map must be allowed to re-request it.
-        for red in &mut self.reds2 {
-            if !red.flow_from.is_empty() && (red.fetched_from.len() <= m || !red.fetched_from[m]) {
-                red.flow_from[m] = false;
-            }
-        }
-        self.queue.schedule(at, Ev::Schedule);
+        self.ctx.queue.schedule(at, Ev::Schedule);
     }
 
-    /// Periodic straggler detection for stage-1 reducers, mirroring the
-    /// single-job executor's speed trigger: a reducer placed on a node
-    /// measurably slower than the alive-node median loses by its node's
-    /// throughput deficit no matter how the shuffle goes, so it earns
-    /// one backup attempt on another node as soon as real work has
-    /// reached it. Shuffle-delivery counts are deliberately NOT a
-    /// trigger (same rationale as the executor): the simulator models
-    /// the network explicitly, so delivery lag always traces to fair
-    /// link contention, never to a hidden slow node.
+    /// Periodic straggler detection for stage-1 reducers: the speed
+    /// trigger of the single-job executor's check
+    /// ([`Stage::back_up_reducers_on`]).
     fn spec_tick(&mut self, at: SimTime) {
         let SpeculationPolicy::Enabled {
             check_secs,
@@ -1657,135 +733,70 @@ where
         else {
             return;
         };
-        let mut facs: Vec<f64> = (0..self.p.nodes)
-            .filter(|&n| self.slots.alive[n])
-            .map(|n| self.node_factor[n])
-            .collect();
-        facs.sort_by(|a, b| a.partial_cmp(b).expect("factors are finite"));
-        let median_factor = facs.get(facs.len() / 2).copied().unwrap_or(1.0);
-        for r in 0..self.reds1.len() {
-            let task = &self.reds1[r];
-            let straggling = task.state == RState::Running
-                && !self.red1_speculated[r]
-                && task.fetched_from.iter().any(|&f| f)
-                && self.node_factor[task.node] > slowdown * median_factor;
-            if straggling {
-                self.launch_red1_backup(at, r);
-            }
+        let slow = self.ctx.slow_nodes(slowdown);
+        if let Err(e) = self.s1.back_up_reducers_on(&mut self.ctx, at, &slow) {
+            self.fail(at, 1, e);
         }
-        if self.failure.is_none() && self.reds2_done < self.reds2.len() {
-            self.queue
+        if self.ctx.failure.is_none() && !self.finished() {
+            self.ctx
+                .queue
                 .schedule(at + SimDuration::from_secs_f64(check_secs), Ev::SpecTick);
         }
     }
 
-    /// Launches the (single) backup attempt for straggling stage-1
-    /// reducer `r` on an alive node away from the straggler, if a
-    /// reduce slot is free there. The backup starts pulling map output
-    /// after the launch overhead; it never ships handoffs or heap
-    /// samples — promotion happens only if it wins.
-    fn launch_red1_backup(&mut self, at: SimTime, r: usize) {
-        let avoid = self.reds1[r].node;
-        // Fastest free node away from the straggler wins (LATE-style):
-        // a backup on another slow node would just burn a slot.
-        let Some(node) = (0..self.p.nodes)
-            .filter(|&n| n != avoid && self.slots.has_free(false, n))
-            .min_by(|&a, &b| {
-                let key = |n: usize| (self.node_factor[n], self.slots.red_used[n], n);
-                key(a).partial_cmp(&key(b)).expect("factors are finite")
-            })
-        else {
-            return; // no slot free away from the straggler: retry next tick
-        };
-        self.red1_speculated[r] = true;
-        self.slots.red_used[node] += 1;
-        self.red1_tasks_run += 1;
-        self.red1_seq[r] += 1;
-        let attempt = self.red1_seq[r];
-        let launch = at + SimDuration::from_secs_f64(self.costs.speculation_launch_overhead_secs);
-        let n_maps = self.maps1.len();
-        let mut task = RedTask::fresh();
-        task.state = RState::Running;
-        task.node = node;
-        task.attempt = attempt;
-        // `started` doubles as the feed gate: `map1_done` only feeds
-        // backups whose launch overhead has elapsed.
-        task.started = launch;
-        task.cpu_free = launch;
-        task.fetched_from = vec![false; n_maps];
-        task.flow_from = vec![false; n_maps];
-        if self.pipelined1() {
-            match IncrementalDriver::new(self.first, &self.cfg1, r) {
-                Ok(driver) => task.driver = Some(driver),
-                Err(e) => {
-                    self.failure = Some((at, format!("stage-1 backup driver init failed: {e}")));
-                    return;
-                }
-            }
-        }
-        self.reds1_bk[r] = Some(task);
-        self.map_counters.add(names::SPECULATION_LAUNCHED, 1);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Reduce,
-            r,
-            attempt,
-            node,
-            at,
-            SpecEvent::Launched,
-        );
-        self.queue.schedule(launch, Ev::Red1BackupStart(r, attempt));
-    }
-
     // ---------------------------------------------------- cross-job edge
 
-    /// Real bytes of upstream partition `r`'s output records
-    /// `start..end`, as the downstream application accounts them.
-    fn handoff_real_bytes(&self, r: usize, start: usize, end: usize) -> u64 {
-        self.reds1[r].out[start..end]
+    /// Nominal wire bytes of upstream partition `r`'s output records
+    /// `start..end`: their real bytes as the downstream application
+    /// accounts them, scaled, and never nothing.
+    fn handoff_wire_bytes(&self, r: usize, start: usize, end: usize) -> u64 {
+        let real: u64 = self.s1.reds[r].out[start..end]
             .iter()
-            .map(|(k, v)| self.second.handoff_bytes(k, v) as u64)
-            .sum()
+            .map(|(k, v)| self.s2.app.handoff_bytes(k, v) as u64)
+            .sum();
+        ((real as f64 * self.ctx.costs.chain_handoff_byte_scale) as u64).max(1)
+    }
+
+    /// Books one handoff edge carrying upstream partition `r`'s records
+    /// `start..end` to downstream map `r`; returns its wire bytes.
+    fn handoff_edge(&mut self, at: SimTime, r: usize, start: usize, end: usize) -> u64 {
+        let wire = self.handoff_wire_bytes(r, start, end);
+        let records = (end - start) as u64;
+        self.handoff_edges += 1;
+        self.handoff_records += records;
+        self.handoff_bytes += wire;
+        let up = &self.s1.reds[r];
+        self.ctx
+            .tracer
+            .handoff_mark(0, r, up.attempt, up.node, at, r, records, wire);
+        wire
     }
 
     /// Streaming: ship upstream partition `r`'s not-yet-shipped output
-    /// increment to downstream map `r` as a handoff flow.
+    /// increment to downstream map `r` as a handoff flow. Only the
+    /// primary attempt ever feeds the chain edge.
     fn ship_handoff(&mut self, at: SimTime, r: usize) {
         let m = r;
-        if self.maps2[m].state != M2State::Consuming {
+        if self.s2.maps[m].state != MapState::Consuming {
             return; // re-shipped by ensure_upstream when the map starts
         }
-        let len = self.reds1[r].out.len();
-        let start = self.reds1[r].handed;
+        let len = self.s1.reds[r].out.len();
+        let start = self.handed[r];
         if start >= len {
             return;
         }
-        let real = self.handoff_real_bytes(r, start, len);
-        let wire = ((real as f64 * self.costs.chain_handoff_byte_scale) as u64).max(1);
-        self.reds1[r].handed = len;
-        self.handoff_edges += 1;
-        self.handoff_records += (len - start) as u64;
-        self.handoff_bytes += wire;
-        self.tracer.handoff_mark(
-            0,
-            r,
-            self.reds1[r].attempt,
-            self.reds1[r].node,
+        self.handed[r] = len;
+        let wire = self.handoff_edge(at, r, start, len);
+        self.ctx.net.start_flow(
             at,
-            m,
-            (len - start) as u64,
-            wire,
-        );
-        self.net.start_flow(
-            at,
-            NodeId(self.reds1[r].node as u32),
-            NodeId(self.maps2[m].node as u32),
+            NodeId(self.s1.reds[r].node as u32),
+            NodeId(self.s2.maps[m].node as u32),
             wire,
             Tag::Handoff {
                 red: r,
-                red_attempt: self.reds1[r].attempt,
+                red_attempt: self.s1.reds[r].attempt,
                 map: m,
-                map_attempt: self.maps2[m].attempt,
+                map_attempt: self.s2.maps[m].attempt,
                 start,
                 end: len,
             },
@@ -1796,56 +807,48 @@ where
     /// map `m`: adapt the records, charge the chained map CPU, queue the
     /// batch.
     fn handoff_delivery(&mut self, at: SimTime, r: usize, m: usize, start: usize, end: usize) {
-        if self.stage2_first_work.is_none() {
-            self.stage2_first_work = Some(at);
-        }
-        let batch: Vec<(B::InKey, B::InValue)> = self.reds1[r].out[start..end]
+        self.stage2_first_work.get_or_insert(at);
+        let batch: Vec<(B::InKey, B::InValue)> = self.s1.reds[r].out[start..end]
             .iter()
-            .map(|(k, v)| self.second.adapt_input(k.clone(), v.clone()))
+            .map(|(k, v)| self.s2.app.adapt_input(k.clone(), v.clone()))
             .collect();
-        let real = self.handoff_real_bytes(r, start, end);
-        let task = &mut self.maps2[m];
+        let wire = self.handoff_wire_bytes(r, start, end);
+        let cost = self.ctx.costs.chain_map_cpu_per_record * batch.len() as f64;
+        let dur = SimDuration::from_secs_f64(cost * self.ctx.node_factor[self.s2.maps[m].node]);
+        let task = &mut self.intake[m];
         task.received += end - start;
-        task.wire_bytes += ((real as f64 * self.costs.chain_handoff_byte_scale) as u64).max(1);
-        let cost = self.costs.chain_map_cpu_per_record * batch.len() as f64;
-        let dur = SimDuration::from_secs_f64(cost * self.node_factor[task.node]);
-        let begin = task.cpu_free.max(at);
-        task.cpu_free = begin + dur;
+        task.wire_bytes += wire;
+        task.cpu_free = task.cpu_free.max(at) + dur;
         task.queued.push_back(batch);
-        self.queue
-            .schedule(task.cpu_free, Ev::M2Work(m, task.attempt));
+        let work = Ev::ChainMapWork(m, self.s2.maps[m].attempt);
+        self.ctx.queue.schedule(task.cpu_free, work);
     }
 
     // --------------------------------------------------------- stage 2 map
 
+    /// Whether `a` stamps downstream map `m`'s live attempt and it is
+    /// still taking input.
+    fn map2_consuming(&self, m: usize, a: u32) -> bool {
+        self.s2.maps[m].attempt == a && self.s2.maps[m].state == MapState::Consuming
+    }
+
     fn start_map2(&mut self, at: SimTime, m: usize, node: usize) {
-        self.slots.map_used[node] += 1;
-        self.map2_tasks_run += 1;
-        let task = &mut self.maps2[m];
-        task.state = M2State::Consuming;
-        task.node = node;
-        task.started = at;
+        self.s2
+            .occupy_map(&mut self.ctx, at, m, node, MapState::Consuming);
         if self.streaming {
-            self.ensure_upstream(at, m);
+            // A freshly (re)started downstream map needs everything its
+            // upstream reducer has emitted so far: reset the upstream
+            // cursor and re-ship.
+            self.handed[m] = 0;
+            self.ship_handoff(at, m);
             // A finished upstream partition with nothing to hand off
             // will never trigger a delivery: evaluate completion now.
-            if self.reds1[m].state == RState::Done && self.reds1[m].out.is_empty() {
-                self.queue
-                    .schedule(at, Ev::M2Work(m, self.maps2[m].attempt));
+            if self.s1.reds[m].state == RedState::Done && self.s1.reds[m].out.is_empty() {
+                let work = Ev::ChainMapWork(m, self.s2.maps[m].attempt);
+                self.ctx.queue.schedule(at, work);
             }
         } else {
             self.start_fetch2(at, m);
-        }
-    }
-
-    /// Streaming: a freshly (re)started downstream map needs everything
-    /// its upstream reducer has emitted so far; reset the upstream
-    /// cursor and re-ship.
-    fn ensure_upstream(&mut self, at: SimTime, m: usize) {
-        let r = m;
-        self.reds1[r].handed = 0;
-        if !self.reds1[r].out.is_empty() {
-            self.ship_handoff(at, r);
         }
     }
 
@@ -1853,528 +856,99 @@ where
     /// DFS (source disk + network), one edge per downstream map.
     fn start_fetch2(&mut self, at: SimTime, m: usize) {
         let r = m;
-        debug_assert_eq!(self.reds1[r].state, RState::Done);
-        let src = if self.slots.alive[self.reds1[r].node] {
-            self.reds1[r].node
+        debug_assert_eq!(self.s1.reds[r].state, RedState::Done);
+        let writer = self.s1.reds[r].node;
+        let src = if self.ctx.slots.alive[writer] {
+            writer
         } else {
             // The writer died after materializing; the replicated block
             // is served from a surviving node.
-            (0..self.p.nodes)
-                .find(|&n| self.slots.alive[n])
+            (0..self.ctx.p.nodes)
+                .find(|&n| self.ctx.slots.alive[n])
                 .expect("at least one node alive")
         };
-        let len = self.reds1[r].out.len();
-        let real = self.handoff_real_bytes(r, 0, len);
-        let wire = ((real as f64 * self.costs.chain_handoff_byte_scale) as u64).max(1);
-        self.handoff_edges += 1;
-        self.handoff_records += len as u64;
-        self.handoff_bytes += wire;
-        self.tracer.handoff_mark(
-            0,
-            r,
-            self.reds1[r].attempt,
-            self.reds1[r].node,
-            at,
-            m,
-            len as u64,
-            wire,
-        );
-        self.disks[src].submit(at, wire);
-        self.net.start_flow(
+        let wire = self.handoff_edge(at, r, 0, self.s1.reds[r].out.len());
+        self.ctx.disks[src].submit(at, wire);
+        self.ctx.net.start_flow(
             at,
             NodeId(src as u32),
-            NodeId(self.maps2[m].node as u32),
+            NodeId(self.s2.maps[m].node as u32),
             wire,
-            Tag::Fetch2(m, self.maps2[m].attempt),
+            Tag::ChainFetch(m, self.s2.maps[m].attempt),
         );
     }
 
     fn map2_work(&mut self, at: SimTime, m: usize) {
-        if let Some(batch) = self.maps2[m].queued.pop_front() {
-            let reducers = self.cfg2.reducers;
-            let task = &mut self.maps2[m];
-            let mut emitted = 0u64;
-            {
-                let parts = &mut task.parts;
-                let mut emit = mr_core::FnEmit(|k: B::MapKey, v: B::MapValue| {
-                    emitted += 1;
-                    let p = self.pb.partition(&k, reducers);
-                    parts[p].push((k, v));
-                });
-                for (k, v) in &batch {
-                    self.second.map(k, v, &mut emit);
-                }
-            }
-            self.map_counters.add(names::MAP_OUTPUT_RECORDS, emitted);
+        if let Some(batch) = self.intake[m].queued.pop_front() {
+            let mut parts =
+                (self.s2.maps[m].output.take()).unwrap_or_else(|| self.s2.empty_parts());
+            self.s2.run_map(&batch, &mut parts);
+            self.s2.maps[m].output = Some(parts);
         }
         // All upstream output received and mapped => write the map output.
-        let upstream_done = self.reds1[m].state == RState::Done;
-        let task = &self.maps2[m];
-        if upstream_done
-            && task.received == self.reds1[m].out.len()
+        let upstream = &self.s1.reds[m];
+        let task = &self.intake[m];
+        if upstream.state == RedState::Done
+            && task.received == upstream.out.len()
             && task.queued.is_empty()
             && task.cpu_free <= at
         {
-            let task = &mut self.maps2[m];
-            task.state = M2State::Writing;
-            task.out_bytes =
-                ((task.wire_bytes as f64 * self.costs.shuffle_selectivity) as u64).max(1);
-            let node = task.node;
-            let out_bytes = task.out_bytes;
-            let attempt = task.attempt;
-            let done = self.disks[node].submit(at, out_bytes);
-            self.queue.schedule(done, Ev::M2Written(m, attempt));
-        }
-    }
-
-    fn map2_done(&mut self, at: SimTime, m: usize) {
-        self.maps2[m].state = M2State::Done;
-        self.maps2_done += 1;
-        self.slots.map_used[self.maps2[m].node] -= 1;
-        self.tracer.span(
-            1,
-            SpanKind::Map,
-            m,
-            self.maps2[m].attempt,
-            self.maps2[m].node,
-            self.maps2[m].started,
-            at,
-        );
-        for r in 0..self.reds2.len() {
-            if self.reds2[r].state == RState::Running && !self.reds2[r].flow_from[m] {
-                self.start_shuffle2_flow(at, m, r);
-            }
-        }
-        for r in 0..self.reds2.len() {
-            if self.reds2[r].state == RState::Running {
-                self.check_shuffle2_complete(at, r);
-            }
-        }
-        self.queue.schedule(at, Ev::Schedule);
-    }
-
-    // ------------------------------------------------------ stage 2 reduce
-
-    fn start_reduce2(&mut self, at: SimTime, r: usize, node: usize) {
-        self.slots.red_used[node] += 1;
-        self.red2_tasks_run += 1;
-        let n_maps = self.maps2.len();
-        let task = &mut self.reds2[r];
-        task.state = RState::Running;
-        task.node = node;
-        task.started = at;
-        task.fetched_from = vec![false; n_maps];
-        task.flow_from = vec![false; n_maps];
-        task.cpu_free = at;
-        if self.pipelined2() {
-            match IncrementalDriver::new(self.second, &self.cfg2, r) {
-                Ok(driver) => self.reds2[r].driver = Some(driver),
-                Err(e) => {
-                    self.failure = Some((at, format!("stage-2 driver init failed: {e}")));
-                    return;
-                }
-            }
-        }
-        for m in 0..n_maps {
-            if self.maps2[m].state == M2State::Done {
-                self.start_shuffle2_flow(at, m, r);
+            let nominal = task.wire_bytes as f64 * self.ctx.costs.shuffle_selectivity;
+            let parts = (self.s2.maps[m].output.take()).unwrap_or_else(|| self.s2.empty_parts());
+            self.s2
+                .write_map_output(&mut self.ctx, at, m, false, parts, (nominal as u64).max(1));
+            for bytes in &mut self.s2.maps[m].flow_bytes {
+                *bytes = (*bytes).max(1);
             }
         }
     }
 
-    fn start_shuffle2_flow(&mut self, at: SimTime, m: usize, r: usize) {
-        let total_records: usize = self.maps2[m].parts.iter().map(Vec::len).sum();
-        let part_records = self.maps2[m].parts[r].len();
-        let bytes = if total_records > 0 {
-            ((self.maps2[m].out_bytes as f64 * part_records as f64 / total_records as f64) as u64)
-                .max(1)
-        } else {
-            (self.maps2[m].out_bytes / self.cfg2.reducers as u64).max(1)
-        };
-        self.reds2[r].flow_from[m] = true;
-        self.net.start_flow(
-            at,
-            NodeId(self.maps2[m].node as u32),
-            NodeId(self.reds2[r].node as u32),
-            bytes,
-            Tag::Shuffle2 {
-                map: m,
-                map_attempt: self.maps2[m].attempt,
-                red: r,
-                red_attempt: self.reds2[r].attempt,
-            },
-        );
-    }
-
-    fn shuffle2_delivery(&mut self, at: SimTime, m: usize, r: usize) {
-        let batch = self.maps2[m].parts[r].clone();
-        let total_records: usize = self.maps2[m].parts.iter().map(Vec::len).sum();
-        let bytes = if total_records > 0 {
-            (self.maps2[m].out_bytes as f64 * batch.len() as f64 / total_records as f64) as u64
-        } else {
-            self.maps2[m].out_bytes / self.cfg2.reducers as u64
-        };
-        let pipelined = self.pipelined2();
-        let absorb = Self::absorb_cost(&self.cfg2, self.costs);
-        let task = &mut self.reds2[r];
-        task.fetched_from[m] = true;
-        task.input_bytes += bytes;
-        if pipelined {
-            let cost = absorb * batch.len() as f64;
-            let dur = SimDuration::from_secs_f64(cost * self.node_factor[task.node]);
-            let start = task.cpu_free.max(at);
-            task.cpu_free = start + dur;
-            task.batches.push_back(batch);
-            self.queue
-                .schedule(task.cpu_free, Ev::R2Batch(r, task.attempt));
-        } else {
-            task.buffer.extend(batch);
-        }
-        self.check_shuffle2_complete(at, r);
-    }
-
-    fn check_shuffle2_complete(&mut self, at: SimTime, r: usize) {
-        let all = self.reds2[r].fetched_from.iter().all(|&f| f)
-            && self.reds2[r].fetched_from.len() == self.maps2.len()
-            && self.maps2_done == self.maps2.len();
-        if !all || self.reds2[r].shuffle_done_at.is_some() {
-            return;
-        }
-        self.reds2[r].shuffle_done_at = Some(at);
-        if self.pipelined2() {
-            let when = self.reds2[r].cpu_free.max(at);
-            self.queue
-                .schedule(when, Ev::R2Batch(r, self.reds2[r].attempt));
-        } else {
-            self.tracer.span(
-                1,
-                SpanKind::Shuffle,
-                r,
-                self.reds2[r].attempt,
-                self.reds2[r].node,
-                self.reds2[r].started,
-                at,
-            );
-            let n = self.reds2[r].buffer.len() as f64;
-            let sort = self.costs.sort_cpu_coeff
-                * n
-                * n.max(2.0).log2()
-                * self.node_factor[self.reds2[r].node];
-            self.queue.schedule(
-                at + SimDuration::from_secs_f64(sort),
-                Ev::R2SortDone(r, self.reds2[r].attempt),
-            );
-        }
-    }
-
-    fn red2_batch(&mut self, at: SimTime, r: usize) {
-        if let Some(batch) = self.reds2[r].batches.pop_front() {
-            let node = self.reds2[r].node;
-            let attempt = self.reds2[r].attempt;
-            let task = &mut self.reds2[r];
-            let driver = task.driver.as_mut().expect("pipelined reducer");
-            for (k, v) in batch {
-                if let Err(e) = driver.push(self.second, k, v, &mut task.out) {
-                    self.fail_job(at, 2, r, e);
-                    return;
-                }
-            }
-            let bytes = driver.modelled_bytes();
-            self.tracer.heap_sample(1, r, attempt, node, at, bytes);
-            let io = driver.io_bytes();
-            let delta = io - task.io_charged;
-            if delta > 0 {
-                task.io_charged = io;
-                self.disks[node].submit(at, delta);
-            }
-        }
-        let task = &self.reds2[r];
-        if task.shuffle_done_at.is_some() && task.batches.is_empty() && task.cpu_free <= at {
-            let task = &mut self.reds2[r];
-            task.state = RState::Finalizing;
-            let entries = task.driver.as_ref().map_or(0, |d| d.entries());
-            let dur = SimDuration::from_secs_f64(
-                self.costs.finalize_cpu_per_entry * entries as f64 * self.node_factor[task.node],
-            );
-            self.queue
-                .schedule(at + dur, Ev::R2FinalizeDone(r, task.attempt));
-        }
-    }
-
-    fn red2_finalize_done(&mut self, at: SimTime, r: usize) {
-        let driver = self.reds2[r].driver.take().expect("pipelined reducer");
-        let mut out = std::mem::take(&mut self.reds2[r].out);
-        let mut counters = std::mem::take(&mut self.reds2[r].counters);
-        match driver.finish(self.second, &mut counters, &mut out) {
-            Ok(report) => {
-                let merge_read = report.store.spill_bytes;
-                if merge_read > 0 {
-                    self.disks[self.reds2[r].node].submit(at, merge_read);
-                }
-                counters.add(names::REDUCE_OUTPUT_RECORDS, out.len() as u64);
-                self.reds2[r].report = Some(report);
-                self.reds2[r].out = out;
-                self.reds2[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, 2, r, e);
-                return;
-            }
-        }
-        self.tracer.span(
-            1,
-            SpanKind::ShuffleReduce,
-            r,
-            self.reds2[r].attempt,
-            self.reds2[r].node,
-            self.reds2[r].started,
-            at,
-        );
-        self.red2_start_output(at, r);
-    }
-
-    fn red2_grouped_start(&mut self, at: SimTime, r: usize) {
-        let task = &self.reds2[r];
-        let n = task.buffer.len() as f64;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.reduce_cpu_per_record * n * self.node_factor[task.node],
-        );
-        self.queue
-            .schedule(at + dur, Ev::R2GroupedDone(r, task.attempt));
-    }
-
-    fn red2_grouped_done(&mut self, at: SimTime, r: usize) {
-        let records = std::mem::take(&mut self.reds2[r].buffer);
-        let mut counters = std::mem::take(&mut self.reds2[r].counters);
-        match reduce_partition_barrier(self.second, records, &mut counters) {
-            Ok(out) => {
-                self.reds2[r].out = out;
-                self.reds2[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, 2, r, e);
-                return;
-            }
-        }
-        let start = self.reds2[r].shuffle_done_at.expect("sorted after shuffle");
-        self.tracer.span(
-            1,
-            SpanKind::SortReduce,
-            r,
-            self.reds2[r].attempt,
-            self.reds2[r].node,
-            start,
-            at,
-        );
-        self.red2_start_output(at, r);
-    }
-
-    fn red2_start_output(&mut self, at: SimTime, r: usize) {
-        let task = &mut self.reds2[r];
-        task.state = RState::Writing;
-        task.write_started = at;
-        let bytes = ((task.input_bytes as f64 * self.costs.output_selectivity) as u64).max(1);
-        task.write_bytes = bytes;
-        let node = task.node;
-        let attempt = task.attempt;
-        let targets = self.dfs.write_targets(NodeId(node as u32));
-        task.write_parts_left = targets.len();
-        let local_done = self.disks[node].submit(at, bytes);
-        self.queue
-            .schedule(local_done, Ev::R2OutputPart(r, attempt));
-        for &replica in targets.iter().skip(1) {
-            self.net.start_flow(
-                at,
-                NodeId(node as u32),
-                replica,
-                bytes,
-                Tag::Output2(r, attempt, replica),
-            );
-        }
-    }
-
-    fn red2_output_part_done(&mut self, at: SimTime, r: usize) {
-        self.reds2[r].write_parts_left -= 1;
-        if self.reds2[r].write_parts_left > 0 {
-            return;
-        }
-        let task = &mut self.reds2[r];
-        task.state = RState::Done;
-        self.reds2_done += 1;
-        let (node, attempt, write_started) = (task.node, task.attempt, task.write_started);
-        if self.slots.alive[node] {
-            self.slots.red_used[node] -= 1;
-        }
-        self.tracer
-            .span(1, SpanKind::Output, r, attempt, node, write_started, at);
-        if self.reds2_done == self.reds2.len() {
-            self.tracer.stage_done(1, at);
-        }
-        self.queue.schedule(at, Ev::Schedule);
-    }
-
-    // -------------------------------------------------------------- flows
-
-    fn handle_flow(&mut self, at: SimTime, tag: Tag) {
-        match tag {
-            Tag::Fetch1(m, a) => {
-                if self.maps1[m].attempt == a && self.maps1[m].state == MState::Fetching {
-                    self.map1_compute(at, m);
-                }
-            }
-            Tag::Shuffle1 {
-                map,
-                map_attempt,
-                red,
-                red_attempt,
-            } => {
-                if self.maps1[map].attempt == map_attempt {
-                    if let Some(bk) = self.red1_slot(red, red_attempt) {
-                        if red1_mut!(self, red, bk).state == RState::Running {
-                            self.shuffle1_delivery(at, map, red, bk);
-                        }
-                    }
-                }
-            }
-            Tag::Handoff {
-                red,
-                red_attempt,
-                map,
-                map_attempt,
-                start,
-                end,
-            } => {
-                if self.reds1[red].attempt == red_attempt
-                    && self.maps2[map].attempt == map_attempt
-                    && self.maps2[map].state == M2State::Consuming
-                {
-                    self.handoff_delivery(at, red, map, start, end);
-                }
-            }
-            Tag::Fetch2(m, a) => {
-                if self.maps2[m].attempt == a && self.maps2[m].state == M2State::Consuming {
-                    let len = self.reds1[m].out.len();
-                    self.handoff_delivery(at, m, m, 0, len);
-                }
-            }
-            Tag::Shuffle2 {
-                map,
-                map_attempt,
-                red,
-                red_attempt,
-            } => {
-                if self.maps2[map].attempt == map_attempt
-                    && self.reds2[red].attempt == red_attempt
-                    && self.reds2[red].state == RState::Running
-                {
-                    self.shuffle2_delivery(at, map, red);
-                }
-            }
-            Tag::Output1(r, a, replica) => {
-                if self.reds1[r].attempt == a && self.reds1[r].state == RState::Writing {
-                    let bytes = self.reds1[r].write_bytes.max(1);
-                    let done = self.disks[replica.0 as usize].submit(at, bytes);
-                    self.queue
-                        .schedule(done, Ev::R1OutputPart(r, self.reds1[r].attempt));
-                }
-            }
-            Tag::Output2(r, a, replica) => {
-                if self.reds2[r].attempt == a && self.reds2[r].state == RState::Writing {
-                    let bytes = self.reds2[r].write_bytes.max(1);
-                    let done = self.disks[replica.0 as usize].submit(at, bytes);
-                    self.queue
-                        .schedule(done, Ev::R2OutputPart(r, self.reds2[r].attempt));
-                }
-            }
-        }
-    }
-
-    fn fail_job(&mut self, at: SimTime, stage: usize, r: usize, e: mr_core::MrError) {
-        self.failure = Some((at, format!("stage-{stage} reducer {r} failed: {e}")));
+    /// Sends downstream map `m` back to Pending with an empty intake.
+    fn restart_map2(&mut self, m: usize) {
+        self.s2.restart_map(m);
+        let task = &mut self.intake[m];
+        task.queued.clear();
+        task.received = 0;
+        task.wire_bytes = 0;
     }
 
     // ------------------------------------------------------------- faults
 
     fn fail_node(&mut self, at: SimTime, n: usize) {
-        if !self.slots.alive[n] {
+        let Some(cancelled) = self.ctx.fail_node(at, n, Self::WHAT) else {
             return;
-        }
-        self.slots.fail_node(n);
-        if !self.slots.any_alive() {
-            self.failure = Some((at, "every node has failed; chain lost".to_string()));
-            return;
-        }
-        let cancelled = self.net.fail_node(at, NodeId(n as u32));
-        for cid in self.dfs.fail_node(NodeId(n as u32)) {
-            self.dfs.restore_chunk(cid);
+        };
+        let alive = |node: usize| self.ctx.slots.alive[node];
+        // A promoted stage-1 backup carries on, but the downstream map
+        // that consumed the dead attempt's stream must still restart.
+        let (promoted, dead1) = self.s1.reducers_lost_on(n);
+        // Stage-2 reducers recover like a single job's.
+        let (_, dead2) = self.s2.reducers_lost_on(n);
+        for r in dead2 {
+            self.s2.restart_reducer(r);
         }
 
-        // Speculative backups on the dead node are dropped (death is not
-        // a cancellation — no overhead, no counter); a dead *primary*
-        // with a surviving backup promotes the backup in place of a
-        // restart, though the downstream map that consumed the dead
-        // attempt's stream must still restart.
-        let mut promoted = vec![false; self.reds1.len()];
-        for r in 0..self.reds1.len() {
-            if self.reds1_bk[r].as_ref().is_some_and(|t| t.node == n) {
-                self.reds1_bk[r] = None;
-            }
-        }
-        for (r, promo) in promoted.iter_mut().enumerate() {
-            let dead_primary = self.reds1[r].node == n
-                && self.reds1[r].state != RState::Done
-                && self.reds1[r].state != RState::Pending;
-            if dead_primary {
-                if let Some(backup) = self.reds1_bk[r].take() {
-                    self.reds1[r] = backup;
-                    *promo = true;
-                }
-            }
-        }
-
-        // Decide the restart sets to a fixpoint: an upstream reducer
-        // restart forces its downstream map to restart; a downstream map
-        // that must re-run but whose upstream stream lived only on a
-        // now-dead node (streaming mode: never materialized) forces the
-        // upstream reducer to re-run too.
-        let r1 = self.reds1.len();
+        // Decide the restart sets across the edge to a fixpoint: an
+        // upstream reducer restart forces its downstream map to restart;
+        // a downstream map that must re-run but whose upstream stream
+        // lived only on a now-dead node (streaming mode: never
+        // materialized) forces the upstream reducer to re-run too.
+        let r1 = self.s1.reds.len();
         let mut reds1_restart = vec![false; r1];
-        let mut maps2_restart = vec![false; r1];
-        let mut reds2_restart = vec![false; self.reds2.len()];
-        for (r, task) in self.reds1.iter().enumerate() {
-            if task.node == n && task.state != RState::Done && task.state != RState::Pending {
-                reds1_restart[r] = true;
-            }
+        for &r in &dead1 {
+            reds1_restart[r] = true;
         }
-        for (m, task) in self.maps2.iter().enumerate() {
-            if task.node == n && task.state != M2State::Done && task.state != M2State::Pending {
-                maps2_restart[m] = true;
-            }
-        }
-        for (r, task) in self.reds2.iter().enumerate() {
-            if task.node == n && task.state != RState::Done && task.state != RState::Pending {
-                reds2_restart[r] = true;
-            }
-        }
-        // A promoted backup carries on, but its stream starts over for
-        // the consumer of the dead attempt.
-        for (r, &p) in promoted.iter().enumerate() {
-            if p {
-                maps2_restart[r] = true;
-            }
-        }
-        // Completed stage-2 maps whose node died must re-run if some
-        // stage-2 reducer still needs their shuffle output.
-        for (m, task) in self.maps2.iter().enumerate() {
-            if task.state == M2State::Done
-                && !self.slots.alive[task.node]
-                && self.reds2.iter().enumerate().any(|(r, red)| {
-                    red.state != RState::Done
-                        && (reds2_restart[r] || red.fetched_from.len() <= m || !red.fetched_from[m])
-                })
-            {
-                maps2_restart[m] = true;
-            }
+        // Downstream maps running on the dead node, and completed ones
+        // whose node died while some stage-2 reducer still needs their
+        // shuffle output.
+        let mut maps2_restart: Vec<bool> = (0..r1)
+            .map(|m| {
+                let task = &self.s2.maps[m];
+                (task.node == n && task.state.is_running()) || self.s2.map_output_lost(&self.ctx, m)
+            })
+            .collect();
+        for &r in &promoted {
+            maps2_restart[r] = true;
         }
         loop {
             let mut changed = false;
@@ -2385,30 +959,21 @@ where
                     maps2_restart[r] = true;
                     changed = true;
                 }
-                if maps2_restart[r] && !reds1_restart[r] && self.streaming {
-                    let up = &self.reds1[r];
-                    // A restarting downstream map needs the stream again;
-                    // if it was never materialized and its producer's
-                    // node is gone, the producer re-runs.
-                    if up.state == RState::Done && !self.slots.alive[up.node] {
-                        reds1_restart[r] = true;
-                        changed = true;
-                    }
-                }
-                // Streaming: a dead node holding a completed upstream
-                // reducer whose consumer still needs data forces a
-                // re-run even when the consumer itself survives.
-                if self.streaming && !reds1_restart[r] {
-                    let up = &self.reds1[r];
-                    let down = &self.maps2[r];
-                    if up.state == RState::Done
-                        && !self.slots.alive[up.node]
-                        && down.state == M2State::Consuming
-                        && down.received < up.out.len()
-                    {
-                        reds1_restart[r] = true;
-                        changed = true;
-                    }
+                let up = &self.s1.reds[r];
+                let lost_upstream = self.streaming
+                    && !reds1_restart[r]
+                    && up.state == RedState::Done
+                    && !alive(up.node);
+                // A restarting downstream map needs the stream again; a
+                // surviving one that has not received all of it still
+                // does. Either way a completed producer on a dead node
+                // never materialized it, and re-runs.
+                let needed = maps2_restart[r]
+                    || (self.s2.maps[r].state == MapState::Consuming
+                        && self.intake[r].received < up.out.len());
+                if lost_upstream && needed {
+                    reds1_restart[r] = true;
+                    changed = true;
                 }
             }
             if !changed {
@@ -2416,110 +981,43 @@ where
             }
         }
 
-        // Apply stage-2 reducer restarts (rescheduled by `Schedule`).
-        for (r, restart) in reds2_restart.iter().enumerate() {
-            if *restart {
-                if self.slots.alive[self.reds2[r].node] {
-                    self.slots.red_used[self.reds2[r].node] -= 1;
-                }
-                self.reds2[r].restart();
-            }
-        }
         // Apply downstream map restarts. A restart whose own node
         // survived was forced purely by the upstream attempt dying —
         // the chain-specific recovery path.
-        for (m, restart) in maps2_restart.iter().enumerate() {
-            if *restart {
-                let was = self.maps2[m].state;
-                if was != M2State::Pending {
-                    let reducers = self.cfg2.reducers;
-                    if was == M2State::Done {
-                        // Its map slot was released at completion.
-                        self.maps2_done -= 1;
-                    } else if self.slots.alive[self.maps2[m].node] {
-                        self.slots.map_used[self.maps2[m].node] -= 1;
-                        self.downstream_map_restarts += 1;
-                    }
-                    self.maps2[m].restart(reducers);
-                    // Stage-2 reducers that had an in-flight or delivered
-                    // flow from this map must be allowed to re-request it.
-                    for red in &mut self.reds2 {
-                        if !red.flow_from.is_empty()
-                            && (red.fetched_from.len() <= m || !red.fetched_from[m])
-                        {
-                            red.flow_from[m] = false;
-                        }
-                    }
-                }
+        for m in (0..r1).filter(|&m| maps2_restart[m]) {
+            let (was, node) = (self.s2.maps[m].state, self.s2.maps[m].node);
+            if was == MapState::Pending {
+                continue;
             }
+            // A completed map released its slot at completion.
+            if was != MapState::Done && self.ctx.slots.alive[node] {
+                self.ctx.slots.release(true, node);
+                self.downstream_map_restarts += 1;
+            }
+            self.restart_map2(m);
         }
         // Apply stage-1 reducer restarts (a completed one re-entering
         // Pending also reopens stage-1 completion).
-        for (r, restart) in reds1_restart.iter().enumerate() {
-            if *restart {
-                if self.reds1[r].state == RState::Done {
-                    // Its reduce slot was released at completion.
-                    self.reds1_done -= 1;
-                    self.stage1_complete = None;
-                }
-                // Restamp from the shared sequence so the new attempt
-                // never collides with a (cancelled) speculative one.
-                self.red1_seq[r] += 1;
-                let seq = self.red1_seq[r];
-                let task = &mut self.reds1[r];
-                task.restart();
-                task.attempt = seq;
+        for r in (0..r1).filter(|&r| reds1_restart[r]) {
+            if self.s1.reds[r].state == RedState::Done {
+                self.stage1_complete = None;
             }
+            self.s1.restart_reducer(r);
         }
-        // Stage-1 maps: mirror the single-job executor — running tasks on
-        // the dead node restart; completed output on any dead node
-        // re-runs when a (possibly just-restarted) reducer still needs it.
-        for m in 0..self.maps1.len() {
-            let needs_rerun = match self.maps1[m].state {
-                MState::Fetching | MState::Computing | MState::Writing => self.maps1[m].node == n,
-                MState::Done => {
-                    !self.slots.alive[self.maps1[m].node]
-                        && self
-                            .reds1
-                            .iter()
-                            .chain(self.reds1_bk.iter().flatten())
-                            .any(|r| {
-                                r.state != RState::Done
-                                    && (r.fetched_from.len() <= m || !r.fetched_from[m])
-                            })
-                }
-                _ => false,
-            };
-            if needs_rerun {
-                if self.maps1[m].state == MState::Done {
-                    self.maps1_done -= 1;
-                }
-                let task = &mut self.maps1[m];
-                task.state = MState::Pending;
-                task.attempt += 1;
-                task.output = None;
-                task.node = usize::MAX;
-                for r in self
-                    .reds1
-                    .iter_mut()
-                    .chain(self.reds1_bk.iter_mut().flatten())
-                {
-                    if !r.flow_from.is_empty() && !r.fetched_from[m] {
-                        r.flow_from[m] = false;
-                    }
-                }
-            }
-        }
+        self.s1.rerun_lost_maps(&self.ctx, n);
         // Cancelled flows whose surviving endpoint still waits on them.
         for tag in cancelled {
             match tag {
-                Tag::Fetch1(m, a) => {
-                    if self.maps1[m].attempt == a && self.maps1[m].state == MState::Fetching {
-                        self.start_fetch1(at, m);
-                    }
+                Tag::Task(0, tag) => {
+                    let note = self.s1.on_cancelled_flow(&mut self.ctx, at, tag);
+                    self.follow_up1(at, Ok(note));
                 }
-                Tag::Fetch2(m, a) => {
-                    if self.maps2[m].attempt == a && self.maps2[m].state == M2State::Consuming {
+                Tag::Task(_, tag) => {
+                    let note = self.s2.on_cancelled_flow(&mut self.ctx, at, tag);
+                    self.follow_up2(at, Ok(note));
+                }
+                Tag::ChainFetch(m, a) => {
+                    if self.map2_consuming(m, a) {
                         self.start_fetch2(at, m);
                     }
                 }
@@ -2538,31 +1036,16 @@ where
                     // case: producer alive, consumer restarted — handled
                     // when the consumer's new attempt re-ships. Guard for
                     // the symmetric race anyway: re-ship if both current.
-                    if self.reds1[red].attempt == red_attempt
-                        && self.maps2[map].attempt == map_attempt
-                        && self.maps2[map].state == M2State::Consuming
-                        && self.slots.alive[self.reds1[red].node]
+                    if self.s1.reds[red].attempt == red_attempt
+                        && self.map2_consuming(map, map_attempt)
+                        && self.ctx.slots.alive[self.s1.reds[red].node]
                     {
-                        self.reds1[red].handed = self.reds1[red].handed.min(start);
+                        self.handed[red] = self.handed[red].min(start);
                         self.ship_handoff(at, red);
-                    }
-                }
-                Tag::Shuffle1 { .. } | Tag::Shuffle2 { .. } => {
-                    // Handled by the map-rerun / restart logic above:
-                    // flow_from was reset, so the output is re-requested.
-                }
-                Tag::Output1(r, a, _replica) => {
-                    if self.reds1[r].attempt == a && self.reds1[r].state == RState::Writing {
-                        self.red1_output_part_done(at, r);
-                    }
-                }
-                Tag::Output2(r, a, _replica) => {
-                    if self.reds2[r].attempt == a && self.reds2[r].state == RState::Writing {
-                        self.red2_output_part_done(at, r);
                     }
                 }
             }
         }
-        self.queue.schedule(at, Ev::Schedule);
+        self.ctx.queue.schedule(at, Ev::Schedule);
     }
 }

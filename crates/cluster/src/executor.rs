@@ -1,31 +1,23 @@
-//! The event-driven cluster executor.
-//!
-//! One `Sim` instance owns all mutable state for a run: task tables,
-//! per-node disks, the network, the event queue. Map and reduce functions
-//! execute for real on generated records; the clock is virtual.
+//! The single-job executor: one [`Stage`] on a [`SimCtx`], plus what only
+//! a single job models — the snapshot tick, the deadline, map
+//! speculation and the progress triggers of the straggler check, and the
+//! `SimReport`. Map and reduce functions execute for real on generated
+//! records; the clock is virtual.
 
 use crate::costs::CostModel;
+use crate::ctx::{self, Driver, Ev, SimCtx, Tag};
 use crate::input::SimInput;
 use crate::params::ClusterParams;
-use crate::placement::{SlotLedger, TieBreak};
+use crate::placement::TieBreak;
 use crate::report::{Outcome, SimReport};
-use crate::timeline::{SpanKind, SpecEvent, SpecTaskKind, Timeline};
-use crate::trace::SimTracer;
+use crate::stage::{Note, RedState, Stage, StageError};
 use mr_core::counters::names;
-use mr_core::engine::barrier::reduce_partition_barrier;
-use mr_core::engine::pipeline::IncrementalDriver;
-use mr_core::engine::DriverReport;
 use mr_core::{
-    Application, CombinerBuffer, Counters, Engine, JobConfig, JobOutput, MemoryPolicy, MrError,
-    Partitioner, Scope, Snapshot, SnapshotPolicy, SpeculationPolicy, TaskKind, TraceLog,
+    Application, Counters, JobConfig, JobOutput, MrError, Partitioner, Scope, SpeculationPolicy,
+    TraceLog,
 };
-use mr_dfs::{ChunkId, Dfs, DfsConfig};
-use mr_net::{Network, NetworkConfig, NodeId};
-use mr_sim::{EventQueue, FifoResource, SimDuration, SimTime};
-use mr_workloads::dist::hetero_factor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::VecDeque;
+use mr_sim::{SimDuration, SimTime};
+use mr_trace::SpanKind;
 
 /// Public entry point: runs jobs on a simulated cluster.
 pub struct SimExecutor {
@@ -93,7 +85,6 @@ impl SimExecutor {
                 },
                 output: None,
                 trace: TraceLog::new(),
-                timeline: Timeline::default(),
                 first_map_done: SimTime::ZERO,
                 last_map_done: SimTime::ZERO,
                 shuffle_done: SimTime::ZERO,
@@ -103,228 +94,87 @@ impl SimExecutor {
                 snapshots_taken: 0,
             };
         }
-        let mut sim = Sim::new(
-            &self.params,
-            app,
-            input,
-            chunks,
-            &effective,
-            costs,
-            partitioner,
-        );
-        for &(secs, node) in faults {
-            sim.queue
-                .schedule(SimTime::from_secs_f64(secs), Ev::NodeFail(node));
+        let (mut ctx, chunk_ids) = SimCtx::new(&self.params, costs, chunks);
+        if let Some(secs) = effective.snapshots.secs_interval() {
+            ctx.queue
+                .schedule(SimTime::from_secs_f64(secs), Ev::SnapshotTick);
         }
-        sim.run()
+        if let SpeculationPolicy::Enabled { check_secs, .. } = effective.speculation {
+            ctx.queue
+                .schedule(SimTime::from_secs_f64(check_secs), Ev::SpecTick);
+        }
+        if let Some(secs) = effective.deadline.secs() {
+            ctx.queue
+                .schedule(SimTime::from_secs_f64(secs), Ev::Deadline);
+        }
+        ctx.schedule_faults(faults);
+        let mut sim = Sim {
+            ctx,
+            input,
+            stage: Stage::on_dfs(0, app, partitioner, effective, chunk_ids),
+            deadline_hit: None,
+        };
+        ctx::run(&mut sim);
+        sim.finish_report()
     }
 }
 
-/// Events in the simulation. Task events carry an attempt stamp so events
-/// addressed to a killed attempt are ignored.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Schedule,
-    MapFetched(usize, u32),
-    MapComputed(usize, u32),
-    MapWritten(usize, u32),
-    Batch(usize, u32),
-    SortDone(usize, u32),
-    GroupedDone(usize, u32),
-    FinalizeDone(usize, u32),
-    OutputPartDone(usize, u32),
-    NodeFail(usize),
-    /// Global time-driven snapshot tick (`SnapshotPolicy::EverySecs`):
-    /// every live reduce task publishes a point-in-time estimate.
-    SnapshotTick,
-    /// Periodic straggler check (`SpeculationPolicy::Enabled`): compares
-    /// every running task's progress against the median and launches
-    /// backup attempts for the ones that fall behind.
-    SpecTick,
-    /// A backup map attempt's setup latency elapsed; issue its input read.
-    MapBackupStart(usize, u32),
-    /// A backup reduce attempt's setup latency elapsed; pull map output.
-    RedBackupStart(usize, u32),
-    /// A cancelled attempt's slot finishes teardown and frees. The bool
-    /// distinguishes map (`true`) from reduce (`false`) slots.
-    SpecSlotFree(usize, bool),
-    /// The job's `DeadlinePolicy` expires: stop and answer from the
-    /// latest published snapshots.
-    Deadline,
-}
-
-/// Network flow tags.
-#[derive(Debug, Clone, Copy)]
-enum Tag {
-    /// Remote chunk fetch for map task `m`.
-    Fetch(usize, u32),
-    /// Shuffle of map `m`'s partition for reducer `r`.
-    Shuffle {
-        map: usize,
-        map_attempt: u32,
-        red: usize,
-        red_attempt: u32,
-    },
-    /// Output replica write for reducer `r`.
-    Output(usize, u32, NodeId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MapState {
-    Pending,
-    Fetching,
-    Computing,
-    Writing,
-    Done,
-}
-
-struct MapTask<A: Application> {
-    chunk: ChunkId,
-    state: MapState,
-    node: usize,
-    attempt: u32,
-    started: SimTime,
-    /// Per-reducer record batches, produced by really running map().
-    #[allow(clippy::type_complexity)]
-    output: Option<Vec<Vec<(A::MapKey, A::MapValue)>>>,
-    /// Nominal map-output bytes (chunk bytes × shuffle selectivity).
-    out_bytes: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RedState {
-    Pending,
-    Running,
-    Finalizing,
-    Writing,
-    Done,
-}
-
-struct ReduceTask<A: Application> {
-    state: RedState,
-    node: usize,
-    attempt: u32,
-    started: SimTime,
-    /// Map tasks whose batch has been *delivered*.
-    fetched_from: Vec<bool>,
-    /// Map tasks we have an in-flight or delivered flow from.
-    flow_from: Vec<bool>,
-    /// Barrier mode: buffered records awaiting the sort.
-    buffer: Vec<(A::MapKey, A::MapValue)>,
-    /// Pipelined mode: the live incremental driver.
-    driver: Option<IncrementalDriver<A>>,
-    /// Batches delivered but not yet charged/absorbed.
-    batches: VecDeque<Vec<(A::MapKey, A::MapValue)>>,
-    /// When the reducer's CPU drains everything scheduled on it.
-    cpu_free: SimTime,
-    /// Store I/O bytes already charged to the disk.
-    io_charged: u64,
-    shuffle_done_at: Option<SimTime>,
-    reduce_phase_started: Option<SimTime>,
-    finalize_done_at: Option<SimTime>,
-    /// Nominal bytes received through the shuffle.
-    input_bytes: u64,
-    out: Vec<(A::OutKey, A::OutValue)>,
-    counters: Counters,
-    report: Option<DriverReport>,
-    /// Output pieces (local disk + remote replicas) still outstanding.
-    write_parts_left: usize,
-    /// Every snapshot this partition has published, across task
-    /// re-executions — the stream an observer saw. Never cleared on
-    /// restart; sequence numbers stay monotone through faults.
-    published_snaps: Vec<Snapshot<A>>,
-    /// Next snapshot sequence number, preserved across restarts (the
-    /// restarted attempt's driver resumes numbering above it).
-    next_snap_seq: u64,
-}
-
-/// Resolves a `&mut` to one attempt of map task `$m`: the primary slot
-/// (`$bk == false`) or the backup slot. A macro rather than a method so
-/// the borrow stays confined to the task tables and the caller can keep
-/// using `self.queue`, `self.disks` etc. concurrently.
-macro_rules! map_mut {
-    ($s:expr, $m:expr, $bk:expr) => {
-        if $bk {
-            $s.maps_bk[$m].as_mut().expect("backup map attempt present")
-        } else {
-            &mut $s.maps[$m]
-        }
-    };
-}
-
-/// `map_mut!` for reduce tasks.
-macro_rules! red_mut {
-    ($s:expr, $r:expr, $bk:expr) => {
-        if $bk {
-            $s.reds_bk[$r]
-                .as_mut()
-                .expect("backup reduce attempt present")
-        } else {
-            &mut $s.reds[$r]
-        }
-    };
-}
-
 struct Sim<'a, A: Application, I, P> {
-    p: &'a ClusterParams,
-    app: &'a A,
+    ctx: SimCtx<'a>,
     input: &'a I,
-    /// The job's config with the cluster-level overrides applied
-    /// (`ClusterParams::store_index` wins over the job's own knob), so
-    /// every store and combiner this sim builds sees one effective
-    /// config.
-    cfg: JobConfig,
-    costs: &'a CostModel,
-    partitioner: &'a P,
-    queue: EventQueue<Ev>,
-    net: Network<Tag>,
-    disks: Vec<FifoResource>,
-    dfs: Dfs,
-    slots: SlotLedger,
-    node_factor: Vec<f64>,
-    maps: Vec<MapTask<A>>,
-    reds: Vec<ReduceTask<A>>,
-    /// Speculative backup attempts, one slot per task. `Some` while a
-    /// backup races the primary; resolved first-wins (the winner is
-    /// promoted into the primary table, the loser cancelled).
-    maps_bk: Vec<Option<MapTask<A>>>,
-    reds_bk: Vec<Option<ReduceTask<A>>>,
-    /// Whether a backup was ever launched for this task — at most one
-    /// backup per task, across its whole lifetime.
-    map_speculated: Vec<bool>,
-    red_speculated: Vec<bool>,
-    /// Per-task attempt counters. Every restart *and* backup launch draws
-    /// a fresh stamp from here, so no two live attempts of one task can
-    /// ever share an attempt number (events and flow tags stay unambiguous).
-    map_seq: Vec<u32>,
-    red_seq: Vec<u32>,
-    /// Effective speculation policy, cluster override applied (the
-    /// effective deadline lives in `cfg.deadline`; it is consumed once,
-    /// when the `Ev::Deadline` event is scheduled).
-    speculation: SpeculationPolicy,
+    /// The job. Its `cfg` carries every cluster-level override (the
+    /// deadline and the timed snapshot policy were consumed when their
+    /// events were scheduled; `cfg.trace` gates what the report exports).
+    stage: Stage<'a, A, P>,
     /// Set when the deadline fired before completion.
     deadline_hit: Option<SimTime>,
-    /// `cfg` with snapshots disabled — backup reducers run their drivers
-    /// on this so only the primary attempt feeds the observer's snapshot
-    /// stream (a promoted winner resumes numbering above it).
-    cfg_bk: JobConfig,
-    maps_done: usize,
-    reds_done: usize,
-    /// The run's unified trace recorder. Always records (recording costs
-    /// no virtual time and speculation ticks query live spans); the
-    /// effective `cfg.trace` policy gates only what `finish_report`
-    /// exports.
-    tracer: SimTracer,
-    first_map_done: Option<SimTime>,
-    last_map_done: SimTime,
-    shuffle_done: SimTime,
-    shuffle_bytes: u64,
-    map_tasks_run: usize,
-    reduce_tasks_run: usize,
-    map_counters: Counters,
-    noise_rng: StdRng,
-    failure: Option<(SimTime, String)>,
-    now: SimTime,
+}
+
+impl<'a, A, I, P> Driver<'a> for Sim<'a, A, I, P>
+where
+    A: Application,
+    I: SimInput<A>,
+    P: Partitioner<A::MapKey>,
+{
+    const WHAT: &'static str = "job";
+
+    fn ctx(&mut self) -> &mut SimCtx<'a> {
+        &mut self.ctx
+    }
+
+    fn finished(&self) -> bool {
+        self.deadline_hit.is_some() || self.stage.all_done()
+    }
+
+    fn handle_event(&mut self, at: SimTime, ev: Ev) {
+        match ev {
+            Ev::Schedule => self.schedule_tasks(at),
+            Ev::Task(_, ev) => {
+                let note = self.stage.on_event(&mut self.ctx, at, ev);
+                self.follow_up(at, note);
+            }
+            Ev::NodeFail(n) => self.fail_node(at, n),
+            Ev::SnapshotTick => self.snapshot_tick(at),
+            Ev::SpecTick => self.spec_tick(at),
+            Ev::SpecSlotFree(n, is_map) => self.ctx.spec_slot_free(at, n, is_map),
+            Ev::Deadline => {
+                if !self.stage.all_done() {
+                    self.deadline_hit = Some(at);
+                    self.ctx.tracer.deadline_mark(0, at);
+                }
+            }
+            Ev::ChainMapWork(..) => unreachable!("single jobs have no chain edge"),
+        }
+    }
+
+    fn handle_flow(&mut self, at: SimTime, tag: Tag) {
+        match tag {
+            Tag::Task(_, tag) => self.stage.on_flow(&mut self.ctx, at, tag),
+            Tag::Handoff { .. } | Tag::ChainFetch(..) => {
+                unreachable!("single jobs have no chain edge")
+            }
+        }
+    }
 }
 
 impl<'a, A, I, P> Sim<'a, A, I, P>
@@ -333,199 +183,67 @@ where
     I: SimInput<A>,
     P: Partitioner<A::MapKey>,
 {
-    fn new(
-        p: &'a ClusterParams,
-        app: &'a A,
-        input: &'a I,
-        chunks: u64,
-        cfg: &'a JobConfig,
-        costs: &'a CostModel,
-        partitioner: &'a P,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(p.seed ^ 0xC1A5_7E12);
-        let node_factor: Vec<f64> = (0..p.nodes)
-            .map(|_| hetero_factor(&mut rng, p.hetero_sigma))
-            .collect();
-        let mut dfs = Dfs::new(
-            DfsConfig {
-                nodes: p.nodes,
-                chunk_bytes: p.chunk_bytes,
-                replication: p.replication,
-            },
-            p.seed,
-        );
-        let file = dfs.create_file("job-input", chunks * p.chunk_bytes);
-        let chunk_ids: Vec<ChunkId> = dfs.file_chunks(file).to_vec();
-        let maps: Vec<MapTask<A>> = chunk_ids
-            .into_iter()
-            .map(|chunk| MapTask::<A> {
-                chunk,
-                state: MapState::Pending,
-                node: usize::MAX,
-                attempt: 0,
-                started: SimTime::ZERO,
-                output: None,
-                out_bytes: (p.chunk_bytes as f64 * costs.shuffle_selectivity) as u64,
-            })
-            .collect();
-        // `cfg` is already the *effective* config — cluster overrides
-        // were applied by `ClusterParams::effective_config` before entry.
-        let cfg = cfg.clone();
-        let speculation = cfg.speculation;
-        let deadline = cfg.deadline;
-        let mut cfg_bk = cfg.clone();
-        cfg_bk.snapshots = SnapshotPolicy::Disabled;
-        let reds: Vec<ReduceTask<A>> = (0..cfg.reducers)
-            .map(|_| ReduceTask {
-                state: RedState::Pending,
-                node: usize::MAX,
-                attempt: 0,
-                started: SimTime::ZERO,
-                fetched_from: Vec::new(),
-                flow_from: Vec::new(),
-                buffer: Vec::new(),
-                driver: None,
-                batches: VecDeque::new(),
-                cpu_free: SimTime::ZERO,
-                io_charged: 0,
-                shuffle_done_at: None,
-                reduce_phase_started: None,
-                finalize_done_at: None,
-                input_bytes: 0,
-                out: Vec::new(),
-                counters: Counters::new(),
-                report: None,
-                write_parts_left: 0,
-                published_snaps: Vec::new(),
-                next_snap_seq: 0,
-            })
-            .collect();
-        let mut queue = EventQueue::new();
-        queue.schedule(SimTime::ZERO, Ev::Schedule);
-        if let Some(secs) = cfg.snapshots.secs_interval() {
-            queue.schedule(SimTime::from_secs_f64(secs), Ev::SnapshotTick);
-        }
-        if let SpeculationPolicy::Enabled { check_secs, .. } = speculation {
-            queue.schedule(SimTime::from_secs_f64(check_secs), Ev::SpecTick);
-        }
-        if let Some(secs) = deadline.secs() {
-            queue.schedule(SimTime::from_secs_f64(secs), Ev::Deadline);
-        }
-        Sim {
-            net: Network::new(NetworkConfig {
-                nodes: p.nodes,
-                link_bytes_per_sec: p.link_bytes_per_sec,
-                oversubscription: p.oversubscription,
-            }),
-            disks: (0..p.nodes)
-                .map(|_| FifoResource::new(p.disk_bytes_per_sec))
-                .collect(),
-            slots: SlotLedger::new(p.nodes, p.map_slots, p.reduce_slots),
-            noise_rng: StdRng::seed_from_u64(p.seed ^ 0x5EED_0F0F),
-            p,
-            app,
-            input,
-            cfg,
-            costs,
-            partitioner,
-            queue,
-            dfs,
-            node_factor,
-            maps_bk: (0..maps.len()).map(|_| None).collect(),
-            reds_bk: (0..reds.len()).map(|_| None).collect(),
-            map_speculated: vec![false; maps.len()],
-            red_speculated: vec![false; reds.len()],
-            map_seq: vec![0; maps.len()],
-            red_seq: vec![0; reds.len()],
-            speculation,
-            deadline_hit: None,
-            cfg_bk,
-            maps,
-            reds,
-            maps_done: 0,
-            reds_done: 0,
-            tracer: SimTracer::new(),
-            first_map_done: None,
-            last_map_done: SimTime::ZERO,
-            shuffle_done: SimTime::ZERO,
-            shuffle_bytes: 0,
-            map_tasks_run: 0,
-            reduce_tasks_run: 0,
-            map_counters: Counters::new(),
-            failure: None,
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn pipelined(&self) -> bool {
-        matches!(self.cfg.engine, Engine::BarrierLess { .. })
-    }
-
-    /// The combiner byte budget if map-side combining is active for this
-    /// run: the application must opt in, and the *effective* combiner
-    /// policy (cluster knob wins over the job's own; resolved by
-    /// `ClusterParams::effective_config`) must enable it.
-    fn combine_budget(&self) -> Option<u64> {
-        if !(self.app.combine_enabled() && self.app.uses_keyed_state()) {
-            return None;
-        }
-        self.cfg.combiner.budget_bytes()
-    }
-
-    fn absorb_cost_per_record(&self) -> f64 {
-        match &self.cfg.engine {
-            Engine::BarrierLess {
-                memory: MemoryPolicy::KvStore { .. },
-            } => self.costs.kv_cpu_per_record,
-            Engine::BarrierLess { .. } => {
-                self.costs.reduce_cpu_per_record + self.costs.absorb_extra_per_record
+    /// Does what the stage left to its owner, or fails the job.
+    fn follow_up(&mut self, at: SimTime, note: Result<Option<Note>, StageError>) {
+        match note {
+            Ok(Some(Note::MapInput(m, bk))) => {
+                let chunk = self.ctx.dfs.chunk(self.stage.chunk(m)).index as u64;
+                let records = self.input.records(chunk);
+                self.stage.map_write(&mut self.ctx, at, m, bk, records);
             }
-            Engine::Barrier => self.costs.reduce_cpu_per_record,
+            // A single job's only sink is the DFS.
+            Ok(Some(Note::ReduceFinished { r, .. })) => {
+                let bytes = (self.stage.reds[r].input_bytes as f64
+                    * self.ctx.costs.output_selectivity) as u64;
+                self.stage.start_output_write(&mut self.ctx, at, r, bytes);
+            }
+            Ok(Some(Note::OutputGrew(_) | Note::ReduceDone) | None) => {}
+            Err(e) => self.fail(at, e),
         }
     }
 
-    fn noise(&mut self) -> f64 {
-        hetero_factor(&mut self.noise_rng, self.p.task_noise_sigma)
-    }
-
-    // ---------------------------------------------------------------- run
-
-    fn run(mut self) -> SimReport<A> {
-        loop {
-            if self.failure.is_some() || self.deadline_hit.is_some() {
-                break;
+    fn fail(&mut self, at: SimTime, e: StageError) {
+        let reason = match e {
+            StageError::DriverInit {
+                backup: false,
+                source,
+            } => format!("driver init failed: {source}"),
+            StageError::DriverInit {
+                backup: true,
+                source,
+            } => format!("backup driver init failed: {source}"),
+            StageError::Reducer {
+                r,
+                source:
+                    MrError::OutOfMemory {
+                        used_bytes,
+                        cap_bytes,
+                        ..
+                    },
+            } => {
+                let task = &self.stage.reds[r];
+                self.ctx
+                    .tracer
+                    .heap_sample(0, r, task.attempt, task.node, at, used_bytes);
+                format!(
+                    "reducer {r} exceeded heap: {} MB > cap {} MB",
+                    used_bytes >> 20,
+                    cap_bytes >> 20
+                )
             }
-            let tq = self.queue.peek_time();
-            let tn = self.net.next_event_time();
-            match (tq, tn) {
-                (None, None) => break,
-                (Some(tq_at), tn_opt) if tn_opt.is_none_or(|tn_at| tq_at <= tn_at) => {
-                    let (at, ev) = self.queue.pop().expect("peeked");
-                    self.now = at;
-                    self.handle_event(at, ev);
-                }
-                (_, Some(tn_at)) => {
-                    self.now = tn_at;
-                    for (_, tag) in self.net.advance_to(tn_at) {
-                        self.handle_flow(tn_at, tag);
-                    }
-                }
-                (Some(_), None) => unreachable!("guard above covers this"),
-            }
-            if self.maps_done == self.maps.len() && self.reds_done == self.reds.len() {
-                break;
-            }
-        }
-        self.finish_report()
+            StageError::Reducer { r, source } => format!("reducer {r} failed: {source}"),
+        };
+        self.ctx.failure = Some((at, reason));
     }
 
     fn finish_report(mut self) -> SimReport<A> {
-        let outcome = match self.failure.take() {
+        let stage = &mut self.stage;
+        let outcome = match self.ctx.failure.take() {
             Some((at, reason)) => Outcome::Failed { at, reason },
             None => match self.deadline_hit {
                 Some(at) => Outcome::Approximate { at },
                 None => Outcome::Completed {
-                    at: self.tracer.last_end(),
+                    at: self.ctx.tracer.last_end(),
                 },
             },
         };
@@ -533,53 +251,44 @@ where
         // map-side tallies as one job-scope batch (per-worker attribution
         // would add nothing — the sim merges them as they land), each
         // reducer's tallies under its own task scope. The direct merge of
-        // exactly these values is what the legacy report carried, so the
-        // trace-derived `Counters` below is equal by construction.
-        self.tracer.counters(Scope::job(0), &self.map_counters);
-        for (idx, r) in self.reds.iter().enumerate() {
-            self.tracer.counters(
-                Scope::task(0, TaskKind::Reduce, idx as u32, r.attempt, r.node as u32),
-                &r.counters,
-            );
-        }
-        let snapshots_taken = self.tracer.snapshot_count(0);
+        // exactly these values is what the untraced report carries, so
+        // the trace-derived `Counters` below is equal by construction.
+        self.ctx.tracer.counters(Scope::job(0), &stage.map_counters);
+        stage.trace_reducer_counters(&mut self.ctx);
+        let snapshots_taken = self.ctx.tracer.snapshot_count(0);
         // `TracePolicy` gates the export: enabled runs ship the log and
-        // derive the legacy views from it; disabled runs ship an empty
-        // log, an empty timeline, and directly-merged counters — the
-        // job's answer is byte-identical either way.
-        let trace_on = self.cfg.trace.is_enabled();
-        let (trace, timeline) = if trace_on {
-            let log = std::mem::take(&mut self.tracer).into_log();
-            let timeline = Timeline::from_log(&log, 0);
-            (log, timeline)
+        // derive their counters from it; disabled runs ship an empty log
+        // and directly-merged counters — the job's answer is
+        // byte-identical either way.
+        let (trace, run_counters) = if stage.cfg.trace.is_enabled() {
+            let log = self.ctx.tracer.into_log();
+            let counters = Counters::from_trace_job(&log, 0);
+            (log, counters)
         } else {
-            (TraceLog::new(), Timeline::default())
-        };
-        let run_counters = if trace_on {
-            Counters::from_trace_job(&trace, 0)
-        } else {
-            let mut c = std::mem::take(&mut self.map_counters);
-            for r in &self.reds {
+            let mut c = std::mem::take(&mut stage.map_counters);
+            for r in &stage.reds {
                 c.merge(&r.counters);
             }
-            c
+            (TraceLog::new(), c)
         };
         let output = if outcome.is_completed() {
-            let mut partitions = Vec::with_capacity(self.reds.len());
             let mut reports = Vec::new();
-            let mut snapshots = Vec::with_capacity(self.reds.len());
-            for r in &mut self.reds {
-                partitions.push(std::mem::take(&mut r.out));
-                snapshots.push(std::mem::take(&mut r.published_snaps));
-                if let Some(rep) = r.report.take() {
-                    reports.push(rep);
-                }
+            for r in &mut stage.reds {
+                reports.extend(r.report.take());
             }
             Some(JobOutput {
-                partitions,
+                partitions: stage
+                    .reds
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.out))
+                    .collect(),
                 counters: run_counters,
                 reports,
-                snapshots,
+                snapshots: stage
+                    .reds
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.published_snaps))
+                    .collect(),
                 trace: TraceLog::new(),
             })
         } else if outcome.is_approximate() {
@@ -587,22 +296,24 @@ where
             // estimate its primary attempt published (empty if it never
             // published — honesty over optimism). Counters are the
             // partial tallies accumulated so far.
-            let mut partitions = Vec::with_capacity(self.reds.len());
-            let mut snapshots = Vec::with_capacity(self.reds.len());
-            for r in &mut self.reds {
-                partitions.push(
-                    r.published_snaps
-                        .last()
-                        .map(|s| s.estimate.clone())
-                        .unwrap_or_default(),
-                );
-                snapshots.push(std::mem::take(&mut r.published_snaps));
-            }
             Some(JobOutput {
-                partitions,
+                partitions: stage
+                    .reds
+                    .iter()
+                    .map(|r| {
+                        r.published_snaps
+                            .last()
+                            .map(|s| s.estimate.clone())
+                            .unwrap_or_default()
+                    })
+                    .collect(),
                 counters: run_counters,
                 reports: Vec::new(),
-                snapshots,
+                snapshots: stage
+                    .reds
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.published_snaps))
+                    .collect(),
                 trace: TraceLog::new(),
             })
         } else {
@@ -613,160 +324,32 @@ where
             output,
             snapshots_taken,
             trace,
-            timeline,
-            first_map_done: self.first_map_done.unwrap_or(SimTime::ZERO),
-            last_map_done: self.last_map_done,
-            shuffle_done: self.shuffle_done,
-            shuffle_bytes: self.shuffle_bytes,
-            map_tasks_run: self.map_tasks_run,
-            reduce_tasks_run: self.reduce_tasks_run,
+            first_map_done: stage.first_map_done.unwrap_or(SimTime::ZERO),
+            last_map_done: stage.last_map_done,
+            shuffle_done: stage.shuffle_done,
+            shuffle_bytes: stage.shuffle_bytes,
+            map_tasks_run: stage.map_tasks_run,
+            reduce_tasks_run: stage.reduce_tasks_run,
         }
     }
 
     // ---------------------------------------------------------- scheduler
 
-    /// Resolves an attempt stamp for map task `m` to the slot it lives
-    /// in: `Some(false)` = primary, `Some(true)` = backup, `None` = a
-    /// dead attempt (event dropped). Attempt stamps are drawn from a
-    /// shared per-task counter, so a stamp never matches both slots.
-    fn map_slot(&self, m: usize, a: u32) -> Option<bool> {
-        if self.maps[m].attempt == a {
-            Some(false)
-        } else if self.maps_bk[m].as_ref().is_some_and(|t| t.attempt == a) {
-            Some(true)
-        } else {
-            None
+    fn schedule_tasks(&mut self, at: SimTime) {
+        // Map tasks: prefer chunk-local placement, like Hadoop's scheduler.
+        while let Some(node) = self.ctx.slots.first_free_map() {
+            let Some(m) = self.stage.next_pending_map(&self.ctx, node) else {
+                break;
+            };
+            self.stage.start_map(&mut self.ctx, at, m, node);
         }
-    }
-
-    /// `map_slot` for reduce tasks.
-    fn red_slot(&self, r: usize, a: u32) -> Option<bool> {
-        if self.reds[r].attempt == a {
-            Some(false)
-        } else if self.reds_bk[r].as_ref().is_some_and(|t| t.attempt == a) {
-            Some(true)
-        } else {
-            None
-        }
-    }
-
-    fn map_state(&self, m: usize, bk: bool) -> MapState {
-        if bk {
-            self.maps_bk[m].as_ref().expect("backup present").state
-        } else {
-            self.maps[m].state
-        }
-    }
-
-    fn red_state(&self, r: usize, bk: bool) -> RedState {
-        if bk {
-            self.reds_bk[r].as_ref().expect("backup present").state
-        } else {
-            self.reds[r].state
-        }
-    }
-
-    fn handle_event(&mut self, at: SimTime, ev: Ev) {
-        match ev {
-            Ev::Schedule => self.schedule_tasks(at),
-            Ev::MapFetched(m, a) => {
-                if let Some(bk) = self.map_slot(m, a) {
-                    if self.map_state(m, bk) == MapState::Fetching {
-                        self.map_compute(at, m, bk);
-                    }
-                }
-            }
-            Ev::MapComputed(m, a) => {
-                if let Some(bk) = self.map_slot(m, a) {
-                    if self.map_state(m, bk) == MapState::Computing {
-                        self.map_write(at, m, bk);
-                    }
-                }
-            }
-            Ev::MapWritten(m, a) => {
-                if let Some(bk) = self.map_slot(m, a) {
-                    if self.map_state(m, bk) == MapState::Writing {
-                        self.map_done(at, m, bk);
-                    }
-                }
-            }
-            Ev::Batch(r, a) => {
-                if let Some(bk) = self.red_slot(r, a) {
-                    if self.red_state(r, bk) == RedState::Running {
-                        self.reduce_batch(at, r, bk);
-                    }
-                }
-            }
-            Ev::SortDone(r, a) => {
-                if let Some(bk) = self.red_slot(r, a) {
-                    self.grouped_reduce_start(at, r, bk);
-                }
-            }
-            Ev::GroupedDone(r, a) => {
-                if let Some(bk) = self.red_slot(r, a) {
-                    self.grouped_reduce_done(at, r, bk);
-                }
-            }
-            Ev::FinalizeDone(r, a) => {
-                if let Some(bk) = self.red_slot(r, a) {
-                    if self.red_state(r, bk) == RedState::Finalizing {
-                        self.finalize_done(at, r, bk);
-                    }
-                }
-            }
-            Ev::OutputPartDone(r, a) => {
-                // Only the resolved primary ever writes output.
-                if self.reds[r].attempt == a && self.reds[r].state == RedState::Writing {
-                    self.output_part_done(at, r);
-                }
-            }
-            Ev::NodeFail(n) => self.fail_node(at, n),
-            Ev::SnapshotTick => self.snapshot_tick(at),
-            Ev::SpecTick => self.spec_tick(at),
-            // Backup-start events resolve their slot by attempt, not by
-            // assuming the backup slot: if the original's node died
-            // during the setup latency, `fail_node` has already promoted
-            // the not-yet-started backup to primary, and the attempt must
-            // start from wherever it now lives (dropping the event would
-            // wedge the promoted attempt in its initial state forever).
-            Ev::MapBackupStart(m, a) => {
-                if let Some(bk) = self.map_slot(m, a) {
-                    if self.map_state(m, bk) == MapState::Fetching {
-                        self.start_fetch(at, m, bk);
-                    }
-                }
-            }
-            Ev::RedBackupStart(r, a) => {
-                if let Some(bk) = self.red_slot(r, a) {
-                    if self.red_state(r, bk) == RedState::Running {
-                        // Pull from every map that finished before launch;
-                        // later finishers feed the attempt as they complete.
-                        for m in 0..self.maps.len() {
-                            if self.maps[m].state == MapState::Done
-                                && !red_mut!(self, r, bk).flow_from[m]
-                            {
-                                self.start_shuffle_flow(at, m, r, bk);
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::SpecSlotFree(n, is_map) => {
-                if self.slots.alive[n] {
-                    let slots = if is_map {
-                        &mut self.slots.map_used[n]
-                    } else {
-                        &mut self.slots.red_used[n]
-                    };
-                    *slots = slots.saturating_sub(1);
-                    self.queue.schedule(at, Ev::Schedule);
-                }
-            }
-            Ev::Deadline => {
-                if self.maps_done < self.maps.len() || self.reds_done < self.reds.len() {
-                    self.deadline_hit = Some(at);
-                    self.tracer.deadline_mark(0, at);
-                }
+        // Reduce tasks: id order onto free reduce slots.
+        while let Some(r) = self.stage.next_pending_reducer() {
+            let Some(node) = self.ctx.slots.least_loaded(false, TieBreak::LowIndex) else {
+                break;
+            };
+            if let Err(e) = self.stage.start_reduce(&mut self.ctx, at, r, node) {
+                self.fail(at, e);
             }
         }
     }
@@ -780,115 +363,41 @@ where
     /// an empty estimate, which is precisely the paper's argument for
     /// breaking the barrier.
     fn snapshot_tick(&mut self, at: SimTime) {
-        let pipelined = self.pipelined();
-        for r in 0..self.reds.len() {
-            match self.reds[r].state {
-                RedState::Running | RedState::Finalizing => {}
-                _ => continue,
+        let pipelined = self.stage.pipelined();
+        for r in 0..self.stage.reds.len() {
+            let task = &mut self.stage.reds[r];
+            if !matches!(task.state, RedState::Running | RedState::Finalizing) {
+                continue;
             }
             if pipelined {
-                let task = &mut self.reds[r];
                 if let Some(driver) = task.driver.as_mut() {
                     driver.set_now_secs(at.as_secs_f64());
-                    if let Err(e) = driver.snapshot_now(self.app) {
-                        self.fail_job(at, r, e);
+                    if let Err(source) = driver.snapshot_now(self.stage.app) {
+                        self.fail(at, StageError::Reducer { r, source });
                         return;
                     }
                 }
-                self.collect_snapshots(at, r);
+                self.stage.collect_snapshots(&mut self.ctx, at, r);
             } else {
                 // Pre-barrier: publish the honest answer — nothing yet.
-                let task = &mut self.reds[r];
-                let seq = task.next_snap_seq;
-                let (attempt, node) = (task.attempt, task.node);
-                task.next_snap_seq += 1;
-                task.counters.incr(mr_core::counters::names::SNAPSHOT_COUNT);
-                task.published_snaps.push(Snapshot {
-                    reducer: r,
-                    seq,
-                    records_absorbed: task.buffer.len() as u64,
-                    live_entries: 0,
-                    at_secs: at.as_secs_f64(),
-                    estimate: Vec::new(),
-                });
-                self.tracer
-                    .snapshot_mark(0, r, attempt, node, at, seq, 0, 0);
+                task.counters.incr(names::SNAPSHOT_COUNT);
+                let absorbed = task.buffer.len() as u64;
+                self.stage
+                    .publish_barrier_snapshot(&mut self.ctx, at, r, absorbed, Vec::new());
             }
         }
         // Keep ticking until the job drains (the run loop stops firing
         // events once everything is done or the job failed).
-        if self.maps_done < self.maps.len() || self.reds_done < self.reds.len() {
-            let secs = self.cfg.snapshots.secs_interval().expect("timed policy");
-            self.queue
+        if !self.stage.all_done() {
+            let secs = self
+                .stage
+                .cfg
+                .snapshots
+                .secs_interval()
+                .expect("timed policy");
+            self.ctx
+                .queue
                 .schedule(at + SimDuration::from_secs_f64(secs), Ev::SnapshotTick);
-        }
-    }
-
-    /// Drains freshly published snapshots out of reducer `r`'s driver:
-    /// records timeline marks, charges the snapshot CPU on the reducer's
-    /// core (delaying subsequent absorption — observation is not free),
-    /// and appends to the partition's published stream.
-    fn collect_snapshots(&mut self, at: SimTime, r: usize) {
-        let node = self.reds[r].node;
-        let attempt = self.reds[r].attempt;
-        let factor = self.node_factor[node];
-        let task = &mut self.reds[r];
-        let Some(driver) = task.driver.as_mut() else {
-            return;
-        };
-        let fresh = driver.take_snapshots();
-        if fresh.is_empty() {
-            return;
-        }
-        task.next_snap_seq = driver.snapshot_seq();
-        let mut cpu = 0.0;
-        for snap in &fresh {
-            self.tracer.snapshot_mark(
-                0,
-                r,
-                attempt,
-                node,
-                at,
-                snap.seq,
-                snap.estimate.len() as u64,
-                snap.live_entries,
-            );
-            cpu += self.costs.snapshot_cpu_per_record * snap.estimate.len() as f64 * factor;
-        }
-        task.published_snaps.extend(fresh);
-        if cpu > 0.0 {
-            let start = task.cpu_free.max(at);
-            task.cpu_free = start + SimDuration::from_secs_f64(cpu);
-            // The charge may push the CPU past every scheduled batch
-            // event; re-arm one at the new drain time so the finalize
-            // check (`cpu_free <= at`) is re-evaluated and the reducer
-            // can never stall on a snapshot bill.
-            if task.state == RedState::Running {
-                let when = task.cpu_free;
-                let attempt = task.attempt;
-                self.queue.schedule(when, Ev::Batch(r, attempt));
-            }
-        }
-    }
-
-    fn schedule_tasks(&mut self, at: SimTime) {
-        // Map tasks: prefer chunk-local placement, like Hadoop's scheduler.
-        while let Some(node) = self.slots.first_free_map() {
-            // First pass: a pending map with a replica on this node.
-            let local = self.maps.iter().position(|m| {
-                m.state == MapState::Pending && self.dfs.is_local(m.chunk, NodeId(node as u32))
-            });
-            let pick =
-                local.or_else(|| self.maps.iter().position(|m| m.state == MapState::Pending));
-            let Some(m) = pick else { break };
-            self.start_map(at, m, node);
-        }
-        // Reduce tasks: id order onto free reduce slots.
-        while let Some(r) = self.reds.iter().position(|r| r.state == RedState::Pending) {
-            let Some(node) = self.slots.least_loaded(false, TieBreak::LowIndex) else {
-                break;
-            };
-            self.start_reduce(at, r, node);
         }
     }
 
@@ -903,18 +412,14 @@ where
     ///   `slowdown`× longer than the median completed map, or a reducer
     ///   whose compute time exceeds `slowdown`× the expectation *for its
     ///   own input size* (a heavy partition on a healthy node is skew,
-    ///   not a straggler). Shuffle-delivery counts are deliberately NOT
-    ///   a trigger: the simulator models the network explicitly, so
-    ///   delivery lag always traces to fair link contention (e.g. two
-    ///   reducers sharing one node's inbound link) — never to a hidden
-    ///   slow node — and backing up a contended-but-healthy reducer can
-    ///   only lose the race.
+    ///   not a straggler).
     /// * **Speed triggers** catch slow nodes early, while a backup can
     ///   still win the race: a task on a node whose throughput factor
     ///   trails the alive-node median by `slowdown` is backed up as soon
     ///   as it has consumed its fair share of time (maps) or received
-    ///   its first shuffle delivery (reducers) — the simulated stand-in
-    ///   for the per-node speed estimates a LATE scheduler maintains.
+    ///   its first shuffle delivery (reducers,
+    ///   [`Stage::back_up_reducers_on`]) — the simulated stand-in for the
+    ///   per-node speed estimates a LATE scheduler maintains.
     ///
     /// All comparisons are strict, so on a homogeneous noise-free
     /// cluster — where every attempt tracks the median exactly —
@@ -923,62 +428,54 @@ where
         let SpeculationPolicy::Enabled {
             check_secs,
             slowdown,
-        } = self.speculation
+        } = self.stage.cfg.speculation
         else {
             return;
         };
-        let mut facs: Vec<f64> = (0..self.p.nodes)
-            .filter(|&n| self.slots.alive[n])
-            .map(|n| self.node_factor[n])
-            .collect();
-        facs.sort_by(|a, b| a.partial_cmp(b).expect("factors are finite"));
-        let median_factor = facs.get(facs.len() / 2).copied().unwrap_or(1.0);
-        let slow_node = |factor: f64| factor > slowdown * median_factor;
+        if let Err(e) = self.back_up_stragglers(at, slowdown) {
+            self.fail(at, e);
+        }
+        // Keep checking until the job drains.
+        if !self.stage.all_done() {
+            self.ctx
+                .queue
+                .schedule(at + SimDuration::from_secs_f64(check_secs), Ev::SpecTick);
+        }
+    }
+
+    fn back_up_stragglers(&mut self, at: SimTime, slowdown: f64) -> Result<(), StageError> {
+        let (ctx, stage) = (&mut self.ctx, &mut self.stage);
+        let slow = ctx.slow_nodes(slowdown);
+        let median = |mut xs: Vec<f64>| {
+            xs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+            (xs.len() >= 3).then(|| xs[xs.len() / 2])
+        };
+        let span_secs = |ctx: &SimCtx, kind| -> Vec<f64> {
+            ctx.tracer
+                .spans_of(0, kind)
+                .iter()
+                .map(|(_, start, end)| end.as_secs_f64() - start.as_secs_f64())
+                .collect()
+        };
         // Maps. The noise trigger needs a meaningful median of completed
         // maps before judging anyone; the speed trigger needs none — a
         // map on a slow node is outpaced from the moment it starts, and
         // slot availability regulates how early its backup can actually
         // launch (while primaries fill every slot, the launch finds no
         // slot and retries at a later tick).
-        let mut durs: Vec<f64> = self
-            .tracer
-            .spans_of(0, SpanKind::Map)
-            .iter()
-            .map(|(_, start, end)| end.as_secs_f64() - start.as_secs_f64())
-            .collect();
-        durs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let map_median = (durs.len() >= 3).then(|| durs[durs.len() / 2]);
-        for m in 0..self.maps.len() {
-            let task = &self.maps[m];
-            let running = matches!(
-                task.state,
-                MapState::Fetching | MapState::Computing | MapState::Writing
-            );
-            if !running || self.map_speculated[m] {
+        let map_median = median(span_secs(ctx, SpanKind::Map));
+        for m in 0..stage.maps.len() {
+            let task = &stage.maps[m];
+            if !task.state.is_running() || stage.map_speculated[m] {
                 continue;
             }
             let elapsed = at.as_secs_f64() - task.started.as_secs_f64();
             let noisy = map_median.is_some_and(|median| elapsed > slowdown * median);
-            if noisy || slow_node(self.node_factor[task.node]) {
-                self.launch_map_backup(at, m);
+            if noisy || slow[task.node] {
+                stage.launch_map_backup(ctx, at, m);
             }
         }
-        // Reducer speed trigger: a reducer placed on a slow node will
-        // lose by roughly its node's throughput deficit no matter how
-        // the shuffle goes, so it is backed up as soon as real work has
-        // reached it.
-        for r in 0..self.reds.len() {
-            let task = &self.reds[r];
-            if task.state != RedState::Running
-                || self.red_speculated[r]
-                || !task.fetched_from.iter().any(|&f| f)
-            {
-                continue;
-            }
-            if slow_node(self.node_factor[task.node]) {
-                self.launch_red_backup(at, r);
-            }
-        }
+        stage.back_up_reducers_on(ctx, at, &slow)?;
         // Reducer progress trigger. The baseline must match what the
         // engine's reducer span measures.
         // The barrier engine's SortReduce span covers only the
@@ -990,45 +487,34 @@ where
         // ShuffleReduce span covers the whole running window, which is
         // dominated by the map stage every reducer waits out together, so
         // raw durations are already comparable there.
-        let pipelined = self.pipelined();
-        if pipelined {
-            let mut rdurs: Vec<f64> = self
-                .tracer
-                .spans_of(0, SpanKind::ShuffleReduce)
-                .iter()
-                .map(|(_, start, end)| end.as_secs_f64() - start.as_secs_f64())
-                .collect();
-            if rdurs.len() >= 3 {
-                rdurs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-                let median = rdurs[rdurs.len() / 2];
-                for r in 0..self.reds.len() {
-                    let task = &self.reds[r];
-                    if task.state != RedState::Running || self.red_speculated[r] {
+        if stage.pipelined() {
+            if let Some(median) = median(span_secs(ctx, SpanKind::ShuffleReduce)) {
+                for r in 0..stage.reds.len() {
+                    let task = &stage.reds[r];
+                    if task.state != RedState::Running || stage.red_speculated[r] {
                         continue;
                     }
                     let elapsed = at.as_secs_f64() - task.started.as_secs_f64();
                     if elapsed > slowdown * median {
-                        self.launch_red_backup(at, r);
+                        stage.launch_red_backup(ctx, at, r)?;
                     }
                 }
             }
         } else {
-            let mut rates: Vec<f64> = self
+            let rates = ctx
                 .tracer
                 .spans_of(0, SpanKind::SortReduce)
                 .iter()
                 .filter_map(|&(task, start, end)| {
-                    let bytes = self.reds[task].input_bytes;
+                    let bytes = stage.reds[task].input_bytes;
                     (bytes > 0).then(|| (end.as_secs_f64() - start.as_secs_f64()) / bytes as f64)
                 })
                 .collect();
-            if rates.len() >= 3 {
-                rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-                let per_byte = rates[rates.len() / 2];
-                for r in 0..self.reds.len() {
-                    let task = &self.reds[r];
+            if let Some(per_byte) = median(rates) {
+                for r in 0..stage.reds.len() {
+                    let task = &stage.reds[r];
                     if task.state != RedState::Running
-                        || self.red_speculated[r]
+                        || stage.red_speculated[r]
                         || task.input_bytes == 0
                     {
                         continue;
@@ -1038,1011 +524,33 @@ where
                     };
                     let elapsed = at.as_secs_f64() - from.as_secs_f64();
                     if elapsed > slowdown * per_byte * task.input_bytes as f64 {
-                        self.launch_red_backup(at, r);
+                        stage.launch_red_backup(ctx, at, r)?;
                     }
                 }
             }
         }
-        // Keep checking until the job drains.
-        if self.maps_done < self.maps.len() || self.reds_done < self.reds.len() {
-            self.queue
-                .schedule(at + SimDuration::from_secs_f64(check_secs), Ev::SpecTick);
-        }
-    }
-
-    /// Picks a node for a backup attempt: alive, not the straggler's own
-    /// node, with a free slot of the right kind. Among the candidates the
-    /// *fastest* node wins (the simulator plays the LATE-style scheduler
-    /// that tracks per-node throughput) — a backup only pays off if it
-    /// can outrun the straggler, so placement on another slow node would
-    /// just burn a slot. Ties prefer chunk locality for maps, then the
-    /// lightest load.
-    fn backup_node(&self, avoid: usize, is_map: bool, chunk: Option<ChunkId>) -> Option<usize> {
-        let free = |n: usize| n != avoid && self.slots.has_free(is_map, n);
-        let key = |n: usize| {
-            let local = chunk.is_some_and(|c| self.dfs.is_local(c, NodeId(n as u32)));
-            let load = self.slots.used(is_map, n);
-            (self.node_factor[n], !local, load, n)
-        };
-        (0..self.p.nodes)
-            .filter(|&n| free(n))
-            .min_by(|&a, &b| key(a).partial_cmp(&key(b)).expect("factors are finite"))
-    }
-
-    fn launch_map_backup(&mut self, at: SimTime, m: usize) {
-        let avoid = self.maps[m].node;
-        let chunk = self.maps[m].chunk;
-        let Some(node) = self.backup_node(avoid, true, Some(chunk)) else {
-            return;
-        };
-        self.map_speculated[m] = true;
-        self.slots.map_used[node] += 1;
-        self.map_tasks_run += 1;
-        self.map_seq[m] += 1;
-        let attempt = self.map_seq[m];
-        self.maps_bk[m] = Some(MapTask {
-            chunk,
-            state: MapState::Fetching,
-            node,
-            attempt,
-            started: at,
-            output: None,
-            out_bytes: (self.p.chunk_bytes as f64 * self.costs.shuffle_selectivity) as u64,
-        });
-        self.map_counters.incr(names::SPECULATION_LAUNCHED);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Map,
-            m,
-            attempt,
-            node,
-            at,
-            SpecEvent::Launched,
-        );
-        // The input read starts once the task-setup latency elapses.
-        let when = at + SimDuration::from_secs_f64(self.costs.speculation_launch_overhead_secs);
-        self.queue.schedule(when, Ev::MapBackupStart(m, attempt));
-    }
-
-    fn launch_red_backup(&mut self, at: SimTime, r: usize) {
-        let avoid = self.reds[r].node;
-        let Some(node) = self.backup_node(avoid, false, None) else {
-            return;
-        };
-        let launch = at + SimDuration::from_secs_f64(self.costs.speculation_launch_overhead_secs);
-        self.red_speculated[r] = true;
-        self.slots.red_used[node] += 1;
-        self.reduce_tasks_run += 1;
-        self.red_seq[r] += 1;
-        let attempt = self.red_seq[r];
-        let n_maps = self.maps.len();
-        let mut task = ReduceTask {
-            state: RedState::Running,
-            node,
-            attempt,
-            // `started` doubles as the launch gate: map completions
-            // before this instant do not feed the backup (RedBackupStart
-            // pulls everything available once setup finishes).
-            started: launch,
-            fetched_from: vec![false; n_maps],
-            flow_from: vec![false; n_maps],
-            buffer: Vec::new(),
-            driver: None,
-            batches: VecDeque::new(),
-            cpu_free: launch,
-            io_charged: 0,
-            shuffle_done_at: None,
-            reduce_phase_started: None,
-            finalize_done_at: None,
-            input_bytes: 0,
-            out: Vec::new(),
-            counters: Counters::new(),
-            report: None,
-            write_parts_left: 0,
-            published_snaps: Vec::new(),
-            next_snap_seq: 0,
-        };
-        if self.pipelined() {
-            // Backups run with snapshots disabled: only the primary
-            // attempt feeds the observer's stream. On promotion the
-            // winner resumes the partition's sequence numbering.
-            match IncrementalDriver::new(self.app, &self.cfg_bk, r) {
-                Ok(driver) => task.driver = Some(driver),
-                Err(e) => {
-                    self.failure = Some((at, format!("backup driver init failed: {e}")));
-                    return;
-                }
-            }
-        }
-        self.reds_bk[r] = Some(task);
-        self.map_counters.incr(names::SPECULATION_LAUNCHED);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Reduce,
-            r,
-            attempt,
-            node,
-            at,
-            SpecEvent::Launched,
-        );
-        self.queue.schedule(launch, Ev::RedBackupStart(r, attempt));
-    }
-
-    // ---------------------------------------------------------- map side
-
-    fn start_map(&mut self, at: SimTime, m: usize, node: usize) {
-        self.slots.map_used[node] += 1;
-        self.map_tasks_run += 1;
-        let task = &mut self.maps[m];
-        task.state = MapState::Fetching;
-        task.node = node;
-        task.started = at;
-        self.start_fetch(at, m, false);
-    }
-
-    /// Issues the input read for map `m` from the best replica of its
-    /// chunk. Also used to retry after the replica serving an in-flight
-    /// fetch died (the flow is cancelled; placement has been refreshed).
-    fn start_fetch(&mut self, at: SimTime, m: usize, bk: bool) {
-        let task = &*map_mut!(self, m, bk);
-        let node = task.node;
-        let chunk = task.chunk;
-        let attempt = task.attempt;
-        let bytes = self.dfs.chunk(chunk).bytes;
-        let src = self.dfs.read_source(chunk, NodeId(node as u32));
-        if src.local {
-            let done = self.disks[node].submit(at, bytes);
-            self.queue.schedule(done, Ev::MapFetched(m, attempt));
-        } else {
-            // Remote read: source disk + a network flow; the flow completes
-            // last on a loaded link, the disk first on an idle one.
-            self.disks[src.node.0 as usize].submit(at, bytes);
-            self.net.start_flow(
-                at,
-                src.node,
-                NodeId(node as u32),
-                bytes,
-                Tag::Fetch(m, attempt),
-            );
-        }
-    }
-
-    fn map_compute(&mut self, at: SimTime, m: usize, bk: bool) {
-        let task = map_mut!(self, m, bk);
-        task.state = MapState::Computing;
-        let node = task.node;
-        let attempt = task.attempt;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.map_cpu_per_chunk * self.node_factor[node] * self.noise(),
-        );
-        self.queue.schedule(at + dur, Ev::MapComputed(m, attempt));
-    }
-
-    fn map_write(&mut self, at: SimTime, m: usize, bk: bool) {
-        // The compute time is charged; now actually run the map function.
-        let chunk_index = self.dfs.chunk(map_mut!(self, m, bk).chunk).index as u64;
-        let records = self.input.records(chunk_index);
-        let reducers = self.cfg.reducers;
-        let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        let mut emitted = 0u64;
-        {
-            let mut emit = mr_core::FnEmit(|k: A::MapKey, v: A::MapValue| {
-                emitted += 1;
-                let p = self.partitioner.partition(&k, reducers);
-                parts[p].push((k, v));
-            });
-            for (k, v) in &records {
-                self.app.map(k, v, &mut emit);
-            }
-        }
-        self.map_counters.add(names::MAP_OUTPUT_RECORDS, emitted);
-        // Map-side combining: pre-aggregate each partition, charge the
-        // combiner CPU on the map node, and shrink the nominal shuffle
-        // bytes by the real record reduction. `out_bytes` is recomputed
-        // from the nominal base every attempt so re-run maps (fault
-        // recovery) land on the same value, and the combined output
-        // itself is deterministic (combiners drain in key order).
-        let node = map_mut!(self, m, bk).node;
-        let mut write_at = at;
-        if let Some(budget) = self.combine_budget() {
-            let mut combined_total = 0u64;
-            for part in &mut parts {
-                let mut comb = CombinerBuffer::new(self.app, budget as usize, self.cfg.store_index);
-                let mut combined: Vec<(A::MapKey, A::MapValue)> = Vec::new();
-                for (k, v) in part.drain(..) {
-                    comb.push(self.app, k, v, &mut |k2, v2| combined.push((k2, v2)));
-                }
-                comb.drain(self.app, &mut |k2, v2| combined.push((k2, v2)));
-                combined_total += combined.len() as u64;
-                *part = combined;
-            }
-            self.map_counters.add(names::COMBINE_INPUT_RECORDS, emitted);
-            self.map_counters
-                .add(names::COMBINE_OUTPUT_RECORDS, combined_total);
-            let dur = SimDuration::from_secs_f64(
-                self.costs.combine_cpu_per_record * emitted as f64 * self.node_factor[node],
-            );
-            write_at = at + dur;
-            let base = (self.p.chunk_bytes as f64 * self.costs.shuffle_selectivity) as u64;
-            map_mut!(self, m, bk).out_bytes = if emitted > 0 {
-                (base as f64 * combined_total as f64 / emitted as f64) as u64
-            } else {
-                base
-            };
-        }
-        let task = map_mut!(self, m, bk);
-        task.output = Some(parts);
-        task.state = MapState::Writing;
-        let out_bytes = task.out_bytes;
-        let attempt = task.attempt;
-        let done = self.disks[node].submit(write_at, out_bytes);
-        self.queue.schedule(done, Ev::MapWritten(m, attempt));
-    }
-
-    fn map_done(&mut self, at: SimTime, m: usize, bk: bool) {
-        // First-wins resolution: whichever attempt gets here first is the
-        // map's output; the other attempt (if any) is cancelled and its
-        // in-flight work torn down, exactly like a fault cancellation.
-        if bk {
-            let backup = self.maps_bk[m].take().expect("backup finished");
-            let loser = std::mem::replace(&mut self.maps[m], backup);
-            self.cancel_map_attempt(at, m, &loser);
-            self.map_counters.incr(names::SPECULATION_WON);
-            let node = self.maps[m].node;
-            let attempt = self.maps[m].attempt;
-            self.tracer.speculation_mark(
-                0,
-                SpecTaskKind::Map,
-                m,
-                attempt,
-                node,
-                at,
-                SpecEvent::Won,
-            );
-        } else if let Some(loser) = self.maps_bk[m].take() {
-            self.cancel_map_attempt(at, m, &loser);
-        }
-        let node = self.maps[m].node;
-        self.maps[m].state = MapState::Done;
-        self.maps_done += 1;
-        self.slots.map_used[node] -= 1;
-        self.tracer.span(
-            0,
-            SpanKind::Map,
-            m,
-            self.maps[m].attempt,
-            node,
-            self.maps[m].started,
-            at,
-        );
-        if self.first_map_done.is_none() {
-            self.first_map_done = Some(at);
-        }
-        self.last_map_done = self.last_map_done.max(at);
-        // Feed every running reduce attempt that lacks this map's output.
-        for r in 0..self.reds.len() {
-            if self.reds[r].state == RedState::Running && !self.reds[r].flow_from[m] {
-                self.start_shuffle_flow(at, m, r, false);
-            }
-            if self.reds_bk[r]
-                .as_ref()
-                .is_some_and(|t| t.state == RedState::Running && t.started <= at && !t.flow_from[m])
-            {
-                self.start_shuffle_flow(at, m, r, true);
-            }
-        }
-        // A *re-run* map's completion can be the last thing a reducer
-        // was waiting for even though it gets no new delivery (it
-        // already fetched the earlier attempt's identical output), so
-        // shuffle completion must be re-evaluated for everyone —
-        // `check_shuffle_complete` otherwise only runs on delivery, and
-        // `maps_done` dipped below full while the map re-ran.
-        for r in 0..self.reds.len() {
-            if self.reds[r].state == RedState::Running {
-                self.check_shuffle_complete(at, r, false);
-            }
-            if self.reds_bk[r]
-                .as_ref()
-                .is_some_and(|t| t.state == RedState::Running)
-            {
-                self.check_shuffle_complete(at, r, true);
-            }
-        }
-        self.queue.schedule(at, Ev::Schedule);
-    }
-
-    /// Tears down a losing map attempt after first-wins resolution: its
-    /// in-flight input fetch is cancelled off the network (the same way
-    /// `fail_node` kills flows) and its slot frees once the cancel
-    /// overhead elapses. Queued events addressed to the dead attempt
-    /// fail the stamp guards and drop.
-    fn cancel_map_attempt(&mut self, at: SimTime, m: usize, loser: &MapTask<A>) {
-        let a = loser.attempt;
-        self.net.cancel_where(
-            at,
-            |t| matches!(*t, Tag::Fetch(mm, aa) if mm == m && aa == a),
-        );
-        self.map_counters.incr(names::SPECULATION_CANCELLED);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Map,
-            m,
-            loser.attempt,
-            loser.node,
-            at,
-            SpecEvent::Cancelled,
-        );
-        let when = at + SimDuration::from_secs_f64(self.costs.speculation_cancel_overhead_secs);
-        self.queue
-            .schedule(when, Ev::SpecSlotFree(loser.node, true));
-    }
-
-    // -------------------------------------------------------- reduce side
-
-    fn start_reduce(&mut self, at: SimTime, r: usize, node: usize) {
-        self.slots.red_used[node] += 1;
-        self.reduce_tasks_run += 1;
-        let n_maps = self.maps.len();
-        let task = &mut self.reds[r];
-        task.state = RedState::Running;
-        task.node = node;
-        task.started = at;
-        task.fetched_from = vec![false; n_maps];
-        task.flow_from = vec![false; n_maps];
-        task.cpu_free = at;
-        if self.pipelined() {
-            match IncrementalDriver::new(self.app, &self.cfg, r) {
-                Ok(mut driver) => {
-                    // Restarted attempts resume snapshot numbering above
-                    // their predecessor: the published stream never
-                    // regresses through fault recovery.
-                    driver.set_snapshot_seq_base(self.reds[r].next_snap_seq);
-                    self.reds[r].driver = Some(driver);
-                }
-                Err(e) => {
-                    self.failure = Some((at, format!("driver init failed: {e}")));
-                    return;
-                }
-            }
-        }
-        // Pull from every already-finished map.
-        for m in 0..n_maps {
-            if self.maps[m].state == MapState::Done {
-                self.start_shuffle_flow(at, m, r, false);
-            }
-        }
-    }
-
-    fn start_shuffle_flow(&mut self, at: SimTime, m: usize, r: usize, bk: bool) {
-        let total_records: usize = self.maps[m]
-            .output
-            .as_ref()
-            .expect("done map has output")
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let part_records = self.maps[m].output.as_ref().unwrap()[r].len();
-        // Nominal bytes proportional to the partition's record share;
-        // uniform share when the map produced nothing (pure cost model).
-        let bytes = if total_records > 0 {
-            (self.maps[m].out_bytes as f64 * part_records as f64 / total_records as f64) as u64
-        } else {
-            self.maps[m].out_bytes / self.cfg.reducers as u64
-        };
-        let task = red_mut!(self, r, bk);
-        task.flow_from[m] = true;
-        let dst = NodeId(task.node as u32);
-        let red_attempt = task.attempt;
-        self.shuffle_bytes += bytes;
-        let src = NodeId(self.maps[m].node as u32);
-        self.net.start_flow(
-            at,
-            src,
-            dst,
-            bytes,
-            Tag::Shuffle {
-                map: m,
-                map_attempt: self.maps[m].attempt,
-                red: r,
-                red_attempt,
-            },
-        );
-    }
-
-    fn handle_flow(&mut self, at: SimTime, tag: Tag) {
-        match tag {
-            Tag::Fetch(m, a) => {
-                if let Some(bk) = self.map_slot(m, a) {
-                    if self.map_state(m, bk) == MapState::Fetching {
-                        self.map_compute(at, m, bk);
-                    }
-                }
-            }
-            Tag::Shuffle {
-                map,
-                map_attempt,
-                red,
-                red_attempt,
-            } => {
-                // Shuffle sources are always Done maps, which live in the
-                // primary slot (backup wins are promoted there first);
-                // the destination may be either reduce attempt.
-                if self.maps[map].attempt != map_attempt {
-                    return;
-                }
-                let Some(bk) = self.red_slot(red, red_attempt) else {
-                    return;
-                };
-                if self.red_state(red, bk) != RedState::Running {
-                    return;
-                }
-                self.shuffle_delivery(at, map, red, bk);
-            }
-            Tag::Output(r, a, replica) => {
-                if self.reds[r].attempt == a && self.reds[r].state == RedState::Writing {
-                    // Replica received: write it to the replica's disk.
-                    let bytes =
-                        (self.reds[r].input_bytes as f64 * self.costs.output_selectivity) as u64;
-                    let done = self.disks[replica.0 as usize].submit(at, bytes);
-                    self.queue
-                        .schedule(done, Ev::OutputPartDone(r, self.reds[r].attempt));
-                }
-            }
-        }
-    }
-
-    fn shuffle_delivery(&mut self, at: SimTime, m: usize, r: usize, bk: bool) {
-        let batch = self.maps[m].output.as_ref().expect("done map")[r].clone();
-        let total_records: usize = self.maps[m]
-            .output
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let bytes = if total_records > 0 {
-            (self.maps[m].out_bytes as f64 * batch.len() as f64 / total_records as f64) as u64
-        } else {
-            self.maps[m].out_bytes / self.cfg.reducers as u64
-        };
-        let pipelined = self.pipelined();
-        let absorb_cost = self.absorb_cost_per_record();
-        let task = red_mut!(self, r, bk);
-        task.fetched_from[m] = true;
-        task.input_bytes += bytes;
-
-        if pipelined {
-            // Charge the absorb CPU as one batch on the reducer's core.
-            let cost = absorb_cost * batch.len() as f64;
-            let dur = SimDuration::from_secs_f64(cost * self.node_factor[task.node]);
-            let start = task.cpu_free.max(at);
-            task.cpu_free = start + dur;
-            task.batches.push_back(batch);
-            let when = task.cpu_free;
-            let attempt = task.attempt;
-            self.queue.schedule(when, Ev::Batch(r, attempt));
-        } else {
-            task.buffer.extend(batch);
-        }
-        self.check_shuffle_complete(at, r, bk);
-    }
-
-    fn check_shuffle_complete(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = &*red_mut!(self, r, bk);
-        let all = task.fetched_from.iter().all(|&f| f)
-            && task.fetched_from.len() == self.maps.len()
-            && self.maps_done == self.maps.len();
-        if !all || task.shuffle_done_at.is_some() {
-            return;
-        }
-        red_mut!(self, r, bk).shuffle_done_at = Some(at);
-        self.shuffle_done = self.shuffle_done.max(at);
-        if self.pipelined() {
-            // Finalize once the CPU drains the queued batches.
-            let task = &*red_mut!(self, r, bk);
-            let when = task.cpu_free.max(at);
-            let attempt = task.attempt;
-            self.queue.schedule(when, Ev::Batch(r, attempt));
-        } else {
-            // Barrier reached: sort, then reduce. The Shuffle span is
-            // recorded for the primary attempt only (backups would
-            // double-report partition r's fetch window).
-            if !bk {
-                self.tracer.span(
-                    0,
-                    SpanKind::Shuffle,
-                    r,
-                    self.reds[r].attempt,
-                    self.reds[r].node,
-                    self.reds[r].started,
-                    at,
-                );
-            }
-            let task = &*red_mut!(self, r, bk);
-            let n = task.buffer.len() as f64;
-            let attempt = task.attempt;
-            let sort =
-                self.costs.sort_cpu_coeff * n * n.max(2.0).log2() * self.node_factor[task.node];
-            self.queue.schedule(
-                at + SimDuration::from_secs_f64(sort),
-                Ev::SortDone(r, attempt),
-            );
-        }
-    }
-
-    /// Pipelined: one delivered batch's absorb work completes.
-    fn reduce_batch(&mut self, at: SimTime, r: usize, bk: bool) {
-        if let Some(batch) = red_mut!(self, r, bk).batches.pop_front() {
-            let task = red_mut!(self, r, bk);
-            let node = task.node;
-            let driver = task.driver.as_mut().expect("pipelined reducer");
-            // Stamp virtual time so record-driven snapshots published
-            // mid-batch carry the sim clock.
-            driver.set_now_secs(at.as_secs_f64());
-            for (k, v) in batch {
-                if let Err(e) = driver.push(self.app, k, v, &mut task.out) {
-                    self.fail_job(at, r, e);
-                    return;
-                }
-            }
-            // Sample the heap and charge new store I/O to the local disk
-            // (heap samples track the observer-visible primary only).
-            let bytes = driver.modelled_bytes();
-            let io = driver.io_bytes();
-            if !bk {
-                let attempt = self.reds[r].attempt;
-                self.tracer.heap_sample(0, r, attempt, node, at, bytes);
-            }
-            let task = red_mut!(self, r, bk);
-            let delta = io - task.io_charged;
-            if delta > 0 {
-                task.io_charged = io;
-                self.disks[node].submit(at, delta);
-            }
-            // Record-driven snapshots published during this batch:
-            // mark, charge, collect (primary only — backup drivers run
-            // with snapshots disabled).
-            if !bk {
-                self.collect_snapshots(at, r);
-            }
-        }
-        // All shuffled + all absorbed => finalize.
-        let task = &*red_mut!(self, r, bk);
-        if task.shuffle_done_at.is_some() && task.batches.is_empty() && task.cpu_free <= at {
-            self.start_finalize(at, r, bk);
-        }
-    }
-
-    fn fail_job(&mut self, at: SimTime, r: usize, e: MrError) {
-        let reason = match e {
-            MrError::OutOfMemory {
-                used_bytes,
-                cap_bytes,
-                ..
-            } => {
-                self.tracer.heap_sample(
-                    0,
-                    r,
-                    self.reds[r].attempt,
-                    self.reds[r].node,
-                    at,
-                    used_bytes,
-                );
-                format!(
-                    "reducer {r} exceeded heap: {} MB > cap {} MB",
-                    used_bytes >> 20,
-                    cap_bytes >> 20
-                )
-            }
-            other => format!("reducer {r} failed: {other}"),
-        };
-        self.failure = Some((at, reason));
-    }
-
-    fn start_finalize(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = red_mut!(self, r, bk);
-        task.state = RedState::Finalizing;
-        let entries = task.driver.as_ref().map_or(0, |d| d.entries());
-        let attempt = task.attempt;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.finalize_cpu_per_entry * entries as f64 * self.node_factor[task.node],
-        );
-        self.queue.schedule(at + dur, Ev::FinalizeDone(r, attempt));
-    }
-
-    /// First-wins resolution for reduce task `r`, invoked the moment an
-    /// attempt finishes its reduce work (before any output write, so the
-    /// DFS never sees duplicate partitions). A winning backup is promoted
-    /// into the primary slot and inherits the partition's published
-    /// snapshot stream — sequence numbers stay monotone, exactly as they
-    /// do across fault restarts. The losing attempt is cancelled and its
-    /// in-flight flows torn down like `fail_node` cancellations.
-    fn resolve_red_winner(&mut self, at: SimTime, r: usize, bk: bool) {
-        if bk {
-            let mut backup = self.reds_bk[r].take().expect("backup finished");
-            let loser = &mut self.reds[r];
-            backup.published_snaps = std::mem::take(&mut loser.published_snaps);
-            let mut seq = loser.next_snap_seq.max(backup.next_snap_seq);
-            if let Some(d) = &loser.driver {
-                seq = seq.max(d.snapshot_seq());
-            }
-            backup.next_snap_seq = seq;
-            if let Some(d) = backup.driver.as_mut() {
-                d.set_snapshot_seq_base(seq);
-            }
-            let loser = std::mem::replace(&mut self.reds[r], backup);
-            self.cancel_red_attempt(at, r, &loser);
-            self.map_counters.incr(names::SPECULATION_WON);
-            let node = self.reds[r].node;
-            let attempt = self.reds[r].attempt;
-            self.tracer.speculation_mark(
-                0,
-                SpecTaskKind::Reduce,
-                r,
-                attempt,
-                node,
-                at,
-                SpecEvent::Won,
-            );
-        } else if let Some(loser) = self.reds_bk[r].take() {
-            self.cancel_red_attempt(at, r, &loser);
-        }
-    }
-
-    /// Tears down a losing reduce attempt: cancel its in-flight shuffle
-    /// fetches, free its slot after the cancel overhead.
-    fn cancel_red_attempt(&mut self, at: SimTime, r: usize, loser: &ReduceTask<A>) {
-        let a = loser.attempt;
-        self.net.cancel_where(at, |t| {
-            matches!(*t, Tag::Shuffle { red, red_attempt, .. } if red == r && red_attempt == a)
-                || matches!(*t, Tag::Output(rr, aa, _) if rr == r && aa == a)
-        });
-        self.map_counters.incr(names::SPECULATION_CANCELLED);
-        self.tracer.speculation_mark(
-            0,
-            SpecTaskKind::Reduce,
-            r,
-            loser.attempt,
-            loser.node,
-            at,
-            SpecEvent::Cancelled,
-        );
-        let when = at + SimDuration::from_secs_f64(self.costs.speculation_cancel_overhead_secs);
-        self.queue
-            .schedule(when, Ev::SpecSlotFree(loser.node, false));
-    }
-
-    fn finalize_done(&mut self, at: SimTime, r: usize, bk: bool) {
-        // Resolve the race before touching output: from here on, `r`'s
-        // primary slot holds the winning attempt.
-        self.resolve_red_winner(at, r, bk);
-        // Periodic policies publish one last snapshot at end-of-input,
-        // so the final estimate an observer holds equals the answer.
-        if self.cfg.snapshots.is_periodic() {
-            if let Some(driver) = self.reds[r].driver.as_mut() {
-                driver.set_now_secs(at.as_secs_f64());
-                if let Err(e) = driver.snapshot_now(self.app) {
-                    self.fail_job(at, r, e);
-                    return;
-                }
-            }
-            self.collect_snapshots(at, r);
-        }
-        // Run the real merge+finalize.
-        let driver = self.reds[r].driver.take().expect("pipelined reducer");
-        let mut out = std::mem::take(&mut self.reds[r].out);
-        let mut counters = std::mem::take(&mut self.reds[r].counters);
-        match driver.finish(self.app, &mut counters, &mut out) {
-            Ok(report) => {
-                // Spill-merge reads its runs back during the merge.
-                let merge_read = report.store.spill_bytes;
-                if merge_read > 0 {
-                    self.disks[self.reds[r].node].submit(at, merge_read);
-                }
-                counters.add(names::REDUCE_OUTPUT_RECORDS, out.len() as u64);
-                self.reds[r].report = Some(report);
-                self.reds[r].out = out;
-                self.reds[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, r, e);
-                return;
-            }
-        }
-        self.reds[r].finalize_done_at = Some(at);
-        self.tracer.span(
-            0,
-            SpanKind::ShuffleReduce,
-            r,
-            self.reds[r].attempt,
-            self.reds[r].node,
-            self.reds[r].started,
-            at,
-        );
-        self.start_output_write(at, r);
-    }
-
-    /// Barrier: sort finished; charge the grouped reduce pass.
-    fn grouped_reduce_start(&mut self, at: SimTime, r: usize, bk: bool) {
-        let task = &*red_mut!(self, r, bk);
-        let n = task.buffer.len() as f64;
-        let attempt = task.attempt;
-        let dur = SimDuration::from_secs_f64(
-            self.costs.reduce_cpu_per_record * n * self.node_factor[task.node],
-        );
-        self.queue.schedule(at + dur, Ev::GroupedDone(r, attempt));
-    }
-
-    fn grouped_reduce_done(&mut self, at: SimTime, r: usize, bk: bool) {
-        // First-wins resolution before the real reduce runs and the
-        // output write starts.
-        self.resolve_red_winner(at, r, bk);
-        // Run the real sort+group+reduce.
-        let records = std::mem::take(&mut self.reds[r].buffer);
-        let absorbed = records.len() as u64;
-        let mut counters = std::mem::take(&mut self.reds[r].counters);
-        match reduce_partition_barrier(self.app, records, &mut counters) {
-            Ok(out) => {
-                self.reds[r].out = out;
-                self.reds[r].counters = counters;
-            }
-            Err(e) => {
-                self.fail_job(at, r, e);
-                return;
-            }
-        }
-        // The barrier engine's one useful snapshot: its finished output,
-        // publishable only now — after the barrier, the sort and the
-        // full grouped pass.
-        if self.cfg.snapshots.is_enabled() {
-            let task = &mut self.reds[r];
-            let seq = task.next_snap_seq;
-            let (attempt, node) = (task.attempt, task.node);
-            task.next_snap_seq += 1;
-            task.counters.incr(mr_core::counters::names::SNAPSHOT_COUNT);
-            task.counters.add(
-                mr_core::counters::names::SNAPSHOT_RECORDS,
-                task.out.len() as u64,
-            );
-            let records = task.out.len() as u64;
-            task.published_snaps.push(Snapshot {
-                reducer: r,
-                seq,
-                records_absorbed: absorbed,
-                live_entries: 0,
-                at_secs: at.as_secs_f64(),
-                estimate: task.out.clone(),
-            });
-            self.tracer
-                .snapshot_mark(0, r, attempt, node, at, seq, records, 0);
-        }
-        let start = self.reds[r].shuffle_done_at.expect("sorted after shuffle");
-        self.tracer.span(
-            0,
-            SpanKind::SortReduce,
-            r,
-            self.reds[r].attempt,
-            self.reds[r].node,
-            start,
-            at,
-        );
-        self.start_output_write(at, r);
-    }
-
-    fn start_output_write(&mut self, at: SimTime, r: usize) {
-        let task = &mut self.reds[r];
-        task.state = RedState::Writing;
-        task.reduce_phase_started = Some(at);
-        let bytes = (task.input_bytes as f64 * self.costs.output_selectivity) as u64;
-        let node = task.node;
-        let attempt = task.attempt;
-        // Replication pipeline: local disk + (replication-1) remote copies.
-        let targets = self.dfs.write_targets(NodeId(node as u32));
-        task.write_parts_left = targets.len();
-        let local_done = self.disks[node].submit(at, bytes);
-        self.queue
-            .schedule(local_done, Ev::OutputPartDone(r, attempt));
-        for &replica in targets.iter().skip(1) {
-            self.net.start_flow(
-                at,
-                NodeId(node as u32),
-                replica,
-                bytes,
-                Tag::Output(r, attempt, replica),
-            );
-        }
-    }
-
-    fn output_part_done(&mut self, at: SimTime, r: usize) {
-        self.reds[r].write_parts_left -= 1;
-        if self.reds[r].write_parts_left > 0 {
-            return;
-        }
-        let task = &mut self.reds[r];
-        task.state = RedState::Done;
-        self.reds_done += 1;
-        self.slots.red_used[task.node] -= 1;
-        let wrote_from = task.reduce_phase_started.expect("write started");
-        let (attempt, node) = (task.attempt, task.node);
-        self.tracer
-            .span(0, SpanKind::Output, r, attempt, node, wrote_from, at);
-        self.queue.schedule(at, Ev::Schedule);
+        Ok(())
     }
 
     // ------------------------------------------------------------- faults
 
     fn fail_node(&mut self, at: SimTime, n: usize) {
-        if !self.slots.alive[n] {
+        let Some(cancelled) = self.ctx.fail_node(at, n, Self::WHAT) else {
             return;
+        };
+        // Reducers on the dead node restart from scratch elsewhere unless
+        // a surviving backup takes over; only then can the map side tell
+        // which lost outputs are still needed.
+        let (_, dead) = self.stage.reducers_lost_on(n);
+        for r in dead {
+            self.stage.restart_reducer(r);
         }
-        self.slots.fail_node(n);
-        // With every node dead there is nothing to recover onto — the
-        // job is gone. Report that loudly rather than letting the event
-        // queue drain into a bogus "completed with empty output".
-        if !self.slots.any_alive() {
-            self.failure = Some((at, "every node has failed; job lost".to_string()));
-            return;
-        }
-        let cancelled = self.net.fail_node(at, NodeId(n as u32));
-        // Chunks whose last replica died are re-ingested from the job's
-        // input source onto surviving nodes (the workloads are
-        // generated, so the source always exists); any map that still
-        // needs such a chunk re-fetches from the restored replicas.
-        for cid in self.dfs.fail_node(NodeId(n as u32)) {
-            self.dfs.restore_chunk(cid);
-        }
-        // Reducers on the dead node restart from scratch elsewhere —
-        // unless a live backup attempt survives, in which case it is
-        // promoted to primary and simply keeps running. Backups that died
-        // with the node are dropped (a task is speculated at most once,
-        // so no replacement backup is launched). Restart/promote *before*
-        // deciding map re-runs: the surviving attempt's `fetched_from` is
-        // what tells the scan below which map outputs are still needed —
-        // including output stored on a node that died in an *earlier*
-        // failure.
-        for r in 0..self.reds.len() {
-            if self.reds_bk[r].as_ref().is_some_and(|t| t.node == n) {
-                self.reds_bk[r] = None;
-            }
-            if self.reds[r].node == n
-                && self.reds[r].state != RedState::Done
-                && self.reds[r].state != RedState::Pending
-            {
-                if let Some(mut backup) = self.reds_bk[r].take() {
-                    // Promote the surviving backup: it inherits the
-                    // partition's snapshot stream like any restarted
-                    // attempt would, and continues from wherever its own
-                    // shuffle progress stands.
-                    let dead = &mut self.reds[r];
-                    backup.published_snaps = std::mem::take(&mut dead.published_snaps);
-                    let mut seq = dead.next_snap_seq.max(backup.next_snap_seq);
-                    if let Some(driver) = &dead.driver {
-                        seq = seq.max(driver.snapshot_seq());
-                    }
-                    backup.next_snap_seq = seq;
-                    if let Some(driver) = backup.driver.as_mut() {
-                        driver.set_snapshot_seq_base(seq);
-                    }
-                    self.reds[r] = backup;
-                } else {
-                    let seq = {
-                        self.red_seq[r] += 1;
-                        self.red_seq[r]
-                    };
-                    let task = &mut self.reds[r];
-                    task.state = RedState::Pending;
-                    task.attempt = seq;
-                    task.node = usize::MAX;
-                    task.fetched_from.clear();
-                    task.flow_from.clear();
-                    task.buffer.clear();
-                    // Snapshots the dying attempt published stay published
-                    // (`published_snaps` is never cleared); carry its next
-                    // sequence number so the restart continues above it.
-                    if let Some(driver) = &task.driver {
-                        task.next_snap_seq = task.next_snap_seq.max(driver.snapshot_seq());
-                    }
-                    task.driver = None;
-                    task.batches.clear();
-                    task.shuffle_done_at = None;
-                    task.reduce_phase_started = None;
-                    task.out.clear();
-                    task.counters = Counters::new();
-                    task.io_charged = 0;
-                    task.input_bytes = 0;
-                }
-            }
-        }
-        // Maps: running ones on the dead node restart (or hand over to a
-        // surviving backup attempt); completed ones whose locally stored
-        // output now sits on *any* dead node must re-run if some reducer
-        // (including one just restarted above) still needs that output.
-        for m in 0..self.maps.len() {
-            if self.maps_bk[m].as_ref().is_some_and(|t| t.node == n) {
-                self.maps_bk[m] = None;
-            }
-            let running_here = matches!(
-                self.maps[m].state,
-                MapState::Fetching | MapState::Computing | MapState::Writing
-            ) && self.maps[m].node == n;
-            if running_here {
-                if let Some(backup) = self.maps_bk[m].take() {
-                    // The backup races on alone as the primary.
-                    self.maps[m] = backup;
-                    continue;
-                }
-            }
-            let needs_rerun = running_here
-                || (self.maps[m].state == MapState::Done
-                    && !self.slots.alive[self.maps[m].node]
-                    && self
-                        .reds
-                        .iter()
-                        .chain(self.reds_bk.iter().flatten())
-                        .any(|r| {
-                            r.state != RedState::Done
-                                && (r.fetched_from.len() <= m || !r.fetched_from[m])
-                        }));
-            if needs_rerun {
-                if self.maps[m].state == MapState::Done {
-                    self.maps_done -= 1;
-                }
-                let seq = {
-                    self.map_seq[m] += 1;
-                    self.map_seq[m]
-                };
-                let task = &mut self.maps[m];
-                task.state = MapState::Pending;
-                task.attempt = seq;
-                task.output = None;
-                task.node = usize::MAX;
-                // Reducers with an in-flight (now cancelled) flow from this
-                // map must be allowed to re-request it.
-                for r in &mut self.reds {
-                    if !r.flow_from.is_empty() && !r.fetched_from[m] {
-                        r.flow_from[m] = false;
-                    }
-                }
-                for r in self.reds_bk.iter_mut().flatten() {
-                    if !r.flow_from.is_empty() && !r.fetched_from[m] {
-                        r.flow_from[m] = false;
-                    }
-                }
-            }
-        }
-        // Cancelled flows whose *surviving* endpoint is still mid-task
-        // must be retried, or that task waits forever on a completion
-        // that will never arrive. Flows whose surviving task was itself
-        // restarted above fail the attempt/state guards and are dropped.
+        self.stage.rerun_lost_maps(&self.ctx, n);
         for tag in cancelled {
-            match tag {
-                Tag::Fetch(m, a) => {
-                    // The replica serving this input read died; re-read
-                    // from a surviving replica (either attempt may have
-                    // been the reader).
-                    if let Some(bk) = self.map_slot(m, a) {
-                        if self.map_state(m, bk) == MapState::Fetching {
-                            self.start_fetch(at, m, bk);
-                        }
-                    }
-                }
-                Tag::Shuffle { .. } => {
-                    // Handled by the map-rerun loop above: the dead
-                    // source's map output is regenerated and the reducer
-                    // re-requests it (`flow_from` was reset).
-                }
-                Tag::Output(r, a, _replica) => {
-                    // One target of the output-replication pipeline died
-                    // mid-write. The block lives on the remaining
-                    // replicas; like HDFS, leave it under-replicated
-                    // rather than stall the job on a dead datanode.
-                    if self.reds[r].attempt == a && self.reds[r].state == RedState::Writing {
-                        self.output_part_done(at, r);
-                    }
-                }
+            if let Tag::Task(_, tag) = tag {
+                self.stage.on_cancelled_flow(&mut self.ctx, at, tag);
             }
         }
-        self.queue.schedule(at, Ev::Schedule);
+        self.ctx.queue.schedule(at, Ev::Schedule);
     }
 }

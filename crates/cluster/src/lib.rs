@@ -23,33 +23,42 @@
 //! * **Fault tolerance** (§3.1): nodes can be killed mid-run; lost map
 //!   output and dead reducers are re-executed, as in Hadoop.
 //! * **Job chains** ([`ChainSimExecutor`]): concatenated jobs share one
-//!   event loop; streaming handoff edges are scheduled as timeline
+//!   event loop; streaming handoff edges are scheduled as trace
 //!   events so stage N+1 map work measurably overlaps stage N reduce
 //!   work, and a dead upstream reduce attempt restarts its downstream
 //!   consumers.
+//!
+//! How it is built: `ctx` holds `SimCtx` — the cluster a run executes
+//! on (event queue, network, disks, DFS, slot ledger, tracer, noise RNG)
+//! and the one event loop with its one termination rule. `stage` holds
+//! `Stage<X>` — one map → shuffle → reduce round, the single
+//! implementation of the task state machine, speculation and recovery
+//! included. [`SimExecutor`] is one stage plus what only a single job
+//! models (snapshot tick, deadline, map speculation);
+//! [`ChainSimExecutor`] is two stages plus the handoff edge between
+//! them. The multi-tenant [`ServiceSimExecutor`] is a different,
+//! analytic task model and shares only [`SlotLedger`] placement.
 
 mod chain;
 mod costs;
+mod ctx;
 mod executor;
 mod input;
 mod params;
 mod placement;
 mod report;
 mod service;
-mod timeline;
+mod stage;
 mod trace;
 
 pub use chain::{ChainSimExecutor, ChainSimReport};
 pub use costs::CostModel;
 pub use executor::{Fault, SimExecutor};
 pub use input::{FnInput, SimInput};
+pub use mr_trace::{SpanKind, SpecEvent, SpecTaskKind};
 pub use params::ClusterParams;
 pub use placement::{SlotLedger, TieBreak};
 pub use report::{Outcome, SimReport};
 pub use service::{
     analytic_output, ServiceParams, ServiceSimExecutor, ServiceSimReport, SimJobOutcome, SimJobSpec,
-};
-pub use timeline::{
-    HandoffMark, HeapSample, SnapshotMark, SpanKind, SpecEvent, SpecTaskKind, SpeculationMark,
-    TaskSpan, Timeline,
 };

@@ -51,7 +51,7 @@ pub struct ClusterParams {
     /// job's own `JobConfig::snapshots`; `None` leaves the job's choice
     /// in force. Figure sweeps toggle early-answer estimation
     /// cluster-wide without touching per-job configs; time-driven
-    /// policies tick on the *virtual* clock, scheduled as timeline
+    /// policies tick on the *virtual* clock, scheduled as simulator
     /// events and charged via `CostModel::snapshot_cpu_per_record`.
     pub snapshots: Option<SnapshotPolicy>,
     /// Speculative-execution override for simulated jobs. `Some` wins

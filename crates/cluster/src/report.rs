@@ -1,6 +1,5 @@
 //! Results of a simulated run.
 
-use crate::timeline::Timeline;
 use mr_core::{Application, JobOutput, TraceLog};
 use mr_sim::SimTime;
 
@@ -63,9 +62,6 @@ pub struct SimReport<A: Application> {
     /// [`mr_core::TraceQuery`]. Empty when the effective
     /// [`TracePolicy`](mr_core::TracePolicy) is `Disabled`.
     pub trace: TraceLog,
-    /// Recorded task spans and heap samples — a compatibility view
-    /// derived from `trace` (empty when tracing is disabled).
-    pub timeline: Timeline,
     /// First map-task completion — the start of mapper slack (§3.2).
     pub first_map_done: SimTime,
     /// Last map-task completion.
@@ -79,8 +75,8 @@ pub struct SimReport<A: Application> {
     /// Reduce tasks executed (including re-executions).
     pub reduce_tasks_run: usize,
     /// Partial-result snapshots published during the run (also recorded
-    /// individually as [`Timeline::snapshots`](crate::Timeline) marks;
-    /// estimate contents ride in `output.snapshots`).
+    /// individually as `SnapshotMark` events in `trace`; estimate
+    /// contents ride in `output.snapshots`).
     pub snapshots_taken: usize,
 }
 

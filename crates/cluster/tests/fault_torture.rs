@@ -4,7 +4,10 @@
 
 use mr_apps::wordcount::WordCount;
 use mr_cluster::{ClusterParams, CostModel, FnInput, SimExecutor};
-use mr_core::{CombinerPolicy, Engine, HashPartitioner, JobConfig, SnapshotPolicy, StoreIndex};
+use mr_core::{
+    CombinerPolicy, Engine, HashPartitioner, JobConfig, SnapshotPolicy, StoreIndex, TraceEvent,
+    TraceQuery,
+};
 use mr_workloads::TextWorkload;
 use std::collections::BTreeMap;
 
@@ -343,13 +346,18 @@ fn node_death_on_either_side_of_a_speculative_race_is_byte_exact() {
     for engine in [Engine::Barrier, Engine::barrierless()] {
         let clean = run(engine.clone(), &[]);
         assert!(clean.outcome.is_completed());
-        let first_launch = clean
-            .timeline
-            .speculation
+        let (launched_at, backup_node) = clean
+            .trace
             .iter()
-            .find(|m| m.event == SpecEvent::Launched)
+            .find_map(|e| match e.event {
+                TraceEvent::SpeculationMark {
+                    at,
+                    event: SpecEvent::Launched,
+                } => Some((at.as_secs_f64(), e.scope.node)),
+                _ => None,
+            })
             .unwrap_or_else(|| panic!("no backup launched on a 0.8-sigma cluster ({engine:?})"));
-        let (kill_at, backup_node) = (first_launch.at.as_secs_f64() + 1.0, first_launch.node);
+        let kill_at = launched_at + 1.0;
         for node in 0..6 {
             let report = run(engine.clone(), &[(kill_at, node)]);
             assert!(
@@ -358,7 +366,7 @@ fn node_death_on_either_side_of_a_speculative_race_is_byte_exact() {
                  under {engine:?}: {:?}",
                 report.outcome
             );
-            if report.timeline.speculation_count(SpecEvent::Won) > 0 {
+            if TraceQuery::new(&report.trace).speculation_count(SpecEvent::Won) > 0 {
                 faulted_win_seen = true;
             }
             let got: BTreeMap<String, u64> = report
@@ -441,8 +449,7 @@ fn chain_edge_node_death_with_speculation_on_is_byte_exact() {
         .stage1_last_reduce_done
         .as_secs_f64()
         .max(first + 1.0);
-    let launched = clean_spec.timeline1.speculation_count(SpecEvent::Launched)
-        + clean_spec.timeline2.speculation_count(SpecEvent::Launched);
+    let launched = TraceQuery::new(&clean_spec.trace).speculation_count(SpecEvent::Launched);
     assert!(launched > 0, "no backup launched across the clean chain");
     for fail_at in [first + 0.3 * (last - first), first + 0.7 * (last - first)] {
         for node in 0..4 {

@@ -4,7 +4,9 @@
 use mr_apps::topk::TopK;
 use mr_apps::wordcount::WordCount;
 use mr_cluster::{ChainSimExecutor, ClusterParams, CostModel, FnInput, SimExecutor, SpanKind};
-use mr_core::{ChainSpec, Engine, HandoffMode, HashPartitioner, JobConfig, MemoryPolicy};
+use mr_core::{
+    ChainSpec, Engine, HandoffMode, HashPartitioner, JobConfig, MemoryPolicy, TraceQuery,
+};
 use mr_workloads::TextWorkload;
 use std::collections::BTreeMap;
 
@@ -117,12 +119,11 @@ fn barrier_reduce_waits_for_all_maps() {
     );
     // The defining property of the barrier (Figure 4a): no sort/reduce
     // span can start before the last map finished.
-    let (sort_start, _) = report
-        .timeline
-        .kind_window(SpanKind::SortReduce)
+    let (sort_start, _) = TraceQuery::new(&report.trace)
+        .kind_window(0, SpanKind::SortReduce)
         .expect("sort spans exist");
     assert!(
-        sort_start >= report.last_map_done,
+        sort_start >= report.last_map_done.as_secs_f64(),
         "sort started {sort_start} before last map {}",
         report.last_map_done
     );
@@ -147,20 +148,20 @@ fn barrierless_reduce_overlaps_the_map_stage() {
     );
     // Figure 4b: the combined shuffle+reduce stage begins when the first
     // mappers complete, far before the last one.
-    let (sr_start, _) = report
-        .timeline
-        .kind_window(SpanKind::ShuffleReduce)
+    let q = TraceQuery::new(&report.trace);
+    let last_map_done = report.last_map_done.as_secs_f64();
+    let (sr_start, _) = q
+        .kind_window(0, SpanKind::ShuffleReduce)
         .expect("shuffle+reduce spans exist");
     assert!(
-        sr_start < report.last_map_done,
+        sr_start < last_map_done,
         "pipelined reduce did not overlap maps"
     );
     // Heap samples were taken while maps were still running.
-    assert!(report
-        .timeline
-        .heap
+    assert!(q
+        .heap_samples(0)
         .iter()
-        .any(|h| h.at < report.last_map_done));
+        .any(|&(_, at, _)| at < last_map_done));
 }
 
 #[test]
@@ -325,12 +326,10 @@ fn reducer_waves_when_oversubscribed() {
         &HashPartitioner,
     );
     assert!(report.outcome.is_completed());
-    let mut starts: Vec<_> = report
-        .timeline
-        .spans
+    let mut starts: Vec<_> = TraceQuery::new(&report.trace)
+        .job_spans_by_kind(0, SpanKind::ShuffleReduce)
         .iter()
-        .filter(|s| s.kind == SpanKind::ShuffleReduce)
-        .map(|s| s.start)
+        .map(|s| s.start.virtual_micros().expect("simulated instant"))
         .collect();
     starts.sort();
     assert_eq!(starts.len(), 6);
@@ -445,8 +444,8 @@ fn timed_snapshots_estimate_early_under_the_barrierless_engine_only() {
         assert!(report.snapshots_taken > 0, "no snapshots under {engine:?}");
         assert_eq!(
             report.snapshots_taken,
-            report.timeline.snapshots.len(),
-            "report count diverged from timeline marks"
+            TraceQuery::new(&report.trace).snapshot_count(0),
+            "report count diverged from trace marks"
         );
         let last_map = report.last_map_done.as_secs_f64();
         let out = report.output.unwrap();
@@ -620,8 +619,7 @@ fn speculation_never_fires_on_a_homogeneous_quiet_cluster() {
         let spec = run(SpeculationPolicy::enabled());
         assert!(plain.outcome.is_completed() && spec.outcome.is_completed());
         assert_eq!(
-            spec.timeline
-                .speculation_count(mr_cluster::SpecEvent::Launched),
+            TraceQuery::new(&spec.trace).speculation_count(mr_cluster::SpecEvent::Launched),
             0,
             "speculation fired on a homogeneous noise-free cluster under {engine:?}"
         );
@@ -673,9 +671,10 @@ fn speculative_backup_wins_cut_straggler_time_with_identical_output() {
         let off = run(None);
         let on = run(Some(SpeculationPolicy::enabled()));
         assert!(off.outcome.is_completed() && on.outcome.is_completed());
-        let launched = on.timeline.speculation_count(SpecEvent::Launched);
-        let won = on.timeline.speculation_count(SpecEvent::Won);
-        let cancelled = on.timeline.speculation_count(SpecEvent::Cancelled);
+        let q = TraceQuery::new(&on.trace);
+        let launched = q.speculation_count(SpecEvent::Launched);
+        let won = q.speculation_count(SpecEvent::Won);
+        let cancelled = q.speculation_count(SpecEvent::Cancelled);
         assert!(
             launched > 0,
             "cluster-level speculation override did not activate under {engine:?}"
@@ -868,10 +867,14 @@ fn streaming_chain_overlaps_stages_and_the_barrier_chain_does_not() {
         barrier.completion_secs()
     );
 
-    // Cross-job edges were scheduled as timeline events, and the same
+    // Cross-job edges were scheduled as trace events, and the same
     // records crossed under both modes.
-    assert!(!streaming.timeline1.handoffs.is_empty());
-    assert!(!barrier.timeline1.handoffs.is_empty());
+    assert!(TraceQuery::new(&streaming.trace)
+        .first_handoff_secs(0)
+        .is_some());
+    assert!(TraceQuery::new(&barrier.trace)
+        .first_handoff_secs(0)
+        .is_some());
     assert_eq!(streaming.handoff_records, barrier.handoff_records);
     assert!(streaming.handoff_records > 0);
     // Streaming ships per-reducer increments; every upstream partition

@@ -260,6 +260,15 @@ impl<'a> TraceQuery<'a> {
         out
     }
 
+    /// Earliest start and latest end of `kind` spans in `job`, in
+    /// seconds, if any exist — the stage's window on a Figure 4 chart.
+    pub fn kind_window(&self, job: u32, kind: SpanKind) -> Option<(f64, f64)> {
+        self.span_iter()
+            .filter(|s| s.scope.job == job && s.kind == kind)
+            .map(|s| (s.start_secs(), s.end_secs()))
+            .reduce(|(first, last), (start, end)| (first.min(start), last.max(end)))
+    }
+
     /// Latest span end across the whole log, in seconds (run completion
     /// from the record; 0.0 for an empty log).
     pub fn last_end_secs(&self) -> f64 {
@@ -493,6 +502,9 @@ mod tests {
         assert_eq!(q.active_at(0, SpanKind::Map, 14.0), 0, "end exclusive");
         assert_eq!(q.last_end_secs(), 24.0);
         assert_eq!(q.job_last_end_secs(0), 22.0);
+        assert_eq!(q.kind_window(0, SpanKind::Map), Some((0.0, 14.0)));
+        assert_eq!(q.kind_window(1, SpanKind::Map), Some((15.0, 24.0)));
+        assert_eq!(q.kind_window(1, SpanKind::Output), None);
         let s = q.series(0, SpanKind::Map, 5.0, 22.0);
         assert_eq!(s[0], (0.0, 2));
         assert_eq!(s[1], (5.0, 2));

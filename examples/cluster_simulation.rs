@@ -7,7 +7,7 @@
 //! ```
 
 use barrier_mapreduce::cluster::{ClusterParams, CostModel, FnInput, SimExecutor, SpanKind};
-use barrier_mapreduce::core::{Engine, HashPartitioner, JobConfig};
+use barrier_mapreduce::core::{Engine, HashPartitioner, JobConfig, TraceQuery};
 use barrier_mapreduce::workloads::TextWorkload;
 
 fn main() {
@@ -58,12 +58,8 @@ fn main() {
             (SpanKind::ShuffleReduce, "shuffle+reduce"),
             (SpanKind::Output, "output write"),
         ] {
-            if let Some((start, end)) = report.timeline.kind_window(kind) {
-                println!(
-                    "  {name:<14} {:>6.1}s .. {:>6.1}s",
-                    start.as_secs_f64(),
-                    end.as_secs_f64()
-                );
+            if let Some((start, end)) = TraceQuery::new(&report.trace).kind_window(0, kind) {
+                println!("  {name:<14} {start:>6.1}s .. {end:>6.1}s");
             }
         }
         println!(

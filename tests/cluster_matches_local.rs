@@ -157,3 +157,80 @@ fn map_output_counters_match_between_executors() {
         );
     }
 }
+
+#[test]
+fn chain_sim_equals_local_chain() {
+    use barrier_mapreduce::apps::TopK;
+    use barrier_mapreduce::cluster::ChainSimExecutor;
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{ChainSpec, HandoffMode, TracePolicy};
+    let w = TextWorkload {
+        seed: 13,
+        vocab: 200,
+        zipf_s: 1.0,
+        lines_per_chunk: 40,
+        words_per_line: 6,
+    };
+    let chunks = 8u64;
+    let splits: Vec<Vec<(u64, String)>> = (0..chunks).map(|c| w.chunk(c)).collect();
+    let top = TopK::new(10);
+    let run = |handoff, e1: &Engine, e2: &Engine, t1, t2| {
+        let spec = ChainSpec::new(vec![
+            JobConfig::new(4).engine(e1.clone()).trace(t1),
+            JobConfig::new(2).engine(e2.clone()).trace(t2),
+        ])
+        .handoff(handoff);
+        let local = LocalRunner::new(4)
+            .run_chain2(
+                &WordCount,
+                &top,
+                splits.clone(),
+                &spec,
+                &HashPartitioner,
+                &HashPartitioner,
+            )
+            .expect("local chain completed");
+        let sim = ChainSimExecutor::new(small_cluster(13)).run_chain2(
+            &WordCount,
+            &top,
+            &FnInput(|c| w.chunk(c)),
+            chunks,
+            &spec,
+            &CostModel::default_for_tests(),
+            &HashPartitioner,
+            &HashPartitioner,
+        );
+        assert!(sim.outcome.is_completed(), "{:?}", sim.outcome);
+        (local, sim)
+    };
+    let engines = [Engine::Barrier, Engine::barrierless()];
+    let on = TracePolicy::Enabled;
+    for handoff in [HandoffMode::Streaming, HandoffMode::Barrier] {
+        // Same answer and the same records across the edge, whichever
+        // engine runs either stage.
+        for (e1, e2) in engines
+            .iter()
+            .flat_map(|a| engines.iter().map(move |b| (a, b)))
+        {
+            let (local, sim) = run(handoff, e1, e2, on, on);
+            let what = format!("{handoff:?} {e1:?} -> {e2:?}");
+            let sim_out = sim.output.expect("completed");
+            assert_eq!(sim_out.partitions, local.output.partitions, "{what}");
+            assert!(!sim_out.partitions.concat().is_empty(), "{what}");
+            assert_eq!(
+                sim_out.counters.get(names::CHAIN_HANDOFF_RECORDS),
+                local.total_counters().get(names::CHAIN_HANDOFF_RECORDS),
+                "{what}"
+            );
+        }
+        // One gating rule for the chain's trace in both executors: every
+        // stage must enable it.
+        let off = TracePolicy::Disabled;
+        for (t1, t2) in [(on, on), (on, off), (off, on), (off, off)] {
+            let (local, sim) = run(handoff, &engines[1], &engines[1], t1, t2);
+            let expect_trace = t1 == on && t2 == on;
+            assert_eq!(!local.trace.is_empty(), expect_trace, "local {t1:?}/{t2:?}");
+            assert_eq!(!sim.trace.is_empty(), expect_trace, "sim {t1:?}/{t2:?}");
+        }
+    }
+}
