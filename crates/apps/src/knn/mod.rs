@@ -14,7 +14,6 @@ pub mod barrierless;
 pub mod original;
 
 use mr_core::{Application, Emit, IdentityWriter};
-use std::cmp::Ordering;
 
 /// Both kNN forms share their output-shaping parameters: `k` and the
 /// broadcast experimental set.
@@ -73,12 +72,9 @@ impl Application for KnnBarrier {
         original::reduce(self.k, key, &values, out);
     }
 
-    /// Secondary sort: by experimental value, then by distance ascending.
-    fn sort_cmp(&self, a: &((i64, i64), i64), b: &((i64, i64), i64)) -> Ordering {
-        a.0.cmp(&b.0)
-    }
-
-    /// Group by experimental value only, ignoring the distance component.
+    /// Group by experimental value only, ignoring the distance component
+    /// — the composite key's `Ord` (experimental value, then distance
+    /// ascending) is the secondary sort.
     fn group_eq(&self, a: &(i64, i64), b: &(i64, i64)) -> bool {
         a.0 == b.0
     }

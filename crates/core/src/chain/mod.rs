@@ -38,7 +38,6 @@ use crate::engine::DriverReport;
 use crate::output::JobOutput;
 use crate::traits::{Application, Emit};
 use mr_trace::{TraceEvent, TraceLog};
-use std::cmp::Ordering;
 
 /// An [`Application`] that can sit downstream of a job emitting
 /// `(UpK, UpV)` output records.
@@ -158,14 +157,6 @@ where
 
     fn flush_shared(&self, shared: Self::Shared, out: &mut dyn Emit<Self::OutKey, Self::OutValue>) {
         self.inner.flush_shared(shared, out);
-    }
-
-    fn sort_cmp(
-        &self,
-        a: &(Self::MapKey, Self::MapValue),
-        b: &(Self::MapKey, Self::MapValue),
-    ) -> Ordering {
-        self.inner.sort_cmp(a, b)
     }
 
     fn group_eq(&self, a: &Self::MapKey, b: &Self::MapKey) -> bool {

@@ -4,7 +4,14 @@
 //! free byte format. All integers are little-endian; lengths are `u32`;
 //! floats are stored as their IEEE-754 bit patterns so round-trips are
 //! exact (including NaN payloads).
+//!
+//! Encodings can also be *ordered without being decoded* — Hadoop's
+//! `RawComparator`, Spark Tungsten's prefix comparator — through
+//! [`Codec::sort_prefix`] and [`Codec::cmp_encoded`]. Both are provided
+//! methods whose defaults decode, so a type is always sorted correctly;
+//! overriding them only makes the barrier's sort cheaper.
 
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashSet};
 
 /// Errors produced while decoding.
@@ -50,6 +57,32 @@ pub trait Codec: Sized {
             Err(CodecError::Corrupt("trailing bytes"))
         }
     }
+
+    /// Reads one encoding off the front of `input`, advancing it exactly
+    /// as [`decode`](Codec::decode) would (and failing where it would
+    /// fail structurally), and returns a sort prefix for the value:
+    ///
+    /// * the prefix preserves order: `a <= b` implies
+    ///   `prefix(a) <= prefix(b)`, so *different* prefixes already order
+    ///   two values;
+    /// * the flag says the prefix is *exact*: any value with the same
+    ///   prefix is equal to this one.
+    ///
+    /// The default decodes and answers `(0, false)` — every value ties
+    /// and [`cmp_encoded`](Codec::cmp_encoded) decides. Overrides also
+    /// serve as the allocation-free way to skip an encoding.
+    fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+        Self::decode(input).map(|_| (0, false))
+    }
+
+    /// Orders two complete encodings as [`Ord`] orders the values they
+    /// decode to. The default decodes both.
+    fn cmp_encoded(a: &[u8], b: &[u8]) -> Result<Ordering, CodecError>
+    where
+        Self: Ord,
+    {
+        Ok(Self::from_bytes(a)?.cmp(&Self::from_bytes(b)?))
+    }
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
@@ -61,8 +94,11 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     Ok(head)
 }
 
+/// `$flip` is XOR-ed into the value widened to 64 bits to make its sort
+/// prefix: nothing for unsigned types, the sign bit for signed ones (so
+/// negatives sort below positives as unsigned integers).
 macro_rules! int_codec {
-    ($($t:ty),*) => {$(
+    ($flip:expr; $($t:ty),*) => {$(
         impl Codec for $t {
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
@@ -71,11 +107,15 @@ macro_rules! int_codec {
                 let bytes = take(input, std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
             }
+            fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+                Ok(((Self::decode(input)? as i64 as u64) ^ $flip, true))
+            }
         }
     )*};
 }
 
-int_codec!(u8, u16, u32, u64, i8, i16, i32, i64);
+int_codec!(0; u8, u16, u32, u64);
+int_codec!(1 << 63; i8, i16, i32, i64);
 
 impl Codec for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -83,6 +123,9 @@ impl Codec for usize {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(u64::decode(input)? as usize)
+    }
+    fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+        u64::sort_prefix(input)
     }
 }
 
@@ -130,9 +173,60 @@ impl Codec for String {
         buf.extend_from_slice(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = u32::decode(input)? as usize;
-        let bytes = take(input, len)?;
+        let bytes = take_len_prefixed(input)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt("utf8"))
+    }
+    /// The first seven payload bytes, big-endian and zero-padded, over a
+    /// low byte of `min(len, 8)`: the low byte orders a string below its
+    /// own extensions (`"ab" < "ab\0"`), and a string of at most seven
+    /// bytes is all in its prefix.
+    fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+        let bytes = take_len_prefixed(input)?;
+        let len = bytes.len();
+        let mut prefix = [0u8; 8];
+        let head = len.min(7);
+        prefix[..head].copy_from_slice(&bytes[..head]);
+        prefix[7] = len.min(8) as u8;
+        Ok((u64::from_be_bytes(prefix), len <= 7))
+    }
+    /// `str` orders by bytes, so the payloads compare as they lie — no
+    /// UTF-8 pass; invalid bytes still fail when the key is decoded.
+    fn cmp_encoded(a: &[u8], b: &[u8]) -> Result<Ordering, CodecError> {
+        Ok(string_payload(a)?.cmp(string_payload(b)?))
+    }
+}
+
+/// Reads a `u32` length and that many bytes off the front of `input`.
+fn take_len_prefixed<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
+    let len = u32::decode(input)? as usize;
+    take(input, len)
+}
+
+/// The payload of one complete `String` encoding.
+fn string_payload(mut encoded: &[u8]) -> Result<&[u8], CodecError> {
+    let payload = take_len_prefixed(&mut encoded)?;
+    if encoded.is_empty() {
+        Ok(payload)
+    } else {
+        Err(CodecError::Corrupt("trailing bytes"))
+    }
+}
+
+/// Same bytes as `T`; the order — prefix and comparison — is reversed,
+/// which is how a key type says "descending" to the barrier's sort.
+impl<T: Codec + Ord> Codec for Reverse<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        T::decode(input).map(Reverse)
+    }
+    fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+        let (prefix, exact) = T::sort_prefix(input)?;
+        Ok((!prefix, exact))
+    }
+    fn cmp_encoded(a: &[u8], b: &[u8]) -> Result<Ordering, CodecError> {
+        T::cmp_encoded(b, a)
     }
 }
 
@@ -220,6 +314,14 @@ macro_rules! tuple_codec {
             }
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(($($name::decode(input)?,)+))
+            }
+            /// The first component's prefix, never exact: the other
+            /// components are only skipped. `cmp_encoded` stays on the
+            /// default — `(A, B): Ord` does not let a generic impl name
+            /// `A: Ord`, and decoding integer components costs nothing.
+            fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+                let prefixes = [$($name::sort_prefix(input)?.0),+];
+                Ok((prefixes[0], false))
             }
         }
     )*};

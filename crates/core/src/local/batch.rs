@@ -50,6 +50,12 @@ impl FlatBatch {
         self.records == 0
     }
 
+    /// The encoded records and their count, as the barrier's sort reads
+    /// them in place.
+    pub(crate) fn encoded(&self) -> (&[u8], usize) {
+        (&self.bytes, self.records)
+    }
+
     /// Decodes every record in order into `absorb`, then empties the
     /// batch keeping its buffer for reuse. Fails — with the batch left
     /// as it was — on truncated or corrupt bytes, on bytes left over

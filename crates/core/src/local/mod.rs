@@ -17,14 +17,16 @@
 //! local analogue of the paper's overlapped shuffle. Under the barrier
 //! engine a reduce task only *holds* arriving batches (pointer moves, so
 //! mappers are never stalled for long); channel EOF — every map task has
-//! finished — **is** the barrier, after which it restores split order,
-//! decodes the batches into its own records and runs the grouped
-//! sort-reduce. Every batch carries the index of the split (or intake)
-//! it was cut from; one split is mapped by one task over a FIFO channel,
-//! so a stable sort of the held batches by that index is exactly the
-//! split-order concatenation the stable-sort contract of
-//! [`reduce_partition_barrier`] needs ("equal sort keys stay in fetch
-//! order"), at any pool width.
+//! finished — **is** the barrier, after which it restores split order
+//! and runs the grouped sort-reduce over the held bytes, decoding only
+//! what it hands the application. Every batch carries the index of the
+//! split (or intake) it was cut from; one split is mapped by one task
+//! over a FIFO channel, so a stable sort of the held batches by that
+//! index is exactly the split-order concatenation the stable-sort
+//! contract of [`reduce_partition_barrier`] needs ("equal keys stay in
+//! fetch order"), at any pool width.
+//!
+//! [`reduce_partition_barrier`]: crate::engine::barrier::reduce_partition_barrier
 //!
 //! The shuffle transport is **batched and serialized**: each map task
 //! encodes records per reducer into a flat byte buffer (`batch.rs`) under
@@ -66,7 +68,7 @@ pub mod service;
 use crate::combine::CombinerBuffer;
 use crate::config::{Engine, JobConfig};
 use crate::counters::{names, Counters};
-use crate::engine::barrier::reduce_partition_barrier;
+use crate::engine::barrier::reduce_encoded_runs;
 use crate::engine::pipeline::IncrementalDriver;
 use crate::engine::DriverReport;
 use crate::error::{MrError, MrResult};
@@ -979,8 +981,8 @@ impl<'a, A: Application, S: ReduceSink<A>> pool::PoolTask for PipelinedReduceTas
 
 /// A barrier reduce task: *holds* arriving batches — pointer moves, so
 /// mappers are never stalled for long — until channel EOF, which **is**
-/// the stage barrier; then restores split order, decodes into its own
-/// records, runs the grouped sort-reduce, and pumps its sink dry.
+/// the stage barrier; then restores split order, runs the grouped
+/// sort-reduce over the held bytes, and pumps its sink dry.
 struct BarrierReduceTask<'a, A: Application, S: ReduceSink<A>> {
     app: &'a A,
     cfg: &'a JobConfig,
@@ -1019,19 +1021,15 @@ impl<'a, A: Application, S: ReduceSink<A>> BarrierReduceTask<'a, A, S> {
         // Batches of different splits interleave in arrival order, but
         // one split is mapped by one task over a FIFO channel: a stable
         // sort by split index is the split-order concatenation, the
-        // fetch order `reduce_partition_barrier`'s stable sort keeps.
+        // fetch order the kernel's stable sort keeps.
         held.sort_by_key(|batch| batch.split);
-        let mut records = Vec::with_capacity(held.iter().map(FlatBatch::records).sum());
-        for mut batch in held {
-            // A batch that fails to decode fails this reducer (and so
-            // the job) with a typed error.
-            batch.drain(|k, v| {
-                records.push((k, v));
-                Ok::<(), MrError>(())
-            })?;
-        }
-        let absorbed = records.len() as u64;
-        let out = reduce_partition_barrier(self.app, records, &mut self.out.counters)?;
+        let runs: Vec<(&[u8], usize)> = held.iter().map(FlatBatch::encoded).collect();
+        let absorbed = runs.iter().map(|&(_, records)| records as u64).sum();
+        // The batches are sorted and reduced where they lie; bytes that
+        // fail to decode fail this reducer (and so the job) with a
+        // typed error.
+        let out = reduce_encoded_runs(self.app, &runs, &mut self.out.counters)?;
+        drop(held);
         self.out.snapshots = barrier_snapshot::<A>(
             self.cfg,
             self.out.r,
@@ -1531,7 +1529,9 @@ impl LocalRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Codec, CodecError};
     use crate::config::MemoryPolicy;
+    use crate::engine::barrier::reduce_partition_barrier;
     use crate::testutil::{scratch_dir, ArrivalOrder, GlobalSum, WordCountApp};
     use std::collections::BTreeMap;
 
@@ -1732,6 +1732,200 @@ mod tests {
                     // before any split completes: every capture is cut
                     // short by the dead emitter and none may be published.
                     assert!(cache.is_empty(), "a failing job published an artifact");
+                }
+            }
+        }
+    }
+
+    /// A word written to the shuffle as the bytes it holds but read back
+    /// as a `String` (whose raw ordering it borrows): the seam through
+    /// which a test puts an undecodable key on the wire.
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct RawWord(Vec<u8>);
+
+    impl Codec for RawWord {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            (self.0.len() as u32).encode(buf);
+            buf.extend_from_slice(&self.0);
+        }
+        fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+            String::decode(input).map(|s| RawWord(s.into_bytes()))
+        }
+        fn sort_prefix(input: &mut &[u8]) -> Result<(u64, bool), CodecError> {
+            String::sort_prefix(input)
+        }
+        fn cmp_encoded(a: &[u8], b: &[u8]) -> Result<std::cmp::Ordering, CodecError> {
+            String::cmp_encoded(a, b)
+        }
+    }
+
+    impl SizeEstimate for RawWord {
+        fn estimated_bytes(&self) -> usize {
+            self.0.estimated_bytes()
+        }
+    }
+
+    /// A count that mis-encodes two marked values: one byte short, one
+    /// byte long.
+    #[derive(Clone)]
+    struct FlakyCount(u64);
+
+    const ONE_BYTE_SHORT: u64 = u64::MAX;
+    const ONE_BYTE_LONG: u64 = u64::MAX - 1;
+
+    impl Codec for FlakyCount {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            match self.0 {
+                ONE_BYTE_SHORT => buf.extend_from_slice(&[0; 7]),
+                ONE_BYTE_LONG => buf.extend_from_slice(&[0; 9]),
+                n => n.encode(buf),
+            }
+        }
+        fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+            u64::decode(input).map(FlakyCount)
+        }
+    }
+
+    impl SizeEstimate for FlakyCount {
+        fn estimated_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    /// Word count whose map function turns three marker tokens into
+    /// records that corrupt the shuffle batch carrying them.
+    struct FaultyWords;
+
+    impl Application for FaultyWords {
+        type InKey = u64;
+        type InValue = String;
+        type MapKey = RawWord;
+        type MapValue = FlakyCount;
+        type OutKey = String;
+        type OutValue = u64;
+        type State = u64;
+        type Shared = ();
+
+        fn map(&self, _key: &u64, line: &String, out: &mut dyn Emit<RawWord, FlakyCount>) {
+            for word in line.split_whitespace() {
+                let (key, count) = match word {
+                    "<short>" => (&b"s-short"[..], ONE_BYTE_SHORT),
+                    "<long>" => (&b"s-long"[..], ONE_BYTE_LONG),
+                    // Ties with "shared-prefix" on all eight prefix bytes.
+                    "<utf8>" => (&b"shared-p\xFFx"[..], 1),
+                    word => (word.as_bytes(), 1),
+                };
+                out.emit(RawWord(key.to_vec()), FlakyCount(count));
+            }
+        }
+        fn new_shared(&self) {}
+        fn reduce_grouped(
+            &self,
+            key: &RawWord,
+            values: Vec<FlakyCount>,
+            _shared: &mut (),
+            out: &mut dyn Emit<String, u64>,
+        ) {
+            let word = String::from_utf8(key.0.clone()).expect("decoded as a String");
+            out.emit(word, values.iter().map(|v| v.0).sum());
+        }
+        fn init(&self, _key: &RawWord) -> u64 {
+            0
+        }
+        fn absorb(
+            &self,
+            _key: &RawWord,
+            state: &mut u64,
+            value: FlakyCount,
+            _shared: &mut (),
+            _out: &mut dyn Emit<String, u64>,
+        ) {
+            *state += value.0;
+        }
+        fn merge(&self, _key: &RawWord, a: u64, b: u64) -> u64 {
+            a + b
+        }
+        fn finalize(
+            &self,
+            key: RawWord,
+            state: u64,
+            _shared: &mut (),
+            out: &mut dyn Emit<String, u64>,
+        ) {
+            out.emit(
+                String::from_utf8(key.0).expect("decoded as a String"),
+                state,
+            );
+        }
+    }
+
+    /// Words starting with `s` — every marker record and the valid
+    /// `shared-prefix` — meet in the last reducer; the rest of the text
+    /// goes to reducer 0.
+    struct MarkersApart;
+
+    impl Partitioner<RawWord> for MarkersApart {
+        fn partition(&self, key: &RawWord, partitions: usize) -> usize {
+            usize::from(key.0.first() == Some(&b's')) * (partitions - 1)
+        }
+    }
+
+    #[test]
+    fn corrupt_barrier_batches_fail_the_job_and_publish_nothing() {
+        // The barrier twins of the test above, end to end through
+        // `run_cached`: the sick job's last split ends in a record that
+        // leaves its (final) batch one byte short, one byte long, or
+        // holding an undecodable key that ties on prefix with a valid
+        // one. Each is a typed error at every width and batch budget —
+        // no panic, no hang — every time it is run (no job artifact was
+        // published), and the same runner and cache then serve a healthy
+        // job correctly, hitting the whole split artifacts the failed
+        // runs' mappers left behind.
+        let app = FaultyWords;
+        let runner = LocalRunner::new(2);
+        let mut healthy = text_splits(4, 50);
+        healthy[3].push((1000, "shared-prefix shared-prefix".to_string()));
+        let base_cfg = JobConfig::new(2).engine(Engine::Barrier);
+        let expect = runner
+            .run_with_partitioner(&app, healthy.clone(), &base_cfg, &MarkersApart)
+            .unwrap()
+            .partitions;
+        assert_eq!(expect[1], vec![("shared-prefix".to_string(), 2)]);
+        for (marker, want) in [
+            ("<short>", CodecError::UnexpectedEof),
+            (
+                "<long>",
+                CodecError::Corrupt("trailing bytes in shuffle batch"),
+            ),
+            ("<utf8>", CodecError::Corrupt("utf8")),
+        ] {
+            let mut sick = healthy.clone();
+            sick[3].last_mut().unwrap().1 += &format!(" {marker}");
+            for pool_workers in [1, 2, 4] {
+                for batch_bytes in [Some(1), None] {
+                    let mut cfg = base_cfg
+                        .clone()
+                        .cache(crate::config::CacheBudget::enabled())
+                        .pool_workers(pool_workers);
+                    if let Some(bytes) = batch_bytes {
+                        cfg = cfg.shuffle_batch_bytes(bytes);
+                    }
+                    let cache = SharedCache::new(16 << 20);
+                    for attempt in 0..2 {
+                        let got =
+                            runner.run_cached(&app, sick.clone(), &cfg, &MarkersApart, &cache);
+                        assert!(
+                            matches!(&got, Err(MrError::Codec(e)) if *e == want),
+                            "{marker}, {pool_workers} workers, budget {batch_bytes:?}, \
+                             attempt {attempt}: expected {want:?}, got {:?}",
+                            got.map(|out| out.partitions).map_err(|e| e.to_string())
+                        );
+                    }
+                    let out = runner
+                        .run_cached(&app, healthy.clone(), &cfg, &MarkersApart, &cache)
+                        .unwrap();
+                    assert_eq!(out.partitions, expect, "{marker}, {pool_workers} workers");
+                    assert_eq!(out.counters.get(names::CACHE_HITS), 3, "three sound splits");
                 }
             }
         }

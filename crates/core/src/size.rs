@@ -52,6 +52,12 @@ impl<T: SizeEstimate> SizeEstimate for Option<T> {
     }
 }
 
+impl<T: SizeEstimate> SizeEstimate for std::cmp::Reverse<T> {
+    fn estimated_bytes(&self) -> usize {
+        self.0.estimated_bytes()
+    }
+}
+
 impl<T: SizeEstimate> SizeEstimate for Box<T> {
     fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<usize>() + (**self).estimated_bytes()

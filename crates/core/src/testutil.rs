@@ -4,7 +4,7 @@
 //! framework's own unit tests don't depend on a downstream crate.
 
 use crate::traits::{Application, Emit};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -88,29 +88,35 @@ impl Application for WordCountApp {
 
 /// Secondary-sort demonstration: composite `(group, metric)` keys, sorted
 /// by metric descending within a group; the grouped reducer emits the
-/// first value (the max). Exercises `sort_cmp` + `group_eq` exactly the
-/// way the paper's original kNN does.
+/// first value (the max). The key type's `Ord` is the secondary sort
+/// (`Reverse` makes the metric descending) and `group_eq` the grouping,
+/// exactly the way the paper's original kNN does it.
 pub struct SecondaryMax;
 
 impl Application for SecondaryMax {
     type InKey = ();
     type InValue = (u64, i64, i64);
-    type MapKey = (u64, i64);
+    type MapKey = (u64, Reverse<i64>);
     type MapValue = i64;
     type OutKey = u64;
     type OutValue = i64;
     type State = (i64, i64);
     type Shared = ();
 
-    fn map(&self, _key: &(), value: &(u64, i64, i64), out: &mut dyn Emit<(u64, i64), i64>) {
-        out.emit((value.0, value.1), value.2);
+    fn map(
+        &self,
+        _key: &(),
+        value: &(u64, i64, i64),
+        out: &mut dyn Emit<(u64, Reverse<i64>), i64>,
+    ) {
+        out.emit((value.0, Reverse(value.1)), value.2);
     }
 
     fn new_shared(&self) {}
 
     fn reduce_grouped(
         &self,
-        key: &(u64, i64),
+        key: &(u64, Reverse<i64>),
         values: Vec<i64>,
         _shared: &mut (),
         out: &mut dyn Emit<u64, i64>,
@@ -119,33 +125,28 @@ impl Application for SecondaryMax {
         out.emit(key.0, values[0]);
     }
 
-    fn sort_cmp(&self, a: &((u64, i64), i64), b: &((u64, i64), i64)) -> Ordering {
-        // Group ascending, metric descending.
-        (a.0 .0, std::cmp::Reverse(a.0 .1)).cmp(&(b.0 .0, std::cmp::Reverse(b.0 .1)))
-    }
-
-    fn group_eq(&self, a: &(u64, i64), b: &(u64, i64)) -> bool {
+    fn group_eq(&self, a: &(u64, Reverse<i64>), b: &(u64, Reverse<i64>)) -> bool {
         a.0 == b.0
     }
 
-    fn init(&self, _key: &(u64, i64)) -> (i64, i64) {
+    fn init(&self, _key: &(u64, Reverse<i64>)) -> (i64, i64) {
         (i64::MIN, 0)
     }
 
     fn absorb(
         &self,
-        key: &(u64, i64),
+        key: &(u64, Reverse<i64>),
         state: &mut (i64, i64),
         value: i64,
         _shared: &mut (),
         _out: &mut dyn Emit<u64, i64>,
     ) {
-        if key.1 > state.0 {
-            *state = (key.1, value);
+        if key.1 .0 > state.0 {
+            *state = (key.1 .0, value);
         }
     }
 
-    fn merge(&self, _key: &(u64, i64), a: (i64, i64), b: (i64, i64)) -> (i64, i64) {
+    fn merge(&self, _key: &(u64, Reverse<i64>), a: (i64, i64), b: (i64, i64)) -> (i64, i64) {
         if a.0 >= b.0 {
             a
         } else {
@@ -155,7 +156,7 @@ impl Application for SecondaryMax {
 
     fn finalize(
         &self,
-        key: (u64, i64),
+        key: (u64, Reverse<i64>),
         state: (i64, i64),
         _shared: &mut (),
         out: &mut dyn Emit<u64, i64>,

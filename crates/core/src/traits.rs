@@ -10,7 +10,6 @@
 
 use crate::codec::Codec;
 use crate::size::SizeEstimate;
-use std::cmp::Ordering;
 use std::hash::Hash;
 
 /// Intermediate key requirements: shuffled, compared, hashed, spilled.
@@ -171,20 +170,21 @@ pub trait Application: Send + Sync + 'static {
         let _ = (shared, out);
     }
 
-    /// Total order used by the barrier engine's sort. Defaults to key
-    /// order; override for Hadoop-style *secondary sort* (e.g. kNN sorts
-    /// composite keys by distance).
-    fn sort_cmp(
-        &self,
-        a: &(Self::MapKey, Self::MapValue),
-        b: &(Self::MapKey, Self::MapValue),
-    ) -> Ordering {
-        a.0.cmp(&b.0)
-    }
-
     /// Grouping predicate used by the barrier engine after sorting.
-    /// Defaults to key equality; override together with
-    /// [`sort_cmp`](Application::sort_cmp) for secondary sort.
+    ///
+    /// The barrier sorts by [`MapKey`](Application::MapKey)'s `Ord` —
+    /// Hadoop's default key comparator, stable in fetch order — so a
+    /// *secondary sort* is a composite key type whose `Ord` orders the
+    /// records within a group (wrap a component in
+    /// [`std::cmp::Reverse`] for descending) plus an override of this
+    /// predicate that looks at the grouping component only (kNN groups
+    /// `(exp_value, distance)` keys by `exp_value`).
+    ///
+    /// The engine relies on three things: keys that compare equal under
+    /// `Ord` are group-equal; a group is contiguous under `Ord` (no key
+    /// of another group sorts between two of its keys); and the
+    /// predicate is asked as `group_eq(first key of the open group,
+    /// candidate)`. Defaults to key equality.
     fn group_eq(&self, a: &Self::MapKey, b: &Self::MapKey) -> bool {
         a == b
     }
