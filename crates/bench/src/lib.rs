@@ -1,7 +1,8 @@
 //! `mr-bench` — the experiment harness.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! criterion microbenches (see `benches/`). This library holds what they
+//! One binary per table/figure of the paper (see `src/bin/`). Per-layer
+//! timings live in the repository's benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here. This library holds what the binaries
 //! share: per-application experiment configurations calibrated to the
 //! paper's testbed ([`appcfg`]), ASCII chart rendering ([`chart`]), and
 //! box-plot statistics ([`stats`]).

@@ -31,13 +31,13 @@
 //! partition follows the stream interleaving.
 
 use crate::chain::{ChainOutput, ChainableApplication, StageStats};
-use crate::config::{ChainSpec, HandoffMode};
+use crate::config::{ChainSpec, HandoffMode, JobConfig};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
 use crate::local::cache::SharedCache;
 use crate::local::pool::{Ctx, Pool, PoolSender, TrySend};
 use crate::local::{
-    build_stage, collect_stage, LocalRunner, ReduceSink, SinkedRun, StageInput, StageState,
+    build_stage, collect_stage, InputSplit, LocalRunner, ReduceSink, StageInput, StageState,
     BATCH_CHANNEL_DEPTH,
 };
 use crate::output::JobOutput;
@@ -277,12 +277,37 @@ struct StageParts {
     trace: TraceLog,
 }
 
-/// Tears a handoff-sinked run into the parts a [`StageParts`] needs,
-/// dropping the sinks (and with them their borrows of the shared stats).
-fn into_stage_parts<X: Application, S>(
-    run: SinkedRun<X, S>,
-) -> (Counters, Vec<crate::engine::DriverReport>, TraceLog, f64) {
-    (run.counters, run.reports, run.trace, run.finished_secs)
+impl StageParts {
+    /// What the stage that produced `out` contributes, having finished
+    /// at `finished_secs` and fed `handoff`. The stage's log moves out of
+    /// `out` (the chain log replaces it); counters and reports are
+    /// copied, because the final stage's output keeps its own.
+    fn of<X: Application>(
+        out: &mut JobOutput<X>,
+        finished_secs: f64,
+        handoff: Option<HandoffStats>,
+    ) -> Self {
+        StageParts {
+            counters: out.counters.clone(),
+            reports: out.reports.clone(),
+            handoff,
+            finished_secs,
+            trace: std::mem::take(&mut out.trace),
+        }
+    }
+}
+
+/// Collects a streamed stage once the pool has drained: its output (the
+/// partitions empty where handoff sinks already shipped the records
+/// downstream) and the instant its last reduce task finished.
+fn collect_streamed<X, S>(state: StageState<X, S>) -> MrResult<(JobOutput<X>, f64)>
+where
+    X: Application,
+    S: ReduceSink<X>,
+{
+    let run = collect_stage(state)?;
+    let finished_secs = run.finished_secs;
+    Ok((run.into_job_output(), finished_secs))
 }
 
 /// Appends stage `job`'s chain-boundary events to the chain log: the
@@ -402,6 +427,44 @@ fn adapt_partitions<B, UK, UV>(
     }
 }
 
+/// The barrier handoff, written once: runs every upstream branch to
+/// completion in branch order, adapting partition `i` of each into
+/// downstream split `i`, then runs the downstream stage over the result
+/// — the run-jobs-sequentially baseline. *How* one stage runs (plainly,
+/// or through the shared cache) is the caller's: `run_up` gets the
+/// branch index, `run_down` the assembled splits.
+fn barrier_chain<A, B>(
+    second: &B,
+    branch_splits: Vec<Vec<InputSplit<A>>>,
+    spec: &ChainSpec,
+    run_up: impl Fn(usize, Vec<InputSplit<A>>, &JobConfig) -> MrResult<JobOutput<A>>,
+    run_down: impl FnOnce(Vec<InputSplit<B>>, &JobConfig) -> MrResult<JobOutput<B>>,
+) -> MrResult<ChainOutput<B>>
+where
+    A: Application,
+    B: ChainableApplication<A::OutKey, A::OutValue>,
+{
+    let started = Instant::now();
+    let branches = branch_splits.len();
+    let mut parts = Vec::with_capacity(branches + 1);
+    let mut splits2: Vec<InputSplit<B>> = Vec::new();
+    for (b, splits) in branch_splits.into_iter().enumerate() {
+        let mut out = run_up(b, splits, &spec.stages[b])?;
+        let finished_secs = started.elapsed().as_secs_f64();
+        let mut stats = HandoffStats::default();
+        let partitions = std::mem::take(&mut out.partitions);
+        adapt_partitions(second, partitions, &mut splits2, &mut stats);
+        parts.push(StageParts::of(&mut out, finished_secs, Some(stats)));
+    }
+    let mut out2 = run_down(splits2, &spec.stages[branches])?;
+    parts.push(StageParts::of(
+        &mut out2,
+        started.elapsed().as_secs_f64(),
+        None,
+    ));
+    Ok(assemble_chain(chain_tracing(spec), parts, out2))
+}
+
 impl LocalRunner {
     /// Runs a two-job chain: `first`'s reduce output, adapted through
     /// [`ChainableApplication::adapt_input`], becomes `second`'s map
@@ -426,17 +489,14 @@ impl LocalRunner {
         PA: Partitioner<A::MapKey> + Sync,
         PB: Partitioner<B::MapKey> + Sync,
     {
-        spec.validate()?;
         if spec.len() != 2 {
             return Err(MrError::InvalidConfig(format!(
                 "run_chain2 needs exactly 2 stages, spec has {}",
                 spec.len()
             )));
         }
-        match spec.chain.handoff {
-            HandoffMode::Barrier => self.chain2_barrier(first, second, splits, spec, pa, pb),
-            HandoffMode::Streaming => self.chain2_streaming(first, second, splits, spec, pa, pb),
-        }
+        // A two-job chain is a fan-in of one branch.
+        self.run_chain_fanin2(&[first], second, vec![splits], spec, pa, pb)
     }
 
     /// Runs a two-job chain through the shared result cache: each stage
@@ -489,164 +549,15 @@ impl LocalRunner {
             )));
         }
         if spec.chain.handoff == HandoffMode::Streaming {
-            return self.chain2_streaming(first, second, splits, spec, pa, pb);
+            return self.run_chain2(first, second, splits, spec, pa, pb);
         }
-        let started = Instant::now();
-        let out1 = self.run_cached(first, splits, &spec.stages[0], pa, cache)?;
-        let stage1_secs = started.elapsed().as_secs_f64();
-        let mut stats = HandoffStats::default();
-        let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> = Vec::new();
-        adapt_partitions(second, out1.partitions, &mut splits2, &mut stats);
-        let part1 = StageParts {
-            counters: out1.counters,
-            reports: out1.reports,
-            handoff: Some(stats),
-            finished_secs: stage1_secs,
-            trace: out1.trace,
-        };
-        let mut out2 = self.run_cached(second, splits2, &spec.stages[1], pb, cache)?;
-        let part2 = StageParts {
-            counters: out2.counters.clone(),
-            reports: out2.reports.clone(),
-            handoff: None,
-            finished_secs: started.elapsed().as_secs_f64(),
-            trace: std::mem::take(&mut out2.trace),
-        };
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            vec![part1, part2],
-            out2,
-        ))
-    }
-
-    fn chain2_barrier<A, B, PA, PB>(
-        &self,
-        first: &A,
-        second: &B,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-    {
-        let started = Instant::now();
-        let out1 = self.run_with_partitioner(first, splits, &spec.stages[0], pa)?;
-        let stage1_secs = started.elapsed().as_secs_f64();
-        let mut stats = HandoffStats::default();
-        let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> = Vec::new();
-        adapt_partitions(second, out1.partitions, &mut splits2, &mut stats);
-        let part1 = StageParts {
-            counters: out1.counters,
-            reports: out1.reports,
-            handoff: Some(stats),
-            finished_secs: stage1_secs,
-            trace: out1.trace,
-        };
-        let mut out2 = self.run_with_partitioner(second, splits2, &spec.stages[1], pb)?;
-        let part2 = StageParts {
-            counters: out2.counters.clone(),
-            reports: out2.reports.clone(),
-            handoff: None,
-            finished_secs: started.elapsed().as_secs_f64(),
-            trace: std::mem::take(&mut out2.trace),
-        };
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            vec![part1, part2],
-            out2,
-        ))
-    }
-
-    fn chain2_streaming<A, B, PA, PB>(
-        &self,
-        first: &A,
-        second: &B,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-    {
-        let started = Instant::now();
-        let cfg1 = &spec.stages[0];
-        let cfg2 = &spec.stages[1];
-        let batch_bytes = spec.chain.handoff_batch_bytes;
-        // Declared before the stage states: stage 1's sinks borrow it.
-        let stats = Mutex::new(HandoffStats::default());
-        let state1: StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>> =
-            StageState::new(cfg1);
-        let state2: StageState<B, StageOut<B>> = StageState::new(cfg2);
-        let mut pool = Pool::new();
-        let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(cfg1.reducers);
-        let mut rxs = Vec::with_capacity(cfg1.reducers);
-        for _ in 0..cfg1.reducers {
-            let (tx, rx) = pool.channel::<Handoff<B>>(BATCH_CHANNEL_DEPTH);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        build_stage(
-            &mut pool,
-            &state2,
+        barrier_chain(
             second,
-            cfg2,
-            pb,
-            StageInput::Intakes(rxs),
-            self.map_threads,
-            None,
-            |_| Vec::new(),
-        )?;
-        {
-            let txs = &txs;
-            let stats = &stats;
-            let make_sink = move |r: usize| {
-                HandoffSink::new(second, txs[r].clone(), batch_bytes, stats, started)
-            };
-            build_stage(
-                &mut pool,
-                &state1,
-                first,
-                cfg1,
-                pa,
-                StageInput::Splits(&splits),
-                self.map_threads,
-                None,
-                make_sink,
-            )?;
-        }
-        drop(txs); // sinks hold the only senders: EOF when they close
-        pool.run(cfg1.pool_workers.max(cfg2.pool_workers))?;
-
-        let (counters1, reports1, trace1, secs1) = into_stage_parts(collect_stage(state1)?);
-        let mut run2 = collect_stage(state2)?;
-        let part1 = StageParts {
-            counters: counters1,
-            reports: reports1,
-            handoff: Some(stats.into_inner().unwrap()),
-            finished_secs: secs1,
-            trace: trace1,
-        };
-        let part2 = StageParts {
-            counters: run2.counters.clone(),
-            reports: run2.reports.clone(),
-            handoff: None,
-            finished_secs: run2.finished_secs,
-            trace: std::mem::take(&mut run2.trace),
-        };
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            vec![part1, part2],
-            run2.into_job_output(),
-        ))
+            vec![splits],
+            spec,
+            |_, splits, cfg| self.run_cached(first, splits, cfg, pa, cache),
+            |splits, cfg| self.run_cached(second, splits, cfg, pb, cache),
+        )
     }
 
     /// Runs a simple fan-in chain: several upstream jobs of the same
@@ -685,39 +596,19 @@ impl LocalRunner {
                 branch_splits.len()
             )));
         }
+        if spec.chain.handoff == HandoffMode::Barrier {
+            return barrier_chain(
+                second,
+                branch_splits,
+                spec,
+                |b, splits, cfg| self.run_with_partitioner(firsts[b], splits, cfg, pa),
+                |splits, cfg| self.run_with_partitioner(second, splits, cfg, pb),
+            );
+        }
         let branches = firsts.len();
         let r1 = spec.stages[0].reducers;
         let cfg2 = &spec.stages[branches];
         let started = Instant::now();
-
-        if spec.chain.handoff == HandoffMode::Barrier {
-            // Sequential baseline: run every branch, then concatenate
-            // adapted partition i across branches into intake split i.
-            let mut parts = Vec::with_capacity(branches + 1);
-            let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> =
-                (0..r1).map(|_| Vec::new()).collect();
-            for (b, (app, splits)) in firsts.iter().zip(branch_splits).enumerate() {
-                let out = self.run_with_partitioner(*app, splits, &spec.stages[b], pa)?;
-                let mut stats = HandoffStats::default();
-                adapt_partitions(second, out.partitions, &mut splits2, &mut stats);
-                parts.push(StageParts {
-                    counters: out.counters,
-                    reports: out.reports,
-                    handoff: Some(stats),
-                    finished_secs: started.elapsed().as_secs_f64(),
-                    trace: out.trace,
-                });
-            }
-            let mut out2 = self.run_with_partitioner(second, splits2, cfg2, pb)?;
-            parts.push(StageParts {
-                counters: out2.counters.clone(),
-                reports: out2.reports.clone(),
-                handoff: None,
-                finished_secs: started.elapsed().as_secs_f64(),
-                trace: std::mem::take(&mut out2.trace),
-            });
-            return Ok(assemble_chain(chain_tracing(spec), parts, out2));
-        }
 
         // Streaming fan-in: every branch's reducer i ships into the
         // shared intake channel i; EOF when the last branch's sink (and
@@ -779,28 +670,13 @@ impl LocalRunner {
 
         let mut parts = Vec::with_capacity(branches + 1);
         for (state, stats) in branch_states.into_iter().zip(&branch_stats) {
-            let (counters, reports, trace, finished_secs) = into_stage_parts(collect_stage(state)?);
-            parts.push(StageParts {
-                counters,
-                reports,
-                handoff: Some(std::mem::take(&mut *stats.lock().unwrap())),
-                finished_secs,
-                trace,
-            });
+            let (mut out, finished_secs) = collect_streamed(state)?;
+            let handoff = std::mem::take(&mut *stats.lock().unwrap());
+            parts.push(StageParts::of(&mut out, finished_secs, Some(handoff)));
         }
-        let mut run2 = collect_stage(state2)?;
-        parts.push(StageParts {
-            counters: run2.counters.clone(),
-            reports: run2.reports.clone(),
-            handoff: None,
-            finished_secs: run2.finished_secs,
-            trace: std::mem::take(&mut run2.trace),
-        });
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            parts,
-            run2.into_job_output(),
-        ))
+        let (mut out2, finished_secs) = collect_streamed(state2)?;
+        parts.push(StageParts::of(&mut out2, finished_secs, None));
+        Ok(assemble_chain(chain_tracing(spec), parts, out2))
     }
 
     /// Runs a homogeneous K-stage chain: the same application `app` runs
@@ -836,34 +712,18 @@ impl LocalRunner {
             let mut out = None;
             for (j, cfg) in spec.stages.iter().enumerate() {
                 let mut run = self.run_with_partitioner(app, current, cfg, partitioner)?;
-                let last = j + 1 == k;
+                let finished_secs = started.elapsed().as_secs_f64();
                 let mut stats = HandoffStats::default();
                 current = Vec::new();
                 // Intermediate generations are consumed by the next
-                // stage, not materialized: move them (and the stage's
-                // counters/reports) instead of cloning; only the final
-                // generation's run survives as the chain output.
-                let (counters, reports) = if last {
-                    (run.counters.clone(), run.reports.clone())
-                } else {
-                    adapt_partitions(
-                        app,
-                        std::mem::take(&mut run.partitions),
-                        &mut current,
-                        &mut stats,
-                    );
-                    (
-                        std::mem::take(&mut run.counters),
-                        std::mem::take(&mut run.reports),
-                    )
-                };
-                parts.push(StageParts {
-                    counters,
-                    reports,
-                    handoff: Some(stats),
-                    finished_secs: started.elapsed().as_secs_f64(),
-                    trace: std::mem::take(&mut run.trace),
-                });
+                // stage, not materialized: move them instead of cloning;
+                // only the final generation's partitions survive, as the
+                // chain output.
+                if j + 1 < k {
+                    let partitions = std::mem::take(&mut run.partitions);
+                    adapt_partitions(app, partitions, &mut current, &mut stats);
+                }
+                parts.push(StageParts::of(&mut run, finished_secs, Some(stats)));
                 out = Some(run);
             }
             return Ok(assemble_chain(
@@ -963,28 +823,12 @@ impl LocalRunner {
             .iter()
             .map(|m| std::mem::take(&mut *m.lock().unwrap()));
         for state in mid_states {
-            let (counters, reports, trace, finished_secs) = into_stage_parts(collect_stage(state)?);
-            parts.push(StageParts {
-                counters,
-                reports,
-                handoff: handoffs.next(),
-                finished_secs,
-                trace,
-            });
+            let (mut out, finished_secs) = collect_streamed(state)?;
+            parts.push(StageParts::of(&mut out, finished_secs, handoffs.next()));
         }
-        let mut run_last = collect_stage(last_state)?;
-        parts.push(StageParts {
-            counters: run_last.counters.clone(),
-            reports: run_last.reports.clone(),
-            handoff: None,
-            finished_secs: run_last.finished_secs,
-            trace: std::mem::take(&mut run_last.trace),
-        });
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            parts,
-            run_last.into_job_output(),
-        ))
+        let (mut out, finished_secs) = collect_streamed(last_state)?;
+        parts.push(StageParts::of(&mut out, finished_secs, None));
+        Ok(assemble_chain(chain_tracing(spec), parts, out))
     }
 }
 
@@ -1130,6 +974,73 @@ mod tests {
                     "index {index:?} combiner {combine:?} changed chained output"
                 );
             }
+        }
+    }
+
+    /// The cached two-job chain: cold, warm and uncached runs return the
+    /// same bytes under both engines; the warm run is one whole-job hit
+    /// per stage, so neither stage maps a record; and a streaming spec
+    /// runs exactly as `run_chain2` would — same bytes, cache untouched.
+    #[test]
+    fn cached_chain_hits_per_stage_and_streaming_bypasses_the_cache() {
+        use crate::config::CacheBudget;
+        let splits = text_splits(4, 12);
+        for engine in [Engine::Barrier, Engine::barrierless()] {
+            let stage = |reducers| {
+                JobConfig::new(reducers)
+                    .engine(engine.clone())
+                    .cache(CacheBudget::enabled())
+            };
+            let runner = LocalRunner::new(2);
+            let run = |handoff, cache: Option<&SharedCache>| {
+                let spec = spec2(stage(3), stage(2), handoff);
+                let (first, second, input) = (&WordCountApp, &histogram(), splits.clone());
+                match cache {
+                    Some(cache) => runner.run_chain2_cached(
+                        first,
+                        second,
+                        input,
+                        &spec,
+                        &HashPartitioner,
+                        &HashPartitioner,
+                        cache,
+                    ),
+                    None => runner.run_chain2(
+                        first,
+                        second,
+                        input,
+                        &spec,
+                        &HashPartitioner,
+                        &HashPartitioner,
+                    ),
+                }
+                .unwrap()
+            };
+            let uncached = run(HandoffMode::Barrier, None);
+            let cache = SharedCache::new(16 << 20);
+            let cold = run(HandoffMode::Barrier, Some(&cache));
+            let warm = run(HandoffMode::Barrier, Some(&cache));
+            assert_eq!(cold.output.partitions, uncached.output.partitions);
+            assert_eq!(warm.output.partitions, uncached.output.partitions);
+            assert_eq!(cold.total_counters().get(names::CACHE_HITS), 0);
+            assert!(warm.total_counters().get(names::CACHE_HITS) >= 2);
+            for (j, stage) in warm.stages.iter().enumerate() {
+                assert_eq!(
+                    stage.counters.get(names::MAP_OUTPUT_RECORDS),
+                    0,
+                    "{engine:?}: warm stage {j} mapped records"
+                );
+            }
+            assert_eq!(
+                warm.handoff_records(),
+                cold.handoff_records(),
+                "a hit hands the cached partitions across the boundary"
+            );
+
+            let fresh = SharedCache::new(16 << 20);
+            let streamed = run(HandoffMode::Streaming, Some(&fresh));
+            assert_eq!(streamed.output.partitions, uncached.output.partitions);
+            assert_eq!(fresh.used_bytes(), 0, "streaming consults no cache");
         }
     }
 

@@ -894,8 +894,6 @@ pub struct ServiceConfig {
     /// of job slots the scheduler hands out (one admitted job occupies
     /// one slot for its whole run).
     pub pool_workers: usize,
-    /// Seed carried into per-job configs for reproducibility.
-    pub seed: u64,
     /// Sizing of the one shared result cache every tenant's jobs
     /// consult (a job still opts in per-submission via
     /// [`JobConfig::cache`]). [`CacheBudget::Disabled`] by default: no
@@ -913,7 +911,6 @@ impl ServiceConfig {
             pool_workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            seed: 0,
             cache: CacheBudget::Disabled,
         }
     }
@@ -933,12 +930,6 @@ impl ServiceConfig {
     /// Sets the pool width (= concurrent job slots).
     pub fn pool_workers(mut self, workers: usize) -> Self {
         self.pool_workers = workers;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 

@@ -16,7 +16,11 @@ pub enum CounterName {
     MapOutputRecords,
     /// Records consumed by the reduce side.
     ReduceInputRecords,
-    /// Raw map-output records fed into map-side combiners.
+    /// Raw map-output records fed into map-side combiners. A job run
+    /// through [`serve`](crate::local::service::serve) is the same stage
+    /// graph as one run alone, so it reports the `combine.*` and
+    /// `shuffle.*` counters too (before PR 23 the service had a private
+    /// engine that ignored the combiner and shuffled nothing).
     CombineInputRecords,
     /// Combined records the combiners emitted into the shuffle.
     CombineOutputRecords,
@@ -24,7 +28,9 @@ pub enum CounterName {
     /// Both engines shuffle through the same map side, so a staged
     /// barrier-engine run reports this (and [`ShuffleRecords`]) too,
     /// with the values the barrier-less engine reports for the same
-    /// input and config.
+    /// input and config — and so does a job served by
+    /// [`serve`](crate::local::service::serve), cut by its own
+    /// `JobConfig::shuffle_batch_bytes`.
     ///
     /// [`ShuffleRecords`]: CounterName::ShuffleRecords
     ShuffleBatches,

@@ -112,7 +112,7 @@ pub(crate) fn combining_active<A: Application>(app: &A, cfg: &JobConfig) -> bool
 /// output (there is no partial state to observe before the barrier).
 /// Returns the singleton list when snapshots are enabled, empty
 /// otherwise, and charges the snapshot counters.
-pub(crate) fn barrier_snapshot<A: Application>(
+fn barrier_snapshot<A: Application>(
     cfg: &JobConfig,
     reducer: usize,
     records_absorbed: u64,
@@ -139,7 +139,7 @@ pub(crate) fn barrier_snapshot<A: Application>(
 /// included, bypassing [`TraceRecorder::counter`]'s zero-skip: these are
 /// *totals*, and `Counters::from_trace` must reproduce the legacy merged
 /// map exactly, keeping keys that were touched but never incremented.
-pub(crate) fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters) {
+fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters) {
     for (name, value) in counters.iter() {
         rec.record(TraceEvent::Counter {
             label: name.to_string().into(),

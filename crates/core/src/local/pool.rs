@@ -8,7 +8,8 @@
 //! `Step::Done`. Blocked tasks hold no thread: a full shuffle channel
 //! parks the producing map task and the worker moves on to whichever
 //! task is ready, so hundreds of small concurrent jobs multiplex on N
-//! cores with a bounded thread count.
+//! cores with a bounded thread count. A pool of one worker spawns no
+//! thread at all: `Pool::run` drives the worker loop on its caller.
 //!
 //! Wakeups cannot be lost: a channel registers the parking task's id
 //! *under the channel lock* in the same critical section that observed
@@ -132,8 +133,9 @@ impl Waker {
 }
 
 /// Process-wide pool-thread accounting, for the many-jobs evidence that
-/// thread count stays bounded: `live` pool workers right now, and the
-/// high-water mark since process start.
+/// thread count stays bounded: `live` spawned pool workers right now, and
+/// the high-water mark since process start. A one-worker pool runs on its
+/// caller, creates no thread, and so does not move these.
 static LIVE_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
 static PEAK_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -148,11 +150,12 @@ pub fn pool_thread_high_water() -> usize {
 /// What one finished `Pool::run` reports.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolReport {
-    /// Worker threads the pool spawned.
+    /// Workers that drove the pool: spawned threads, or the calling
+    /// thread alone for a one-worker pool.
     pub workers: usize,
-    /// Peak concurrently-live worker threads *of this pool* — by
-    /// construction at most `workers`, recorded as the direct evidence
-    /// that N tasks multiplexed on a bounded thread count.
+    /// Peak concurrently-live workers *of this pool* — by construction
+    /// at most `workers`, recorded as the direct evidence that N tasks
+    /// multiplexed on a bounded thread count.
     pub peak_threads: usize,
     /// Tasks the pool drove to completion.
     pub tasks: usize,
@@ -215,6 +218,11 @@ impl<'a> Pool<'a> {
 
     /// Drives every task to completion on `workers` OS threads.
     ///
+    /// A one-worker pool spawns nothing: the calling thread is the
+    /// worker (a spawned thread would only be joined at once, and a
+    /// served job would pay for it per job). Wider pools spawn every
+    /// worker and leave the caller blocked in the join.
+    ///
     /// Fails with [`MrError::WorkerPanic`] if any task panicked (its box
     /// is dropped first, so peers unwind via channel EOF rather than
     /// hanging) or if the scheduler proves the graph can no longer make
@@ -227,41 +235,28 @@ impl<'a> Pool<'a> {
             s.live = tasks;
             s.workers = workers;
         }
-        let report = PoolReport {
-            workers,
-            peak_threads: 0,
-            tasks,
-        };
-        if tasks == 0 {
-            return Ok(report);
-        }
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    let global = LIVE_POOL_THREADS.fetch_add(1, Ordering::SeqCst) + 1;
-                    PEAK_POOL_THREADS.fetch_max(global, Ordering::SeqCst);
-                    self.worker_loop();
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    LIVE_POOL_THREADS.fetch_sub(1, Ordering::SeqCst);
-                });
+        let peak_threads = match (tasks, workers) {
+            (0, _) => 0,
+            (_, 1) => {
+                self.worker_loop();
+                1
             }
-        });
-        let s = self.waker.sched.lock().unwrap();
-        if let Some(what) = &s.panicked {
-            return Err(MrError::WorkerPanic(what.clone()));
-        }
-        if s.deadlocked {
-            return Err(MrError::WorkerPanic(
-                "worker pool stalled: every live task parked with no wake pending".to_string(),
-            ));
-        }
+            _ => {
+                let live = AtomicUsize::new(0);
+                let peak = AtomicUsize::new(0);
+                std::thread::scope(|scope| {
+                    for _ in 0..workers {
+                        scope.spawn(|| self.counted_worker(&live, &peak));
+                    }
+                });
+                peak.into_inner()
+            }
+        };
+        self.verdict()?;
         Ok(PoolReport {
-            peak_threads: peak.load(Ordering::SeqCst),
-            ..report
+            workers,
+            peak_threads,
+            tasks,
         })
     }
 
@@ -293,20 +288,38 @@ impl<'a> Pool<'a> {
         let peak = AtomicUsize::new(0);
         let out = std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    let global = LIVE_POOL_THREADS.fetch_add(1, Ordering::SeqCst) + 1;
-                    PEAK_POOL_THREADS.fetch_max(global, Ordering::SeqCst);
-                    self.worker_loop();
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    LIVE_POOL_THREADS.fetch_sub(1, Ordering::SeqCst);
-                });
+                scope.spawn(|| self.counted_worker(&live, &peak));
             }
             let out = body();
             self.close();
             out
         });
+        self.verdict()?;
+        Ok((
+            out,
+            PoolReport {
+                workers,
+                peak_threads: peak.into_inner(),
+                tasks,
+            },
+        ))
+    }
+
+    /// One spawned worker thread: [`worker_loop`](Pool::worker_loop)
+    /// between the per-pool and process-wide live-thread accounting.
+    fn counted_worker(&self, live: &AtomicUsize, peak: &AtomicUsize) {
+        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+        peak.fetch_max(now, Ordering::SeqCst);
+        let global = LIVE_POOL_THREADS.fetch_add(1, Ordering::SeqCst) + 1;
+        PEAK_POOL_THREADS.fetch_max(global, Ordering::SeqCst);
+        self.worker_loop();
+        live.fetch_sub(1, Ordering::SeqCst);
+        LIVE_POOL_THREADS.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// What the drained scheduler says about the run: a task panic or a
+    /// proven stall is the run's error.
+    fn verdict(&self) -> MrResult<()> {
         let s = self.waker.sched.lock().unwrap();
         if let Some(what) = &s.panicked {
             return Err(MrError::WorkerPanic(what.clone()));
@@ -316,14 +329,7 @@ impl<'a> Pool<'a> {
                 "worker pool stalled: every live task parked with no wake pending".to_string(),
             ));
         }
-        Ok((
-            out,
-            PoolReport {
-                workers,
-                peak_threads: peak.load(Ordering::SeqCst),
-                tasks,
-            },
-        ))
+        Ok(())
     }
 
     /// Ends service mode: workers stop waiting for new work and drain
@@ -636,38 +642,53 @@ mod tests {
     }
 
     /// A panicking task fails the run and its peers unwind via channel
-    /// EOF instead of hanging.
+    /// EOF instead of hanging — also at width 1, where the panic is
+    /// caught on the calling thread itself. A peer counts as unwound
+    /// once the run has dropped it.
     #[test]
     fn panic_poisons_the_pool_without_hanging() {
-        let mut pool = Pool::new();
-        let (tx, rx) = pool.channel::<u64>(1);
-        struct Bomb {
-            _tx: PoolSender<u64>,
-        }
-        impl PoolTask for Bomb {
-            fn step(&mut self, _cx: &mut Ctx) -> Step {
-                panic!("boom in a pool task");
+        for workers in [1, 2] {
+            let unwound = AtomicUsize::new(0);
+            let mut pool = Pool::new();
+            let (tx, rx) = pool.channel::<u64>(1);
+            struct Bomb {
+                _tx: PoolSender<u64>,
             }
-        }
-        struct Waiter {
-            rx: PoolReceiver<u64>,
-        }
-        impl PoolTask for Waiter {
-            fn step(&mut self, cx: &mut Ctx) -> Step {
-                match self.rx.try_recv(cx) {
-                    Ok(_) => Step::Yield,
-                    Err(TryRecv::Empty) => Step::Park,
-                    Err(TryRecv::Disconnected) => Step::Done,
+            impl PoolTask for Bomb {
+                fn step(&mut self, _cx: &mut Ctx) -> Step {
+                    panic!("boom in a pool task");
                 }
             }
+            struct Waiter<'g> {
+                rx: PoolReceiver<u64>,
+                unwound: &'g AtomicUsize,
+            }
+            impl PoolTask for Waiter<'_> {
+                fn step(&mut self, cx: &mut Ctx) -> Step {
+                    match self.rx.try_recv(cx) {
+                        Ok(_) => Step::Yield,
+                        Err(TryRecv::Empty) => Step::Park,
+                        Err(TryRecv::Disconnected) => Step::Done,
+                    }
+                }
+            }
+            impl Drop for Waiter<'_> {
+                fn drop(&mut self) {
+                    self.unwound.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            pool.spawn(Waiter {
+                rx,
+                unwound: &unwound,
+            });
+            pool.spawn(Bomb { _tx: tx });
+            let err = pool.run(workers);
+            assert!(
+                matches!(err, Err(MrError::WorkerPanic(ref what)) if what.contains("boom")),
+                "{workers}w: expected the task panic to surface, got {err:?}"
+            );
+            assert_eq!(unwound.into_inner(), 1, "{workers}w: peer left behind");
         }
-        pool.spawn(Waiter { rx });
-        pool.spawn(Bomb { _tx: tx });
-        let err = pool.run(2);
-        assert!(
-            matches!(err, Err(MrError::WorkerPanic(ref what)) if what.contains("boom")),
-            "expected the task panic to surface, got {err:?}"
-        );
     }
 
     /// A graph that parks forever is detected and failed, not hung.
@@ -772,7 +793,9 @@ mod tests {
     }
 
     /// One worker runs the scheduler as a deterministic FIFO: two
-    /// identical runs interleave identically.
+    /// identical runs interleave identically — and on the calling thread
+    /// itself: a one-worker pool spawns no thread, so every step logs
+    /// the caller's thread id and the report still counts one worker.
     #[test]
     fn single_worker_schedule_is_deterministic() {
         let run = || {
@@ -782,9 +805,15 @@ mod tests {
                 name: usize,
                 left: usize,
                 log: &'g Mutex<Vec<usize>>,
+                caller: std::thread::ThreadId,
             }
             impl PoolTask for Chatty<'_> {
                 fn step(&mut self, _cx: &mut Ctx) -> Step {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        self.caller,
+                        "a one-worker pool must step on its caller's thread"
+                    );
                     self.log.lock().unwrap().push(self.name);
                     self.left -= 1;
                     if self.left == 0 {
@@ -799,9 +828,11 @@ mod tests {
                     name,
                     left: 4,
                     log: &log,
+                    caller: std::thread::current().id(),
                 });
             }
-            pool.run(1).expect("pool run");
+            let report = pool.run(1).expect("pool run");
+            assert_eq!((report.workers, report.peak_threads), (1, 1));
             log.into_inner().unwrap()
         };
         assert_eq!(run(), run());

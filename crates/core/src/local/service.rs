@@ -2,11 +2,16 @@
 //!
 //! [`serve`] stands up a [`JobService`]: a bounded admission queue in
 //! front of `pool_workers` persistent **runner tasks** on a single
-//! `Pool` in service mode. Tenants submit jobs continuously; each
-//! admitted job occupies exactly one runner (= one slot) for its whole
-//! run and is computed in bounded slices (one split mapped, or one
-//! partition reduced, per scheduler step), so many tenants multiplex on
-//! a fixed thread count with no per-job pool setup or teardown — the
+//! `Pool` in service mode. The service is a *scheduler*, not an engine:
+//! a runner picks the next job under the queue lock and then runs all of
+//! it on its own thread through the executor's own entry point —
+//! [`LocalRunner::run_cached`] when the service owns a cache,
+//! [`LocalRunner::run_with_partitioner`] otherwise — on a one-worker
+//! pool, which runs on its caller and so costs no thread. There are
+//! exactly as many runners as pool threads, so a runner is never
+//! descheduled for another: each admitted job occupies one runner
+//! (= one slot) from start to finish, and many tenants multiplex on a
+//! fixed thread count with no per-job thread setup or teardown — the
 //! long-lived-pool follow-on to `LocalRunner::run_many`.
 //!
 //! **Admission** is synchronous and typed: a submission past the global
@@ -23,29 +28,25 @@
 //! [`JobHandle`] result; the pool and every other tenant's jobs are
 //! untouched.
 //!
-//! Every trace scope a service job records is stamped with its tenant
-//! ([`Scope::with_tenant`]), so `TraceQuery::per_tenant_secs` can break
-//! the service's activity down by tenant. Outputs are byte-identical to
-//! running the same job alone: the per-job computation is the same
-//! deterministic map → partition → reduce the engines use, and jobs
-//! share nothing but the slot scheduler.
+//! Every trace scope a service job records is stamped with its job id
+//! and tenant, and its wall instants are moved onto the session's clock
+//! ([`TraceLog::restamp`](mr_trace::TraceLog::restamp)), so
+//! `TraceQuery::per_tenant_secs` can break the service's activity down
+//! by tenant. Outputs, counters and canonical traces are those of
+//! running the same job alone on one worker, because that is what a
+//! runner does; jobs share nothing but the slot scheduler and, when
+//! enabled, the content-addressed cache.
 
-use super::cache::{JobKeys, SharedCache, SplitParts};
+use super::cache::SharedCache;
 use super::pool::{panic_message, Ctx, Pool, PoolTask, Step, Waker};
-use super::{barrier_snapshot, record_counter_totals, InputSplit, PoolStats};
-use crate::config::{Engine, JobConfig, ServiceConfig, TenantSpec};
-use crate::counters::{names, Counters};
-use crate::engine::barrier::reduce_partition_barrier;
-use crate::engine::pipeline::reduce_partition_barrierless_traced;
-use crate::engine::DriverReport;
+use super::{InputSplit, LocalRunner, PoolStats};
+use crate::config::{JobConfig, ServiceConfig, TenantSpec};
 use crate::error::{MrError, MrResult};
 use crate::output::JobOutput;
 use crate::partition::Partitioner;
 use crate::size::SizeEstimate;
-use crate::snapshot::Snapshot;
-use crate::traits::{Application, FnEmit};
-use mr_cache::{CacheKey, StableHash};
-use mr_trace::{Scope, SpanKind, TaskKind, TraceDispatcher, TraceRecorder, NO_NODE};
+use crate::traits::Application;
+use mr_cache::StableHash;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -266,9 +267,12 @@ pub struct JobService<A: Application> {
 
 impl<A: Application> JobService<A> {
     /// Submits one job for `tenant`: `splits` of input under the per-job
-    /// `cfg` (engine, reducers, heap policy — the service ignores
-    /// `cfg.pool_workers`; parallelism comes from the service's own
-    /// slots). Returns immediately: a [`JobHandle`] on admission, a
+    /// `cfg`. Every [`JobConfig`] field means what it means under
+    /// [`LocalRunner::run`] — engine, reducers, heap policy, combiner,
+    /// shuffle batch budget, snapshots, trace, cache opt-in — except
+    /// `cfg.pool_workers`, which is overridden to the one worker of the
+    /// slot the job runs on; parallelism comes from the service's own
+    /// slots. Returns immediately: a [`JobHandle`] on admission, a
     /// typed [`SubmitError`] otherwise. Never blocks.
     pub fn submit(
         &self,
@@ -313,7 +317,7 @@ impl<A: Application> JobService<A> {
             core.queues[tenant].push_back(Queued {
                 id,
                 tenant,
-                cfg: cfg.clone(),
+                cfg: cfg.clone().pool_workers(1),
                 splits,
                 cell: Arc::clone(&cell),
             });
@@ -327,300 +331,24 @@ impl<A: Application> JobService<A> {
     }
 }
 
-/// Which part of its current job a runner is slicing through.
-enum Phase<A: Application> {
-    /// Mapping splits, one per step.
-    Map {
-        next_split: usize,
-        partitions: Vec<Vec<(A::MapKey, A::MapValue)>>,
-        counters: Counters,
-    },
-    /// Reducing partitions, one per step.
-    Reduce {
-        partitions: Vec<Vec<(A::MapKey, A::MapValue)>>,
-        next: usize,
-        outputs: Vec<Vec<(A::OutKey, A::OutValue)>>,
-        reports: Vec<DriverReport>,
-        snapshots: Vec<Vec<Snapshot<A>>>,
-        counters: Counters,
-    },
-}
-
-/// A dispatched job mid-run on one runner.
-struct Active<A: Application> {
-    job: Queued<A>,
-    tracing: bool,
-    dispatcher: TraceDispatcher,
-    phase: Phase<A>,
-    /// The job's per-split artifact keys, derived once when it was
-    /// picked — `Some` iff this job consults the shared cache at all:
-    /// the service has a cache, the job's own `cfg.cache` opts in, *and*
-    /// the app vouches for a complete instance identity.
-    split_keys: Option<Vec<CacheKey>>,
-    /// The job's sealed-artifact cache key, from the same derivation —
-    /// `Some` iff `split_keys` is and the job's snapshot policy is
-    /// disabled (a whole-job hit performs no run, so it cannot reproduce
-    /// a cold run's snapshot stream; such jobs use only the per-split
-    /// artifacts).
-    cache_key: Option<CacheKey>,
-}
-
 /// One persistent slot of the service: grabs the fair pick's next job,
-/// computes it in bounded slices, publishes the result, repeats; parks
-/// when no job is eligible and exits once the service closed and the
-/// queue drained.
+/// runs it to its result, publishes that, repeats; parks when no job is
+/// eligible and exits once the service closed and the queue drained.
 struct RunnerTask<'e, A: Application, P: Partitioner<A::MapKey>> {
     app: &'e A,
     partitioner: &'e P,
     shared: Arc<Shared<A>>,
-    cur: Option<Active<A>>,
 }
 
-impl<A, P> RunnerTask<'_, A, P>
-where
-    A: Application,
-    P: Partitioner<A::MapKey>,
-    A::InKey: StableHash,
-    A::InValue: StableHash,
-    A::MapKey: Sync,
-    A::MapValue: Sync,
-    A::OutKey: Sync + SizeEstimate,
-    A::OutValue: Sync + SizeEstimate,
-{
-    /// Runs one bounded slice of the active job. `Ok(None)` = more
-    /// slices left; `Ok(Some(out))` = job finished.
-    fn slice(&mut self) -> MrResult<Option<JobOutput<A>>> {
-        let active = self.cur.as_mut().expect("slice with an active job");
-        let shared_cache = self.shared.cache.as_ref();
-        let job = &active.job;
-        let tenant = job.tenant as u32;
-        let reducers = job.cfg.reducers;
-        let app = self.app;
-        let started = self.shared.started;
-        match &mut active.phase {
-            Phase::Map {
-                next_split,
-                partitions,
-                counters,
-            } => {
-                // Before any split runs, consult the sealed-job
-                // artifact: a whole-job hit skips map and reduce alike.
-                if *next_split == 0 {
-                    if shared_cache.is_some()
-                        && job.cfg.cache.is_enabled()
-                        && active.split_keys.is_none()
-                    {
-                        // The app's instance identity is incomplete:
-                        // the job wanted caching but runs uncached.
-                        counters.incr(names::CACHE_BYPASS);
-                    }
-                    if let (Some(key), Some(c)) = (active.cache_key, shared_cache) {
-                        if let Some((parts, bytes)) = c.get_job::<A>(key) {
-                            let mut hit = Counters::new();
-                            hit.incr(names::CACHE_HITS);
-                            hit.add(names::CACHE_HIT_BYTES, bytes);
-                            let trace = if active.tracing {
-                                let mut rec = TraceRecorder::new(
-                                    Scope::job(job.id as u32).with_tenant(tenant),
-                                    true,
-                                );
-                                record_counter_totals(&mut rec, &hit);
-                                rec.cache_mark_wall(started.elapsed().as_secs_f64(), 1, 0, bytes);
-                                rec.flush_into(&active.dispatcher);
-                                std::mem::replace(
-                                    &mut active.dispatcher,
-                                    TraceDispatcher::new(false),
-                                )
-                                .finish()
-                            } else {
-                                Default::default()
-                            };
-                            let counters = if active.tracing {
-                                Counters::from_trace(&trace)
-                            } else {
-                                hit
-                            };
-                            return Ok(Some(JobOutput {
-                                partitions: (*parts).clone(),
-                                counters,
-                                reports: Vec::new(),
-                                snapshots: Vec::new(),
-                                trace,
-                            }));
-                        }
-                        counters.incr(names::CACHE_MISSES);
-                    }
-                }
-                if *next_split < job.splits.len() {
-                    let idx = *next_split;
-                    let t0 = started.elapsed().as_secs_f64();
-                    let split_key = active.split_keys.as_ref().map(|keys| keys[idx]);
-                    let cached = split_key
-                        .zip(shared_cache)
-                        .and_then(|(k, c)| c.get_split::<A>(k));
-                    if let Some((parts, bytes)) = cached {
-                        // Split artifact hit: the map function is
-                        // skipped and the cached raw records take the
-                        // same partition route the emitter would have.
-                        counters.incr(names::CACHE_HITS);
-                        counters.add(names::CACHE_HIT_BYTES, bytes);
-                        for (p, records) in parts.iter().enumerate() {
-                            partitions[p].extend(records.iter().cloned());
-                        }
-                    } else {
-                        let mut raw: Option<SplitParts<A>> = split_key.map(|_| {
-                            counters.incr(names::CACHE_MISSES);
-                            (0..reducers).map(|_| Vec::new()).collect()
-                        });
-                        let partitioner = self.partitioner;
-                        let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                            counters.incr(names::MAP_OUTPUT_RECORDS);
-                            let p = partitioner.partition(&k, reducers);
-                            if let Some(raw) = raw.as_mut() {
-                                raw[p].push((k.clone(), v.clone()));
-                            }
-                            partitions[p].push((k, v));
-                        });
-                        for (k, v) in &job.splits[idx] {
-                            app.map(k, v, &mut emit);
-                        }
-                        // `emit`'s borrow of `raw` ends here (NLL), freeing it
-                        // for publication.
-                        if let (Some(k), Some(c), Some(raw)) = (split_key, shared_cache, raw) {
-                            c.put_split::<A>(k, raw).charge(counters);
-                        }
-                    }
-                    if active.tracing {
-                        let mut rec = TraceRecorder::new(
-                            Scope::task(job.id as u32, TaskKind::Map, idx as u32, 0, NO_NODE)
-                                .with_tenant(tenant),
-                            true,
-                        );
-                        rec.span_wall(SpanKind::Map, t0, started.elapsed().as_secs_f64());
-                        rec.flush_into(&active.dispatcher);
-                    }
-                    *next_split += 1;
-                    return Ok(None);
-                }
-                active.phase = Phase::Reduce {
-                    partitions: std::mem::take(partitions),
-                    next: 0,
-                    outputs: Vec::with_capacity(reducers),
-                    reports: Vec::new(),
-                    snapshots: Vec::with_capacity(reducers),
-                    counters: std::mem::take(counters),
-                };
-                Ok(None)
-            }
-            Phase::Reduce {
-                partitions,
-                next,
-                outputs,
-                reports,
-                snapshots,
-                counters,
-            } => {
-                if *next < reducers {
-                    let r = *next;
-                    let records = std::mem::take(&mut partitions[r]);
-                    let t0 = started.elapsed().as_secs_f64();
-                    let span_kind = match &job.cfg.engine {
-                        Engine::Barrier => SpanKind::SortReduce,
-                        Engine::BarrierLess { .. } => SpanKind::ShuffleReduce,
-                    };
-                    match &job.cfg.engine {
-                        Engine::Barrier => {
-                            let absorbed = records.len() as u64;
-                            let out = reduce_partition_barrier(app, records, counters)?;
-                            snapshots.push(barrier_snapshot(
-                                &job.cfg,
-                                r,
-                                absorbed,
-                                started.elapsed().as_secs_f64(),
-                                &out,
-                                counters,
-                            ));
-                            outputs.push(out);
-                        }
-                        Engine::BarrierLess { .. } => {
-                            let (out, report, snaps) = reduce_partition_barrierless_traced(
-                                app, &job.cfg, r, records, counters,
-                            )?;
-                            outputs.push(out);
-                            reports.push(report);
-                            snapshots.push(snaps);
-                        }
-                    }
-                    if active.tracing {
-                        let mut rec = TraceRecorder::new(
-                            Scope::task(job.id as u32, TaskKind::Reduce, r as u32, 0, NO_NODE)
-                                .with_tenant(tenant),
-                            true,
-                        );
-                        rec.span_wall(span_kind, t0, started.elapsed().as_secs_f64());
-                        for s in snapshots.last().into_iter().flatten() {
-                            rec.snapshot_wall(
-                                s.at_secs,
-                                s.seq,
-                                s.records_absorbed,
-                                s.live_entries as u64,
-                            );
-                        }
-                        rec.flush_into(&active.dispatcher);
-                    }
-                    *next += 1;
-                    return Ok(None);
-                }
-                // Finalize: publish the sealed artifact (charged into
-                // the job's counters, so the totals below include it),
-                // then totals to the job scope, then the output.
-                if let (Some(key), Some(c)) = (active.cache_key, shared_cache) {
-                    c.put_job::<A>(key, outputs.clone()).charge(counters);
-                }
-                if active.tracing {
-                    let mut rec =
-                        TraceRecorder::new(Scope::job(job.id as u32).with_tenant(tenant), true);
-                    record_counter_totals(&mut rec, counters);
-                    if let Some(c) = shared_cache.filter(|_| active.split_keys.is_some()) {
-                        rec.cache_mark_wall(
-                            started.elapsed().as_secs_f64(),
-                            counters.get(names::CACHE_HITS),
-                            counters.get(names::CACHE_MISSES),
-                            c.used_bytes(),
-                        );
-                    }
-                    rec.flush_into(&active.dispatcher);
-                }
-                let trace =
-                    std::mem::replace(&mut active.dispatcher, TraceDispatcher::new(false)).finish();
-                let counters = if active.tracing {
-                    Counters::from_trace(&trace)
-                } else {
-                    std::mem::take(counters)
-                };
-                Ok(Some(JobOutput {
-                    partitions: std::mem::take(outputs),
-                    counters,
-                    reports: std::mem::take(reports),
-                    snapshots: std::mem::take(snapshots),
-                    trace,
-                }))
-            }
-        }
-    }
-
-    /// Publishes the active job's result and releases its slot, waking
-    /// parked runners whose tenant-quota eligibility may have changed.
-    fn finish(&mut self, result: MrResult<JobOutput<A>>) {
-        let active = self.cur.take().expect("finish with an active job");
-        {
-            let mut slot = active.job.cell.slot.lock().unwrap();
-            *slot = Some(result);
-        }
-        active.job.cell.done.notify_all();
+impl<A: Application, P: Partitioner<A::MapKey>> RunnerTask<'_, A, P> {
+    /// Publishes a job's result and releases its slot, waking parked
+    /// runners whose tenant-quota eligibility may have changed.
+    fn finish(&self, tenant: usize, cell: &JobCell<A>, result: MrResult<JobOutput<A>>) {
+        *cell.slot.lock().unwrap() = Some(result);
+        cell.done.notify_all();
         let woken = {
             let mut core = self.shared.core.lock().unwrap();
-            core.running[active.job.tenant] -= 1;
+            core.running[tenant] -= 1;
             core.completed += 1;
             std::mem::take(&mut core.parked)
         };
@@ -631,7 +359,7 @@ where
 impl<A, P> PoolTask for RunnerTask<'_, A, P>
 where
     A: Application,
-    P: Partitioner<A::MapKey>,
+    P: Partitioner<A::MapKey> + Sync,
     A::InKey: StableHash,
     A::InValue: StableHash,
     A::MapKey: Sync,
@@ -639,51 +367,23 @@ where
     A::OutKey: Sync + SizeEstimate,
     A::OutValue: Sync + SizeEstimate,
 {
+    /// One step is one whole job, run on this runner's thread through
+    /// the executor's own entry point on a one-worker pool. The pool has
+    /// exactly one thread per runner, so holding it for the job's length
+    /// starves nobody.
     fn step(&mut self, cx: &mut Ctx) -> Step {
-        if self.cur.is_none() {
+        let Queued {
+            id,
+            tenant,
+            cfg,
+            splits,
+            cell,
+        } = {
             let mut core = self.shared.core.lock().unwrap();
             match core.pick(&self.shared.tenants) {
-                Some(job) => {
-                    drop(core);
-                    let tracing = job.cfg.trace.is_enabled();
-                    // Every key the job will use, from one pass over
-                    // its input; `None` also when the app's identity is
-                    // incomplete.
-                    let keys = if self.shared.cache.is_some() && job.cfg.cache.is_enabled() {
-                        JobKeys::derive(self.app, &job.cfg, std::any::type_name::<P>(), &job.splits)
-                    } else {
-                        None
-                    };
-                    // No job-level artifact for snapshot jobs: a
-                    // whole-job hit cannot replay the snapshot stream.
-                    let cache_key = keys
-                        .as_ref()
-                        .filter(|_| !job.cfg.snapshots.is_enabled())
-                        .map(|keys| keys.job);
-                    self.cur = Some(Active {
-                        job,
-                        tracing,
-                        dispatcher: TraceDispatcher::new(tracing),
-                        phase: Phase::Map {
-                            next_split: 0,
-                            partitions: Vec::new(),
-                            counters: Counters::new(),
-                        },
-                        split_keys: keys.map(|keys| keys.splits),
-                        cache_key,
-                    });
-                    // Partition buffers need the job's reducer count.
-                    let active = self.cur.as_mut().unwrap();
-                    let reducers = active.job.cfg.reducers;
-                    if let Phase::Map { partitions, .. } = &mut active.phase {
-                        *partitions = (0..reducers).map(|_| Vec::new()).collect();
-                    }
-                    return Step::Yield;
-                }
+                Some(job) => job,
+                None if core.closed && core.queued_total == 0 => return Step::Done,
                 None => {
-                    if core.closed && core.queued_total == 0 {
-                        return Step::Done;
-                    }
                     // Registered under the core lock, same critical
                     // section that observed "nothing eligible": the
                     // submit/completion wake cannot be lost.
@@ -693,16 +393,21 @@ where
                     return Step::Park;
                 }
             }
-        }
-        // One bounded slice; an app panic fails only this job.
-        match catch_unwind(AssertUnwindSafe(|| self.slice())) {
-            Err(payload) => {
-                self.finish(Err(MrError::WorkerPanic(panic_message(payload.as_ref()))));
-            }
-            Ok(Err(e)) => self.finish(Err(e)),
-            Ok(Ok(Some(out))) => self.finish(Ok(out)),
-            Ok(Ok(None)) => {}
-        }
+        };
+        // An app panic fails only this job.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let runner = LocalRunner::new(1);
+            let offset_secs = self.shared.started.elapsed().as_secs_f64();
+            let mut out = match &self.shared.cache {
+                Some(cache) => runner.run_cached(self.app, splits, &cfg, self.partitioner, cache),
+                None => runner.run_with_partitioner(self.app, splits, &cfg, self.partitioner),
+            }?;
+            // The log comes back scoped to job 0 on the job's own clock.
+            out.trace.restamp(id as u32, tenant as u32, offset_secs);
+            Ok(out)
+        }))
+        .unwrap_or_else(|payload| Err(MrError::WorkerPanic(panic_message(payload.as_ref()))));
+        self.finish(tenant, &cell, result);
         Step::Yield
     }
 }
@@ -748,7 +453,6 @@ where
             app,
             partitioner,
             shared: Arc::clone(&shared),
-            cur: None,
         });
     }
     let svc = JobService {
@@ -793,8 +497,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TracePolicy;
-    use crate::local::LocalRunner;
+    use crate::config::{CacheBudget, CombinerPolicy, Engine, TracePolicy};
+    use crate::counters::{names, Counters};
     use crate::partition::HashPartitioner;
     use crate::testutil::WordCountApp;
     use crate::traits::Emit;
@@ -946,6 +650,139 @@ mod tests {
         assert_eq!(q.tenants(), vec![1]);
         let per = q.per_tenant_secs();
         assert!(per.contains_key(&1), "tenant 1 missing from {per:?}");
+    }
+
+    /// The counters of `out` a schedule cannot move: everything the map
+    /// side, the combiner, the shuffle's batch cuts and the reduce side
+    /// count.
+    fn engine_counters(out: &JobOutput<WordCountApp>) -> Counters {
+        let mut kept = Counters::new();
+        for (name, value) in out.counters.iter() {
+            let shuffle = [names::SHUFFLE_BATCHES, names::SHUFFLE_RECORDS]
+                .iter()
+                .any(|n| n.as_str() == name);
+            if shuffle
+                || ["map.", "combine.", "reduce."]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            {
+                kept.add(name.to_string(), value);
+            }
+        }
+        kept
+    }
+
+    /// A per-job config means under `serve` what it means under `run`:
+    /// with the combiner on and a one-byte shuffle batch budget, a served
+    /// job reports the engine counters of the same job run alone on one
+    /// worker — combiner folds and shuffle batch cuts included — under
+    /// both engines; and through a service cache, every
+    /// counter of a cold `run_cached` on a fresh cache.
+    #[test]
+    fn per_job_config_is_honoured_under_serve() {
+        let splits = text_splits(4, 3, 20);
+        let budget = CacheBudget::Limit { bytes: 16 << 20 };
+        for engine in [Engine::Barrier, Engine::barrierless()] {
+            let jc = JobConfig::new(2)
+                .engine(engine.clone())
+                .combiner(CombinerPolicy::enabled())
+                .shuffle_batch_bytes(1);
+            let solo = LocalRunner::new(1)
+                .run(&WordCountApp, splits.clone(), &jc.clone().pool_workers(1))
+                .expect("solo run");
+            assert!(solo.counters.get(names::COMBINE_INPUT_RECORDS) > 0);
+            let (served, _) = serve(
+                &WordCountApp,
+                &HashPartitioner,
+                &ServiceConfig::new(1).pool_workers(2),
+                |svc| svc.submit(0, splits.clone(), &jc).unwrap().wait().unwrap(),
+            )
+            .expect("service runs");
+            assert_eq!(served.partitions, solo.partitions, "{engine:?}");
+            assert_eq!(
+                engine_counters(&served),
+                engine_counters(&solo),
+                "{engine:?}"
+            );
+
+            let cached_cfg = jc.clone().cache(CacheBudget::enabled());
+            let cold = LocalRunner::new(1)
+                .run_cached(
+                    &WordCountApp,
+                    splits.clone(),
+                    &cached_cfg.clone().pool_workers(1),
+                    &HashPartitioner,
+                    &SharedCache::from_budget(&budget).expect("enabled"),
+                )
+                .expect("cold run");
+            let (served, _) = serve(
+                &WordCountApp,
+                &HashPartitioner,
+                &ServiceConfig::new(1).pool_workers(2).cache(budget),
+                |svc| {
+                    svc.submit(0, splits.clone(), &cached_cfg)
+                        .unwrap()
+                        .wait()
+                        .unwrap()
+                },
+            )
+            .expect("service runs");
+            assert_eq!(served.partitions, solo.partitions, "{engine:?}, cached");
+            assert_eq!(served.counters, cold.counters, "{engine:?}, cached");
+            assert_eq!(
+                engine_counters(&served),
+                engine_counters(&solo),
+                "{engine:?}, cached"
+            );
+        }
+    }
+
+    /// Trace instants stay on the session's clock: of two traced jobs
+    /// submitted and waited one after the other, the second's earliest
+    /// span starts no sooner than the first's latest span ends, and every
+    /// scope carries its job's id and tenant.
+    #[test]
+    fn trace_instants_are_service_relative() {
+        let cfg = ServiceConfig::new(2).pool_workers(2);
+        let jc = JobConfig::new(2).trace(TracePolicy::Enabled);
+        let (logs, _) = serve(&WordCountApp, &HashPartitioner, &cfg, |svc| {
+            [1usize, 0].map(|tenant| {
+                let handle = svc
+                    .submit(tenant, text_splits(tenant, 3, 200), &jc)
+                    .expect("admitted");
+                (
+                    handle.id,
+                    tenant,
+                    handle.wait().expect("job succeeds").trace,
+                )
+            })
+        })
+        .expect("service runs");
+        let mut windows = Vec::new();
+        for (id, tenant, log) in &logs {
+            assert!(!log.is_empty());
+            for e in log.iter() {
+                assert_eq!(
+                    (e.scope.job as u64, e.scope.tenant as usize),
+                    (*id, *tenant)
+                );
+            }
+            let spans = TraceQuery::new(log).spans();
+            assert!(spans.len() >= 3 + 2, "a span per split and per reducer");
+            let first = spans
+                .iter()
+                .map(|s| s.start_secs())
+                .fold(f64::MAX, f64::min);
+            let last = spans.iter().map(|s| s.end_secs()).fold(f64::MIN, f64::max);
+            windows.push((first, last));
+        }
+        assert!(logs[0].0 < logs[1].0, "ids follow admission order");
+        assert!(
+            windows[1].0 >= windows[0].1,
+            "job 2 starts at {} but job 1 ended at {}",
+            windows[1].0,
+            windows[0].1
+        );
     }
 
     /// An application that blocks inside `map` until released, so tests

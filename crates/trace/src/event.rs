@@ -316,6 +316,27 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Moves every wall instant of the event `by_secs` later; virtual
+    /// instants are exact simulator time and stay put.
+    pub(crate) fn shift_wall(&mut self, by_secs: f64) {
+        let instants: [Option<&mut TraceInstant>; 2] = match self {
+            TraceEvent::Span { start, end, .. } => [Some(start), Some(end)],
+            TraceEvent::Counter { .. } => [None, None],
+            TraceEvent::HeapSample { at, .. }
+            | TraceEvent::SnapshotMark { at, .. }
+            | TraceEvent::HandoffMark { at, .. }
+            | TraceEvent::SpeculationMark { at, .. }
+            | TraceEvent::DeadlineMark { at }
+            | TraceEvent::CacheMark { at, .. }
+            | TraceEvent::StageDone { at } => [Some(at), None],
+        };
+        for instant in instants.into_iter().flatten() {
+            if let TraceInstant::Wall { secs } = instant {
+                *secs += by_secs;
+            }
+        }
+    }
+
     /// Intra-scope ordering class, used by the canonical form and the
     /// dispatcher only to keep the serialization stable; events within
     /// one batch keep their emission order.

@@ -44,6 +44,19 @@ impl TraceLog {
         self.entries.iter()
     }
 
+    /// Re-stamps a finished single-job log as one job of a longer
+    /// session: every scope is attributed to `job` and `tenant`, and every
+    /// wall instant moves `offset_secs` later — the job's start on the
+    /// session clock — so logs of successive jobs share one time axis.
+    /// The job service does this to the log each served job returns.
+    pub fn restamp(&mut self, job: u32, tenant: u32, offset_secs: f64) {
+        for e in &mut self.entries {
+            e.scope.job = job;
+            e.scope.tenant = tenant;
+            e.event.shift_wall(offset_secs);
+        }
+    }
+
     /// The canonical text serialization: one line per entry, virtual
     /// instants exact, wall instants masked (`w*`). Two runs of the same
     /// seed serialize byte-identically; diffing two logs shows exactly
@@ -105,5 +118,41 @@ mod tests {
             bytes: 1024,
         };
         assert_eq!(log2.to_canonical_string(), s);
+    }
+
+    #[test]
+    fn restamp_moves_scopes_and_wall_instants_only() {
+        let mut log = TraceLog::new();
+        log.push(
+            Scope::task(0, TaskKind::Map, 1, 0, crate::NO_NODE),
+            TraceEvent::Span {
+                kind: SpanKind::Map,
+                start: TraceInstant::Wall { secs: 0.25 },
+                end: TraceInstant::Wall { secs: 0.5 },
+            },
+        );
+        log.push(
+            Scope::job(0),
+            TraceEvent::StageDone {
+                at: TraceInstant::Virtual { micros: 7 },
+            },
+        );
+        log.restamp(4, 2, 10.0);
+        assert!(log.iter().all(|e| e.scope.job == 4 && e.scope.tenant == 2));
+        assert_eq!(log.entries[0].scope.index, 1);
+        assert_eq!(
+            log.entries[0].event,
+            TraceEvent::Span {
+                kind: SpanKind::Map,
+                start: TraceInstant::Wall { secs: 10.25 },
+                end: TraceInstant::Wall { secs: 10.5 },
+            }
+        );
+        assert_eq!(
+            log.entries[1].event,
+            TraceEvent::StageDone {
+                at: TraceInstant::Virtual { micros: 7 },
+            }
+        );
     }
 }
