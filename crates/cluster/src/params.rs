@@ -1,8 +1,7 @@
 //! Static description of the simulated cluster.
 
 use mr_core::{
-    CacheBudget, CombinerPolicy, DeadlinePolicy, JobConfig, SnapshotPolicy, SpeculationPolicy,
-    StoreIndex, TracePolicy,
+    CombinerPolicy, JobConfig, SnapshotPolicy, SpeculationPolicy, StoreIndex, TracePolicy,
 };
 
 /// Cluster hardware and scheduling parameters.
@@ -59,26 +58,11 @@ pub struct ClusterParams {
     /// job's choice in force. Straggler sweeps toggle backup attempts
     /// cluster-wide without touching per-job configs.
     pub speculation: Option<SpeculationPolicy>,
-    /// Deadline override for simulated jobs. `Some` wins over the job's
-    /// own `JobConfig::deadline`; `None` leaves the job's choice in
-    /// force.
-    pub deadline: Option<DeadlinePolicy>,
     /// Trace-recording override for simulated jobs. `Some` wins over the
     /// job's own `JobConfig::trace`; `None` leaves the job's choice in
     /// force. Sweeps that only need final numbers can switch trace
     /// export off cluster-wide.
     pub trace: Option<TracePolicy>,
-    /// Result-cache override for jobs replayed on the *local* executor.
-    /// `Some` wins over the job's own `JobConfig::cache`; `None` leaves
-    /// the job's choice in force. Sweeps A/B cross-job memoization
-    /// cluster-wide without touching per-job configs.
-    pub cache: Option<CacheBudget>,
-    /// Worker-pool width override for jobs replayed on the *local*
-    /// executor (`JobConfig::pool_workers`). `Some` wins over the job's
-    /// own knob; `None` leaves the job's choice in force. The simulator
-    /// itself schedules by slots, not OS threads, so this only matters
-    /// when a cluster-configured job is handed to [`mr_core::LocalRunner`].
-    pub pool_workers: Option<usize>,
     /// Master seed for placement, heterogeneity and noise.
     pub seed: u64,
 }
@@ -101,10 +85,7 @@ impl ClusterParams {
             store_index: None,
             snapshots: None,
             speculation: None,
-            deadline: None,
             trace: None,
-            cache: None,
-            pool_workers: None,
             seed,
         }
     }
@@ -129,17 +110,8 @@ impl ClusterParams {
         if let Some(policy) = self.speculation {
             cfg.speculation = policy;
         }
-        if let Some(policy) = self.deadline {
-            cfg.deadline = policy;
-        }
         if let Some(policy) = self.trace {
             cfg.trace = policy;
-        }
-        if let Some(budget) = self.cache {
-            cfg.cache = budget;
-        }
-        if let Some(workers) = self.pool_workers {
-            cfg.pool_workers = workers;
         }
         cfg
     }
@@ -199,23 +171,16 @@ mod tests {
                 check_secs: 3.0,
                 slowdown: 1.5,
             })
-            .deadline(DeadlinePolicy::At { secs: 50.0 })
-            .trace(TracePolicy::Disabled)
-            .cache(CacheBudget::Limit { bytes: 123 });
-
-        let job = job.pool_workers(3);
+            .trace(TracePolicy::Disabled);
 
         // No overrides set: the job's own knobs pass through untouched.
         let p = ClusterParams::paper_testbed(1);
         let eff = p.effective_config(&job);
-        assert_eq!(eff.pool_workers, 3);
         assert_eq!(eff.combiner, job.combiner);
         assert_eq!(eff.store_index, StoreIndex::Ordered);
         assert_eq!(eff.snapshots, SnapshotPolicy::EveryRecords { records: 7 });
         assert_eq!(eff.speculation, job.speculation);
-        assert_eq!(eff.deadline, DeadlinePolicy::At { secs: 50.0 });
         assert_eq!(eff.trace, TracePolicy::Disabled);
-        assert_eq!(eff.cache, CacheBudget::Limit { bytes: 123 });
 
         // Every override set: the cluster's choice wins on each knob.
         let mut p = ClusterParams::paper_testbed(1);
@@ -223,23 +188,13 @@ mod tests {
         p.store_index = Some(StoreIndex::Hashed);
         p.snapshots = Some(SnapshotPolicy::Disabled);
         p.speculation = Some(SpeculationPolicy::Disabled);
-        p.deadline = Some(DeadlinePolicy::Disabled);
         p.trace = Some(TracePolicy::Enabled);
-        p.cache = Some(CacheBudget::Disabled);
-        p.pool_workers = Some(8);
         let eff = p.effective_config(&job);
-        assert_eq!(eff.pool_workers, 8);
         assert_eq!(eff.combiner, CombinerPolicy::Enabled { budget_bytes: 999 });
         assert_eq!(eff.store_index, StoreIndex::Hashed);
         assert_eq!(eff.snapshots, SnapshotPolicy::Disabled);
         assert_eq!(eff.speculation, SpeculationPolicy::Disabled);
-        assert_eq!(eff.deadline, DeadlinePolicy::Disabled);
         assert_eq!(eff.trace, TracePolicy::Enabled);
-        assert_eq!(
-            eff.cache,
-            CacheBudget::Disabled,
-            "Some(Disabled) forces off"
-        );
 
         // The one asymmetric knob: a *disabled* cluster combiner is "no
         // override", not "force off" (sweeps toggle combining on, never

@@ -1,13 +1,15 @@
 //! Multi-tenant job-service simulation: many jobs from many tenants
 //! contending for one simulated cluster's slots.
 //!
-//! This is the simulator-side mirror of `mr_core::serve`: the same
-//! admission rules (bounded queue, per-tenant queued-job quotas, typed
-//! [`RejectReason`]s), the same deficit-style weighted-fair pick with
-//! priority classes, and the same per-tenant concurrent-slot caps — but
-//! applied to *task* placement on a [`SlotLedger`] over the virtual
-//! cluster, so slot contention between concurrent jobs is modeled
-//! rather than hidden. Two job shapes contend:
+//! This is the simulator-side mirror of `mr_core::serve`, scheduling
+//! through the very same [`FairShare`] ledger: its admission rules
+//! (bounded queue, per-tenant queued-job quotas, typed
+//! [`RejectReason`]s), its deficit-style weighted-fair pick with
+//! priority classes, and its per-tenant concurrent-slot caps — but
+//! charged per *task* placed on a [`SlotLedger`] over the virtual
+//! cluster where `serve` charges per job, so slot contention between
+//! concurrent jobs is modeled rather than hidden. Two job shapes
+//! contend:
 //!
 //! * **Barrier jobs** — map tasks, then reduce tasks once every map is
 //!   done (one slot per task, the classic two-phase shape).
@@ -45,7 +47,7 @@ use crate::executor::Fault;
 use crate::params::ClusterParams;
 use crate::placement::{SlotLedger, TieBreak};
 use mr_core::engine::barrier::reduce_partition_barrier;
-use mr_core::local::service::RejectReason;
+use mr_core::local::service::{FairShare, RejectReason};
 use mr_core::traits::FnEmit;
 use mr_core::{
     Application, Counters, MrError, MrResult, Partitioner, Scope, TaskKind, TenantSpec, TraceEvent,
@@ -107,12 +109,7 @@ impl ServiceParams {
         fn bad(what: impl Into<String>) -> MrResult<()> {
             Err(MrError::InvalidConfig(what.into()))
         }
-        if self.tenants.is_empty() {
-            return bad("a service sim needs at least one tenant");
-        }
-        if self.queue_cap == 0 {
-            return bad("queue_cap must be >= 1 (a zero-length queue rejects every submission)");
-        }
+        FairShare::new(&self.tenants, self.queue_cap)?;
         if self.cluster.nodes == 0 || self.cluster.map_slots == 0 || self.cluster.reduce_slots == 0
         {
             return bad("the simulated cluster needs nodes and per-node slots");
@@ -123,17 +120,6 @@ impl ServiceParams {
             || self.red_task_secs <= 0.0
         {
             return bad("task costs must be finite and > 0");
-        }
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.weight == 0 {
-                return bad(format!("tenant {i} weight must be >= 1"));
-            }
-            if t.max_concurrent_slots == 0 {
-                return bad(format!("tenant {i} max_concurrent_slots must be >= 1"));
-            }
-            if t.max_queued_jobs == 0 {
-                return bad(format!("tenant {i} max_queued_jobs must be >= 1"));
-            }
         }
         Ok(())
     }
@@ -320,10 +306,8 @@ struct ServiceSim<'a> {
     jobs: Vec<JobRec>,
     /// `(maps, reducers)` per job, for stable stage-2 scope indexes.
     shapes: Vec<(usize, usize)>,
-    served: Vec<u64>,
-    running_slots: Vec<usize>,
-    queued: Vec<usize>,
-    queued_total: usize,
+    /// The service's own scheduling policy, charged one unit per task.
+    fair: FairShare,
     trace: TraceLog,
     evictions: u64,
     failure: Option<(f64, String)>,
@@ -336,18 +320,6 @@ fn vt(at: SimTime) -> TraceInstant {
 }
 
 impl ServiceSim<'_> {
-    /// The local service's deficit pick, verbatim: highest priority
-    /// class first, then lowest served/weight by cross-multiplication,
-    /// ties to the lowest tenant index.
-    fn fairer(&self, t: usize, b: usize) -> bool {
-        let ts = &self.p.tenants;
-        let higher = ts[t].priority > ts[b].priority;
-        let same = ts[t].priority == ts[b].priority;
-        let less_served = (self.served[t] as u128) * (ts[b].weight as u128)
-            < (self.served[b] as u128) * (ts[t].weight as u128);
-        higher || (same && less_served)
-    }
-
     /// First dispatchable task of tenant `t` given current slot
     /// availability, scanning jobs in submission order.
     fn next_task_for(
@@ -391,14 +363,9 @@ impl ServiceSim<'_> {
                 .expect("caller checked a free reduce slot")
         };
         self.slots.take(is_map, node);
-        let tenant = self.jobs[j].tenant;
-        self.running_slots[tenant] += 1;
-        self.served[tenant] += 1;
-        if !self.jobs[j].started {
-            self.jobs[j].started = true;
-            self.queued[tenant] -= 1;
-            self.queued_total -= 1;
-        }
+        let job = &mut self.jobs[j];
+        self.fair.start(job.tenant, !job.started);
+        job.started = true;
         let task = &mut self.jobs[j].tasks(stage)[idx];
         task.state = TState::Running { node, started: at };
         let attempt = task.attempt;
@@ -423,26 +390,10 @@ impl ServiceSim<'_> {
             if !map_free && !red_free {
                 break;
             }
-            let mut best: Option<usize> = None;
-            for t in 0..self.p.tenants.len() {
-                if self.running_slots[t] >= self.p.tenants[t].max_concurrent_slots {
-                    continue;
-                }
-                if self.next_task_for(t, map_free, red_free).is_none() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => t,
-                    Some(b) => {
-                        if self.fairer(t, b) {
-                            t
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            let Some(t) = best else { break };
+            let pick = self
+                .fair
+                .pick(|t| self.next_task_for(t, map_free, red_free).is_some());
+            let Some(t) = pick else { break };
             let (j, stage, idx) = self
                 .next_task_for(t, map_free, red_free)
                 .expect("candidate tenant has a task");
@@ -457,33 +408,28 @@ impl ServiceSim<'_> {
         loop {
             let map_free = self.slots.first_free_map().is_some();
             let red_free = self.slots.least_loaded(false, TieBreak::LowIndex).is_some();
-            // The stuck demand: best tenant (same comparator) with spare
-            // quota and a runnable task whose slot kind is exhausted.
-            let mut best: Option<(usize, Stage)> = None;
-            for t in 0..self.p.tenants.len() {
-                if self.running_slots[t] >= self.p.tenants[t].max_concurrent_slots {
-                    continue;
-                }
+            // The stuck demand: the fair pick among tenants whose next
+            // runnable task finds every slot of its kind occupied (a free
+            // slot means fairness merely deferred it). Each probe is a
+            // scan of the job table, so the stages it finds are kept.
+            let mut stuck: Vec<(usize, Stage)> = Vec::new();
+            let pick = self.fair.pick(|t| {
                 let Some((_, stage, _)) = self.next_task_for(t, true, true) else {
-                    continue;
+                    return false;
                 };
-                if stage.is_map() && map_free || !stage.is_map() && red_free {
-                    continue; // not stuck: a slot is free, fairness just deferred it
+                let free = if stage.is_map() { map_free } else { red_free };
+                if !free {
+                    stuck.push((t, stage));
                 }
-                best = Some(match best {
-                    None => (t, stage),
-                    Some((b, bs)) => {
-                        if self.fairer(t, b) {
-                            (t, stage)
-                        } else {
-                            (b, bs)
-                        }
-                    }
-                });
-            }
-            let Some((t, stage)) = best else { break };
+                !free
+            });
+            let Some(t) = pick else { break };
+            let &(_, stage) = stuck
+                .iter()
+                .find(|&&(u, _)| u == t)
+                .expect("the picked tenant was probed");
             let want_map = stage.is_map();
-            let prio = self.p.tenants[t].priority;
+            let prio = self.fair.priority(t);
             // Victim: a running same-kind task of a strictly
             // lower-priority tenant; lowest priority first, ties evict
             // the latest job then the highest task index — protects the
@@ -492,7 +438,7 @@ impl ServiceSim<'_> {
             let mut victim_key: Option<(u32, std::cmp::Reverse<usize>, std::cmp::Reverse<usize>)> =
                 None;
             for (j, job) in self.jobs.iter().enumerate() {
-                let vprio = self.p.tenants[job.tenant].priority;
+                let vprio = self.fair.priority(job.tenant);
                 if vprio >= prio {
                     continue;
                 }
@@ -527,7 +473,7 @@ impl ServiceSim<'_> {
             };
             task.requeue();
             self.slots.release(vstage.is_map(), node);
-            self.running_slots[vtenant] -= 1;
+            self.fair.release(vtenant);
             self.evictions += 1;
             // The freed slot goes straight to the stuck tenant.
             let (j, stage, idx) = self
@@ -548,7 +494,7 @@ impl ServiceSim<'_> {
         };
         task.state = TState::Done { node };
         self.slots.release(stage.is_map(), node);
-        self.running_slots[tenant] -= 1;
+        self.fair.release(tenant);
         let (maps1, reds1) = self.shapes[j];
         let (kind, span, index) = match stage {
             Stage::Map1 => (TaskKind::Map, SpanKind::Map, idx),
@@ -572,22 +518,13 @@ impl ServiceSim<'_> {
     }
 
     fn submit(&mut self, at: SimTime, j: usize) {
-        let tenant = self.jobs[j].tenant;
-        if self.queued_total >= self.p.queue_cap {
-            self.jobs[j].rejected = Some(RejectReason::QueueFull {
-                cap: self.p.queue_cap,
-            });
-            return;
+        match self.fair.admit(self.jobs[j].tenant) {
+            Ok(()) => {
+                self.jobs[j].admitted = true;
+                self.schedule(at);
+            }
+            Err(reason) => self.jobs[j].rejected = Some(reason),
         }
-        let quota = self.p.tenants[tenant].max_queued_jobs;
-        if self.queued[tenant] >= quota {
-            self.jobs[j].rejected = Some(RejectReason::TenantQueueFull { tenant, cap: quota });
-            return;
-        }
-        self.jobs[j].admitted = true;
-        self.queued[tenant] += 1;
-        self.queued_total += 1;
-        self.schedule(at);
     }
 
     /// Hadoop-style recovery, in dependency order: running work on the
@@ -620,7 +557,7 @@ impl ServiceSim<'_> {
                 for task in self.jobs[j].tasks(stage).iter_mut() {
                     if matches!(task.state, TState::Running { node, .. } if node == n) {
                         task.requeue();
-                        self.running_slots[tenant] -= 1;
+                        self.fair.release(tenant);
                     }
                 }
             }
@@ -639,7 +576,7 @@ impl ServiceSim<'_> {
                             if self.slots.alive[node] {
                                 self.slots.release(true, node);
                             }
-                            self.running_slots[tenant] -= 1;
+                            self.fair.release(tenant);
                         }
                     }
                 }
@@ -729,7 +666,6 @@ impl ServiceSimExecutor {
                 }
             })
             .collect();
-        let tenants = params.tenants.len();
         let mut sim = ServiceSim {
             p: params,
             slots: SlotLedger::new(p.nodes, p.map_slots, p.reduce_slots),
@@ -737,10 +673,7 @@ impl ServiceSimExecutor {
             queue,
             shapes: jobs.iter().map(|s| (s.splits.len(), s.reducers)).collect(),
             jobs: recs,
-            served: vec![0; tenants],
-            running_slots: vec![0; tenants],
-            queued: vec![0; tenants],
-            queued_total: 0,
+            fair: FairShare::new(&params.tenants, params.queue_cap)?,
             trace: TraceLog::default(),
             evictions: 0,
             failure: None,

@@ -35,7 +35,7 @@ use crate::config::{ChainSpec, HandoffMode, JobConfig};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
 use crate::local::cache::SharedCache;
-use crate::local::pool::{Ctx, Pool, PoolSender, TrySend};
+use crate::local::pool::{Ctx, Outbox, Pool, PoolSender};
 use crate::local::{
     build_stage, collect_stage, InputSplit, LocalRunner, ReduceSink, StageInput, StageState,
     BATCH_CHANNEL_DEPTH,
@@ -46,7 +46,6 @@ use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
 use mr_cache::StableHash;
 use mr_trace::{Scope, TraceEvent, TraceInstant, TraceLog};
-use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -82,20 +81,19 @@ impl HandoffStats {
 /// to the downstream input type and ships byte-budgeted batches into the
 /// downstream map intake channel. One sink per upstream reduce task.
 ///
-/// Sends never block the worker thread: a full channel moves the staged
-/// batch to a local pending queue that the owning reduce task drains via
+/// Sends never block the worker thread: batches leave through an
+/// [`Outbox`] that the owning reduce task drains via
 /// [`pump`](ReduceSink::pump), parking until the intake makes room.
 /// Batch accounting happens at staging time — a pure function of the
 /// emission stream — so handoff counters are schedule-independent.
-/// Dropping the sender on [`close`](ReduceSink::close) is the
+/// Closing the outbox on [`close`](ReduceSink::close) is the
 /// per-partition EOF.
 struct HandoffSink<'a, B, UK, UV>
 where
     B: ChainableApplication<UK, UV>,
 {
     downstream: &'a B,
-    tx: Option<PoolSender<Handoff<B>>>,
-    pending: VecDeque<Handoff<B>>,
+    out: Outbox<Handoff<B>>,
     buf: Handoff<B>,
     buf_bytes: usize,
     batch_bytes: usize,
@@ -121,8 +119,7 @@ where
     ) -> Self {
         HandoffSink {
             downstream,
-            tx: Some(tx),
-            pending: VecDeque::new(),
+            out: Outbox::new(vec![tx]),
             buf: Vec::new(),
             buf_bytes: 0,
             batch_bytes,
@@ -136,55 +133,16 @@ where
         }
     }
 
-    /// Cuts the current buffer into a staged batch and tries an
-    /// opportunistic non-blocking send; a full channel queues the batch
-    /// for [`pump_pending`]. A disconnected channel means the downstream
-    /// stage died (the job is failing): stop shipping.
+    /// Cuts the current buffer into a staged batch and hands it to the
+    /// outbox. A disconnected channel means the downstream stage died
+    /// (the job is failing): the outbox stops shipping.
     fn stage(&mut self) {
         self.buf_bytes = 0;
         if self.buf.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.buf);
         self.batches += 1;
-        if !self.pending.is_empty() {
-            self.pending.push_back(batch);
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            match tx.try_send_now(batch) {
-                Ok(()) => {}
-                Err(TrySend::Full(batch)) => self.pending.push_back(batch),
-                Err(TrySend::Disconnected(_)) => {
-                    self.tx = None;
-                    self.pending.clear();
-                }
-            }
-        }
-    }
-
-    /// Drains queued batches toward the intake; `false` means the
-    /// channel is full and the owning task should park.
-    fn pump_pending(&mut self, cx: &Ctx) -> bool {
-        let Some(tx) = &self.tx else {
-            self.pending.clear();
-            return true;
-        };
-        while let Some(batch) = self.pending.pop_front() {
-            match tx.try_send(cx, batch) {
-                Ok(()) => {}
-                Err(TrySend::Full(batch)) => {
-                    self.pending.push_front(batch);
-                    return false;
-                }
-                Err(TrySend::Disconnected(_)) => {
-                    self.tx = None;
-                    self.pending.clear();
-                    return true;
-                }
-            }
-        }
-        true
+        self.out.send(0, std::mem::take(&mut self.buf));
     }
 }
 
@@ -219,7 +177,7 @@ where
     }
 
     fn pump(&mut self, cx: &Ctx) -> bool {
-        self.pump_pending(cx)
+        self.out.pump(cx)
     }
 
     fn seal(&mut self) {
@@ -227,7 +185,7 @@ where
     }
 
     fn close(&mut self) {
-        self.tx = None; // EOF for this upstream partition
+        self.out.close(); // EOF for this upstream partition
         let mut stats = self.stats.lock().unwrap();
         stats.records += self.emitted;
         stats.batches += self.batches;

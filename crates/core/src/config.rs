@@ -3,6 +3,7 @@
 //! result snapshots are published.
 
 use crate::error::{MrError, MrResult};
+use crate::local::service::FairShare;
 use std::path::PathBuf;
 
 /// Default map-side combiner byte budget (per map worker × reducer).
@@ -529,10 +530,11 @@ impl Engine {
 /// # Policy knobs at a glance
 ///
 /// Every policy knob follows the same pattern: a field with a safe
-/// default, a chainable builder method, and — for runs under the cluster
-/// simulator — a `ClusterParams` override that wins over the job's own
-/// setting (`Some`/enabled wins; `None`/disabled leaves the job's choice
-/// in force). `ClusterParams::effective_config` resolves the whole set.
+/// default, a chainable builder method, and — where simulator sweeps
+/// toggle it cluster-wide — a `ClusterParams` override that wins over
+/// the job's own setting (`Some`/enabled wins; `None`/disabled leaves
+/// the job's choice in force). `ClusterParams::effective_config`
+/// resolves the whole set.
 ///
 /// | Knob | Builder | `ClusterParams` override | Default |
 /// |------|---------|--------------------------|---------|
@@ -540,10 +542,10 @@ impl Engine {
 /// | `store_index` | [`store_index`](JobConfig::store_index) | `store_index` (`Some` wins) | `Hashed` |
 /// | `snapshots` | [`snapshots`](JobConfig::snapshots) | `snapshots` (`Some` wins) | `Disabled` |
 /// | `speculation` | [`speculation`](JobConfig::speculation) | `speculation` (`Some` wins) | `Disabled` |
-/// | `deadline` | [`deadline`](JobConfig::deadline) | `deadline` (`Some` wins) | `Disabled` |
+/// | `deadline` | [`deadline`](JobConfig::deadline) | — | `Disabled` |
 /// | `trace` | [`trace`](JobConfig::trace) | `trace` (`Some` wins) | `Enabled` |
-/// | `cache` | [`cache`](JobConfig::cache) | `cache` (`Some` wins) | `Disabled` |
-/// | `pool_workers` | [`pool_workers`](JobConfig::pool_workers) | `pool_workers` (`Some` wins) | available parallelism |
+/// | `cache` | [`cache`](JobConfig::cache) | — | `Disabled` |
+/// | `pool_workers` | [`pool_workers`](JobConfig::pool_workers) | — | available parallelism |
 #[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Number of reduce tasks (partitions).
@@ -881,8 +883,8 @@ impl TenantSpec {
 }
 
 /// Configuration for a [`JobService`](crate::local::service::JobService): the
-/// tenant table, the admission-queue bound, and the width of the one
-/// long-lived worker pool every admitted job runs on.
+/// tenant table, the admission-queue bound, and the number of
+/// long-lived slot threads the admitted jobs run on.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The tenant table; a submission names a tenant by index.
@@ -890,9 +892,9 @@ pub struct ServiceConfig {
     /// Bound on jobs waiting for a slot across all tenants. A submission
     /// that would exceed it is rejected with `QueueFull`, not blocked.
     pub queue_cap: usize,
-    /// Worker threads in the service's long-lived pool — also the number
-    /// of job slots the scheduler hands out (one admitted job occupies
-    /// one slot for its whole run).
+    /// The service's long-lived slot threads — the number of job slots
+    /// the scheduler hands out (one admitted job occupies one slot for
+    /// its whole run).
     pub pool_workers: usize,
     /// Sizing of the one shared result cache every tenant's jobs
     /// consult (a job still opts in per-submission via
@@ -927,7 +929,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the pool width (= concurrent job slots).
+    /// Sets the number of slot threads (= concurrent job slots).
     pub fn pool_workers(mut self, workers: usize) -> Self {
         self.pool_workers = workers;
         self
@@ -940,19 +942,14 @@ impl ServiceConfig {
     }
 
     /// Checks the tenant table and service knobs up front, returning
-    /// [`MrError::InvalidConfig`] before any pool thread starts. Same
+    /// [`MrError::InvalidConfig`] before any slot thread starts. Same
     /// contract as [`JobConfig::validate`]: nonsense never reaches a
     /// worker.
     pub fn validate(&self) -> MrResult<()> {
         fn bad(what: impl Into<String>) -> MrResult<()> {
             Err(MrError::InvalidConfig(what.into()))
         }
-        if self.tenants.is_empty() {
-            return bad("a service needs at least one tenant");
-        }
-        if self.queue_cap == 0 {
-            return bad("queue_cap must be >= 1 (a zero-length queue rejects every submission)");
-        }
+        FairShare::new(&self.tenants, self.queue_cap)?;
         if self.pool_workers == 0 {
             return bad("pool_workers must be >= 1 (a zero-width pool never runs a job)");
         }
@@ -960,25 +957,6 @@ impl ServiceConfig {
             return bad(
                 "cache budget bytes must be >= 1 (a zero-byte cache rejects every artifact)",
             );
-        }
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.weight == 0 {
-                return bad(format!(
-                    "tenant {i} weight must be >= 1 (weight 0 would starve the tenant by \
-                     construction)"
-                ));
-            }
-            if t.max_concurrent_slots == 0 {
-                return bad(format!(
-                    "tenant {i} max_concurrent_slots must be >= 1 (a zero-slot tenant can \
-                     queue jobs it can never run)"
-                ));
-            }
-            if t.max_queued_jobs == 0 {
-                return bad(format!(
-                    "tenant {i} max_queued_jobs must be >= 1 (the tenant could never submit)"
-                ));
-            }
         }
         Ok(())
     }

@@ -59,8 +59,9 @@ pub use counters::{CounterName, Counters};
 pub use error::{MrError, MrResult};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use local::cache::SharedCache;
-pub use local::pool::{pool_thread_high_water, PoolReport};
-pub use local::service::{serve, JobHandle, JobService, RejectReason, ServiceReport, SubmitError};
+pub use local::service::{
+    serve, FairShare, JobHandle, JobService, RejectReason, ServiceReport, SubmitError,
+};
 pub use local::{LocalRunner, ManyJobsOutput, PoolStats};
 pub use mr_cache::{CacheKey, CacheStats, KeyBuilder, ResultCache, StableHash};
 pub use mr_trace::{

@@ -83,8 +83,7 @@ use mr_cache::StableHash;
 use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
 };
-use pool::{Ctx, Pool, PoolReceiver, PoolSender, Step, TryRecv, TrySend};
-use std::collections::VecDeque;
+use pool::{Ctx, Outbox, Pool, PoolReceiver, PoolSender, Step, TryRecv};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -233,24 +232,21 @@ fn fresh_batch(pool: &Mutex<Vec<FlatBatch>>) -> FlatBatch {
 /// downstream map intake, under either engine, so every transport
 /// batches, combines and recycles identically.
 ///
-/// Sends never block: a full channel moves the batch to a local pending
-/// queue that the owning task drains via [`pump`](ShuffleEmitter::pump),
-/// parking until the reducer makes room. Batch *accounting* happens at
-/// staging time — a pure function of split contents — so the shuffle
-/// counters are schedule-independent.
+/// Sends never block: batches leave through an [`Outbox`] that the
+/// owning task drains via [`pump`](ShuffleEmitter::pump), parking until
+/// the reducer makes room. Batch *accounting* happens at staging time —
+/// a pure function of split contents — so the shuffle counters are
+/// schedule-independent.
 pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> {
     app: &'a A,
     partitioner: &'a P,
     reducers: usize,
-    senders: Vec<PoolSender<FlatBatch>>,
+    outbox: Outbox<FlatBatch>,
     batch_pool: &'a Mutex<Vec<FlatBatch>>,
     totals: &'a Mutex<Counters>,
     /// Index of the split (or intake) being mapped; stamped on every
     /// batch staged from it.
     split: usize,
-    /// Staged batches a full channel refused; drained front-first so
-    /// per-reducer FIFO order is preserved.
-    pending: VecDeque<(usize, FlatBatch)>,
     plain: Vec<FlatBatch>,
     /// [`SizeEstimate`] bytes buffered per reducer since the last cut —
     /// the batch budget is charged in modelled heap bytes, not encoded
@@ -261,7 +257,6 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     combining: bool,
     batch_bytes: usize,
     counters: Counters,
-    dead: bool,
 }
 
 impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
@@ -279,11 +274,10 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             app,
             partitioner,
             reducers,
-            senders,
+            outbox: Outbox::new(senders),
             batch_pool: &state.batch_pool,
             totals: &state.totals,
             split: 0,
-            pending: VecDeque::new(),
             plain: (0..reducers).map(|_| FlatBatch::default()).collect(),
             plain_bytes: vec![0; reducers],
             combs: if combining {
@@ -296,7 +290,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             combining,
             batch_bytes: cfg.shuffle_batch_bytes,
             counters: Counters::new(),
-            dead: false,
         }
     }
 
@@ -310,7 +303,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// One map-output record: count, partition, buffer (or combine), and
     /// stage a full batch for the transport. A dead emitter drops it.
     pub(crate) fn push(&mut self, key: A::MapKey, value: A::MapValue) {
-        if self.dead {
+        if self.is_dead() {
             return;
         }
         let p = self.count_and_partition(&key);
@@ -329,7 +322,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     ///
     /// [`push`]: ShuffleEmitter::push
     pub(crate) fn push_ref(&mut self, key: &A::MapKey, value: &A::MapValue) -> Option<usize> {
-        if self.dead {
+        if self.is_dead() {
             return None;
         }
         let p = self.count_and_partition(key);
@@ -346,7 +339,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     ///
     /// [`push`]: ShuffleEmitter::push
     pub(crate) fn replay(&mut self, p: usize, key: &A::MapKey, value: &A::MapValue) {
-        if self.dead {
+        if self.is_dead() {
             return;
         }
         if self.combining {
@@ -395,55 +388,27 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         }
     }
 
-    /// Accounts a finished batch and hands it to the transport if there
-    /// is room, queueing it locally otherwise. The global FIFO of the
-    /// pending queue preserves per-reducer send order.
+    /// Accounts a finished batch and hands it to the transport. A
+    /// disconnected channel means the reducer died (e.g. OOM): the job
+    /// is failing and the outbox stops producing.
     fn stage(&mut self, p: usize, mut batch: FlatBatch) {
         self.counters.incr(names::SHUFFLE_BATCHES);
         self.counters
             .add(names::SHUFFLE_RECORDS, batch.records() as u64);
         batch.split = self.split;
-        if !self.pending.is_empty() {
-            self.pending.push_back((p, batch));
-            return;
-        }
-        match self.senders[p].try_send_now(batch) {
-            Ok(()) => {}
-            Err(TrySend::Full(batch)) => self.pending.push_back((p, batch)),
-            Err(TrySend::Disconnected(_)) => {
-                // The reducer died (e.g. OOM): the job is failing, stop
-                // producing.
-                self.dead = true;
-                self.pending.clear();
-            }
-        }
+        self.outbox.send(p, batch);
     }
 
-    /// Drains the pending queue toward the channels. Returns `false` if
-    /// a channel is still full (the task was registered for wakeup and
-    /// should park); `true` when nothing is pending.
+    /// Drains staged batches toward the channels; `false` means a
+    /// channel is still full and the owning task should park.
     pub(crate) fn pump(&mut self, cx: &Ctx) -> bool {
-        while let Some((p, batch)) = self.pending.pop_front() {
-            match self.senders[p].try_send(cx, batch) {
-                Ok(()) => {}
-                Err(TrySend::Full(batch)) => {
-                    self.pending.push_front((p, batch));
-                    return false;
-                }
-                Err(TrySend::Disconnected(_)) => {
-                    self.dead = true;
-                    self.pending.clear();
-                    return true;
-                }
-            }
-        }
-        true
+        self.outbox.pump(cx)
     }
 
     /// Whether a downstream reducer disappeared (the job is failing);
     /// callers stop feeding records.
     pub(crate) fn is_dead(&self) -> bool {
-        self.dead
+        self.outbox.is_dead()
     }
 
     /// A split boundary: stage every partial buffer and drain the
@@ -451,7 +416,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// batch boundaries a pure function of split contents, so the
     /// shuffle counters do not depend on which task mapped which split.
     pub(crate) fn end_split(&mut self) {
-        if self.dead {
+        if self.is_dead() {
             return;
         }
         for p in 0..self.reducers {
@@ -480,7 +445,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
                 .add(names::COMBINE_OUTPUT_RECORDS, comb.records_out());
         }
         self.totals.lock().unwrap().merge(&self.counters);
-        self.senders.clear();
+        self.outbox.close();
         Step::Done
     }
 }
@@ -1246,12 +1211,16 @@ impl<A: Application, S: ReduceSink<A>> SinkedRun<A, S> {
     }
 }
 
-/// Worker-pool evidence for one [`LocalRunner::run_many`] call.
+/// What one finished worker pool reports: the thread evidence of a
+/// [`LocalRunner::run_many`] batch or a [`serve`](service::serve) session.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolStats {
-    /// Worker threads the pool ran.
+    /// Workers that drove the pool: spawned threads, or the calling
+    /// thread alone for a one-worker pool.
     pub workers: usize,
-    /// Peak concurrently-live pool threads — at most `workers`.
+    /// Peak concurrently-live workers *of this pool* — by construction
+    /// at most `workers`, recorded as the direct evidence that N tasks
+    /// multiplexed on a bounded thread count.
     pub peak_threads: usize,
 }
 
@@ -1476,18 +1445,12 @@ impl LocalRunner {
                 |_| Vec::new(),
             )?;
         }
-        let report = pool.run(cfg.pool_workers)?;
-        let outs = states
+        let pool = pool.run(cfg.pool_workers)?;
+        let jobs = states
             .into_iter()
             .map(|state| collect_stage(state).map(SinkedRun::into_job_output))
             .collect();
-        Ok(ManyJobsOutput {
-            jobs: outs,
-            pool: PoolStats {
-                workers: report.workers,
-                peak_threads: report.peak_threads,
-            },
-        })
+        Ok(ManyJobsOutput { jobs, pool })
     }
 
     /// One job with caller-chosen reduce-output sinks: builds the stage

@@ -23,8 +23,15 @@
 //! hanging), every worker drains out, and `Pool::run` reports
 //! [`MrError::WorkerPanic`]. A pool where every remaining task is parked
 //! and no worker holds one can never make progress; the scheduler
-//! detects that and fails the run instead of hanging.
+//! detects that and fails the run instead of hanging. Both are always
+//! armed: a pool runs one way only — the whole task graph is built up
+//! front and `Pool::run` drives it to completion; nothing outside the
+//! pool feeds it work or wakes its tasks.
+//!
+//! Tasks that produce into channels from callbacks (where there is no
+//! task context to park with) send through an `Outbox`.
 
+use super::PoolStats;
 use crate::error::{MrError, MrResult};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,17 +81,11 @@ struct Sched {
     workers: usize,
     panicked: Option<String>,
     deadlocked: bool,
-    /// Service mode ([`Pool::run_service`]): while true, idle workers
-    /// wait for external wakeups instead of exiting or declaring a
-    /// stall — parked tasks may be woken by threads *outside* the pool
-    /// (a job-service submission). [`Pool::close`] clears it, arming the
-    /// normal drain-out and deadlock detection.
-    accepting: bool,
 }
 
 /// The shared scheduler handle: channels hold an `Arc<Waker>` so
 /// wakeups need no lifetime ties to the pool's borrowed tasks.
-pub(crate) struct Waker {
+struct Waker {
     sched: Mutex<Sched>,
     cv: Condvar,
 }
@@ -100,7 +101,6 @@ impl Waker {
                 workers: 0,
                 panicked: None,
                 deadlocked: false,
-                accepting: false,
             }),
             cv: Condvar::new(),
         })
@@ -110,7 +110,7 @@ impl Waker {
     /// running is flagged so it requeues instead of parking (the
     /// notified-while-running race). Ready/queued/done tasks ignore it,
     /// so spurious wakes are harmless.
-    pub(crate) fn wake(&self, id: usize) {
+    fn wake(&self, id: usize) {
         let mut s = self.sched.lock().unwrap();
         match s.state[id] {
             TaskState::Parked => {
@@ -125,40 +125,11 @@ impl Waker {
     }
 
     /// Wakes every task in `ids` (drained waiter lists).
-    pub(crate) fn wake_all_of(&self, ids: Vec<usize>) {
+    fn wake_all_of(&self, ids: Vec<usize>) {
         for id in ids {
             self.wake(id);
         }
     }
-}
-
-/// Process-wide pool-thread accounting, for the many-jobs evidence that
-/// thread count stays bounded: `live` spawned pool workers right now, and
-/// the high-water mark since process start. A one-worker pool runs on its
-/// caller, creates no thread, and so does not move these.
-static LIVE_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
-static PEAK_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// The process-wide peak number of concurrently live pool worker
-/// threads since start. Note this sums across concurrently running
-/// pools (e.g. parallel tests); per-run evidence is in
-/// [`PoolReport::peak_threads`].
-pub fn pool_thread_high_water() -> usize {
-    PEAK_POOL_THREADS.load(Ordering::SeqCst)
-}
-
-/// What one finished `Pool::run` reports.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolReport {
-    /// Workers that drove the pool: spawned threads, or the calling
-    /// thread alone for a one-worker pool.
-    pub workers: usize,
-    /// Peak concurrently-live workers *of this pool* — by construction
-    /// at most `workers`, recorded as the direct evidence that N tasks
-    /// multiplexed on a bounded thread count.
-    pub peak_threads: usize,
-    /// Tasks the pool drove to completion.
-    pub tasks: usize,
 }
 
 /// A fixed-size worker pool over borrowed task state machines. Build the
@@ -210,12 +181,6 @@ impl<'a> Pool<'a> {
         )
     }
 
-    /// The scheduler handle, for code outside the pool (a job service's
-    /// submit path) that needs to wake parked tasks.
-    pub(crate) fn waker(&self) -> Arc<Waker> {
-        Arc::clone(&self.waker)
-    }
-
     /// Drives every task to completion on `workers` OS threads.
     ///
     /// A one-worker pool spawns nothing: the calling thread is the
@@ -227,7 +192,7 @@ impl<'a> Pool<'a> {
     /// is dropped first, so peers unwind via channel EOF rather than
     /// hanging) or if the scheduler proves the graph can no longer make
     /// progress (every live task parked, no worker holding one).
-    pub(crate) fn run(self, workers: usize) -> MrResult<PoolReport> {
+    pub(crate) fn run(self, workers: usize) -> MrResult<PoolStats> {
         let tasks = self.slots.len();
         let workers = workers.max(1);
         {
@@ -253,68 +218,19 @@ impl<'a> Pool<'a> {
             }
         };
         self.verdict()?;
-        Ok(PoolReport {
+        Ok(PoolStats {
             workers,
             peak_threads,
-            tasks,
         })
     }
 
-    /// Runs the pool in **service mode**: `body` executes on the calling
-    /// thread while `workers` threads drive the task graph, and idle
-    /// workers wait for external wakeups (a submission thread waking a
-    /// parked task through [`Pool::waker`]) instead of declaring a
-    /// stall. When `body` returns the pool is [`close`](Pool::close)d:
-    /// remaining live tasks drain out under the normal rules (including
-    /// deadlock detection, re-armed by the close) and the workers exit.
-    ///
-    /// `body` must wake any task it expects to observe the shutdown
-    /// *before* returning — a task still parked at close time with no
-    /// wake pending is exactly the stall the detector exists to catch.
-    pub(crate) fn run_service<R>(
-        self,
-        workers: usize,
-        body: impl FnOnce() -> R,
-    ) -> MrResult<(R, PoolReport)> {
-        let tasks = self.slots.len();
-        let workers = workers.max(1);
-        {
-            let mut s = self.waker.sched.lock().unwrap();
-            s.live = tasks;
-            s.workers = workers;
-            s.accepting = true;
-        }
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let out = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.counted_worker(&live, &peak));
-            }
-            let out = body();
-            self.close();
-            out
-        });
-        self.verdict()?;
-        Ok((
-            out,
-            PoolReport {
-                workers,
-                peak_threads: peak.into_inner(),
-                tasks,
-            },
-        ))
-    }
-
     /// One spawned worker thread: [`worker_loop`](Pool::worker_loop)
-    /// between the per-pool and process-wide live-thread accounting.
+    /// inside the pool's live-thread accounting.
     fn counted_worker(&self, live: &AtomicUsize, peak: &AtomicUsize) {
         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
         peak.fetch_max(now, Ordering::SeqCst);
-        let global = LIVE_POOL_THREADS.fetch_add(1, Ordering::SeqCst) + 1;
-        PEAK_POOL_THREADS.fetch_max(global, Ordering::SeqCst);
         self.worker_loop();
         live.fetch_sub(1, Ordering::SeqCst);
-        LIVE_POOL_THREADS.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// What the drained scheduler says about the run: a task panic or a
@@ -332,21 +248,12 @@ impl<'a> Pool<'a> {
         Ok(())
     }
 
-    /// Ends service mode: workers stop waiting for new work and drain
-    /// the remaining live tasks, then exit.
-    pub(crate) fn close(&self) {
-        let mut s = self.waker.sched.lock().unwrap();
-        s.accepting = false;
-        drop(s);
-        self.waker.cv.notify_all();
-    }
-
     fn worker_loop(&self) {
         loop {
             let id = {
                 let mut s = self.waker.sched.lock().unwrap();
                 loop {
-                    if s.panicked.is_some() || s.deadlocked || (s.live == 0 && !s.accepting) {
+                    if s.panicked.is_some() || s.deadlocked || s.live == 0 {
                         drop(s);
                         self.waker.cv.notify_all();
                         return;
@@ -355,11 +262,10 @@ impl<'a> Pool<'a> {
                         s.state[id] = TaskState::Running;
                         break id;
                     }
-                    if !s.accepting && s.idle_workers + 1 == s.workers {
-                        // Nothing ready, nothing running anywhere, and no
-                        // external submitter left who could wake a parked
-                        // task: the remaining tasks are parked forever.
-                        // Fail loudly instead of hanging.
+                    if s.idle_workers + 1 == s.workers {
+                        // Nothing ready and nothing running anywhere: the
+                        // remaining tasks are parked forever. Fail loudly
+                        // instead of hanging.
                         s.deadlocked = true;
                         drop(s);
                         self.waker.cv.notify_all();
@@ -579,6 +485,79 @@ impl<T> Drop for PoolReceiver<T> {
     }
 }
 
+/// A task's sending side toward one or more pool channels, for values
+/// produced where there is no task context (deep in a map or reduce
+/// callback): [`send`](Outbox::send) tries the channel at once and
+/// queues the value locally when it is full; the owning task drains the
+/// queue with [`pump`](Outbox::pump) at the top of its next step,
+/// parking until the receiver makes room. Sends never block the thread.
+pub(crate) struct Outbox<T> {
+    senders: Vec<PoolSender<T>>,
+    /// Values a full channel refused, drained front-first: one global
+    /// FIFO, so per-channel send order is preserved.
+    pending: VecDeque<(usize, T)>,
+    dead: bool,
+}
+
+impl<T> Outbox<T> {
+    pub(crate) fn new(senders: Vec<PoolSender<T>>) -> Self {
+        Outbox {
+            senders,
+            pending: VecDeque::new(),
+            dead: false,
+        }
+    }
+
+    /// Hands `value` to channel `p` if there is room and nothing is
+    /// queued ahead of it, queueing it otherwise. A dead outbox drops it.
+    pub(crate) fn send(&mut self, p: usize, value: T) {
+        if self.dead {
+            return;
+        }
+        if !self.pending.is_empty() {
+            self.pending.push_back((p, value));
+            return;
+        }
+        match self.senders[p].try_send_now(value) {
+            Ok(()) => {}
+            Err(TrySend::Full(value)) => self.pending.push_back((p, value)),
+            Err(TrySend::Disconnected(_)) => self.close(),
+        }
+    }
+
+    /// Drains the queue toward the channels. Returns `false` if a
+    /// channel is still full (the task was registered for wakeup and
+    /// should park); `true` when nothing is pending.
+    pub(crate) fn pump(&mut self, cx: &Ctx) -> bool {
+        while let Some((p, value)) = self.pending.pop_front() {
+            match self.senders[p].try_send(cx, value) {
+                Ok(()) => {}
+                Err(TrySend::Full(value)) => {
+                    self.pending.push_front((p, value));
+                    return false;
+                }
+                Err(TrySend::Disconnected(_)) => self.close(),
+            }
+        }
+        true
+    }
+
+    /// Whether values sent from now on are dropped: a receiver
+    /// disappeared (the job is failing downstream) or the outbox was
+    /// closed.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.dead
+    }
+
+    /// Drops the senders — EOF for each receiver once every clone of its
+    /// sender is gone — and whatever was still queued.
+    pub(crate) fn close(&mut self) {
+        self.dead = true;
+        self.pending.clear();
+        self.senders.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,80 +695,6 @@ mod tests {
             matches!(err, Err(MrError::WorkerPanic(ref what)) if what.contains("stalled")),
             "expected a stall report, got {err:?}"
         );
-    }
-
-    /// Service mode: tasks park on an empty work queue, an *external*
-    /// thread (the `run_service` body) feeds work and wakes them through
-    /// the pool's waker handle, and close drains everything out — no
-    /// stall report, every item processed.
-    #[test]
-    fn service_mode_accepts_external_work_and_drains_on_close() {
-        struct Shared {
-            queue: VecDeque<u64>,
-            closed: bool,
-            parked: Vec<usize>,
-        }
-        let shared = Arc::new(Mutex::new(Shared {
-            queue: VecDeque::new(),
-            closed: false,
-            parked: Vec::new(),
-        }));
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        struct Runner {
-            shared: Arc<Mutex<Shared>>,
-            seen: Arc<Mutex<Vec<u64>>>,
-        }
-        impl PoolTask for Runner {
-            fn step(&mut self, cx: &mut Ctx) -> Step {
-                let mut s = self.shared.lock().unwrap();
-                if let Some(v) = s.queue.pop_front() {
-                    drop(s);
-                    self.seen.lock().unwrap().push(v);
-                    return Step::Yield;
-                }
-                if s.closed {
-                    return Step::Done;
-                }
-                if !s.parked.contains(&cx.task) {
-                    s.parked.push(cx.task);
-                }
-                Step::Park
-            }
-        }
-        let mut pool = Pool::new();
-        let waker = pool.waker();
-        for _ in 0..2 {
-            pool.spawn(Runner {
-                shared: Arc::clone(&shared),
-                seen: Arc::clone(&seen),
-            });
-        }
-        let total = 100u64;
-        let (_, report) = pool
-            .run_service(2, || {
-                for v in 0..total {
-                    let woken = {
-                        let mut s = shared.lock().unwrap();
-                        s.queue.push_back(v);
-                        std::mem::take(&mut s.parked)
-                    };
-                    waker.wake_all_of(woken);
-                }
-                // Service-level close: wake every parked runner so it
-                // observes the flag before the pool's drain begins.
-                let woken = {
-                    let mut s = shared.lock().unwrap();
-                    s.closed = true;
-                    std::mem::take(&mut s.parked)
-                };
-                waker.wake_all_of(woken);
-            })
-            .expect("service pool run");
-        assert_eq!(report.workers, 2);
-        assert_eq!(report.tasks, 2);
-        let mut seen = seen.lock().unwrap().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
 
     /// One worker runs the scheduler as a deterministic FIFO: two

@@ -1,32 +1,39 @@
-//! Multi-tenant job service over one long-lived worker pool.
+//! Multi-tenant job service: one ledger and N slot threads.
 //!
 //! [`serve`] stands up a [`JobService`]: a bounded admission queue in
-//! front of `pool_workers` persistent **runner tasks** on a single
-//! `Pool` in service mode. The service is a *scheduler*, not an engine:
-//! a runner picks the next job under the queue lock and then runs all of
-//! it on its own thread through the executor's own entry point —
-//! [`LocalRunner::run_cached`] when the service owns a cache,
-//! [`LocalRunner::run_with_partitioner`] otherwise — on a one-worker
-//! pool, which runs on its caller and so costs no thread. There are
-//! exactly as many runners as pool threads, so a runner is never
-//! descheduled for another: each admitted job occupies one runner
-//! (= one slot) from start to finish, and many tenants multiplex on a
-//! fixed thread count with no per-job thread setup or teardown — the
-//! long-lived-pool follow-on to `LocalRunner::run_many`.
+//! front of `pool_workers` scoped **slot threads**. The service is a
+//! *scheduler*, not an engine: a slot thread picks the next job under
+//! the ledger lock — waiting on the one condvar beside that lock while
+//! nothing is eligible — and then runs all of it through the executor's
+//! own entry point, [`LocalRunner::run_cached`] when the service owns a
+//! cache, [`LocalRunner::run_with_partitioner`] otherwise, on a
+//! one-worker pool, which runs on its caller and so costs no thread.
+//! Each admitted job occupies one slot thread from start to finish, and
+//! many tenants multiplex on a fixed thread count with no per-job thread
+//! setup or teardown — the long-lived follow-on to
+//! `LocalRunner::run_many`.
 //!
 //! **Admission** is synchronous and typed: a submission past the global
 //! queue bound or the tenant's queued-job quota returns
 //! [`SubmitError::Rejected`] immediately (never blocks, never panics a
 //! worker); a nonsense per-job config returns the usual
 //! [`MrError::InvalidConfig`]. **Scheduling** is deficit-style weighted
-//! fair: when a runner frees up it serves, among the tenants with queued
+//! fair: when a slot frees up it serves, among the tenants with queued
 //! work and spare concurrent-slot quota, first the highest priority
 //! class, then the tenant whose served-jobs/weight ratio is lowest —
 //! every eligible tenant's ratio grows only while it is being served, so
 //! no tenant starves and long-run slot shares converge to the weights.
-//! **Isolation**: a job's failure (OOM, app panic) is its own
-//! [`JobHandle`] result; the pool and every other tenant's jobs are
-//! untouched.
+//! Both rules live in one type, [`FairShare`], which the cluster
+//! simulator's service charges per *task* where this one charges per
+//! *job*. **Isolation**: a job's failure (OOM, app panic) is its own
+//! [`JobHandle`] result; the slot threads and every other tenant's jobs
+//! are untouched.
+//!
+//! Wake-ups cannot be lost: a slot thread decides to wait in the same
+//! critical section that found nothing eligible, and everything that can
+//! make a job eligible or end the session — a submission, a finished job
+//! freeing its tenant's quota, the close — changes the ledger under that
+//! lock and then notifies the condvar.
 //!
 //! Every trace scope a service job records is stamped with its job id
 //! and tenant, and its wall instants are moved onto the session's clock
@@ -34,11 +41,11 @@
 //! `TraceQuery::per_tenant_secs` can break the service's activity down
 //! by tenant. Outputs, counters and canonical traces are those of
 //! running the same job alone on one worker, because that is what a
-//! runner does; jobs share nothing but the slot scheduler and, when
+//! slot thread does; jobs share nothing but the slot scheduler and, when
 //! enabled, the content-addressed cache.
 
 use super::cache::SharedCache;
-use super::pool::{panic_message, Ctx, Pool, PoolTask, Step, Waker};
+use super::pool::panic_message;
 use super::{InputSplit, LocalRunner, PoolStats};
 use crate::config::{JobConfig, ServiceConfig, TenantSpec};
 use crate::error::{MrError, MrResult};
@@ -91,6 +98,143 @@ impl std::fmt::Display for RejectReason {
                 write!(f, "tenant {tenant} at its queued-jobs quota ({cap})")
             }
         }
+    }
+}
+
+/// The service's scheduling policy and the ledger it reads: admission
+/// bounds, per-tenant quotas and the deficit-style weighted-fair pick.
+/// What a *unit* is belongs to the caller — [`serve`] starts one per job,
+/// the cluster simulator's service one per task — so the real service
+/// and the simulated one schedule by literally the same rule.
+#[derive(Debug, Clone)]
+pub struct FairShare {
+    tenants: Vec<TenantSpec>,
+    queue_cap: usize,
+    /// Units started per tenant — the deficit the pick weighs against
+    /// the weights.
+    served: Vec<u64>,
+    /// Units currently holding a slot, per tenant.
+    running: Vec<usize>,
+    /// Admitted jobs that have not started a unit yet, per tenant.
+    queued: Vec<usize>,
+    queued_total: usize,
+}
+
+impl FairShare {
+    /// An empty ledger over `tenants` with a global bound of `queue_cap`
+    /// waiting jobs; [`MrError::InvalidConfig`] for a table no schedule
+    /// can honour (no tenant, a zero-length queue, a zero weight, slot
+    /// cap or queue quota).
+    pub fn new(tenants: &[TenantSpec], queue_cap: usize) -> MrResult<Self> {
+        fn bad<T>(what: impl Into<String>) -> MrResult<T> {
+            Err(MrError::InvalidConfig(what.into()))
+        }
+        if tenants.is_empty() {
+            return bad("a service needs at least one tenant");
+        }
+        if queue_cap == 0 {
+            return bad("queue_cap must be >= 1 (a zero-length queue rejects every submission)");
+        }
+        for (i, t) in tenants.iter().enumerate() {
+            if t.weight == 0 {
+                return bad(format!(
+                    "tenant {i} weight must be >= 1 (weight 0 would starve the tenant by \
+                     construction)"
+                ));
+            }
+            if t.max_concurrent_slots == 0 {
+                return bad(format!(
+                    "tenant {i} max_concurrent_slots must be >= 1 (a zero-slot tenant can \
+                     queue jobs it can never run)"
+                ));
+            }
+            if t.max_queued_jobs == 0 {
+                return bad(format!(
+                    "tenant {i} max_queued_jobs must be >= 1 (the tenant could never submit)"
+                ));
+            }
+        }
+        Ok(FairShare {
+            tenants: tenants.to_vec(),
+            queue_cap,
+            served: vec![0; tenants.len()],
+            running: vec![0; tenants.len()],
+            queued: vec![0; tenants.len()],
+            queued_total: 0,
+        })
+    }
+
+    /// Admits one job of `tenant` into the waiting count, or says which
+    /// bound turned it away.
+    pub fn admit(&mut self, tenant: usize) -> Result<(), RejectReason> {
+        let Some(spec) = self.tenants.get(tenant) else {
+            return Err(RejectReason::UnknownTenant {
+                tenant,
+                tenants: self.tenants.len(),
+            });
+        };
+        if self.queued_total >= self.queue_cap {
+            return Err(RejectReason::QueueFull {
+                cap: self.queue_cap,
+            });
+        }
+        if self.queued[tenant] >= spec.max_queued_jobs {
+            return Err(RejectReason::TenantQueueFull {
+                tenant,
+                cap: spec.max_queued_jobs,
+            });
+        }
+        self.queued[tenant] += 1;
+        self.queued_total += 1;
+        Ok(())
+    }
+
+    /// The tenant to serve next: among tenants with spare
+    /// concurrent-slot quota for which `has_work` holds, the highest
+    /// priority class wins; within it, the tenant with the lowest
+    /// served/weight ratio (compared exactly, by cross-multiplication).
+    /// Ties go to the lower tenant index, so the pick is deterministic
+    /// given the ledger. Charges nothing: [`start`](FairShare::start)
+    /// does.
+    pub fn pick(&self, mut has_work: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (t, spec) in self.tenants.iter().enumerate() {
+            if self.running[t] >= spec.max_concurrent_slots || !has_work(t) {
+                continue;
+            }
+            let Some(b) = best else {
+                best = Some(t);
+                continue;
+            };
+            let over = &self.tenants[b];
+            let fairer = (self.served[t] as u128) * (over.weight as u128)
+                < (self.served[b] as u128) * (spec.weight as u128);
+            if spec.priority > over.priority || (spec.priority == over.priority && fairer) {
+                best = Some(t);
+            }
+        }
+        best
+    }
+
+    /// Charges `tenant` one started unit holding one slot;
+    /// `first_unit_of_job` also moves the job out of the waiting count.
+    pub fn start(&mut self, tenant: usize, first_unit_of_job: bool) {
+        self.served[tenant] += 1;
+        self.running[tenant] += 1;
+        if first_unit_of_job {
+            self.queued[tenant] -= 1;
+            self.queued_total -= 1;
+        }
+    }
+
+    /// Gives back the slot one of `tenant`'s units held.
+    pub fn release(&mut self, tenant: usize) {
+        self.running[tenant] -= 1;
+    }
+
+    /// `tenant`'s preemption priority class.
+    pub fn priority(&self, tenant: usize) -> u32 {
+        self.tenants[tenant].priority
     }
 }
 
@@ -177,18 +321,12 @@ struct Queued<A: Application> {
     cell: Arc<JobCell<A>>,
 }
 
-/// The admission queue and fair-share accounting, one lock.
+/// The admission queue beside its fair-share ledger, one lock.
 struct Core<A: Application> {
+    /// Charged one unit per job.
+    fair: FairShare,
     /// Per-tenant FIFO of admitted, not-yet-running jobs.
     queues: Vec<VecDeque<Queued<A>>>,
-    /// Jobs dispatched per tenant — the deficit accounting the fair pick
-    /// compares against the weights.
-    served: Vec<u64>,
-    /// Jobs currently occupying a runner, per tenant.
-    running: Vec<usize>,
-    queued_total: usize,
-    /// Runner task ids parked on an empty/ineligible queue.
-    parked: Vec<usize>,
     closed: bool,
     next_id: u64,
     admitted: u64,
@@ -196,68 +334,58 @@ struct Core<A: Application> {
     completed: u64,
 }
 
-impl<A: Application> Core<A> {
-    fn new(tenants: usize) -> Self {
-        Core {
-            queues: (0..tenants).map(|_| VecDeque::new()).collect(),
-            served: vec![0; tenants],
-            running: vec![0; tenants],
-            queued_total: 0,
-            parked: Vec::new(),
-            closed: false,
-            next_id: 0,
-            admitted: 0,
-            rejected: 0,
-            completed: 0,
-        }
-    }
-
-    /// The deficit-style weighted-fair pick: among tenants with queued
-    /// work and spare concurrent-slot quota, the highest priority class
-    /// wins; within it, the tenant with the lowest served/weight ratio
-    /// (compared exactly, by cross-multiplication). Ties go to the lower
-    /// tenant index, so the pick is deterministic given the queue state.
-    fn pick(&mut self, tenants: &[TenantSpec]) -> Option<Queued<A>> {
-        let mut best: Option<usize> = None;
-        for t in 0..self.queues.len() {
-            if self.queues[t].is_empty() || self.running[t] >= tenants[t].max_concurrent_slots {
-                continue;
-            }
-            best = Some(match best {
-                None => t,
-                Some(b) => {
-                    let higher_class = tenants[t].priority > tenants[b].priority;
-                    let same_class = tenants[t].priority == tenants[b].priority;
-                    let fairer = (self.served[t] as u128) * (tenants[b].weight as u128)
-                        < (self.served[b] as u128) * (tenants[t].weight as u128);
-                    if higher_class || (same_class && fairer) {
-                        t
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let t = best?;
-        self.served[t] += 1;
-        self.running[t] += 1;
-        self.queued_total -= 1;
-        self.queues[t].pop_front()
-    }
-}
-
-/// State shared by the service handle and every runner task.
+/// State shared by the service handle and every slot thread.
 struct Shared<A: Application> {
     core: Mutex<Core<A>>,
-    tenants: Vec<TenantSpec>,
-    queue_cap: usize,
-    waker: Arc<Waker>,
+    /// Slot threads with nothing eligible wait here; see the module docs
+    /// for who notifies.
+    work: Condvar,
     started: Instant,
     /// The service-owned result cache every tenant's jobs share, when
     /// [`ServiceConfig::cache`] enables one. Content-addressed keys are
     /// the isolation story: a tenant can only hit artifacts it would
     /// have computed bit-for-bit itself, so sharing leaks nothing.
     cache: Option<SharedCache>,
+}
+
+impl<A: Application> Shared<A> {
+    /// Blocks until the fair pick yields a job and takes it; `None` once
+    /// the service closed and the queue drained.
+    fn next_job(&self) -> Option<Queued<A>> {
+        let mut core = self.core.lock().unwrap();
+        loop {
+            let Core { fair, queues, .. } = &mut *core;
+            if let Some(t) = fair.pick(|t| !queues[t].is_empty()) {
+                fair.start(t, true);
+                return queues[t].pop_front();
+            }
+            if core.closed && core.queues.iter().all(VecDeque::is_empty) {
+                return None;
+            }
+            core = self.work.wait(core).unwrap();
+        }
+    }
+
+    /// Publishes a job's result and releases its slot. Every waiting
+    /// slot thread is woken: the tenant's freed quota may have made a
+    /// queued job eligible, and once the service closed, the result that
+    /// empties the queue is the only signal that lets the waiters exit.
+    fn finish(&self, tenant: usize, cell: &JobCell<A>, result: MrResult<JobOutput<A>>) {
+        *cell.slot.lock().unwrap() = Some(result);
+        cell.done.notify_all();
+        let mut core = self.core.lock().unwrap();
+        core.fair.release(tenant);
+        core.completed += 1;
+        drop(core);
+        self.work.notify_all();
+    }
+
+    /// Ends admission-driven waiting: slot threads drain what is queued
+    /// and exit.
+    fn close(&self) {
+        self.core.lock().unwrap().closed = true;
+        self.work.notify_all();
+    }
 }
 
 /// The submission interface handed to [`serve`]'s body closure.
@@ -281,140 +409,39 @@ impl<A: Application> JobService<A> {
         cfg: &JobConfig,
     ) -> Result<JobHandle<A>, SubmitError> {
         cfg.validate().map_err(SubmitError::InvalidConfig)?;
-        let s = &self.shared;
-        if tenant >= s.tenants.len() {
-            // Not counted: there is no tenant to charge the rejection to.
-            return Err(SubmitError::Rejected {
-                reason: RejectReason::UnknownTenant {
-                    tenant,
-                    tenants: s.tenants.len(),
-                },
-            });
+        let mut core = self.shared.core.lock().unwrap();
+        if let Err(reason) = core.fair.admit(tenant) {
+            // An unknown tenant is not counted: there is no tenant to
+            // charge the rejection to.
+            if !matches!(reason, RejectReason::UnknownTenant { .. }) {
+                core.rejected += 1;
+            }
+            return Err(SubmitError::Rejected { reason });
         }
-        let (handle, woken) = {
-            let mut core = s.core.lock().unwrap();
-            if core.queued_total >= s.queue_cap {
-                core.rejected += 1;
-                return Err(SubmitError::Rejected {
-                    reason: RejectReason::QueueFull { cap: s.queue_cap },
-                });
-            }
-            let quota = s.tenants[tenant].max_queued_jobs;
-            if core.queues[tenant].len() >= quota {
-                core.rejected += 1;
-                return Err(SubmitError::Rejected {
-                    reason: RejectReason::TenantQueueFull { tenant, cap: quota },
-                });
-            }
-            let id = core.next_id;
-            core.next_id += 1;
-            core.admitted += 1;
-            core.queued_total += 1;
-            let cell = Arc::new(JobCell {
-                slot: Mutex::new(None),
-                done: Condvar::new(),
-            });
-            core.queues[tenant].push_back(Queued {
-                id,
-                tenant,
-                cfg: cfg.clone().pool_workers(1),
-                splits,
-                cell: Arc::clone(&cell),
-            });
-            (
-                JobHandle { id, tenant, cell },
-                std::mem::take(&mut core.parked),
-            )
-        };
-        s.waker.wake_all_of(woken);
-        Ok(handle)
-    }
-}
-
-/// One persistent slot of the service: grabs the fair pick's next job,
-/// runs it to its result, publishes that, repeats; parks when no job is
-/// eligible and exits once the service closed and the queue drained.
-struct RunnerTask<'e, A: Application, P: Partitioner<A::MapKey>> {
-    app: &'e A,
-    partitioner: &'e P,
-    shared: Arc<Shared<A>>,
-}
-
-impl<A: Application, P: Partitioner<A::MapKey>> RunnerTask<'_, A, P> {
-    /// Publishes a job's result and releases its slot, waking parked
-    /// runners whose tenant-quota eligibility may have changed.
-    fn finish(&self, tenant: usize, cell: &JobCell<A>, result: MrResult<JobOutput<A>>) {
-        *cell.slot.lock().unwrap() = Some(result);
-        cell.done.notify_all();
-        let woken = {
-            let mut core = self.shared.core.lock().unwrap();
-            core.running[tenant] -= 1;
-            core.completed += 1;
-            std::mem::take(&mut core.parked)
-        };
-        self.shared.waker.wake_all_of(woken);
-    }
-}
-
-impl<A, P> PoolTask for RunnerTask<'_, A, P>
-where
-    A: Application,
-    P: Partitioner<A::MapKey> + Sync,
-    A::InKey: StableHash,
-    A::InValue: StableHash,
-    A::MapKey: Sync,
-    A::MapValue: Sync,
-    A::OutKey: Sync + SizeEstimate,
-    A::OutValue: Sync + SizeEstimate,
-{
-    /// One step is one whole job, run on this runner's thread through
-    /// the executor's own entry point on a one-worker pool. The pool has
-    /// exactly one thread per runner, so holding it for the job's length
-    /// starves nobody.
-    fn step(&mut self, cx: &mut Ctx) -> Step {
-        let Queued {
+        let id = core.next_id;
+        core.next_id += 1;
+        core.admitted += 1;
+        let cell = Arc::new(JobCell {
+            slot: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        core.queues[tenant].push_back(Queued {
             id,
             tenant,
-            cfg,
+            cfg: cfg.clone().pool_workers(1),
             splits,
-            cell,
-        } = {
-            let mut core = self.shared.core.lock().unwrap();
-            match core.pick(&self.shared.tenants) {
-                Some(job) => job,
-                None if core.closed && core.queued_total == 0 => return Step::Done,
-                None => {
-                    // Registered under the core lock, same critical
-                    // section that observed "nothing eligible": the
-                    // submit/completion wake cannot be lost.
-                    if !core.parked.contains(&cx.task) {
-                        core.parked.push(cx.task);
-                    }
-                    return Step::Park;
-                }
-            }
-        };
-        // An app panic fails only this job.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let runner = LocalRunner::new(1);
-            let offset_secs = self.shared.started.elapsed().as_secs_f64();
-            let mut out = match &self.shared.cache {
-                Some(cache) => runner.run_cached(self.app, splits, &cfg, self.partitioner, cache),
-                None => runner.run_with_partitioner(self.app, splits, &cfg, self.partitioner),
-            }?;
-            // The log comes back scoped to job 0 on the job's own clock.
-            out.trace.restamp(id as u32, tenant as u32, offset_secs);
-            Ok(out)
-        }))
-        .unwrap_or_else(|payload| Err(MrError::WorkerPanic(panic_message(payload.as_ref()))));
-        self.finish(tenant, &cell, result);
-        Step::Yield
+            cell: Arc::clone(&cell),
+        });
+        drop(core);
+        // One new job is work for one slot.
+        self.shared.work.notify_one();
+        Ok(JobHandle { id, tenant, cell })
     }
 }
 
-/// Runs a multi-tenant job service for the duration of `body`: one
-/// long-lived pool of `cfg.pool_workers` threads (= job slots), a
-/// bounded admission queue, and deficit-weighted-fair scheduling across
+/// Runs a multi-tenant job service for the duration of `body`:
+/// `cfg.pool_workers` long-lived slot threads (= job slots), a bounded
+/// admission queue, and deficit-weighted-fair scheduling across
 /// `cfg.tenants`. Jobs still queued when `body` returns are drained
 /// before `serve` returns — admission was a promise.
 ///
@@ -439,53 +466,70 @@ where
     A::OutValue: Sync + SizeEstimate,
 {
     cfg.validate()?;
-    let mut pool = Pool::new();
     let shared = Arc::new(Shared {
-        core: Mutex::new(Core::new(cfg.tenants.len())),
-        tenants: cfg.tenants.clone(),
-        queue_cap: cfg.queue_cap,
-        waker: pool.waker(),
+        core: Mutex::new(Core {
+            fair: FairShare::new(&cfg.tenants, cfg.queue_cap)?,
+            queues: cfg.tenants.iter().map(|_| VecDeque::new()).collect(),
+            closed: false,
+            next_id: 0,
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+        }),
+        work: Condvar::new(),
         started: Instant::now(),
         cache: SharedCache::from_budget(&cfg.cache),
     });
-    for _ in 0..cfg.pool_workers {
-        pool.spawn(RunnerTask {
-            app,
-            partitioner,
+    // One persistent slot of the service: takes the fair pick's next
+    // job, runs all of it on this thread, publishes the result, repeats.
+    let slot = || {
+        while let Some(Queued {
+            id,
+            tenant,
+            cfg,
+            splits,
+            cell,
+        }) = shared.next_job()
+        {
+            // An app panic fails only this job.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let runner = LocalRunner::new(1);
+                let offset_secs = shared.started.elapsed().as_secs_f64();
+                let mut out = match &shared.cache {
+                    Some(cache) => runner.run_cached(app, splits, &cfg, partitioner, cache),
+                    None => runner.run_with_partitioner(app, splits, &cfg, partitioner),
+                }?;
+                // The log comes back scoped to job 0 on the job's own clock.
+                out.trace.restamp(id as u32, tenant as u32, offset_secs);
+                Ok(out)
+            }))
+            .unwrap_or_else(|payload| Err(MrError::WorkerPanic(panic_message(payload.as_ref()))));
+            shared.finish(tenant, &cell, result);
+        }
+    };
+    let out = std::thread::scope(|scope| {
+        for _ in 0..cfg.pool_workers {
+            scope.spawn(slot);
+        }
+        let svc = JobService {
             shared: Arc::clone(&shared),
-        });
-    }
-    let svc = JobService {
-        shared: Arc::clone(&shared),
-    };
-    let (out, pool_report) = pool.run_service(cfg.pool_workers, || {
-        // A panicking body must still close the service — skipping the
-        // close would leave parked runners waiting forever (a hang
-        // where the caller expects an unwind). Capture, close, re-raise
-        // below once the pool has drained.
-        let out = catch_unwind(AssertUnwindSafe(|| body(&svc)));
-        // Service-level close *before* the pool's own close: every
-        // parked runner is woken so it observes the flag and drains the
-        // remaining queue instead of tripping the stall detector.
-        let woken = {
-            let mut core = shared.core.lock().unwrap();
-            core.closed = true;
-            std::mem::take(&mut core.parked)
         };
-        shared.waker.wake_all_of(woken);
+        // A panicking body must still close the service — skipping the
+        // close would leave the slot threads waiting forever (a hang
+        // where the caller expects an unwind). Capture, close, re-raise
+        // below once the scope has joined them.
+        let out = catch_unwind(AssertUnwindSafe(|| body(&svc)));
+        shared.close();
         out
-    })?;
-    let out = match out {
-        Ok(out) => out,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
+    });
+    let out = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let core = shared.core.lock().unwrap();
     Ok((
         out,
         ServiceReport {
             pool: PoolStats {
-                workers: pool_report.workers,
-                peak_threads: pool_report.peak_threads,
+                workers: cfg.pool_workers,
+                peak_threads: cfg.pool_workers,
             },
             admitted: core.admitted,
             rejected: core.rejected,
@@ -503,6 +547,7 @@ mod tests {
     use crate::testutil::WordCountApp;
     use crate::traits::Emit;
     use mr_trace::TraceQuery;
+    use proptest::prelude::*;
 
     fn text_splits(tag: usize, n_splits: usize, lines: usize) -> Vec<Vec<(u64, String)>> {
         let vocab = [
@@ -521,66 +566,95 @@ mod tests {
             .collect()
     }
 
-    fn dummy_cell() -> Arc<JobCell<WordCountApp>> {
-        Arc::new(JobCell {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn queued(tenant: usize) -> Queued<WordCountApp> {
-        Queued {
-            id: 0,
-            tenant,
-            cfg: JobConfig::new(2),
-            splits: Vec::new(),
-            cell: dummy_cell(),
+    /// A ledger over `tenants` with `backlog` jobs admitted for each.
+    fn backlogged(tenants: &[TenantSpec], backlog: usize) -> FairShare {
+        let mut fair = FairShare::new(tenants, usize::MAX).expect("valid table");
+        for t in 0..tenants.len() {
+            for _ in 0..backlog {
+                fair.admit(t).expect("admitted");
+            }
         }
+        fair
     }
 
     /// The deficit pick converges to the weights: with weights 1:3 on a
     /// single slot, twelve dispatches serve the tenants 3:9.
     #[test]
     fn pick_converges_to_weights() {
-        let tenants = vec![
-            TenantSpec::default().weight(1),
-            TenantSpec::default().weight(3),
-        ];
-        let mut core = Core::<WordCountApp>::new(2);
-        for t in 0..2 {
-            for _ in 0..16 {
-                core.queues[t].push_back(queued(t));
-                core.queued_total += 1;
-            }
-        }
+        let mut fair = backlogged(
+            &[
+                TenantSpec::default().weight(1),
+                TenantSpec::default().weight(3),
+            ],
+            16,
+        );
         for _ in 0..12 {
-            let job = core.pick(&tenants).expect("work queued");
-            core.running[job.tenant] -= 1; // single slot: completes at once
+            let t = fair.pick(|_| true).expect("work queued");
+            fair.start(t, true);
+            fair.release(t); // single slot: completes at once
         }
-        assert_eq!(core.served, vec![3, 9]);
+        assert_eq!(fair.served, vec![3, 9]);
     }
 
     /// A higher priority class owns the slot while it has eligible work,
     /// regardless of weights; quota exhaustion hands the slot down.
     #[test]
     fn pick_prefers_priority_until_quota() {
-        let tenants = vec![
-            TenantSpec::default().weight(100),
-            TenantSpec::default().priority(5).max_concurrent_slots(2),
-        ];
-        let mut core = Core::<WordCountApp>::new(2);
-        for t in 0..2 {
-            for _ in 0..4 {
-                core.queues[t].push_back(queued(t));
-                core.queued_total += 1;
-            }
-        }
+        let mut fair = backlogged(
+            &[
+                TenantSpec::default().weight(100),
+                TenantSpec::default().priority(5).max_concurrent_slots(2),
+            ],
+            4,
+        );
         // Slots stay occupied: the priority tenant wins twice, then its
         // concurrency quota forces the pick down to the heavy tenant.
         let order: Vec<usize> = (0..4)
-            .map(|_| core.pick(&tenants).expect("work queued").tenant)
+            .map(|_| {
+                let t = fair.pick(|_| true).expect("work queued");
+                fair.start(t, true);
+                t
+            })
             .collect();
         assert_eq!(order, vec![1, 1, 0, 0]);
+    }
+
+    proptest! {
+        /// Whatever the weights, with every tenant backlogged on one slot
+        /// no tenant's served/weight ratio runs more than one pick ahead
+        /// of another's (compared exactly), which keeps every tenant
+        /// within one pick above, and one pick per tenant below, its
+        /// weight-proportional share of the picks.
+        #[test]
+        fn pick_tracks_any_weight_table(weights in prop::collection::vec(1u32..=50, 1..6)) {
+            const PICKS: u64 = 1200;
+            let tenants: Vec<TenantSpec> =
+                weights.iter().map(|&w| TenantSpec::default().weight(w)).collect();
+            let mut fair = backlogged(&tenants, PICKS as usize);
+            for _ in 0..PICKS {
+                let t = fair.pick(|_| true).expect("work queued");
+                fair.start(t, true);
+                fair.release(t);
+            }
+            let served = &fair.served;
+            let total: u64 = weights.iter().map(|&w| w as u64).sum();
+            for (t, &w) in weights.iter().enumerate() {
+                for (u, &v) in weights.iter().enumerate() {
+                    prop_assert!(
+                        served[t].saturating_sub(1) * v as u64 <= served[u] * w as u64,
+                        "tenant {} ran ahead of {}: served {:?}, weights {:?}",
+                        t, u, served, weights
+                    );
+                }
+                let share = (PICKS * w as u64) as f64 / total as f64;
+                let off = served[t] as f64 - share;
+                prop_assert!(
+                    -(weights.len() as f64) <= off && off <= 1.0,
+                    "tenant {} off its share by {}: served {:?}, weights {:?}",
+                    t, off, served, weights
+                );
+            }
+        }
     }
 
     /// Every admitted job's output is byte-identical to running it alone
@@ -923,6 +997,62 @@ mod tests {
         assert_eq!(report.admitted, 4);
         assert_eq!(report.rejected, 2); // quota + queue bound (unknown tenant has no ledger)
         assert_eq!(report.completed, 4);
+    }
+
+    /// A slot thread that can run nothing — its only tenant is at its
+    /// one-slot quota — waits out the whole session, and it is the last
+    /// finished job's notify that lets it go: the body returns with the
+    /// queue still full, so the close's own wake-up comes too early to
+    /// release it (it finds the queue non-empty and waits again).
+    #[test]
+    fn quota_bound_idle_slot_is_woken_by_the_last_result() {
+        let cfg = ServiceConfig::new(1)
+            .tenant(0, TenantSpec::default().max_concurrent_slots(1))
+            .pool_workers(2);
+        let jc = JobConfig::new(2);
+        let (handles, report) = serve(&WordCountApp, &HashPartitioner, &cfg, |svc| {
+            (0..64)
+                .map(|tag| {
+                    svc.submit(0, text_splits(tag, 2, 6), &jc)
+                        .expect("admitted")
+                })
+                .collect::<Vec<_>>()
+        })
+        .expect("service runs");
+        assert_eq!((report.admitted, report.completed), (64, 64));
+        assert_eq!((report.pool.workers, report.pool.peak_threads), (2, 2));
+        for (tag, handle) in handles.into_iter().enumerate() {
+            assert!(handle.is_done(), "job {tag} left behind");
+            let solo = LocalRunner::new(1)
+                .run(&WordCountApp, text_splits(tag, 2, 6), &jc)
+                .expect("solo run");
+            assert_eq!(
+                handle.wait().expect("job succeeds").partitions,
+                solo.partitions
+            );
+        }
+    }
+
+    /// Admission is a promise: jobs still queued when the body returns
+    /// are drained before `serve` does, at one slot and at several.
+    #[test]
+    fn jobs_queued_at_close_are_drained() {
+        for workers in [1, 4] {
+            let cfg = ServiceConfig::new(2).pool_workers(workers);
+            let jc = JobConfig::new(2);
+            let (handles, report) = serve(&WordCountApp, &HashPartitioner, &cfg, |svc| {
+                (0..24)
+                    .map(|tag| {
+                        svc.submit(tag % 2, text_splits(tag, 2, 6), &jc)
+                            .expect("admitted")
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .expect("service runs");
+            assert_eq!(report.admitted, 24, "{workers} slots");
+            assert_eq!(report.completed, report.admitted, "{workers} slots");
+            assert!(handles.iter().all(JobHandle::is_done), "{workers} slots");
+        }
     }
 
     /// Nonsense service configs fail up front with `InvalidConfig`
