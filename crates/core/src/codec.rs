@@ -9,7 +9,8 @@
 //! `RawComparator`, Spark Tungsten's prefix comparator — through
 //! [`Codec::sort_prefix`] and [`Codec::cmp_encoded`]. Both are provided
 //! methods whose defaults decode, so a type is always sorted correctly;
-//! overriding them only makes the barrier's sort cheaper.
+//! overriding them only makes the barrier's sort and the spill store's
+//! merge cheaper.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashSet};

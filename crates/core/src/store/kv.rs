@@ -7,7 +7,7 @@
 //! policy loses to spill-and-merge on high-key-cardinality workloads in
 //! Figures 9/10.
 
-use super::{PartialStore, StoreReport};
+use super::{PartialStore, ScratchDir, StoreReport};
 use crate::codec::Codec;
 use crate::error::MrResult;
 use crate::size::SizeEstimate;
@@ -30,6 +30,8 @@ pub struct KvBackedStore<A: Application> {
     peak_entries: usize,
     peak_bytes: u64,
     _marker: std::marker::PhantomData<fn() -> A>,
+    /// Holds `kv`'s segments; deleted after `kv` closes them.
+    _dir: ScratchDir,
 }
 
 impl<A: Application> KvBackedStore<A> {
@@ -44,7 +46,8 @@ impl<A: Application> KvBackedStore<A> {
         let serial = KV_SERIAL.fetch_add(1, Ordering::Relaxed);
         let dir = scratch_dir.join(format!("kv-{}-r{reducer}-{serial}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let kv = Store::open(StoreConfig::new(&dir).cache_bytes(cache_bytes))?;
+        let dir = ScratchDir(dir);
+        let kv = Store::open(StoreConfig::new(&dir.0).cache_bytes(cache_bytes))?;
         Ok(KvBackedStore {
             kv,
             heap_scale,
@@ -53,6 +56,7 @@ impl<A: Application> KvBackedStore<A> {
             peak_entries: 0,
             peak_bytes: 0,
             _marker: std::marker::PhantomData,
+            _dir: dir,
         })
     }
 }
@@ -105,17 +109,13 @@ impl<A: Application> PartialStore<A> for KvBackedStore<A> {
         for (key, state) in all {
             app.finalize(key, state, shared, out);
         }
-        let report = StoreReport {
+        Ok(StoreReport {
             entries,
             peak_entries: this.peak_entries,
             peak_bytes: this.peak_bytes,
             kv_stats: Some(this.kv.stats()),
             ..StoreReport::default()
-        };
-        let dir = this.kv.dir().to_path_buf();
-        drop(this.kv);
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(report)
+        })
     }
 
     fn snapshot_into(
@@ -158,5 +158,27 @@ impl<A: Application> PartialStore<A> for KvBackedStore<A> {
     fn io_bytes(&self) -> u64 {
         let st = self.kv.stats();
         st.bytes_written + st.bytes_read
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{scratch_dir, WordCountApp};
+
+    #[test]
+    fn an_unfinished_store_deletes_its_directory_when_dropped() {
+        let root = scratch_dir("kv-drop");
+        let mut store = KvBackedStore::<WordCountApp>::new(&root, 256, 1.0, 0).expect("store");
+        for i in 0..200 {
+            store
+                .absorb(&WordCountApp, format!("w{i}"), 1, &mut (), &mut Vec::new())
+                .expect("absorb");
+        }
+        let dir = store.kv.dir().to_path_buf();
+        assert!(dir.exists());
+        drop(store);
+        assert!(!dir.exists(), "{dir:?} left behind");
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -23,6 +23,21 @@ pub use spill::SpillMergeStore;
 use crate::config::{JobConfig, MemoryPolicy};
 use crate::error::MrResult;
 use crate::traits::{Application, Emit};
+use std::path::PathBuf;
+
+/// A disk store's scratch directory, deleted with everything in it when
+/// the guard drops — after a finalize, a failed one, or a store dropped
+/// unfinished by a failed or abandoned reduce task. A store declares it
+/// after the handles that live in the directory, so they close first.
+/// The guard, not the store, implements `Drop`, so `finalize_into` can
+/// still move the store's other fields out.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
 
 /// Statistics a store reports after finishing.
 #[derive(Debug, Clone, Default)]

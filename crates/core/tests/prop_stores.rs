@@ -8,10 +8,13 @@ use mr_core::engine::pipeline::{
     reduce_partition_barrierless, reduce_partition_barrierless_traced,
 };
 use mr_core::{
-    Application, Counters, Emit, Engine, JobConfig, MemoryPolicy, SnapshotPolicy, StoreIndex,
+    Application, Counters, Emit, Engine, JobConfig, Key, MemoryPolicy, SnapshotPolicy, StoreIndex,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -112,6 +115,97 @@ impl Application for CountSum {
     fn finalize(&self, k: u32, state: u64, _s: &mut (), out: &mut dyn Emit<u32, u64>) {
         out.emit(k, state);
     }
+}
+
+/// Fold order made visible: a key's state is the arrival tags of its
+/// records in the order they were folded, and `merge` concatenates. A
+/// spill store's output (and every snapshot) equals the in-memory
+/// store's only if it folds a key's partials in spill order with the
+/// live map last.
+struct Concat<K>(PhantomData<fn() -> K>);
+
+impl<K: Key> Application for Concat<K> {
+    type InKey = ();
+    type InValue = ();
+    type MapKey = K;
+    type MapValue = u32;
+    type OutKey = K;
+    type OutValue = Vec<u32>;
+    type State = Vec<u32>;
+    type Shared = ();
+
+    fn map(&self, _k: &(), _v: &(), _out: &mut dyn Emit<K, u32>) {}
+    fn new_shared(&self) {}
+    fn reduce_grouped(&self, k: &K, tags: Vec<u32>, _s: &mut (), out: &mut dyn Emit<K, Vec<u32>>) {
+        out.emit(k.clone(), tags);
+    }
+    fn init(&self, _k: &K) -> Vec<u32> {
+        Vec::new()
+    }
+    fn absorb(
+        &self,
+        _k: &K,
+        state: &mut Vec<u32>,
+        tag: u32,
+        _s: &mut (),
+        _o: &mut dyn Emit<K, Vec<u32>>,
+    ) {
+        state.push(tag);
+    }
+    fn merge(&self, _k: &K, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        a.extend(b);
+        a
+    }
+    fn finalize(&self, k: K, state: Vec<u32>, _s: &mut (), out: &mut dyn Emit<K, Vec<u32>>) {
+        out.emit(k, state);
+    }
+}
+
+/// Tags `keys` by arrival and runs them through `Concat` with a snapshot
+/// every `interval` records: under `InMemory`, then under `SpillMerge`
+/// with each index. Output and every snapshot must agree.
+fn concat_spill_matches_in_memory<K: Key + Debug>(
+    keys: Vec<K>,
+    threshold: u64,
+    interval: u64,
+) -> Result<(), TestCaseError> {
+    let records: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
+    let run = |memory: MemoryPolicy, index: StoreIndex| {
+        let cfg = JobConfig::new(1)
+            .engine(Engine::BarrierLess { memory })
+            .store_index(index)
+            .snapshots(SnapshotPolicy::EveryRecords { records: interval })
+            .scratch_dir(scratch());
+        let (out, _, snaps) = reduce_partition_barrierless_traced(
+            &Concat(PhantomData),
+            &cfg,
+            0,
+            records.clone(),
+            &mut Counters::new(),
+        )
+        .expect("run");
+        let estimates: Vec<Vec<(K, Vec<u32>)>> = snaps.into_iter().map(|s| s.estimate).collect();
+        (out, estimates)
+    };
+    let want = run(MemoryPolicy::InMemory, StoreIndex::default());
+    for index in INDEXES {
+        let got = run(
+            MemoryPolicy::SpillMerge {
+                threshold_bytes: threshold,
+            },
+            index,
+        );
+        prop_assert_eq!(&got, &want, "index {:?}", index);
+    }
+    Ok(())
+}
+
+/// Words that tie often: duplicates, keys that are all prefix (at most
+/// seven bytes), and keys of eight bytes and more sharing their first
+/// seven — inexact prefix ties only `cmp_encoded` can order.
+fn colliding_words() -> impl Strategy<Value = String> {
+    (0usize..4, "[ab]{0,2}")
+        .prop_map(|(stem, tail)| format!("{}{tail}", ["", "x", "shared-", "shared-prefix-"][stem]))
 }
 
 const INDEXES: [StoreIndex; 2] = [StoreIndex::Ordered, StoreIndex::Hashed];
@@ -307,6 +401,28 @@ proptest! {
         prop_assert_eq!(&snaps.last().expect("final").estimate, &out);
         // And it accounts every absorbed record.
         prop_assert_eq!(prev_records, records.len() as u64);
+    }
+
+    /// Equal keys fold in spill order with the live map last, whatever
+    /// the key type's prefix says: inexact `String` ties, the reversed
+    /// order, tuples (never exact, so `cmp_encoded` decodes) and `u64`
+    /// (always exact).
+    #[test]
+    fn spill_merge_folds_in_arrival_order_for_every_key_kind(
+        words in prop::collection::vec(colliding_words(), 1..250),
+        pairs in prop::collection::vec((0u32..3, colliding_words()), 1..250),
+        numbers in prop::collection::vec(0u64..40, 1..250),
+        threshold in 64u64..4096,
+        interval in 1u64..40,
+    ) {
+        concat_spill_matches_in_memory(words.clone(), threshold, interval)?;
+        concat_spill_matches_in_memory(
+            words.into_iter().map(Reverse).collect(),
+            threshold,
+            interval,
+        )?;
+        concat_spill_matches_in_memory(pairs, threshold, interval)?;
+        concat_spill_matches_in_memory(numbers, threshold, interval)?;
     }
 
     /// The incremental form agrees with the grouped form: top-3 per key.
