@@ -186,8 +186,7 @@ fn run_wordcount_full(
     let cfg = JobConfig::new(reducers)
         .engine(engine)
         .heap_scale(WC_HEAP_SCALE)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     SimExecutor::new(params).run(
         &WordCount,
         &FnInput(move |c| w.chunk(c)),
@@ -236,8 +235,7 @@ pub fn run_sort(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimRepor
     let w = sort_workload(seed);
     let cfg = JobConfig::new(reducers)
         .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     SimExecutor::new(testbed(seed)).run(
         &Sort,
         &FnInput(move |c| w.chunk(c)),
@@ -317,8 +315,7 @@ fn run_knn_full(
     params.snapshots = snapshots;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     let report = SimExecutor::new(params).run(
         &app,
         &FnInput(move |c| w.chunk(c)),
@@ -391,8 +388,7 @@ fn run_lastfm_full(
     params.snapshots = snapshots;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     SimExecutor::new(params).run(
         &UniqueListens,
         &FnInput(move |c| w.chunk(c)),
@@ -442,8 +438,7 @@ pub fn run_ga(
     let w = ga_workload(seed);
     let cfg = JobConfig::new(reducers)
         .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     SimExecutor::new(testbed(seed)).run(
         &GeneticAlgorithm::default(),
         &FnInput(move |c| w.chunk(c)),
@@ -487,10 +482,7 @@ pub fn bs_costs() -> CostModel {
 /// Runs Black-Scholes with `mappers` Monte-Carlo tasks and one reducer.
 pub fn run_bs(mappers: u64, engine: Engine, seed: u64) -> SimReport<BlackScholes> {
     let w = bs_workload(seed);
-    let cfg = JobConfig::new(1)
-        .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+    let cfg = JobConfig::new(1).engine(engine).scratch_dir(scratch());
     SimExecutor::new(testbed(seed)).run(
         &BlackScholes,
         &FnInput(move |c| w.chunk(c)),
@@ -642,8 +634,7 @@ pub fn run_wc_technique(gb: f64, reducers: usize, technique: MemTechnique) -> Ru
     let mut cfg = JobConfig::new(reducers)
         .engine(engine)
         .heap_scale(WC_HEAP_SCALE)
-        .scratch_dir(scratch())
-        .seed(42);
+        .scratch_dir(scratch());
     if technique == MemTechnique::InMemory {
         cfg.heap_cap_bytes = Some(WC_HEAP_CAP);
     }

@@ -20,8 +20,7 @@ fn run(
     let mut cfg = JobConfig::new(10)
         .engine(Engine::BarrierLess { memory: policy })
         .heap_scale(WC_HEAP_SCALE)
-        .scratch_dir(scratch())
-        .seed(42);
+        .scratch_dir(scratch());
     cfg.heap_cap_bytes = cap;
     SimExecutor::new(testbed(42)).run(
         &mr_apps::wordcount::WordCount,

@@ -63,8 +63,7 @@ fn run(
     params.speculation = Some(spec);
     let cfg = JobConfig::new(REDUCERS)
         .engine(engine)
-        .scratch_dir(scratch())
-        .seed(seed);
+        .scratch_dir(scratch());
     SimExecutor::new(params).run(
         &mr_apps::WordCount,
         &FnInput(move |c| w.chunk(c)),
@@ -170,7 +169,6 @@ fn deadline_demo() {
             .engine(barrierless())
             .snapshots(SnapshotPolicy::EverySecs { secs: 5.0 })
             .scratch_dir(scratch())
-            .seed(seed)
     };
     let exact = SimExecutor::new(testbed(seed)).run(
         &mr_apps::WordCount,

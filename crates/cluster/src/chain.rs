@@ -73,8 +73,8 @@ use crate::stage::{MapState, Note, RedState, Stage, StageError};
 use mr_core::chain::ChainableApplication;
 use mr_core::counters::names;
 use mr_core::{
-    Application, ChainSpec, CombinerPolicy, Counters, DeadlinePolicy, HandoffMode, JobConfig,
-    JobOutput, Partitioner, Scope, SnapshotPolicy, SpeculationPolicy, TraceLog,
+    Application, ChainSpec, CombinerPolicy, DeadlinePolicy, HandoffMode, JobConfig, JobOutput,
+    Partitioner, Scope, SnapshotPolicy, SpeculationPolicy, TraceLog,
 };
 use mr_net::NodeId;
 use mr_sim::{SimDuration, SimTime};
@@ -491,10 +491,8 @@ where
         // Emit the chain's counter totals into the trace: map-side
         // tallies of both stages plus the handoff counters as the job-0
         // batch (the handoff is a stage-1 output fact), each reducer's
-        // tallies under its own task scope in its own stage. The direct
-        // merge of exactly these values is what the untraced report
-        // carries, so the trace-derived `Counters` is equal by
-        // construction.
+        // tallies under its own task scope in its own stage. The report's
+        // counters are the direct merge of exactly these values.
         let mut job0 = std::mem::take(&mut self.s1.map_counters);
         job0.merge(&self.s2.map_counters);
         if complete {
@@ -505,25 +503,21 @@ where
         self.ctx.tracer.counters(Scope::job(0), &job0);
         self.s1.trace_reducer_counters(&mut self.ctx);
         self.s2.trace_reducer_counters(&mut self.ctx);
-        let trace_on = self.s1.cfg.trace.is_enabled() && self.s2.cfg.trace.is_enabled();
-        let trace = if trace_on {
+        // `TracePolicy` only gates the export, and only when both stages
+        // trace: a half-traced chain log would have holes.
+        let trace = if self.s1.cfg.trace.is_enabled() && self.s2.cfg.trace.is_enabled() {
             self.ctx.tracer.into_log()
         } else {
             TraceLog::new()
         };
         let output = outcome.is_completed().then(|| {
-            let counters = if trace_on {
-                Counters::from_trace(&trace)
-            } else {
-                let mut c = job0;
-                for r in &self.s1.reds {
-                    c.merge(&r.counters);
-                }
-                for r in &self.s2.reds {
-                    c.merge(&r.counters);
-                }
-                c
-            };
+            let mut counters = job0;
+            for r in &self.s1.reds {
+                counters.merge(&r.counters);
+            }
+            for r in &self.s2.reds {
+                counters.merge(&r.counters);
+            }
             let mut reports = Vec::new();
             for r in &mut self.s2.reds {
                 reports.extend(r.report.take());

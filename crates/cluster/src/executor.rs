@@ -13,8 +13,7 @@ use crate::report::{Outcome, SimReport};
 use crate::stage::{Note, RedState, Stage, StageError};
 use mr_core::counters::names;
 use mr_core::{
-    Application, Counters, JobConfig, JobOutput, MrError, Partitioner, Scope, SpeculationPolicy,
-    TraceLog,
+    Application, JobConfig, JobOutput, MrError, Partitioner, Scope, SpeculationPolicy, TraceLog,
 };
 use mr_sim::{SimDuration, SimTime};
 use mr_trace::SpanKind;
@@ -250,26 +249,21 @@ where
         // Emit the run's counter totals into the trace: the merged
         // map-side tallies as one job-scope batch (per-worker attribution
         // would add nothing — the sim merges them as they land), each
-        // reducer's tallies under its own task scope. The direct merge of
-        // exactly these values is what the untraced report carries, so
-        // the trace-derived `Counters` below is equal by construction.
+        // reducer's tallies under its own task scope. The report's
+        // counters are the direct merge of exactly these values.
         self.ctx.tracer.counters(Scope::job(0), &stage.map_counters);
         stage.trace_reducer_counters(&mut self.ctx);
         let snapshots_taken = self.ctx.tracer.snapshot_count(0);
-        // `TracePolicy` gates the export: enabled runs ship the log and
-        // derive their counters from it; disabled runs ship an empty log
-        // and directly-merged counters — the job's answer is
-        // byte-identical either way.
-        let (trace, run_counters) = if stage.cfg.trace.is_enabled() {
-            let log = self.ctx.tracer.into_log();
-            let counters = Counters::from_trace_job(&log, 0);
-            (log, counters)
+        let mut run_counters = std::mem::take(&mut stage.map_counters);
+        for r in &stage.reds {
+            run_counters.merge(&r.counters);
+        }
+        // `TracePolicy` only gates the export: disabled runs ship an
+        // empty log, and nothing else in the report changes.
+        let trace = if stage.cfg.trace.is_enabled() {
+            self.ctx.tracer.into_log()
         } else {
-            let mut c = std::mem::take(&mut stage.map_counters);
-            for r in &stage.reds {
-                c.merge(&r.counters);
-            }
-            (TraceLog::new(), c)
+            TraceLog::new()
         };
         let output = if outcome.is_completed() {
             let mut reports = Vec::new();

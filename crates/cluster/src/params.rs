@@ -208,6 +208,5 @@ mod tests {
 
         // Untouched non-policy fields ride along unchanged.
         assert_eq!(p.effective_config(&job).reducers, 4);
-        assert_eq!(p.effective_config(&job).seed, job.seed);
     }
 }

@@ -6,17 +6,23 @@
 //! 2. **Pure observation** — turning tracing off changes nothing the
 //!    job computes: partitions, counters (including spill cadence), and
 //!    completion are byte-identical; only the log disappears.
-//! 3. **Faithful compatibility views** — `Counters` and the span/heap
-//!    queries derived from the trace reproduce the exact
-//!    values the pre-redesign direct-recording code produced (pinned
-//!    here), including under a mid-run node kill.
+//! 3. **A complete copy** — every executor returns counters it merged
+//!    directly, and its trace carries the same totals: summing the log's
+//!    counter events gives back exactly the returned `Counters` (per
+//!    stage, for chains). The span/heap queries reproduce the values the
+//!    pre-redesign direct-recording code produced (pinned here),
+//!    including under a mid-run node kill.
 
 use mr_apps::wordcount::WordCount;
-use mr_cluster::{ClusterParams, CostModel, FnInput, SimExecutor, SimReport, SpanKind};
+use mr_apps::TopK;
+use mr_cluster::{
+    ChainSimExecutor, ClusterParams, CostModel, FnInput, SimExecutor, SimReport, SpanKind,
+};
 use mr_core::counters::names;
 use mr_core::local::LocalRunner;
 use mr_core::{
-    Counters, Engine, HashPartitioner, JobConfig, MemoryPolicy, TracePolicy, TraceQuery,
+    Application, CacheBudget, ChainOutput, ChainSpec, Counters, Engine, HandoffMode,
+    HashPartitioner, JobConfig, MemoryPolicy, SharedCache, TraceLog, TracePolicy, TraceQuery,
 };
 use mr_workloads::TextWorkload;
 use std::collections::BTreeMap;
@@ -49,7 +55,6 @@ fn sim_run(engine: Engine, policy: TracePolicy) -> SimReport<WordCount> {
     let w = workload(11);
     let cfg = JobConfig::new(6)
         .engine(engine)
-        .seed(11)
         .trace(policy)
         .scratch_dir(scratch("sim"));
     SimExecutor::new(small_cluster(11)).run_with_faults(
@@ -158,9 +163,9 @@ fn sim_tracing_off_is_pure_observation() {
             a.partitions, b.partitions,
             "{engine:?}: tracing changed the answer"
         );
-        // The enabled side's counters are *derived* from the trace; the
-        // disabled side's come from the legacy direct merge. Equality
-        // here is the whole compatibility claim, spill cadence included.
+        // Both sides' counters come from the same direct merge; the
+        // trace only rides along. Equality here says recording the log
+        // never feeds back into what the job counts.
         assert_eq!(a.counters, b.counters, "{engine:?}: counters diverged");
     }
 }
@@ -197,11 +202,112 @@ fn local_tracing_off_preserves_output_and_spill_cadence() {
         "threshold never tripped — the cadence comparison is vacuous"
     );
     assert_eq!(on.partitions, off.partitions, "tracing changed the answer");
+    // One merge builds the counters on both sides, so recording the log
+    // must not move spill cadence or any other counter.
     assert_eq!(
         counter_map(&on.counters),
         counter_map(&off.counters),
-        "derived counters diverged from the direct merge"
+        "tracing moved the counters"
     );
+}
+
+/// The log's counter events sum to the run's counters, by label.
+fn assert_trace_complete(trace: &TraceLog, counters: &Counters, what: &str) {
+    assert!(!trace.is_empty(), "{what}: no trace");
+    assert_eq!(
+        counter_map(&Counters::from_trace(trace)),
+        counter_map(counters),
+        "{what}: the trace is missing counters"
+    );
+}
+
+/// Stage `j`'s counter events in a chain log sum to `stages[j].counters`.
+fn assert_chain_trace_complete<B: Application>(out: &ChainOutput<B>, what: &str) {
+    let q = TraceQuery::new(&out.trace);
+    for (j, stage) in out.stages.iter().enumerate() {
+        let from_log: BTreeMap<String, u64> = q
+            .job_counter_totals(j as u32)
+            .into_iter()
+            .map(|(k, v)| (k.as_str().to_string(), v))
+            .collect();
+        assert_eq!(
+            from_log,
+            counter_map(&stage.counters),
+            "{what}: stage {j}'s trace is missing counters"
+        );
+    }
+    assert_trace_complete(&out.trace, &out.total_counters(), what);
+}
+
+/// Returned counters come from one direct merge in every executor; the
+/// trace is a complete copy of them, checked here rather than relied on.
+#[test]
+fn trace_is_a_complete_copy_of_the_counters() {
+    let runner = LocalRunner::new(4);
+    let cfg = JobConfig::new(4)
+        .engine(Engine::barrierless())
+        .scratch_dir(scratch("complete"));
+
+    let out = runner
+        .run(&WordCount, local_splits(), &cfg)
+        .expect("local run");
+    assert_trace_complete(&out.trace, &out.counters, "local job");
+
+    let cache = SharedCache::new(16 << 20);
+    let cached = cfg.clone().cache(CacheBudget::enabled());
+    for what in ["run_cached cold", "run_cached warm"] {
+        let out = runner
+            .run_cached(
+                &WordCount,
+                local_splits(),
+                &cached,
+                &HashPartitioner,
+                &cache,
+            )
+            .expect("cached run");
+        assert_trace_complete(&out.trace, &out.counters, what);
+    }
+
+    let top = TopK::new(10);
+    let spec = |handoff| {
+        ChainSpec::new(vec![cfg.clone(), JobConfig::new(2).engine(Engine::Barrier)])
+            .handoff(handoff)
+    };
+    for handoff in [HandoffMode::Barrier, HandoffMode::Streaming] {
+        let out = runner
+            .run_chain2(
+                &WordCount,
+                &top,
+                local_splits(),
+                &spec(handoff),
+                &HashPartitioner,
+                &HashPartitioner,
+            )
+            .expect("local chain");
+        assert_chain_trace_complete(&out, &format!("run_chain2 {handoff:?}"));
+    }
+
+    for engine in [Engine::Barrier, Engine::barrierless()] {
+        let r = sim_run(engine.clone(), TracePolicy::Enabled);
+        let out = r.output.as_ref().expect("sim completed");
+        assert_trace_complete(&r.trace, &out.counters, &format!("sim {engine:?}"));
+    }
+
+    let w = workload(11);
+    for handoff in [HandoffMode::Barrier, HandoffMode::Streaming] {
+        let r = ChainSimExecutor::new(small_cluster(11)).run_chain2(
+            &WordCount,
+            &top,
+            &FnInput(|c| w.chunk(c)),
+            6,
+            &spec(handoff),
+            &CostModel::default_for_tests(),
+            &HashPartitioner,
+            &HashPartitioner,
+        );
+        let out = r.output.as_ref().expect("chain sim completed");
+        assert_trace_complete(&r.trace, &out.counters, &format!("chain sim {handoff:?}"));
+    }
 }
 
 /// Pinned outputs of the pre-redesign direct-recording code for the

@@ -35,7 +35,7 @@ use crate::config::{ChainSpec, HandoffMode, JobConfig};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
 use crate::local::cache::SharedCache;
-use crate::local::pool::{Ctx, Outbox, Pool, PoolSender};
+use crate::local::pool::{Ctx, Outbox, Pool, PoolReceiver, PoolSender};
 use crate::local::{
     build_stage, collect_stage, InputSplit, LocalRunner, ReduceSink, StageInput, StageState,
     BATCH_CHANNEL_DEPTH,
@@ -46,21 +46,13 @@ use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
 use mr_cache::StableHash;
 use mr_trace::{Scope, TraceEvent, TraceInstant, TraceLog};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// A handed-off record batch: already adapted to the downstream input
-/// types.
-type Handoff<B> = Vec<(<B as Application>::InKey, <B as Application>::InValue)>;
 
 /// A materialized output partition of stage `X`.
 type StageOut<X> = Vec<(<X as Application>::OutKey, <X as Application>::OutValue)>;
 
-/// The sink a middle stage of a homogeneous chain reduces into: a
-/// handoff to another stage of the same application type.
-type MidSink<'a, A> = HandoffSink<'a, A, <A as Application>::OutKey, <A as Application>::OutValue>;
-
-/// Per-boundary handoff bookkeeping, merged from every upstream sink.
+/// Per-boundary handoff bookkeeping: one sink's, or every upstream
+/// sink's of one stage merged.
 #[derive(Debug, Default)]
 struct HandoffStats {
     records: u64,
@@ -75,11 +67,22 @@ impl HandoffStats {
         counters.add(names::CHAIN_HANDOFF_BATCHES, self.batches);
         counters.add(names::CHAIN_HANDOFF_BYTES, self.bytes);
     }
+
+    fn merge(&mut self, other: &HandoffStats) {
+        self.records += other.records;
+        self.batches += other.batches;
+        self.bytes += other.bytes;
+        self.first_secs = match (self.first_secs, other.first_secs) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+    }
 }
 
-/// The streaming reduce-output sink: adapts each upstream output record
-/// to the downstream input type and ships byte-budgeted batches into the
-/// downstream map intake channel. One sink per upstream reduce task.
+/// The streaming reduce-output sink of an upstream stage `X`: adapts
+/// each output record to the downstream input type and ships
+/// byte-budgeted batches into the downstream map intake channel. One
+/// sink per upstream reduce task, made by [`Boundary::sink`].
 ///
 /// Sends never block the worker thread: batches leave through an
 /// [`Outbox`] that the owning reduce task drains via
@@ -88,51 +91,18 @@ impl HandoffStats {
 /// emission stream — so handoff counters are schedule-independent.
 /// Closing the outbox on [`close`](ReduceSink::close) is the
 /// per-partition EOF.
-struct HandoffSink<'a, B, UK, UV>
-where
-    B: ChainableApplication<UK, UV>,
-{
+struct HandoffSink<'a, X, B: Application> {
     downstream: &'a B,
-    out: Outbox<Handoff<B>>,
-    buf: Handoff<B>,
+    out: Outbox<InputSplit<B>>,
+    buf: InputSplit<B>,
     buf_bytes: usize,
     batch_bytes: usize,
-    emitted: u64,
-    batches: u64,
-    bytes: u64,
     started: Instant,
-    first_secs: Option<f64>,
-    stats: &'a Mutex<HandoffStats>,
-    _upstream: std::marker::PhantomData<fn(UK, UV)>,
+    stats: HandoffStats,
+    _upstream: std::marker::PhantomData<fn(X)>,
 }
 
-impl<'a, B, UK, UV> HandoffSink<'a, B, UK, UV>
-where
-    B: ChainableApplication<UK, UV>,
-{
-    fn new(
-        downstream: &'a B,
-        tx: PoolSender<Handoff<B>>,
-        batch_bytes: usize,
-        stats: &'a Mutex<HandoffStats>,
-        started: Instant,
-    ) -> Self {
-        HandoffSink {
-            downstream,
-            out: Outbox::new(vec![tx]),
-            buf: Vec::new(),
-            buf_bytes: 0,
-            batch_bytes,
-            emitted: 0,
-            batches: 0,
-            bytes: 0,
-            started,
-            first_secs: None,
-            stats,
-            _upstream: std::marker::PhantomData,
-        }
-    }
-
+impl<X, B: Application> HandoffSink<'_, X, B> {
     /// Cuts the current buffer into a staged batch and hands it to the
     /// outbox. A disconnected channel means the downstream stage died
     /// (the job is failing): the outbox stops shipping.
@@ -141,23 +111,24 @@ where
         if self.buf.is_empty() {
             return;
         }
-        self.batches += 1;
+        self.stats.batches += 1;
         self.out.send(0, std::mem::take(&mut self.buf));
     }
 }
 
-impl<B, UK, UV> Emit<UK, UV> for HandoffSink<'_, B, UK, UV>
+impl<X, B> Emit<X::OutKey, X::OutValue> for HandoffSink<'_, X, B>
 where
-    B: ChainableApplication<UK, UV>,
+    X: Application,
+    B: ChainableApplication<X::OutKey, X::OutValue>,
 {
-    fn emit(&mut self, key: UK, value: UV) {
-        if self.first_secs.is_none() {
-            self.first_secs = Some(self.started.elapsed().as_secs_f64());
+    fn emit(&mut self, key: X::OutKey, value: X::OutValue) {
+        if self.stats.first_secs.is_none() {
+            self.stats.first_secs = Some(self.started.elapsed().as_secs_f64());
         }
-        self.emitted += 1;
+        self.stats.records += 1;
         let rec_bytes = self.downstream.handoff_bytes(&key, &value);
         self.buf_bytes += rec_bytes;
-        self.bytes += rec_bytes as u64;
+        self.stats.bytes += rec_bytes as u64;
         self.buf.push(self.downstream.adapt_input(key, value));
         if self.buf_bytes >= self.batch_bytes {
             self.stage();
@@ -165,15 +136,13 @@ where
     }
 }
 
-impl<A, B, UK, UV> ReduceSink<A> for HandoffSink<'_, B, UK, UV>
+impl<X, B> ReduceSink<X> for HandoffSink<'_, X, B>
 where
-    A: Application<OutKey = UK, OutValue = UV>,
-    B: ChainableApplication<UK, UV>,
-    UK: Send,
-    UV: Send,
+    X: Application,
+    B: ChainableApplication<X::OutKey, X::OutValue>,
 {
     fn emitted(&self) -> u64 {
-        self.emitted
+        self.stats.records
     }
 
     fn pump(&mut self, cx: &Ctx) -> bool {
@@ -186,40 +155,60 @@ where
 
     fn close(&mut self) {
         self.out.close(); // EOF for this upstream partition
-        let mut stats = self.stats.lock().unwrap();
-        stats.records += self.emitted;
-        stats.batches += self.batches;
-        stats.bytes += self.bytes;
-        stats.first_secs = match (stats.first_secs, self.first_secs) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 
-    fn into_partition(self) -> Vec<(A::OutKey, A::OutValue)> {
+    fn into_partition(self) -> StageOut<X> {
         Vec::new() // the records are downstream already
     }
 }
 
-/// Builds one stage's [`StageStats`] from its finished run's parts —
-/// the legacy direct path, used when tracing is off.
-fn stage_stats(
-    mut counters: Counters,
-    reports: Vec<crate::engine::DriverReport>,
-    handoff: Option<&HandoffStats>,
-    finished_secs: f64,
-) -> StageStats {
-    if let Some(stats) = handoff {
-        stats.charge(&mut counters);
+/// One streaming stage boundary: the intake channels the upstream
+/// reducers feed (channel `i` carries every upstream partition `i`
+/// into downstream map intake `i`) and the factory for those reducers'
+/// [`HandoffSink`]s. Each sink ships through its own clone of a
+/// channel's sender, so dropping the boundary once every upstream stage
+/// is built leaves EOF to the last sink's close.
+struct Boundary<'a, B: Application> {
+    downstream: &'a B,
+    txs: Vec<PoolSender<InputSplit<B>>>,
+    batch_bytes: usize,
+    started: Instant,
+}
+
+impl<'a, B: Application> Boundary<'a, B> {
+    /// Opens `channels` intake channels on `pool`, returning the boundary
+    /// and the receivers the downstream stage's intake tasks drain.
+    fn open(
+        pool: &Pool<'_>,
+        downstream: &'a B,
+        channels: usize,
+        spec: &ChainSpec,
+        started: Instant,
+    ) -> (Self, Vec<PoolReceiver<InputSplit<B>>>) {
+        let (txs, rxs) = (0..channels)
+            .map(|_| pool.channel(BATCH_CHANNEL_DEPTH))
+            .unzip();
+        let boundary = Boundary {
+            downstream,
+            txs,
+            batch_bytes: spec.chain.handoff_batch_bytes,
+            started,
+        };
+        (boundary, rxs)
     }
-    StageStats {
-        counters,
-        reports,
-        handoff_records: handoff.map_or(0, |s| s.records),
-        handoff_batches: handoff.map_or(0, |s| s.batches),
-        handoff_bytes: handoff.map_or(0, |s| s.bytes),
-        first_handoff_secs: handoff.and_then(|s| s.first_secs),
-        finished_secs,
+
+    /// The sink upstream reducer `r` of stage `X` emits into.
+    fn sink<X>(&self, r: usize) -> HandoffSink<'a, X, B> {
+        HandoffSink {
+            downstream: self.downstream,
+            out: Outbox::new(vec![self.txs[r].clone()]),
+            buf: Vec::new(),
+            buf_bytes: 0,
+            batch_bytes: self.batch_bytes,
+            started: self.started,
+            stats: HandoffStats::default(),
+            _upstream: std::marker::PhantomData,
+        }
     }
 }
 
@@ -227,8 +216,7 @@ fn stage_stats(
 struct StageParts {
     counters: Counters,
     reports: Vec<crate::engine::DriverReport>,
-    /// The boundary this stage fed (`None` exactly where the legacy path
-    /// passed no handoff — derived and direct stats must match).
+    /// The boundary this stage fed (`None` for the final stage).
     handoff: Option<HandoffStats>,
     finished_secs: f64,
     /// The stage run's own log, still scoped to job 0.
@@ -255,23 +243,10 @@ impl StageParts {
     }
 }
 
-/// Collects a streamed stage once the pool has drained: its output (the
-/// partitions empty where handoff sinks already shipped the records
-/// downstream) and the instant its last reduce task finished.
-fn collect_streamed<X, S>(state: StageState<X, S>) -> MrResult<(JobOutput<X>, f64)>
-where
-    X: Application,
-    S: ReduceSink<X>,
-{
-    let run = collect_stage(state)?;
-    let finished_secs = run.finished_secs;
-    Ok((run.into_job_output(), finished_secs))
-}
-
 /// Appends stage `job`'s chain-boundary events to the chain log: the
-/// charged `chain.handoff.*` counter totals (zeros included, mirroring
-/// the legacy charge), a handoff mark at the boundary's first-record
-/// instant, and the stage-done mark.
+/// charged `chain.handoff.*` counter totals (zeros included, so the
+/// log's counter events sum to the stage's counters), a handoff mark at
+/// the boundary's first-record instant, and the stage-done mark.
 fn push_stage_marks(log: &mut TraceLog, job: u32, handoff: Option<&HandoffStats>, finished: f64) {
     let scope = Scope::job(job);
     if let Some(h) = handoff {
@@ -306,48 +281,49 @@ fn push_stage_marks(log: &mut TraceLog, job: u32, handoff: Option<&HandoffStats>
     );
 }
 
-/// Whether the whole chain records traces: every stage must opt in — the
-/// chain log merges the stage logs, so one disabled stage would leave a
-/// hole the derived [`StageStats`] views can't paper over.
+/// Whether the chain exports a log: only when every stage records one,
+/// because the chain log concatenates the stage logs and one untraced
+/// stage would leave a hole in it. The returned [`StageStats`] do not
+/// depend on this.
 fn chain_tracing(spec: &ChainSpec) -> bool {
     spec.stages.iter().all(|c| c.trace.is_enabled())
 }
 
-/// Assembles the chain result from the finished stages. With tracing on,
-/// the per-stage logs are merged into one chain log (stage `j`'s events
-/// re-scoped to job `j`, boundary marks appended) and every
-/// [`StageStats`] is *derived back out of that log*; with tracing off,
-/// the legacy direct path builds the same values from the parts.
+/// Assembles the chain result from the finished stages. Every
+/// [`StageStats`] is built from its stage's parts, the boundary's
+/// `chain.handoff.*` charges added to the stage's counters. When the
+/// chain traces, the stage logs are merged into one chain log too:
+/// stage `j`'s events re-scoped to job `j`, then its boundary marks.
 fn assemble_chain<B: Application>(
-    trace_on: bool,
+    spec: &ChainSpec,
     parts: Vec<StageParts>,
     mut output: JobOutput<B>,
 ) -> ChainOutput<B> {
+    let trace_on = chain_tracing(spec);
     let mut trace = TraceLog::new();
     let mut stages = Vec::with_capacity(parts.len());
-    if trace_on {
-        let mut reports_per_stage = Vec::with_capacity(parts.len());
-        for (j, p) in parts.into_iter().enumerate() {
+    for (j, mut p) in parts.into_iter().enumerate() {
+        if trace_on {
             let job = j as u32;
             for mut e in p.trace.entries {
                 e.scope.job = job;
                 trace.push(e.scope, e.event);
             }
             push_stage_marks(&mut trace, job, p.handoff.as_ref(), p.finished_secs);
-            reports_per_stage.push(p.reports);
         }
-        for (j, reports) in reports_per_stage.into_iter().enumerate() {
-            stages.push(StageStats::from_log(&trace, j as u32, reports));
+        if let Some(h) = &p.handoff {
+            h.charge(&mut p.counters);
         }
-    } else {
-        for p in parts {
-            stages.push(stage_stats(
-                p.counters,
-                p.reports,
-                p.handoff.as_ref(),
-                p.finished_secs,
-            ));
-        }
+        let handoff = p.handoff.unwrap_or_default();
+        stages.push(StageStats {
+            counters: p.counters,
+            reports: p.reports,
+            handoff_records: handoff.records,
+            handoff_batches: handoff.batches,
+            handoff_bytes: handoff.bytes,
+            first_handoff_secs: handoff.first_secs,
+            finished_secs: p.finished_secs,
+        });
     }
     // The final stage's log now lives (re-scoped) in the chain log.
     output.trace = TraceLog::new();
@@ -358,44 +334,23 @@ fn assemble_chain<B: Application>(
     }
 }
 
-/// The barrier-handoff boundary shared by every chain driver: adapts
-/// materialized upstream partitions into downstream input splits (split
-/// `i` extends with partition `i`, created on demand), charging the
-/// handoff stats as it goes.
-fn adapt_partitions<B, UK, UV>(
-    second: &B,
-    partitions: Vec<Vec<(UK, UV)>>,
-    into: &mut Vec<Vec<(B::InKey, B::InValue)>>,
-    stats: &mut HandoffStats,
-) where
-    B: ChainableApplication<UK, UV>,
-{
-    if into.len() < partitions.len() {
-        into.resize_with(partitions.len(), Vec::new);
-    }
-    for (i, partition) in partitions.into_iter().enumerate() {
-        if !partition.is_empty() {
-            stats.batches += 1;
-        }
-        for (k, v) in partition {
-            stats.records += 1;
-            stats.bytes += second.handoff_bytes(&k, &v) as u64;
-            into[i].push(second.adapt_input(k, v));
-        }
-    }
-}
-
-/// The barrier handoff, written once: runs every upstream branch to
-/// completion in branch order, adapting partition `i` of each into
-/// downstream split `i`, then runs the downstream stage over the result
-/// — the run-jobs-sequentially baseline. *How* one stage runs (plainly,
-/// or through the shared cache) is the caller's: `run_up` gets the
-/// branch index, `run_down` the assembled splits.
-fn barrier_chain<A, B>(
-    second: &B,
-    branch_splits: Vec<Vec<InputSplit<A>>>,
+/// The barrier handoff, written once for every chain shape: runs the
+/// upstream stages (`spec.stages[..len - 1]`) in order, adapting each
+/// one's partitions through `downstream` into `splits` (split `i`
+/// extends with partition `i`, created on demand), then runs the last
+/// stage over what they built — the run-jobs-sequentially baseline.
+///
+/// *What* an upstream stage reads is the caller's: `run_up` gets the
+/// stage index, its config and the splits built so far. A fan-in branch
+/// runs over its own input and leaves them be, so the branches'
+/// partitions concatenate; an iterative stage takes them as its input,
+/// so each stage consumes the previous one's output. *How* a stage runs
+/// (plainly, or through the shared cache) is the caller's too.
+fn barrier_fold<A, B>(
+    downstream: &B,
     spec: &ChainSpec,
-    run_up: impl Fn(usize, Vec<InputSplit<A>>, &JobConfig) -> MrResult<JobOutput<A>>,
+    mut splits: Vec<InputSplit<B>>,
+    mut run_up: impl FnMut(usize, &JobConfig, &mut Vec<InputSplit<B>>) -> MrResult<JobOutput<A>>,
     run_down: impl FnOnce(Vec<InputSplit<B>>, &JobConfig) -> MrResult<JobOutput<B>>,
 ) -> MrResult<ChainOutput<B>>
 where
@@ -403,24 +358,78 @@ where
     B: ChainableApplication<A::OutKey, A::OutValue>,
 {
     let started = Instant::now();
-    let branches = branch_splits.len();
-    let mut parts = Vec::with_capacity(branches + 1);
-    let mut splits2: Vec<InputSplit<B>> = Vec::new();
-    for (b, splits) in branch_splits.into_iter().enumerate() {
-        let mut out = run_up(b, splits, &spec.stages[b])?;
+    let (last, upstream) = spec
+        .stages
+        .split_last()
+        .expect("a validated spec has a stage");
+    let mut parts = Vec::with_capacity(spec.len());
+    for (j, cfg) in upstream.iter().enumerate() {
+        let mut out = run_up(j, cfg, &mut splits)?;
         let finished_secs = started.elapsed().as_secs_f64();
         let mut stats = HandoffStats::default();
         let partitions = std::mem::take(&mut out.partitions);
-        adapt_partitions(second, partitions, &mut splits2, &mut stats);
+        if splits.len() < partitions.len() {
+            splits.resize_with(partitions.len(), Vec::new);
+        }
+        for (i, partition) in partitions.into_iter().enumerate() {
+            if !partition.is_empty() {
+                stats.batches += 1;
+            }
+            for (k, v) in partition {
+                stats.records += 1;
+                stats.bytes += downstream.handoff_bytes(&k, &v) as u64;
+                splits[i].push(downstream.adapt_input(k, v));
+            }
+        }
         parts.push(StageParts::of(&mut out, finished_secs, Some(stats)));
     }
-    let mut out2 = run_down(splits2, &spec.stages[branches])?;
+    let mut out = run_down(splits, last)?;
     parts.push(StageParts::of(
-        &mut out2,
+        &mut out,
         started.elapsed().as_secs_f64(),
         None,
     ));
-    Ok(assemble_chain(chain_tracing(spec), parts, out2))
+    Ok(assemble_chain(spec, parts, out))
+}
+
+/// The pool width a streaming chain runs at: the widest stage's
+/// `pool_workers`.
+fn pool_width(spec: &ChainSpec) -> usize {
+    spec.stages
+        .iter()
+        .map(|c| c.pool_workers)
+        .max()
+        .unwrap_or(1)
+}
+
+/// Collects a streaming chain once its pool has drained: each upstream
+/// stage with the handoff its sinks fed, then the final stage, whose
+/// output is the chain's.
+fn collect_streamed<X, B>(
+    spec: &ChainSpec,
+    upstream: Vec<StageState<X, HandoffSink<'_, X, B>>>,
+    last: StageState<B, StageOut<B>>,
+) -> MrResult<ChainOutput<B>>
+where
+    X: Application,
+    B: ChainableApplication<X::OutKey, X::OutValue>,
+{
+    let mut parts = Vec::with_capacity(upstream.len() + 1);
+    for state in upstream {
+        let run = collect_stage(state)?;
+        let mut handoff = HandoffStats::default();
+        for sink in &run.sinks {
+            handoff.merge(&sink.stats);
+        }
+        let finished_secs = run.finished_secs;
+        let mut out = run.into_job_output();
+        parts.push(StageParts::of(&mut out, finished_secs, Some(handoff)));
+    }
+    let run = collect_stage(last)?;
+    let finished_secs = run.finished_secs;
+    let mut out = run.into_job_output();
+    parts.push(StageParts::of(&mut out, finished_secs, None));
+    Ok(assemble_chain(spec, parts, out))
 }
 
 impl LocalRunner {
@@ -509,11 +518,15 @@ impl LocalRunner {
         if spec.chain.handoff == HandoffMode::Streaming {
             return self.run_chain2(first, second, splits, spec, pa, pb);
         }
-        barrier_chain(
+        let mut input = Some(splits);
+        barrier_fold(
             second,
-            vec![splits],
             spec,
-            |_, splits, cfg| self.run_cached(first, splits, cfg, pa, cache),
+            Vec::new(),
+            |_, cfg, _| {
+                let splits = input.take().expect("one upstream stage");
+                self.run_cached(first, splits, cfg, pa, cache)
+            },
             |splits, cfg| self.run_cached(second, splits, cfg, pb, cache),
         )
     }
@@ -555,86 +568,58 @@ impl LocalRunner {
             )));
         }
         if spec.chain.handoff == HandoffMode::Barrier {
-            return barrier_chain(
+            let mut inputs = branch_splits.into_iter();
+            return barrier_fold(
                 second,
-                branch_splits,
                 spec,
-                |b, splits, cfg| self.run_with_partitioner(firsts[b], splits, cfg, pa),
+                Vec::new(),
+                |b, cfg, _| {
+                    let splits = inputs.next().expect("one split set per branch");
+                    self.run_with_partitioner(firsts[b], splits, cfg, pa)
+                },
                 |splits, cfg| self.run_with_partitioner(second, splits, cfg, pb),
             );
         }
-        let branches = firsts.len();
-        let r1 = spec.stages[0].reducers;
-        let cfg2 = &spec.stages[branches];
-        let started = Instant::now();
 
         // Streaming fan-in: every branch's reducer i ships into the
-        // shared intake channel i; EOF when the last branch's sink (and
-        // the originals held here) drop.
-        let batch_bytes = spec.chain.handoff_batch_bytes;
-        let branch_stats: Vec<Mutex<HandoffStats>> = (0..branches)
-            .map(|_| Mutex::new(HandoffStats::default()))
+        // shared intake channel i; EOF when the last branch's sink closes.
+        let branches = firsts.len();
+        let started = Instant::now();
+        let upstream: Vec<StageState<A, HandoffSink<'_, A, B>>> = spec.stages[..branches]
+            .iter()
+            .map(StageState::new)
             .collect();
-        let branch_states: Vec<StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>>> = (0
-            ..branches)
-            .map(|b| StageState::new(&spec.stages[b]))
-            .collect();
-        let state2: StageState<B, Vec<(B::OutKey, B::OutValue)>> = StageState::new(cfg2);
+        let last: StageState<B, StageOut<B>> = StageState::new(&spec.stages[branches]);
         let mut pool = Pool::new();
-        let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(r1);
-        let mut rxs = Vec::with_capacity(r1);
-        for _ in 0..r1 {
-            let (tx, rx) = pool.channel::<Handoff<B>>(BATCH_CHANNEL_DEPTH);
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (boundary, intakes) =
+            Boundary::open(&pool, second, spec.stages[0].reducers, spec, started);
         build_stage(
             &mut pool,
-            &state2,
+            &last,
             second,
-            cfg2,
+            &spec.stages[branches],
             pb,
-            StageInput::Intakes(rxs),
+            StageInput::Intakes(intakes),
             self.map_threads,
             None,
             |_| Vec::new(),
         )?;
         for (b, (app, splits)) in firsts.iter().zip(&branch_splits).enumerate() {
-            let txs = &txs;
-            let stats = &branch_stats[b];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(second, txs[r].clone(), batch_bytes, stats, started)
-            };
             build_stage(
                 &mut pool,
-                &branch_states[b],
+                &upstream[b],
                 *app,
                 &spec.stages[b],
                 pa,
                 StageInput::Splits(splits),
                 self.map_threads,
                 None,
-                make_sink,
+                |r| boundary.sink(r),
             )?;
         }
-        drop(txs);
-        let workers = spec
-            .stages
-            .iter()
-            .map(|c| c.pool_workers)
-            .max()
-            .unwrap_or(1);
-        pool.run(workers)?;
-
-        let mut parts = Vec::with_capacity(branches + 1);
-        for (state, stats) in branch_states.into_iter().zip(&branch_stats) {
-            let (mut out, finished_secs) = collect_streamed(state)?;
-            let handoff = std::mem::take(&mut *stats.lock().unwrap());
-            parts.push(StageParts::of(&mut out, finished_secs, Some(handoff)));
-        }
-        let (mut out2, finished_secs) = collect_streamed(state2)?;
-        parts.push(StageParts::of(&mut out2, finished_secs, None));
-        Ok(assemble_chain(chain_tracing(spec), parts, out2))
+        drop(boundary);
+        pool.run(pool_width(spec))?;
+        collect_streamed(spec, upstream, last)
     }
 
     /// Runs a homogeneous K-stage chain: the same application `app` runs
@@ -648,7 +633,8 @@ impl LocalRunner {
     /// worker pool: stage `j + 1`'s map intake absorbs stage `j`'s
     /// reducer emissions as they happen, so an entire iterative pipeline
     /// runs with no inter-job barrier anywhere — and no per-stage thread
-    /// tree either.
+    /// tree either. A one-stage spec is just the job, under either
+    /// handoff.
     pub fn run_chain_iter<A, P>(
         &self,
         app: &A,
@@ -663,130 +649,67 @@ impl LocalRunner {
         spec.validate()?;
         let k = spec.len();
         if k == 1 || spec.chain.handoff == HandoffMode::Barrier {
-            // Sequential fold: run each stage, adapt, feed the next.
-            let started = Instant::now();
-            let mut parts = Vec::with_capacity(k);
-            let mut current = splits;
-            let mut out = None;
-            for (j, cfg) in spec.stages.iter().enumerate() {
-                let mut run = self.run_with_partitioner(app, current, cfg, partitioner)?;
-                let finished_secs = started.elapsed().as_secs_f64();
-                let mut stats = HandoffStats::default();
-                current = Vec::new();
-                // Intermediate generations are consumed by the next
-                // stage, not materialized: move them instead of cloning;
-                // only the final generation's partitions survive, as the
-                // chain output.
-                if j + 1 < k {
-                    let partitions = std::mem::take(&mut run.partitions);
-                    adapt_partitions(app, partitions, &mut current, &mut stats);
-                }
-                parts.push(StageParts::of(&mut run, finished_secs, Some(stats)));
-                out = Some(run);
-            }
-            return Ok(assemble_chain(
-                chain_tracing(spec),
-                parts,
-                out.expect("k >= 1 stages ran"),
-            ));
+            // Each stage takes the splits the previous one built as its
+            // input. Intermediate generations are moved across, not
+            // cloned: only the final generation's partitions survive, as
+            // the chain output.
+            return barrier_fold(
+                app,
+                spec,
+                splits,
+                |_, cfg, splits| {
+                    let input = std::mem::take(splits);
+                    self.run_with_partitioner(app, input, cfg, partitioner)
+                },
+                |splits, cfg| self.run_with_partitioner(app, splits, cfg, partitioner),
+            );
         }
 
         // Streaming: all K stages live on one pool, connected by K-1
-        // channel boundaries (boundary j carries stage j's output into
-        // stage j+1's intake; its channel count is stage j's reducer
-        // count).
+        // boundaries (boundary j carries stage j's output into stage
+        // j+1's intake; its channel count is stage j's reducer count).
         let started = Instant::now();
-        let batch_bytes = spec.chain.handoff_batch_bytes;
-        // Declared before the states: the middle stages' sinks borrow it.
-        let stats: Vec<Mutex<HandoffStats>> = (0..k - 1)
-            .map(|_| Mutex::new(HandoffStats::default()))
-            .collect();
-        let mid_states: Vec<StageState<A, MidSink<'_, A>>> = (0..k - 1)
-            .map(|j| StageState::new(&spec.stages[j]))
-            .collect();
-        let last_state: StageState<A, StageOut<A>> = StageState::new(&spec.stages[k - 1]);
+        let upstream: Vec<StageState<A, HandoffSink<'_, A, A>>> =
+            spec.stages[..k - 1].iter().map(StageState::new).collect();
+        let last: StageState<A, StageOut<A>> = StageState::new(&spec.stages[k - 1]);
         let mut pool = Pool::new();
-        let mut boundary_txs: Vec<Vec<PoolSender<Handoff<A>>>> = Vec::with_capacity(k - 1);
-        let mut boundary_rxs: Vec<Option<Vec<_>>> = Vec::with_capacity(k - 1);
-        for j in 0..k - 1 {
-            let n = spec.stages[j].reducers;
-            let mut txs = Vec::with_capacity(n);
-            let mut rxs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = pool.channel::<Handoff<A>>(BATCH_CHANNEL_DEPTH);
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            boundary_txs.push(txs);
-            boundary_rxs.push(Some(rxs));
-        }
+        let (boundaries, mut intakes): (Vec<_>, Vec<_>) = spec.stages[..k - 1]
+            .iter()
+            .map(|cfg| Boundary::open(&pool, app, cfg.reducers, spec, started))
+            .unzip();
         build_stage(
             &mut pool,
-            &last_state,
+            &last,
             app,
             &spec.stages[k - 1],
             partitioner,
-            StageInput::Intakes(boundary_rxs[k - 2].take().expect("one taker")),
+            StageInput::Intakes(std::mem::take(&mut intakes[k - 2])),
             self.map_threads,
             None,
             |_| Vec::new(),
         )?;
-        for j in 1..k - 1 {
-            let txs_j = &boundary_txs[j];
-            let stats_j = &stats[j];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(app, txs_j[r].clone(), batch_bytes, stats_j, started)
+        // Downstream first: the middle stages in order, then stage 0.
+        for j in (1..k - 1).chain([0]) {
+            let input = match j {
+                0 => StageInput::Splits(&splits),
+                _ => StageInput::Intakes(std::mem::take(&mut intakes[j - 1])),
             };
+            let boundary = &boundaries[j];
             build_stage(
                 &mut pool,
-                &mid_states[j],
+                &upstream[j],
                 app,
                 &spec.stages[j],
                 partitioner,
-                StageInput::Intakes(boundary_rxs[j - 1].take().expect("one taker")),
+                input,
                 self.map_threads,
                 None,
-                make_sink,
+                |r| boundary.sink(r),
             )?;
         }
-        {
-            let txs_0 = &boundary_txs[0];
-            let stats_0 = &stats[0];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(app, txs_0[r].clone(), batch_bytes, stats_0, started)
-            };
-            build_stage(
-                &mut pool,
-                &mid_states[0],
-                app,
-                &spec.stages[0],
-                partitioner,
-                StageInput::Splits(&splits),
-                self.map_threads,
-                None,
-                make_sink,
-            )?;
-        }
-        drop(boundary_txs);
-        let workers = spec
-            .stages
-            .iter()
-            .map(|c| c.pool_workers)
-            .max()
-            .unwrap_or(1);
-        pool.run(workers)?;
-
-        let mut parts = Vec::with_capacity(k);
-        let mut handoffs = stats
-            .iter()
-            .map(|m| std::mem::take(&mut *m.lock().unwrap()));
-        for state in mid_states {
-            let (mut out, finished_secs) = collect_streamed(state)?;
-            parts.push(StageParts::of(&mut out, finished_secs, handoffs.next()));
-        }
-        let (mut out, finished_secs) = collect_streamed(last_state)?;
-        parts.push(StageParts::of(&mut out, finished_secs, None));
-        Ok(assemble_chain(chain_tracing(spec), parts, out))
+        drop(boundaries);
+        pool.run(pool_width(spec))?;
+        collect_streamed(spec, upstream, last)
     }
 }
 
@@ -1268,5 +1191,58 @@ mod tests {
         assert_eq!(out.output.partitions, plain.partitions);
         assert_eq!(out.stages.len(), 1);
         assert_eq!(out.handoff_records(), 0);
+    }
+
+    /// The final stage feeds no boundary, so its counters are its own
+    /// job's: the same under either handoff and either trace policy, with
+    /// no `chain.handoff.*` keys — and a one-stage chain's are exactly
+    /// the plain job's.
+    #[test]
+    fn final_stage_counters_are_the_jobs_own() {
+        use crate::config::TracePolicy;
+        let splits = text_splits(4, 25);
+        let app = iter_app();
+        let cfg = |trace| JobConfig::new(3).engine(Engine::barrierless()).trace(trace);
+        let policies = [TracePolicy::Enabled, TracePolicy::Disabled];
+        let handoffs = [HandoffMode::Barrier, HandoffMode::Streaming];
+        let run = |stages: usize, handoff, trace| {
+            let spec = ChainSpec::new(vec![cfg(trace); stages]).handoff(handoff);
+            LocalRunner::new(2)
+                .run_chain_iter(&app, splits.clone(), &spec, &HashPartitioner)
+                .unwrap()
+        };
+        let reference = run(3, HandoffMode::Barrier, TracePolicy::Disabled);
+        let last = reference.stages.last().unwrap();
+        assert!(last.counters.get(names::REDUCE_INPUT_RECORDS) > 0);
+        for handoff in handoffs {
+            for trace in policies {
+                let out = run(3, handoff, trace);
+                assert_eq!(
+                    out.stages[2].counters, last.counters,
+                    "{handoff:?}/{trace:?}: final-stage counters moved"
+                );
+            }
+        }
+        assert!(
+            last.counters
+                .iter()
+                .all(|(name, _)| !name.starts_with("chain.handoff.")),
+            "the final stage was charged a handoff: {:?}",
+            last.counters
+        );
+
+        for handoff in handoffs {
+            for trace in policies {
+                let plain = LocalRunner::new(2)
+                    .run(&app, splits.clone(), &cfg(trace))
+                    .unwrap();
+                let out = run(1, handoff, trace);
+                assert_eq!(
+                    out.stages[0].counters, plain.counters,
+                    "{handoff:?}/{trace:?}: a one-stage chain is not just the job"
+                );
+                assert_eq!(out.output.counters, plain.counters);
+            }
+        }
     }
 }

@@ -33,11 +33,11 @@
 
 pub mod local;
 
-use crate::counters::{names, Counters};
+use crate::counters::Counters;
 use crate::engine::DriverReport;
 use crate::output::JobOutput;
-use crate::traits::{Application, Emit};
-use mr_trace::{TraceEvent, TraceLog};
+use crate::traits::{Application, Emit, IdentityWriter};
+use mr_trace::TraceLog;
 
 /// An [`Application`] that can sit downstream of a job emitting
 /// `(UpK, UpV)` output records.
@@ -200,6 +200,14 @@ where
     fn name(&self) -> &'static str {
         self.inner.name()
     }
+
+    /// The inner app's identity. The adapter itself shapes nothing the
+    /// cache keys on: `adapt` only builds this job's input records,
+    /// whose content the key already hashes, and the adapter's type name
+    /// is in the key too.
+    fn cache_identity(&self, w: &mut dyn IdentityWriter) -> bool {
+        self.inner.cache_identity(w)
+    }
 }
 
 impl<A, UpK, UpV, F> ChainableApplication<UpK, UpV> for InputAdapter<A, F>
@@ -212,10 +220,13 @@ where
     }
 }
 
-/// Observability for one chain stage.
+/// Observability for one chain stage, built by the chain driver from
+/// the stage's own run whatever its [`TracePolicy`](crate::TracePolicy).
 #[derive(Debug, Clone, Default)]
 pub struct StageStats {
-    /// Merged counters of the stage's own tasks (map + reduce).
+    /// Merged counters of the stage's own tasks (map + reduce), plus the
+    /// `chain.handoff.*` charges of the boundary it fed. The final stage
+    /// feeds none, so it carries exactly its job's counters.
     pub counters: Counters,
     /// Per-reducer store reports of the stage (empty for barrier-engine
     /// stages, which keep no partial store).
@@ -236,40 +247,6 @@ pub struct StageStats {
     pub finished_secs: f64,
 }
 
-impl StageStats {
-    /// Derives one stage's stats from a chain's unified trace log — the
-    /// compatibility view over the stage's job-scoped events: counters
-    /// come from the stage's counter totals (the chain boundary's
-    /// `chain.handoff.*` charges included), handoff volume from those
-    /// same counters, and the instants from the stage's handoff and
-    /// stage-done marks. `reports` are the one part the trace does not
-    /// carry (they summarize whole partial-result stores), so the caller
-    /// passes them through.
-    pub fn from_log(log: &TraceLog, job: u32, reports: Vec<DriverReport>) -> StageStats {
-        let counters = Counters::from_trace_job(log, job);
-        let mut first_handoff_secs = None;
-        let mut finished_secs = 0.0;
-        for e in log.iter().filter(|e| e.scope.job == job) {
-            match &e.event {
-                TraceEvent::HandoffMark { at, .. } if first_handoff_secs.is_none() => {
-                    first_handoff_secs = Some(at.as_secs_f64());
-                }
-                TraceEvent::StageDone { at } => finished_secs = at.as_secs_f64(),
-                _ => {}
-            }
-        }
-        StageStats {
-            handoff_records: counters.get(names::CHAIN_HANDOFF_RECORDS),
-            handoff_batches: counters.get(names::CHAIN_HANDOFF_BATCHES),
-            handoff_bytes: counters.get(names::CHAIN_HANDOFF_BYTES),
-            first_handoff_secs,
-            finished_secs,
-            counters,
-            reports,
-        }
-    }
-}
-
 /// A finished chain run: the final stage's [`JobOutput`] plus per-stage
 /// statistics. Intermediate stage output is *not* materialized — it was
 /// handed to the next stage as a record stream — so only the last
@@ -282,12 +259,13 @@ pub struct ChainOutput<B: Application> {
     pub stages: Vec<StageStats>,
     /// The chain's unified trace: stage `j`'s events re-scoped to job
     /// `j`, followed by each boundary's handoff charges and stage-done
-    /// marks. `stages` is derived from this log when tracing is on.
+    /// marks. It carries a copy of what `stages` reports — stage `j`'s
+    /// counter events sum to `stages[j].counters` — but `stages` is
+    /// built without it, the same way whether or not it is exported.
     /// Empty unless *every* stage config enables
-    /// [`TracePolicy`](crate::TracePolicy) (the merged log would
-    /// otherwise have holes the derived views can't paper over). The
-    /// final stage's `output.trace` is drained into this log rather than
-    /// duplicated.
+    /// [`TracePolicy`](crate::TracePolicy): the merged log would
+    /// otherwise have holes. The final stage's `output.trace` is drained
+    /// into this log rather than duplicated.
     pub trace: TraceLog,
 }
 

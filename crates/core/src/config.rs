@@ -252,23 +252,25 @@ impl DeadlinePolicy {
     }
 }
 
-/// Whether a run records the unified structured trace (`mr-trace`): the
-/// one event stream from which the legacy `Counters`, timeline and
-/// per-stage views are derived.
+/// Whether a run exports the unified structured trace (`mr-trace`): one
+/// event stream of task spans, counter totals and marks.
 ///
+/// The policy decides only whether the log is exported. Returned
+/// `Counters` and chain `StageStats` are merged directly by the
+/// executors either way; the log carries a copy of those totals.
 /// Tracing is on by default: recording is allocation-light (per-task
 /// buffered batches, merged exactly like task counters) and under the
 /// simulator it costs zero *virtual* time. Disabling it yields an empty
-/// [`TraceLog`](mr_trace::TraceLog) and empty derived views while the
-/// job's actual output stays byte-identical — the trace is observability
-/// only and can never change what a job computes.
+/// [`TraceLog`](mr_trace::TraceLog) while the job's output and counters
+/// stay byte-identical — the trace is observability only and can never
+/// change what a job computes or counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TracePolicy {
     /// Record every event into the run's `TraceLog` (the default).
     #[default]
     Enabled,
-    /// Record nothing; reports carry an empty log and empty derived
-    /// views. The local executor skips event emission entirely.
+    /// Export nothing; reports carry an empty log and the same counters.
+    /// The local executor skips event emission entirely.
     Disabled,
 }
 
@@ -589,9 +591,9 @@ pub struct JobConfig {
     /// latest published snapshots. [`DeadlinePolicy::Disabled`] by
     /// default; requires an enabled snapshot policy when set.
     pub deadline: DeadlinePolicy,
-    /// Whether the run records the unified structured trace.
-    /// [`TracePolicy::Enabled`] by default; disabling yields empty
-    /// trace/derived views but byte-identical job output.
+    /// Whether the run exports the unified structured trace.
+    /// [`TracePolicy::Enabled`] by default; disabling yields an empty
+    /// log but byte-identical job output and counters.
     pub trace: TracePolicy,
     /// Whether this job participates in the shared result cache (the
     /// cached entry points and the job service consult it only when
@@ -605,9 +607,6 @@ pub struct JobConfig {
     /// the machine's available parallelism. Output is byte-identical at
     /// any width; `1` additionally makes task interleaving deterministic.
     pub pool_workers: usize,
-    /// Seed for anything stochastic inside the engines (none today, but
-    /// carried so runs stay reproducible end to end).
-    pub seed: u64,
 }
 
 impl JobConfig {
@@ -631,7 +630,6 @@ impl JobConfig {
             pool_workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            seed: 0,
         }
     }
 
@@ -716,9 +714,13 @@ impl JobConfig {
         self
     }
 
-    /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    /// Does nothing: no engine draws random numbers, so a job has no
+    /// seed (the cluster simulator's randomness is seeded by its cluster
+    /// parameters). Kept only so that builder chains written against
+    /// the old `seed` field, such as the benchmark harness's, still
+    /// compile.
+    pub fn seed(self, seed: u64) -> Self {
+        let _ = seed;
         self
     }
 
@@ -971,8 +973,7 @@ mod tests {
         let cfg = JobConfig::new(4)
             .engine(Engine::barrierless())
             .heap_cap(1 << 30)
-            .heap_scale(2.0)
-            .seed(9);
+            .heap_scale(2.0);
         assert_eq!(cfg.reducers, 4);
         assert_eq!(
             cfg.engine,
@@ -982,7 +983,6 @@ mod tests {
         );
         assert_eq!(cfg.heap_cap_bytes, Some(1 << 30));
         assert_eq!(cfg.heap_scale, 2.0);
-        assert_eq!(cfg.seed, 9);
     }
 
     #[test]

@@ -302,21 +302,14 @@ impl Counters {
         self.values.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Rebuilds job counters from a trace log — the legacy `Counters`
-    /// view derived from the unified event stream: every
-    /// `TraceEvent::Counter` delta summed by label across all scopes.
+    /// Sums a trace log's counter events by label across all scopes.
+    /// The executors merge the counters they return directly and record
+    /// the same totals as events, so for a complete log this equals the
+    /// run's `counters`; it is a check on the log, not where returned
+    /// counters come from.
     pub fn from_trace(log: &TraceLog) -> Self {
         let mut c = Counters::new();
         for (label, v) in TraceQuery::new(log).counter_totals() {
-            c.add(label, v);
-        }
-        c
-    }
-
-    /// Rebuilds one job's (chain stage's) counters from a trace log.
-    pub fn from_trace_job(log: &TraceLog, job: u32) -> Self {
-        let mut c = Counters::new();
-        for (label, v) in TraceQuery::new(log).job_counter_totals(job) {
             c.add(label, v);
         }
         c
@@ -413,7 +406,5 @@ mod tests {
         );
         let all = Counters::from_trace(&log);
         assert_eq!(all.get(names::MAP_OUTPUT_RECORDS), 15);
-        let j1 = Counters::from_trace_job(&log, 1);
-        assert_eq!(j1.get(names::MAP_OUTPUT_RECORDS), 5);
     }
 }

@@ -627,6 +627,49 @@ mod tests {
         assert_ne!(j1, j2);
     }
 
+    /// An adapted app is keyed by the app it wraps: a re-run is a
+    /// whole-job hit, and two parameter values never alias.
+    #[test]
+    fn adapted_apps_key_by_the_inner_identity() {
+        use crate::chain::InputAdapter;
+        use crate::config::CacheBudget;
+        use crate::local::LocalRunner;
+        use crate::partition::HashPartitioner;
+        let adapted = |needle: &str| {
+            let app = NeedleCount {
+                needle: needle.into(),
+            };
+            InputAdapter::new(app, |k: u64, line: String| (k, line))
+        };
+        let cfg = JobConfig::new(2).cache(CacheBudget::enabled());
+        let input = vec![vec![(0, "foo bar".to_string()), (1, "foo".to_string())]];
+        let cache = SharedCache::new(1 << 20);
+        let runner = LocalRunner::new(1);
+        let run = |app: &_| {
+            runner
+                .run_cached(app, input.clone(), &cfg, &HashPartitioner, &cache)
+                .unwrap()
+        };
+        let foo = adapted("foo");
+        let cold = run(&foo);
+        assert_eq!(cold.counters.get(names::CACHE_BYPASS), 0);
+        let warm = run(&foo);
+        assert_eq!(
+            warm.counters.get(names::CACHE_HITS),
+            1,
+            "not a whole-job hit"
+        );
+        assert_eq!(warm.counters.get(names::MAP_OUTPUT_RECORDS), 0);
+        assert_eq!(warm.partitions, cold.partitions);
+        let bar = run(&adapted("bar"));
+        assert_eq!(
+            bar.counters.get(names::CACHE_HITS),
+            0,
+            "two needles aliased"
+        );
+        assert_ne!(bar.partitions, cold.partitions);
+    }
+
     #[test]
     fn incomplete_identity_declines_every_key() {
         let cfg = JobConfig::new(2);

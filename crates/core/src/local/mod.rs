@@ -136,8 +136,9 @@ fn barrier_snapshot<A: Application>(
 
 /// Emits one `Counter` trace event per entry of `counters` — zeros
 /// included, bypassing [`TraceRecorder::counter`]'s zero-skip: these are
-/// *totals*, and `Counters::from_trace` must reproduce the legacy merged
-/// map exactly, keeping keys that were touched but never incremented.
+/// *totals*, and the log's counter events must sum to exactly the
+/// returned counters, keeping keys that were touched but never
+/// incremented.
 fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters) {
     for (name, value) in counters.iter() {
         rec.record(TraceEvent::Counter {
@@ -1122,9 +1123,11 @@ where
     Ok(())
 }
 
-/// Consumes a run stage's state after the pool finished: merges task
-/// counters (job-scope totals to the job scope, reduce totals per task —
-/// preserving the legacy trace layout) and assembles the [`SinkedRun`].
+/// Consumes a run stage's state after the pool finished: merges every
+/// task's counters into the run's (the only source of the returned
+/// counters, traced or not), records the job-scope totals in the trace
+/// when it is on (each reduce task recorded its own), and assembles the
+/// [`SinkedRun`].
 pub(crate) fn collect_stage<A, S>(state: StageState<A, S>) -> MrResult<SinkedRun<A, S>>
 where
     A: Application,
@@ -1159,14 +1162,6 @@ where
         sinks.push(sink);
     }
     let trace = dispatcher.finish();
-    // Eat our own dogfood: with tracing on, the counters the caller sees
-    // are *derived from the log* (equal to the direct merge by
-    // construction — the trace carries every task's totals).
-    let counters = if tracing {
-        Counters::from_trace(&trace)
-    } else {
-        counters
-    };
     let finished_secs = state.finished.into_inner().unwrap();
     Ok(SinkedRun {
         sinks,

@@ -473,8 +473,7 @@ proptest! {
                             .combiner(combiner)
                             .store_index(index)
                             .speculation(spec)
-                            .scratch_dir(scratch())
-                            .seed(seed);
+                            .scratch_dir(scratch());
                         SimExecutor::new(params).run(
                             &WordCount,
                             &FnInput(move |c| vec![(c, lines[c as usize].clone())]),
