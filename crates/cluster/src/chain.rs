@@ -208,7 +208,7 @@ impl ChainSimExecutor {
             input,
             s1,
             s2,
-            streaming: spec.chain.handoff == HandoffMode::Streaming,
+            streaming: spec.handoff == HandoffMode::Streaming,
             speculation,
             intake: (0..r1).map(|_| Map2::default()).collect(),
             handed: vec![0; r1],

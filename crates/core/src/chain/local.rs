@@ -5,18 +5,21 @@
 //! materialized output is adapted into the next stage's input splits —
 //! the run-jobs-sequentially Hadoop baseline, byte-for-byte.
 //!
-//! Under [`HandoffMode::Streaming`] every record an upstream reduce task
-//! emits is adapted and pushed into a bounded batched channel (one per
-//! upstream partition — the same transport shape the shuffle uses), and
-//! a downstream *map intake* task per channel runs the next stage's map
-//! function on records as they arrive. All stages' task state machines
-//! are spawned onto **one** `Pool` and driven by a fixed number of OS
+//! Under [`HandoffMode::Streaming`] the stage boundary is the next
+//! stage's shuffle: every upstream reduce task's sink *is* the
+//! downstream stage's map side. Each record the reducer emits is
+//! adapted, run through the downstream map function on the spot, and
+//! the map output is batched into the downstream reducers' `FlatBatch`
+//! channels by the same `ShuffleEmitter` a split map task uses — the
+//! upstream partition is the downstream split. No typed record crosses
+//! a core and no task sits between one stage's reduce output and the
+//! next stage's map function. All stages' task state machines are
+//! spawned onto **one** `Pool` and driven by a fixed number of OS
 //! threads (the max of the stages' `pool_workers` knobs), so a K-stage
 //! chain no longer costs K stages' worth of threads. Back-pressure is
 //! preserved end to end without holding a thread anywhere: a slow
-//! downstream reducer stalls its intake, which fills the handoff
-//! channel, which *parks* the upstream reduce task until the channel
-//! drains.
+//! downstream reducer fills its shuffle channel, which *parks* the
+//! upstream reduce task feeding it until the channel drains.
 //!
 //! # Determinism
 //!
@@ -35,15 +38,15 @@ use crate::config::{ChainSpec, HandoffMode, JobConfig};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
 use crate::local::cache::SharedCache;
-use crate::local::pool::{Ctx, Outbox, Pool, PoolReceiver, PoolSender};
+use crate::local::pool::{Ctx, Pool, PoolSender};
 use crate::local::{
-    build_stage, collect_stage, InputSplit, LocalRunner, ReduceSink, StageInput, StageState,
-    BATCH_CHANNEL_DEPTH,
+    collect_stage, spawn_mappers, spawn_reducers, FlatBatch, InputSplit, LocalRunner, ReduceSink,
+    ShuffleEmitter, StageState, StageTrace,
 };
 use crate::output::JobOutput;
 use crate::partition::Partitioner;
 use crate::size::SizeEstimate;
-use crate::traits::{Application, Emit};
+use crate::traits::{Application, Emit, FnEmit};
 use mr_cache::StableHash;
 use mr_trace::{Scope, TraceEvent, TraceInstant, TraceLog};
 use std::time::Instant;
@@ -51,8 +54,12 @@ use std::time::Instant;
 /// A materialized output partition of stage `X`.
 type StageOut<X> = Vec<(<X as Application>::OutKey, <X as Application>::OutValue)>;
 
-/// Per-boundary handoff bookkeeping: one sink's, or every upstream
-/// sink's of one stage merged.
+/// One stage of a streaming chain as the pool sees it: its application,
+/// config and shared state.
+type Stage<'a, A, S> = (&'a A, &'a JobConfig, &'a StageState<A, S>);
+
+/// Per-boundary handoff bookkeeping: one upstream partition's, or every
+/// upstream partition's of one stage merged.
 #[derive(Debug, Default)]
 struct HandoffStats {
     records: u64,
@@ -68,93 +75,120 @@ impl HandoffStats {
         counters.add(names::CHAIN_HANDOFF_BYTES, self.bytes);
     }
 
-    fn merge(&mut self, other: &HandoffStats) {
-        self.records += other.records;
-        self.batches += other.batches;
-        self.bytes += other.bytes;
-        self.first_secs = match (self.first_secs, other.first_secs) {
+    /// One record of `bytes` modelled bytes crossed the boundary.
+    fn tally(&mut self, bytes: usize) {
+        self.records += 1;
+        self.bytes += bytes as u64;
+    }
+
+    /// Folds one upstream partition's tally into its stage's: records,
+    /// bytes, the earliest first-record instant, and one handoff batch
+    /// if the partition handed anything on — the batch rule of both
+    /// handoff modes, so their `chain.handoff.*` counters agree.
+    fn merge_partition(&mut self, part: &HandoffStats) {
+        self.records += part.records;
+        self.batches += u64::from(part.records > 0);
+        self.bytes += part.bytes;
+        self.first_secs = match (self.first_secs, part.first_secs) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
     }
 }
 
-/// The streaming reduce-output sink of an upstream stage `X`: adapts
-/// each output record to the downstream input type and ships
-/// byte-budgeted batches into the downstream map intake channel. One
-/// sink per upstream reduce task, made by [`Boundary::sink`].
+/// The streaming reduce-output sink of an upstream stage `X`: the map
+/// side of the downstream stage `B`, fused into one upstream reduce
+/// task. Each output record is adapted to `B`'s input type and mapped by
+/// `B`'s map function, whose output goes through a [`ShuffleEmitter`]
+/// straight into `B`'s reducer channels — the batching, combining and
+/// split stamping of a split map task, with this upstream partition as
+/// the split.
 ///
-/// Sends never block the worker thread: batches leave through an
-/// [`Outbox`] that the owning reduce task drains via
-/// [`pump`](ReduceSink::pump), parking until the intake makes room.
-/// Batch accounting happens at staging time — a pure function of the
-/// emission stream — so handoff counters are schedule-independent.
-/// Closing the outbox on [`close`](ReduceSink::close) is the
-/// per-partition EOF.
-struct HandoffSink<'a, X, B: Application> {
+/// Sends never block the worker thread: the emitter's outbox is drained
+/// by the owning reduce task via [`pump`](ReduceSink::pump), which parks
+/// it while a downstream channel is full. Sealing ends the split;
+/// closing finishes the emitter, charging `B`'s map-side counters and
+/// releasing its senders — EOF for `B`'s reducers once every sink
+/// feeding them closed.
+struct FusedSink<'a, X, B: Application, P: Partitioner<B::MapKey>> {
     downstream: &'a B,
-    out: Outbox<InputSplit<B>>,
-    buf: InputSplit<B>,
-    buf_bytes: usize,
-    batch_bytes: usize,
+    emitter: ShuffleEmitter<'a, B, P>,
+    trace: &'a StageTrace,
+    /// The downstream split this sink maps, and when its span started.
+    split: usize,
+    t0: f64,
+    /// The chain's clock, for the first-record instant.
     started: Instant,
     stats: HandoffStats,
     _upstream: std::marker::PhantomData<fn(X)>,
 }
 
-impl<X, B: Application> HandoffSink<'_, X, B> {
-    /// Cuts the current buffer into a staged batch and hands it to the
-    /// outbox. A disconnected channel means the downstream stage died
-    /// (the job is failing): the outbox stops shipping.
-    fn stage(&mut self) {
-        self.buf_bytes = 0;
-        if self.buf.is_empty() {
-            return;
+impl<'a, X, B: Application, P: Partitioner<B::MapKey>> FusedSink<'a, X, B, P> {
+    /// A sink mapping into `down` as its split `split`, through the
+    /// reducer senders `txs`.
+    fn new<S>(
+        down: Stage<'a, B, S>,
+        partitioner: &'a P,
+        txs: &[PoolSender<FlatBatch>],
+        split: usize,
+        started: Instant,
+    ) -> Self {
+        let (app, cfg, state) = down;
+        let mut emitter = ShuffleEmitter::new(app, cfg, partitioner, txs.to_vec(), state);
+        emitter.begin_split(split);
+        FusedSink {
+            downstream: app,
+            emitter,
+            trace: &state.trace,
+            split,
+            t0: state.trace.now(),
+            started,
+            stats: HandoffStats::default(),
+            _upstream: std::marker::PhantomData,
         }
-        self.stats.batches += 1;
-        self.out.send(0, std::mem::take(&mut self.buf));
     }
 }
 
-impl<X, B> Emit<X::OutKey, X::OutValue> for HandoffSink<'_, X, B>
+impl<X, B, P> Emit<X::OutKey, X::OutValue> for FusedSink<'_, X, B, P>
 where
     X: Application,
     B: ChainableApplication<X::OutKey, X::OutValue>,
+    P: Partitioner<B::MapKey>,
 {
     fn emit(&mut self, key: X::OutKey, value: X::OutValue) {
         if self.stats.first_secs.is_none() {
             self.stats.first_secs = Some(self.started.elapsed().as_secs_f64());
         }
-        self.stats.records += 1;
-        let rec_bytes = self.downstream.handoff_bytes(&key, &value);
-        self.buf_bytes += rec_bytes;
-        self.stats.bytes += rec_bytes as u64;
-        self.buf.push(self.downstream.adapt_input(key, value));
-        if self.buf_bytes >= self.batch_bytes {
-            self.stage();
-        }
+        self.stats
+            .tally(self.downstream.handoff_bytes(&key, &value));
+        let (k, v) = self.downstream.adapt_input(key, value);
+        let emitter = &mut self.emitter;
+        self.downstream
+            .map(&k, &v, &mut FnEmit(|mk, mv| emitter.push(mk, mv)));
     }
 }
 
-impl<X, B> ReduceSink<X> for HandoffSink<'_, X, B>
+impl<X, B, P> ReduceSink<X> for FusedSink<'_, X, B, P>
 where
     X: Application,
     B: ChainableApplication<X::OutKey, X::OutValue>,
+    P: Partitioner<B::MapKey> + Sync,
 {
     fn emitted(&self) -> u64 {
         self.stats.records
     }
 
     fn pump(&mut self, cx: &Ctx) -> bool {
-        self.out.pump(cx)
+        self.emitter.pump(cx)
     }
 
     fn seal(&mut self) {
-        self.stage();
+        self.emitter.end_split();
     }
 
     fn close(&mut self) {
-        self.out.close(); // EOF for this upstream partition
+        self.emitter.finish();
+        self.trace.map_span(self.split, self.t0);
     }
 
     fn into_partition(self) -> StageOut<X> {
@@ -162,54 +196,30 @@ where
     }
 }
 
-/// One streaming stage boundary: the intake channels the upstream
-/// reducers feed (channel `i` carries every upstream partition `i`
-/// into downstream map intake `i`) and the factory for those reducers'
-/// [`HandoffSink`]s. Each sink ships through its own clone of a
-/// channel's sender, so dropping the boundary once every upstream stage
-/// is built leaves EOF to the last sink's close.
-struct Boundary<'a, B: Application> {
-    downstream: &'a B,
-    txs: Vec<PoolSender<InputSplit<B>>>,
-    batch_bytes: usize,
+/// Spawns upstream stage `up`'s reduce tasks onto `pool`, each with the
+/// map side of stage `down` fused into its sink: reducer `r` maps its
+/// output into `down`'s shuffle (the reducers behind `txs`) as split
+/// `split(r)`. Returns `up`'s own reducer senders, for whatever maps
+/// into it. Both streaming chain shapes build every upstream stage with
+/// this; they differ only in which stage each one feeds.
+fn spawn_fused<'a, X, B, P, S>(
+    pool: &mut Pool<'a>,
+    up: Stage<'a, X, FusedSink<'a, X, B, P>>,
+    down: Stage<'a, B, S>,
+    partitioner: &'a P,
+    txs: &[PoolSender<FlatBatch>],
+    split: impl Fn(usize) -> usize,
     started: Instant,
-}
-
-impl<'a, B: Application> Boundary<'a, B> {
-    /// Opens `channels` intake channels on `pool`, returning the boundary
-    /// and the receivers the downstream stage's intake tasks drain.
-    fn open(
-        pool: &Pool<'_>,
-        downstream: &'a B,
-        channels: usize,
-        spec: &ChainSpec,
-        started: Instant,
-    ) -> (Self, Vec<PoolReceiver<InputSplit<B>>>) {
-        let (txs, rxs) = (0..channels)
-            .map(|_| pool.channel(BATCH_CHANNEL_DEPTH))
-            .unzip();
-        let boundary = Boundary {
-            downstream,
-            txs,
-            batch_bytes: spec.chain.handoff_batch_bytes,
-            started,
-        };
-        (boundary, rxs)
-    }
-
-    /// The sink upstream reducer `r` of stage `X` emits into.
-    fn sink<X>(&self, r: usize) -> HandoffSink<'a, X, B> {
-        HandoffSink {
-            downstream: self.downstream,
-            out: Outbox::new(vec![self.txs[r].clone()]),
-            buf: Vec::new(),
-            buf_bytes: 0,
-            batch_bytes: self.batch_bytes,
-            started: self.started,
-            stats: HandoffStats::default(),
-            _upstream: std::marker::PhantomData,
-        }
-    }
+) -> MrResult<Vec<PoolSender<FlatBatch>>>
+where
+    X: Application,
+    B: ChainableApplication<X::OutKey, X::OutValue>,
+    P: Partitioner<B::MapKey> + Sync,
+{
+    let (app, cfg, state) = up;
+    spawn_reducers(pool, state, app, cfg, |r| {
+        FusedSink::new(down, partitioner, txs, split(r), started)
+    })
 }
 
 /// Everything one finished stage contributes to the chain result.
@@ -372,14 +382,12 @@ where
             splits.resize_with(partitions.len(), Vec::new);
         }
         for (i, partition) in partitions.into_iter().enumerate() {
-            if !partition.is_empty() {
-                stats.batches += 1;
-            }
+            let mut part = HandoffStats::default();
             for (k, v) in partition {
-                stats.records += 1;
-                stats.bytes += downstream.handoff_bytes(&k, &v) as u64;
+                part.tally(downstream.handoff_bytes(&k, &v));
                 splits[i].push(downstream.adapt_input(k, v));
             }
+            stats.merge_partition(&part);
         }
         parts.push(StageParts::of(&mut out, finished_secs, Some(stats)));
     }
@@ -405,21 +413,22 @@ fn pool_width(spec: &ChainSpec) -> usize {
 /// Collects a streaming chain once its pool has drained: each upstream
 /// stage with the handoff its sinks fed, then the final stage, whose
 /// output is the chain's.
-fn collect_streamed<X, B>(
+fn collect_streamed<X, B, P>(
     spec: &ChainSpec,
-    upstream: Vec<StageState<X, HandoffSink<'_, X, B>>>,
-    last: StageState<B, StageOut<B>>,
+    upstream: &[StageState<X, FusedSink<'_, X, B, P>>],
+    last: &StageState<B, StageOut<B>>,
 ) -> MrResult<ChainOutput<B>>
 where
     X: Application,
     B: ChainableApplication<X::OutKey, X::OutValue>,
+    P: Partitioner<B::MapKey> + Sync,
 {
     let mut parts = Vec::with_capacity(upstream.len() + 1);
     for state in upstream {
         let run = collect_stage(state)?;
         let mut handoff = HandoffStats::default();
         for sink in &run.sinks {
-            handoff.merge(&sink.stats);
+            handoff.merge_partition(&sink.stats);
         }
         let finished_secs = run.finished_secs;
         let mut out = run.into_job_output();
@@ -440,7 +449,7 @@ impl LocalRunner {
     /// Under the barrier handoff this is literally the sequential
     /// baseline (run job 1, materialize, run job 2); under the streaming
     /// handoff both stages' task graphs share one worker pool and job
-    /// 2's map intake overlaps job 1's reduce stage.
+    /// 2's map function runs inside job 1's reduce tasks, as they emit.
     pub fn run_chain2<A, B, PA, PB>(
         &self,
         first: &A,
@@ -474,11 +483,10 @@ impl LocalRunner {
     /// and a *partially* changed input still reuses every unchanged
     /// split's map artifact within each stage.
     ///
-    /// Only the [`HandoffMode::Barrier`] handoff consults the cache:
-    /// streamed intakes have no stable per-split identity to key on (the
-    /// batch boundaries depend on runtime interleaving), so a
-    /// [`HandoffMode::Streaming`] spec runs exactly as
-    /// [`LocalRunner::run_chain2`] would, uncached.
+    /// Only the [`HandoffMode::Barrier`] handoff consults the cache: a
+    /// streamed stage's input is never materialized, so there is no
+    /// split content to key on, and a [`HandoffMode::Streaming`] spec
+    /// runs exactly as [`LocalRunner::run_chain2`] would, uncached.
     #[allow(clippy::too_many_arguments)]
     pub fn run_chain2_cached<A, B, PA, PB>(
         &self,
@@ -515,7 +523,7 @@ impl LocalRunner {
                 spec.len()
             )));
         }
-        if spec.chain.handoff == HandoffMode::Streaming {
+        if spec.handoff == HandoffMode::Streaming {
             return self.run_chain2(first, second, splits, spec, pa, pb);
         }
         let mut input = Some(splits);
@@ -533,16 +541,17 @@ impl LocalRunner {
 
     /// Runs a simple fan-in chain: several upstream jobs of the same
     /// application type feed one downstream job. `spec` holds one stage
-    /// config per branch followed by the downstream stage config; every
-    /// branch must use the same partition count (upstream partition `i`
-    /// of every branch feeds downstream map intake `i`).
+    /// config per branch followed by the downstream stage config;
+    /// branches may differ in partition count.
     ///
-    /// Under the streaming handoff every branch's task graph and the
-    /// downstream stage share one worker pool, and branch emissions
-    /// interleave into the shared intake channels; under the barrier
-    /// handoff the branches run sequentially and intake `i` is the
-    /// branch-ordered concatenation of every branch's partition `i`
-    /// output.
+    /// Under the barrier handoff the branches run sequentially and
+    /// downstream split `i` is the branch-ordered concatenation of every
+    /// branch's partition `i` output. Under the streaming handoff every
+    /// branch's task graph and the downstream stage share one worker
+    /// pool, and branch `b`'s reducer `i` maps into the downstream
+    /// shuffle as split `i * branches + b`: the splits sort in that same
+    /// (partition, branch) order, which is what a barrier downstream
+    /// reducer restores.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn run_chain_fanin2<A, B, PA, PB>(
         &self,
@@ -567,7 +576,7 @@ impl LocalRunner {
                 branch_splits.len()
             )));
         }
-        if spec.chain.handoff == HandoffMode::Barrier {
+        if spec.handoff == HandoffMode::Barrier {
             let mut inputs = branch_splits.into_iter();
             return barrier_fold(
                 second,
@@ -581,45 +590,38 @@ impl LocalRunner {
             );
         }
 
-        // Streaming fan-in: every branch's reducer i ships into the
-        // shared intake channel i; EOF when the last branch's sink closes.
-        let branches = firsts.len();
+        // Streaming fan-in: downstream first, then every branch's
+        // reducers fused into it, then the branch's map tasks.
+        let n = firsts.len();
         let started = Instant::now();
-        let upstream: Vec<StageState<A, HandoffSink<'_, A, B>>> = spec.stages[..branches]
-            .iter()
-            .map(StageState::new)
-            .collect();
-        let last: StageState<B, StageOut<B>> = StageState::new(&spec.stages[branches]);
+        let upstream: Vec<StageState<A, FusedSink<'_, A, B, PB>>> =
+            spec.stages[..n].iter().map(StageState::new).collect();
+        let down_cfg = &spec.stages[n];
+        let last: StageState<B, StageOut<B>> = StageState::new(down_cfg);
         let mut pool = Pool::new();
-        let (boundary, intakes) =
-            Boundary::open(&pool, second, spec.stages[0].reducers, spec, started);
-        build_stage(
-            &mut pool,
-            &last,
-            second,
-            &spec.stages[branches],
-            pb,
-            StageInput::Intakes(intakes),
-            self.map_threads,
-            None,
-            |_| Vec::new(),
-        )?;
+        let txs = spawn_reducers(&mut pool, &last, second, down_cfg, |_| Vec::new())?;
         for (b, (app, splits)) in firsts.iter().zip(&branch_splits).enumerate() {
-            build_stage(
+            let (app, cfg) = (*app, &spec.stages[b]);
+            let up = (app, cfg, &upstream[b]);
+            let down = (second, down_cfg, &last);
+            let split = |r| r * n + b;
+            let up_txs = spawn_fused(&mut pool, up, down, pb, &txs, split, started)?;
+            spawn_mappers(
                 &mut pool,
                 &upstream[b],
-                *app,
-                &spec.stages[b],
+                app,
+                cfg,
                 pa,
-                StageInput::Splits(splits),
+                splits,
                 self.map_threads,
                 None,
-                |r| boundary.sink(r),
-            )?;
+                up_txs,
+            );
         }
-        drop(boundary);
+        // EOF for the downstream reducers is the last fused sink's close.
+        drop(txs);
         pool.run(pool_width(spec))?;
-        collect_streamed(spec, upstream, last)
+        collect_streamed(spec, &upstream, &last)
     }
 
     /// Runs a homogeneous K-stage chain: the same application `app` runs
@@ -630,8 +632,8 @@ impl LocalRunner {
     /// stage).
     ///
     /// Under the streaming handoff all K stages are live at once on one
-    /// worker pool: stage `j + 1`'s map intake absorbs stage `j`'s
-    /// reducer emissions as they happen, so an entire iterative pipeline
+    /// worker pool: stage `j`'s reducers run stage `j + 1`'s map function
+    /// on their emissions as they happen, so an entire iterative pipeline
     /// runs with no inter-job barrier anywhere — and no per-stage thread
     /// tree either. A one-stage spec is just the job, under either
     /// handoff.
@@ -648,7 +650,7 @@ impl LocalRunner {
     {
         spec.validate()?;
         let k = spec.len();
-        if k == 1 || spec.chain.handoff == HandoffMode::Barrier {
+        if k == 1 || spec.handoff == HandoffMode::Barrier {
             // Each stage takes the splits the previous one built as its
             // input. Intermediate generations are moved across, not
             // cloned: only the final generation's partitions survive, as
@@ -665,51 +667,42 @@ impl LocalRunner {
             );
         }
 
-        // Streaming: all K stages live on one pool, connected by K-1
-        // boundaries (boundary j carries stage j's output into stage
-        // j+1's intake; its channel count is stage j's reducer count).
+        // Streaming: all K stages live on one pool, downstream first.
+        // Stage j's reducers map into stage j + 1's shuffle, so only
+        // stage 0 has map tasks of its own.
         let started = Instant::now();
-        let upstream: Vec<StageState<A, HandoffSink<'_, A, A>>> =
+        let upstream: Vec<StageState<A, FusedSink<'_, A, A, P>>> =
             spec.stages[..k - 1].iter().map(StageState::new).collect();
         let last: StageState<A, StageOut<A>> = StageState::new(&spec.stages[k - 1]);
         let mut pool = Pool::new();
-        let (boundaries, mut intakes): (Vec<_>, Vec<_>) = spec.stages[..k - 1]
-            .iter()
-            .map(|cfg| Boundary::open(&pool, app, cfg.reducers, spec, started))
-            .unzip();
-        build_stage(
+        let mut txs = spawn_reducers(&mut pool, &last, app, &spec.stages[k - 1], |_| Vec::new())?;
+        for j in (0..k - 1).rev() {
+            let up = (app, &spec.stages[j], &upstream[j]);
+            let down_cfg = &spec.stages[j + 1];
+            txs = match upstream.get(j + 1) {
+                Some(down) => {
+                    let down = (app, down_cfg, down);
+                    spawn_fused(&mut pool, up, down, partitioner, &txs, |r| r, started)?
+                }
+                None => {
+                    let down = (app, down_cfg, &last);
+                    spawn_fused(&mut pool, up, down, partitioner, &txs, |r| r, started)?
+                }
+            };
+        }
+        spawn_mappers(
             &mut pool,
-            &last,
+            &upstream[0],
             app,
-            &spec.stages[k - 1],
+            &spec.stages[0],
             partitioner,
-            StageInput::Intakes(std::mem::take(&mut intakes[k - 2])),
+            &splits,
             self.map_threads,
             None,
-            |_| Vec::new(),
-        )?;
-        // Downstream first: the middle stages in order, then stage 0.
-        for j in (1..k - 1).chain([0]) {
-            let input = match j {
-                0 => StageInput::Splits(&splits),
-                _ => StageInput::Intakes(std::mem::take(&mut intakes[j - 1])),
-            };
-            let boundary = &boundaries[j];
-            build_stage(
-                &mut pool,
-                &upstream[j],
-                app,
-                &spec.stages[j],
-                partitioner,
-                input,
-                self.map_threads,
-                None,
-                |r| boundary.sink(r),
-            )?;
-        }
-        drop(boundaries);
+            txs,
+        );
         pool.run(pool_width(spec))?;
-        collect_streamed(spec, upstream, last)
+        collect_streamed(spec, &upstream, &last)
     }
 }
 
@@ -717,7 +710,7 @@ impl LocalRunner {
 mod tests {
     use super::*;
     use crate::chain::InputAdapter;
-    use crate::config::{ChainConfig, Engine, JobConfig, MemoryPolicy, StoreIndex};
+    use crate::config::{Engine, JobConfig, MemoryPolicy, StoreIndex};
     use crate::partition::HashPartitioner;
     use crate::testutil::{scratch_dir, WordCountApp};
 
@@ -925,27 +918,110 @@ mod tests {
         }
     }
 
+    /// A one-byte shuffle budget on the *downstream* stage: every record
+    /// a fused sink maps rides its own batch into the downstream shuffle.
     #[test]
     fn tiny_handoff_batches_still_deliver_everything() {
         let splits = text_splits(4, 20);
         let cfg1 = JobConfig::new(3).engine(Engine::barrierless());
         let cfg2 = JobConfig::new(2).engine(Engine::barrierless());
         let expect = sequential_reference(splits.clone(), &cfg1, &cfg2);
-        let spec =
-            ChainSpec::new(vec![cfg1, cfg2]).chain(ChainConfig::streaming().handoff_batch_bytes(1));
-        let out = LocalRunner::new(2)
-            .run_chain2(
-                &WordCountApp,
-                &histogram(),
-                splits,
-                &spec,
-                &HashPartitioner,
-                &HashPartitioner,
-            )
-            .unwrap();
-        assert_eq!(out.output.partitions, expect);
-        // One-byte batches: every handed-off record rode its own batch.
-        assert_eq!(out.stages[0].handoff_batches, out.stages[0].handoff_records);
+        for workers in [1usize, 2, 4] {
+            let spec = spec2(
+                cfg1.clone().pool_workers(workers),
+                cfg2.clone().pool_workers(workers).shuffle_batch_bytes(1),
+                HandoffMode::Streaming,
+            );
+            let out = LocalRunner::new(2)
+                .run_chain2(
+                    &WordCountApp,
+                    &histogram(),
+                    splits.clone(),
+                    &spec,
+                    &HashPartitioner,
+                    &HashPartitioner,
+                )
+                .unwrap();
+            assert_eq!(out.output.partitions, expect, "{workers}w");
+            let down = &out.stages[1].counters;
+            assert!(down.get(names::SHUFFLE_RECORDS) > 0);
+            assert_eq!(
+                down.get(names::SHUFFLE_BATCHES),
+                down.get(names::SHUFFLE_RECORDS),
+                "{workers}w: a fused emission shared a batch"
+            );
+        }
+    }
+
+    /// Splits whose WordCount output is `words` distinct words, each
+    /// counted once: big enough that one upstream partition hands on
+    /// more than 32 KiB of modelled bytes.
+    fn wide_splits(n_splits: usize, words: usize) -> Vec<Vec<(u64, String)>> {
+        (0..n_splits)
+            .map(|s| {
+                (0..words / n_splits)
+                    .map(|l| {
+                        let w = s * words + l;
+                        (w as u64, format!("w{w}"))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `chain.handoff.*` and every `StageStats::handoff_*` count are one
+    /// per upstream partition's records, bytes and (non-empty) batch,
+    /// whichever handoff carried them, at any pool width.
+    #[test]
+    fn handoff_accounting_is_the_same_under_both_modes() {
+        fn handoff_view(out: &ChainOutput<impl Application>) -> Vec<[u64; 6]> {
+            out.stages
+                .iter()
+                .map(|s| {
+                    [
+                        s.handoff_records,
+                        s.handoff_batches,
+                        s.handoff_bytes,
+                        s.counters.get(names::CHAIN_HANDOFF_RECORDS),
+                        s.counters.get(names::CHAIN_HANDOFF_BATCHES),
+                        s.counters.get(names::CHAIN_HANDOFF_BYTES),
+                    ]
+                })
+                .collect()
+        }
+        let splits = wide_splits(3, 3000);
+        let app = iter_app();
+        for workers in [1usize, 3] {
+            let cfg = |reducers| {
+                JobConfig::new(reducers)
+                    .engine(Engine::barrierless())
+                    .pool_workers(workers)
+            };
+            let views = [HandoffMode::Barrier, HandoffMode::Streaming].map(|handoff| {
+                let two = LocalRunner::new(2)
+                    .run_chain2(
+                        &WordCountApp,
+                        &histogram(),
+                        splits.clone(),
+                        &spec2(cfg(2), cfg(2), handoff),
+                        &HashPartitioner,
+                        &HashPartitioner,
+                    )
+                    .unwrap();
+                let spec = ChainSpec::new(vec![cfg(2), cfg(3), cfg(2)]).handoff(handoff);
+                let three = LocalRunner::new(2)
+                    .run_chain_iter(&app, splits.clone(), &spec, &HashPartitioner)
+                    .unwrap();
+                (handoff_view(&two), handoff_view(&three))
+            });
+            let (two, three) = &views[0];
+            // One partition carries > 32 KiB: a byte-budgeted handoff
+            // would have cut it into several batches.
+            assert!(two[0][2] / two[0][1] > 32 << 10, "{workers}w: {two:?}");
+            assert_eq!(two[0][1], 2);
+            assert_eq!(three[1][1], 3);
+            assert_eq!(&views[1], &views[0], "{workers}w: modes disagree");
+        }
     }
 
     #[test]
@@ -1100,23 +1176,41 @@ mod tests {
         );
     }
 
+    /// Branches of 2 and 3 reducers feed one downstream stage: split
+    /// `i` downstream is every branch's partition `i`, so the streaming
+    /// output equals the barrier output under either downstream engine.
     #[test]
-    fn fanin_rejects_mismatched_branch_partitions() {
-        let spec = ChainSpec::new(vec![
-            JobConfig::new(2),
-            JobConfig::new(3),
-            JobConfig::new(2),
-        ])
-        .handoff(HandoffMode::Streaming);
-        let err = LocalRunner::new(2).run_chain_fanin2(
-            &[&WordCountApp, &WordCountApp],
-            &histogram(),
-            vec![text_splits(1, 4), text_splits(1, 4)],
-            &spec,
-            &HashPartitioner,
-            &HashPartitioner,
-        );
-        assert!(matches!(err, Err(MrError::InvalidConfig(_))));
+    fn fanin_branches_may_differ_in_partition_count() {
+        let splits_a = text_splits(3, 20);
+        let splits_b = text_splits(4, 15);
+        for engine in [Engine::Barrier, Engine::barrierless()] {
+            let run = |handoff| {
+                let spec = ChainSpec::new(vec![
+                    JobConfig::new(2).engine(engine.clone()),
+                    JobConfig::new(3).engine(engine.clone()),
+                    JobConfig::new(2).engine(engine.clone()),
+                ])
+                .handoff(handoff);
+                LocalRunner::new(2)
+                    .run_chain_fanin2(
+                        &[&WordCountApp, &WordCountApp],
+                        &histogram(),
+                        vec![splits_a.clone(), splits_b.clone()],
+                        &spec,
+                        &HashPartitioner,
+                        &HashPartitioner,
+                    )
+                    .unwrap()
+            };
+            let barrier = run(HandoffMode::Barrier);
+            let streaming = run(HandoffMode::Streaming);
+            assert!(barrier.output.record_count() > 0);
+            assert_eq!(
+                streaming.output.partitions, barrier.output.partitions,
+                "{engine:?}"
+            );
+            assert_eq!(streaming.handoff_records(), barrier.handoff_records());
+        }
     }
 
     /// A homogeneous chainable app for the iterative driver: wordcount

@@ -8,9 +8,10 @@
 //! every job boundary — job N's reduce output is written to the DFS in
 //! full before job N+1's map stage starts. This module removes that
 //! barrier too: under [`HandoffMode::Streaming`](crate::HandoffMode)
-//! each upstream reduce task's emitted output streams straight into
-//! downstream map intake through the same bounded batched channels the
-//! shuffle uses, so stage N+1 map work overlaps stage N reduce work;
+//! each upstream reduce task runs the downstream map function on every
+//! record it emits and ships the result into the downstream reducers'
+//! shuffle channels — the stage boundary *is* the next stage's shuffle —
+//! so stage N+1 map work overlaps stage N reduce work;
 //! under [`HandoffMode::Barrier`](crate::HandoffMode) the boundary is
 //! the Hadoop baseline (materialize, then start).
 //!
@@ -28,8 +29,8 @@
 //!   timeline events.
 //!
 //! Chains are configured by [`ChainSpec`](crate::ChainSpec) — one
-//! [`JobConfig`](crate::JobConfig) per stage plus the chain-level
-//! [`ChainConfig`](crate::ChainConfig).
+//! [`JobConfig`](crate::JobConfig) per stage plus the
+//! [`HandoffMode`](crate::HandoffMode) of every boundary.
 
 pub mod local;
 
@@ -52,9 +53,8 @@ pub trait ChainableApplication<UpK, UpV>: Application {
     /// Converts one upstream output record into this job's input record.
     fn adapt_input(&self, key: UpK, value: UpV) -> (Self::InKey, Self::InValue);
 
-    /// Modelled bytes of one upstream record crossing the handoff — the
-    /// accounting unit for
-    /// [`ChainConfig::handoff_batch_bytes`](crate::ChainConfig). The
+    /// Modelled bytes of one upstream record crossing the handoff — what
+    /// `chain.handoff.bytes` and [`StageStats::handoff_bytes`] count. The
     /// default is the shallow struct size; override when the payload is
     /// heap-heavy (strings, vectors).
     fn handoff_bytes(&self, key: &UpK, value: &UpV) -> usize {
@@ -234,7 +234,9 @@ pub struct StageStats {
     /// Records this stage handed to the next stage (0 for the final
     /// stage).
     pub handoff_records: u64,
-    /// Handoff batches this stage shipped downstream.
+    /// Upstream partitions of this stage that handed at least one record
+    /// downstream: one handoff batch per non-empty partition, under
+    /// either handoff mode.
     pub handoff_batches: u64,
     /// Modelled bytes handed downstream.
     pub handoff_bytes: u64,

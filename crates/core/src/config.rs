@@ -281,11 +281,6 @@ impl TracePolicy {
     }
 }
 
-/// Default handoff batch budget between chained jobs: how many buffered
-/// bytes an upstream reduce task accumulates before handing a record
-/// batch to the downstream stage's map intake.
-pub const DEFAULT_HANDOFF_BATCH_BYTES: usize = 32 << 10;
-
 /// How a [`ChainSpec`] hands one stage's reduce output to the next
 /// stage's mappers.
 ///
@@ -299,10 +294,11 @@ pub enum HandoffMode {
     /// its complete output before any stage-N+1 map task starts.
     #[default]
     Barrier,
-    /// Barrier-less streaming: each upstream reduce task's emitted output
-    /// flows straight into downstream map intake through bounded batched
-    /// channels (the same transport the shuffle uses), so stage N+1 map
-    /// work overlaps stage N reduce work.
+    /// Barrier-less streaming: each upstream reduce task runs stage
+    /// N+1's map function on every record it emits and ships the result
+    /// straight into stage N+1's shuffle channels, so the stage boundary
+    /// is the next stage's shuffle and stage N+1 map work overlaps stage
+    /// N reduce work.
     Streaming,
 }
 
@@ -313,72 +309,17 @@ impl HandoffMode {
     }
 }
 
-/// Chain-level knobs shared by every stage boundary of a [`ChainSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainConfig {
-    /// Barrier or streaming stage handoff.
-    pub handoff: HandoffMode,
-    /// Byte budget an upstream reduce task buffers before handing a
-    /// record batch to the downstream map intake (streaming mode only;
-    /// sizes come from
-    /// [`ChainableApplication::handoff_bytes`](crate::chain::ChainableApplication::handoff_bytes)).
-    pub handoff_batch_bytes: usize,
-}
-
-impl Default for ChainConfig {
-    fn default() -> Self {
-        ChainConfig {
-            handoff: HandoffMode::default(),
-            handoff_batch_bytes: DEFAULT_HANDOFF_BATCH_BYTES,
-        }
-    }
-}
-
-impl ChainConfig {
-    /// The Hadoop baseline: a hard barrier at every stage boundary.
-    pub fn barrier() -> Self {
-        ChainConfig::default()
-    }
-
-    /// Barrier-less streaming handoff with the default batch budget.
-    pub fn streaming() -> Self {
-        ChainConfig {
-            handoff: HandoffMode::Streaming,
-            ..ChainConfig::default()
-        }
-    }
-
-    /// Sets the handoff batch budget in bytes.
-    pub fn handoff_batch_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes >= 1);
-        self.handoff_batch_bytes = bytes;
-        self
-    }
-
-    /// Checks the chain-level knobs, mirroring [`JobConfig::validate`]'s
-    /// Err-not-panic contract for direct struct mutation.
-    pub fn validate(&self) -> MrResult<()> {
-        if self.handoff_batch_bytes == 0 {
-            return Err(MrError::InvalidConfig(
-                "handoff_batch_bytes must be >= 1 (0 would never flush a handoff batch)"
-                    .to_string(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// A concatenated sequence of MapReduce jobs: one [`JobConfig`] per
-/// stage plus the chain-level [`ChainConfig`]. Stage `i`'s reduce output
-/// is re-partitioned and fed to stage `i + 1`'s mappers as a record
-/// stream (streaming handoff) or a materialized dataset (barrier
-/// handoff).
+/// stage plus the [`HandoffMode`] of every stage boundary. Stage `i`'s
+/// reduce output is re-partitioned and fed to stage `i + 1`'s mappers as
+/// a record stream (streaming handoff) or a materialized dataset
+/// (barrier handoff).
 #[derive(Debug, Clone)]
 pub struct ChainSpec {
     /// Per-stage job configurations, in execution order.
     pub stages: Vec<JobConfig>,
-    /// Chain-level handoff knobs.
-    pub chain: ChainConfig,
+    /// Barrier or streaming stage handoff.
+    pub handoff: HandoffMode,
 }
 
 impl ChainSpec {
@@ -386,19 +327,13 @@ impl ChainSpec {
     pub fn new(stages: Vec<JobConfig>) -> Self {
         ChainSpec {
             stages,
-            chain: ChainConfig::default(),
+            handoff: HandoffMode::default(),
         }
     }
 
-    /// Sets the chain-level config.
-    pub fn chain(mut self, chain: ChainConfig) -> Self {
-        self.chain = chain;
-        self
-    }
-
-    /// Sets the handoff mode, keeping the other chain knobs.
+    /// Sets the handoff mode.
     pub fn handoff(mut self, handoff: HandoffMode) -> Self {
-        self.chain.handoff = handoff;
+        self.handoff = handoff;
         self
     }
 
@@ -413,16 +348,14 @@ impl ChainSpec {
     }
 
     /// Checks every chain knob up front: the chain must have at least one
-    /// stage, the chain-level knobs must make sense, and every stage's
-    /// [`JobConfig`] must itself validate. Chain drivers call this before
-    /// spawning anything.
+    /// stage, and every stage's [`JobConfig`] must itself validate. Chain
+    /// drivers call this before spawning anything.
     pub fn validate(&self) -> MrResult<()> {
         if self.stages.is_empty() {
             return Err(MrError::InvalidConfig(
                 "empty chain: a ChainSpec needs at least one stage".to_string(),
             ));
         }
-        self.chain.validate()?;
         for (i, stage) in self.stages.iter().enumerate() {
             stage.validate().map_err(|e| match e {
                 MrError::InvalidConfig(msg) => {
@@ -435,9 +368,9 @@ impl ChainSpec {
     }
 
     /// Fan-in validation: `branches` upstream jobs (stages `0..branches`)
-    /// feed one downstream job (the last stage). Every upstream branch
-    /// must use the same partition count, because upstream reduce
-    /// partition `i` of every branch feeds downstream map intake `i`.
+    /// feed one downstream job (the last stage). Branches may differ in
+    /// partition count: downstream split `i` is every branch's partition
+    /// `i`, in branch order.
     pub fn validate_fan_in(&self, branches: usize) -> MrResult<()> {
         self.validate()?;
         if branches < 1 || self.stages.len() != branches + 1 {
@@ -446,16 +379,6 @@ impl ChainSpec {
                  stage, got {} stages",
                 self.stages.len()
             )));
-        }
-        let first = self.stages[0].reducers;
-        for (i, stage) in self.stages[..branches].iter().enumerate() {
-            if stage.reducers != first {
-                return Err(MrError::InvalidConfig(format!(
-                    "mismatched partition counts across fan-in branches: branch 0 \
-                     has {first} reducers, branch {i} has {}",
-                    stage.reducers
-                )));
-            }
         }
         Ok(())
     }
@@ -1149,29 +1072,11 @@ mod tests {
 
     #[test]
     fn chain_defaults_are_a_barrier_with_sane_batching() {
-        let chain = ChainConfig::default();
-        assert_eq!(chain.handoff, HandoffMode::Barrier);
-        assert!(!chain.handoff.is_streaming());
-        assert_eq!(chain.handoff_batch_bytes, DEFAULT_HANDOFF_BATCH_BYTES);
-        chain.validate().unwrap();
-        let streaming = ChainConfig::streaming().handoff_batch_bytes(1 << 10);
-        assert!(streaming.handoff.is_streaming());
-        assert_eq!(streaming.handoff_batch_bytes, 1 << 10);
-        streaming.validate().unwrap();
-    }
-
-    #[test]
-    fn chain_zero_handoff_batch_bytes_is_rejected() {
-        let mut chain = ChainConfig::streaming();
-        chain.handoff_batch_bytes = 0;
-        match chain.validate() {
-            Err(MrError::InvalidConfig(msg)) => assert!(msg.contains("handoff_batch_bytes")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        // The spec-level validate surfaces the same knob.
-        let mut spec = ChainSpec::new(vec![JobConfig::new(1), JobConfig::new(1)]);
-        spec.chain.handoff_batch_bytes = 0;
-        assert!(matches!(spec.validate(), Err(MrError::InvalidConfig(_))));
+        let spec = ChainSpec::new(vec![JobConfig::new(1), JobConfig::new(1)]);
+        assert_eq!(spec.handoff, HandoffMode::Barrier);
+        assert!(!spec.handoff.is_streaming());
+        spec.validate().unwrap();
+        assert!(spec.handoff(HandoffMode::Streaming).handoff.is_streaming());
     }
 
     #[test]
@@ -1207,7 +1112,7 @@ mod tests {
 
     #[test]
     fn fan_in_requires_matching_upstream_partition_counts() {
-        // Two branches with equal reducer counts plus one downstream: OK.
+        // Two branches plus one downstream: OK.
         ChainSpec::new(vec![
             JobConfig::new(3),
             JobConfig::new(3),
@@ -1215,18 +1120,6 @@ mod tests {
         ])
         .validate_fan_in(2)
         .unwrap();
-        // Mismatched branch partition counts: rejected.
-        let spec = ChainSpec::new(vec![
-            JobConfig::new(3),
-            JobConfig::new(4),
-            JobConfig::new(2),
-        ]);
-        match spec.validate_fan_in(2) {
-            Err(MrError::InvalidConfig(msg)) => {
-                assert!(msg.contains("mismatched partition counts"), "{msg}")
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
         // Wrong stage count for the declared branches: rejected.
         let spec = ChainSpec::new(vec![JobConfig::new(3), JobConfig::new(3)]);
         assert!(matches!(

@@ -74,11 +74,11 @@ pub enum CounterName {
     /// state to cover).
     SnapshotBytes,
     /// Records handed from one chained job's reduce side to the next
-    /// job's map intake (both handoff modes).
+    /// job's map function (both handoff modes).
     ChainHandoffRecords,
-    /// Record batches handed across a chain stage boundary (streaming
-    /// handoff; the barrier handoff moves one materialized batch per
-    /// upstream partition).
+    /// Record batches handed across a chain stage boundary: one per
+    /// upstream partition that handed anything on, under either handoff
+    /// mode.
     ChainHandoffBatches,
     /// Modelled bytes handed across chain stage boundaries, as estimated
     /// by `ChainableApplication::handoff_bytes`.
@@ -223,9 +223,10 @@ pub mod names {
     /// Estimated partial-state bytes covered by snapshots.
     pub const SNAPSHOT_BYTES: CounterName = CounterName::SnapshotBytes;
     /// Records handed from one chained job's reduce side to the next
-    /// job's map intake (both handoff modes).
+    /// job's map function (both handoff modes).
     pub const CHAIN_HANDOFF_RECORDS: CounterName = CounterName::ChainHandoffRecords;
-    /// Record batches handed across a chain stage boundary.
+    /// Record batches handed across a chain stage boundary: one per
+    /// non-empty upstream partition, under either handoff mode.
     pub const CHAIN_HANDOFF_BATCHES: CounterName = CounterName::ChainHandoffBatches;
     /// Modelled bytes handed across chain stage boundaries.
     pub const CHAIN_HANDOFF_BYTES: CounterName = CounterName::ChainHandoffBytes;

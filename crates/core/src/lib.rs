@@ -50,9 +50,9 @@ pub use chain::{ChainOutput, ChainableApplication, InputAdapter, StageStats};
 pub use codec::{Codec, CodecError};
 pub use combine::CombinerBuffer;
 pub use config::{
-    CacheBudget, ChainConfig, ChainSpec, CombinerPolicy, DeadlinePolicy, Engine, HandoffMode,
-    JobConfig, MemoryPolicy, ServiceConfig, SnapshotPolicy, SpeculationPolicy, StoreIndex,
-    TenantSpec, TracePolicy,
+    CacheBudget, ChainSpec, CombinerPolicy, DeadlinePolicy, Engine, HandoffMode, JobConfig,
+    MemoryPolicy, ServiceConfig, SnapshotPolicy, SpeculationPolicy, StoreIndex, TenantSpec,
+    TracePolicy,
 };
 pub use counters::{CounterName, Counters};
 // The unified trace pipeline this crate's executors emit into.

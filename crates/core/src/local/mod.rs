@@ -1,18 +1,18 @@
 //! The real multi-threaded local executor.
 //!
 //! Runs a job for real on OS threads — not a simulation. Since PR 8 the
-//! executor is a **fixed-size worker pool** ([`pool`]): every mapper,
-//! reducer, chain intake and handoff is a cooperative *task state
-//! machine* driven from a ready queue by `JobConfig::pool_workers` OS
-//! threads. A task blocked on a full or empty shuffle channel parks
-//! (holding no thread) and is re-enqueued when the channel has room or
-//! data, so hundreds of small concurrent jobs multiplex on N cores with
+//! executor is a **fixed-size worker pool** ([`pool`]): every mapper and
+//! reducer is a cooperative *task state machine* driven from a ready
+//! queue by `JobConfig::pool_workers` OS threads. A task blocked on a
+//! full or empty shuffle channel parks (holding no thread) and is
+//! re-enqueued when the channel has room or data, so hundreds of small concurrent jobs multiplex on N cores with
 //! a bounded thread count — see [`LocalRunner::run_many`].
 //!
 //! **Both engines share one map side.** Map tasks claim splits from a
-//! shared cursor (or drain a chain intake) and stream records into
-//! bounded per-reducer channels; the stage barrier is a property of the
-//! *reduce* task alone. Under the barrier-less engine a reduce task
+//! shared cursor and stream records into bounded per-reducer channels
+//! (downstream of a streaming chain boundary the map side is the
+//! upstream reducers' sinks instead, see [`crate::chain::local`]); the
+//! stage barrier is a property of the *reduce* task alone. Under the barrier-less engine a reduce task
 //! absorbs each batch as it arrives — genuine map/reduce pipelining, the
 //! local analogue of the paper's overlapped shuffle. Under the barrier
 //! engine a reduce task only *holds* arriving batches (pointer moves, so
@@ -20,10 +20,9 @@
 //! finished — **is** the barrier, after which it restores split order
 //! and runs the grouped sort-reduce over the held bytes, decoding only
 //! what it hands the application. Every batch carries the index of the
-//! split (or intake) it was cut from; one split is mapped by one task
-//! over a FIFO channel, so a stable sort of the held batches by that
-//! index is exactly the split-order concatenation the stable-sort
-//! contract of [`reduce_partition_barrier`] needs ("equal keys stay in
+//! split it was cut from; one split is mapped by one task over a FIFO
+//! channel, so a stable sort of the held batches by that index is
+//! exactly the split-order concatenation the stable-sort contract of [`reduce_partition_barrier`] needs ("equal keys stay in
 //! fetch order"), at any pool width.
 //!
 //! [`reduce_partition_barrier`]: crate::engine::barrier::reduce_partition_barrier
@@ -77,7 +76,7 @@ use crate::partition::{HashPartitioner, Partitioner};
 use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, Emit, FnEmit};
-use batch::FlatBatch;
+pub(crate) use batch::FlatBatch;
 use cache::{JobKeys, SharedCache, SplitCachePlan, SplitParts};
 use mr_cache::StableHash;
 use mr_trace::{
@@ -92,13 +91,13 @@ use std::time::Instant;
 /// default 32 KiB batch budget this keeps roughly 2 MiB in flight per
 /// reducer — deep enough to decouple bursts, shallow enough to exert
 /// back-pressure like a real shuffle buffer.
-pub(crate) const BATCH_CHANNEL_DEPTH: usize = 64;
+const BATCH_CHANNEL_DEPTH: usize = 64;
 
 /// Input records a map task processes per scheduler step: big enough to
 /// amortize dispatch, small enough that one task cannot hog a worker.
 const MAP_RECORDS_PER_STEP: usize = 512;
 
-/// Shuffle batches a reduce (or intake) task absorbs per scheduler step.
+/// Shuffle batches a reduce task absorbs per scheduler step.
 const BATCHES_PER_STEP: usize = 16;
 
 /// Whether this job should run the map-side combiner: policy says yes,
@@ -148,19 +147,17 @@ fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters) {
     }
 }
 
-/// One input split (or one handed-off chain batch): the record shape a
-/// stage's map tasks consume.
+/// One input split: the record shape a stage's map tasks consume.
 pub(crate) type InputSplit<A> = Vec<(<A as Application>::InKey, <A as Application>::InValue)>;
 
 /// Where a reduce task's emitted output goes.
 ///
 /// Normal jobs sink into a plain `Vec` — the materialized partition
 /// buffer `JobOutput` carries. The chain driver
-/// ([`crate::chain::local`]) sinks into a handoff that streams records
-/// to the next stage's map intake instead, so intermediate output is
-/// never materialized. Every emission path of a reduce task goes
-/// through the sink: absorb-time emissions, finalize, shared-state
-/// flush.
+/// ([`crate::chain::local`]) sinks into the next stage's map function
+/// and shuffle instead, so intermediate output is never materialized.
+/// Every emission path of a reduce task goes through the sink:
+/// absorb-time emissions, finalize, shared-state flush.
 ///
 /// Sinks are *non-blocking*: `emit` may buffer, and the owning pool task
 /// calls [`pump`](ReduceSink::pump) each step to drain buffered output
@@ -230,8 +227,9 @@ fn fresh_batch(pool: &Mutex<Vec<FlatBatch>>) -> FlatBatch {
 /// batch channels, and free-list buffer recycling. Records are encoded
 /// into the batch on this thread and dropped here; only bytes cross to
 /// the reducer. Shared by the split map tasks and the chain driver's
-/// downstream map intake, under either engine, so every transport
-/// batches, combines and recycles identically.
+/// streaming sinks (an upstream reducer mapping into the downstream
+/// shuffle), under either engine, so every transport batches, combines
+/// and recycles identically.
 ///
 /// Sends never block: batches leave through an [`Outbox`] that the
 /// owning task drains via [`pump`](ShuffleEmitter::pump), parking until
@@ -245,8 +243,8 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     outbox: Outbox<FlatBatch>,
     batch_pool: &'a Mutex<Vec<FlatBatch>>,
     totals: &'a Mutex<Counters>,
-    /// Index of the split (or intake) being mapped; stamped on every
-    /// batch staged from it.
+    /// Index of the split being mapped; stamped on every batch staged
+    /// from it.
     split: usize,
     plain: Vec<FlatBatch>,
     /// [`SizeEstimate`] bytes buffered per reducer since the last cut —
@@ -294,8 +292,8 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         }
     }
 
-    /// Split (or intake) `idx` starts: every batch staged until the next
-    /// call carries that index, which is how a barrier reducer restores
+    /// Split `idx` starts: every batch staged until the next call
+    /// carries that index, which is how a barrier reducer restores
     /// split order however the tasks interleaved.
     pub(crate) fn begin_split(&mut self, idx: usize) {
         self.split = idx;
@@ -455,7 +453,8 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
 /// report (pipelined engine only), task counters and snapshots.
 pub(crate) type ReduceDone<A, S> = MrResult<(S, Option<DriverReport>, Counters, Vec<Snapshot<A>>)>;
 
-/// The stage's trace handle and clock, borrowed by every task.
+/// The stage's trace handle and clock, borrowed by every task (and by
+/// the chain sinks that map into the stage).
 pub(crate) struct StageTrace {
     tracing: bool,
     dispatcher: TraceDispatcher,
@@ -464,13 +463,12 @@ pub(crate) struct StageTrace {
 
 impl StageTrace {
     /// Seconds since the stage started.
-    fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Records the span of map task `idx` — a split or a chain intake —
-    /// from `t0` to now.
-    fn map_span(&self, idx: usize, t0: f64) {
+    /// Records the span of mapping split `idx` from `t0` to now.
+    pub(crate) fn map_span(&self, idx: usize, t0: f64) {
         if self.tracing {
             let mut rec =
                 TraceRecorder::new(Scope::task(0, TaskKind::Map, idx as u32, 0, NO_NODE), true);
@@ -484,9 +482,9 @@ impl StageTrace {
 /// result slots for every reduce task, the map side's merged counters,
 /// the trace handle, and the shuffle free-list. Lives on the caller's
 /// stack for the pool's borrowed tasks to reference; [`collect_stage`]
-/// consumes it after [`Pool::run`].
+/// drains it after [`Pool::run`].
 pub(crate) struct StageState<A: Application, S> {
-    trace: StageTrace,
+    pub(crate) trace: StageTrace,
     /// Job-scope counters: every map task's, merged, plus the pipelined
     /// reducers' modelled `shuffle.batch_reuse`.
     totals: Mutex<Counters>,
@@ -512,15 +510,6 @@ impl<A: Application, S> StageState<A, S> {
             finished: Mutex::new(0.0),
         }
     }
-}
-
-/// Where a stage's map tasks read their input from.
-pub(crate) enum StageInput<'a, A: Application> {
-    /// Materialized splits — a normal job, claimed by index.
-    Splits(&'a [InputSplit<A>]),
-    /// Streaming intakes — a chain stage fed by the previous stage's
-    /// reducers, one channel per upstream reducer.
-    Intakes(Vec<PoolReceiver<InputSplit<A>>>),
 }
 
 // ---------------------------------------------------------------------
@@ -640,87 +629,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
             self.cur = None;
         } else {
             self.cur = Some((idx, end, t0));
-        }
-        Step::Yield
-    }
-}
-
-/// A chain-stage map intake: drains batches of upstream reduce output
-/// from its channel, maps them, and streams the result into this
-/// stage's shuffle. The whole intake is one logical split — its batch
-/// cuts happen at EOF, deterministic because the upstream reducer's
-/// output order is.
-struct IntakeMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
-    app: &'a A,
-    rx: Option<PoolReceiver<InputSplit<A>>>,
-    idx: usize,
-    emitter: ShuffleEmitter<'a, A, P>,
-    trace: &'a StageTrace,
-    cur: Option<(InputSplit<A>, usize)>,
-    t0: Option<f64>,
-    input_done: bool,
-}
-
-impl<'a, A: Application, P: Partitioner<A::MapKey>> IntakeMapTask<'a, A, P> {
-    fn finish(&mut self) -> Step {
-        self.rx = None;
-        self.emitter.finish()
-    }
-}
-
-impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for IntakeMapTask<'a, A, P> {
-    fn step(&mut self, cx: &mut Ctx) -> Step {
-        let t0 = *self.t0.get_or_insert_with(|| self.trace.now());
-        if !self.emitter.pump(cx) {
-            return Step::Park;
-        }
-        if self.input_done {
-            // end_split's staged batches are pumped (pump said empty).
-            return self.finish();
-        }
-        if self.emitter.is_dead() {
-            // Downstream is failing: keep draining the intake so the
-            // upstream stage can unwind instead of parking forever.
-            self.cur = None;
-            loop {
-                match self.rx.as_ref().unwrap().try_recv(cx) {
-                    Ok(_) => {}
-                    Err(TryRecv::Empty) => return Step::Park,
-                    Err(TryRecv::Disconnected) => return self.finish(),
-                }
-            }
-        }
-        if self.cur.is_none() {
-            match self.rx.as_ref().unwrap().try_recv(cx) {
-                Ok(batch) => self.cur = Some((batch, 0)),
-                Err(TryRecv::Empty) => return Step::Park,
-                Err(TryRecv::Disconnected) => {
-                    // EOF: the intake's whole stream was one split.
-                    self.emitter.end_split();
-                    self.trace.map_span(self.idx, t0);
-                    self.input_done = true;
-                    return Step::Yield;
-                }
-            }
-        }
-        let app = self.app;
-        let mut batch_done = false;
-        if let Some((batch, cursor)) = self.cur.as_mut() {
-            let end = (*cursor + MAP_RECORDS_PER_STEP).min(batch.len());
-            {
-                let emitter = &mut self.emitter;
-                let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                    emitter.push(k, v);
-                });
-                for (k, v) in &batch[*cursor..end] {
-                    app.map(k, v, &mut emit);
-                }
-            }
-            batch_done = end == batch.len();
-            *cursor = end;
-        }
-        if batch_done {
-            self.cur = None;
         }
         Step::Yield
     }
@@ -1042,29 +950,21 @@ impl<'a, A: Application, S: ReduceSink<A>> pool::PoolTask for BarrierReduceTask<
 // Stage builder + collector
 // ---------------------------------------------------------------------
 
-/// Spawns one job stage's full task graph onto `pool` — reduce tasks
-/// first (they consume as mappers produce), then map (or intake) tasks.
-/// The map side is the same for both engines; `cfg.engine` only picks
-/// the reduce task, and with it where the stage barrier falls.
-/// `map_tasks` bounds concurrent map *tasks* (the legacy
-/// `LocalRunner::map_threads` meaning, preserving trace/counter shape);
-/// OS threads are bounded separately by `JobConfig::pool_workers` at
-/// [`Pool::run`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_stage<'a, A, P, S, F>(
+/// Spawns one job stage's reduce tasks onto `pool` — before its map
+/// side, because they consume as mappers produce — and returns the
+/// senders of their shuffle channels, one per reducer, for the map side
+/// to feed. The map side is the same for both engines; `cfg.engine`
+/// only picks the reduce task, and with it where the stage barrier
+/// falls.
+pub(crate) fn spawn_reducers<'a, A, S, F>(
     pool: &mut Pool<'a>,
     state: &'a StageState<A, S>,
     app: &'a A,
     cfg: &'a JobConfig,
-    partitioner: &'a P,
-    input: StageInput<'a, A>,
-    map_tasks: usize,
-    cache: Option<&'a SplitCachePlan<A>>,
     make_sink: F,
-) -> MrResult<()>
+) -> MrResult<Vec<PoolSender<FlatBatch>>>
 where
     A: Application,
-    P: Partitioner<A::MapKey> + Sync,
     S: ReduceSink<A> + 'a,
     F: Fn(usize) -> S,
 {
@@ -1088,72 +988,71 @@ where
             }
         }
     }
-    match input {
-        StageInput::Splits(splits) => {
-            let n = map_tasks.max(1).min(splits.len().max(1));
-            for _ in 0..n {
-                pool.spawn(SplitMapTask::new(
-                    app,
-                    cfg,
-                    partitioner,
-                    state,
-                    splits,
-                    txs.clone(),
-                    cache,
-                ));
-            }
-        }
-        StageInput::Intakes(intakes) => {
-            for (idx, rx) in intakes.into_iter().enumerate() {
-                let mut emitter = ShuffleEmitter::new(app, cfg, partitioner, txs.clone(), state);
-                emitter.begin_split(idx);
-                pool.spawn(IntakeMapTask {
-                    app,
-                    rx: Some(rx),
-                    idx,
-                    emitter,
-                    trace: &state.trace,
-                    cur: None,
-                    t0: None,
-                    input_done: false,
-                });
-            }
-        }
-    }
-    Ok(())
+    Ok(txs)
 }
 
-/// Consumes a run stage's state after the pool finished: merges every
+/// Spawns one job stage's map tasks onto `pool`, mapping `splits` into
+/// the reducers behind `txs`. `map_tasks` bounds concurrent map *tasks*
+/// (the legacy `LocalRunner::map_threads` meaning, preserving
+/// trace/counter shape); OS threads are bounded separately by
+/// `JobConfig::pool_workers` at [`Pool::run`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn spawn_mappers<'a, A, P, S>(
+    pool: &mut Pool<'a>,
+    state: &'a StageState<A, S>,
+    app: &'a A,
+    cfg: &'a JobConfig,
+    partitioner: &'a P,
+    splits: &'a [InputSplit<A>],
+    map_tasks: usize,
+    cache: Option<&'a SplitCachePlan<A>>,
+    txs: Vec<PoolSender<FlatBatch>>,
+) where
+    A: Application,
+    P: Partitioner<A::MapKey> + Sync,
+{
+    let n = map_tasks.max(1).min(splits.len().max(1));
+    for _ in 0..n {
+        pool.spawn(SplitMapTask::new(
+            app,
+            cfg,
+            partitioner,
+            state,
+            splits,
+            txs.clone(),
+            cache,
+        ));
+    }
+}
+
+/// Drains a run stage's state after the pool finished: merges every
 /// task's counters into the run's (the only source of the returned
 /// counters, traced or not), records the job-scope totals in the trace
 /// when it is on (each reduce task recorded its own), and assembles the
-/// [`SinkedRun`].
-pub(crate) fn collect_stage<A, S>(state: StageState<A, S>) -> MrResult<SinkedRun<A, S>>
+/// [`SinkedRun`]. Takes the state by reference, because a streaming
+/// chain's stages borrow each other until the last one is collected.
+pub(crate) fn collect_stage<A, S>(state: &StageState<A, S>) -> MrResult<SinkedRun<A, S>>
 where
     A: Application,
     S: ReduceSink<A>,
 {
-    let StageTrace {
-        tracing,
-        dispatcher,
-        ..
-    } = state.trace;
-    let mut counters = state.totals.into_inner().unwrap();
-    // The non-reduce counters (map phase or chain intake) are attributed
-    // to the job scope as one pre-merged batch: per-task attribution
-    // would depend on which task claimed which split, and the log's
-    // byte layout must not.
-    if tracing {
+    let mut counters = std::mem::take(&mut *state.totals.lock().unwrap());
+    // The non-reduce counters (the map side) are attributed to the job
+    // scope as one pre-merged batch: per-task attribution would depend
+    // on which task claimed which split, and the log's byte layout must
+    // not.
+    let dispatcher = &state.trace.dispatcher;
+    if state.trace.tracing {
         let mut rec = TraceRecorder::new(Scope::job(0), true);
         record_counter_totals(&mut rec, &counters);
-        rec.flush_into(&dispatcher);
+        rec.flush_into(dispatcher);
     }
     let mut sinks = Vec::with_capacity(state.reduce_slots.len());
     let mut reports = Vec::new();
     let mut snapshots = Vec::with_capacity(state.reduce_slots.len());
-    for slot in state.reduce_slots {
+    for slot in &state.reduce_slots {
         let (sink, report, task_counters, snaps) =
-            slot.into_inner().unwrap().expect("every reducer ran")?;
+            slot.lock().unwrap().take().expect("every reducer ran")?;
         counters.merge(&task_counters);
         if let Some(report) = report {
             reports.push(report);
@@ -1161,15 +1060,13 @@ where
         snapshots.push(snaps);
         sinks.push(sink);
     }
-    let trace = dispatcher.finish();
-    let finished_secs = state.finished.into_inner().unwrap();
     Ok(SinkedRun {
         sinks,
         counters,
         reports,
         snapshots,
-        trace,
-        finished_secs,
+        trace: dispatcher.finish(),
+        finished_secs: *state.finished.lock().unwrap(),
     })
 }
 
@@ -1266,9 +1163,7 @@ impl LocalRunner {
         partitioner: &P,
     ) -> MrResult<JobOutput<A>> {
         cfg.validate()?;
-        Ok(self
-            .run_sinked(app, splits, cfg, partitioner, None, |_| Vec::new())?
-            .into_job_output())
+        self.run_stage(app, splits, cfg, partitioner, None)
     }
 
     /// Runs `app` over `splits` through the shared content-addressed
@@ -1372,9 +1267,7 @@ impl LocalRunner {
         }
         // Only a run that will look splits up pays for the plan.
         let plan = SplitCachePlan::new(cache, keys.splits);
-        let mut out = self
-            .run_sinked(app, splits, cfg, partitioner, Some(&plan), |_| Vec::new())?
-            .into_job_output();
+        let mut out = self.run_stage(app, splits, cfg, partitioner, Some(&plan))?;
         let mut extra = Counters::new();
         if let Some(key) = job_key {
             let outcome = cache.put_job::<A>(key, out.partitions.clone());
@@ -1428,59 +1321,57 @@ impl LocalRunner {
             jobs.iter().map(|_| StageState::new(cfg)).collect();
         let mut pool = Pool::new();
         for (state, splits) in states.iter().zip(jobs.iter()) {
-            build_stage(
+            let txs = spawn_reducers(&mut pool, state, app, cfg, |_| Vec::new())?;
+            spawn_mappers(
                 &mut pool,
                 state,
                 app,
                 cfg,
                 partitioner,
-                StageInput::Splits(splits),
+                splits,
                 self.map_threads,
                 None,
-                |_| Vec::new(),
-            )?;
+                txs,
+            );
         }
         let pool = pool.run(cfg.pool_workers)?;
         let jobs = states
-            .into_iter()
+            .iter()
             .map(|state| collect_stage(state).map(SinkedRun::into_job_output))
             .collect();
         Ok(ManyJobsOutput { jobs, pool })
     }
 
-    /// One job with caller-chosen reduce-output sinks: builds the stage
-    /// graph on a fresh pool and drives it with `cfg.pool_workers`
-    /// threads. The hook the chain driver builds on.
-    pub(crate) fn run_sinked<A, P, S, F>(
+    /// One job on a fresh pool, driven with `cfg.pool_workers` threads:
+    /// what `run_with_partitioner` and `run_cached` share.
+    fn run_stage<A, P>(
         &self,
         app: &A,
         splits: Vec<Vec<(A::InKey, A::InValue)>>,
         cfg: &JobConfig,
         partitioner: &P,
         cache: Option<&SplitCachePlan<A>>,
-        make_sink: F,
-    ) -> MrResult<SinkedRun<A, S>>
+    ) -> MrResult<JobOutput<A>>
     where
         A: Application,
         P: Partitioner<A::MapKey> + Sync,
-        S: ReduceSink<A>,
-        F: Fn(usize) -> S,
     {
         let state = StageState::new(cfg);
         let mut pool = Pool::new();
-        build_stage(
+        let txs = spawn_reducers(&mut pool, &state, app, cfg, |_| Vec::new())?;
+        spawn_mappers(
             &mut pool,
             &state,
             app,
             cfg,
             partitioner,
-            StageInput::Splits(&splits),
+            &splits,
             self.map_threads,
             cache,
-            make_sink,
-        )?;
+            txs,
+        );
         pool.run(cfg.pool_workers)?;
-        collect_stage(state)
+        Ok(collect_stage(&state)?.into_job_output())
     }
 }
 
@@ -2008,8 +1899,9 @@ mod tests {
                 );
             }
         }
-        // Downstream of a streaming chain the "splits" are the intakes:
-        // upstream reducer i's output, in the order it was emitted.
+        // Downstream of a streaming chain the "splits" are the upstream
+        // partitions: upstream reducer i's output, in the order it was
+        // emitted, mapped inside that reducer.
         let second = InputAdapter::new(ArrivalOrder, |word: String, count: u64| (count, word));
         let cfg1 = JobConfig::new(3);
         let intakes: Vec<Vec<(u64, String)>> = LocalRunner::new(2)

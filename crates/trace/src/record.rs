@@ -147,9 +147,10 @@ impl TraceDispatcher {
     }
 
     /// Orders the collected batches deterministically and produces the
-    /// run's log.
-    pub fn finish(self) -> TraceLog {
-        let mut batches = self.batches.into_inner().unwrap_or_else(|e| e.into_inner());
+    /// run's log, leaving the dispatcher empty.
+    pub fn finish(&self) -> TraceLog {
+        let mut batches =
+            std::mem::take(&mut *self.batches.lock().unwrap_or_else(|e| e.into_inner()));
         batches.sort_by_cached_key(|b| {
             let detail: Vec<String> = b.events.iter().map(|e| e.canonical()).collect();
             (b.scope.sort_key(), detail)

@@ -5,10 +5,9 @@
 //! of a generated log; job 2 (Sort) orders the matching timestamps.
 //! Classic frameworks materialize job 1's full output before job 2's
 //! map stage may start. With [`HandoffMode::Streaming`] every record a
-//! grep reducer emits flows straight into the sort stage's map intake
-//! through the same bounded batched channels the shuffle uses — sort
-//! work overlaps grep work, and the final output is identical byte for
-//! byte.
+//! grep reducer emits is run through the sort stage's map function on
+//! the spot and shipped into the sort reducers' shuffle — sort work
+//! overlaps grep work, and the final output is identical byte for byte.
 //!
 //! ```sh
 //! cargo run --release --example job_chain
