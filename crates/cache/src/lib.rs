@@ -2,10 +2,9 @@
 //!
 //! Cross-job memoization for the barrier-less MapReduce stack: a
 //! concurrent, byte-accounted, LRU-evicting store of computed artifacts
-//! — partitioned map outputs and sealed job outputs — addressed by a
-//! stable hash of their *content provenance* (input-chunk records, app
-//! identity, and the effective `JobConfig` fields that shape the
-//! artifact). The paper's §8 future-work note observes that memoization
+//! — sealed job outputs — addressed by a stable hash of their *content
+//! provenance* (input-chunk records, app identity, and the effective
+//! `JobConfig` fields that shape the artifact). The paper's §8 future-work note observes that memoization
 //! "becomes feasible in the barrier-less model"; this crate is that
 //! store, shared by every tenant of a `JobService`.
 //!
@@ -18,8 +17,8 @@
 //!   clones, and an entry larger than the whole budget is a typed
 //!   [`Oversize`] rejection rather than a silent no-op.
 //!
-//! Key derivation policy (which config fields participate, how splits
-//! are fingerprinted) lives upstream in `mr-core`'s `local::cache`
+//! Key derivation policy (which config fields participate, how the
+//! input is fingerprinted) lives upstream in `mr-core`'s `local::cache`
 //! module, next to the executors that consult the cache.
 
 mod key;

@@ -479,9 +479,7 @@ impl LocalRunner {
     /// whose `JobConfig::cache` is enabled consults `cache` exactly like
     /// [`LocalRunner::run_cached`] does, so a re-run of the chain over
     /// unchanged input hits stage 1's sealed job artifact, feeds the
-    /// cached partitions across the handoff, and then hits stage 2's —
-    /// and a *partially* changed input still reuses every unchanged
-    /// split's map artifact within each stage.
+    /// cached partitions across the handoff, and then hits stage 2's.
     ///
     /// Only the [`HandoffMode::Barrier`] handoff consults the cache: a
     /// streamed stage's input is never materialized, so there is no
@@ -505,14 +503,10 @@ impl LocalRunner {
         PB: Partitioner<B::MapKey> + Sync,
         A::InKey: StableHash,
         A::InValue: StableHash,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
         A::OutKey: Sync + SizeEstimate,
         A::OutValue: Sync + SizeEstimate,
         B::InKey: StableHash,
         B::InValue: StableHash,
-        B::MapKey: Sync,
-        B::MapValue: Sync,
         B::OutKey: Sync + SizeEstimate,
         B::OutValue: Sync + SizeEstimate,
     {
@@ -614,7 +608,6 @@ impl LocalRunner {
                 pa,
                 splits,
                 self.map_threads,
-                None,
                 up_txs,
             );
         }
@@ -698,7 +691,6 @@ impl LocalRunner {
             partitioner,
             &splits,
             self.map_threads,
-            None,
             txs,
         );
         pool.run(pool_width(spec))?;

@@ -63,10 +63,9 @@ pub const DEFAULT_CACHE_BUDGET: u64 = 64 << 20;
 /// Whether (and how large) a job's shared result cache is.
 ///
 /// The result cache (`mr-cache` + [`crate::local::cache`]) memoizes
-/// content-addressed artifacts — partitioned map outputs and sealed job
-/// outputs — across jobs and tenants. The paper's §8 future-work note
-/// observes memoization "becomes feasible in the barrier-less model";
-/// this knob turns it on. `Disabled` by default: caching never changes
+/// content-addressed artifacts — sealed job outputs — across jobs and
+/// tenants. The paper's §8 future-work note observes memoization
+/// "becomes feasible in the barrier-less model"; this knob turns it on. `Disabled` by default: caching never changes
 /// job output (that is the determinism bar), but it does add hashing
 /// work to cold runs, so jobs opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

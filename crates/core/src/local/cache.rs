@@ -1,41 +1,32 @@
-//! The shared result cache — cross-job memoization of map outputs and
-//! sealed reduce partials (the typed layer over `mr-cache`).
+//! The shared result cache — cross-job memoization of sealed job
+//! outputs (the typed layer over `mr-cache`).
 //!
 //! A [`SharedCache`] is a cheaply cloneable handle to one concurrent,
-//! byte-accounted, content-addressed [`ResultCache`]. Two artifact
-//! classes live in it:
-//!
-//! * **Split artifacts** — one input split's *raw, pre-combine*
-//!   partitioned map output. A hit replays the cached records through
-//!   the engine's normal routing (combiner, shuffle batching), so warm
-//!   runs stay byte-identical to cold runs under every engine, store
-//!   index and pool width; only the map function itself is skipped.
-//! * **Job artifacts** — one job's sealed reduce-output partitions. A
-//!   hit skips the whole run.
+//! byte-accounted, content-addressed [`ResultCache`]. It holds one
+//! artifact kind: a job's sealed reduce-output partitions, published
+//! once by a cold cacheable run. A hit skips the whole run.
 //!
 //! Keys are stable content hashes ([`mr_cache::KeyBuilder`]) over the
 //! input-chunk bytes (via [`StableHash`]), the application identity —
 //! its type name **plus** its instance parameters, via
 //! [`Application::cache_identity`] — the partitioner type and the
-//! `JobConfig` fields that affect the artifact (reducers, combiner,
-//! store index; plus the engine for job artifacts). One derivation
-//! (`JobKeys::derive`) serves both cached entry points and reads each
-//! input byte once: the split keys hash the content, and the job key
-//! hashes the split keys. Identical work keys identically *across jobs,
-//! tenants and executors*; anything differing in content, parameters or
-//! config cannot alias. That content addressing is also the isolation
-//! story: a tenant can only ever hit an artifact it would have computed
-//! bit-for-bit itself. Two guard rails protect it:
+//! `JobConfig` fields that shape the output (engine, reducers, combiner,
+//! store index). One derivation (`job_key`) serves both cached entry
+//! points and reads each input byte once. Identical work keys
+//! identically *across jobs, tenants and executors*; anything differing
+//! in content, parameters or config cannot alias. That content
+//! addressing is also the isolation story: a tenant can only ever hit
+//! an artifact it would have computed bit-for-bit itself.
+//!
+//! Two kinds of job cannot be served by a sealed artifact. They run
+//! uncached, publish nothing and charge `cache.bypass.count`:
 //!
 //! * An application that does not vouch for its identity (a
 //!   parameterized app without a
-//!   [`cache_identity`](Application::cache_identity) override) yields
-//!   `None` from the key derivations and **bypasses the cache**
-//!   (`cache.bypass.count`) instead of keying incompletely.
-//! * Jobs with an enabled snapshot policy never use the *job*-level
-//!   artifact (a whole-job hit skips the run and therefore cannot
-//!   reproduce the snapshot stream a cold run publishes); their split
-//!   artifacts still cache, since map output does not feed snapshots.
+//!   [`cache_identity`](Application::cache_identity) override):
+//!   `job_key` yields `None` instead of keying incompletely.
+//! * A job with an enabled snapshot policy: a hit skips the run and so
+//!   cannot reproduce the snapshot stream a cold run publishes.
 
 use crate::config::{CacheBudget, CombinerPolicy, Engine, JobConfig, StoreIndex};
 use crate::counters::{names, Counters};
@@ -55,10 +46,6 @@ impl IdentityWriter for KeyBuilder {
         KeyBuilder::write_str(self, s)
     }
 }
-
-/// A split's cached artifact: raw (pre-combine) map output, partitioned.
-pub(crate) type SplitParts<A> =
-    Vec<Vec<(<A as Application>::MapKey, <A as Application>::MapValue)>>;
 
 /// A job's cached artifact: its sealed reduce-output partitions.
 pub(crate) type JobParts<A> = Vec<Vec<(<A as Application>::OutKey, <A as Application>::OutValue)>>;
@@ -116,28 +103,6 @@ impl SharedCache {
         self.inner.clear()
     }
 
-    /// Typed zero-copy lookup of a split artifact.
-    pub(crate) fn get_split<A>(&self, key: CacheKey) -> Option<(Arc<SplitParts<A>>, u64)>
-    where
-        A: Application,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
-    {
-        let (payload, bytes) = self.inner.get(key)?;
-        payload.downcast::<SplitParts<A>>().ok().map(|p| (p, bytes))
-    }
-
-    /// Publishes a split artifact, returning what the store did with it.
-    pub(crate) fn put_split<A>(&self, key: CacheKey, parts: SplitParts<A>) -> InsertOutcome
-    where
-        A: Application,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
-    {
-        let bytes = parts_bytes(&parts);
-        self.put(key, Arc::new(parts) as Payload, bytes)
-    }
-
     /// Typed zero-copy lookup of a sealed job artifact.
     pub(crate) fn get_job<A>(&self, key: CacheKey) -> Option<(Arc<JobParts<A>>, u64)>
     where
@@ -149,31 +114,35 @@ impl SharedCache {
         payload.downcast::<JobParts<A>>().ok().map(|p| (p, bytes))
     }
 
-    /// Publishes a sealed job artifact.
-    pub(crate) fn put_job<A>(&self, key: CacheKey, parts: JobParts<A>) -> InsertOutcome
+    /// Publishes a sealed job artifact and charges what the store did
+    /// with it into `counters`: the recomputed bytes (`cache.miss.bytes`)
+    /// always, then either the insert and any evictions it forced, or
+    /// the typed oversize rejection.
+    pub(crate) fn put_job<A>(&self, key: CacheKey, parts: JobParts<A>, counters: &mut Counters)
     where
         A: Application,
         A::OutKey: Sync + SizeEstimate,
         A::OutValue: Sync + SizeEstimate,
     {
-        let bytes = parts_bytes(&parts);
-        self.put(key, Arc::new(parts) as Payload, bytes)
-    }
-
-    fn put(&self, key: CacheKey, payload: Payload, bytes: u64) -> InsertOutcome {
-        match self.inner.insert(key, payload, bytes) {
-            Ok(evicted) => InsertOutcome {
-                bytes,
-                evictions: evicted.len() as u64,
-                evict_bytes: evicted.iter().map(|e| e.bytes).sum(),
-                oversize: false,
-            },
-            Err(_) => InsertOutcome {
-                bytes,
-                evictions: 0,
-                evict_bytes: 0,
-                oversize: true,
-            },
+        // The charge the byte budget accounts, from the same
+        // `SizeEstimate` model the heap caps and combiner budgets use.
+        let bytes = parts
+            .iter()
+            .flatten()
+            .map(|(k, v)| (k.estimated_bytes() + v.estimated_bytes()) as u64)
+            .sum();
+        counters.add(names::CACHE_MISS_BYTES, bytes);
+        match self.inner.insert(key, Arc::new(parts) as Payload, bytes) {
+            Ok(evicted) => {
+                counters.incr(names::CACHE_INSERTS);
+                counters.add(names::CACHE_INSERT_BYTES, bytes);
+                counters.add(names::CACHE_EVICTIONS, evicted.len() as u64);
+                counters.add(
+                    names::CACHE_EVICT_BYTES,
+                    evicted.iter().map(|e| e.bytes).sum(),
+                );
+            }
+            Err(_) => counters.incr(names::CACHE_OVERSIZE),
         }
     }
 }
@@ -186,47 +155,6 @@ impl std::fmt::Debug for SharedCache {
             .field("len", &self.len())
             .finish()
     }
-}
-
-/// What one publish attempt did, for the publisher's counters.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InsertOutcome {
-    /// The artifact's accounted byte charge.
-    pub bytes: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Accounted bytes those evictions released.
-    pub evict_bytes: u64,
-    /// Whether the artifact exceeded the whole budget and was rejected.
-    pub oversize: bool,
-}
-
-impl InsertOutcome {
-    /// Charges this outcome into a job's counters: the recomputed bytes
-    /// (`cache.miss.bytes`) always, then either the insert or the typed
-    /// oversize rejection, plus any evictions the insert forced.
-    pub(crate) fn charge(&self, counters: &mut Counters) {
-        counters.add(names::CACHE_MISS_BYTES, self.bytes);
-        if self.oversize {
-            counters.incr(names::CACHE_OVERSIZE);
-            return;
-        }
-        counters.incr(names::CACHE_INSERTS);
-        counters.add(names::CACHE_INSERT_BYTES, self.bytes);
-        counters.add(names::CACHE_EVICTIONS, self.evictions);
-        counters.add(names::CACHE_EVICT_BYTES, self.evict_bytes);
-    }
-}
-
-/// Estimated resident bytes of a partitioned artifact (the charge the
-/// byte budget accounts), from the same [`SizeEstimate`] model the heap
-/// caps and combiner budgets use.
-pub(crate) fn parts_bytes<K: SizeEstimate, V: SizeEstimate>(parts: &[Vec<(K, V)>]) -> u64 {
-    parts
-        .iter()
-        .flatten()
-        .map(|(k, v)| (k.estimated_bytes() + v.estimated_bytes()) as u64)
-        .sum()
 }
 
 /// The `JobConfig` fields that shape a cached artifact. Anything else
@@ -259,117 +187,65 @@ fn write_identity<A: Application>(k: &mut KeyBuilder, app: &A, partitioner_id: &
     app.cache_identity(k)
 }
 
-/// Every cache key of one job, from a single pass over its input.
-pub(crate) struct JobKeys {
-    /// One key per input split's map-output artifact, in split order.
-    pub(crate) splits: Vec<CacheKey>,
-    /// The key of the whole job's sealed output artifact.
-    pub(crate) job: CacheKey,
+/// The key of a job's sealed output artifact, from a single pass over
+/// its input: `H("mr.job.v3", identity, config, engine, n_splits,
+/// split digests)`, where each split digest is `H("mr.split.v2",
+/// identity, config, records)`. The digests cover every record in order,
+/// cut where the splits are cut, so hashing them stands in for hashing
+/// the input a second time. The engine discriminant keeps the two
+/// engines' artifacts distinct: they are byte-identical, but the key
+/// stays an honest description of what ran. `None` when the app's
+/// identity is incomplete (the job must then bypass the cache).
+///
+/// Both cached entry points (`LocalRunner::run_cached`, `serve`) key
+/// through here, once per job.
+pub(crate) fn job_key<A>(
+    app: &A,
+    cfg: &JobConfig,
+    partitioner_id: &str,
+    splits: &[Vec<(A::InKey, A::InValue)>],
+) -> Option<CacheKey>
+where
+    A: Application,
+    A::InKey: StableHash,
+    A::InValue: StableHash,
+{
+    // What every split digest starts with, absorbed once and cloned.
+    let mut prefix = KeyBuilder::new();
+    prefix.write_str("mr.split.v2");
+    if !write_identity(&mut prefix, app, partitioner_id) {
+        return None;
+    }
+    write_config(&mut prefix, cfg);
+
+    let mut k = KeyBuilder::new();
+    k.write_str("mr.job.v3");
+    // Vouched for above.
+    write_identity(&mut k, app, partitioner_id);
+    write_config(&mut k, cfg);
+    k.write_u64(match cfg.engine {
+        Engine::Barrier => 0,
+        Engine::BarrierLess { .. } => 1,
+    });
+    k.write_u64(splits.len() as u64);
+    for split in splits {
+        let digest = split_digest(&prefix, split);
+        k.write_u64(digest.hi);
+        k.write_u64(digest.lo);
+    }
+    Some(k.finish())
 }
 
-impl JobKeys {
-    /// Derives the split keys — each `H("mr.split.v2", identity, config,
-    /// records)`, the content hash that reads the input — and from them
-    /// the job key, `H("mr.job.v3", identity, config, engine, n_splits,
-    /// split keys)`. The split keys already cover identity, config and
-    /// every record in order, cut where the splits are cut, so hashing
-    /// them stands in for hashing the input a second time. The engine
-    /// discriminant on top keeps the two engines' sealed artifacts
-    /// distinct: they are byte-identical, but the key stays an honest
-    /// description of what ran. `None` when the app's identity is
-    /// incomplete (the job must then bypass the cache).
-    ///
-    /// Both cached entry points (`LocalRunner::run_cached`, `serve`) key
-    /// through here, once per job.
-    pub(crate) fn derive<A>(
-        app: &A,
-        cfg: &JobConfig,
-        partitioner_id: &str,
-        splits: &[Vec<(A::InKey, A::InValue)>],
-    ) -> Option<Self>
-    where
-        A: Application,
-        A::InKey: StableHash,
-        A::InValue: StableHash,
-    {
-        // What every split key starts with, absorbed once and cloned.
-        let mut prefix = KeyBuilder::new();
-        prefix.write_str("mr.split.v2");
-        if !write_identity(&mut prefix, app, partitioner_id) {
-            return None;
-        }
-        write_config(&mut prefix, cfg);
-        let split_keys: Vec<CacheKey> = splits
-            .iter()
-            .map(|split| {
-                let mut k = prefix.clone();
-                k.write_u64(split.len() as u64);
-                for (key, value) in split {
-                    key.stable_hash(&mut k);
-                    value.stable_hash(&mut k);
-                }
-                k.finish()
-            })
-            .collect();
-
-        let mut k = KeyBuilder::new();
-        k.write_str("mr.job.v3");
-        // Vouched for above.
-        write_identity(&mut k, app, partitioner_id);
-        write_config(&mut k, cfg);
-        k.write_u64(match cfg.engine {
-            Engine::Barrier => 0,
-            Engine::BarrierLess { .. } => 1,
-        });
-        k.write_u64(split_keys.len() as u64);
-        for key in &split_keys {
-            k.write_u64(key.hi);
-            k.write_u64(key.lo);
-        }
-        Some(JobKeys {
-            splits: split_keys,
-            job: k.finish(),
-        })
+/// One split's digest: `prefix` (`"mr.split.v2"`, identity, config)
+/// followed by the split's length and every record in order.
+fn split_digest<K: StableHash, V: StableHash>(prefix: &KeyBuilder, split: &[(K, V)]) -> CacheKey {
+    let mut digest = prefix.clone();
+    digest.write_u64(split.len() as u64);
+    for (key, value) in split {
+        key.stable_hash(&mut digest);
+        value.stable_hash(&mut digest);
     }
-}
-
-/// A job-scoped consultation plan for per-split artifacts: the cache
-/// handle and the split keys are captured in boxed closures (where the
-/// `Sync` bounds hold), so the generic task state machines consult the
-/// cache without carrying any cache bounds.
-pub(crate) struct SplitCachePlan<A: Application> {
-    #[allow(clippy::type_complexity)]
-    lookup: Box<dyn Fn(usize) -> Option<(Arc<SplitParts<A>>, u64)> + Send + Sync>,
-    #[allow(clippy::type_complexity)]
-    insert: Box<dyn Fn(usize, SplitParts<A>) -> InsertOutcome + Send + Sync>,
-}
-
-impl<A: Application> SplitCachePlan<A> {
-    /// Binds both cache directions to `keys`, one per split
-    /// ([`JobKeys::splits`]).
-    pub(crate) fn new(cache: &SharedCache, keys: Vec<CacheKey>) -> Self
-    where
-        A::MapKey: Sync,
-        A::MapValue: Sync,
-    {
-        let keys2 = keys.clone();
-        let lookup_cache = cache.clone();
-        let insert_cache = cache.clone();
-        SplitCachePlan {
-            lookup: Box::new(move |idx| lookup_cache.get_split::<A>(keys[idx])),
-            insert: Box::new(move |idx, parts| insert_cache.put_split::<A>(keys2[idx], parts)),
-        }
-    }
-
-    /// Consults the cache for split `idx`'s artifact.
-    pub(crate) fn lookup(&self, idx: usize) -> Option<(Arc<SplitParts<A>>, u64)> {
-        (self.lookup)(idx)
-    }
-
-    /// Publishes split `idx`'s freshly computed artifact.
-    pub(crate) fn insert(&self, idx: usize, parts: SplitParts<A>) -> InsertOutcome {
-        (self.insert)(idx, parts)
-    }
+    digest.finish()
 }
 
 #[cfg(test)]
@@ -382,68 +258,59 @@ mod tests {
         (0..4).map(|i| (i, format!("word{tag} w{i}"))).collect()
     }
 
-    fn split_key_of<A>(app: &A, cfg: &JobConfig, pid: &str, split: &[(u64, String)]) -> CacheKey
+    fn key_of<A>(app: &A, cfg: &JobConfig, pid: &str, splits: &[Vec<(u64, String)>]) -> CacheKey
     where
         A: Application<InKey = u64, InValue = String>,
     {
-        JobKeys::derive(app, cfg, pid, &[split.to_vec()])
-            .expect("complete identity")
-            .splits[0]
+        job_key(app, cfg, pid, splits).expect("complete identity")
     }
 
     fn job_key_of<A>(app: &A, cfg: &JobConfig, splits: &[Vec<(u64, String)>]) -> CacheKey
     where
         A: Application<InKey = u64, InValue = String>,
     {
-        JobKeys::derive(app, cfg, "hash", splits)
-            .expect("complete identity")
-            .job
+        key_of(app, cfg, "hash", splits)
     }
 
     #[test]
-    fn split_keys_are_content_addressed() {
+    fn job_keys_are_content_addressed() {
         let cfg = JobConfig::new(2);
-        let a = split_key_of(&WordCountApp, &cfg, "hash", &split(1));
-        let b = split_key_of(&WordCountApp, &cfg, "hash", &split(1));
-        let c = split_key_of(&WordCountApp, &cfg, "hash", &split(2));
+        let a = job_key_of(&WordCountApp, &cfg, &[split(1)]);
+        let b = job_key_of(&WordCountApp, &cfg, &[split(1)]);
+        let c = job_key_of(&WordCountApp, &cfg, &[split(2)]);
         assert_eq!(a, b, "same content, same config: same key");
         assert_ne!(a, c, "different content: different key");
-        let other_reducers = split_key_of(&WordCountApp, &JobConfig::new(3), "hash", &split(1));
-        assert_ne!(a, other_reducers, "reducer count shapes the artifact");
-        let other_partitioner = split_key_of(&WordCountApp, &cfg, "range", &split(1));
+        let other_partitioner = key_of(&WordCountApp, &cfg, "range", &[split(1)]);
         assert_ne!(a, other_partitioner, "partitioner shapes the artifact");
     }
 
     #[test]
-    fn split_keys_did_not_move_with_the_one_pass_derivation() {
-        // Taken from `split_key` at the commit before `JobKeys`: the
-        // `mr.split.v2` format (tag, identity, config, records) is the
-        // same byte stream, whoever derives it and however it is
-        // absorbed. A split's key does not depend on its neighbours.
-        let keys = JobKeys::derive(
-            &WordCountApp,
-            &JobConfig::new(2),
-            "hash",
-            &[split(2), split(1)],
-        )
-        .unwrap();
-        assert_eq!(
-            format!("{:?}", keys.splits[1]),
-            "CacheKey(9ab6ff4a9dceb5dc6fe97afa8b9a6c11)"
-        );
-    }
-
-    #[test]
-    fn job_and_split_keys_never_alias() {
-        let cfg = JobConfig::new(2);
-        let one = JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1)]).unwrap();
-        assert_ne!(one.splits[0], one.job, "artifact classes are key-separated");
-        let three =
-            JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1), split(2), split(1)]).unwrap();
-        assert!(three.splits.iter().all(|s| *s != three.job));
-        let none = JobKeys::derive(&WordCountApp, &cfg, "hash", &[]).unwrap();
-        assert!(none.splits.is_empty());
-        assert_ne!(none.job, one.job);
+    fn job_keys_did_not_move_when_split_artifacts_went() {
+        // Taken from `JobKeys::derive` while the cache still held
+        // per-split artifacts: the per-split digests (`mr.split.v2`) and
+        // the job key over them (`mr.job.v3`) are the same byte streams,
+        // so every resident or persisted job key still means what it did.
+        let pinned = [
+            (
+                JobConfig::new(2),
+                vec![split(2), split(1)],
+                "CacheKey(be26179cd2ca7d6af2c3670ad51edab2)",
+            ),
+            (
+                JobConfig::new(2).engine(Engine::barrierless()),
+                vec![split(1)],
+                "CacheKey(668c0cb998a9801087552939132c5d47)",
+            ),
+            (
+                JobConfig::new(2),
+                Vec::new(),
+                "CacheKey(59b3005fe592eabe50f5787d521dfbd3)",
+            ),
+        ];
+        for (cfg, input, want) in pinned {
+            let got = job_key_of(&WordCountApp, &cfg, &input);
+            assert_eq!(format!("{got:?}"), want, "{} splits", input.len());
+        }
     }
 
     #[test]
@@ -471,13 +338,32 @@ mod tests {
     }
 
     #[test]
+    fn job_and_split_keys_never_alias() {
+        let cfg = JobConfig::new(2);
+        let mut prefix = KeyBuilder::new();
+        prefix.write_str("mr.split.v2");
+        assert!(write_identity(&mut prefix, &WordCountApp, "hash"));
+        write_config(&mut prefix, &cfg);
+        let digest = |s: &[(u64, String)]| split_digest(&prefix, s);
+
+        let one = job_key_of(&WordCountApp, &cfg, &[split(1)]);
+        assert_ne!(digest(&split(1)), one, "key kinds are domain-separated");
+        let three = job_key_of(&WordCountApp, &cfg, &[split(1), split(2), split(1)]);
+        assert!([split(1), split(2)].iter().all(|s| digest(s) != three));
+        // No input is an input too, and keys apart from one empty split.
+        let none = job_key_of(&WordCountApp, &cfg, &[]);
+        assert_ne!(none, one);
+        assert_ne!(none, job_key_of(&WordCountApp, &cfg, &[Vec::new()]));
+        assert_ne!(none, digest(&[]));
+    }
+
+    #[test]
     fn job_key_covers_engine_and_output_shaping_config() {
         let input = [split(1), split(2)];
         let cfg = JobConfig::new(2);
         let base = job_key_of(&WordCountApp, &cfg, &input);
-        let barrierless = cfg.clone().engine(Engine::barrierless());
         let moved = [
-            ("engine", barrierless.clone()),
+            ("engine", cfg.clone().engine(Engine::barrierless())),
             ("reducers", JobConfig::new(3)),
             (
                 "combiner",
@@ -490,12 +376,6 @@ mod tests {
         for (what, other) in &moved {
             assert_ne!(base, job_key_of(&WordCountApp, other, &input), "{what}");
         }
-        // The engine is the one knob split keys ignore: map output is
-        // the same artifact under both.
-        assert_eq!(
-            split_key_of(&WordCountApp, &cfg, "hash", &split(1)),
-            split_key_of(&WordCountApp, &barrierless, "hash", &split(1))
-        );
         // Knobs that do not shape the artifact do not move the key.
         assert_eq!(
             base,
@@ -619,12 +499,9 @@ mod tests {
         let bar = NeedleCount {
             needle: "bar".into(),
         };
-        let a = split_key_of(&foo, &cfg, "hash", &input);
-        let b = split_key_of(&bar, &cfg, "hash", &input);
+        let a = job_key_of(&foo, &cfg, std::slice::from_ref(&input));
+        let b = job_key_of(&bar, &cfg, std::slice::from_ref(&input));
         assert_ne!(a, b, "differently parameterized instances must not alias");
-        let j1 = job_key_of(&foo, &cfg, std::slice::from_ref(&input));
-        let j2 = job_key_of(&bar, &cfg, std::slice::from_ref(&input));
-        assert_ne!(j1, j2);
     }
 
     /// An adapted app is keyed by the app it wraps: a re-run is a
@@ -676,10 +553,10 @@ mod tests {
         let app = UnkeyedNeedle {
             needle: "foo".into(),
         };
-        assert!(JobKeys::derive(&app, &cfg, "hash", &[split(1)]).is_none());
-        assert!(JobKeys::derive(&app, &cfg, "hash", &[]).is_none());
+        assert!(job_key(&app, &cfg, "hash", &[split(1)]).is_none());
+        assert!(job_key(&app, &cfg, "hash", &[]).is_none());
         // Zero-sized apps vouch for themselves.
-        assert!(JobKeys::derive(&WordCountApp, &cfg, "hash", &[split(1)]).is_some());
+        assert!(job_key(&WordCountApp, &cfg, "hash", &[split(1)]).is_some());
     }
 
     #[test]
@@ -687,12 +564,13 @@ mod tests {
         let cache = SharedCache::new(1 << 20);
         let clone = cache.clone();
         let cfg = JobConfig::new(2);
-        let key = split_key_of(&WordCountApp, &cfg, "hash", &split(7));
-        let parts: SplitParts<WordCountApp> = vec![vec![("a".into(), 1)], vec![("b".into(), 2)]];
-        let outcome = cache.put_split::<WordCountApp>(key, parts);
-        assert!(!outcome.oversize);
-        let (via_clone, bytes) = clone.get_split::<WordCountApp>(key).expect("hit via clone");
-        assert_eq!(bytes, outcome.bytes);
+        let key = job_key_of(&WordCountApp, &cfg, &[split(7)]);
+        let parts: JobParts<WordCountApp> = vec![vec![("a".into(), 1)], vec![("b".into(), 2)]];
+        let mut counters = Counters::new();
+        cache.put_job::<WordCountApp>(key, parts, &mut counters);
+        assert_eq!(counters.get(names::CACHE_INSERTS), 1);
+        let (via_clone, bytes) = clone.get_job::<WordCountApp>(key).expect("hit via clone");
+        assert_eq!(bytes, counters.get(names::CACHE_INSERT_BYTES));
         assert_eq!(via_clone[1], vec![("b".to_string(), 2)]);
         assert_eq!(clone.stats().hits, 1);
         assert_eq!(cache.len(), 1, "one store behind every clone");
@@ -702,14 +580,13 @@ mod tests {
     fn oversize_outcome_charges_the_typed_counter() {
         let cache = SharedCache::new(8);
         let cfg = JobConfig::new(1);
-        let key = split_key_of(&WordCountApp, &cfg, "hash", &split(3));
-        let parts: SplitParts<WordCountApp> = vec![vec![("oversized".into(), 1); 64]];
-        let outcome = cache.put_split::<WordCountApp>(key, parts);
-        assert!(outcome.oversize);
+        let key = job_key_of(&WordCountApp, &cfg, &[split(3)]);
+        let parts: JobParts<WordCountApp> = vec![vec![("oversized".into(), 1); 64]];
         let mut counters = Counters::new();
-        outcome.charge(&mut counters);
+        cache.put_job::<WordCountApp>(key, parts, &mut counters);
+        assert!(cache.is_empty(), "refused, not stored");
         assert_eq!(counters.get(names::CACHE_OVERSIZE), 1);
         assert_eq!(counters.get(names::CACHE_INSERTS), 0);
-        assert_eq!(counters.get(names::CACHE_MISS_BYTES), outcome.bytes);
+        assert_eq!(counters.get(names::CACHE_MISS_BYTES), 64 * (24 + 9 + 8));
     }
 }

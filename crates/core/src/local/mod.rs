@@ -77,7 +77,7 @@ use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, Emit, FnEmit};
 pub(crate) use batch::FlatBatch;
-use cache::{JobKeys, SharedCache, SplitCachePlan, SplitParts};
+use cache::SharedCache;
 use mr_cache::StableHash;
 use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
@@ -144,6 +144,29 @@ fn record_counter_totals(rec: &mut TraceRecorder, counters: &Counters) {
             label: name.to_string().into(),
             delta: value,
         });
+    }
+}
+
+/// Adds a cached run's cache charges to its counters and, when tracing,
+/// to its trace as one more job-scope batch — keeping
+/// `Counters::from_trace(&out.trace)` equal to `out.counters` — with a
+/// `CacheMark` of `(hits, misses, bytes)` when one is given.
+fn charge_cache<A: Application>(
+    out: &mut JobOutput<A>,
+    cfg: &JobConfig,
+    extra: &Counters,
+    mark: Option<(u64, u64, u64)>,
+) {
+    out.counters.merge(extra);
+    if cfg.trace.is_enabled() {
+        let mut rec = TraceRecorder::new(Scope::job(0), true);
+        record_counter_totals(&mut rec, extra);
+        if let Some((hits, misses, bytes)) = mark {
+            rec.cache_mark_wall(0.0, hits, misses, bytes);
+        }
+        let dispatcher = TraceDispatcher::new(true);
+        rec.flush_into(&dispatcher);
+        out.trace.entries.extend(dispatcher.finish().entries);
     }
 }
 
@@ -305,52 +328,13 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         if self.is_dead() {
             return;
         }
-        let p = self.count_and_partition(&key);
+        self.counters.incr(names::MAP_OUTPUT_RECORDS);
+        let p = self.partitioner.partition(&key, self.reducers);
         if self.combining {
             self.combine(p, key, value);
         } else {
             self.buffer(p, &key, &value);
         }
-    }
-
-    /// [`push`] for a caller that keeps the record (cache-miss capture):
-    /// returns the partition it was routed to, or `None` when the
-    /// emitter is dead and the record was dropped — capture must record
-    /// nothing then, lest a truncated, misrouted artifact be published
-    /// for a healthy future run to hit.
-    ///
-    /// [`push`]: ShuffleEmitter::push
-    pub(crate) fn push_ref(&mut self, key: &A::MapKey, value: &A::MapValue) -> Option<usize> {
-        if self.is_dead() {
-            return None;
-        }
-        let p = self.count_and_partition(key);
-        self.replay(p, key, value);
-        Some(p)
-    }
-
-    /// Replays one record of a cached split artifact into partition `p`:
-    /// the same combine-or-buffer routing and batch cuts as [`push`],
-    /// minus the partition call (the artifact is already partitioned)
-    /// and the `map.output.records` count (the map function never ran) —
-    /// so a warm run's shuffle is byte-identical to the cold run's. The
-    /// record is cloned only when a combiner must own the key.
-    ///
-    /// [`push`]: ShuffleEmitter::push
-    pub(crate) fn replay(&mut self, p: usize, key: &A::MapKey, value: &A::MapValue) {
-        if self.is_dead() {
-            return;
-        }
-        if self.combining {
-            self.combine(p, key.clone(), value.clone());
-        } else {
-            self.buffer(p, key, value);
-        }
-    }
-
-    fn count_and_partition(&mut self, key: &A::MapKey) -> usize {
-        self.counters.incr(names::MAP_OUTPUT_RECORDS);
-        self.partitioner.partition(key, self.reducers)
     }
 
     /// Encodes the record into reducer `p`'s batch, cutting the batch
@@ -525,11 +509,6 @@ struct SplitMapTask<'a, A: Application, P: Partitioner<A::MapKey>> {
     next: &'a AtomicUsize,
     emitter: ShuffleEmitter<'a, A, P>,
     trace: &'a StageTrace,
-    /// Shared-cache consultation plan; `None` runs uncached.
-    cache: Option<&'a SplitCachePlan<A>>,
-    /// Raw partitioned output of the in-flight cache-miss split,
-    /// captured alongside the emitter for publication at end-of-split.
-    capture: Option<SplitParts<A>>,
     /// (split index, record cursor, span start).
     cur: Option<(usize, usize, f64)>,
 }
@@ -542,7 +521,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> SplitMapTask<'a, A, P> {
         state: &'a StageState<A, S>,
         splits: &'a [InputSplit<A>],
         senders: Vec<PoolSender<FlatBatch>>,
-        cache: Option<&'a SplitCachePlan<A>>,
     ) -> Self {
         SplitMapTask {
             app,
@@ -550,8 +528,6 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> SplitMapTask<'a, A, P> {
             next: &state.next,
             emitter: ShuffleEmitter::new(app, cfg, partitioner, senders, state),
             trace: &state.trace,
-            cache,
-            capture: None,
             cur: None,
         }
     }
@@ -576,55 +552,18 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
             }
             let t0 = self.trace.now();
             emitter.begin_split(idx);
-            if let Some(plan) = self.cache {
-                if let Some((cached, bytes)) = plan.lookup(idx) {
-                    // Hit: replay the artifact through the normal shuffle
-                    // routing — the map function is the only thing skipped.
-                    emitter.counters.incr(names::CACHE_HITS);
-                    emitter.counters.add(names::CACHE_HIT_BYTES, bytes);
-                    for (p, records) in cached.iter().enumerate() {
-                        for (k, v) in records {
-                            emitter.replay(p, k, v);
-                        }
-                    }
-                    emitter.end_split();
-                    self.trace.map_span(idx, t0);
-                    return Step::Yield;
-                }
-                emitter.counters.incr(names::CACHE_MISSES);
-                self.capture = Some((0..emitter.reducers).map(|_| Vec::new()).collect());
-            }
             self.cur = Some((idx, 0, t0));
         }
         let (idx, cursor, t0) = self.cur.unwrap();
         let app = self.app;
         let split = &self.splits[idx];
         let end = (cursor + MAP_RECORDS_PER_STEP).min(split.len());
-        {
-            let mut capture = self.capture.as_mut();
-            let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                if let Some(cap) = capture.as_deref_mut() {
-                    if let Some(p) = emitter.push_ref(&k, &v) {
-                        cap[p].push((k, v));
-                    }
-                } else {
-                    emitter.push(k, v);
-                }
-            });
-            for (k, v) in &split[cursor..end] {
-                app.map(k, v, &mut emit);
-            }
+        let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| emitter.push(k, v));
+        for (k, v) in &split[cursor..end] {
+            app.map(k, v, &mut emit);
         }
         if end == split.len() {
             emitter.end_split();
-            // A dead emitter means the job is failing and the capture is
-            // truncated: publishing it would poison the shared cache for
-            // every future warm run of this input.
-            if let (Some(plan), Some(raw)) = (self.cache, self.capture.take()) {
-                if !emitter.is_dead() {
-                    plan.insert(idx, raw).charge(&mut emitter.counters);
-                }
-            }
             self.trace.map_span(idx, t0);
             self.cur = None;
         } else {
@@ -1005,7 +944,6 @@ pub(crate) fn spawn_mappers<'a, A, P, S>(
     partitioner: &'a P,
     splits: &'a [InputSplit<A>],
     map_tasks: usize,
-    cache: Option<&'a SplitCachePlan<A>>,
     txs: Vec<PoolSender<FlatBatch>>,
 ) where
     A: Application,
@@ -1020,7 +958,6 @@ pub(crate) fn spawn_mappers<'a, A, P, S>(
             state,
             splits,
             txs.clone(),
-            cache,
         ));
     }
 }
@@ -1163,18 +1100,18 @@ impl LocalRunner {
         partitioner: &P,
     ) -> MrResult<JobOutput<A>> {
         cfg.validate()?;
-        self.run_stage(app, splits, cfg, partitioner, None)
+        self.run_stage(app, splits, cfg, partitioner)
     }
 
     /// Runs `app` over `splits` through the shared content-addressed
-    /// result cache: each split's partitioned map output is looked up by
-    /// a stable hash of its input bytes plus the app identity — type
-    /// *and* instance parameters, per [`Application::cache_identity`]
-    /// — and the output-shaping config knobs, and whole-job results are
-    /// memoized the same way. Warm runs replay cached artifacts through
-    /// the normal shuffle routing, so their output is byte-identical to
-    /// a cold run at any pool width — only the `cache.*` counters
-    /// differ.
+    /// result cache. The job's sealed output is memoized under one key: a
+    /// stable hash of its input bytes, the app identity — type *and*
+    /// instance parameters, per [`Application::cache_identity`] — the
+    /// partitioner, the engine and the output-shaping config knobs. A hit
+    /// returns the sealed partitions; a miss runs the job exactly as
+    /// [`LocalRunner::run_with_partitioner`] does and publishes its
+    /// partitions. Output is byte-identical either way, at any pool
+    /// width — only the `cache.*` counters differ.
     ///
     /// Three situations degrade gracefully instead of caching wrongly:
     ///
@@ -1182,14 +1119,13 @@ impl LocalRunner {
     ///   bypassed entirely, exactly like
     ///   [`LocalRunner::run_with_partitioner`].
     /// * The app cannot vouch for a complete instance identity (a
-    ///   parameterized app without a `cache_identity` override) — same
-    ///   bypass, counted as `cache.bypass.count`.
-    /// * `cfg.snapshots` is enabled — split artifacts still cache, but
-    ///   the *whole-job* artifact is skipped: a whole-job hit performs
-    ///   no run and so cannot reproduce the snapshot stream (or the
-    ///   per-reducer driver reports) a cold run publishes.
+    ///   parameterized app without a `cache_identity` override), or
+    ///   `cfg.snapshots` is enabled (a hit performs no run, so it cannot
+    ///   reproduce the snapshot stream or the per-reducer driver reports
+    ///   a cold run publishes) — the job runs uncached, publishes
+    ///   nothing, and counts `cache.bypass.count`.
     ///
-    /// A whole-job hit returns the sealed partitions with empty
+    /// A hit returns the sealed partitions with empty
     /// `reports`/`snapshots` and only `cache.*` counters — it describes
     /// a run that never happened.
     ///
@@ -1207,91 +1143,44 @@ impl LocalRunner {
         P: Partitioner<A::MapKey> + Sync,
         A::InKey: StableHash,
         A::InValue: StableHash,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
         A::OutKey: Sync + SizeEstimate,
         A::OutValue: Sync + SizeEstimate,
     {
         cfg.validate()?;
         if !cfg.cache.is_enabled() {
-            return self.run_with_partitioner(app, splits, cfg, partitioner);
+            return self.run_stage(app, splits, cfg, partitioner);
         }
-        let Some(keys) = JobKeys::derive(app, cfg, std::any::type_name::<P>(), &splits) else {
-            // The app cannot vouch for its instance identity: caching
-            // under an incomplete key would let differently-configured
-            // instances serve each other's results. Run uncached and
-            // surface the bypass as a typed counter.
-            let mut out = self.run_with_partitioner(app, splits, cfg, partitioner)?;
-            let mut extra = Counters::new();
+        // The one bypass rule: a sealed artifact can stand for neither a
+        // snapshot stream nor an app that cannot vouch for its identity.
+        let key = if cfg.snapshots.is_enabled() {
+            None
+        } else {
+            cache::job_key(app, cfg, std::any::type_name::<P>(), &splits)
+        };
+        let mut extra = Counters::new();
+        let Some(key) = key else {
+            let mut out = self.run_stage(app, splits, cfg, partitioner)?;
             extra.incr(names::CACHE_BYPASS);
-            if cfg.trace.is_enabled() {
-                let mut rec = TraceRecorder::new(Scope::job(0), true);
-                record_counter_totals(&mut rec, &extra);
-                let dispatcher = TraceDispatcher::new(true);
-                rec.flush_into(&dispatcher);
-                out.trace.entries.extend(dispatcher.finish().entries);
-            }
-            for (name, delta) in extra.iter() {
-                out.counters.add(name.to_string(), delta);
-            }
+            charge_cache(&mut out, cfg, &extra, None);
             return Ok(out);
         };
-        // The whole-job artifact is only sound when a hit's fabricated
-        // output (sealed partitions, nothing else) matches what a cold
-        // run would publish — an enabled snapshot policy breaks that.
-        let job_key = (!cfg.snapshots.is_enabled()).then_some(keys.job);
-        if let Some(key) = job_key {
-            if let Some((parts, bytes)) = cache.get_job::<A>(key) {
-                let mut counters = Counters::new();
-                counters.incr(names::CACHE_HITS);
-                counters.add(names::CACHE_HIT_BYTES, bytes);
-                let tracing = cfg.trace.is_enabled();
-                let trace = if tracing {
-                    let dispatcher = TraceDispatcher::new(true);
-                    let mut rec = TraceRecorder::new(Scope::job(0), true);
-                    record_counter_totals(&mut rec, &counters);
-                    rec.cache_mark_wall(0.0, 1, 0, bytes);
-                    rec.flush_into(&dispatcher);
-                    dispatcher.finish()
-                } else {
-                    TraceLog::default()
-                };
-                return Ok(JobOutput {
-                    partitions: (*parts).clone(),
-                    counters,
-                    reports: Vec::new(),
-                    snapshots: Vec::new(),
-                    trace,
-                });
-            }
+        if let Some((parts, bytes)) = cache.get_job::<A>(key) {
+            let mut out = JobOutput {
+                partitions: (*parts).clone(),
+                counters: Counters::new(),
+                reports: Vec::new(),
+                snapshots: Vec::new(),
+                trace: TraceLog::default(),
+            };
+            extra.incr(names::CACHE_HITS);
+            extra.add(names::CACHE_HIT_BYTES, bytes);
+            charge_cache(&mut out, cfg, &extra, Some((1, 0, bytes)));
+            return Ok(out);
         }
-        // Only a run that will look splits up pays for the plan.
-        let plan = SplitCachePlan::new(cache, keys.splits);
-        let mut out = self.run_stage(app, splits, cfg, partitioner, Some(&plan))?;
-        let mut extra = Counters::new();
-        if let Some(key) = job_key {
-            let outcome = cache.put_job::<A>(key, out.partitions.clone());
-            extra.incr(names::CACHE_MISSES);
-            outcome.charge(&mut extra);
-        }
-        let (hits, misses) = (
-            out.counters.get(names::CACHE_HITS) + extra.get(names::CACHE_HITS),
-            out.counters.get(names::CACHE_MISSES) + extra.get(names::CACHE_MISSES),
-        );
-        for (name, delta) in extra.iter() {
-            out.counters.add(name.to_string(), delta);
-        }
-        if cfg.trace.is_enabled() {
-            // Keep `Counters::from_trace(&out.trace)` consistent with
-            // `out.counters`: the post-run cache charges land in the
-            // trace too, as one more job-scope batch.
-            let mut rec = TraceRecorder::new(Scope::job(0), true);
-            record_counter_totals(&mut rec, &extra);
-            rec.cache_mark_wall(0.0, hits, misses, cache.used_bytes());
-            let dispatcher = TraceDispatcher::new(true);
-            rec.flush_into(&dispatcher);
-            out.trace.entries.extend(dispatcher.finish().entries);
-        }
+        let mut out = self.run_stage(app, splits, cfg, partitioner)?;
+        extra.incr(names::CACHE_MISSES);
+        cache.put_job::<A>(key, out.partitions.clone(), &mut extra);
+        charge_cache(&mut out, cfg, &extra, Some((0, 1, cache.used_bytes())));
         Ok(out)
     }
 
@@ -1330,7 +1219,6 @@ impl LocalRunner {
                 partitioner,
                 splits,
                 self.map_threads,
-                None,
                 txs,
             );
         }
@@ -1350,7 +1238,6 @@ impl LocalRunner {
         splits: Vec<Vec<(A::InKey, A::InValue)>>,
         cfg: &JobConfig,
         partitioner: &P,
-        cache: Option<&SplitCachePlan<A>>,
     ) -> MrResult<JobOutput<A>>
     where
         A: Application,
@@ -1367,7 +1254,6 @@ impl LocalRunner {
             partitioner,
             &splits,
             self.map_threads,
-            cache,
             txs,
         );
         pool.run(cfg.pool_workers)?;
@@ -1507,9 +1393,8 @@ mod tests {
     fn truncated_batch_fails_the_job_with_a_typed_error() {
         // The reducer's first batch arrives cut short. The contract is
         // the one an OOM has: a typed error for this job, no reduce
-        // output, nothing unsound published to the shared cache, no
-        // panic and no hang — at a one-record batch budget, where
-        // mappers fill the channel.
+        // output, no panic and no hang — at a one-record batch budget,
+        // where mappers fill the channel.
         let app = WordCountApp;
         let splits = text_splits(4, 200);
         let mapped: u64 = 4 * 200 * 3;
@@ -1518,9 +1403,6 @@ mod tests {
                 let cfg = JobConfig::new(1)
                     .engine(engine.clone())
                     .shuffle_batch_bytes(1);
-                let cache = SharedCache::new(16 << 20);
-                let keys = JobKeys::derive(&app, &cfg, "hash", &splits).unwrap();
-                let plan = SplitCachePlan::new(&cache, keys.splits);
                 let state: StageState<WordCountApp, Vec<(String, u64)>> = StageState::new(&cfg);
                 let mut pool = Pool::new();
                 let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
@@ -1550,7 +1432,6 @@ mod tests {
                         &state,
                         &splits,
                         vec![tx.clone()],
-                        Some(&plan),
                     ));
                 }
                 drop(tx);
@@ -1566,21 +1447,13 @@ mod tests {
                 let emitted = state.totals.lock().unwrap().get(names::MAP_OUTPUT_RECORDS);
                 if engine == Engine::Barrier {
                     // A barrier reducer decodes nothing before the
-                    // barrier, so every map ran to completion first: the
-                    // split artifacts its mappers published are whole
-                    // and sound, unlike a dying pipelined run's.
+                    // barrier, so every map ran to completion first.
                     assert_eq!(emitted, mapped, "workers {pool_workers}");
-                    continue;
-                }
-                assert!(
-                    emitted < mapped,
-                    "workers {pool_workers}: mappers kept feeding a dead reducer"
-                );
-                if pool_workers == 1 {
-                    // One worker steps the reducer first, so it is gone
-                    // before any split completes: every capture is cut
-                    // short by the dead emitter and none may be published.
-                    assert!(cache.is_empty(), "a failing job published an artifact");
+                } else {
+                    assert!(
+                        emitted < mapped,
+                        "workers {pool_workers}: mappers kept feeding a dead reducer"
+                    );
                 }
             }
         }
@@ -1726,10 +1599,9 @@ mod tests {
         // leaves its (final) batch one byte short, one byte long, or
         // holding an undecodable key that ties on prefix with a valid
         // one. Each is a typed error at every width and batch budget —
-        // no panic, no hang — every time it is run (no job artifact was
-        // published), and the same runner and cache then serve a healthy
-        // job correctly, hitting the whole split artifacts the failed
-        // runs' mappers left behind.
+        // no panic, no hang — every time it is run, and publishes
+        // nothing. The same runner and cache then serve a healthy job
+        // correctly: one whole-job miss, then a hit.
         let app = FaultyWords;
         let runner = LocalRunner::new(2);
         let mut healthy = text_splits(4, 50);
@@ -1770,11 +1642,15 @@ mod tests {
                             got.map(|out| out.partitions).map_err(|e| e.to_string())
                         );
                     }
-                    let out = runner
-                        .run_cached(&app, healthy.clone(), &cfg, &MarkersApart, &cache)
-                        .unwrap();
-                    assert_eq!(out.partitions, expect, "{marker}, {pool_workers} workers");
-                    assert_eq!(out.counters.get(names::CACHE_HITS), 3, "three sound splits");
+                    assert!(cache.is_empty(), "{marker}: a failed job published");
+                    for (hits, misses) in [(0, 1), (1, 0)] {
+                        let out = runner
+                            .run_cached(&app, healthy.clone(), &cfg, &MarkersApart, &cache)
+                            .unwrap();
+                        assert_eq!(out.partitions, expect, "{marker}, {pool_workers} workers");
+                        assert_eq!(out.counters.get(names::CACHE_HITS), hits, "{marker}");
+                        assert_eq!(out.counters.get(names::CACHE_MISSES), misses, "{marker}");
+                    }
                 }
             }
         }

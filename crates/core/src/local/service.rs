@@ -460,8 +460,6 @@ where
     F: FnOnce(&JobService<A>) -> R,
     A::InKey: StableHash,
     A::InValue: StableHash,
-    A::MapKey: Sync,
-    A::MapValue: Sync,
     A::OutKey: Sync + SizeEstimate,
     A::OutValue: Sync + SizeEstimate,
 {

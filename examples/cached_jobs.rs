@@ -5,12 +5,12 @@
 //! ```
 //!
 //! A [`SharedCache`] is one content-addressed, byte-budgeted store of
-//! (a) per-split raw map output and (b) sealed whole-job results. Keys
-//! hash the input bytes plus the app identity and the config knobs that
-//! shape the artifact, so identical work deduplicates across jobs,
-//! runs, and tenants — and anything that differs cannot alias. Warm
-//! runs are byte-identical to cold ones; only the `cache.*` counters
-//! tell them apart.
+//! sealed whole-job results, one per cacheable job. Keys hash the input
+//! bytes plus the app identity and the config knobs that shape the
+//! output, so identical work deduplicates across jobs, runs, and
+//! tenants — and anything that differs cannot alias. Warm runs are
+//! byte-identical to cold ones; only the `cache.*` counters tell them
+//! apart.
 
 use barrier_mapreduce::apps::WordCount;
 use barrier_mapreduce::core::counters::names;
@@ -43,7 +43,8 @@ fn main() {
     let runner = LocalRunner::new(4);
     let splits = splits_for(0);
 
-    // Cold: every split misses, artifacts are published on the way out.
+    // Cold: the job key misses, the sealed output is published on the
+    // way out.
     let t = Instant::now();
     let cold = runner
         .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)

@@ -14,7 +14,7 @@ use barrier_mapreduce::cluster::{ClusterParams, CostModel, FnInput, SimExecutor}
 use barrier_mapreduce::core::local::LocalRunner;
 use barrier_mapreduce::core::{
     ChainSpec, ChainableApplication, CombinerPolicy, Engine, HandoffMode, HashPartitioner,
-    JobConfig, MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex,
+    JobConfig, JobOutput, MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -506,8 +506,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The shared-result-cache determinism bar: for every engine ×
-    /// store-index × pool-width combination, a *warm* cached run (whole
-    /// job and every split already resident) produces partitions
+    /// store-index × pool-width combination, a *warm* cached run (its
+    /// sealed job artifact already resident) produces partitions
     /// byte-identical to the cold run, which in turn is byte-identical
     /// to an uncached run — the cache changes `cache.*` counters and
     /// nothing else.
@@ -567,8 +567,8 @@ proptest! {
     /// Eviction pressure never corrupts answers: under a budget far too
     /// small to hold every artifact, repeated runs of several distinct
     /// jobs keep producing byte-identical output while the cache churns
-    /// (evictions observed), and split-level hits still occur whenever
-    /// an artifact happens to survive.
+    /// (evictions observed), and hits still occur whenever an artifact
+    /// happens to survive.
     #[test]
     fn eviction_pressure_keeps_outputs_byte_identical(
         seed_words in prop::collection::vec(prop::collection::vec("[a-e]{1,3}", 2..6), 3..6),
@@ -835,10 +835,22 @@ fn unkeyed_parameterized_apps_bypass_the_cache() {
     );
 }
 
+/// The deterministic shape of a run's snapshot stream: per reducer, each
+/// snapshot's `(seq, records_absorbed)`. `EveryRecords` fires on the
+/// record stream alone, so this is the same for every run of one job;
+/// the estimates' contents depend on arrival order, and `at_secs` on
+/// the clock.
+fn snapshot_stream(out: &JobOutput<WordCount>) -> Vec<Vec<(u64, u64)>> {
+    out.snapshots
+        .iter()
+        .map(|snaps| snaps.iter().map(|s| (s.seq, s.records_absorbed)).collect())
+        .collect()
+}
+
 /// Review regression: a job with an enabled snapshot policy must keep
-/// publishing its snapshot stream on warm runs — the whole-job artifact
-/// (which skips the run, and with it every snapshot) is not used for
-/// such jobs, while split artifacts still hit.
+/// publishing its snapshot stream on every run. A whole-job hit skips
+/// the run, and with it every snapshot, so such jobs bypass the cache:
+/// they run uncached, publish nothing and count `cache.bypass.count`.
 #[test]
 fn snapshot_jobs_keep_snapshots_on_warm_runs() {
     use barrier_mapreduce::core::counters::names;
@@ -857,6 +869,7 @@ fn snapshot_jobs_keep_snapshots_on_warm_runs() {
         .snapshots(SnapshotPolicy::EveryRecords { records: 4 })
         .cache(CacheBudget::enabled());
     let runner = LocalRunner::new(2);
+    let uncached = runner.run(&WordCount, splits.clone(), &cfg).unwrap();
     let cache = SharedCache::new(16 << 20);
     let cold = runner
         .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
@@ -864,26 +877,24 @@ fn snapshot_jobs_keep_snapshots_on_warm_runs() {
     let warm = runner
         .run_cached(&WordCount, splits, &cfg, &HashPartitioner, &cache)
         .unwrap();
-    assert!(cold.snapshot_count() > 0, "cold run publishes snapshots");
-    assert_eq!(warm.partitions, cold.partitions, "bytes still identical");
-    assert_eq!(
-        warm.snapshot_count(),
-        cold.snapshot_count(),
-        "warm run must not lose the snapshot stream to a job-level hit"
-    );
-    assert!(
-        warm.counters.get(names::CACHE_HITS) > 0,
-        "split artifacts still hit"
-    );
-    assert!(
-        warm.counters.get(names::MAP_OUTPUT_RECORDS) == 0,
-        "split hits skip the map function"
-    );
+    assert!(uncached.snapshot_count() > 0, "the job publishes snapshots");
+    for (what, out) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(out.partitions, uncached.partitions, "{what}: bytes");
+        assert_eq!(
+            snapshot_stream(out),
+            snapshot_stream(&uncached),
+            "{what}: the snapshot stream must not change"
+        );
+        assert_eq!(out.counters.get(names::CACHE_BYPASS), 1, "{what}");
+        assert_eq!(out.counters.get(names::CACHE_HITS), 0, "{what}");
+    }
+    assert!(cache.is_empty(), "a snapshot job published an artifact");
 }
 
 /// Same gate through the service: a snapshot-enabled job submitted by a
-/// second tenant reuses split artifacts but still runs its reduce side,
-/// so its snapshot stream survives.
+/// second tenant after a first tenant ran it bypasses the shared cache
+/// too, so both keep their snapshot streams and nothing is shared — the
+/// same job without snapshots, which keys identically, then misses.
 #[test]
 fn service_snapshot_jobs_keep_snapshots_on_shared_hits() {
     use barrier_mapreduce::core::counters::names;
@@ -901,39 +912,48 @@ fn service_snapshot_jobs_keep_snapshots_on_shared_hits() {
         })
         .snapshots(SnapshotPolicy::EveryRecords { records: 4 })
         .cache(CacheBudget::enabled());
+    let uncached = LocalRunner::new(1)
+        .run(&WordCount, splits.clone(), &job_cfg.clone().pool_workers(1))
+        .unwrap();
     let svc_cfg = ServiceConfig::new(2)
         .pool_workers(2)
         .cache(CacheBudget::Limit { bytes: 32 << 20 });
+    let plain_cfg = job_cfg.clone().snapshots(SnapshotPolicy::Disabled);
     let (outs, _) = serve(&WordCount, &HashPartitioner, &svc_cfg, |svc| {
-        let first = svc
-            .submit(0, splits.clone(), &job_cfg)
-            .unwrap()
-            .wait()
-            .unwrap();
-        let second = svc
-            .submit(1, splits.clone(), &job_cfg)
-            .unwrap()
-            .wait()
-            .unwrap();
-        vec![first, second]
+        [(0, &job_cfg), (1, &job_cfg), (1, &plain_cfg)].map(|(tenant, cfg)| {
+            svc.submit(tenant, splits.clone(), cfg)
+                .unwrap()
+                .wait()
+                .unwrap()
+        })
     })
     .unwrap();
-    assert_eq!(outs[0].partitions, outs[1].partitions);
-    assert!(outs[0].snapshot_count() > 0);
+    let [first, second, plain] = outs;
+    assert!(uncached.snapshot_count() > 0);
+    for (tenant, out) in [&first, &second].into_iter().enumerate() {
+        assert_eq!(out.partitions, uncached.partitions, "tenant {tenant}");
+        assert_eq!(
+            snapshot_stream(out),
+            snapshot_stream(&uncached),
+            "tenant {tenant} keeps its snapshot stream"
+        );
+        assert_eq!(out.counters.get(names::CACHE_BYPASS), 1, "tenant {tenant}");
+        assert_eq!(out.counters.get(names::CACHE_HITS), 0, "tenant {tenant}");
+    }
+    assert_eq!(plain.partitions, uncached.partitions);
     assert_eq!(
-        outs[1].snapshot_count(),
-        outs[0].snapshot_count(),
-        "the sharing tenant keeps its snapshot stream"
-    );
-    assert!(
-        outs[1].counters.get(names::CACHE_HITS) > 0,
-        "split artifacts shared across tenants"
+        (
+            plain.counters.get(names::CACHE_HITS),
+            plain.counters.get(names::CACHE_MISSES)
+        ),
+        (0, 1),
+        "the snapshot runs left the cache empty"
     );
 }
 
 /// Review regression: a job that dies mid-run (reducer OOM kills the
-/// shuffle) must not publish truncated or misrouted split artifacts for
-/// healthy future runs to hit.
+/// shuffle) must publish nothing — in particular no truncated or
+/// misrouted output for healthy future runs to hit.
 #[test]
 fn failed_jobs_never_poison_the_shared_cache() {
     use barrier_mapreduce::core::{CacheBudget, SharedCache};
@@ -948,8 +968,8 @@ fn failed_jobs_never_poison_the_shared_cache() {
         memory: MemoryPolicy::InMemory,
     };
     // The heap cap and batch size are deliberately NOT part of the cache
-    // key (artifacts are deterministic across them), so anything a dying
-    // run publishes is visible to the healthy run below.
+    // key (outputs are deterministic across them), so anything a dying
+    // run published would be visible to the healthy run below.
     let sick = JobConfig::new(2)
         .engine(engine.clone())
         .heap_cap(200)
@@ -967,61 +987,68 @@ fn failed_jobs_never_poison_the_shared_cache() {
         let err = runner.run_cached(&WordCount, splits.clone(), &sick, &HashPartitioner, &cache);
         assert!(err.is_err(), "the 200-byte heap cap must OOM the job");
     }
+    assert!(cache.is_empty(), "a failed job published an artifact");
     let warm = runner
         .run_cached(&WordCount, splits, &healthy, &HashPartitioner, &cache)
         .unwrap();
-    assert_eq!(
-        warm.partitions, baseline.partitions,
-        "artifacts published by a dying run must be complete and correctly partitioned"
-    );
+    assert_eq!(warm.partitions, baseline.partitions);
 }
 
-/// The iterative re-run the retired per-run memo suite pinned, on the
-/// cache that superseded it: after a cold run, changing one split
-/// re-maps only that split — the job key misses, the changed split
-/// misses, every other split hits and replays without its map function
-/// running — and the output equals a from-scratch run, under both
-/// engines.
+/// One artifact per cacheable job: a cold cached run of a multi-split
+/// job publishes exactly one resident entry and charges exactly one
+/// miss, under both engines and through the service; the re-run is one
+/// whole-job hit that maps nothing.
 #[test]
-fn one_changed_split_remaps_only_that_split() {
+fn cold_cached_jobs_publish_one_artifact() {
     use barrier_mapreduce::core::counters::names;
-    use barrier_mapreduce::core::{CacheBudget, SharedCache};
-    let splits: Vec<Vec<(u64, String)>> = vec![
-        vec![(0, "alpha beta alpha".into())],
-        vec![(1, "beta gamma".into())],
-        vec![(2, "gamma gamma delta".into())],
-    ];
-    let mut updated = splits.clone();
-    updated[1] = vec![(1, "beta epsilon".into())];
+    use barrier_mapreduce::core::{serve, CacheBudget, ServiceConfig, SharedCache};
+    let splits: Vec<Vec<(u64, String)>> = (0..5)
+        .map(|s| {
+            (0..8)
+                .map(|l| (l as u64, format!("w{} w{}", (s + l) % 7, l % 3)))
+                .collect()
+        })
+        .collect();
+    let check = |what: &str, cold: &JobOutput<WordCount>, warm: &JobOutput<WordCount>| {
+        assert_eq!(cold.counters.get(names::CACHE_MISSES), 1, "{what}: cold");
+        assert_eq!(cold.counters.get(names::CACHE_HITS), 0, "{what}: cold");
+        assert_eq!(cold.counters.get(names::CACHE_INSERTS), 1, "{what}: cold");
+        assert_eq!(warm.counters.get(names::CACHE_HITS), 1, "{what}: warm");
+        assert_eq!(warm.counters.get(names::CACHE_MISSES), 0, "{what}: warm");
+        assert_eq!(warm.counters.get(names::MAP_OUTPUT_RECORDS), 0, "{what}");
+        assert_eq!(warm.partitions, cold.partitions, "{what}");
+    };
     for engine in [Engine::Barrier, Engine::barrierless()] {
-        let cfg = JobConfig::new(2)
+        let cfg = JobConfig::new(3)
             .engine(engine.clone())
             .cache(CacheBudget::enabled());
         let runner = LocalRunner::new(2);
         let cache = SharedCache::new(16 << 20);
-        let cold = runner
-            .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-            .unwrap();
-        assert_eq!(cold.counters.get(names::MAP_OUTPUT_RECORDS), 8);
-        assert_eq!(cold.counters.get(names::CACHE_HITS), 0);
-        // Three splits and the job key.
-        assert_eq!(cold.counters.get(names::CACHE_MISSES), 4);
+        let run = || {
+            runner
+                .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                .unwrap()
+        };
+        let cold = run();
+        assert_eq!(cache.len(), 1, "{engine:?}: one resident entry");
+        check(&format!("{engine:?}"), &cold, &run());
+        assert_eq!(cache.len(), 1, "{engine:?}");
 
-        let out = runner
-            .run_cached(&WordCount, updated.clone(), &cfg, &HashPartitioner, &cache)
-            .unwrap();
-        // Only the changed split was mapped: two words.
-        assert_eq!(out.counters.get(names::MAP_OUTPUT_RECORDS), 2, "{engine:?}");
-        assert_eq!(out.counters.get(names::CACHE_HITS), 2, "{engine:?}");
-        assert_eq!(out.counters.get(names::CACHE_MISSES), 2, "{engine:?}");
-        let fresh = runner.run(&WordCount, updated.clone(), &cfg).unwrap();
-        assert_eq!(out.partitions, fresh.partitions, "{engine:?}");
+        let svc_cfg = ServiceConfig::new(1)
+            .pool_workers(2)
+            .cache(CacheBudget::Limit { bytes: 16 << 20 });
+        let (outs, _) = serve(&WordCount, &HashPartitioner, &svc_cfg, |svc| {
+            [0, 1].map(|_| svc.submit(0, splits.clone(), &cfg).unwrap().wait().unwrap())
+        })
+        .unwrap();
+        check(&format!("serve, {engine:?}"), &outs[0], &outs[1]);
+        assert_eq!(outs[0].partitions, cold.partitions);
     }
 }
 
 /// Keying is one pass: every cached entry point hashes each input record
-/// exactly once per job — a cold run, a run that hits some split
-/// artifacts, a whole-job hit, and the same three through the service.
+/// exactly once per job — a cold run and a whole-job hit, and the same
+/// two through the service.
 /// The input value type counts its own `stable_hash` calls, so this
 /// holds or fails independently of any clock.
 #[test]
@@ -1102,16 +1129,10 @@ fn cached_jobs_hash_each_input_record_exactly_once() {
         })
         .collect();
     let records = 24;
-    let mut edited = splits.clone();
-    edited[2][0].1 = CountedLine("something else".into());
     let cfg = JobConfig::new(2).cache(CacheBudget::enabled());
-    // (what the job finds in the cache, its input, hits, misses): four
-    // splits and the job key are looked up.
-    let cases = [
-        ("cold", &splits, 0, 5),
-        ("job-warm", &splits, 1, 0),
-        ("split-warm", &edited, 3, 2),
-    ];
+    // (what the job finds in the cache, its input, hits, misses): the
+    // job key is the one lookup.
+    let cases = [("cold", &splits, 0, 1), ("job-warm", &splits, 1, 0)];
 
     let cache = SharedCache::new(16 << 20);
     let runner = LocalRunner::new(2);
@@ -1146,8 +1167,8 @@ fn cached_jobs_hash_each_input_record_exactly_once() {
 
 /// The shuffle's wire format is not allowed to show: at the degenerate
 /// one-record batch budget (and at a budget that cuts mid-split), with
-/// the combiner on and off, at every pool width, uncached, cold-cached
-/// and replayed from split artifacts, every run's output is
+/// the combiner on and off, at every pool width, uncached and
+/// cold-cached, every run's output is
 /// byte-identical and `shuffle.batches`, `shuffle.records` and
 /// `shuffle.batch_reuse` are the values pinned below — recorded from the
 /// typed `Vec<(key, value)>` transport that the flat serialized batches
@@ -1199,11 +1220,6 @@ fn flat_batches_pin_the_shuffle_accounting() {
                     .shuffle_batch_bytes(budget)
                     .combiner(combiner)
                     .pool_workers(workers)
-                    // Snapshots keep the whole-job artifact out of the
-                    // cache, so the warm run below replays split
-                    // artifacts through the shuffle instead of skipping
-                    // it.
-                    .snapshots(SnapshotPolicy::EveryRecords { records: 500 })
                     .cache(CacheBudget::enabled());
                 let runner = LocalRunner::new(2);
                 let cache = SharedCache::new(64 << 20);
@@ -1211,18 +1227,15 @@ fn flat_batches_pin_the_shuffle_accounting() {
                 let cold = runner
                     .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
                     .unwrap();
-                let warm = runner
-                    .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-                    .unwrap();
-                assert_eq!(warm.counters.get(names::CACHE_HITS), splits.len() as u64);
-                map_side.push([&uncached, &cold, &warm].map(|out| {
+                assert_eq!(cold.counters.get(names::CACHE_MISSES), 1);
+                map_side.push([&uncached, &cold].map(|out| {
                     [
                         out.counters.get(names::MAP_OUTPUT_RECORDS),
                         out.counters.get(names::COMBINE_INPUT_RECORDS),
                         out.counters.get(names::COMBINE_OUTPUT_RECORDS),
                     ]
                 }));
-                for (what, out) in [("uncached", uncached), ("cold", cold), ("warm", warm)] {
+                for (what, out) in [("uncached", uncached), ("cold", cold)] {
                     let got = (
                         out.counters.get(names::SHUFFLE_BATCHES),
                         out.counters.get(names::SHUFFLE_RECORDS),
