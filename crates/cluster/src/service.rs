@@ -230,7 +230,6 @@ struct JobRec {
     reds1: Vec<SimTask>,
     maps2: Vec<SimTask>,
     reds2: Vec<SimTask>,
-    admitted: bool,
     started: bool,
     done_at: Option<SimTime>,
     rejected: Option<RejectReason>,
@@ -244,6 +243,13 @@ impl JobRec {
             Stage::Map2 => &mut self.maps2,
             Stage::Red2 => &mut self.reds2,
         }
+    }
+
+    fn running(&self) -> bool {
+        [&self.maps1, &self.reds1, &self.maps2, &self.reds2]
+            .into_iter()
+            .flatten()
+            .any(|t| matches!(t.state, TState::Running { .. }))
     }
 
     fn complete(&self) -> bool {
@@ -304,6 +310,13 @@ struct ServiceSim<'a> {
     node_factor: Vec<f64>,
     queue: EventQueue<Ev>,
     jobs: Vec<JobRec>,
+    /// Per tenant, its admitted jobs in index order — the mirror of
+    /// `serve`'s per-tenant queues. A job leaves once it is complete and
+    /// none of its attempts still holds a slot (a re-run map may outlive
+    /// its job's last reducer and can still be evicted), so every
+    /// running task's job is listed and every scan of the schedule walks
+    /// these lists instead of the whole job table.
+    live: Vec<Vec<usize>>,
     /// `(maps, reducers)` per job, for stable stage-2 scope indexes.
     shapes: Vec<(usize, usize)>,
     /// The service's own scheduling policy, charged one unit per task.
@@ -321,15 +334,16 @@ fn vt(at: SimTime) -> TraceInstant {
 
 impl ServiceSim<'_> {
     /// First dispatchable task of tenant `t` given current slot
-    /// availability, scanning jobs in submission order.
+    /// availability, scanning its live jobs in index order.
     fn next_task_for(
         &self,
         t: usize,
         map_free: bool,
         red_free: bool,
     ) -> Option<(usize, Stage, usize)> {
-        for (j, job) in self.jobs.iter().enumerate() {
-            if job.tenant != t || !job.admitted || job.rejected.is_some() || job.complete() {
+        for &j in &self.live[t] {
+            let job = &self.jobs[j];
+            if job.complete() {
                 continue;
             }
             if let Some((stage, idx)) = job.next_runnable() {
@@ -349,6 +363,28 @@ impl ServiceSim<'_> {
             self.p.red_task_secs
         };
         SimDuration::from_secs_f64(base * self.node_factor[node])
+    }
+
+    /// The live-list membership invariant: every job with a running
+    /// task is listed under its tenant.
+    fn live_covers_running(&self) -> bool {
+        self.jobs
+            .iter()
+            .enumerate()
+            .all(|(j, job)| !job.running() || self.live[job.tenant].binary_search(&j).is_ok())
+    }
+
+    /// Drops job `j` from its tenant's live list once it is complete and
+    /// no attempt of it is running.
+    fn retire_if_idle(&mut self, j: usize) {
+        let job = &self.jobs[j];
+        if job.complete() && !job.running() {
+            let live = &mut self.live[job.tenant];
+            let k = live
+                .binary_search(&j)
+                .expect("a job is listed until it retires, once");
+            live.remove(k);
+        }
     }
 
     fn dispatch(&mut self, at: SimTime, j: usize, stage: Stage, idx: usize) {
@@ -379,6 +415,9 @@ impl ServiceSim<'_> {
                 attempt,
             },
         );
+        // Tasks start running only here, so the membership invariant
+        // holds if every dispatched job is listed.
+        debug_assert!(self.live[self.jobs[j].tenant].binary_search(&j).is_ok());
     }
 
     /// Fair dispatch until no eligible tenant can place a task, then
@@ -410,8 +449,8 @@ impl ServiceSim<'_> {
             let red_free = self.slots.least_loaded(false, TieBreak::LowIndex).is_some();
             // The stuck demand: the fair pick among tenants whose next
             // runnable task finds every slot of its kind occupied (a free
-            // slot means fairness merely deferred it). Each probe is a
-            // scan of the job table, so the stages it finds are kept.
+            // slot means fairness merely deferred it). Each probe scans
+            // the tenant's live jobs, so the stages it finds are kept.
             let mut stuck: Vec<(usize, Stage)> = Vec::new();
             let pick = self.fair.pick(|t| {
                 let Some((_, stage, _)) = self.next_task_for(t, true, true) else {
@@ -430,34 +469,41 @@ impl ServiceSim<'_> {
                 .expect("the picked tenant was probed");
             let want_map = stage.is_map();
             let prio = self.fair.priority(t);
+            if (0..self.live.len()).all(|u| self.fair.priority(u) >= prio) {
+                break; // no tenant ranks below the stuck one
+            }
             // Victim: a running same-kind task of a strictly
             // lower-priority tenant; lowest priority first, ties evict
             // the latest job then the highest task index — protects the
-            // oldest work, and is deterministic.
+            // oldest work, and is deterministic. Only live jobs run tasks.
+            debug_assert!(self.live_covers_running());
             let mut victim: Option<(u32, usize, Stage, usize)> = None;
             let mut victim_key: Option<(u32, std::cmp::Reverse<usize>, std::cmp::Reverse<usize>)> =
                 None;
-            for (j, job) in self.jobs.iter().enumerate() {
-                let vprio = self.fair.priority(job.tenant);
+            for (u, live) in self.live.iter().enumerate() {
+                let vprio = self.fair.priority(u);
                 if vprio >= prio {
                     continue;
                 }
-                for vstage in [Stage::Map1, Stage::Red1, Stage::Map2, Stage::Red2] {
-                    if vstage.is_map() != want_map {
-                        continue;
-                    }
-                    let tasks = match vstage {
-                        Stage::Map1 => &job.maps1,
-                        Stage::Red1 => &job.reds1,
-                        Stage::Map2 => &job.maps2,
-                        Stage::Red2 => &job.reds2,
-                    };
-                    for (i, task) in tasks.iter().enumerate() {
-                        if matches!(task.state, TState::Running { .. }) {
-                            let key = (vprio, std::cmp::Reverse(j), std::cmp::Reverse(i));
-                            if victim_key.is_none_or(|vk| key < vk) {
-                                victim_key = Some(key);
-                                victim = Some((vprio, j, vstage, i));
+                for &j in live {
+                    let job = &self.jobs[j];
+                    for vstage in [Stage::Map1, Stage::Red1, Stage::Map2, Stage::Red2] {
+                        if vstage.is_map() != want_map {
+                            continue;
+                        }
+                        let tasks = match vstage {
+                            Stage::Map1 => &job.maps1,
+                            Stage::Red1 => &job.reds1,
+                            Stage::Map2 => &job.maps2,
+                            Stage::Red2 => &job.reds2,
+                        };
+                        for (i, task) in tasks.iter().enumerate() {
+                            if matches!(task.state, TState::Running { .. }) {
+                                let key = (vprio, std::cmp::Reverse(j), std::cmp::Reverse(i));
+                                if victim_key.is_none_or(|vk| key < vk) {
+                                    victim_key = Some(key);
+                                    victim = Some((vprio, j, vstage, i));
+                                }
                             }
                         }
                     }
@@ -475,6 +521,7 @@ impl ServiceSim<'_> {
             self.slots.release(vstage.is_map(), node);
             self.fair.release(vtenant);
             self.evictions += 1;
+            self.retire_if_idle(vj);
             // The freed slot goes straight to the stuck tenant.
             let (j, stage, idx) = self
                 .next_task_for(t, want_map, !want_map)
@@ -514,13 +561,16 @@ impl ServiceSim<'_> {
         if self.jobs[j].complete() && self.jobs[j].done_at.is_none() {
             self.jobs[j].done_at = Some(at);
         }
+        self.retire_if_idle(j);
         self.schedule(at);
     }
 
     fn submit(&mut self, at: SimTime, j: usize) {
         match self.fair.admit(self.jobs[j].tenant) {
             Ok(()) => {
-                self.jobs[j].admitted = true;
+                let live = &mut self.live[self.jobs[j].tenant];
+                let k = live.partition_point(|&i| i < j);
+                live.insert(k, j);
                 self.schedule(at);
             }
             Err(reason) => self.jobs[j].rejected = Some(reason),
@@ -545,8 +595,12 @@ impl ServiceSim<'_> {
             return;
         }
         let dead: Vec<bool> = self.slots.alive.iter().map(|&a| !a).collect();
-        for j in 0..self.jobs.len() {
-            if !self.jobs[j].admitted || self.jobs[j].complete() {
+        // Recovery is per job and its releases are counter decrements, so
+        // tenant-major order is as good as index order; re-queueing never
+        // completes a job, so the lists hold still.
+        let live: Vec<usize> = self.live.iter().flatten().copied().collect();
+        for j in live {
+            if self.jobs[j].complete() {
                 continue;
             }
             let tenant = self.jobs[j].tenant;
@@ -659,7 +713,6 @@ impl ServiceSimExecutor {
                     reds1: (0..spec.reducers).map(|_| SimTask::new()).collect(),
                     maps2: (0..stage2).map(|_| SimTask::new()).collect(),
                     reds2: (0..stage2).map(|_| SimTask::new()).collect(),
-                    admitted: false,
                     started: false,
                     done_at: None,
                     rejected: None,
@@ -673,6 +726,7 @@ impl ServiceSimExecutor {
             queue,
             shapes: jobs.iter().map(|s| (s.splits.len(), s.reducers)).collect(),
             jobs: recs,
+            live: vec![Vec::new(); params.tenants.len()],
             fair: FairShare::new(&params.tenants, params.queue_cap)?,
             trace: TraceLog::default(),
             evictions: 0,

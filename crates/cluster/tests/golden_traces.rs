@@ -9,17 +9,23 @@
 //! ledger mutation and every trace emission show up in one of the four
 //! pinned values. A model change that means to move them re-records the
 //! table (a failing run prints every moved row in paste-ready form).
+//!
+//! The service rows pin `ServiceSimExecutor`'s multi-tenant schedule the
+//! same way: eviction count, every job's completion instant and the
+//! canonical trace of a contended run under node kills. They were
+//! recorded from the scheduler that scanned the whole job table on every
+//! decision, before it walked per-tenant live-job lists.
 
 use mr_apps::topk::TopK;
 use mr_apps::wordcount::WordCount;
 use mr_cluster::{
-    ChainSimExecutor, ChainSimReport, ClusterParams, CostModel, FnInput, SimExecutor, SimReport,
-    SpanKind,
+    ChainSimExecutor, ChainSimReport, ClusterParams, CostModel, FnInput, ServiceParams,
+    ServiceSimExecutor, ServiceSimReport, SimExecutor, SimJobSpec, SimReport, SpanKind,
 };
 use mr_core::counters::names;
 use mr_core::{
     ChainSpec, CombinerPolicy, DeadlinePolicy, Engine, HandoffMode, HashPartitioner, JobConfig,
-    MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex, TraceQuery,
+    MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex, TenantSpec, TraceQuery,
 };
 use mr_workloads::TextWorkload;
 use std::fmt::Debug;
@@ -349,6 +355,71 @@ fn chain_executor_sweep_matches_the_pinned_table() {
     check(&rows, GOLDEN_CHAIN);
 }
 
+/// One contended service run: 240 jobs from four tenants weighted
+/// 4:2:1:1, the last a priority class above the rest (so it evicts),
+/// every third job chained, submit instants out of index order, and
+/// `kills` node failures on the six-node cluster. Splits are one line
+/// each: the schedule depends on task counts, not on records.
+fn run_service(seed: u64, kills: &[(f64, usize)]) -> ServiceSimReport<WordCount> {
+    const JOBS: usize = 240;
+    let mut params = ServiceParams::new(4).queue_cap(JOBS);
+    params.cluster = cluster(seed, false);
+    for (t, weight) in [4, 2, 1, 1].into_iter().enumerate() {
+        let spec = TenantSpec::new().weight(weight).priority(u32::from(t == 3));
+        params = params.tenant(t, spec);
+    }
+    let specs = (0..JOBS)
+        .map(|j| SimJobSpec {
+            tenant: j % 4,
+            submit_at_secs: 0.5 * j as f64 + ((j * 7) % 11) as f64,
+            splits: vec![vec![(j as u64, format!("w{} w{}", j % 5, j % 7))]; 2],
+            reducers: 2,
+            chained: j % 3 == 2,
+        })
+        .collect();
+    ServiceSimExecutor::run(&WordCount, &HashPartitioner, &params, specs, kills)
+        .expect("valid service run")
+}
+
+fn service_row(name: &str, r: &ServiceSimReport<WordCount>) -> String {
+    assert!(r.failure.is_none(), "{name}: {:?}", r.failure);
+    let ends: Vec<u8> = r
+        .jobs
+        .iter()
+        .flat_map(|j| j.completed_at.map_or(u64::MAX, f64::to_bits).to_le_bytes())
+        .collect();
+    format!(
+        "{name} evictions={} done={}/{} ends={:016x} trace={:016x}",
+        r.evictions,
+        r.jobs.iter().filter(|j| j.completed_at.is_some()).count(),
+        r.jobs.len(),
+        fnv1a(&ends),
+        fnv1a(r.trace.to_canonical_string().as_bytes()),
+    )
+}
+
+#[test]
+fn service_sweep_matches_the_pinned_table() {
+    let kill_sets: [(&str, &[(f64, usize)]); 3] = [
+        ("early3", &[(15.0, 1), (40.0, 4), (70.0, 2)]),
+        ("spread4", &[(30.0, 0), (90.0, 3), (150.0, 5), (210.0, 1)]),
+        (
+            "late5",
+            &[(60.0, 2), (80.0, 5), (100.0, 0), (120.0, 3), (140.0, 4)],
+        ),
+    ];
+    let mut rows = Vec::new();
+    for seed in [5u64, 29] {
+        for (kname, kills) in kill_sets {
+            rows.push(service_row(
+                &format!("service/s{seed}/{kname}"),
+                &run_service(seed, kills),
+            ));
+        }
+    }
+    check(&rows, GOLDEN_SERVICE);
+}
+
 #[rustfmt::skip]
 const GOLDEN_SINGLE: &[&str] = &[
     "s1/barrier/none/spec-off/comb-off trace=1a00545d8897acef secs=404f01d8cf398e97 tasks=10/4 out=19159f70f860e88a",
@@ -564,4 +635,14 @@ const GOLDEN_CHAIN: &[&str] = &[
     "Barrier/bl-barrier/downstream/spec-on trace=05bba8d9f67a11ae secs=407251e14cec41dd tasks=10/4/4/2 restarts=0 handoff=4/233 out=777a4ec7367b5fbf",
     "Barrier/bl-barrier/starved0/spec-on trace=eb87c3d0b6ef6ee5 secs=40660d323358f2e0 tasks=10/2/3/3 restarts=0 handoff=4/466 out=777a4ec7367b5fbf",
     "Barrier/bl-barrier/starved1/spec-on trace=7a6e1f70ff83fbf2 secs=4065702220bc382a tasks=10/2/3/3 restarts=0 handoff=4/466 out=777a4ec7367b5fbf",
+];
+
+#[rustfmt::skip]
+const GOLDEN_SERVICE: &[&str] = &[
+    "service/s5/early3 evictions=110 done=240/240 ends=78534ab146339d0c trace=d52f5ad9f673dc31",
+    "service/s5/spread4 evictions=219 done=240/240 ends=c483f87357c2f0d9 trace=d6b0292a64a2129b",
+    "service/s5/late5 evictions=180 done=240/240 ends=34a6fe7b4744d2b8 trace=f8ce8cab9cb474b1",
+    "service/s29/early3 evictions=112 done=240/240 ends=483051a2e696ff6a trace=7d870a9fb98bef7b",
+    "service/s29/spread4 evictions=171 done=240/240 ends=5e90106fd712afb1 trace=da06be45a8c988a3",
+    "service/s29/late5 evictions=187 done=240/240 ends=ad62ef43ba9c8787 trace=eebdf5dce452b2fa",
 ];
