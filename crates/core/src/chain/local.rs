@@ -37,7 +37,6 @@ use crate::chain::{ChainOutput, ChainableApplication, StageStats};
 use crate::config::{ChainSpec, HandoffMode, JobConfig};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
-use crate::local::cache::SharedCache;
 use crate::local::pool::{Ctx, Pool, PoolSender};
 use crate::local::{
     collect_stage, spawn_mappers, spawn_reducers, FlatBatch, InputSplit, LocalRunner, ReduceSink,
@@ -45,9 +44,7 @@ use crate::local::{
 };
 use crate::output::JobOutput;
 use crate::partition::Partitioner;
-use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit, FnEmit};
-use mr_cache::StableHash;
 use mr_trace::{Scope, TraceEvent, TraceInstant, TraceLog};
 use std::time::Instant;
 
@@ -199,16 +196,13 @@ where
 /// Spawns upstream stage `up`'s reduce tasks onto `pool`, each with the
 /// map side of stage `down` fused into its sink: reducer `r` maps its
 /// output into `down`'s shuffle (the reducers behind `txs`) as split
-/// `split(r)`. Returns `up`'s own reducer senders, for whatever maps
-/// into it. Both streaming chain shapes build every upstream stage with
-/// this; they differ only in which stage each one feeds.
+/// `r`. Returns `up`'s own reducer senders, for whatever maps into it.
 fn spawn_fused<'a, X, B, P, S>(
     pool: &mut Pool<'a>,
     up: Stage<'a, X, FusedSink<'a, X, B, P>>,
     down: Stage<'a, B, S>,
     partitioner: &'a P,
     txs: &[PoolSender<FlatBatch>],
-    split: impl Fn(usize) -> usize,
     started: Instant,
 ) -> MrResult<Vec<PoolSender<FlatBatch>>>
 where
@@ -218,7 +212,7 @@ where
 {
     let (app, cfg, state) = up;
     spawn_reducers(pool, state, app, cfg, |r| {
-        FusedSink::new(down, partitioner, txs, split(r), started)
+        FusedSink::new(down, partitioner, txs, r, started)
     })
 }
 
@@ -344,23 +338,18 @@ fn assemble_chain<B: Application>(
     }
 }
 
-/// The barrier handoff, written once for every chain shape: runs the
-/// upstream stages (`spec.stages[..len - 1]`) in order, adapting each
-/// one's partitions through `downstream` into `splits` (split `i`
-/// extends with partition `i`, created on demand), then runs the last
-/// stage over what they built — the run-jobs-sequentially baseline.
-///
-/// *What* an upstream stage reads is the caller's: `run_up` gets the
-/// stage index, its config and the splits built so far. A fan-in branch
-/// runs over its own input and leaves them be, so the branches'
-/// partitions concatenate; an iterative stage takes them as its input,
-/// so each stage consumes the previous one's output. *How* a stage runs
-/// (plainly, or through the shared cache) is the caller's too.
+/// The barrier handoff of both chain shapes: runs the upstream stages
+/// (`spec.stages[..len - 1]`) in order, each over the splits the stage
+/// before it built (`splits` for the first), adapting its partitions
+/// through `downstream` into the next stage's splits, then runs the last
+/// stage over what the final upstream stage built — the
+/// run-jobs-sequentially baseline. *How* a stage runs over its splits is
+/// the caller's: `run_up` gets its input and config.
 fn barrier_fold<A, B>(
     downstream: &B,
     spec: &ChainSpec,
     mut splits: Vec<InputSplit<B>>,
-    mut run_up: impl FnMut(usize, &JobConfig, &mut Vec<InputSplit<B>>) -> MrResult<JobOutput<A>>,
+    mut run_up: impl FnMut(Vec<InputSplit<B>>, &JobConfig) -> MrResult<JobOutput<A>>,
     run_down: impl FnOnce(Vec<InputSplit<B>>, &JobConfig) -> MrResult<JobOutput<B>>,
 ) -> MrResult<ChainOutput<B>>
 where
@@ -373,22 +362,25 @@ where
         .split_last()
         .expect("a validated spec has a stage");
     let mut parts = Vec::with_capacity(spec.len());
-    for (j, cfg) in upstream.iter().enumerate() {
-        let mut out = run_up(j, cfg, &mut splits)?;
+    for cfg in upstream {
+        let mut out = run_up(splits, cfg)?;
         let finished_secs = started.elapsed().as_secs_f64();
         let mut stats = HandoffStats::default();
-        let partitions = std::mem::take(&mut out.partitions);
-        if splits.len() < partitions.len() {
-            splits.resize_with(partitions.len(), Vec::new);
-        }
-        for (i, partition) in partitions.into_iter().enumerate() {
-            let mut part = HandoffStats::default();
-            for (k, v) in partition {
-                part.tally(downstream.handoff_bytes(&k, &v));
-                splits[i].push(downstream.adapt_input(k, v));
-            }
-            stats.merge_partition(&part);
-        }
+        splits = std::mem::take(&mut out.partitions)
+            .into_iter()
+            .map(|partition| {
+                let mut part = HandoffStats::default();
+                let split = partition
+                    .into_iter()
+                    .map(|(k, v)| {
+                        part.tally(downstream.handoff_bytes(&k, &v));
+                        downstream.adapt_input(k, v)
+                    })
+                    .collect();
+                stats.merge_partition(&part);
+                split
+            })
+            .collect();
         parts.push(StageParts::of(&mut out, finished_secs, Some(stats)));
     }
     let mut out = run_down(splits, last)?;
@@ -471,146 +463,42 @@ impl LocalRunner {
                 spec.len()
             )));
         }
-        // A two-job chain is a fan-in of one branch.
-        self.run_chain_fanin2(&[first], second, vec![splits], spec, pa, pb)
-    }
-
-    /// Runs a two-job chain through the shared result cache: each stage
-    /// whose `JobConfig::cache` is enabled consults `cache` exactly like
-    /// [`LocalRunner::run_cached`] does, so a re-run of the chain over
-    /// unchanged input hits stage 1's sealed job artifact, feeds the
-    /// cached partitions across the handoff, and then hits stage 2's.
-    ///
-    /// Only the [`HandoffMode::Barrier`] handoff consults the cache: a
-    /// streamed stage's input is never materialized, so there is no
-    /// split content to key on, and a [`HandoffMode::Streaming`] spec
-    /// runs exactly as [`LocalRunner::run_chain2`] would, uncached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_chain2_cached<A, B, PA, PB>(
-        &self,
-        first: &A,
-        second: &B,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-        cache: &SharedCache,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-        A::InKey: StableHash,
-        A::InValue: StableHash,
-        A::OutKey: Sync + SizeEstimate,
-        A::OutValue: Sync + SizeEstimate,
-        B::InKey: StableHash,
-        B::InValue: StableHash,
-        B::OutKey: Sync + SizeEstimate,
-        B::OutValue: Sync + SizeEstimate,
-    {
         spec.validate()?;
-        if spec.len() != 2 {
-            return Err(MrError::InvalidConfig(format!(
-                "run_chain2_cached needs exactly 2 stages, spec has {}",
-                spec.len()
-            )));
-        }
-        if spec.handoff == HandoffMode::Streaming {
-            return self.run_chain2(first, second, splits, spec, pa, pb);
-        }
-        let mut input = Some(splits);
-        barrier_fold(
-            second,
-            spec,
-            Vec::new(),
-            |_, cfg, _| {
-                let splits = input.take().expect("one upstream stage");
-                self.run_cached(first, splits, cfg, pa, cache)
-            },
-            |splits, cfg| self.run_cached(second, splits, cfg, pb, cache),
-        )
-    }
-
-    /// Runs a simple fan-in chain: several upstream jobs of the same
-    /// application type feed one downstream job. `spec` holds one stage
-    /// config per branch followed by the downstream stage config;
-    /// branches may differ in partition count.
-    ///
-    /// Under the barrier handoff the branches run sequentially and
-    /// downstream split `i` is the branch-ordered concatenation of every
-    /// branch's partition `i` output. Under the streaming handoff every
-    /// branch's task graph and the downstream stage share one worker
-    /// pool, and branch `b`'s reducer `i` maps into the downstream
-    /// shuffle as split `i * branches + b`: the splits sort in that same
-    /// (partition, branch) order, which is what a barrier downstream
-    /// reducer restores.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub fn run_chain_fanin2<A, B, PA, PB>(
-        &self,
-        firsts: &[&A],
-        second: &B,
-        branch_splits: Vec<Vec<Vec<(A::InKey, A::InValue)>>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-    {
-        spec.validate_fan_in(firsts.len())?;
-        if branch_splits.len() != firsts.len() {
-            return Err(MrError::InvalidConfig(format!(
-                "fan-in: {} apps but {} split sets",
-                firsts.len(),
-                branch_splits.len()
-            )));
-        }
         if spec.handoff == HandoffMode::Barrier {
-            let mut inputs = branch_splits.into_iter();
+            let mut input = Some(splits);
             return barrier_fold(
                 second,
                 spec,
                 Vec::new(),
-                |b, cfg, _| {
-                    let splits = inputs.next().expect("one split set per branch");
-                    self.run_with_partitioner(firsts[b], splits, cfg, pa)
+                |_, cfg| {
+                    let splits = input.take().expect("one upstream stage");
+                    self.run_with_partitioner(first, splits, cfg, pa)
                 },
                 |splits, cfg| self.run_with_partitioner(second, splits, cfg, pb),
             );
         }
 
-        // Streaming fan-in: downstream first, then every branch's
-        // reducers fused into it, then the branch's map tasks.
-        let n = firsts.len();
+        // Streaming: the downstream reducers first, then job 1's reducers
+        // fused into them, then job 1's map tasks.
         let started = Instant::now();
-        let upstream: Vec<StageState<A, FusedSink<'_, A, B, PB>>> =
-            spec.stages[..n].iter().map(StageState::new).collect();
-        let down_cfg = &spec.stages[n];
+        let (up_cfg, down_cfg) = (&spec.stages[0], &spec.stages[1]);
+        let upstream: [StageState<A, FusedSink<'_, A, B, PB>>; 1] = [StageState::new(up_cfg)];
         let last: StageState<B, StageOut<B>> = StageState::new(down_cfg);
         let mut pool = Pool::new();
         let txs = spawn_reducers(&mut pool, &last, second, down_cfg, |_| Vec::new())?;
-        for (b, (app, splits)) in firsts.iter().zip(&branch_splits).enumerate() {
-            let (app, cfg) = (*app, &spec.stages[b]);
-            let up = (app, cfg, &upstream[b]);
-            let down = (second, down_cfg, &last);
-            let split = |r| r * n + b;
-            let up_txs = spawn_fused(&mut pool, up, down, pb, &txs, split, started)?;
-            spawn_mappers(
-                &mut pool,
-                &upstream[b],
-                app,
-                cfg,
-                pa,
-                splits,
-                self.map_threads,
-                up_txs,
-            );
-        }
+        let up = (first, up_cfg, &upstream[0]);
+        let down = (second, down_cfg, &last);
+        let up_txs = spawn_fused(&mut pool, up, down, pb, &txs, started)?;
+        spawn_mappers(
+            &mut pool,
+            &upstream[0],
+            first,
+            up_cfg,
+            pa,
+            &splits,
+            self.map_threads,
+            up_txs,
+        );
         // EOF for the downstream reducers is the last fused sink's close.
         drop(txs);
         pool.run(pool_width(spec))?;
@@ -648,16 +536,9 @@ impl LocalRunner {
             // input. Intermediate generations are moved across, not
             // cloned: only the final generation's partitions survive, as
             // the chain output.
-            return barrier_fold(
-                app,
-                spec,
-                splits,
-                |_, cfg, splits| {
-                    let input = std::mem::take(splits);
-                    self.run_with_partitioner(app, input, cfg, partitioner)
-                },
-                |splits, cfg| self.run_with_partitioner(app, splits, cfg, partitioner),
-            );
+            let run =
+                |splits, cfg: &JobConfig| self.run_with_partitioner(app, splits, cfg, partitioner);
+            return barrier_fold(app, spec, splits, run, run);
         }
 
         // Streaming: all K stages live on one pool, downstream first.
@@ -675,11 +556,11 @@ impl LocalRunner {
             txs = match upstream.get(j + 1) {
                 Some(down) => {
                     let down = (app, down_cfg, down);
-                    spawn_fused(&mut pool, up, down, partitioner, &txs, |r| r, started)?
+                    spawn_fused(&mut pool, up, down, partitioner, &txs, started)?
                 }
                 None => {
                     let down = (app, down_cfg, &last);
-                    spawn_fused(&mut pool, up, down, partitioner, &txs, |r| r, started)?
+                    spawn_fused(&mut pool, up, down, partitioner, &txs, started)?
                 }
             };
         }
@@ -840,73 +721,6 @@ mod tests {
                     "index {index:?} combiner {combine:?} changed chained output"
                 );
             }
-        }
-    }
-
-    /// The cached two-job chain: cold, warm and uncached runs return the
-    /// same bytes under both engines; the warm run is one whole-job hit
-    /// per stage, so neither stage maps a record; and a streaming spec
-    /// runs exactly as `run_chain2` would — same bytes, cache untouched.
-    #[test]
-    fn cached_chain_hits_per_stage_and_streaming_bypasses_the_cache() {
-        use crate::config::CacheBudget;
-        let splits = text_splits(4, 12);
-        for engine in [Engine::Barrier, Engine::barrierless()] {
-            let stage = |reducers| {
-                JobConfig::new(reducers)
-                    .engine(engine.clone())
-                    .cache(CacheBudget::enabled())
-            };
-            let runner = LocalRunner::new(2);
-            let run = |handoff, cache: Option<&SharedCache>| {
-                let spec = spec2(stage(3), stage(2), handoff);
-                let (first, second, input) = (&WordCountApp, &histogram(), splits.clone());
-                match cache {
-                    Some(cache) => runner.run_chain2_cached(
-                        first,
-                        second,
-                        input,
-                        &spec,
-                        &HashPartitioner,
-                        &HashPartitioner,
-                        cache,
-                    ),
-                    None => runner.run_chain2(
-                        first,
-                        second,
-                        input,
-                        &spec,
-                        &HashPartitioner,
-                        &HashPartitioner,
-                    ),
-                }
-                .unwrap()
-            };
-            let uncached = run(HandoffMode::Barrier, None);
-            let cache = SharedCache::new(16 << 20);
-            let cold = run(HandoffMode::Barrier, Some(&cache));
-            let warm = run(HandoffMode::Barrier, Some(&cache));
-            assert_eq!(cold.output.partitions, uncached.output.partitions);
-            assert_eq!(warm.output.partitions, uncached.output.partitions);
-            assert_eq!(cold.total_counters().get(names::CACHE_HITS), 0);
-            assert!(warm.total_counters().get(names::CACHE_HITS) >= 2);
-            for (j, stage) in warm.stages.iter().enumerate() {
-                assert_eq!(
-                    stage.counters.get(names::MAP_OUTPUT_RECORDS),
-                    0,
-                    "{engine:?}: warm stage {j} mapped records"
-                );
-            }
-            assert_eq!(
-                warm.handoff_records(),
-                cold.handoff_records(),
-                "a hit hands the cached partitions across the boundary"
-            );
-
-            let fresh = SharedCache::new(16 << 20);
-            let streamed = run(HandoffMode::Streaming, Some(&fresh));
-            assert_eq!(streamed.output.partitions, uncached.output.partitions);
-            assert_eq!(fresh.used_bytes(), 0, "streaming consults no cache");
         }
     }
 
@@ -1129,82 +943,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fanin_streaming_matches_fanin_barrier() {
-        let splits_a = text_splits(3, 20);
-        let splits_b = text_splits(4, 15);
-        let mk_spec = |handoff| {
-            ChainSpec::new(vec![
-                JobConfig::new(2).engine(Engine::barrierless()),
-                JobConfig::new(2).engine(Engine::barrierless()),
-                JobConfig::new(2).engine(Engine::barrierless()),
-            ])
-            .handoff(handoff)
-        };
-        let run = |handoff| {
-            LocalRunner::new(4)
-                .run_chain_fanin2(
-                    &[&WordCountApp, &WordCountApp],
-                    &histogram(),
-                    vec![splits_a.clone(), splits_b.clone()],
-                    &mk_spec(handoff),
-                    &HashPartitioner,
-                    &HashPartitioner,
-                )
-                .unwrap()
-        };
-        let barrier = run(HandoffMode::Barrier);
-        let streaming = run(HandoffMode::Streaming);
-        assert_eq!(barrier.output.partitions, streaming.output.partitions);
-        assert_eq!(barrier.stages.len(), 3);
-        assert_eq!(streaming.stages.len(), 3);
-        assert!(streaming.stages[0].handoff_records > 0);
-        assert!(streaming.stages[1].handoff_records > 0);
-        assert_eq!(streaming.stages[2].handoff_records, 0);
-        assert_eq!(
-            barrier.handoff_records(),
-            streaming.handoff_records(),
-            "fan-in handoff volume must not depend on the mode"
-        );
-    }
-
-    /// Branches of 2 and 3 reducers feed one downstream stage: split
-    /// `i` downstream is every branch's partition `i`, so the streaming
-    /// output equals the barrier output under either downstream engine.
-    #[test]
-    fn fanin_branches_may_differ_in_partition_count() {
-        let splits_a = text_splits(3, 20);
-        let splits_b = text_splits(4, 15);
-        for engine in [Engine::Barrier, Engine::barrierless()] {
-            let run = |handoff| {
-                let spec = ChainSpec::new(vec![
-                    JobConfig::new(2).engine(engine.clone()),
-                    JobConfig::new(3).engine(engine.clone()),
-                    JobConfig::new(2).engine(engine.clone()),
-                ])
-                .handoff(handoff);
-                LocalRunner::new(2)
-                    .run_chain_fanin2(
-                        &[&WordCountApp, &WordCountApp],
-                        &histogram(),
-                        vec![splits_a.clone(), splits_b.clone()],
-                        &spec,
-                        &HashPartitioner,
-                        &HashPartitioner,
-                    )
-                    .unwrap()
-            };
-            let barrier = run(HandoffMode::Barrier);
-            let streaming = run(HandoffMode::Streaming);
-            assert!(barrier.output.record_count() > 0);
-            assert_eq!(
-                streaming.output.partitions, barrier.output.partitions,
-                "{engine:?}"
-            );
-            assert_eq!(streaming.handoff_records(), barrier.handoff_records());
-        }
-    }
-
     /// A homogeneous chainable app for the iterative driver: wordcount
     /// whose output words feed the next generation's text.
     fn iter_app() -> InputAdapter<WordCountApp, impl Fn(String, u64) -> (u64, String)> {
@@ -1257,6 +995,55 @@ mod tests {
                 assert!(stage.handoff_records > 0, "a generation handed nothing off");
             }
             assert_eq!(out.stages[k - 1].handoff_records, 0);
+        }
+    }
+
+    /// The one driver where a fused sink feeds a stage whose own
+    /// reducers are fused sinks: a 3-stage chain whose middle stage runs
+    /// each engine on a one-byte shuffle budget and whose last stage is a
+    /// barrier. At every pool width the streaming output is the barrier
+    /// fold's.
+    #[test]
+    fn iterative_chain_matches_barrier_fold_under_every_middle_engine() {
+        let splits = text_splits(4, 25);
+        let app = iter_app();
+        let engines = [
+            Engine::Barrier,
+            Engine::barrierless(),
+            Engine::BarrierLess {
+                memory: MemoryPolicy::SpillMerge {
+                    threshold_bytes: 256,
+                },
+            },
+        ];
+        for middle in &engines {
+            for workers in [1usize, 2, 4] {
+                let stages: Vec<JobConfig> = [
+                    JobConfig::new(3).engine(Engine::barrierless()),
+                    JobConfig::new(2)
+                        .engine(middle.clone())
+                        .shuffle_batch_bytes(1)
+                        .scratch_dir(scratch_dir("chain-iter-mid")),
+                    JobConfig::new(3).engine(Engine::Barrier),
+                ]
+                .into_iter()
+                .map(|cfg| cfg.pool_workers(workers))
+                .collect();
+                let run = |handoff| {
+                    let spec = ChainSpec::new(stages.clone()).handoff(handoff);
+                    LocalRunner::new(2)
+                        .run_chain_iter(&app, splits.clone(), &spec, &HashPartitioner)
+                        .unwrap()
+                };
+                let barrier = run(HandoffMode::Barrier);
+                let streaming = run(HandoffMode::Streaming);
+                assert!(barrier.output.record_count() > 0);
+                assert_eq!(
+                    streaming.output.partitions, barrier.output.partitions,
+                    "{middle:?} {workers}w"
+                );
+                assert_eq!(streaming.handoff_records(), barrier.handoff_records());
+            }
         }
     }
 

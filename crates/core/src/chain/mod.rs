@@ -22,8 +22,8 @@
 //!   without rewrites: either implement the one `adapt_input` method, or
 //!   wrap the app in an [`InputAdapter`] closure.
 //! * [`local`] — the chain driver for
-//!   [`LocalRunner`](crate::local::LocalRunner): linear chains, simple
-//!   fan-in, and an iterative driver for homogeneous K-stage chains.
+//!   [`LocalRunner`](crate::local::LocalRunner): a two-job chain and an
+//!   iterative driver for homogeneous K-stage chains.
 //! * The cluster simulator's chain executor lives in `mr-cluster`
 //!   (`ChainSimExecutor`), which schedules cross-job handoff edges as
 //!   timeline events.
@@ -256,8 +256,7 @@ pub struct StageStats {
 pub struct ChainOutput<B: Application> {
     /// The final stage's output.
     pub output: JobOutput<B>,
-    /// One entry per stage, in execution order (for fan-in chains: one
-    /// per upstream branch, then the downstream stage).
+    /// One entry per stage, in execution order.
     pub stages: Vec<StageStats>,
     /// The chain's unified trace: stage `j`'s events re-scoped to job
     /// `j`, followed by each boundary's handoff charges and stage-done

@@ -365,22 +365,6 @@ impl ChainSpec {
         }
         Ok(())
     }
-
-    /// Fan-in validation: `branches` upstream jobs (stages `0..branches`)
-    /// feed one downstream job (the last stage). Branches may differ in
-    /// partition count: downstream split `i` is every branch's partition
-    /// `i`, in branch order.
-    pub fn validate_fan_in(&self, branches: usize) -> MrResult<()> {
-        self.validate()?;
-        if branches < 1 || self.stages.len() != branches + 1 {
-            return Err(MrError::InvalidConfig(format!(
-                "fan-in chain needs {branches} upstream stages plus one downstream \
-                 stage, got {} stages",
-                self.stages.len()
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// How per-key partial results are *indexed* inside the in-memory
@@ -1107,28 +1091,6 @@ mod tests {
             .handoff(HandoffMode::Streaming)
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn fan_in_requires_matching_upstream_partition_counts() {
-        // Two branches plus one downstream: OK.
-        ChainSpec::new(vec![
-            JobConfig::new(3),
-            JobConfig::new(3),
-            JobConfig::new(2),
-        ])
-        .validate_fan_in(2)
-        .unwrap();
-        // Wrong stage count for the declared branches: rejected.
-        let spec = ChainSpec::new(vec![JobConfig::new(3), JobConfig::new(3)]);
-        assert!(matches!(
-            spec.validate_fan_in(2),
-            Err(MrError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            ChainSpec::new(vec![JobConfig::new(1)]).validate_fan_in(0),
-            Err(MrError::InvalidConfig(_))
-        ));
     }
 
     #[test]
