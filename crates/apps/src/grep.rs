@@ -36,7 +36,7 @@ impl Application for Grep {
 
     fn map(&self, key: &u64, line: &String, out: &mut dyn Emit<u64, String>) {
         if line.contains(&self.pattern) {
-            out.emit(*key, line.clone());
+            out.emit_ref(key, line);
         }
     }
 

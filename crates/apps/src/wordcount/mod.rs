@@ -23,10 +23,15 @@ impl Application for WordCount {
     type State = u64;
     type Shared = ();
 
-    /// Algorithm 1's map: "for each word in value, emit (word, 1)".
+    /// Algorithm 1's map: "for each word in value, emit (word, 1)". One
+    /// scratch key serves every word of the line, emitted by reference:
+    /// the shuffle encodes (or combines) it without taking ownership.
     fn map(&self, _doc: &u64, text: &String, out: &mut dyn Emit<String, u64>) {
+        let mut word_buf = String::new();
         for word in text.split_whitespace() {
-            out.emit(word.to_string(), 1);
+            word_buf.clear();
+            word_buf.push_str(word);
+            out.emit_ref(&word_buf, &1);
         }
     }
 

@@ -44,7 +44,7 @@ use crate::local::{
 };
 use crate::output::JobOutput;
 use crate::partition::Partitioner;
-use crate::traits::{Application, Emit, FnEmit};
+use crate::traits::{Application, Emit};
 use mr_trace::{Scope, TraceEvent, TraceInstant, TraceLog};
 use std::time::Instant;
 
@@ -159,9 +159,7 @@ where
         self.stats
             .tally(self.downstream.handoff_bytes(&key, &value));
         let (k, v) = self.downstream.adapt_input(key, value);
-        let emitter = &mut self.emitter;
-        self.downstream
-            .map(&k, &v, &mut FnEmit(|mk, mv| emitter.push(mk, mv)));
+        self.downstream.map(&k, &v, &mut self.emitter);
     }
 }
 

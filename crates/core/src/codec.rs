@@ -11,9 +11,16 @@
 //! methods whose defaults decode, so a type is always sorted correctly;
 //! overriding them only makes the barrier's sort and the spill store's
 //! merge cheaper.
+//!
+//! Keys can also be *probed* without being decoded, through
+//! [`KeyView`]: a `String` key reads as a `&str` borrowed from the
+//! shuffle batch, so a reducer's store allocates a key only for a key it
+//! has not seen.
 
+use std::borrow::{Borrow, Cow};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashSet};
+use std::hash::Hash;
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +92,36 @@ pub trait Codec: Sized {
         Ok(Self::from_bytes(a)?.cmp(&Self::from_bytes(b)?))
     }
 }
+
+/// A key's *view*: what a store probe can borrow out of the key's
+/// encoding without building the key.
+///
+/// A reducer folds every shuffled record into its key's partial result,
+/// so a key decoded per record costs an allocation per record for a
+/// heap key. Through the view the probe borrows instead — `str` out of
+/// a `String` encoding, checked as UTF-8 but not copied — and the owned
+/// key is built only when the store inserts it.
+///
+/// `Self: Borrow<View>`, so the view hashes, compares and orders as the
+/// key does (the [`Borrow`] contract): a probe finds exactly the entry
+/// the owned key would, whatever the encoding. Types without a cheaper
+/// view say `type View = Self` and keep the provided
+/// [`decode_view`](KeyView::decode_view), which decodes by value.
+pub trait KeyView: Codec + Borrow<Self::View> {
+    /// What a probe borrows the key as.
+    type View: ?Sized + Hash + Ord + ToOwned<Owned = Self>;
+
+    /// Reads one encoding off the front of `input` as a view, advancing
+    /// it exactly as [`decode`](Codec::decode) would and failing where
+    /// it would fail. The default decodes.
+    fn decode_view<'a>(input: &mut &'a [u8]) -> Result<KeyCow<'a, Self>, CodecError> {
+        Self::decode(input).map(Cow::Owned)
+    }
+}
+
+/// A key's view as a probe holds it: borrowed from the encoding, or the
+/// decoded (or caller's) owned key.
+pub type KeyCow<'a, K> = Cow<'a, <K as KeyView>::View>;
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     if input.len() < n {
@@ -174,8 +211,7 @@ impl Codec for String {
         buf.extend_from_slice(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let bytes = take_len_prefixed(input)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt("utf8"))
+        Self::decode_view(input).map(Cow::into_owned)
     }
     /// The first seven payload bytes, big-endian and zero-padded, over a
     /// low byte of `min(len, 8)`: the low byte orders a string below its
@@ -211,6 +247,36 @@ fn string_payload(mut encoded: &[u8]) -> Result<&[u8], CodecError> {
     } else {
         Err(CodecError::Corrupt("trailing bytes"))
     }
+}
+
+impl KeyView for String {
+    type View = str;
+
+    fn decode_view<'a>(input: &mut &'a [u8]) -> Result<KeyCow<'a, Self>, CodecError> {
+        let bytes = take_len_prefixed(input)?;
+        std::str::from_utf8(bytes)
+            .map(Cow::Borrowed)
+            .map_err(|_| CodecError::Corrupt("utf8"))
+    }
+}
+
+/// Keys that decode by value: for integers that is what decoding costs.
+macro_rules! view_by_value {
+    ($($t:ty),*) => {$(
+        impl KeyView for $t {
+            type View = Self;
+        }
+    )*};
+}
+
+view_by_value!(u8, u16, u32, u64, usize, i8, i16, i32, i64, bool, ());
+
+impl<T: Codec + Ord + Hash + Clone> KeyView for Reverse<T> {
+    type View = Self;
+}
+
+impl<T: Codec + Ord + Hash + Clone> KeyView for Option<T> {
+    type View = Self;
 }
 
 /// Same bytes as `T`; the order — prefix and comparison — is reversed,
@@ -333,6 +399,21 @@ tuple_codec! {
     (A:0, B:1)
     (A:0, B:1, C:2)
     (A:0, B:1, C:2, D:3)
+}
+
+macro_rules! tuple_view {
+    ($(($($name:ident),+))*) => {$(
+        impl<$($name: Codec + Ord + Hash + Clone),+> KeyView for ($($name,)+) {
+            type View = Self;
+        }
+    )*};
+}
+
+tuple_view! {
+    (A)
+    (A, B)
+    (A, B, C)
+    (A, B, C, D)
 }
 
 #[cfg(test)]

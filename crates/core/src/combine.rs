@@ -21,6 +21,7 @@
 use crate::config::StoreIndex;
 use crate::store::index::{apply_byte_delta, PartialMap};
 use crate::traits::{Application, Emit, FnEmit};
+use std::borrow::Cow;
 
 /// An [`Emit`] that rejects output: map-side combining runs `absorb`
 /// outside any reduce task, so a combinable application emitting from
@@ -86,9 +87,22 @@ impl<A: Application> CombinerBuffer<A> {
         value: A::MapValue,
         emit: &mut F,
     ) {
+        self.fold(app, Cow::Owned(key), value, emit);
+    }
+
+    /// [`push`](CombinerBuffer::push) with the key owned or borrowed: a
+    /// borrowed key is cloned only when it is new to the buffer, so a
+    /// map function's scratch key costs one allocation per distinct key.
+    pub(crate) fn fold<F: FnMut(A::MapKey, A::MapValue)>(
+        &mut self,
+        app: &A,
+        key: Cow<'_, A::MapKey>,
+        value: A::MapValue,
+        emit: &mut F,
+    ) {
         self.records_in += 1;
         let shared = &mut self.shared;
-        let delta = self.entries.upsert_with(
+        let delta = self.entries.upsert::<A::MapKey>(
             key,
             |k| app.init(k),
             |k, state| app.absorb(k, state, value, shared, &mut NoOutput),

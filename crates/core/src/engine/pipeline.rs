@@ -1,12 +1,14 @@
 //! Barrier-less reduce: record-at-a-time with a partial-result store
 //! (Figure 3 of the paper).
 
+use crate::codec::KeyCow;
 use crate::config::{Engine, JobConfig, MemoryPolicy, SnapshotPolicy};
 use crate::counters::{names, Counters};
 use crate::error::MrResult;
 use crate::snapshot::Snapshot;
 use crate::store::{make_store, PartialStore, StoreReport};
 use crate::traits::{Application, Emit};
+use std::borrow::Cow;
 
 /// What a finished driver reports to the executor.
 #[derive(Debug, Clone, Default)]
@@ -95,12 +97,27 @@ impl<A: Application> IncrementalDriver<A> {
         value: A::MapValue,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<()> {
+        self.push_view(app, Cow::Owned(key), value, out)
+    }
+
+    /// [`push`](IncrementalDriver::push) with the key as its view — how
+    /// the local executor feeds records straight out of a shuffle
+    /// batch: the store builds an owned key only for a key it has not
+    /// seen.
+    pub fn push_view(
+        &mut self,
+        app: &A,
+        key: KeyCow<'_, A::MapKey>,
+        value: A::MapValue,
+        out: &mut dyn Emit<A::OutKey, A::OutValue>,
+    ) -> MrResult<()> {
         self.records += 1;
         match &mut self.store {
-            Some(store) => store.absorb(app, key, value, &mut self.shared, out)?,
+            Some(store) => store.absorb_view(app, key, value, &mut self.shared, out)?,
             None => {
                 // No keyed state: absorb against a throwaway state; the
                 // application works through `shared` and `out`.
+                let key = key.into_owned();
                 let mut scratch = app.init(&key);
                 app.absorb(&key, &mut scratch, value, &mut self.shared, out);
             }

@@ -47,7 +47,7 @@ pub mod traits;
 pub(crate) mod testutil;
 
 pub use chain::{ChainOutput, ChainableApplication, InputAdapter, StageStats};
-pub use codec::{Codec, CodecError};
+pub use codec::{Codec, CodecError, KeyCow, KeyView};
 pub use combine::CombinerBuffer;
 pub use config::{
     CacheBudget, ChainSpec, CombinerPolicy, DeadlinePolicy, Engine, HandoffMode, JobConfig,

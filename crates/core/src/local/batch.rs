@@ -12,12 +12,13 @@
 //!
 //! The point of the shape is what does *not* cross the channel: the
 //! application's keys and values stay on the thread that allocated them
-//! (the mapper encodes from a reference and drops them), and the reducer
-//! decodes fresh ones into its own allocator arena. Only the byte buffer
-//! moves between cores, and it is recycled through the stage's free-list
-//! with its capacity kept.
+//! (the mapper encodes from a reference), and the reducer reads each key
+//! as its [`KeyView`] — a `String` key as a `&str` into the batch — so
+//! it allocates a key only when its store inserts one. Only the byte
+//! buffer moves between cores, and it is recycled through the stage's
+//! free-list with its capacity kept.
 
-use crate::codec::{Codec, CodecError};
+use crate::codec::{Codec, CodecError, KeyCow, KeyView};
 
 /// Serialized shuffle records bound for one reducer. Not generic over
 /// the application: every job's batches (and the free-list that recycles
@@ -56,10 +57,28 @@ impl FlatBatch {
         (&self.bytes, self.records)
     }
 
-    /// Decodes every record in order into `absorb`, then empties the
-    /// batch keeping its buffer for reuse. Fails — with the batch left
-    /// as it was — on truncated or corrupt bytes, on bytes left over
-    /// after the last record, and on the first error `absorb` returns.
+    /// Reads every record in order into `absorb` — the key as its view
+    /// into the batch, the value decoded — then empties the batch
+    /// keeping its buffer for reuse. Fails — with the batch left as it
+    /// was — on truncated or corrupt bytes, on bytes left over after the
+    /// last record, and on the first error `absorb` returns.
+    pub(crate) fn drain_views<K, V, E, F>(&mut self, mut absorb: F) -> Result<(), E>
+    where
+        K: KeyView + 'static,
+        V: Codec,
+        E: From<CodecError>,
+        F: FnMut(KeyCow<'_, K>, V) -> Result<(), E>,
+    {
+        self.drain_with(|input| {
+            let key = K::decode_view(input)?;
+            let value = V::decode(input)?;
+            absorb(key, value)
+        })
+    }
+
+    /// [`drain_views`](FlatBatch::drain_views) with keys decoded by
+    /// value.
+    #[cfg(test)]
     pub(crate) fn drain<K, V, E, F>(&mut self, mut absorb: F) -> Result<(), E>
     where
         K: Codec,
@@ -67,11 +86,22 @@ impl FlatBatch {
         E: From<CodecError>,
         F: FnMut(K, V) -> Result<(), E>,
     {
+        self.drain_with(|input| {
+            let key = K::decode(input)?;
+            let value = V::decode(input)?;
+            absorb(key, value)
+        })
+    }
+
+    /// The one decode loop: `record` reads each record off the front of
+    /// the encoding, then the batch is checked for leftovers and emptied.
+    fn drain_with<E: From<CodecError>>(
+        &mut self,
+        mut record: impl FnMut(&mut &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut input = self.bytes.as_slice();
         for _ in 0..self.records {
-            let key = K::decode(&mut input)?;
-            let value = V::decode(&mut input)?;
-            absorb(key, value)?;
+            record(&mut input)?;
         }
         if !input.is_empty() {
             return Err(CodecError::Corrupt("trailing bytes in shuffle batch").into());

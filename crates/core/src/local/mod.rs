@@ -75,7 +75,7 @@ use crate::output::JobOutput;
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
-use crate::traits::{Application, Emit, FnEmit};
+use crate::traits::{Application, Emit};
 pub(crate) use batch::FlatBatch;
 use cache::SharedCache;
 use mr_cache::StableHash;
@@ -83,6 +83,7 @@ use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
 };
 use pool::{Ctx, Outbox, Pool, PoolReceiver, PoolSender, Step, TryRecv};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -278,6 +279,9 @@ pub(crate) struct ShuffleEmitter<'a, A: Application, P: Partitioner<A::MapKey>> 
     combs: Vec<CombinerBuffer<A>>,
     combining: bool,
     batch_bytes: usize,
+    /// Map-output records routed, charged to `counters` at
+    /// [`finish`](ShuffleEmitter::finish) rather than per record.
+    records: u64,
     counters: Counters,
 }
 
@@ -311,6 +315,7 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
             },
             combining,
             batch_bytes: cfg.shuffle_batch_bytes,
+            records: 0,
             counters: Counters::new(),
         }
     }
@@ -322,16 +327,19 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         self.split = idx;
     }
 
-    /// One map-output record: count, partition, buffer (or combine), and
-    /// stage a full batch for the transport. A dead emitter drops it.
-    pub(crate) fn push(&mut self, key: A::MapKey, value: A::MapValue) {
+    /// One map-output record, owned or borrowed: count, partition,
+    /// buffer (or combine), and stage a full batch for the transport. A
+    /// borrowed record is encoded from its references, or folded into
+    /// the combiner with the key cloned only on first insert (and the
+    /// value cloned for `absorb`). A dead emitter drops it.
+    fn route(&mut self, key: Cow<'_, A::MapKey>, value: Cow<'_, A::MapValue>) {
         if self.is_dead() {
             return;
         }
-        self.counters.incr(names::MAP_OUTPUT_RECORDS);
+        self.records += 1;
         let p = self.partitioner.partition(&key, self.reducers);
         if self.combining {
-            self.combine(p, key, value);
+            self.combine(p, key, value.into_owned());
         } else {
             self.buffer(p, &key, &value);
         }
@@ -358,10 +366,10 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// over budget the combiner drains, and the drained partials ship as
     /// one batch. Its buffer is taken from the free-list on the drain's
     /// first record, so under-budget pushes touch no lock.
-    fn combine(&mut self, p: usize, key: A::MapKey, value: A::MapValue) {
+    fn combine(&mut self, p: usize, key: Cow<'_, A::MapKey>, value: A::MapValue) {
         let mut drained: Option<FlatBatch> = None;
         let pool = self.batch_pool;
-        self.combs[p].push(self.app, key, value, &mut |k, v| {
+        self.combs[p].fold(self.app, key, value, &mut |k, v| {
             drained
                 .get_or_insert_with(|| fresh_batch(pool))
                 .push(&k, &v);
@@ -421,6 +429,10 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
     /// the stage's map-side totals and drop the senders — EOF for the
     /// reducers once every map task finished.
     pub(crate) fn finish(&mut self) -> Step {
+        if self.records > 0 {
+            self.counters
+                .add(names::MAP_OUTPUT_RECORDS, std::mem::take(&mut self.records));
+        }
         for comb in &self.combs {
             self.counters
                 .add(names::COMBINE_INPUT_RECORDS, comb.records_in());
@@ -430,6 +442,20 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> ShuffleEmitter<'a, A, P> {
         self.totals.lock().unwrap().merge(&self.counters);
         self.outbox.close();
         Step::Done
+    }
+}
+
+/// The map function's sink: a split map task, or a streaming chain
+/// boundary, hands its emitter to the map function directly.
+impl<A: Application, P: Partitioner<A::MapKey>> Emit<A::MapKey, A::MapValue>
+    for ShuffleEmitter<'_, A, P>
+{
+    fn emit(&mut self, key: A::MapKey, value: A::MapValue) {
+        self.route(Cow::Owned(key), Cow::Owned(value));
+    }
+
+    fn emit_ref(&mut self, key: &A::MapKey, value: &A::MapValue) {
+        self.route(Cow::Borrowed(key), Cow::Borrowed(value));
     }
 }
 
@@ -558,9 +584,8 @@ impl<'a, A: Application, P: Partitioner<A::MapKey>> pool::PoolTask for SplitMapT
         let app = self.app;
         let split = &self.splits[idx];
         let end = (cursor + MAP_RECORDS_PER_STEP).min(split.len());
-        let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| emitter.push(k, v));
         for (k, v) in &split[cursor..end] {
-            app.map(k, v, &mut emit);
+            app.map(k, v, emitter);
         }
         if end == split.len() {
             emitter.end_split();
@@ -708,7 +733,9 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
                     let sink = self.out.sink.as_mut().unwrap();
                     // A batch that fails to decode fails this reducer
                     // (and so the job) with a typed error, like an OOM.
-                    batch.drain(|k, v| driver.push(app, k, v, sink))?;
+                    batch.drain_views::<A::MapKey, A::MapValue, _, _>(|k, v| {
+                        driver.push_view(app, k, v, sink)
+                    })?;
                     // Return the drained buffer to the mappers.
                     {
                         let mut pool = self.batch_pool.lock().unwrap();
@@ -1264,10 +1291,11 @@ impl LocalRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Codec, CodecError};
+    use crate::codec::{Codec, CodecError, KeyView};
     use crate::config::MemoryPolicy;
     use crate::engine::barrier::reduce_partition_barrier;
     use crate::testutil::{scratch_dir, ArrivalOrder, GlobalSum, WordCountApp};
+    use crate::traits::FnEmit;
     use std::collections::BTreeMap;
 
     fn text_splits(n_splits: usize, lines_per_split: usize) -> Vec<Vec<(u64, String)>> {
@@ -1481,6 +1509,10 @@ mod tests {
         }
     }
 
+    impl KeyView for RawWord {
+        type View = Self;
+    }
+
     impl SizeEstimate for RawWord {
         fn estimated_bytes(&self) -> usize {
             self.0.estimated_bytes()
@@ -1653,6 +1685,79 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_keys_fail_the_pipelined_job_and_publish_nothing() {
+        // A pipelined reducer reads each key as its view, which is where
+        // UTF-8 is checked. End to end through `run_cached`, a key that
+        // is not UTF-8 is a typed error at every width and batch budget,
+        // every time, and publishes nothing; the same runner and cache
+        // then serve a healthy job correctly: one miss, then a hit.
+        let app = FaultyWords;
+        let runner = LocalRunner::new(2);
+        let mut healthy = text_splits(4, 50);
+        healthy[3].push((1000, "shared-prefix shared-prefix".to_string()));
+        let mut sick = healthy.clone();
+        sick[3].last_mut().unwrap().1 += " <utf8>";
+        let base_cfg = JobConfig::new(2).engine(Engine::barrierless());
+        let expect = runner
+            .run_with_partitioner(&app, healthy.clone(), &base_cfg, &MarkersApart)
+            .unwrap()
+            .into_sorted_output();
+        let utf8 = CodecError::Corrupt("utf8");
+        for pool_workers in [1, 2, 4] {
+            for batch_bytes in [Some(1), None] {
+                let mut cfg = base_cfg
+                    .clone()
+                    .cache(crate::config::CacheBudget::enabled())
+                    .pool_workers(pool_workers);
+                if let Some(bytes) = batch_bytes {
+                    cfg = cfg.shuffle_batch_bytes(bytes);
+                }
+                let cache = SharedCache::new(16 << 20);
+                for attempt in 0..2 {
+                    let got = runner.run_cached(&app, sick.clone(), &cfg, &MarkersApart, &cache);
+                    assert!(
+                        matches!(&got, Err(MrError::Codec(e)) if *e == utf8),
+                        "{pool_workers} workers, budget {batch_bytes:?}, attempt {attempt}: \
+                         expected {utf8:?}, got {:?}",
+                        got.map(|out| out.partitions).map_err(|e| e.to_string())
+                    );
+                }
+                assert!(cache.is_empty(), "a failed job published");
+                for (hits, misses) in [(0, 1), (1, 0)] {
+                    let out = runner
+                        .run_cached(&app, healthy.clone(), &cfg, &MarkersApart, &cache)
+                        .unwrap();
+                    assert_eq!(out.counters.get(names::CACHE_HITS), hits);
+                    assert_eq!(out.counters.get(names::CACHE_MISSES), misses);
+                    assert_eq!(out.into_sorted_output(), expect, "{pool_workers} workers");
+                }
+            }
+        }
+        // The same bytes under a `String` key, whose view borrows the
+        // payload as a `&str`: the reducer fails with the same error.
+        for pool_workers in [1, 2, 4] {
+            let cfg = JobConfig::new(1).engine(Engine::barrierless());
+            let state: StageState<WordCountApp, Vec<(String, u64)>> = StageState::new(&cfg);
+            let mut pool = Pool::new();
+            let (tx, rx) = pool.channel::<FlatBatch>(BATCH_CHANNEL_DEPTH);
+            let mut bad = FlatBatch::default();
+            bad.push(&"valid".to_string(), &1u64);
+            bad.push(&RawWord(b"shared-p\xFFx".to_vec()), &1u64);
+            assert!(tx.try_send_now(bad).is_ok());
+            drop(tx);
+            pool.spawn(
+                PipelinedReduceTask::new(&WordCountApp, &cfg, &state, 0, rx, Vec::new()).unwrap(),
+            );
+            pool.run(pool_workers).unwrap();
+            let done = state.reduce_slots[0].lock().unwrap().take();
+            assert!(
+                matches!(&done, Some(Err(MrError::Codec(e))) if *e == utf8),
+                "{pool_workers} workers: expected {utf8:?}"
+            );
         }
     }
 

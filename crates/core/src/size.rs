@@ -34,9 +34,13 @@ impl SizeEstimate for () {
     }
 }
 
+/// Charged by length, not capacity: the estimate drives the shuffle's
+/// batch cuts and the stores' spill cadence, which must be a function of
+/// the content alone, not of how the string was allocated (a map
+/// function's reused scratch key carries spare capacity).
 impl SizeEstimate for String {
     fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<String>() + self.capacity()
+        std::mem::size_of::<String>() + self.len()
     }
 }
 
@@ -118,11 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn string_includes_capacity() {
-        let s = String::with_capacity(100);
-        assert!(s.estimated_bytes() >= 100);
-        let t = "abc".to_string();
-        assert!(t.estimated_bytes() >= 3 + std::mem::size_of::<String>());
+    fn equal_strings_estimate_alike_whatever_their_capacity() {
+        let mut roomy = String::with_capacity(100);
+        roomy.push_str("abc");
+        let tight = "abc".to_string();
+        assert_eq!(roomy.estimated_bytes(), tight.estimated_bytes());
+        assert_eq!(tight.estimated_bytes(), 3 + std::mem::size_of::<String>());
     }
 
     #[test]

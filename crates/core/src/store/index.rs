@@ -8,14 +8,22 @@
 //! ([`crate::hash`]), selected by [`StoreIndex`].
 //!
 //! The contract that keeps the two interchangeable: **insertion order
-//! never leaks**. Probes (`get_mut`) and inserts are order-free, and the
-//! only way entries come back out is key-sorted — [`drain_sorted`]
-//! (spill runs, combiner drains) and [`into_sorted_iter`] (finalize).
-//! Under `Ordered` that is a plain in-order walk (no intermediate
-//! collection); under `Hashed` the keys are sorted once at the drain,
-//! amortizing the ordering cost the TreeMap paid on every insert.
-//! Because keys within one map are unique, the sort has no equal
-//! elements and both indexes produce byte-identical drains.
+//! never leaks**. Probes and inserts are order-free, and the only way
+//! entries come back out is key-sorted — [`drain_sorted`] (spill runs,
+//! combiner drains) and [`into_sorted_iter`] (finalize). Under `Ordered`
+//! that is a plain in-order walk (no intermediate collection); under
+//! `Hashed` the keys are sorted once at the drain, amortizing the
+//! ordering cost the TreeMap paid on every insert. Because keys within
+//! one map are unique, the sort has no equal elements and both indexes
+//! produce byte-identical drains.
+//!
+//! The absorb path probes with a *borrowed* key — a
+//! [`KeyView`](crate::codec::KeyView) read out of a shuffle batch, or a
+//! map function's scratch key — and builds an owned key only on a miss.
+//! A hit must hand the application the stored key and its state
+//! together, and `std`'s maps lend a key only beside a shared reference
+//! to its value, so each state sits in a [`RefCell`]: the probe borrows
+//! the entry shared and the cell lends the state mutably.
 //!
 //! [`drain_sorted`]: PartialMap::drain_sorted
 //! [`into_sorted_iter`]: PartialMap::into_sorted_iter
@@ -23,6 +31,8 @@
 use crate::config::StoreIndex;
 use crate::hash::FxHashMap;
 use crate::size::{SizeEstimate, ENTRY_OVERHEAD};
+use std::borrow::{Borrow, Cow};
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
@@ -30,9 +40,9 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub enum PartialMap<K, V> {
     /// Keys kept sorted on every insert (`BTreeMap`).
-    Ordered(BTreeMap<K, V>),
+    Ordered(BTreeMap<K, RefCell<V>>),
     /// O(1) expected probes; sorted once at drain (`FxHashMap`).
-    Hashed(FxHashMap<K, V>),
+    Hashed(FxHashMap<K, RefCell<V>>),
 }
 
 impl<K: Ord + Hash + Eq, V> PartialMap<K, V> {
@@ -57,19 +67,18 @@ impl<K: Ord + Hash + Eq, V> PartialMap<K, V> {
         self.len() == 0
     }
 
-    /// The absorb-hot-path probe.
-    #[inline]
+    /// `key`'s state, if present.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self {
+        let cell = match self {
             PartialMap::Ordered(m) => m.get_mut(key),
             PartialMap::Hashed(m) => m.get_mut(key),
-        }
+        };
+        cell.map(RefCell::get_mut)
     }
 
-    /// Inserts a fresh entry. The stores only call this after a missed
-    /// probe, so the key is moved in — no clone on either path.
-    #[inline]
+    /// Inserts a fresh entry (replacing any entry for `key`).
     pub fn insert(&mut self, key: K, value: V) {
+        let value = RefCell::new(value);
         match self {
             PartialMap::Ordered(m) => {
                 m.insert(key, value);
@@ -88,7 +97,7 @@ impl<K: Ord + Hash + Eq, V> PartialMap<K, V> {
         match self {
             PartialMap::Ordered(m) => SortedDrain::Ordered(std::mem::take(m).into_iter()),
             PartialMap::Hashed(m) => {
-                let mut entries: Vec<(K, V)> = m.drain().collect();
+                let mut entries: Vec<(K, RefCell<V>)> = m.drain().collect();
                 // Keys are unique, so an unstable sort is deterministic.
                 entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 SortedDrain::Hashed(entries.into_iter())
@@ -107,22 +116,57 @@ impl<K: Ord + Hash + Eq, V> PartialMap<K, V> {
     /// without consuming anything, so observation never perturbs spill
     /// cadence, byte accounting or final output. The ordered index
     /// streams its tree walk; the hashed index pays one reference sort.
-    pub fn sorted_view(&self) -> Vec<(&K, &V)> {
-        match self {
+    pub fn sorted_view(&self) -> Vec<(&K, Ref<'_, V>)> {
+        let entries: Vec<(&K, &RefCell<V>)> = match self {
             PartialMap::Ordered(m) => m.iter().collect(),
             PartialMap::Hashed(m) => {
-                let mut entries: Vec<(&K, &V)> = m.iter().collect();
+                let mut entries: Vec<_> = m.iter().collect();
                 entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
                 entries
             }
-        }
+        };
+        entries.into_iter().map(|(k, v)| (k, v.borrow())).collect()
     }
 
-    /// The absorb hot path, shared by every store: folds into `key`'s
-    /// entry via `absorb`, creating it with `init` on a miss (the key is
-    /// moved in, never cloned). Returns the signed change in estimated
-    /// bytes — the state delta on a hit; key + state + [`ENTRY_OVERHEAD`]
-    /// on a miss — for the caller's accounting (see [`apply_byte_delta`]).
+    /// The absorb hot path, shared by every store and the combiner:
+    /// probes with `key` borrowed and folds into its entry via `absorb`,
+    /// or — on a miss — builds the owned key (a clone only if `key` is
+    /// borrowed), creates its state with `init` and folds into that.
+    /// Returns the signed change in estimated bytes — the state delta on
+    /// a hit; key + state + [`ENTRY_OVERHEAD`] on a miss — for the
+    /// caller's accounting (see [`apply_byte_delta`]).
+    #[inline]
+    pub fn upsert<Q>(
+        &mut self,
+        key: Cow<'_, Q>,
+        init: impl FnOnce(&K) -> V,
+        absorb: impl FnOnce(&K, &mut V),
+    ) -> isize
+    where
+        K: Borrow<Q> + SizeEstimate,
+        V: SizeEstimate,
+        Q: ?Sized + Hash + Ord + ToOwned<Owned = K>,
+    {
+        let hit = match self {
+            PartialMap::Ordered(m) => m.get_key_value(&*key),
+            PartialMap::Hashed(m) => m.get_key_value(&*key),
+        };
+        if let Some((stored, cell)) = hit {
+            let state = &mut *cell.borrow_mut();
+            let before = state.estimated_bytes();
+            absorb(stored, state);
+            return state.estimated_bytes() as isize - before as isize;
+        }
+        let key = key.into_owned();
+        let mut state = init(&key);
+        absorb(&key, &mut state);
+        let added = key.estimated_bytes() + state.estimated_bytes() + ENTRY_OVERHEAD;
+        self.insert(key, state);
+        added as isize
+    }
+
+    /// [`upsert`](PartialMap::upsert) with an owned key, moved in on a
+    /// miss.
     #[inline]
     pub fn upsert_with(
         &mut self,
@@ -131,27 +175,14 @@ impl<K: Ord + Hash + Eq, V> PartialMap<K, V> {
         absorb: impl FnOnce(&K, &mut V),
     ) -> isize
     where
-        K: SizeEstimate,
+        K: Clone + SizeEstimate,
         V: SizeEstimate,
     {
-        match self.get_mut(&key) {
-            Some(state) => {
-                let before = state.estimated_bytes();
-                absorb(&key, state);
-                state.estimated_bytes() as isize - before as isize
-            }
-            None => {
-                let mut state = init(&key);
-                absorb(&key, &mut state);
-                let added = key.estimated_bytes() + state.estimated_bytes() + ENTRY_OVERHEAD;
-                self.insert(key, state);
-                added as isize
-            }
-        }
+        self.upsert::<K>(Cow::Owned(key), init, absorb)
     }
 }
 
-/// Applies a signed byte delta from [`PartialMap::upsert_with`] to a
+/// Applies a signed byte delta from [`PartialMap::upsert`] to a
 /// byte counter, saturating at zero (states can shrink — e.g. a
 /// selection evicting values — so the delta is not assumed non-negative).
 #[inline]
@@ -166,19 +197,20 @@ pub fn apply_byte_delta(total: u64, delta: isize) -> u64 {
 /// Key-ascending draining iterator over a [`PartialMap`]'s entries.
 pub enum SortedDrain<K, V> {
     /// Streaming straight out of the ordered tree.
-    Ordered(std::collections::btree_map::IntoIter<K, V>),
+    Ordered(std::collections::btree_map::IntoIter<K, RefCell<V>>),
     /// Walking the just-sorted entries of the hashed index.
-    Hashed(std::vec::IntoIter<(K, V)>),
+    Hashed(std::vec::IntoIter<(K, RefCell<V>)>),
 }
 
 impl<K, V> Iterator for SortedDrain<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        match self {
+        let (key, cell) = match self {
             SortedDrain::Ordered(it) => it.next(),
             SortedDrain::Hashed(it) => it.next(),
-        }
+        }?;
+        Some((key, cell.into_inner()))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -3,6 +3,7 @@
 
 use super::index::{apply_byte_delta, PartialMap};
 use super::{PartialStore, StoreReport};
+use crate::codec::KeyCow;
 use crate::config::StoreIndex;
 use crate::error::{MrError, MrResult};
 use crate::size::SizeEstimate;
@@ -14,8 +15,8 @@ use crate::traits::{Application, Emit};
 /// The index is either the paper's ordered map or an FxHash map with the
 /// key sort deferred to [`finalize_into`](PartialStore::finalize_into) —
 /// output is byte-identical either way, the absorb hot path is not (the
-/// hashed probe skips the O(log n) comparison walk, and neither path
-/// clones the key: it is moved into the map on a miss).
+/// hashed probe skips the O(log n) comparison walk). Either index probes
+/// with the key's view and builds the owned key only on a miss.
 ///
 /// The accounting models what the paper measured on the JVM: key bytes +
 /// state bytes + a per-node overhead, scaled by `heap_scale` so that
@@ -70,15 +71,15 @@ impl<A: Application> InMemoryStore<A> {
 }
 
 impl<A: Application> PartialStore<A> for InMemoryStore<A> {
-    fn absorb(
+    fn absorb_view(
         &mut self,
         app: &A,
-        key: A::MapKey,
+        key: KeyCow<'_, A::MapKey>,
         value: A::MapValue,
         shared: &mut A::Shared,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<()> {
-        let delta = self.map.upsert_with(
+        let delta = self.map.upsert(
             key,
             |k| app.init(k),
             |k, state| app.absorb(k, state, value, shared, out),
@@ -117,7 +118,7 @@ impl<A: Application> PartialStore<A> for InMemoryStore<A> {
         let mut bytes = 0u64;
         for (key, state) in self.map.sorted_view() {
             bytes += (key.estimated_bytes() + state.estimated_bytes()) as u64;
-            app.snapshot_emit(key, state, out);
+            app.snapshot_emit(key, &state, out);
         }
         Ok(bytes)
     }

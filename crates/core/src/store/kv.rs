@@ -8,7 +8,7 @@
 //! Figures 9/10.
 
 use super::{PartialStore, ScratchDir, StoreReport};
-use crate::codec::Codec;
+use crate::codec::{Codec, KeyCow};
 use crate::error::MrResult;
 use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
@@ -62,14 +62,17 @@ impl<A: Application> KvBackedStore<A> {
 }
 
 impl<A: Application> PartialStore<A> for KvBackedStore<A> {
-    fn absorb(
+    fn absorb_view(
         &mut self,
         app: &A,
-        key: A::MapKey,
+        key: KeyCow<'_, A::MapKey>,
         value: A::MapValue,
         shared: &mut A::Shared,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<()> {
+        // The application folds into an owned key on every record here:
+        // the state lives on disk, so there is no stored key to lend.
+        let key = key.into_owned();
         self.key_buf.clear();
         key.encode(&mut self.key_buf);
         // Read-modify-update, exactly the cycle described in §5.2.

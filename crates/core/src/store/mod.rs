@@ -20,9 +20,11 @@ pub use inmem::InMemoryStore;
 pub use kv::KvBackedStore;
 pub use spill::SpillMergeStore;
 
+use crate::codec::KeyCow;
 use crate::config::{JobConfig, MemoryPolicy};
 use crate::error::MrResult;
 use crate::traits::{Application, Emit};
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 /// A disk store's scratch directory, deleted with everything in it when
@@ -61,11 +63,25 @@ pub struct StoreReport {
 
 /// Storage for per-key partial results during a barrier-less reduce task.
 ///
-/// The engine calls [`absorb`](PartialStore::absorb) once per record, in
-/// arrival order, then [`finalize_into`](PartialStore::finalize_into) once
-/// the shuffle is drained.
+/// The engine calls [`absorb_view`](PartialStore::absorb_view) once per
+/// record, in arrival order, then
+/// [`finalize_into`](PartialStore::finalize_into) once the shuffle is
+/// drained.
 pub trait PartialStore<A: Application>: Send {
-    /// Folds one record into its key's partial result.
+    /// Folds one record into its key's partial result. The key comes as
+    /// its [`KeyView`](crate::codec::KeyView) — borrowed from a shuffle
+    /// batch, or owned — and a store builds an owned key only when it
+    /// needs one.
+    fn absorb_view(
+        &mut self,
+        app: &A,
+        key: KeyCow<'_, A::MapKey>,
+        value: A::MapValue,
+        shared: &mut A::Shared,
+        out: &mut dyn Emit<A::OutKey, A::OutValue>,
+    ) -> MrResult<()>;
+
+    /// [`absorb_view`](PartialStore::absorb_view) with an owned key.
     fn absorb(
         &mut self,
         app: &A,
@@ -73,7 +89,9 @@ pub trait PartialStore<A: Application>: Send {
         value: A::MapValue,
         shared: &mut A::Shared,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
-    ) -> MrResult<()>;
+    ) -> MrResult<()> {
+        self.absorb_view(app, Cow::Owned(key), value, shared, out)
+    }
 
     /// Drains the store: merges any spilled runs and calls
     /// `Application::finalize` for every key, in key order.

@@ -33,7 +33,7 @@
 
 use super::index::{apply_byte_delta, PartialMap};
 use super::{PartialStore, ScratchDir, StoreReport};
-use crate::codec::{Codec, CodecError};
+use crate::codec::{Codec, CodecError, KeyCow};
 use crate::config::StoreIndex;
 use crate::error::MrResult;
 use crate::size::SizeEstimate;
@@ -140,15 +140,15 @@ fn push_entry<K: Codec, S: Codec>(buf: &mut Vec<u8>, key: &K, state: &S) {
 }
 
 impl<A: Application> PartialStore<A> for SpillMergeStore<A> {
-    fn absorb(
+    fn absorb_view(
         &mut self,
         app: &A,
-        key: A::MapKey,
+        key: KeyCow<'_, A::MapKey>,
         value: A::MapValue,
         shared: &mut A::Shared,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<()> {
-        let delta = self.map.upsert_with(
+        let delta = self.map.upsert(
             key,
             |k| app.init(k),
             |k, state| app.absorb(k, state, value, shared, out),
@@ -200,7 +200,7 @@ impl<A: Application> PartialStore<A> for SpillMergeStore<A> {
         };
         if self.runs.is_empty() {
             for (key, state) in self.map.sorted_view() {
-                emit(key, state);
+                emit(key, &state);
             }
         } else {
             // A key's partials may be scattered across runs and the live
@@ -239,7 +239,7 @@ impl<A: Application> SpillMergeStore<A> {
         }
         let mut live = Vec::new();
         for (key, state) in self.map.sorted_view() {
-            push_entry(&mut live, key, state);
+            push_entry(&mut live, key, &*state);
         }
         sources.push(Cursor::in_memory(live, self.map.len() as u64));
         let mut tree = LoserTree::<A::MapKey>::new(sources)?;

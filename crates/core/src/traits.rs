@@ -8,13 +8,14 @@
 //! `mr-apps` keep the two forms in separate source files so Table 2's
 //! lines-of-code comparison stays honest.
 
-use crate::codec::Codec;
+use crate::codec::{Codec, KeyView};
 use crate::size::SizeEstimate;
 use std::hash::Hash;
 
-/// Intermediate key requirements: shuffled, compared, hashed, spilled.
-pub trait Key: Clone + Ord + Hash + Send + Codec + SizeEstimate + 'static {}
-impl<T: Clone + Ord + Hash + Send + Codec + SizeEstimate + 'static> Key for T {}
+/// Intermediate key requirements: shuffled, compared, hashed, spilled,
+/// and probed through a [`KeyView`] borrowed from the shuffle batch.
+pub trait Key: Clone + Ord + Hash + Send + Codec + KeyView + SizeEstimate + 'static {}
+impl<T: Clone + Ord + Hash + Send + Codec + KeyView + SizeEstimate + 'static> Key for T {}
 
 /// Intermediate value requirements: shuffled alongside the key, so they
 /// share its [`Codec`] bound — the pipelined shuffle ships records as
@@ -26,6 +27,20 @@ impl<T: Clone + Send + Codec + SizeEstimate + 'static> Value for T {}
 pub trait Emit<K, V> {
     /// Emits one record.
     fn emit(&mut self, key: K, value: V);
+
+    /// Emits one record the caller keeps, so a map function can reuse
+    /// one scratch key for every record it emits. The default clones
+    /// into [`emit`](Emit::emit), which is what a sink that keeps
+    /// records does anyway; the shuffle's map-side sink overrides it to
+    /// encode (or combine) straight from the references, and so
+    /// allocates nothing per record.
+    fn emit_ref(&mut self, key: &K, value: &V)
+    where
+        K: Clone,
+        V: Clone,
+    {
+        self.emit(key.clone(), value.clone());
+    }
 }
 
 impl<K, V> Emit<K, V> for Vec<(K, V)> {
