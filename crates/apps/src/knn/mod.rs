@@ -192,14 +192,9 @@ impl Application for KnnBarrierless {
 
     /// Ships the bounded candidate list, nearest first (the list is kept
     /// distance-ascending, so emission order is deterministic).
-    fn combiner_emit(
-        &self,
-        key: &i64,
-        state: Vec<(i64, i64)>,
-        out: &mut dyn Emit<i64, (i64, i64)>,
-    ) {
+    fn combiner_emit(&self, key: i64, state: Vec<(i64, i64)>, out: &mut dyn Emit<i64, (i64, i64)>) {
         for (dist, train) in state {
-            out.emit(*key, (train, dist));
+            out.emit(key, (train, dist));
         }
     }
 

@@ -82,11 +82,11 @@ impl Application for UniqueListens {
 
     /// Ships the deduplicated user set, one record per distinct user —
     /// sorted so re-run map tasks emit byte-identical output.
-    fn combiner_emit(&self, key: &u32, state: HashSet<u32>, out: &mut dyn Emit<u32, u32>) {
+    fn combiner_emit(&self, key: u32, state: HashSet<u32>, out: &mut dyn Emit<u32, u32>) {
         let mut users: Vec<u32> = state.into_iter().collect();
         users.sort_unstable();
         for user in users {
-            out.emit(*key, user);
+            out.emit(key, user);
         }
     }
 

@@ -6,13 +6,13 @@
 //! incremented so that duplicate values do not consume memory. Then, we
 //! emit the key count number of times in the end."
 //!
-//! The ordered map lives in the engine's partial-result store (a
-//! `BTreeMap`, Rust's red-black-tree equivalent); this module supplies the
-//! per-key state transitions. None of the partial results can be emitted
-//! until every value has been seen, so the store grows to O(records) —
-//! Table 1's worst case — and the whole job becomes a race between the
-//! framework's merge sort and these tree insertions, which merge sort
-//! wins by 2–9% (Figure 6a).
+//! The key order comes from the engine's partial-result store (a hashed
+//! map sorted once at finalize, where the paper kept its TreeMap); this
+//! module supplies the per-key state transitions. None of the partial
+//! results can be emitted until every value has been seen, so the store
+//! grows to O(records) — Table 1's worst case — and in the paper the
+//! whole job becomes a race between the framework's merge sort and these
+//! tree insertions, which merge sort wins by 2–9% (Figure 6a).
 
 use mr_core::Emit;
 

@@ -76,8 +76,8 @@ impl Application for WordCount {
     }
 
     /// A combined partial count ships as a single `(word, n)` record.
-    fn combiner_emit(&self, key: &String, state: u64, out: &mut dyn Emit<String, u64>) {
-        out.emit(key.clone(), state);
+    fn combiner_emit(&self, key: String, state: u64, out: &mut dyn Emit<String, u64>) {
+        out.emit(key, state);
     }
 
     /// Snapshot accuracy for counting: relative L1 error of the counts,

@@ -130,26 +130,18 @@ pub fn run_wordcount_with_combiner(
     seed: u64,
     combiner: mr_core::CombinerPolicy,
 ) -> SimReport<WordCount> {
-    run_wordcount_configured(gb, reducers, engine, seed, combiner, None)
+    run_wordcount_full(
+        gb,
+        reducers,
+        engine,
+        seed,
+        combiner,
+        mr_core::SnapshotPolicy::Disabled,
+    )
 }
 
-/// Runs WordCount with the full knob set: combining policy plus an
-/// optional cluster-level store-index override (the
-/// `ablation_storeindex` sweep's entry point; `None` keeps the job
-/// default, `StoreIndex::Hashed`).
-pub fn run_wordcount_configured(
-    gb: f64,
-    reducers: usize,
-    engine: Engine,
-    seed: u64,
-    combiner: mr_core::CombinerPolicy,
-    store_index: Option<mr_core::StoreIndex>,
-) -> SimReport<WordCount> {
-    run_wordcount_full(gb, reducers, engine, seed, combiner, store_index, None)
-}
-
-/// Runs WordCount with a cluster-level snapshot policy (the
-/// `fig_snapshot_accuracy` / `ablation_snapshot` entry point).
+/// Runs WordCount with a snapshot policy (the `fig_snapshot_accuracy` /
+/// `ablation_snapshot` entry point).
 pub fn run_wordcount_snapshotted(
     gb: f64,
     reducers: usize,
@@ -163,8 +155,7 @@ pub fn run_wordcount_snapshotted(
         engine,
         seed,
         mr_core::CombinerPolicy::Disabled,
-        None,
-        Some(snapshots),
+        snapshots,
     )
 }
 
@@ -175,17 +166,15 @@ fn run_wordcount_full(
     engine: Engine,
     seed: u64,
     combiner: mr_core::CombinerPolicy,
-    store_index: Option<mr_core::StoreIndex>,
-    snapshots: Option<mr_core::SnapshotPolicy>,
+    snapshots: mr_core::SnapshotPolicy,
 ) -> SimReport<WordCount> {
     let w = wc_workload(seed);
     let mut params = testbed(seed);
     params.combiner = combiner;
-    params.store_index = store_index;
-    params.snapshots = snapshots;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
         .heap_scale(WC_HEAP_SCALE)
+        .snapshots(snapshots)
         .scratch_dir(scratch());
     SimExecutor::new(params).run(
         &WordCount,
@@ -283,11 +272,18 @@ pub fn knn_costs() -> CostModel {
 /// Runs barrier-less-formulation kNN (which both engines can execute) at
 /// `gb` input.
 pub fn run_knn(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimReport<KnnBarrierless> {
-    run_knn_full(gb, reducers, engine, seed, None).1
+    run_knn_snapshotted(
+        gb,
+        reducers,
+        engine,
+        seed,
+        mr_core::SnapshotPolicy::Disabled,
+    )
+    .1
 }
 
-/// Runs kNN with a cluster-level snapshot policy, returning the app too
-/// (its `snapshot_error` scores the estimates).
+/// Runs kNN with a snapshot policy, returning the app too (its
+/// `snapshot_error` scores the estimates).
 pub fn run_knn_snapshotted(
     gb: f64,
     reducers: usize,
@@ -295,28 +291,16 @@ pub fn run_knn_snapshotted(
     seed: u64,
     snapshots: mr_core::SnapshotPolicy,
 ) -> (KnnBarrierless, SimReport<KnnBarrierless>) {
-    run_knn_full(gb, reducers, engine, seed, Some(snapshots))
-}
-
-/// The one kNN setup every public variant delegates to.
-fn run_knn_full(
-    gb: f64,
-    reducers: usize,
-    engine: Engine,
-    seed: u64,
-    snapshots: Option<mr_core::SnapshotPolicy>,
-) -> (KnnBarrierless, SimReport<KnnBarrierless>) {
     let w = knn_workload(seed);
     let app = KnnBarrierless {
         k: 10,
         experimental: w.experimental_set(),
     };
-    let mut params = testbed(seed);
-    params.snapshots = snapshots;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
+        .snapshots(snapshots)
         .scratch_dir(scratch());
-    let report = SimExecutor::new(params).run(
+    let report = SimExecutor::new(testbed(seed)).run(
         &app,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),
@@ -361,10 +345,16 @@ pub fn lastfm_costs() -> CostModel {
 
 /// Runs Last.fm unique listens at `gb` input.
 pub fn run_lastfm(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimReport<UniqueListens> {
-    run_lastfm_full(gb, reducers, engine, seed, None)
+    run_lastfm_snapshotted(
+        gb,
+        reducers,
+        engine,
+        seed,
+        mr_core::SnapshotPolicy::Disabled,
+    )
 }
 
-/// Runs Last.fm unique listens with a cluster-level snapshot policy.
+/// Runs Last.fm unique listens with a snapshot policy.
 pub fn run_lastfm_snapshotted(
     gb: f64,
     reducers: usize,
@@ -372,24 +362,12 @@ pub fn run_lastfm_snapshotted(
     seed: u64,
     snapshots: mr_core::SnapshotPolicy,
 ) -> SimReport<UniqueListens> {
-    run_lastfm_full(gb, reducers, engine, seed, Some(snapshots))
-}
-
-/// The one Last.fm setup every public variant delegates to.
-fn run_lastfm_full(
-    gb: f64,
-    reducers: usize,
-    engine: Engine,
-    seed: u64,
-    snapshots: Option<mr_core::SnapshotPolicy>,
-) -> SimReport<UniqueListens> {
     let w = lastfm_workload(seed);
-    let mut params = testbed(seed);
-    params.snapshots = snapshots;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
+        .snapshots(snapshots)
         .scratch_dir(scratch());
-    SimExecutor::new(params).run(
+    SimExecutor::new(testbed(seed)).run(
         &UniqueListens,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),

@@ -4,6 +4,10 @@
 //! (a) The in-memory TreeMap grows until it exhausts the heap and the job
 //!     is killed. (b) Disk spill-and-merge (240 MB threshold) keeps the
 //!     footprint bounded and the job completes.
+//!
+//! Both halves are asserted: the binary exits non-zero if (a) does not
+//! fail out of memory, or if (b) does not complete with its busiest
+//! reducer's heap samples under the cap.
 
 use mr_bench::appcfg::{
     scratch, testbed, wc_costs, wc_workload, WC_HEAP_CAP, WC_HEAP_SCALE, WC_SPILL_THRESHOLD,
@@ -78,15 +82,20 @@ fn main() {
             14,
         )
     );
-    match &inmem.outcome {
-        Outcome::Failed { at, reason } => println!(
-            "  job KILLED at {:.1}s: {reason}\n  (paper: out-of-memory error, job fails at ~80s)\n",
-            at.as_secs_f64()
-        ),
-        other => {
-            println!("  unexpected outcome {other:?} — raise input size to reproduce the OOM\n")
-        }
-    }
+    let Outcome::Failed { at, reason } = &inmem.outcome else {
+        panic!(
+            "in-memory run ended {:?} — raise input size to reproduce the OOM",
+            inmem.outcome
+        )
+    };
+    assert!(
+        reason.contains("exceeded heap"),
+        "in-memory run failed for another reason: {reason}"
+    );
+    println!(
+        "  job KILLED at {:.1}s: {reason}\n  (paper: out-of-memory error, job fails at ~80s)\n",
+        at.as_secs_f64()
+    );
 
     // (b) Spill and merge at the paper's 240 MB threshold: completes.
     let spill = run(
@@ -96,6 +105,14 @@ fn main() {
         None,
     );
     let (r, series) = busiest_reducer_series(&spill);
+    assert!(!series.is_empty(), "spill run recorded no heap samples");
+    // MB back to bytes is exact: the series divided by a power of two.
+    assert!(
+        series
+            .iter()
+            .all(|&(_, mb)| mb * (1 << 20) as f64 <= WC_HEAP_CAP as f64),
+        "spill run's reducer {r} heap exceeded the {WC_HEAP_CAP}-byte cap"
+    );
     let end = series.last().map(|p| p.0).unwrap_or(1.0);
     println!("--- (b) disk spill and merge (threshold 240 MB) ---");
     print!(
@@ -109,19 +126,17 @@ fn main() {
             14,
         )
     );
-    match &spill.outcome {
-        Outcome::Completed { at } => {
-            let out = spill.output.as_ref().expect("completed");
-            println!(
-                "  job completed at {:.1}s; spills written: {}, spill bytes: {} MB (modelled)\n  (paper: job completes successfully under the same threshold)",
-                at.as_secs_f64(),
-                out.counters.get(mr_core::counters::names::SPILL_FILES),
-                (out.counters.get(mr_core::counters::names::SPILL_BYTES) as f64
-                    * WC_HEAP_SCALE
-                    / (1 << 20) as f64)
-                    .round(),
-            );
-        }
-        other => println!("  unexpected outcome {other:?}"),
-    }
+    let Outcome::Completed { at } = &spill.outcome else {
+        panic!("spill run ended {:?}", spill.outcome)
+    };
+    let out = spill.output.as_ref().expect("completed");
+    println!(
+        "  job completed at {:.1}s; spills written: {}, spill bytes: {} MB (modelled)\n  (paper: job completes successfully under the same threshold)",
+        at.as_secs_f64(),
+        out.counters.get(mr_core::counters::names::SPILL_FILES),
+        (out.counters.get(mr_core::counters::names::SPILL_BYTES) as f64
+            * WC_HEAP_SCALE
+            / (1 << 20) as f64)
+            .round(),
+    );
 }

@@ -60,7 +60,7 @@
 //!   speculation).
 //! * The chain executor ignores combiner, snapshot and deadline knobs
 //!   (all modeled for single jobs by [`SimExecutor`](crate::SimExecutor));
-//!   store-index overrides apply as usual.
+//!   the trace override applies as usual.
 
 use crate::costs::CostModel;
 use crate::ctx::{self, Driver, Ev, SimCtx, Tag};
@@ -180,8 +180,8 @@ impl ChainSimExecutor {
         // before the per-stage configs are scrubbed below.
         let speculation = p.speculation.unwrap_or(spec.stages[0].speculation);
         // Effective per-stage configs: every cluster override applied in
-        // one place (`ClusterParams::effective_config` — store index and
-        // trace matter here), then the knobs this executor does not model
+        // one place (`ClusterParams::effective_config` — the trace
+        // matters here), then the knobs this executor does not model
         // are scrubbed: combiner, snapshot and deadline modeling is the
         // single-job executor's domain (see module docs), and speculation
         // lives in `ChainSim::speculation`, not the cfgs.

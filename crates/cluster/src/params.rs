@@ -1,8 +1,6 @@
 //! Static description of the simulated cluster.
 
-use mr_core::{
-    CombinerPolicy, JobConfig, SnapshotPolicy, SpeculationPolicy, StoreIndex, TracePolicy,
-};
+use mr_core::{CombinerPolicy, JobConfig, SpeculationPolicy, TracePolicy};
 
 /// Cluster hardware and scheduling parameters.
 ///
@@ -40,19 +38,6 @@ pub struct ClusterParams {
     /// `JobConfig::combiner`. Either way the application must also opt in
     /// via `combine_enabled()`.
     pub combiner: CombinerPolicy,
-    /// Partial-store index override for simulated jobs (reduce-side
-    /// stores *and* map-side combiner buffers). `Some` wins over the
-    /// job's own `JobConfig::store_index`; `None` leaves the job's
-    /// choice in force. Ablation sweeps A/B this cluster-wide without
-    /// touching per-job configs.
-    pub store_index: Option<StoreIndex>,
-    /// Snapshot-policy override for simulated jobs. `Some` wins over the
-    /// job's own `JobConfig::snapshots`; `None` leaves the job's choice
-    /// in force. Figure sweeps toggle early-answer estimation
-    /// cluster-wide without touching per-job configs; time-driven
-    /// policies tick on the *virtual* clock, scheduled as simulator
-    /// events and charged via `CostModel::snapshot_cpu_per_record`.
-    pub snapshots: Option<SnapshotPolicy>,
     /// Speculative-execution override for simulated jobs. `Some` wins
     /// over the job's own `JobConfig::speculation`; `None` leaves the
     /// job's choice in force. Straggler sweeps toggle backup attempts
@@ -82,8 +67,6 @@ impl ClusterParams {
             hetero_sigma: 0.25,
             task_noise_sigma: 0.12,
             combiner: CombinerPolicy::Disabled,
-            store_index: None,
-            snapshots: None,
             speculation: None,
             trace: None,
             seed,
@@ -100,12 +83,6 @@ impl ClusterParams {
         let mut cfg = cfg.clone();
         if self.combiner.is_enabled() {
             cfg.combiner = self.combiner;
-        }
-        if let Some(index) = self.store_index {
-            cfg.store_index = index;
-        }
-        if let Some(policy) = self.snapshots {
-            cfg.snapshots = policy;
         }
         if let Some(policy) = self.speculation {
             cfg.speculation = policy;
@@ -165,8 +142,6 @@ mod tests {
     fn effective_config_applies_each_override_with_cluster_wins() {
         let job = JobConfig::new(4)
             .combiner(CombinerPolicy::Enabled { budget_bytes: 111 })
-            .store_index(StoreIndex::Ordered)
-            .snapshots(SnapshotPolicy::EveryRecords { records: 7 })
             .speculation(SpeculationPolicy::Enabled {
                 check_secs: 3.0,
                 slowdown: 1.5,
@@ -177,22 +152,16 @@ mod tests {
         let p = ClusterParams::paper_testbed(1);
         let eff = p.effective_config(&job);
         assert_eq!(eff.combiner, job.combiner);
-        assert_eq!(eff.store_index, StoreIndex::Ordered);
-        assert_eq!(eff.snapshots, SnapshotPolicy::EveryRecords { records: 7 });
         assert_eq!(eff.speculation, job.speculation);
         assert_eq!(eff.trace, TracePolicy::Disabled);
 
         // Every override set: the cluster's choice wins on each knob.
         let mut p = ClusterParams::paper_testbed(1);
         p.combiner = CombinerPolicy::Enabled { budget_bytes: 999 };
-        p.store_index = Some(StoreIndex::Hashed);
-        p.snapshots = Some(SnapshotPolicy::Disabled);
         p.speculation = Some(SpeculationPolicy::Disabled);
         p.trace = Some(TracePolicy::Enabled);
         let eff = p.effective_config(&job);
         assert_eq!(eff.combiner, CombinerPolicy::Enabled { budget_bytes: 999 });
-        assert_eq!(eff.store_index, StoreIndex::Hashed);
-        assert_eq!(eff.snapshots, SnapshotPolicy::Disabled);
         assert_eq!(eff.speculation, SpeculationPolicy::Disabled);
         assert_eq!(eff.trace, TracePolicy::Enabled);
 

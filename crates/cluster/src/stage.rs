@@ -1327,9 +1327,9 @@ where
         // primary slot holds the winning attempt.
         let backup_won = self.resolve_red_winner(ctx, at, r, bk);
         let reducer_failed = |source| StageError::Reducer { r, source };
-        // Periodic policies publish one last snapshot at end-of-input,
+        // Snapshot policies publish one last snapshot at end-of-input,
         // so the final estimate an observer holds equals the answer.
-        if self.cfg.snapshots.is_periodic() {
+        if self.cfg.snapshots.is_enabled() {
             if let Some(driver) = self.reds[r].driver.as_mut() {
                 driver.set_now_secs(at.as_secs_f64());
                 driver.snapshot_now(self.app).map_err(reducer_failed)?;

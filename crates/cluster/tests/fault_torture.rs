@@ -5,8 +5,7 @@
 use mr_apps::wordcount::WordCount;
 use mr_cluster::{ClusterParams, CostModel, FnInput, SimExecutor};
 use mr_core::{
-    CombinerPolicy, Engine, HashPartitioner, JobConfig, SnapshotPolicy, StoreIndex, TraceEvent,
-    TraceQuery,
+    CombinerPolicy, Engine, HashPartitioner, JobConfig, SnapshotPolicy, TraceEvent, TraceQuery,
 };
 use mr_workloads::TextWorkload;
 use std::collections::BTreeMap;
@@ -58,21 +57,9 @@ fn run_with_combiner(
     faults: &[(f64, usize)],
     combiner: CombinerPolicy,
 ) -> (bool, Option<BTreeMap<String, u64>>, usize, usize) {
-    run_full(engine, seed, chunks, faults, combiner, None)
-}
-
-fn run_full(
-    engine: Engine,
-    seed: u64,
-    chunks: u64,
-    faults: &[(f64, usize)],
-    combiner: CombinerPolicy,
-    store_index: Option<StoreIndex>,
-) -> (bool, Option<BTreeMap<String, u64>>, usize, usize) {
     let w = workload(seed);
     let mut params = cluster(seed);
     params.combiner = combiner;
-    params.store_index = store_index;
     let cfg = JobConfig::new(4).engine(engine).scratch_dir(
         std::env::temp_dir().join(format!("mr-fault-torture-{}-{seed}", std::process::id())),
     );
@@ -169,36 +156,30 @@ fn node_death_mid_shuffle_with_combining_enabled() {
 
 #[test]
 fn node_death_under_hashed_index_is_byte_exact_and_matches_ordered() {
-    // The tentpole's fault-recovery claim: with the hashed
-    // (sort-at-drain) index active — including inside the map-side
-    // combiner, whose drains feed the shuffle that re-run maps must
-    // reproduce — killing a node mid-job yields byte-exact output
-    // under either index (equality to the one reference also makes the
-    // two recoveries equal to each other). Exercises the cluster-level
-    // `ClusterParams::store_index` override for both settings.
+    // With the hashed (sort-at-drain) index active — including inside
+    // the map-side combiner, whose drains feed the shuffle that re-run
+    // maps must reproduce — killing a node mid-job yields output
+    // byte-equal to the ordered (`BTreeMap`) reference fold.
     let chunks = 12u64;
     let expect = reference(chunks, 91);
     for engine in [Engine::Barrier, Engine::barrierless()] {
         for fail_at in [45.0, 110.0] {
-            for index in [StoreIndex::Ordered, StoreIndex::Hashed] {
-                let (completed, output, _, _) = run_full(
-                    engine.clone(),
-                    91,
-                    chunks,
-                    &[(fail_at, 2)],
-                    CombinerPolicy::enabled(),
-                    Some(index),
-                );
-                assert!(
-                    completed,
-                    "failure at {fail_at}s killed the job under {engine:?} / {index:?}"
-                );
-                assert_eq!(
-                    output.unwrap(),
-                    expect,
-                    "failure at {fail_at}s corrupted output under {engine:?} / {index:?}"
-                );
-            }
+            let (completed, output, _, _) = run_with_combiner(
+                engine.clone(),
+                91,
+                chunks,
+                &[(fail_at, 2)],
+                CombinerPolicy::enabled(),
+            );
+            assert!(
+                completed,
+                "failure at {fail_at}s killed the job under {engine:?}"
+            );
+            assert_eq!(
+                output.unwrap(),
+                expect,
+                "failure at {fail_at}s corrupted output under {engine:?}"
+            );
         }
     }
 }
@@ -218,13 +199,14 @@ fn node_death_between_snapshots_never_regresses_the_sequence() {
         // barrier-less reducer has already finished, so stay earlier.
         for fail_at in [35.0, 40.0] {
             let w = workload(63);
-            let mut params = cluster(63);
-            params.snapshots = Some(SnapshotPolicy::EverySecs { secs: 30.0 });
-            let cfg = JobConfig::new(4).engine(engine.clone()).scratch_dir(
-                std::env::temp_dir()
-                    .join(format!("mr-fault-snap-{}-{fail_at}", std::process::id())),
-            );
-            let report = SimExecutor::new(params).run_with_faults(
+            let cfg = JobConfig::new(4)
+                .engine(engine.clone())
+                .snapshots(SnapshotPolicy::EverySecs { secs: 30.0 })
+                .scratch_dir(
+                    std::env::temp_dir()
+                        .join(format!("mr-fault-snap-{}-{fail_at}", std::process::id())),
+                );
+            let report = SimExecutor::new(cluster(63)).run_with_faults(
                 &WordCount,
                 &FnInput(move |c| w.chunk(c)),
                 chunks,

@@ -25,7 +25,7 @@ use mr_cluster::{
 use mr_core::counters::names;
 use mr_core::{
     ChainSpec, CombinerPolicy, DeadlinePolicy, Engine, HandoffMode, HashPartitioner, JobConfig,
-    MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex, TenantSpec, TraceQuery,
+    MemoryPolicy, SnapshotPolicy, SpeculationPolicy, TenantSpec, TraceQuery,
 };
 use mr_workloads::TextWorkload;
 use std::fmt::Debug;
@@ -235,7 +235,6 @@ fn sim_executor_sweep_matches_the_pinned_table() {
     assert!(r.outcome.is_approximate(), "{:?}", r.outcome);
     rows.push(single_row("deadline/inmem", &r));
     let mut hashed = cluster(seed, false);
-    hashed.store_index = Some(StoreIndex::Hashed);
     hashed.combiner = CombinerPolicy::enabled();
     let r = run_single(&hashed, seed, &bl("hashed"), &[(25.0, 2)]);
     rows.push(single_row("hashed/inmem/fault/comb-on", &r));

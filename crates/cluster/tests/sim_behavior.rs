@@ -542,17 +542,15 @@ fn record_driven_snapshots_are_deterministic_and_invisible_in_the_sim() {
 }
 
 #[test]
-fn cluster_snapshot_override_wins_and_invalid_config_fails_loudly() {
+fn timed_job_snapshots_tick_and_invalid_config_fails_loudly() {
     use mr_core::SnapshotPolicy;
     let chunks = 6;
-    // Cluster-level override turns snapshots on even though the job
-    // itself asked for none.
-    let mut params = small_cluster(17);
-    params.snapshots = Some(SnapshotPolicy::EverySecs { secs: 30.0 });
+    // A time-driven policy ticks on the virtual clock.
     let cfg = JobConfig::new(3)
         .engine(Engine::barrierless())
+        .snapshots(SnapshotPolicy::EverySecs { secs: 30.0 })
         .scratch_dir(scratch("snap-override"));
-    let report = SimExecutor::new(params).run(
+    let report = SimExecutor::new(small_cluster(17)).run(
         &WordCount,
         &FnInput(wc_input(17)),
         chunks,
@@ -561,7 +559,7 @@ fn cluster_snapshot_override_wins_and_invalid_config_fails_loudly() {
         &HashPartitioner,
     );
     assert!(report.outcome.is_completed());
-    assert!(report.snapshots_taken > 0, "override did not activate");
+    assert!(report.snapshots_taken > 0, "timed snapshots did not tick");
 
     // An invalid knob (zero shuffle batch) is a failed report up front,
     // not a panic deep in the event loop.

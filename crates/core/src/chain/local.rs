@@ -581,7 +581,7 @@ impl LocalRunner {
 mod tests {
     use super::*;
     use crate::chain::InputAdapter;
-    use crate::config::{Engine, JobConfig, MemoryPolicy, StoreIndex};
+    use crate::config::{Engine, JobConfig, MemoryPolicy};
     use crate::partition::HashPartitioner;
     use crate::testutil::{scratch_dir, WordCountApp};
 
@@ -692,33 +692,31 @@ mod tests {
     }
 
     #[test]
-    fn streaming_chain_respects_index_and_combiner_knobs() {
+    fn streaming_chain_respects_the_combiner_knob() {
         let splits = text_splits(5, 24);
         let cfg1 = JobConfig::new(2).engine(Engine::barrierless());
         let cfg2 = JobConfig::new(2).engine(Engine::barrierless());
         let expect = sequential_reference(splits.clone(), &cfg1, &cfg2);
-        for index in [StoreIndex::Ordered, StoreIndex::Hashed] {
-            for combine in [
-                crate::config::CombinerPolicy::Disabled,
-                crate::config::CombinerPolicy::enabled(),
-            ] {
-                let cfg1 = cfg1.clone().store_index(index).combiner(combine);
-                let cfg2 = cfg2.clone().store_index(index).combiner(combine);
-                let out = LocalRunner::new(4)
-                    .run_chain2(
-                        &WordCountApp,
-                        &histogram(),
-                        splits.clone(),
-                        &spec2(cfg1, cfg2, HandoffMode::Streaming),
-                        &HashPartitioner,
-                        &HashPartitioner,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    out.output.partitions, expect,
-                    "index {index:?} combiner {combine:?} changed chained output"
-                );
-            }
+        for combine in [
+            crate::config::CombinerPolicy::Disabled,
+            crate::config::CombinerPolicy::enabled(),
+        ] {
+            let cfg1 = cfg1.clone().combiner(combine);
+            let cfg2 = cfg2.clone().combiner(combine);
+            let out = LocalRunner::new(4)
+                .run_chain2(
+                    &WordCountApp,
+                    &histogram(),
+                    splits.clone(),
+                    &spec2(cfg1, cfg2, HandoffMode::Streaming),
+                    &HashPartitioner,
+                    &HashPartitioner,
+                )
+                .unwrap();
+            assert_eq!(
+                out.output.partitions, expect,
+                "combiner {combine:?} changed chained output"
+            );
         }
     }
 

@@ -173,7 +173,7 @@ where
 
     fn combiner_emit(
         &self,
-        key: &Self::MapKey,
+        key: Self::MapKey,
         state: Self::State,
         out: &mut dyn Emit<Self::MapKey, Self::MapValue>,
     ) {

@@ -130,25 +130,15 @@ pub enum SnapshotPolicy {
         /// Seconds between snapshots (> 0).
         secs: f64,
     },
-    /// Only when explicitly requested via
-    /// [`IncrementalDriver::snapshot_now`](crate::engine::pipeline::IncrementalDriver::snapshot_now).
-    OnDemand,
 }
 
 impl SnapshotPolicy {
-    /// True unless the policy is [`SnapshotPolicy::Disabled`].
+    /// True unless the policy is [`SnapshotPolicy::Disabled`]. Every
+    /// enabled policy is periodic and also publishes one final snapshot
+    /// at end-of-input, so the last snapshot always equals the finalize
+    /// output.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, SnapshotPolicy::Disabled)
-    }
-
-    /// True for the periodic policies (`EveryRecords` / `EverySecs`),
-    /// which also publish one final snapshot at end-of-input so the last
-    /// snapshot always equals the finalize output.
-    pub fn is_periodic(&self) -> bool {
-        matches!(
-            self,
-            SnapshotPolicy::EveryRecords { .. } | SnapshotPolicy::EverySecs { .. }
-        )
     }
 
     /// The absorbed-record interval, if records-driven.
@@ -367,26 +357,12 @@ impl ChainSpec {
     }
 }
 
-/// How per-key partial results are *indexed* inside the in-memory
-/// stores — the reduce-side [`InMemoryStore`](crate::store::InMemoryStore)
-/// and [`SpillMergeStore`](crate::store::SpillMergeStore) run, and the
-/// map-side [`CombinerBuffer`](crate::combine::CombinerBuffer).
-///
-/// The paper's Java prototype used a `TreeMap`, making every `absorb` an
-/// O(log n) ordered probe with full key comparisons. [`StoreIndex::Hashed`]
-/// replaces that with an in-tree FxHash map ([`crate::hash`]) and recovers
-/// the key-order guarantees by sorting **once at drain time** (combiner
-/// drains, spill-run writes, finalize) instead of on every insert — so
-/// output bytes, spill-run contents and fault-recovery map re-runs are
-/// identical under either index. Both are kept so the trade-off stays
-/// A/B-able (`ablation_storeindex`).
+/// How per-key partial results are indexed: one FxHash map
+/// ([`crate::store::PartialMap`]) sorted once at drain. Kept only so the
+/// benchmark compiles; ROADMAP item 1 removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreIndex {
-    /// Ordered map (`BTreeMap`), the paper's TreeMap: keys kept sorted on
-    /// every insert, drains are a plain in-order walk.
-    Ordered,
-    /// FxHash map with amortized sort-at-drain: O(1) expected probes on
-    /// the absorb hot path; keys sorted once when the store drains.
+    /// FxHash map with amortized sort-at-drain.
     #[default]
     Hashed,
 }
@@ -447,8 +423,7 @@ impl Engine {
 /// | Knob | Builder | `ClusterParams` override | Default |
 /// |------|---------|--------------------------|---------|
 /// | `combiner` | [`combiner`](JobConfig::combiner) | `combiner` (enabled wins) | `Disabled` |
-/// | `store_index` | [`store_index`](JobConfig::store_index) | `store_index` (`Some` wins) | `Hashed` |
-/// | `snapshots` | [`snapshots`](JobConfig::snapshots) | `snapshots` (`Some` wins) | `Disabled` |
+/// | `snapshots` | [`snapshots`](JobConfig::snapshots) | — | `Disabled` |
 /// | `speculation` | [`speculation`](JobConfig::speculation) | `speculation` (`Some` wins) | `Disabled` |
 /// | `deadline` | [`deadline`](JobConfig::deadline) | — | `Disabled` |
 /// | `trace` | [`trace`](JobConfig::trace) | `trace` (`Some` wins) | `Enabled` |
@@ -479,11 +454,7 @@ pub struct JobConfig {
     /// batched channels). Per-record shuffle overhead amortizes over
     /// roughly `batch_bytes / record_bytes` records.
     pub shuffle_batch_bytes: usize,
-    /// How the in-memory partial stores (reduce-side in-memory/spill
-    /// runs, map-side combiner buffers) index their keys. Defaults to
-    /// [`StoreIndex::Hashed`]; [`StoreIndex::Ordered`] restores the
-    /// paper's TreeMap behaviour for A/B runs. Output is byte-identical
-    /// under either.
+    /// Kept only so the benchmark compiles; ROADMAP item 1 removes it.
     pub store_index: StoreIndex,
     /// When reduce tasks publish partial-result snapshots (early
     /// estimates of the final answer). [`SnapshotPolicy::Disabled`] by
@@ -574,12 +545,6 @@ impl JobConfig {
     pub fn shuffle_batch_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes >= 1);
         self.shuffle_batch_bytes = bytes;
-        self
-    }
-
-    /// Sets the partial-store index strategy.
-    pub fn store_index(mut self, index: StoreIndex) -> Self {
-        self.store_index = index;
         self
     }
 
@@ -897,28 +862,17 @@ mod tests {
     }
 
     #[test]
-    fn hashed_index_is_the_default_and_ordered_is_reachable() {
-        let cfg = JobConfig::new(1);
-        assert_eq!(cfg.store_index, StoreIndex::Hashed);
-        let cfg = cfg.store_index(StoreIndex::Ordered);
-        assert_eq!(cfg.store_index, StoreIndex::Ordered);
-    }
-
-    #[test]
     fn snapshots_are_off_by_default_and_builder_sets_them() {
         let cfg = JobConfig::new(1);
         assert_eq!(cfg.snapshots, SnapshotPolicy::Disabled);
         assert!(!cfg.snapshots.is_enabled());
-        assert!(!cfg.snapshots.is_periodic());
         let cfg = cfg.snapshots(SnapshotPolicy::EveryRecords { records: 64 });
         assert!(cfg.snapshots.is_enabled());
-        assert!(cfg.snapshots.is_periodic());
         assert_eq!(cfg.snapshots.record_interval(), Some(64));
         assert_eq!(cfg.snapshots.secs_interval(), None);
         let timed = SnapshotPolicy::EverySecs { secs: 2.5 };
         assert_eq!(timed.secs_interval(), Some(2.5));
-        assert!(SnapshotPolicy::OnDemand.is_enabled());
-        assert!(!SnapshotPolicy::OnDemand.is_periodic());
+        assert!(timed.is_enabled());
     }
 
     #[test]

@@ -159,11 +159,10 @@ impl<A: Application> IncrementalDriver<A> {
         self.snap_records
     }
 
-    /// Publishes a snapshot right now, regardless of policy (the
-    /// `OnDemand` entry point; also used by executors for time-driven
-    /// ticks and the end-of-input final snapshot). The store is walked
-    /// as a frozen view — absorb state, spill cadence and final output
-    /// are untouched.
+    /// Publishes a snapshot right now, regardless of policy — what the
+    /// executors call for time-driven ticks and the end-of-input final
+    /// snapshot. The store is walked as a frozen view — absorb state,
+    /// spill cadence and final output are untouched.
     pub fn snapshot_now(&mut self, app: &A) -> MrResult<()> {
         let mut estimate = Vec::new();
         let mut bytes = 0u64;
@@ -290,7 +289,7 @@ pub fn reduce_partition_barrierless_traced<A: Application>(
     for (key, value) in records {
         driver.push(app, key, value, &mut out)?;
     }
-    if cfg.snapshots.is_periodic() {
+    if cfg.snapshots.is_enabled() {
         driver.snapshot_now(app)?;
     }
     let snapshots = driver.take_snapshots();
@@ -500,8 +499,10 @@ mod tests {
 
     #[test]
     fn on_demand_snapshots_only_fire_when_asked() {
+        // A time-driven policy publishes only when its executor ticks,
+        // through `snapshot_now`; records alone never fire it.
         let mut cfg = barrierless_cfg(MemoryPolicy::InMemory);
-        cfg.snapshots = SnapshotPolicy::OnDemand;
+        cfg.snapshots = SnapshotPolicy::EverySecs { secs: 10.0 };
         let mut driver = IncrementalDriver::new(&WordCountApp, &cfg, 0).unwrap();
         let mut out = Vec::new();
         for (k, v) in wc_records(40) {

@@ -100,8 +100,8 @@ impl Hasher for FxHasher {
 /// per-instance seed state.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed by [`FxHasher`] — the hashed index behind
-/// [`StoreIndex::Hashed`](crate::config::StoreIndex).
+/// A `HashMap` keyed by [`FxHasher`] — the index behind
+/// [`PartialMap`](crate::store::PartialMap).
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //!
 //! Removing the barrier makes partial-result memory the central problem
 //! (§5); the three [`store`] policies answer it: in-memory map, disk
-//! spill-and-merge, and a disk-spilling key/value store. The in-memory
-//! index is a knob ([`StoreIndex`]): the paper's ordered map, or an
-//! in-tree FxHash map ([`hash`]) whose key ordering is recovered by one
-//! amortized sort at drain time — byte-identical output either way.
+//! spill-and-merge, and a disk-spilling key/value store. Where the paper
+//! kept an ordered map, the in-memory index is an in-tree FxHash map
+//! ([`hash`]) whose key ordering is recovered by one amortized sort at
+//! drain time.
 //!
 //! [`local::LocalRunner`] executes jobs for real on a fixed-size worker
 //! pool ([`local::pool`]) with true map→reduce pipelining: task state

@@ -28,7 +28,7 @@
 //! * A job with an enabled snapshot policy: a hit skips the run and so
 //!   cannot reproduce the snapshot stream a cold run publishes.
 
-use crate::config::{CacheBudget, CombinerPolicy, Engine, JobConfig, StoreIndex};
+use crate::config::{CacheBudget, CombinerPolicy, Engine, JobConfig};
 use crate::counters::{names, Counters};
 use crate::size::SizeEstimate;
 use crate::traits::{Application, IdentityWriter};
@@ -170,10 +170,9 @@ fn write_config(k: &mut KeyBuilder, cfg: &JobConfig) {
             k.write_u64(budget_bytes);
         }
     }
-    k.write_u64(match cfg.store_index {
-        StoreIndex::Ordered => 0,
-        StoreIndex::Hashed => 1,
-    });
+    // The partial-store index's tag: the one index left (hashed) keeps
+    // the tag it had beside the ordered one, so job keys do not move.
+    k.write_u64(1);
 }
 
 /// Application + partitioner identity, the "same computation" half of
@@ -371,7 +370,6 @@ mod tests {
                     budget_bytes: 1 << 10,
                 }),
             ),
-            ("store index", cfg.clone().store_index(StoreIndex::Ordered)),
         ];
         for (what, other) in &moved {
             assert_ne!(base, job_key_of(&WordCountApp, other, &input), "{what}");

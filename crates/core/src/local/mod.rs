@@ -761,7 +761,7 @@ impl<'a, A: Application, S: ReduceSink<A>> PipelinedReduceTask<'a, A, S> {
     /// the sink, seal it. The task then pumps until the sink is empty.
     fn finalize(&mut self) -> MrResult<()> {
         let app = self.app;
-        if self.cfg.snapshots.is_periodic() {
+        if self.cfg.snapshots.is_enabled() {
             // End-of-input snapshot: the last estimate a periodic
             // observer sees equals the final answer.
             let driver = self.driver.as_mut().unwrap();
@@ -2137,8 +2137,10 @@ mod tests {
 
     #[test]
     fn ordered_and_hashed_indexes_agree_under_every_policy() {
-        use crate::config::StoreIndex;
+        // The hashed stores and combiner buffers, under every memory
+        // policy, against an ordered (`BTreeMap`) fold of the input.
         let splits = text_splits(6, 40);
+        let expect = expected_counts(&splits);
         for policy in [
             MemoryPolicy::InMemory,
             MemoryPolicy::SpillMerge {
@@ -2146,37 +2148,23 @@ mod tests {
             },
             MemoryPolicy::KvStore { cache_bytes: 1024 },
         ] {
-            let run = |index: StoreIndex| {
-                let cfg = JobConfig::new(3)
-                    .engine(Engine::BarrierLess {
-                        memory: policy.clone(),
-                    })
-                    .store_index(index)
-                    .combiner(crate::config::CombinerPolicy::enabled())
-                    .scratch_dir(scratch_dir("local-ab"));
-                LocalRunner::new(4)
-                    .run(&WordCountApp, splits.clone(), &cfg)
-                    .unwrap()
-            };
-            let ordered = run(StoreIndex::Ordered);
-            let hashed = run(StoreIndex::Hashed);
-            assert_eq!(
-                ordered.partitions, hashed.partitions,
-                "index flip changed output under {policy:?}"
-            );
-            // Spill behaviour must be identical too: byte accounting is
-            // order-free, so both indexes trip the threshold at the
-            // same absorb and write the same runs.
-            assert_eq!(
-                ordered.counters.get(names::SPILL_FILES),
-                hashed.counters.get(names::SPILL_FILES),
-                "index flip changed spill cadence under {policy:?}"
-            );
-            assert_eq!(
-                ordered.counters.get(names::SPILL_BYTES),
-                hashed.counters.get(names::SPILL_BYTES),
-                "index flip changed spill bytes under {policy:?}"
-            );
+            let cfg = JobConfig::new(3)
+                .engine(Engine::BarrierLess {
+                    memory: policy.clone(),
+                })
+                .combiner(crate::config::CombinerPolicy::enabled())
+                .scratch_dir(scratch_dir("local-ab"));
+            let out = LocalRunner::new(4)
+                .run(&WordCountApp, splits.clone(), &cfg)
+                .unwrap();
+            for part in &out.partitions {
+                assert!(
+                    part.windows(2).all(|w| w[0].0 < w[1].0),
+                    "partition not key-sorted under {policy:?}"
+                );
+            }
+            let got: BTreeMap<String, u64> = out.into_sorted_output().into_iter().collect();
+            assert_eq!(got, expect, "output diverged under {policy:?}");
         }
     }
 

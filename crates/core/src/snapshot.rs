@@ -12,8 +12,8 @@
 //! Snapshots are pure observation. The invariant the test harness pins:
 //! enabling any [`SnapshotPolicy`](crate::SnapshotPolicy) — including a
 //! pathological every-1-record policy — leaves the job's *final* output
-//! byte-identical to a snapshot-free run, on every engine, store index
-//! and memory policy.
+//! byte-identical to a snapshot-free run, on every engine and memory
+//! policy.
 
 use crate::traits::Application;
 

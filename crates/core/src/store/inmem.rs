@@ -1,10 +1,9 @@
 //! In-memory partial-result store — the paper's Java `TreeMap` (§3.2),
-//! with the index strategy now a knob ([`StoreIndex`]).
+//! kept in a hashed [`PartialMap`] that sorts once at finalize.
 
 use super::index::{apply_byte_delta, PartialMap};
 use super::{PartialStore, StoreReport};
 use crate::codec::KeyCow;
-use crate::config::StoreIndex;
 use crate::error::{MrError, MrResult};
 use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
@@ -12,11 +11,11 @@ use crate::traits::{Application, Emit};
 /// Partial results in memory, with byte accounting and an optional hard
 /// heap cap.
 ///
-/// The index is either the paper's ordered map or an FxHash map with the
-/// key sort deferred to [`finalize_into`](PartialStore::finalize_into) —
-/// output is byte-identical either way, the absorb hot path is not (the
-/// hashed probe skips the O(log n) comparison walk). Either index probes
-/// with the key's view and builds the owned key only on a miss.
+/// The index is an FxHash map with the key sort deferred to
+/// [`finalize_into`](PartialStore::finalize_into), so output comes out in
+/// the key order the paper's TreeMap gave while the absorb hot path
+/// skips its O(log n) comparison walk. It probes with the key's view and
+/// builds the owned key only on a miss.
 ///
 /// The accounting models what the paper measured on the JVM: key bytes +
 /// state bytes + a per-node overhead, scaled by `heap_scale` so that
@@ -34,9 +33,9 @@ pub struct InMemoryStore<A: Application> {
 
 impl<A: Application> InMemoryStore<A> {
     /// An empty store for reduce partition `reducer`.
-    pub fn new(index: StoreIndex, heap_cap: Option<u64>, heap_scale: f64, reducer: usize) -> Self {
+    pub fn new(heap_cap: Option<u64>, heap_scale: f64, reducer: usize) -> Self {
         InMemoryStore {
-            map: PartialMap::new(index),
+            map: PartialMap::new(),
             raw_bytes: 0,
             heap_scale,
             heap_cap,

@@ -141,14 +141,12 @@ pub fn make_store<A: Application>(
 ) -> MrResult<Box<dyn PartialStore<A>>> {
     Ok(match policy {
         MemoryPolicy::InMemory => Box::new(InMemoryStore::new(
-            cfg.store_index,
             cfg.heap_cap_bytes,
             cfg.heap_scale,
             reducer,
         )),
         MemoryPolicy::SpillMerge { threshold_bytes } => Box::new(SpillMergeStore::new(
             &cfg.scratch_dir,
-            cfg.store_index,
             *threshold_bytes,
             cfg.heap_scale,
             reducer,

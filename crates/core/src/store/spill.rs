@@ -25,16 +25,13 @@
 //! * each distinct key is decoded once, each state once, and a damaged
 //!   run is a typed [`CodecError`], never a panic.
 //!
-//! The live map's index strategy is a knob ([`StoreIndex`]): under
-//! `Hashed`, absorbs are O(1) expected probes and the key sort happens
-//! once per spill (inside [`PartialMap::drain_sorted`]) instead of on
-//! every insert. Run files are key-sorted either way, so the merge phase
-//! and the bytes on disk are identical under both indexes.
+//! The live map is hashed: absorbs are O(1) expected probes and the key
+//! sort happens once per spill (inside [`PartialMap::drain_sorted`])
+//! instead of on every insert, so run files come out key-sorted.
 
 use super::index::{apply_byte_delta, PartialMap};
 use super::{PartialStore, ScratchDir, StoreReport};
 use crate::codec::{Codec, CodecError, KeyCow};
-use crate::config::StoreIndex;
 use crate::error::MrResult;
 use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
@@ -77,7 +74,6 @@ impl<A: Application> SpillMergeStore<A> {
     /// reaches `threshold_bytes`.
     pub fn new(
         scratch_dir: &Path,
-        index: StoreIndex,
         threshold_bytes: u64,
         heap_scale: f64,
         reducer: usize,
@@ -86,7 +82,7 @@ impl<A: Application> SpillMergeStore<A> {
         let dir = scratch_dir.join(format!("spill-{}-r{reducer}-{serial}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         Ok(SpillMergeStore {
-            map: PartialMap::new(index),
+            map: PartialMap::new(),
             raw_bytes: 0,
             threshold_bytes,
             heap_scale,
@@ -508,7 +504,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn store(root: &Path, threshold: u64) -> Box<SpillMergeStore<WordCountApp>> {
-        let store = SpillMergeStore::new(root, StoreIndex::Hashed, threshold, 1.0, 0);
+        let store = SpillMergeStore::new(root, threshold, 1.0, 0);
         Box::new(store.expect("store"))
     }
 

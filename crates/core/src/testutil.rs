@@ -77,8 +77,8 @@ impl Application for WordCountApp {
         true
     }
 
-    fn combiner_emit(&self, key: &String, state: u64, out: &mut dyn Emit<String, u64>) {
-        out.emit(key.clone(), state);
+    fn combiner_emit(&self, key: String, state: u64, out: &mut dyn Emit<String, u64>) {
+        out.emit(key, state);
     }
 
     fn name(&self) -> &'static str {

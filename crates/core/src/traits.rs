@@ -237,10 +237,11 @@ pub trait Application: Send + Sync + 'static {
     /// Converts one combined partial result back into shuffle records.
     /// Called when the map-side [`CombinerBuffer`](crate::combine::CombinerBuffer)
     /// drains; must be overridden by applications returning `true` from
-    /// [`combine_enabled`](Application::combine_enabled).
+    /// [`combine_enabled`](Application::combine_enabled). The drained
+    /// key is handed over by value, so emitting it costs no clone.
     fn combiner_emit(
         &self,
-        key: &Self::MapKey,
+        key: Self::MapKey,
         state: Self::State,
         out: &mut dyn Emit<Self::MapKey, Self::MapValue>,
     ) {

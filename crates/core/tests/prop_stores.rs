@@ -1,15 +1,13 @@
 //! Property tests for the partial-result stores: for any record stream
-//! and any spill threshold / cache size, all three §5 policies — each
-//! under both store indexes (ordered map vs hashed map with
-//! sort-at-drain) — must produce byte-identical results, and neither
-//! spilling nor the index strategy may change what a reducer emits.
+//! and any spill threshold / cache size, all three §5 policies must
+//! produce byte-identical results — equal to an ordered (`BTreeMap`)
+//! fold of the records — and spilling may not change what a reducer
+//! emits.
 
 use mr_core::engine::pipeline::{
     reduce_partition_barrierless, reduce_partition_barrierless_traced,
 };
-use mr_core::{
-    Application, Counters, Emit, Engine, JobConfig, Key, MemoryPolicy, SnapshotPolicy, StoreIndex,
-};
+use mr_core::{Application, Counters, Emit, Engine, JobConfig, Key, MemoryPolicy, SnapshotPolicy};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -162,18 +160,17 @@ impl<K: Key> Application for Concat<K> {
 }
 
 /// Tags `keys` by arrival and runs them through `Concat` with a snapshot
-/// every `interval` records: under `InMemory`, then under `SpillMerge`
-/// with each index. Output and every snapshot must agree.
+/// every `interval` records: under `InMemory`, then under `SpillMerge`.
+/// Output and every snapshot must agree.
 fn concat_spill_matches_in_memory<K: Key + Debug>(
     keys: Vec<K>,
     threshold: u64,
     interval: u64,
 ) -> Result<(), TestCaseError> {
     let records: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
-    let run = |memory: MemoryPolicy, index: StoreIndex| {
+    let run = |memory: MemoryPolicy| {
         let cfg = JobConfig::new(1)
             .engine(Engine::BarrierLess { memory })
-            .store_index(index)
             .snapshots(SnapshotPolicy::EveryRecords { records: interval })
             .scratch_dir(scratch());
         let (out, _, snaps) = reduce_partition_barrierless_traced(
@@ -187,16 +184,11 @@ fn concat_spill_matches_in_memory<K: Key + Debug>(
         let estimates: Vec<Vec<(K, Vec<u32>)>> = snaps.into_iter().map(|s| s.estimate).collect();
         (out, estimates)
     };
-    let want = run(MemoryPolicy::InMemory, StoreIndex::default());
-    for index in INDEXES {
-        let got = run(
-            MemoryPolicy::SpillMerge {
-                threshold_bytes: threshold,
-            },
-            index,
-        );
-        prop_assert_eq!(&got, &want, "index {:?}", index);
-    }
+    let want = run(MemoryPolicy::InMemory);
+    let got = run(MemoryPolicy::SpillMerge {
+        threshold_bytes: threshold,
+    });
+    prop_assert_eq!(&got, &want);
     Ok(())
 }
 
@@ -208,16 +200,9 @@ fn colliding_words() -> impl Strategy<Value = String> {
         .prop_map(|(stem, tail)| format!("{}{tail}", ["", "x", "shared-", "shared-prefix-"][stem]))
 }
 
-const INDEXES: [StoreIndex; 2] = [StoreIndex::Ordered, StoreIndex::Hashed];
-
-fn run_policy_indexed(
-    records: &[(u32, i64)],
-    policy: MemoryPolicy,
-    index: StoreIndex,
-) -> Vec<(u32, i64)> {
+fn run_policy(records: &[(u32, i64)], policy: MemoryPolicy) -> Vec<(u32, i64)> {
     let cfg = JobConfig::new(1)
         .engine(Engine::BarrierLess { memory: policy })
-        .store_index(index)
         .scratch_dir(scratch());
     let (out, _) =
         reduce_partition_barrierless(&MaxTracker, &cfg, 0, records.to_vec(), &mut Counters::new())
@@ -225,30 +210,35 @@ fn run_policy_indexed(
     out
 }
 
-fn run_policy(records: &[(u32, i64)], policy: MemoryPolicy) -> Vec<(u32, i64)> {
-    run_policy_indexed(records, policy, StoreIndex::default())
+/// `MaxTracker`'s answer without any store: each key's three largest
+/// values, descending, keys ascending — folded in a `BTreeMap`.
+fn ordered_fold(records: &[(u32, i64)]) -> Vec<(u32, i64)> {
+    let mut by_key: BTreeMap<u32, Vec<i64>> = BTreeMap::new();
+    for &(k, v) in records {
+        by_key.entry(k).or_default().push(v);
+    }
+    by_key
+        .into_iter()
+        .flat_map(|(k, mut vs)| {
+            vs.sort_unstable_by(|a, b| b.cmp(a));
+            vs.into_iter().take(3).map(move |v| (k, v))
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Any threshold (including absurdly small, forcing a spill per
-    /// handful of records) must leave the output unchanged, under both
-    /// store indexes.
+    /// handful of records) must leave the output unchanged.
     #[test]
     fn spill_threshold_is_invisible(
         records in prop::collection::vec((0u32..30, -1000i64..1000), 1..250),
         threshold in 64u64..4096,
     ) {
         let reference = run_policy(&records, MemoryPolicy::InMemory);
-        for index in INDEXES {
-            let spilled = run_policy_indexed(
-                &records,
-                MemoryPolicy::SpillMerge { threshold_bytes: threshold },
-                index,
-            );
-            prop_assert_eq!(&reference, &spilled, "index {:?}", index);
-        }
+        let spilled = run_policy(&records, MemoryPolicy::SpillMerge { threshold_bytes: threshold });
+        prop_assert_eq!(reference, spilled);
     }
 
     /// Any KV cache size — from nearly nothing (every absorb hits disk)
@@ -263,28 +253,27 @@ proptest! {
         prop_assert_eq!(reference, kv);
     }
 
-    /// The tentpole invariant at the store level: for every memory
-    /// policy, flipping the index between the ordered map and the hashed
-    /// map (amortized sort-at-drain) is byte-invisible.
+    /// The hashed index (amortized sort-at-drain) is invisible: for
+    /// every memory policy the output equals an ordered (`BTreeMap`)
+    /// fold of the records.
     #[test]
     fn store_index_is_invisible_under_every_policy(
         records in prop::collection::vec((0u32..30, -1000i64..1000), 1..250),
         threshold in 64u64..4096,
         cache in 128usize..8192,
     ) {
+        let want = ordered_fold(&records);
         for policy in [
             MemoryPolicy::InMemory,
             MemoryPolicy::SpillMerge { threshold_bytes: threshold },
             MemoryPolicy::KvStore { cache_bytes: cache },
         ] {
-            let ordered = run_policy_indexed(&records, policy.clone(), StoreIndex::Ordered);
-            let hashed = run_policy_indexed(&records, policy.clone(), StoreIndex::Hashed);
-            prop_assert_eq!(&ordered, &hashed, "policy {:?}", policy);
+            let got = run_policy(&records, policy.clone());
+            prop_assert_eq!(&got, &want, "policy {:?}", policy);
         }
     }
 
-    /// Snapshots are invisible: for every memory policy × store index,
-    /// any snapshot interval — down to the pathological every-1-record
+    /// Snapshots are invisible: for every memory policy, any snapshot interval — down to the pathological every-1-record
     /// policy — leaves the final output byte-identical to the
     /// snapshot-free run, and every snapshot is key-sorted and
     /// duplicate-free (the spill store's snapshots must merge run files
@@ -301,54 +290,51 @@ proptest! {
             MemoryPolicy::SpillMerge { threshold_bytes: threshold },
             MemoryPolicy::KvStore { cache_bytes: cache },
         ] {
-            for index in INDEXES {
-                let reference = run_policy_indexed(&records, policy.clone(), index);
-                let cfg = JobConfig::new(1)
-                    .engine(Engine::BarrierLess { memory: policy.clone() })
-                    .store_index(index)
-                    .snapshots(SnapshotPolicy::EveryRecords { records: interval })
-                    .scratch_dir(scratch());
-                let (out, _, snaps) = reduce_partition_barrierless_traced(
-                    &MaxTracker,
-                    &cfg,
-                    0,
-                    records.to_vec(),
-                    &mut Counters::new(),
-                )
-                .expect("snapshotted run");
-                prop_assert_eq!(
-                    &reference, &out,
-                    "snapshots every {} changed output under {:?}/{:?}", interval, policy, index
-                );
-                // One snapshot per full interval plus the end-of-input
-                // one (when the stream length is a multiple of the
-                // interval the last interval snapshot and the final
-                // snapshot both fire — two identical estimates, two
-                // distinct seqs).
-                let expected = records.len() as u64 / interval + 1;
-                prop_assert_eq!(snaps.len() as u64, expected);
-                for snap in &snaps {
-                    for pair in snap.estimate.windows(2) {
-                        prop_assert!(
-                            pair[0].0 <= pair[1].0,
-                            "snapshot keys unsorted under {:?}/{:?}", policy, index
-                        );
-                    }
-                    // MaxTracker emits at most 3 records per key: a key
-                    // fragmented across spill runs that was not merged
-                    // would show up as >3 entries for one key.
-                    let mut per_key = std::collections::BTreeMap::new();
-                    for (k, _) in &snap.estimate {
-                        *per_key.entry(*k).or_insert(0usize) += 1;
-                    }
+            let reference = run_policy(&records, policy.clone());
+            let cfg = JobConfig::new(1)
+                .engine(Engine::BarrierLess { memory: policy.clone() })
+                .snapshots(SnapshotPolicy::EveryRecords { records: interval })
+                .scratch_dir(scratch());
+            let (out, _, snaps) = reduce_partition_barrierless_traced(
+                &MaxTracker,
+                &cfg,
+                0,
+                records.to_vec(),
+                &mut Counters::new(),
+            )
+            .expect("snapshotted run");
+            prop_assert_eq!(
+                &reference, &out,
+                "snapshots every {} changed output under {:?}", interval, policy
+            );
+            // One snapshot per full interval plus the end-of-input
+            // one (when the stream length is a multiple of the
+            // interval the last interval snapshot and the final
+            // snapshot both fire — two identical estimates, two
+            // distinct seqs).
+            let expected = records.len() as u64 / interval + 1;
+            prop_assert_eq!(snaps.len() as u64, expected);
+            for snap in &snaps {
+                for pair in snap.estimate.windows(2) {
                     prop_assert!(
-                        per_key.values().all(|&n| n <= 3),
-                        "unmerged key fragments in snapshot under {:?}/{:?}", policy, index
+                        pair[0].0 <= pair[1].0,
+                        "snapshot keys unsorted under {:?}", policy
                     );
                 }
-                // The last snapshot equals the final output exactly.
-                prop_assert_eq!(&snaps.last().expect("final").estimate, &out);
+                // MaxTracker emits at most 3 records per key: a key
+                // fragmented across spill runs that was not merged
+                // would show up as >3 entries for one key.
+                let mut per_key = std::collections::BTreeMap::new();
+                for (k, _) in &snap.estimate {
+                    *per_key.entry(*k).or_insert(0usize) += 1;
+                }
+                prop_assert!(
+                    per_key.values().all(|&n| n <= 3),
+                    "unmerged key fragments in snapshot under {:?}", policy
+                );
             }
+            // The last snapshot equals the final output exactly.
+            prop_assert_eq!(&snaps.last().expect("final").estimate, &out);
         }
     }
 

@@ -2,19 +2,16 @@
 //! modifications were idempotent, the correctness and the completeness of
 //! the MapReduce execution is not compromised."
 //!
-//! Property-based: for arbitrary inputs, every engine × memory-policy ×
-//! store-index combination must produce identical output — and, for
-//! combinable applications, identical output with the map-side combiner
-//! on or off. The store-index axis is the tentpole's invariant: the
-//! hashed (sort-at-drain) index must be byte-indistinguishable from the
-//! paper's ordered map everywhere, combiner included.
+//! Property-based: for arbitrary inputs, every engine × memory-policy
+//! combination must produce identical output — and, for combinable
+//! applications, identical output with the map-side combiner on or off.
 
 use barrier_mapreduce::apps::{Sort, TopK, UniqueListens, WordCount};
 use barrier_mapreduce::cluster::{ClusterParams, CostModel, FnInput, SimExecutor};
 use barrier_mapreduce::core::local::LocalRunner;
 use barrier_mapreduce::core::{
     ChainSpec, ChainableApplication, CombinerPolicy, Engine, HandoffMode, HashPartitioner,
-    JobConfig, JobOutput, MemoryPolicy, SnapshotPolicy, SpeculationPolicy, StoreIndex,
+    JobConfig, JobOutput, MemoryPolicy, SnapshotPolicy, SpeculationPolicy,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -58,9 +55,6 @@ fn combiner_settings() -> Vec<CombinerPolicy> {
     ]
 }
 
-/// The store-index axis of the matrix.
-const INDEXES: [StoreIndex; 2] = [StoreIndex::Ordered, StoreIndex::Hashed];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -85,23 +79,20 @@ proptest! {
         // what they compute).
         for engine in all_engines() {
             for combiner in combiner_settings() {
-                for index in INDEXES {
-                    for workers in [1usize, 2, 4] {
-                        let cfg = JobConfig::new(reducers)
-                            .engine(engine.clone())
-                            .combiner(combiner)
-                            .store_index(index)
-                            .pool_workers(workers)
-                            .scratch_dir(scratch());
-                        let out = LocalRunner::new(2).run(&WordCount, splits.clone(), &cfg).unwrap();
-                        let got: BTreeMap<String, u64> =
-                            out.into_sorted_output().into_iter().collect();
-                        prop_assert_eq!(
-                            &got, &reference,
-                            "engine {:?} combiner {:?} index {:?} workers {}",
-                            engine, combiner, index, workers
-                        );
-                    }
+                for workers in [1usize, 2, 4] {
+                    let cfg = JobConfig::new(reducers)
+                        .engine(engine.clone())
+                        .combiner(combiner)
+                        .pool_workers(workers)
+                        .scratch_dir(scratch());
+                    let out = LocalRunner::new(2).run(&WordCount, splits.clone(), &cfg).unwrap();
+                    let got: BTreeMap<String, u64> =
+                        out.into_sorted_output().into_iter().collect();
+                    prop_assert_eq!(
+                        &got, &reference,
+                        "engine {:?} combiner {:?} workers {}",
+                        engine, combiner, workers
+                    );
                 }
             }
         }
@@ -118,15 +109,12 @@ proptest! {
         let mut expect = keys.clone();
         expect.sort();
         for engine in all_engines() {
-            for index in INDEXES {
-                let cfg = JobConfig::new(1)
-                    .engine(engine.clone())
-                    .store_index(index)
-                    .scratch_dir(scratch());
-                let out = LocalRunner::new(2).run(&Sort, splits.clone(), &cfg).unwrap();
-                let got: Vec<u64> = out.partitions[0].iter().map(|(k, _)| *k).collect();
-                prop_assert_eq!(&got, &expect, "engine {:?} index {:?}", engine, index);
-            }
+            let cfg = JobConfig::new(1)
+                .engine(engine.clone())
+                .scratch_dir(scratch());
+            let out = LocalRunner::new(2).run(&Sort, splits.clone(), &cfg).unwrap();
+            let got: Vec<u64> = out.partitions[0].iter().map(|(k, _)| *k).collect();
+            prop_assert_eq!(&got, &expect, "engine {:?}", engine);
         }
     }
 
@@ -146,27 +134,24 @@ proptest! {
             sets.into_iter().map(|(t, s)| (t, s.len() as u64)).collect();
         for engine in all_engines() {
             for combiner in combiner_settings() {
-                for index in INDEXES {
-                    let cfg = JobConfig::new(3)
-                        .engine(engine.clone())
-                        .combiner(combiner)
-                        .store_index(index)
-                        .scratch_dir(scratch());
-                    let out = LocalRunner::new(2)
-                        .run(&UniqueListens, splits.clone(), &cfg)
-                        .unwrap();
-                    let got: BTreeMap<u32, u64> = out.into_sorted_output().into_iter().collect();
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "engine {:?} combiner {:?} index {:?}", engine, combiner, index
-                    );
-                }
+                let cfg = JobConfig::new(3)
+                    .engine(engine.clone())
+                    .combiner(combiner)
+                    .scratch_dir(scratch());
+                let out = LocalRunner::new(2)
+                    .run(&UniqueListens, splits.clone(), &cfg)
+                    .unwrap();
+                let got: BTreeMap<u32, u64> = out.into_sorted_output().into_iter().collect();
+                prop_assert_eq!(
+                    &got, &reference,
+                    "engine {:?} combiner {:?}", engine, combiner
+                );
             }
         }
     }
 
     /// Snapshot determinism, swept across the whole matrix: for every
-    /// engine × memory-policy × store-index × combiner combination,
+    /// engine × memory-policy × combiner combination,
     /// enabling snapshots — including the pathological every-1-record
     /// policy, which snapshots after *each* absorbed record — leaves the
     /// final output byte-identical to the snapshot-free run, and every
@@ -185,51 +170,48 @@ proptest! {
             .collect();
         for engine in all_engines() {
             for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
-                for index in INDEXES {
-                    let run = |snapshots: SnapshotPolicy| {
-                        let cfg = JobConfig::new(reducers)
-                            .engine(engine.clone())
-                            .combiner(combiner)
-                            .store_index(index)
-                            .snapshots(snapshots)
-                            .scratch_dir(scratch());
-                        LocalRunner::new(2).run(&WordCount, splits.clone(), &cfg).unwrap()
-                    };
-                    let plain = run(SnapshotPolicy::Disabled);
-                    let snapped = run(SnapshotPolicy::EveryRecords { records: 1 });
-                    prop_assert_eq!(
-                        &plain.partitions, &snapped.partitions,
-                        "snapshots changed output: {:?} {:?} {:?}", engine, combiner, index
-                    );
-                    prop_assert_eq!(plain.snapshot_count(), 0);
-                    prop_assert!(snapped.snapshot_count() > 0);
-                    for (r, snaps) in snapped.snapshots.iter().enumerate() {
-                        let truth: BTreeMap<&String, u64> =
-                            snapped.partitions[r].iter().map(|(k, v)| (k, *v)).collect();
-                        for snap in snaps {
-                            prop_assert_eq!(snap.reducer, r);
-                            for pair in snap.estimate.windows(2) {
-                                prop_assert!(
-                                    pair[0].0 < pair[1].0,
-                                    "unsorted/duplicated snapshot under {:?} {:?}", engine, index
-                                );
-                            }
-                            for (word, count) in &snap.estimate {
-                                let fin = truth.get(word).copied().unwrap_or(0);
-                                prop_assert!(
-                                    *count <= fin,
-                                    "snapshot overcounts {} ({} > {})", word, count, fin
-                                );
-                            }
+                let run = |snapshots: SnapshotPolicy| {
+                    let cfg = JobConfig::new(reducers)
+                        .engine(engine.clone())
+                        .combiner(combiner)
+                        .snapshots(snapshots)
+                        .scratch_dir(scratch());
+                    LocalRunner::new(2).run(&WordCount, splits.clone(), &cfg).unwrap()
+                };
+                let plain = run(SnapshotPolicy::Disabled);
+                let snapped = run(SnapshotPolicy::EveryRecords { records: 1 });
+                prop_assert_eq!(
+                    &plain.partitions, &snapped.partitions,
+                    "snapshots changed output: {:?} {:?}", engine, combiner
+                );
+                prop_assert_eq!(plain.snapshot_count(), 0);
+                prop_assert!(snapped.snapshot_count() > 0);
+                for (r, snaps) in snapped.snapshots.iter().enumerate() {
+                    let truth: BTreeMap<&String, u64> =
+                        snapped.partitions[r].iter().map(|(k, v)| (k, *v)).collect();
+                    for snap in snaps {
+                        prop_assert_eq!(snap.reducer, r);
+                        for pair in snap.estimate.windows(2) {
+                            prop_assert!(
+                                pair[0].0 < pair[1].0,
+                                "unsorted/duplicated snapshot under {:?} {:?}", engine, combiner
+                            );
                         }
-                        // Sequence numbers are strictly increasing.
-                        for pair in snaps.windows(2) {
-                            prop_assert!(pair[0].seq < pair[1].seq);
+                        for (word, count) in &snap.estimate {
+                            let fin = truth.get(word).copied().unwrap_or(0);
+                            prop_assert!(
+                                *count <= fin,
+                                "snapshot overcounts {} ({} > {})", word, count, fin
+                            );
                         }
-                        if engine != Engine::Barrier {
-                            let last = snaps.last().expect("final snapshot");
-                            prop_assert_eq!(&last.estimate, &snapped.partitions[r]);
-                        }
+                    }
+                    // Sequence numbers are strictly increasing.
+                    for pair in snaps.windows(2) {
+                        prop_assert!(pair[0].seq < pair[1].seq);
+                    }
+                    if engine != Engine::Barrier {
+                        let last = snaps.last().expect("final snapshot");
+                        prop_assert_eq!(&last.estimate, &snapped.partitions[r]);
                     }
                 }
             }
@@ -237,7 +219,7 @@ proptest! {
     }
 
     /// The chain invariant (ISSUE 5's acceptance sweep): for every
-    /// chain-handoff mode × stage-engine × store-index × combiner
+    /// chain-handoff mode × stage-engine × combiner
     /// combination, the chained `wordcount → top-k` output is
     /// byte-identical to running the same two jobs sequentially to
     /// completion by hand.
@@ -254,61 +236,57 @@ proptest! {
             .collect();
         let topk = TopK::new(k);
         for engine in all_engines() {
-            for index in INDEXES {
-                for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
-                    let cfg1 = JobConfig::new(reducers)
-                        .engine(engine.clone())
-                        .combiner(combiner)
-                        .store_index(index)
-                        .scratch_dir(scratch());
-                    let cfg2 = JobConfig::new(2)
-                        .engine(engine.clone())
-                        .store_index(index)
-                        .scratch_dir(scratch());
-                    // Sequential baseline: job 1 to completion, adapt,
-                    // job 2 to completion.
-                    let out1 = LocalRunner::new(2)
-                        .run(&WordCount, splits.clone(), &cfg1)
-                        .unwrap();
-                    let splits2: Vec<Vec<(String, u64)>> = out1
-                        .partitions
-                        .into_iter()
-                        .map(|p| {
-                            p.into_iter()
-                                .map(|(w, c)| topk.adapt_input(w, c))
-                                .collect()
-                        })
-                        .collect();
-                    let expect = LocalRunner::new(2)
-                        .run(&topk, splits2, &cfg2)
-                        .unwrap()
-                        .partitions;
-                    // Pool widths sweep with the handoff mode: streaming
-                    // chains share one pool across both stages, so the
-                    // width axis exercises cross-stage multiplexing.
-                    for handoff in [HandoffMode::Barrier, HandoffMode::Streaming] {
-                        for workers in [1usize, 3] {
-                            let spec = ChainSpec::new(vec![
-                                cfg1.clone().pool_workers(workers),
-                                cfg2.clone().pool_workers(workers),
-                            ])
-                            .handoff(handoff);
-                            let got = LocalRunner::new(2)
-                                .run_chain2(
-                                    &WordCount,
-                                    &topk,
-                                    splits.clone(),
-                                    &spec,
-                                    &HashPartitioner,
-                                    &HashPartitioner,
-                                )
-                                .unwrap();
-                            prop_assert_eq!(
-                                &got.output.partitions, &expect,
-                                "chain {:?}/{}w diverged from sequential under {:?} {:?} {:?}",
-                                handoff, workers, engine, index, combiner
-                            );
-                        }
+            for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
+                let cfg1 = JobConfig::new(reducers)
+                    .engine(engine.clone())
+                    .combiner(combiner)
+                    .scratch_dir(scratch());
+                let cfg2 = JobConfig::new(2)
+                    .engine(engine.clone())
+                    .scratch_dir(scratch());
+                // Sequential baseline: job 1 to completion, adapt,
+                // job 2 to completion.
+                let out1 = LocalRunner::new(2)
+                    .run(&WordCount, splits.clone(), &cfg1)
+                    .unwrap();
+                let splits2: Vec<Vec<(String, u64)>> = out1
+                    .partitions
+                    .into_iter()
+                    .map(|p| {
+                        p.into_iter()
+                            .map(|(w, c)| topk.adapt_input(w, c))
+                            .collect()
+                    })
+                    .collect();
+                let expect = LocalRunner::new(2)
+                    .run(&topk, splits2, &cfg2)
+                    .unwrap()
+                    .partitions;
+                // Pool widths sweep with the handoff mode: streaming
+                // chains share one pool across both stages, so the
+                // width axis exercises cross-stage multiplexing.
+                for handoff in [HandoffMode::Barrier, HandoffMode::Streaming] {
+                    for workers in [1usize, 3] {
+                        let spec = ChainSpec::new(vec![
+                            cfg1.clone().pool_workers(workers),
+                            cfg2.clone().pool_workers(workers),
+                        ])
+                        .handoff(handoff);
+                        let got = LocalRunner::new(2)
+                            .run_chain2(
+                                &WordCount,
+                                &topk,
+                                splits.clone(),
+                                &spec,
+                                &HashPartitioner,
+                                &HashPartitioner,
+                            )
+                            .unwrap();
+                        prop_assert_eq!(
+                            &got.output.partitions, &expect,
+                            "chain {:?}/{}w diverged from sequential under {:?} {:?}",
+                            handoff, workers, engine, combiner
+                        );
                     }
                 }
             }
@@ -316,10 +294,9 @@ proptest! {
     }
 
     /// The byte-exact invariant, stated directly: for every engine ×
-    /// store-policy × store-index combination, the *entire* output (keys
-    /// and values, canonical order) with combining enabled equals the
-    /// output with combining disabled — not merely "both match a
-    /// reference" — and flipping the index never changes a byte either.
+    /// store-policy combination, the *entire* output (keys and values,
+    /// canonical order) with combining enabled equals the output with
+    /// combining disabled — not merely "both match a reference".
     #[test]
     fn wordcount_combiner_on_off_byte_identical(
         words in prop::collection::vec(prop::collection::vec("[a-f]{1,4}", 1..10), 1..10),
@@ -331,34 +308,27 @@ proptest! {
             .map(|(i, line)| vec![(i as u64, line.join(" "))])
             .collect();
         for engine in all_engines() {
-            let run = |combiner: CombinerPolicy, index: StoreIndex| {
+            let run = |combiner: CombinerPolicy| {
                 let cfg = JobConfig::new(reducers)
                     .engine(engine.clone())
                     .combiner(combiner)
-                    .store_index(index)
                     .scratch_dir(scratch());
                 LocalRunner::new(2)
                     .run(&WordCount, splits.clone(), &cfg)
                     .unwrap()
                     .into_sorted_output()
             };
-            let plain = run(CombinerPolicy::Disabled, StoreIndex::Ordered);
-            for index in INDEXES {
-                for combiner in [
-                    CombinerPolicy::Disabled,
-                    CombinerPolicy::enabled(),
-                    CombinerPolicy::Enabled { budget_bytes: 1 },
-                ] {
-                    if index == StoreIndex::Ordered && combiner == CombinerPolicy::Disabled {
-                        continue; // that exact run *is* the `plain` baseline
-                    }
-                    let got = run(combiner, index);
-                    prop_assert_eq!(
-                        &got, &plain,
-                        "combiner {:?} index {:?} changed output under {:?}",
-                        combiner, index, engine
-                    );
-                }
+            let plain = run(CombinerPolicy::Disabled);
+            for combiner in [
+                CombinerPolicy::enabled(),
+                CombinerPolicy::Enabled { budget_bytes: 1 },
+            ] {
+                let got = run(combiner);
+                prop_assert_eq!(
+                    &got, &plain,
+                    "combiner {:?} changed output under {:?}",
+                    combiner, engine
+                );
             }
         }
     }
@@ -447,7 +417,7 @@ proptest! {
 
     /// Straggler mitigation must be answer-invisible: on a heterogeneous
     /// simulated cluster (where the speed trigger genuinely fires), every
-    /// engine × store-index × combiner combination produces byte-identical
+    /// engine × combiner combination produces byte-identical
     /// partitions with speculation on and off — the backup race resolves
     /// before any output is written, so losers can never leak records.
     #[test]
@@ -459,54 +429,51 @@ proptest! {
         let lines: Vec<String> = words.iter().map(|l| l.join(" ")).collect();
         let chunks = lines.len() as u64;
         for engine in all_engines() {
-            for index in INDEXES {
-                for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
-                    let run = |spec: SpeculationPolicy| {
-                        let lines = lines.clone();
-                        let mut params = ClusterParams::paper_testbed(seed);
-                        params.nodes = 6;
-                        params.map_slots = 2;
-                        params.reduce_slots = 2;
-                        params.hetero_sigma = 0.8;
-                        let cfg = JobConfig::new(reducers)
-                            .engine(engine.clone())
-                            .combiner(combiner)
-                            .store_index(index)
-                            .speculation(spec)
-                            .scratch_dir(scratch());
-                        SimExecutor::new(params).run(
-                            &WordCount,
-                            &FnInput(move |c| vec![(c, lines[c as usize].clone())]),
-                            chunks,
-                            &cfg,
-                            &CostModel::default_for_tests(),
-                            &HashPartitioner,
-                        )
-                    };
-                    let off = run(SpeculationPolicy::Disabled);
-                    let on = run(SpeculationPolicy::enabled());
-                    prop_assert!(off.outcome.is_completed());
-                    prop_assert!(on.outcome.is_completed());
-                    prop_assert_eq!(
-                        &off.output.as_ref().expect("completed").partitions,
-                        &on.output.as_ref().expect("completed").partitions,
-                        "speculation changed output: {:?} {:?} {:?}",
-                        engine, index, combiner
-                    );
-                }
+            for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
+                let run = |spec: SpeculationPolicy| {
+                    let lines = lines.clone();
+                    let mut params = ClusterParams::paper_testbed(seed);
+                    params.nodes = 6;
+                    params.map_slots = 2;
+                    params.reduce_slots = 2;
+                    params.hetero_sigma = 0.8;
+                    let cfg = JobConfig::new(reducers)
+                        .engine(engine.clone())
+                        .combiner(combiner)
+                        .speculation(spec)
+                        .scratch_dir(scratch());
+                    SimExecutor::new(params).run(
+                        &WordCount,
+                        &FnInput(move |c| vec![(c, lines[c as usize].clone())]),
+                        chunks,
+                        &cfg,
+                        &CostModel::default_for_tests(),
+                        &HashPartitioner,
+                    )
+                };
+                let off = run(SpeculationPolicy::Disabled);
+                let on = run(SpeculationPolicy::enabled());
+                prop_assert!(off.outcome.is_completed());
+                prop_assert!(on.outcome.is_completed());
+                prop_assert_eq!(
+                    &off.output.as_ref().expect("completed").partitions,
+                    &on.output.as_ref().expect("completed").partitions,
+                    "speculation changed output: {:?} {:?}",
+                    engine, combiner
+                );
             }
         }
     }
 }
 
 proptest! {
-    // Each case runs the full engine × index × width matrix three times
+    // Each case runs the full engine × width matrix three times
     // (cold baseline, cold cached, warm cached), so a smaller case
     // budget keeps this proportionate.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The shared-result-cache determinism bar: for every engine ×
-    /// store-index × pool-width combination, a *warm* cached run (its
+    /// pool-width combination, a *warm* cached run (its
     /// sealed job artifact already resident) produces partitions
     /// byte-identical to the cold run, which in turn is byte-identical
     /// to an uncached run — the cache changes `cache.*` counters and
@@ -524,42 +491,39 @@ proptest! {
             .map(|(i, line)| vec![(i as u64, line.join(" "))])
             .collect();
         for engine in all_engines() {
-            for index in INDEXES {
-                for workers in [1usize, 2, 4] {
-                    let cfg = JobConfig::new(reducers)
-                        .engine(engine.clone())
-                        .store_index(index)
-                        .pool_workers(workers)
-                        .cache(CacheBudget::enabled())
-                        .scratch_dir(scratch());
-                    let uncached = LocalRunner::new(2)
-                        .run(&WordCount, splits.clone(), &cfg)
-                        .unwrap();
-                    let cache = SharedCache::new(64 << 20);
-                    let cold = LocalRunner::new(2)
-                        .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-                        .unwrap();
-                    let warm = LocalRunner::new(2)
-                        .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
-                        .unwrap();
-                    prop_assert_eq!(
-                        &cold.partitions, &uncached.partitions,
-                        "cold cached run diverged: {:?} {:?} {}w", engine, index, workers
-                    );
-                    prop_assert_eq!(
-                        &warm.partitions, &uncached.partitions,
-                        "warm cached run diverged: {:?} {:?} {}w", engine, index, workers
-                    );
-                    prop_assert!(
-                        cold.counters.get(names::CACHE_MISSES) > 0,
-                        "cold run must miss"
-                    );
-                    prop_assert!(
-                        warm.counters.get(names::CACHE_HITS) > 0,
-                        "warm run must hit: {:?} {:?} {}w", engine, index, workers
-                    );
-                    prop_assert_eq!(warm.counters.get(names::CACHE_MISSES), 0);
-                }
+            for workers in [1usize, 2, 4] {
+                let cfg = JobConfig::new(reducers)
+                    .engine(engine.clone())
+                    .pool_workers(workers)
+                    .cache(CacheBudget::enabled())
+                    .scratch_dir(scratch());
+                let uncached = LocalRunner::new(2)
+                    .run(&WordCount, splits.clone(), &cfg)
+                    .unwrap();
+                let cache = SharedCache::new(64 << 20);
+                let cold = LocalRunner::new(2)
+                    .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                    .unwrap();
+                let warm = LocalRunner::new(2)
+                    .run_cached(&WordCount, splits.clone(), &cfg, &HashPartitioner, &cache)
+                    .unwrap();
+                prop_assert_eq!(
+                    &cold.partitions, &uncached.partitions,
+                    "cold cached run diverged: {:?} {}w", engine, workers
+                );
+                prop_assert_eq!(
+                    &warm.partitions, &uncached.partitions,
+                    "warm cached run diverged: {:?} {}w", engine, workers
+                );
+                prop_assert!(
+                    cold.counters.get(names::CACHE_MISSES) > 0,
+                    "cold run must miss"
+                );
+                prop_assert!(
+                    warm.counters.get(names::CACHE_HITS) > 0,
+                    "warm run must hit: {:?} {}w", engine, workers
+                );
+                prop_assert_eq!(warm.counters.get(names::CACHE_MISSES), 0);
             }
         }
     }
