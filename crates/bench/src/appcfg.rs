@@ -15,7 +15,7 @@ use mr_apps::lastfm::UniqueListens;
 use mr_apps::sort::Sort;
 use mr_apps::wordcount::WordCount;
 use mr_cluster::{ClusterParams, CostModel, FnInput, SimExecutor, SimReport};
-use mr_core::{Engine, HashPartitioner, JobConfig, MemoryPolicy};
+use mr_core::{CombinerPolicy, Engine, HashPartitioner, JobConfig, MemoryPolicy, SnapshotPolicy};
 use mr_workloads::{
     GaWorkload, KnnWorkload, LastFmWorkload, PricingWorkload, SortWorkload, TextWorkload,
 };
@@ -25,11 +25,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// 64 MB chunks: GB → chunk count.
 pub fn chunks_for_gb(gb: f64) -> u64 {
     ((gb * 1024.0) / 64.0).round().max(1.0) as u64
-}
-
-/// The paper's cluster (§6) with the given seed.
-pub fn testbed(seed: u64) -> ClusterParams {
-    ClusterParams::paper_testbed(seed)
 }
 
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
@@ -110,73 +105,24 @@ pub fn wc_costs() -> CostModel {
     }
 }
 
-/// Runs WordCount at `gb` input with the given engine.
-pub fn run_wordcount(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimReport<WordCount> {
-    run_wordcount_with_combiner(
-        gb,
-        reducers,
-        engine,
-        seed,
-        mr_core::CombinerPolicy::Disabled,
-    )
-}
-
-/// Runs WordCount with an explicit map-side combining policy (the
-/// `ablation_combiner` sweep's entry point).
-pub fn run_wordcount_with_combiner(
+/// Runs WordCount at `gb` input with the given engine, map-side
+/// combining policy and snapshot policy.
+pub fn run_wordcount(
     gb: f64,
     reducers: usize,
     engine: Engine,
     seed: u64,
-    combiner: mr_core::CombinerPolicy,
-) -> SimReport<WordCount> {
-    run_wordcount_full(
-        gb,
-        reducers,
-        engine,
-        seed,
-        combiner,
-        mr_core::SnapshotPolicy::Disabled,
-    )
-}
-
-/// Runs WordCount with a snapshot policy (the `fig_snapshot_accuracy` /
-/// `ablation_snapshot` entry point).
-pub fn run_wordcount_snapshotted(
-    gb: f64,
-    reducers: usize,
-    engine: Engine,
-    seed: u64,
-    snapshots: mr_core::SnapshotPolicy,
-) -> SimReport<WordCount> {
-    run_wordcount_full(
-        gb,
-        reducers,
-        engine,
-        seed,
-        mr_core::CombinerPolicy::Disabled,
-        snapshots,
-    )
-}
-
-/// The one WordCount setup every public variant delegates to.
-fn run_wordcount_full(
-    gb: f64,
-    reducers: usize,
-    engine: Engine,
-    seed: u64,
-    combiner: mr_core::CombinerPolicy,
-    snapshots: mr_core::SnapshotPolicy,
+    combiner: CombinerPolicy,
+    snapshots: SnapshotPolicy,
 ) -> SimReport<WordCount> {
     let w = wc_workload(seed);
-    let mut params = testbed(seed);
-    params.combiner = combiner;
     let cfg = JobConfig::new(reducers)
         .engine(engine)
+        .combiner(combiner)
         .heap_scale(WC_HEAP_SCALE)
         .snapshots(snapshots)
         .scratch_dir(scratch());
-    SimExecutor::new(params).run(
+    SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &WordCount,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),
@@ -225,7 +171,7 @@ pub fn run_sort(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimRepor
     let cfg = JobConfig::new(reducers)
         .engine(engine)
         .scratch_dir(scratch());
-    SimExecutor::new(testbed(seed)).run(
+    SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &Sort,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),
@@ -270,26 +216,14 @@ pub fn knn_costs() -> CostModel {
 }
 
 /// Runs barrier-less-formulation kNN (which both engines can execute) at
-/// `gb` input.
-pub fn run_knn(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimReport<KnnBarrierless> {
-    run_knn_snapshotted(
-        gb,
-        reducers,
-        engine,
-        seed,
-        mr_core::SnapshotPolicy::Disabled,
-    )
-    .1
-}
-
-/// Runs kNN with a snapshot policy, returning the app too (its
+/// `gb` input with a snapshot policy, returning the app too (its
 /// `snapshot_error` scores the estimates).
-pub fn run_knn_snapshotted(
+pub fn run_knn(
     gb: f64,
     reducers: usize,
     engine: Engine,
     seed: u64,
-    snapshots: mr_core::SnapshotPolicy,
+    snapshots: SnapshotPolicy,
 ) -> (KnnBarrierless, SimReport<KnnBarrierless>) {
     let w = knn_workload(seed);
     let app = KnnBarrierless {
@@ -300,7 +234,7 @@ pub fn run_knn_snapshotted(
         .engine(engine)
         .snapshots(snapshots)
         .scratch_dir(scratch());
-    let report = SimExecutor::new(testbed(seed)).run(
+    let report = SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &app,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),
@@ -343,31 +277,20 @@ pub fn lastfm_costs() -> CostModel {
     }
 }
 
-/// Runs Last.fm unique listens at `gb` input.
-pub fn run_lastfm(gb: f64, reducers: usize, engine: Engine, seed: u64) -> SimReport<UniqueListens> {
-    run_lastfm_snapshotted(
-        gb,
-        reducers,
-        engine,
-        seed,
-        mr_core::SnapshotPolicy::Disabled,
-    )
-}
-
-/// Runs Last.fm unique listens with a snapshot policy.
-pub fn run_lastfm_snapshotted(
+/// Runs Last.fm unique listens at `gb` input with a snapshot policy.
+pub fn run_lastfm(
     gb: f64,
     reducers: usize,
     engine: Engine,
     seed: u64,
-    snapshots: mr_core::SnapshotPolicy,
+    snapshots: SnapshotPolicy,
 ) -> SimReport<UniqueListens> {
     let w = lastfm_workload(seed);
     let cfg = JobConfig::new(reducers)
         .engine(engine)
         .snapshots(snapshots)
         .scratch_dir(scratch());
-    SimExecutor::new(testbed(seed)).run(
+    SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &UniqueListens,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),
@@ -417,7 +340,7 @@ pub fn run_ga(
     let cfg = JobConfig::new(reducers)
         .engine(engine)
         .scratch_dir(scratch());
-    SimExecutor::new(testbed(seed)).run(
+    SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &GeneticAlgorithm::default(),
         &FnInput(move |c| w.chunk(c)),
         mappers,
@@ -461,7 +384,7 @@ pub fn bs_costs() -> CostModel {
 pub fn run_bs(mappers: u64, engine: Engine, seed: u64) -> SimReport<BlackScholes> {
     let w = bs_workload(seed);
     let cfg = JobConfig::new(1).engine(engine).scratch_dir(scratch());
-    SimExecutor::new(testbed(seed)).run(
+    SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &BlackScholes,
         &FnInput(move |c| w.chunk(c)),
         mappers,
@@ -537,19 +460,19 @@ impl AppId {
     pub fn run(self, x: f64, engine: Engine, seed: u64) -> RunSummary {
         match self {
             AppId::Sort => summarize(&run_sort(x, 40, engine, seed)),
-            AppId::WordCount => summarize(&run_wordcount(x, 40, engine, seed)),
-            AppId::Knn => summarize(&run_knn(x, 40, engine, seed)),
-            AppId::LastFm => summarize(&run_lastfm(x, 40, engine, seed)),
+            AppId::WordCount => summarize(&run_wordcount(
+                x,
+                40,
+                engine,
+                seed,
+                CombinerPolicy::Disabled,
+                SnapshotPolicy::Disabled,
+            )),
+            AppId::Knn => summarize(&run_knn(x, 40, engine, seed, SnapshotPolicy::Disabled).1),
+            AppId::LastFm => summarize(&run_lastfm(x, 40, engine, seed, SnapshotPolicy::Disabled)),
             AppId::Ga => summarize(&run_ga(x as u64, 40, engine, seed)),
             AppId::Bs => summarize(&run_bs(x as u64, engine, seed)),
         }
-    }
-}
-
-/// The default barrier-less engine used across the figures.
-pub fn barrierless() -> Engine {
-    Engine::BarrierLess {
-        memory: MemoryPolicy::InMemory,
     }
 }
 
@@ -616,7 +539,7 @@ pub fn run_wc_technique(gb: f64, reducers: usize, technique: MemTechnique) -> Ru
     if technique == MemTechnique::InMemory {
         cfg.heap_cap_bytes = Some(WC_HEAP_CAP);
     }
-    let report = SimExecutor::new(testbed(42)).run(
+    let report = SimExecutor::new(ClusterParams::paper_testbed(42)).run(
         &WordCount,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(gb),

@@ -12,12 +12,12 @@
 //! shows the same invariant plus the transport counters: combined
 //! records are what actually crossed the batched shuffle channels.
 
-use mr_bench::appcfg::{run_wordcount_with_combiner, scratch, WC_HEAP_SCALE};
+use mr_bench::appcfg::{run_wordcount, scratch, WC_HEAP_SCALE};
 use mr_bench::chart::table;
 use mr_bench::stats::improvement_pct;
 use mr_core::counters::names;
 use mr_core::local::LocalRunner;
-use mr_core::{CombinerPolicy, Engine, JobConfig, MemoryPolicy};
+use mr_core::{CombinerPolicy, Engine, JobConfig, SnapshotPolicy};
 use mr_workloads::TextWorkload;
 
 fn engine_label(e: &Engine) -> &'static str {
@@ -27,24 +27,25 @@ fn engine_label(e: &Engine) -> &'static str {
     }
 }
 
-fn barrierless() -> Engine {
-    Engine::BarrierLess {
-        memory: MemoryPolicy::InMemory,
-    }
-}
-
 fn main() {
     println!("== Ablation: map-side combining x engine (WordCount) ==\n");
 
     // ---------------------------------------------- simulated cluster
     println!("--- simulated cluster (4 GB, 40 reducers, paper testbed) ---");
     let mut rows = Vec::new();
-    for engine in [Engine::Barrier, barrierless()] {
+    for engine in [Engine::Barrier, Engine::barrierless()] {
         let mut outputs = Vec::new();
         let mut baseline_secs = f64::NAN;
         let mut baseline_bytes = 0u64;
         for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
-            let report = run_wordcount_with_combiner(4.0, 40, engine.clone(), 42, combiner);
+            let report = run_wordcount(
+                4.0,
+                40,
+                engine.clone(),
+                42,
+                combiner,
+                SnapshotPolicy::Disabled,
+            );
             assert!(
                 report.outcome.is_completed(),
                 "{} combine={:?} failed",
@@ -117,7 +118,7 @@ fn main() {
     };
     let splits: Vec<Vec<(u64, String)>> = (0..16).map(|c| w.chunk(c)).collect();
     let mut rows = Vec::new();
-    for engine in [Engine::Barrier, barrierless()] {
+    for engine in [Engine::Barrier, Engine::barrierless()] {
         let mut outputs = Vec::new();
         for combiner in [CombinerPolicy::Disabled, CombinerPolicy::enabled()] {
             let cfg = JobConfig::new(8)

@@ -9,7 +9,7 @@
 //! oversubscription, and shrink toward a homogeneous, uncontended
 //! cluster.
 
-use mr_bench::appcfg::{barrierless, scratch, wc_costs, wc_workload};
+use mr_bench::appcfg::{scratch, wc_costs, wc_workload};
 use mr_bench::chart::table;
 use mr_bench::stats::improvement_pct;
 use mr_cluster::{ClusterParams, FnInput, SimExecutor};
@@ -43,7 +43,7 @@ fn main() {
     let mut rows = Vec::new();
     for sigma in [0.0, 0.1, 0.25, 0.4, 0.55] {
         let (tb, _) = run(sigma, 2.0, Engine::Barrier);
-        let (tp, slack) = run(sigma, 2.0, barrierless());
+        let (tp, slack) = run(sigma, 2.0, Engine::barrierless());
         rows.push(vec![
             format!("{sigma:.2}"),
             format!("{tb:.1}"),
@@ -70,7 +70,7 @@ fn main() {
     let mut rows = Vec::new();
     for oversub in [1.0, 2.0, 4.0, 8.0] {
         let (tb, _) = run(0.25, oversub, Engine::Barrier);
-        let (tp, slack) = run(0.25, oversub, barrierless());
+        let (tp, slack) = run(0.25, oversub, Engine::barrierless());
         rows.push(vec![
             format!("{oversub:.0}x"),
             format!("{tb:.1}"),

@@ -11,23 +11,13 @@
 //!
 //! Run: `cargo run --release -p mr-bench --bin ablation_snapshot`
 
-use mr_bench::appcfg::run_wordcount_snapshotted;
+use mr_bench::appcfg::{run_wordcount, scratch};
 use mr_bench::chart::table;
 use mr_core::counters::names;
 use mr_core::local::LocalRunner;
-use mr_core::{Engine, JobConfig, MemoryPolicy, SnapshotPolicy};
+use mr_core::{CombinerPolicy, Engine, JobConfig, MemoryPolicy, SnapshotPolicy};
 use mr_workloads::TextWorkload;
 use std::time::Instant;
-
-fn barrierless() -> Engine {
-    Engine::BarrierLess {
-        memory: MemoryPolicy::InMemory,
-    }
-}
-
-fn scratch() -> std::path::PathBuf {
-    mr_bench::appcfg::scratch()
-}
 
 /// Best-of-3 wall milliseconds.
 fn best_of_3(mut f: impl FnMut()) -> f64 {
@@ -71,10 +61,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut baseline_ms = f64::NAN;
     let mut baseline_out = None;
+    // Both real-executor sections run on one pool worker: the absorb
+    // order, and with it every column not derived from wall time, repeats
+    // exactly from run to run.
     for (label, policy) in policies {
         let cfg = JobConfig::new(8)
-            .engine(barrierless())
+            .engine(Engine::barrierless())
             .snapshots(policy)
+            .pool_workers(1)
             .scratch_dir(scratch());
         let wall_ms = best_of_3(|| {
             LocalRunner::new(4)
@@ -135,6 +129,7 @@ fn main() {
                 },
             })
             .snapshots(policy)
+            .pool_workers(1)
             .scratch_dir(scratch());
         let wall_ms = best_of_3(|| {
             LocalRunner::new(4)
@@ -190,7 +185,14 @@ fn main() {
         ("every 15 sim-s", SnapshotPolicy::EverySecs { secs: 15.0 }),
     ] {
         let start = Instant::now();
-        let report = run_wordcount_snapshotted(1.0, 8, barrierless(), 7, policy);
+        let report = run_wordcount(
+            1.0,
+            8,
+            Engine::barrierless(),
+            7,
+            CombinerPolicy::Disabled,
+            policy,
+        );
         let host_ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(report.outcome.is_completed(), "sim failed under {label}");
         let secs = report.outcome.completion_secs().unwrap();

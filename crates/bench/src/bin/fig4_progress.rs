@@ -7,18 +7,28 @@
 //! Shuffle+Reduce stage starts as soon as the first mappers complete, and
 //! the job ends shortly after the final map.
 
-use mr_bench::appcfg::{barrierless, run_wordcount};
+use mr_bench::appcfg::run_wordcount;
 use mr_bench::chart::line_chart;
 use mr_bench::stats::improvement_pct;
 use mr_cluster::SpanKind;
-use mr_core::{Engine, TraceQuery};
+use mr_core::{CombinerPolicy, Engine, SnapshotPolicy, TraceQuery};
 
 fn main() {
     let gb = 3.0;
     let reducers = 40;
     println!("== Figure 4: WordCount progress on a {gb} GB dataset ==\n");
 
-    let barrier = run_wordcount(gb, reducers, Engine::Barrier, 42);
+    let run = |engine| {
+        run_wordcount(
+            gb,
+            reducers,
+            engine,
+            42,
+            CombinerPolicy::Disabled,
+            SnapshotPolicy::Disabled,
+        )
+    };
+    let barrier = run(Engine::Barrier);
     let t_barrier = barrier.completion_secs();
     {
         let tl = TraceQuery::new(&barrier.trace);
@@ -59,7 +69,7 @@ fn main() {
         );
     }
 
-    let pipelined = run_wordcount(gb, reducers, barrierless(), 42);
+    let pipelined = run(Engine::barrierless());
     let t_pipelined = pipelined.completion_secs();
     {
         let tl = TraceQuery::new(&pipelined.trace);

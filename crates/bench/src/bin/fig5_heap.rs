@@ -10,10 +10,10 @@
 //! reducer's heap samples under the cap.
 
 use mr_bench::appcfg::{
-    scratch, testbed, wc_costs, wc_workload, WC_HEAP_CAP, WC_HEAP_SCALE, WC_SPILL_THRESHOLD,
+    scratch, wc_costs, wc_workload, WC_HEAP_CAP, WC_HEAP_SCALE, WC_SPILL_THRESHOLD,
 };
 use mr_bench::chart::line_chart;
-use mr_cluster::{FnInput, Outcome, SimExecutor};
+use mr_cluster::{ClusterParams, FnInput, Outcome, SimExecutor};
 use mr_core::{Engine, HashPartitioner, JobConfig, MemoryPolicy, TraceQuery};
 
 fn run(
@@ -26,7 +26,7 @@ fn run(
         .heap_scale(WC_HEAP_SCALE)
         .scratch_dir(scratch());
     cfg.heap_cap_bytes = cap;
-    SimExecutor::new(testbed(42)).run(
+    SimExecutor::new(ClusterParams::paper_testbed(42)).run(
         &mr_apps::wordcount::WordCount,
         &FnInput(move |c| w.chunk(c)),
         mr_bench::appcfg::chunks_for_gb(16.0),

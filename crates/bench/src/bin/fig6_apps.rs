@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig6_apps [sort|wordcount|knn|lastfm|ga|bs]...` (default: all).
 
-use mr_bench::appcfg::{barrierless, AppId};
+use mr_bench::appcfg::AppId;
 use mr_bench::chart::{line_chart, table};
 use mr_bench::stats::improvement_pct;
 use mr_core::Engine;
@@ -33,7 +33,7 @@ fn main() {
         let mut rows = Vec::new();
         for x in app.sweep() {
             let b = app.run(x, Engine::Barrier, 42);
-            let p = app.run(x, barrierless(), 42);
+            let p = app.run(x, Engine::barrierless(), 42);
             with_barrier.push((x, b.secs));
             without.push((x, p.secs));
             rows.push(vec![

@@ -5,7 +5,7 @@
 //! widest spread, Sort slightly negative, everything else clustered in
 //! the teens-to-twenties.
 
-use mr_bench::appcfg::{barrierless, AppId};
+use mr_bench::appcfg::AppId;
 use mr_bench::chart::{box_plot, table};
 use mr_bench::stats::{improvement_pct, BoxStats};
 use mr_core::Engine;
@@ -20,7 +20,7 @@ fn main() {
         for seed in [42u64, 1337] {
             for x in app.sweep() {
                 let b = app.run(x, Engine::Barrier, seed);
-                let p = app.run(x, barrierless(), seed);
+                let p = app.run(x, Engine::barrierless(), seed);
                 improvements.push(improvement_pct(b.secs, p.secs));
             }
         }

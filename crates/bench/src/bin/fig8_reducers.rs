@@ -6,7 +6,7 @@
 //! needed; the barrier-less improvement *shrinks* toward full utilisation
 //! and *grows again* once the second wave re-introduces mapper slack.
 
-use mr_bench::appcfg::{barrierless, run_ga};
+use mr_bench::appcfg::run_ga;
 use mr_bench::chart::{line_chart, table};
 use mr_bench::stats::improvement_pct;
 use mr_core::Engine;
@@ -19,7 +19,7 @@ fn main() {
     let mut rows = Vec::new();
     for reducers in [30usize, 40, 50, 60, 70] {
         let b = run_ga(mappers, reducers, Engine::Barrier, 42);
-        let p = run_ga(mappers, reducers, barrierless(), 42);
+        let p = run_ga(mappers, reducers, Engine::barrierless(), 42);
         let (tb, tp) = (b.completion_secs(), p.completion_secs());
         with_barrier.push((reducers as f64, tb));
         without.push((reducers as f64, tp));

@@ -20,9 +20,9 @@
 
 use mr_apps::topk::TopK;
 use mr_apps::wordcount::WordCount;
-use mr_bench::appcfg::{testbed, wc_costs, wc_workload};
+use mr_bench::appcfg::{wc_costs, wc_workload};
 use mr_bench::chart::line_chart;
-use mr_cluster::{ChainSimExecutor, ChainSimReport, CostModel, FnInput, SpanKind};
+use mr_cluster::{ChainSimExecutor, ChainSimReport, ClusterParams, CostModel, FnInput, SpanKind};
 use mr_core::{ChainSpec, Engine, HandoffMode, HashPartitioner, JobConfig, TraceQuery};
 
 /// The chain's cost model: WordCount's calibration with a heavyweight
@@ -53,7 +53,7 @@ fn run(gb: f64, handoff: HandoffMode, seed: u64) -> ChainSimReport<TopK> {
         JobConfig::new(2).engine(Engine::barrierless()),
     ])
     .handoff(handoff);
-    ChainSimExecutor::new(testbed(seed)).run_chain2(
+    ChainSimExecutor::new(ClusterParams::paper_testbed(seed)).run_chain2(
         &WordCount,
         &TopK::new(20),
         &FnInput(move |c| w.chunk(c)),

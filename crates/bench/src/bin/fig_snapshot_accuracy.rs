@@ -13,10 +13,10 @@
 //!
 //! Run: `cargo run --release -p mr-bench --bin fig_snapshot_accuracy`
 
-use mr_bench::appcfg::{run_knn_snapshotted, run_lastfm_snapshotted, run_wordcount_snapshotted};
+use mr_bench::appcfg::{run_knn, run_lastfm, run_wordcount};
 use mr_bench::chart::line_chart;
 use mr_cluster::SimReport;
-use mr_core::{Application, Engine, JobOutput, MemoryPolicy, SnapshotPolicy};
+use mr_core::{Application, CombinerPolicy, Engine, JobOutput, SnapshotPolicy};
 
 /// `(fraction of job complete, estimate error)` points.
 type Curve = Vec<(f64, f64)>;
@@ -176,9 +176,7 @@ fn print_panel(title: &str, bar: &[(f64, f64)], less: &[(f64, f64)]) {
 }
 
 fn main() {
-    let barrierless = Engine::BarrierLess {
-        memory: MemoryPolicy::InMemory,
-    };
+    let barrierless = Engine::barrierless();
     let tick = SnapshotPolicy::EverySecs { secs: 10.0 };
     println!("== fig_snapshot_accuracy: estimate error vs fraction of job complete ==");
     println!("   (4 GB input, 20 reducers, snapshots every 10 simulated seconds)\n");
@@ -187,8 +185,15 @@ fn main() {
     let (bar, less) = panel(
         "WordCount",
         &wc,
-        run_wordcount_snapshotted(4.0, 20, Engine::Barrier, 7, tick),
-        run_wordcount_snapshotted(4.0, 20, barrierless.clone(), 7, tick),
+        run_wordcount(4.0, 20, Engine::Barrier, 7, CombinerPolicy::Disabled, tick),
+        run_wordcount(
+            4.0,
+            20,
+            barrierless.clone(),
+            7,
+            CombinerPolicy::Disabled,
+            tick,
+        ),
     );
     print_panel("WordCount (relative count error x100)", &bar, &less);
 
@@ -196,8 +201,8 @@ fn main() {
     let (bar, less) = panel(
         "Last.fm",
         &pp,
-        run_lastfm_snapshotted(4.0, 20, Engine::Barrier, 7, tick),
-        run_lastfm_snapshotted(4.0, 20, barrierless.clone(), 7, tick),
+        run_lastfm(4.0, 20, Engine::Barrier, 7, tick),
+        run_lastfm(4.0, 20, barrierless.clone(), 7, tick),
     );
     print_panel(
         "Last.fm unique listens (relative count error x100)",
@@ -205,8 +210,8 @@ fn main() {
         &less,
     );
 
-    let (knn_app, knn_bar) = run_knn_snapshotted(4.0, 20, Engine::Barrier, 7, tick);
-    let (_, knn_less) = run_knn_snapshotted(4.0, 20, barrierless, 7, tick);
+    let (knn_app, knn_bar) = run_knn(4.0, 20, Engine::Barrier, 7, tick);
+    let (_, knn_less) = run_knn(4.0, 20, barrierless, 7, tick);
     let (bar, less) = panel("kNN", &knn_app, knn_bar, knn_less);
     print_panel("kNN (wrong-neighbour fraction x100)", &bar, &less);
 

@@ -24,10 +24,10 @@
 //!
 //! Run: `cargo run --release -p mr-bench --bin fig_speculation`
 
-use mr_bench::appcfg::{barrierless, chunks_for_gb, scratch, testbed, wc_costs, wc_workload};
+use mr_bench::appcfg::{chunks_for_gb, scratch, wc_costs, wc_workload};
 use mr_bench::chart::table;
 use mr_bench::stats::improvement_pct;
-use mr_cluster::{FnInput, SimExecutor, SimReport, SpecEvent};
+use mr_cluster::{ClusterParams, FnInput, SimExecutor, SimReport, SpecEvent};
 use mr_core::{
     DeadlinePolicy, Engine, HashPartitioner, JobConfig, SnapshotPolicy, SpeculationPolicy,
     TraceQuery,
@@ -57,7 +57,7 @@ fn run(
     spec: SpeculationPolicy,
 ) -> SimReport<mr_apps::WordCount> {
     let w = wc_workload(seed);
-    let mut params = testbed(seed);
+    let mut params = ClusterParams::paper_testbed(seed);
     params.hetero_sigma = sigma;
     params.task_noise_sigma = noise;
     params.speculation = Some(spec);
@@ -166,11 +166,11 @@ fn deadline_demo() {
     let w = wc_workload(seed);
     let cfg_base = || {
         JobConfig::new(REDUCERS)
-            .engine(barrierless())
+            .engine(Engine::barrierless())
             .snapshots(SnapshotPolicy::EverySecs { secs: 5.0 })
             .scratch_dir(scratch())
     };
-    let exact = SimExecutor::new(testbed(seed)).run(
+    let exact = SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &mr_apps::WordCount,
         &FnInput({
             let w = w.clone();
@@ -185,7 +185,7 @@ fn deadline_demo() {
     let full = exact.completion_secs();
     let at = full * 0.5;
 
-    let cut = SimExecutor::new(testbed(seed)).run(
+    let cut = SimExecutor::new(ClusterParams::paper_testbed(seed)).run(
         &mr_apps::WordCount,
         &FnInput(move |c| w.chunk(c)),
         chunks_for_gb(GB),
@@ -234,7 +234,7 @@ fn main() {
     );
     println!("    p99 = worst seed; speculation checks every 5 s at 1.2x slowdown)\n");
     sweep(Engine::Barrier, "barrier engine");
-    sweep(barrierless(), "barrier-less engine");
+    sweep(Engine::barrierless(), "barrier-less engine");
     deadline_demo();
     println!(
         "\nSpeculation never fires on a homogeneous quiet cluster, never changes\n\

@@ -1,11 +1,12 @@
 //! Diagnostic: stage timing breakdown for calibration (not a paper figure).
 
-use mr_bench::appcfg::{barrierless, run_knn, run_wordcount};
+use mr_bench::appcfg::{run_knn, run_wordcount};
 use mr_cluster::SpanKind;
-use mr_core::{Engine, TraceQuery};
+use mr_core::{CombinerPolicy, Engine, SnapshotPolicy, TraceQuery};
 
 fn main() {
-    for (name, report) in [("knn barrier 16GB", run_knn(16.0, 40, Engine::Barrier, 42))] {
+    let knn = |engine| run_knn(16.0, 40, engine, 42, SnapshotPolicy::Disabled).1;
+    for (name, report) in [("knn barrier 16GB", knn(Engine::Barrier))] {
         let t = TraceQuery::new(&report.trace);
         println!("=== {name} ===");
         println!(
@@ -26,7 +27,7 @@ fn main() {
             }
         }
     }
-    let report = run_knn(16.0, 40, barrierless(), 42);
+    let report = knn(Engine::barrierless());
     println!("=== knn barrierless 16GB ===");
     println!(
         "last_map {:.1} shuffle_done {:.1} total {:.1}",
@@ -40,7 +41,14 @@ fn main() {
             println!("  {kind:?}: {s:.1} .. {e:.1}");
         }
     }
-    let report = run_wordcount(16.0, 40, Engine::Barrier, 42);
+    let report = run_wordcount(
+        16.0,
+        40,
+        Engine::Barrier,
+        42,
+        CombinerPolicy::Disabled,
+        SnapshotPolicy::Disabled,
+    );
     println!("=== wc barrier 16GB ===");
     println!(
         "last_map {:.1} shuffle_done {:.1} total {:.1}",

@@ -93,16 +93,6 @@ impl ClusterParams {
         cfg
     }
 
-    /// Total map slots across the cluster.
-    pub fn total_map_slots(&self) -> usize {
-        self.nodes * self.map_slots
-    }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> usize {
-        self.nodes * self.reduce_slots
-    }
-
     /// Validates internal consistency (panics on nonsense).
     pub fn validate(&self) {
         assert!(self.nodes >= 1);
@@ -123,8 +113,6 @@ mod tests {
     fn paper_testbed_shape() {
         let p = ClusterParams::paper_testbed(1);
         p.validate();
-        assert_eq!(p.total_map_slots(), 60);
-        assert_eq!(p.total_reduce_slots(), 60);
         assert_eq!(p.chunk_bytes, 64 << 20);
     }
 

@@ -580,19 +580,9 @@ impl LocalRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::InputAdapter;
     use crate::config::{Engine, JobConfig, MemoryPolicy};
     use crate::partition::HashPartitioner;
-    use crate::testutil::{scratch_dir, WordCountApp};
-
-    /// WordCount chained into a count histogram: stage 2 counts how many
-    /// distinct words occurred with each count value. Deterministic,
-    /// order-free, and exercises a real type adaptation at the boundary.
-    fn histogram() -> InputAdapter<WordCountApp, impl Fn(String, u64) -> (u64, String)> {
-        InputAdapter::new(WordCountApp, |_word: String, count: u64| {
-            (0u64, format!("c{count}"))
-        })
-    }
+    use crate::testutil::{scratch_dir, CountHistogram, WordCountApp};
 
     fn text_splits(n_splits: usize, lines: usize) -> Vec<Vec<(u64, String)>> {
         let vocab = [
@@ -614,25 +604,20 @@ mod tests {
             .collect()
     }
 
-    /// The ground truth: run the two jobs sequentially by hand.
+    /// The ground truth: run WordCount and then [`CountHistogram`] on
+    /// its output by hand (the histogram's `adapt_input` is the
+    /// identity).
     fn sequential_reference(
         splits: Vec<Vec<(u64, String)>>,
         cfg1: &JobConfig,
         cfg2: &JobConfig,
     ) -> Vec<Vec<(String, u64)>> {
         let runner = LocalRunner::new(4);
-        let second = histogram();
         let out1 = runner.run(&WordCountApp, splits, cfg1).unwrap();
-        let splits2: Vec<Vec<(u64, String)>> = out1
+        runner
+            .run(&CountHistogram, out1.partitions, cfg2)
+            .unwrap()
             .partitions
-            .into_iter()
-            .map(|p| {
-                p.into_iter()
-                    .map(|(k, v)| second.adapt_input(k, v))
-                    .collect()
-            })
-            .collect();
-        runner.run(&second, splits2, cfg2).unwrap().partitions
     }
 
     fn spec2(cfg1: JobConfig, cfg2: JobConfig, handoff: HandoffMode) -> ChainSpec {
@@ -664,7 +649,7 @@ mod tests {
                     let out = LocalRunner::new(4)
                         .run_chain2(
                             &WordCountApp,
-                            &histogram(),
+                            &CountHistogram,
                             splits.clone(),
                             &spec2(cfg1.clone(), cfg2.clone(), handoff),
                             &HashPartitioner,
@@ -706,7 +691,7 @@ mod tests {
             let out = LocalRunner::new(4)
                 .run_chain2(
                     &WordCountApp,
-                    &histogram(),
+                    &CountHistogram,
                     splits.clone(),
                     &spec2(cfg1, cfg2, HandoffMode::Streaming),
                     &HashPartitioner,
@@ -737,7 +722,7 @@ mod tests {
             let out = LocalRunner::new(2)
                 .run_chain2(
                     &WordCountApp,
-                    &histogram(),
+                    &CountHistogram,
                     splits.clone(),
                     &spec,
                     &HashPartitioner,
@@ -792,7 +777,7 @@ mod tests {
                 .collect()
         }
         let splits = wide_splits(3, 3000);
-        let app = iter_app();
+        let app = WordCountApp;
         for workers in [1usize, 3] {
             let cfg = |reducers| {
                 JobConfig::new(reducers)
@@ -803,7 +788,7 @@ mod tests {
                 let two = LocalRunner::new(2)
                     .run_chain2(
                         &WordCountApp,
-                        &histogram(),
+                        &CountHistogram,
                         splits.clone(),
                         &spec2(cfg(2), cfg(2), handoff),
                         &HashPartitioner,
@@ -837,7 +822,7 @@ mod tests {
             let out = LocalRunner::new(2)
                 .run_chain2(
                     &WordCountApp,
-                    &histogram(),
+                    &CountHistogram,
                     Vec::new(),
                     &spec,
                     &HashPartitioner,
@@ -857,7 +842,7 @@ mod tests {
         assert!(matches!(
             LocalRunner::new(2).run_chain2(
                 &WordCountApp,
-                &histogram(),
+                &CountHistogram,
                 splits.clone(),
                 &spec,
                 &HashPartitioner,
@@ -872,7 +857,7 @@ mod tests {
         assert!(matches!(
             LocalRunner::new(2).run_chain2(
                 &WordCountApp,
-                &histogram(),
+                &CountHistogram,
                 splits,
                 &spec,
                 &HashPartitioner,
@@ -898,7 +883,7 @@ mod tests {
             cfg2.heap_cap_bytes = Some(16); // dies on the first few records
             let err = LocalRunner::new(4).run_chain2(
                 &WordCountApp,
-                &histogram(),
+                &CountHistogram,
                 splits,
                 &spec2(cfg1, cfg2, HandoffMode::Streaming),
                 &HashPartitioner,
@@ -925,7 +910,7 @@ mod tests {
                 .pool_workers(workers);
             let err = LocalRunner::new(4).run_chain2(
                 &WordCountApp,
-                &histogram(),
+                &CountHistogram,
                 splits,
                 &spec2(cfg1, cfg2, HandoffMode::Streaming),
                 &HashPartitioner,
@@ -939,18 +924,10 @@ mod tests {
         }
     }
 
-    /// A homogeneous chainable app for the iterative driver: wordcount
-    /// whose output words feed the next generation's text.
-    fn iter_app() -> InputAdapter<WordCountApp, impl Fn(String, u64) -> (u64, String)> {
-        InputAdapter::new(WordCountApp, |word: String, count: u64| {
-            (count, format!("{word} x{count}"))
-        })
-    }
-
     #[test]
     fn iterative_streaming_chain_matches_sequential_fold() {
         let splits = text_splits(4, 25);
-        let app = iter_app();
+        let app = WordCountApp;
         let k = 4;
         let mk_spec = |handoff| {
             ChainSpec::new(
@@ -1002,7 +979,7 @@ mod tests {
     #[test]
     fn iterative_chain_matches_barrier_fold_under_every_middle_engine() {
         let splits = text_splits(4, 25);
-        let app = iter_app();
+        let app = WordCountApp;
         let engines = [
             Engine::Barrier,
             Engine::barrierless(),
@@ -1046,7 +1023,7 @@ mod tests {
     #[test]
     fn single_stage_iter_chain_is_just_the_job() {
         let splits = text_splits(3, 10);
-        let app = iter_app();
+        let app = WordCountApp;
         let cfg = JobConfig::new(2).engine(Engine::barrierless());
         let plain = LocalRunner::new(2).run(&app, splits.clone(), &cfg).unwrap();
         let out = LocalRunner::new(2)
@@ -1070,7 +1047,7 @@ mod tests {
     fn final_stage_counters_are_the_jobs_own() {
         use crate::config::TracePolicy;
         let splits = text_splits(4, 25);
-        let app = iter_app();
+        let app = WordCountApp;
         let cfg = |trace| JobConfig::new(3).engine(Engine::barrierless()).trace(trace);
         let policies = [TracePolicy::Enabled, TracePolicy::Disabled];
         let handoffs = [HandoffMode::Barrier, HandoffMode::Streaming];

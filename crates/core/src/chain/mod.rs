@@ -19,8 +19,7 @@
 //!
 //! * [`ChainableApplication`] — how a downstream job consumes an
 //!   upstream job's output records. Existing [`Application`]s compose
-//!   without rewrites: either implement the one `adapt_input` method, or
-//!   wrap the app in an [`InputAdapter`] closure.
+//!   without rewrites: implement the one `adapt_input` method.
 //! * [`local`] — the chain driver for
 //!   [`LocalRunner`](crate::local::LocalRunner): a two-job chain and an
 //!   iterative driver for homogeneous K-stage chains.
@@ -37,7 +36,7 @@ pub mod local;
 use crate::counters::Counters;
 use crate::engine::DriverReport;
 use crate::output::JobOutput;
-use crate::traits::{Application, Emit, IdentityWriter};
+use crate::traits::Application;
 use mr_trace::TraceLog;
 
 /// An [`Application`] that can sit downstream of a job emitting
@@ -46,9 +45,8 @@ use mr_trace::TraceLog;
 /// [`adapt_input`](ChainableApplication::adapt_input) converts one
 /// upstream output record into this job's map input record — the glue a
 /// chain driver applies at the stage boundary, in upstream emission
-/// order. Implement it directly on an app (a one-method change; the
-/// paper's "no rewrite" claim for composition), or wrap any app in an
-/// [`InputAdapter`] closure.
+/// order. Implementing it on an app is a one-method change: the paper's
+/// "no rewrite" claim for composition.
 pub trait ChainableApplication<UpK, UpV>: Application {
     /// Converts one upstream output record into this job's input record.
     fn adapt_input(&self, key: UpK, value: UpV) -> (Self::InKey, Self::InValue);
@@ -60,163 +58,6 @@ pub trait ChainableApplication<UpK, UpV>: Application {
     fn handoff_bytes(&self, key: &UpK, value: &UpV) -> usize {
         let _ = (key, value);
         std::mem::size_of::<UpK>() + std::mem::size_of::<UpV>()
-    }
-}
-
-/// Wraps an [`Application`] with an input-adaptation closure so it can
-/// consume another job's output without touching the app itself.
-///
-/// The wrapper delegates every `Application` method to the inner app; the
-/// closure only shapes the chain boundary.
-pub struct InputAdapter<A, F> {
-    inner: A,
-    adapt: F,
-}
-
-impl<A, F> InputAdapter<A, F> {
-    /// Wraps `inner`, converting upstream records with `adapt`.
-    pub fn new(inner: A, adapt: F) -> Self {
-        InputAdapter { inner, adapt }
-    }
-
-    /// The wrapped application.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A, F> Application for InputAdapter<A, F>
-where
-    A: Application,
-    F: Send + Sync + 'static,
-{
-    type InKey = A::InKey;
-    type InValue = A::InValue;
-    type MapKey = A::MapKey;
-    type MapValue = A::MapValue;
-    type OutKey = A::OutKey;
-    type OutValue = A::OutValue;
-    type State = A::State;
-    type Shared = A::Shared;
-
-    fn map(
-        &self,
-        key: &Self::InKey,
-        value: &Self::InValue,
-        out: &mut dyn Emit<Self::MapKey, Self::MapValue>,
-    ) {
-        self.inner.map(key, value, out);
-    }
-
-    fn new_shared(&self) -> Self::Shared {
-        self.inner.new_shared()
-    }
-
-    fn reduce_grouped(
-        &self,
-        key: &Self::MapKey,
-        values: Vec<Self::MapValue>,
-        shared: &mut Self::Shared,
-        out: &mut dyn Emit<Self::OutKey, Self::OutValue>,
-    ) {
-        self.inner.reduce_grouped(key, values, shared, out);
-    }
-
-    fn uses_keyed_state(&self) -> bool {
-        self.inner.uses_keyed_state()
-    }
-
-    fn init(&self, key: &Self::MapKey) -> Self::State {
-        self.inner.init(key)
-    }
-
-    fn absorb(
-        &self,
-        key: &Self::MapKey,
-        state: &mut Self::State,
-        value: Self::MapValue,
-        shared: &mut Self::Shared,
-        out: &mut dyn Emit<Self::OutKey, Self::OutValue>,
-    ) {
-        self.inner.absorb(key, state, value, shared, out);
-    }
-
-    fn merge(&self, key: &Self::MapKey, a: Self::State, b: Self::State) -> Self::State {
-        self.inner.merge(key, a, b)
-    }
-
-    fn finalize(
-        &self,
-        key: Self::MapKey,
-        state: Self::State,
-        shared: &mut Self::Shared,
-        out: &mut dyn Emit<Self::OutKey, Self::OutValue>,
-    ) {
-        self.inner.finalize(key, state, shared, out);
-    }
-
-    fn flush_shared(&self, shared: Self::Shared, out: &mut dyn Emit<Self::OutKey, Self::OutValue>) {
-        self.inner.flush_shared(shared, out);
-    }
-
-    fn group_eq(&self, a: &Self::MapKey, b: &Self::MapKey) -> bool {
-        self.inner.group_eq(a, b)
-    }
-
-    fn requires_sorted_output(&self) -> bool {
-        self.inner.requires_sorted_output()
-    }
-
-    fn combine_enabled(&self) -> bool {
-        self.inner.combine_enabled()
-    }
-
-    fn combiner_emit(
-        &self,
-        key: Self::MapKey,
-        state: Self::State,
-        out: &mut dyn Emit<Self::MapKey, Self::MapValue>,
-    ) {
-        self.inner.combiner_emit(key, state, out);
-    }
-
-    fn snapshot_emit(
-        &self,
-        key: &Self::MapKey,
-        state: &Self::State,
-        out: &mut dyn Emit<Self::OutKey, Self::OutValue>,
-    ) {
-        self.inner.snapshot_emit(key, state, out);
-    }
-
-    fn snapshot_error(
-        &self,
-        estimate: &[(Self::OutKey, Self::OutValue)],
-        truth: &[(Self::OutKey, Self::OutValue)],
-    ) -> f64 {
-        self.inner.snapshot_error(estimate, truth)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    /// The inner app's identity. The adapter itself shapes nothing the
-    /// cache keys on: `adapt` only builds this job's input records,
-    /// whose content the key already hashes, and the adapter's type name
-    /// is in the key too.
-    fn cache_identity(&self, w: &mut dyn IdentityWriter) -> bool {
-        self.inner.cache_identity(w)
-    }
-}
-
-impl<A, UpK, UpV, F> ChainableApplication<UpK, UpV> for InputAdapter<A, F>
-where
-    A: Application,
-    F: Fn(UpK, UpV) -> (A::InKey, A::InValue) + Send + Sync + 'static,
-{
-    fn adapt_input(&self, key: UpK, value: UpV) -> (Self::InKey, Self::InValue) {
-        (self.adapt)(key, value)
     }
 }
 
@@ -292,37 +133,9 @@ mod tests {
     use crate::testutil::WordCountApp;
 
     #[test]
-    fn input_adapter_delegates_and_adapts() {
-        let app = InputAdapter::new(WordCountApp, |key: u32, line: String| {
-            (key as u64, line.to_uppercase())
-        });
-        assert_eq!(app.name(), "test-wordcount");
-        assert!(app.uses_keyed_state());
-        let (k, v) = app.adapt_input(7u32, "abc".to_string());
-        assert_eq!(k, 7u64);
-        assert_eq!(v, "ABC");
-        // The inner map still runs on the adapted record.
-        let mut out: Vec<(String, u64)> = Vec::new();
-        app.map(&k, &v, &mut out);
-        assert_eq!(out, vec![("ABC".to_string(), 1)]);
-        // Incremental form delegates too.
-        let mut state = app.init(&"w".to_string());
-        let mut sink: Vec<(String, u64)> = Vec::new();
-        app.absorb(
-            &"w".to_string(),
-            &mut state,
-            2,
-            &mut app.new_shared(),
-            &mut sink,
-        );
-        assert_eq!(state, 2);
-        assert_eq!(app.merge(&"w".to_string(), 3, 4), 7);
-    }
-
-    #[test]
     fn default_handoff_bytes_is_the_shallow_size() {
-        let app = InputAdapter::new(WordCountApp, |key: u64, n: u64| (key, n.to_string()));
-        let got = ChainableApplication::<u64, u64>::handoff_bytes(&app, &1, &2);
-        assert_eq!(got, 16);
+        let got =
+            ChainableApplication::<String, u64>::handoff_bytes(&WordCountApp, &"w".to_string(), &2);
+        assert_eq!(got, std::mem::size_of::<String>() + 8);
     }
 }

@@ -291,13 +291,6 @@ pub enum HandoffMode {
     Streaming,
 }
 
-impl HandoffMode {
-    /// True for [`HandoffMode::Streaming`].
-    pub fn is_streaming(&self) -> bool {
-        matches!(self, HandoffMode::Streaming)
-    }
-}
-
 /// A concatenated sequence of MapReduce jobs: one [`JobConfig`] per
 /// stage plus the [`HandoffMode`] of every stage boundary. Stage `i`'s
 /// reduce output is re-partitioned and fed to stage `i + 1`'s mappers as
@@ -1011,9 +1004,7 @@ mod tests {
     fn chain_defaults_are_a_barrier_with_sane_batching() {
         let spec = ChainSpec::new(vec![JobConfig::new(1), JobConfig::new(1)]);
         assert_eq!(spec.handoff, HandoffMode::Barrier);
-        assert!(!spec.handoff.is_streaming());
         spec.validate().unwrap();
-        assert!(spec.handoff(HandoffMode::Streaming).handoff.is_streaming());
     }
 
     #[test]

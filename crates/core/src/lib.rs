@@ -46,7 +46,7 @@ pub mod traits;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use chain::{ChainOutput, ChainableApplication, InputAdapter, StageStats};
+pub use chain::{ChainOutput, ChainableApplication, StageStats};
 pub use codec::{Codec, CodecError, KeyCow, KeyView};
 pub use combine::CombinerBuffer;
 pub use config::{

@@ -1857,7 +1857,7 @@ mod tests {
         // by different tasks and their records reach a reducer
         // interleaved; the stable-sort contract still owes the
         // application split order, at every width and batch budget.
-        use crate::chain::{ChainableApplication, InputAdapter};
+        use crate::chain::ChainableApplication;
         use crate::config::{ChainSpec, CombinerPolicy, HandoffMode};
         let splits = text_splits(9, 25);
         let expect = split_order_reference(&ArrivalOrder, &splits, 2);
@@ -1883,7 +1883,6 @@ mod tests {
         // Downstream of a streaming chain the "splits" are the upstream
         // partitions: upstream reducer i's output, in the order it was
         // emitted, mapped inside that reducer.
-        let second = InputAdapter::new(ArrivalOrder, |word: String, count: u64| (count, word));
         let cfg1 = JobConfig::new(3);
         let intakes: Vec<Vec<(u64, String)>> = LocalRunner::new(2)
             .run(&WordCountApp, splits.clone(), &cfg1)
@@ -1892,18 +1891,18 @@ mod tests {
             .into_iter()
             .map(|p| {
                 p.into_iter()
-                    .map(|(k, v)| second.adapt_input(k, v))
+                    .map(|(k, v)| ArrivalOrder.adapt_input(k, v))
                     .collect()
             })
             .collect();
-        let expect = split_order_reference(&second, &intakes, 2);
+        let expect = split_order_reference(&ArrivalOrder, &intakes, 2);
         for pool_workers in [1, 2, 4] {
             let cfg2 = JobConfig::new(2).pool_workers(pool_workers);
             let spec = ChainSpec::new(vec![cfg1.clone(), cfg2]).handoff(HandoffMode::Streaming);
             let out = LocalRunner::new(2)
                 .run_chain2(
                     &WordCountApp,
-                    &second,
+                    &ArrivalOrder,
                     splits.clone(),
                     &spec,
                     &HashPartitioner,

@@ -3,6 +3,7 @@
 //! Real applications live in `mr-apps`; these minimal ones exist so the
 //! framework's own unit tests don't depend on a downstream crate.
 
+use crate::chain::ChainableApplication;
 use crate::traits::{Application, Emit};
 use std::cmp::Reverse;
 use std::path::PathBuf;
@@ -83,6 +84,86 @@ impl Application for WordCountApp {
 
     fn name(&self) -> &'static str {
         "test-wordcount"
+    }
+}
+
+/// Chained behind itself (the iterative driver's homogeneous stages),
+/// each generation's output words become the next generation's text.
+impl ChainableApplication<String, u64> for WordCountApp {
+    fn adapt_input(&self, word: String, count: u64) -> (u64, String) {
+        (count, format!("{word} x{count}"))
+    }
+}
+
+/// A word count's downstream stage: how many distinct words occurred
+/// with each count value, keyed `c{count}`.
+pub struct CountHistogram;
+
+impl Application for CountHistogram {
+    type InKey = String;
+    type InValue = u64;
+    type MapKey = String;
+    type MapValue = u64;
+    type OutKey = String;
+    type OutValue = u64;
+    type State = u64;
+    type Shared = ();
+
+    fn map(&self, _word: &String, count: &u64, out: &mut dyn Emit<String, u64>) {
+        out.emit(format!("c{count}"), 1);
+    }
+
+    fn new_shared(&self) {}
+
+    fn reduce_grouped(
+        &self,
+        key: &String,
+        values: Vec<u64>,
+        _shared: &mut (),
+        out: &mut dyn Emit<String, u64>,
+    ) {
+        out.emit(key.clone(), values.iter().sum());
+    }
+
+    fn init(&self, _key: &String) -> u64 {
+        0
+    }
+
+    fn absorb(
+        &self,
+        _key: &String,
+        state: &mut u64,
+        value: u64,
+        _shared: &mut (),
+        _out: &mut dyn Emit<String, u64>,
+    ) {
+        *state += value;
+    }
+
+    fn merge(&self, _key: &String, a: u64, b: u64) -> u64 {
+        a + b
+    }
+
+    fn finalize(&self, key: String, state: u64, _shared: &mut (), out: &mut dyn Emit<String, u64>) {
+        out.emit(key, state);
+    }
+
+    fn combine_enabled(&self) -> bool {
+        true
+    }
+
+    fn combiner_emit(&self, key: String, state: u64, out: &mut dyn Emit<String, u64>) {
+        out.emit(key, state);
+    }
+
+    fn name(&self) -> &'static str {
+        "test-count-histogram"
+    }
+}
+
+impl ChainableApplication<String, u64> for CountHistogram {
+    fn adapt_input(&self, word: String, count: u64) -> (String, u64) {
+        (word, count)
     }
 }
 
@@ -299,5 +380,13 @@ impl Application for ArrivalOrder {
 
     fn name(&self) -> &'static str {
         "test-arrival-order"
+    }
+}
+
+/// Downstream of a word count, each `(word, count)` becomes the record
+/// `(count, word)`.
+impl ChainableApplication<String, u64> for ArrivalOrder {
+    fn adapt_input(&self, word: String, count: u64) -> (u64, String) {
+        (count, word)
     }
 }

@@ -62,7 +62,6 @@ struct FileMeta {
     #[allow(dead_code)]
     name: String,
     chunks: Vec<ChunkId>,
-    bytes: u64,
 }
 
 /// The namenode: chunk metadata and placement policy.
@@ -127,7 +126,6 @@ impl Dfs {
         self.files.push(FileMeta {
             name: name.to_string(),
             chunks: chunk_ids,
-            bytes,
         });
         id
     }
@@ -135,11 +133,6 @@ impl Dfs {
     /// Chunk ids of `file`, in file order.
     pub fn file_chunks(&self, file: FileId) -> &[ChunkId] {
         &self.files[file.0 as usize].chunks
-    }
-
-    /// Total size of `file` in bytes.
-    pub fn file_bytes(&self, file: FileId) -> u64 {
-        self.files[file.0 as usize].bytes
     }
 
     /// Metadata for a chunk.
@@ -224,11 +217,6 @@ impl Dfs {
         &self.node_load
     }
 
-    /// Total number of chunks in the namespace.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Samples `replication` distinct *alive* nodes by rejection (fewer
     /// when the cluster has shrunk below the replication factor), so
     /// placement stays uniform and never targets a failed node.
@@ -272,7 +260,6 @@ mod tests {
         let chunks = fs.file_chunks(g).to_vec();
         assert_eq!(fs.chunk(chunks[0]).bytes, 64 * MB);
         assert_eq!(fs.chunk(chunks[1]).bytes, MB);
-        assert_eq!(fs.file_bytes(g), 65 * MB);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   to disk, hot keys stay resident ("BerkeleyDB … performs caching and
 //!   prefetching of common entries … can therefore exploit temporal
 //!   locality", §5.3).
-//! * **Compaction** — reclaims dead versions from the log.
+//! * **Recovery** — reopening a directory replays its segments to
+//!   rebuild the index.
 //!
 //! The read-modify-update cycle the barrier-less reducer performs maps to
 //! `get` + `put`; [`StoreStats`] exposes hit/miss/eviction counts so the

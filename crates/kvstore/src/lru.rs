@@ -86,11 +86,6 @@ impl LruCache {
         Some(&self.slab[idx].value)
     }
 
-    /// Whether `key` is resident, *without* promoting it.
-    pub fn peek_contains(&self, key: &[u8]) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Inserts or replaces `key`, evicting cold entries as needed.
     ///
     /// Returns the evicted entries (coldest first). An entry larger than
@@ -131,24 +126,6 @@ impl LruCache {
             }
         }
         Ok(evicted)
-    }
-
-    /// Removes `key` if present, returning its value.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Box<[u8]>> {
-        let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        let node = std::mem::replace(
-            &mut self.slab[idx],
-            Node {
-                key: Box::default(),
-                value: Box::default(),
-                prev: NIL,
-                next: NIL,
-            },
-        );
-        self.used -= Self::charge(&node.key, &node.value);
-        self.free.push(idx);
-        Some(node.value)
     }
 
     /// Number of resident entries.
@@ -324,17 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_budget() {
-        let mut c = cache_for(2, 2);
-        c.put(b"a", b"1").unwrap();
-        let used = c.used_bytes();
-        assert_eq!(c.remove(b"a").as_deref(), Some(&b"1"[..]));
-        assert_eq!(c.used_bytes(), used - (1 + 1 + ENTRY_OVERHEAD));
-        assert_eq!(c.remove(b"a"), None);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn slab_reuses_freed_slots() {
         let mut c = cache_for(1, 2);
         for i in 0..100u8 {
@@ -357,17 +323,6 @@ mod tests {
         let ev = c.put(b"d", b"4").unwrap();
         assert_eq!(&*ev[0].0, b"b");
         let ev = c.put(b"e", b"5").unwrap();
-        assert_eq!(&*ev[0].0, b"a");
-    }
-
-    #[test]
-    fn peek_does_not_promote() {
-        let mut c = cache_for(2, 2);
-        c.put(b"a", b"1").unwrap();
-        c.put(b"b", b"2").unwrap();
-        assert!(c.peek_contains(b"a"));
-        // a was NOT promoted, so it is still the coldest.
-        let ev = c.put(b"c", b"3").unwrap();
         assert_eq!(&*ev[0].0, b"a");
     }
 }

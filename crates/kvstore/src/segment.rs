@@ -1,14 +1,11 @@
 //! Append-only log segments.
 //!
 //! Record layout: `[u32 key_len][u32 val_len][key bytes][val bytes]`, all
-//! little-endian, no padding. A `val_len` of `u32::MAX` marks a tombstone.
+//! little-endian, no padding.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// Marks a deletion in the log.
-pub const TOMBSTONE: u32 = u32::MAX;
 
 /// Identifies a segment file within one store directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,16 +53,6 @@ impl SegmentWriter {
         Ok(offset)
     }
 
-    /// Appends a tombstone for `key`; returns its starting offset.
-    pub fn append_tombstone(&mut self, key: &[u8]) -> io::Result<u64> {
-        let offset = self.written;
-        self.out.write_all(&(key.len() as u32).to_le_bytes())?;
-        self.out.write_all(&TOMBSTONE.to_le_bytes())?;
-        self.out.write_all(key)?;
-        self.written += 8 + key.len() as u64;
-        Ok(offset)
-    }
-
     /// Pushes buffered bytes to the OS.
     pub fn flush(&mut self) -> io::Result<()> {
         self.out.flush()?;
@@ -107,10 +94,8 @@ impl SegmentReader {
         })
     }
 
-    /// Reads the record at `offset`, returning `(key, value)`;
-    /// `value` is `None` for a tombstone.
-    #[allow(clippy::type_complexity)]
-    pub fn read_at(&mut self, offset: u64) -> io::Result<(Vec<u8>, Option<Vec<u8>>)> {
+    /// Reads the record at `offset`, returning `(key, value)`.
+    pub fn read_at(&mut self, offset: u64) -> io::Result<(Vec<u8>, Vec<u8>)> {
         self.file.seek(SeekFrom::Start(offset))?;
         let mut header = [0u8; 8];
         self.file.read_exact(&mut header)?;
@@ -118,24 +103,21 @@ impl SegmentReader {
         let val_len = u32::from_le_bytes(header[4..8].try_into().unwrap());
         let mut key = vec![0u8; key_len as usize];
         self.file.read_exact(&mut key)?;
-        if val_len == TOMBSTONE {
-            return Ok((key, None));
-        }
         let mut val = vec![0u8; val_len as usize];
         self.file.read_exact(&mut val)?;
-        Ok((key, Some(val)))
+        Ok((key, val))
     }
 
     /// Iterates every record in the segment from the start, yielding
-    /// `(offset, key, value-or-tombstone)`. Used by recovery and compaction.
+    /// `(offset, key, value)`. Used by recovery.
     #[allow(clippy::type_complexity)]
-    pub fn scan(&mut self) -> io::Result<Vec<(u64, Vec<u8>, Option<Vec<u8>>)>> {
+    pub fn scan(&mut self) -> io::Result<Vec<(u64, Vec<u8>, Vec<u8>)>> {
         let end = self.file.seek(SeekFrom::End(0))?;
         let mut offset = 0u64;
         let mut out = Vec::new();
         while offset < end {
             let (key, val) = self.read_at(offset)?;
-            let advance = 8 + key.len() as u64 + val.as_ref().map_or(0, |v| v.len() as u64);
+            let advance = 8 + key.len() as u64 + val.len() as u64;
             out.push((offset, key, val));
             offset += advance;
         }
@@ -159,20 +141,12 @@ mod tests {
         let mut w = SegmentWriter::create(&dir, SegmentId(0)).unwrap();
         let o1 = w.append(b"alpha", b"1").unwrap();
         let o2 = w.append(b"beta", b"two").unwrap();
-        let o3 = w.append_tombstone(b"alpha").unwrap();
         w.flush().unwrap();
-        assert!(w.is_flushed_past(o3));
+        assert!(w.is_flushed_past(o2));
 
         let mut r = SegmentReader::open(&dir, SegmentId(0)).unwrap();
-        assert_eq!(
-            r.read_at(o1).unwrap(),
-            (b"alpha".to_vec(), Some(b"1".to_vec()))
-        );
-        assert_eq!(
-            r.read_at(o2).unwrap(),
-            (b"beta".to_vec(), Some(b"two".to_vec()))
-        );
-        assert_eq!(r.read_at(o3).unwrap(), (b"alpha".to_vec(), None));
+        assert_eq!(r.read_at(o1).unwrap(), (b"alpha".to_vec(), b"1".to_vec()));
+        assert_eq!(r.read_at(o2).unwrap(), (b"beta".to_vec(), b"two".to_vec()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -183,17 +157,15 @@ mod tests {
         for i in 0..50u32 {
             w.append(&i.to_le_bytes(), &(i * 2).to_le_bytes()).unwrap();
         }
-        w.append_tombstone(&7u32.to_le_bytes()).unwrap();
         w.flush().unwrap();
 
         let mut r = SegmentReader::open(&dir, SegmentId(3)).unwrap();
         let records = r.scan().unwrap();
-        assert_eq!(records.len(), 51);
-        for (i, (_, key, val)) in records.iter().take(50).enumerate() {
+        assert_eq!(records.len(), 50);
+        for (i, (_, key, val)) in records.iter().enumerate() {
             assert_eq!(key, &(i as u32).to_le_bytes());
-            assert_eq!(val.as_deref(), Some(&((i as u32) * 2).to_le_bytes()[..]));
+            assert_eq!(val, &((i as u32) * 2).to_le_bytes());
         }
-        assert_eq!(records[50].2, None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -205,8 +177,8 @@ mod tests {
         let o2 = w.append(b"key-with-empty-value", b"").unwrap();
         w.flush().unwrap();
         let mut r = SegmentReader::open(&dir, SegmentId(0)).unwrap();
-        assert_eq!(r.read_at(o1).unwrap().1.unwrap(), b"value-for-empty-key");
-        assert_eq!(r.read_at(o2).unwrap().1.unwrap(), b"");
+        assert_eq!(r.read_at(o1).unwrap().1, b"value-for-empty-key");
+        assert_eq!(r.read_at(o2).unwrap().1, b"");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! The store: index + active segment + record cache.
 
 use crate::lru::LruCache;
-use crate::segment::{segment_path, SegmentId, SegmentReader, SegmentWriter};
+use crate::segment::{SegmentId, SegmentReader, SegmentWriter};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -97,21 +97,14 @@ impl Store {
         let mut index = HashMap::new();
         for &seg in &existing {
             let mut reader = SegmentReader::open(&cfg.dir, seg)?;
-            for (offset, key, value) in reader.scan()? {
-                match value {
-                    Some(_) => {
-                        index.insert(
-                            key.into_boxed_slice(),
-                            Loc {
-                                segment: seg,
-                                offset,
-                            },
-                        );
-                    }
-                    None => {
-                        index.remove(key.as_slice());
-                    }
-                }
+            for (offset, key, _value) in reader.scan()? {
+                index.insert(
+                    key.into_boxed_slice(),
+                    Loc {
+                        segment: seg,
+                        offset,
+                    },
+                );
             }
         }
         let next = existing.last().map_or(0, |s| s.0 + 1);
@@ -171,20 +164,6 @@ impl Store {
         Ok(Some(value))
     }
 
-    /// Deletes `key`; returns whether it existed.
-    pub fn delete(&mut self, key: &[u8]) -> io::Result<bool> {
-        let existed = self.index.remove(key).is_some();
-        if existed {
-            self.active.append_tombstone(key)?;
-            self.stats.bytes_written += 8 + key.len() as u64;
-            self.cache.remove(key);
-            if self.active.len() >= self.cfg.segment_bytes {
-                self.roll_segment()?;
-            }
-        }
-        Ok(existed)
-    }
-
     /// Number of live keys.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -216,77 +195,6 @@ impl Store {
             out.push((key.into_vec(), value));
         }
         Ok(out)
-    }
-
-    /// Rewrites live records into fresh segments, dropping dead versions
-    /// and tombstones. Returns bytes reclaimed (old log size − new).
-    pub fn compact(&mut self) -> io::Result<u64> {
-        self.flush()?;
-        let old_segments: Vec<SegmentId> = self
-            .sealed
-            .iter()
-            .copied()
-            .chain(std::iter::once(self.active.id()))
-            .collect();
-        let old_bytes: u64 = old_segments
-            .iter()
-            .map(|&s| {
-                std::fs::metadata(segment_path(&self.cfg.dir, s))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-            .sum();
-
-        // Stream live records into new segments.
-        let mut keys: Vec<Box<[u8]>> = self.index.keys().cloned().collect();
-        keys.sort();
-        let new_first = SegmentId(self.next_segment);
-        self.next_segment += 1;
-        let mut writer = SegmentWriter::create(&self.cfg.dir, new_first)?;
-        let mut new_sealed = Vec::new();
-        let mut new_index: HashMap<Box<[u8]>, Loc> = HashMap::with_capacity(keys.len());
-        for key in keys {
-            let loc = self.index[&key];
-            let value = self.read_loc(loc)?;
-            if writer.len() >= self.cfg.segment_bytes {
-                writer.flush()?;
-                new_sealed.push(writer.id());
-                let next = SegmentId(self.next_segment);
-                self.next_segment += 1;
-                writer = SegmentWriter::create(&self.cfg.dir, next)?;
-            }
-            let offset = writer.append(&key, &value)?;
-            self.stats.bytes_written += 8 + key.len() as u64 + value.len() as u64;
-            new_index.insert(
-                key,
-                Loc {
-                    segment: writer.id(),
-                    offset,
-                },
-            );
-        }
-        writer.flush()?;
-        let new_bytes = writer.len()
-            + new_sealed
-                .iter()
-                .map(|&s| {
-                    std::fs::metadata(segment_path(&self.cfg.dir, s))
-                        .map(|m| m.len())
-                        .unwrap_or(0)
-                })
-                .sum::<u64>();
-
-        // Swap in the new generation and delete the old files.
-        self.readers.clear();
-        self.index = new_index;
-        self.sealed = new_sealed;
-        self.active = writer;
-        // The fresh active segment keeps accepting writes; reads of it are
-        // safe because it was flushed above.
-        for seg in old_segments {
-            std::fs::remove_file(segment_path(&self.cfg.dir, seg)).ok();
-        }
-        Ok(old_bytes.saturating_sub(new_bytes))
     }
 
     /// Operation counters.
@@ -324,12 +232,7 @@ impl Store {
             }
         };
         let (_key, value) = reader.read_at(loc.offset)?;
-        value.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index pointed at a tombstone — store corrupted",
-            )
-        })
+        Ok(value)
     }
 
     fn roll_segment(&mut self) -> io::Result<()> {
@@ -413,25 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_and_tombstones_survive_recovery() {
-        let (mut kv, dir) = open_tmp("del", 1 << 20, 1 << 20);
-        kv.put(b"a", b"1").unwrap();
-        kv.put(b"b", b"2").unwrap();
-        assert!(kv.delete(b"a").unwrap());
-        assert!(!kv.delete(b"a").unwrap());
-        assert_eq!(kv.get(b"a").unwrap(), None);
-        kv.flush().unwrap();
-        drop(kv);
-
-        let kv2 = Store::open(StoreConfig::new(&dir)).unwrap();
-        let mut kv2 = kv2;
-        assert_eq!(kv2.get(b"a").unwrap(), None);
-        assert_eq!(kv2.get(b"b").unwrap().unwrap(), b"2");
-        assert_eq!(kv2.len(), 1);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn recovery_replays_the_log() {
         let (mut kv, dir) = open_tmp("rec", 1 << 20, 4 << 10);
         for i in 0..1000u32 {
@@ -465,33 +349,6 @@ mod tests {
             .map(|(k, _)| u32::from_be_bytes(k.as_slice().try_into().unwrap()))
             .collect();
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn compaction_reclaims_dead_versions() {
-        let (mut kv, dir) = open_tmp("compact", 1 << 10, 8 << 10);
-        // Overwrite the same small key set many times: log >> live data.
-        for round in 0..200u32 {
-            for k in 0..10u32 {
-                kv.put(&k.to_le_bytes(), &(round * k).to_le_bytes())
-                    .unwrap();
-            }
-        }
-        let before_segments = kv.segment_count();
-        let reclaimed = kv.compact().unwrap();
-        assert!(reclaimed > 0, "nothing reclaimed");
-        assert!(kv.segment_count() < before_segments);
-        // Data intact, latest versions visible.
-        for k in 0..10u32 {
-            assert_eq!(
-                kv.get(&k.to_le_bytes()).unwrap().unwrap(),
-                (199 * k).to_le_bytes()
-            );
-        }
-        // Store still writable after compaction.
-        kv.put(b"post", b"compact").unwrap();
-        assert_eq!(kv.get(b"post").unwrap().unwrap(), b"compact");
         std::fs::remove_dir_all(dir).ok();
     }
 

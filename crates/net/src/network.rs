@@ -77,7 +77,6 @@ pub struct Network<T> {
     ready: BTreeMap<SimTime, Vec<FlowHandle>>,
     next_handle: u64,
     completed_flows: u64,
-    completed_bytes: u64,
 }
 
 impl<T> Network<T> {
@@ -99,7 +98,6 @@ impl<T> Network<T> {
             ready: BTreeMap::new(),
             next_handle: 0,
             completed_flows: 0,
-            completed_bytes: 0,
         }
     }
 
@@ -124,7 +122,6 @@ impl<T> Network<T> {
         self.next_handle += 1;
         if src == dst || bytes == 0 {
             self.completed_flows += 1;
-            self.completed_bytes += bytes;
             self.flows.insert(
                 handle,
                 FlowState {
@@ -156,7 +153,6 @@ impl<T> Network<T> {
                 tag,
             },
         );
-        self.completed_bytes += bytes; // counted on start; flows are not partial
         handle
     }
 
@@ -290,11 +286,6 @@ impl<T> Network<T> {
     /// Lifetime completed flow count (including loopback).
     pub fn completed_flows(&self) -> u64 {
         self.completed_flows
-    }
-
-    /// Lifetime bytes accepted for transfer.
-    pub fn accepted_bytes(&self) -> u64 {
-        self.completed_bytes
     }
 }
 
@@ -450,7 +441,6 @@ mod tests {
         n.start_flow(SimTime::ZERO, NodeId(1), NodeId(1), MB, "lo");
         drain(&mut n);
         assert_eq!(n.completed_flows(), 2);
-        assert_eq!(n.accepted_bytes(), 2 * MB);
         assert_eq!(n.in_flight(), 0);
     }
 

@@ -94,12 +94,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scales the duration by a non-negative factor (heterogeneity, noise).
-    pub fn mul_f64(self, factor: f64) -> Self {
-        assert!(factor >= 0.0, "duration factor must be >= 0, got {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -189,13 +183,6 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
         let _ = SimDuration::for_bytes(1, 0.0);
-    }
-
-    #[test]
-    fn scaling() {
-        let d = SimDuration::from_secs(10).mul_f64(1.5);
-        assert_eq!(d, SimDuration::from_secs(15));
-        assert_eq!(SimDuration::from_secs(10).mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

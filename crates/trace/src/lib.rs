@@ -20,8 +20,8 @@
 //!   thread scheduling. Single-threaded emitters (the cluster simulator)
 //!   can push entries straight into a [`TraceLog`] in virtual-time order.
 //! * **Query** — [`TraceQuery`] answers spans-by-kind, counter totals,
-//!   per-stage and per-node time breakdowns, and critical-path
-//!   extraction over a finished log.
+//!   progress series, per-tenant breakdowns and mark lookups over a
+//!   finished log.
 //!
 //! Determinism: a [`TraceLog`] serializes to a canonical text form
 //! ([`TraceLog::to_canonical_string`]) in which wall-clock instants are

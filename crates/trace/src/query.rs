@@ -1,10 +1,8 @@
 //! Read-side analytics over a finished [`TraceLog`]: spans by kind,
-//! counter totals, per-stage and per-node time breakdowns, progress
-//! series, and critical-path extraction.
+//! counter totals, per-tenant breakdowns, progress series, and the
+//! heap, snapshot, handoff, speculation and cache marks.
 
-use crate::event::{
-    Scope, SpanKind, SpecEvent, TaskKind, TraceEvent, TraceInstant, NO_NODE, NO_TENANT,
-};
+use crate::event::{Scope, SpanKind, SpecEvent, TaskKind, TraceEvent, TraceInstant, NO_TENANT};
 use crate::label::Label;
 use crate::log::TraceLog;
 use std::collections::BTreeMap;
@@ -94,18 +92,6 @@ impl<'a> TraceQuery<'a> {
             .collect()
     }
 
-    /// Total of one counter across every scope (static or dynamic
-    /// label — lookup is by string content).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.log
-            .iter()
-            .filter_map(|e| match &e.event {
-                TraceEvent::Counter { label, delta } if label.as_str() == name => Some(*delta),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// All counters summed across every scope, name-sorted.
     pub fn counter_totals(&self) -> Vec<(Label, u64)> {
         self.counter_map(None).into_iter().collect()
@@ -129,25 +115,6 @@ impl<'a> TraceQuery<'a> {
         m
     }
 
-    /// Busy seconds per span kind within one job — the per-stage time
-    /// breakdown (map vs shuffle vs reduce vs output).
-    pub fn stage_breakdown(&self, job: u32) -> Vec<(SpanKind, f64)> {
-        let mut m: BTreeMap<SpanKind, f64> = BTreeMap::new();
-        for s in self.span_iter().filter(|s| s.scope.job == job) {
-            *m.entry(s.kind).or_insert(0.0) += s.duration_secs();
-        }
-        m.into_iter().collect()
-    }
-
-    /// Busy seconds per node across all spans with node attribution.
-    pub fn per_node_secs(&self) -> BTreeMap<u32, f64> {
-        let mut m = BTreeMap::new();
-        for s in self.span_iter().filter(|s| s.scope.node != NO_NODE) {
-            *m.entry(s.scope.node).or_insert(0.0) += s.duration_secs();
-        }
-        m
-    }
-
     /// Busy seconds per tenant across all tenant-attributed spans — the
     /// service layer's fairness measure (slot-seconds actually consumed
     /// by each tenant's tasks). Spans without tenant attribution are
@@ -167,17 +134,6 @@ impl<'a> TraceQuery<'a> {
             .collect()
     }
 
-    /// All counters of one tenant summed across its scopes, name-sorted.
-    pub fn tenant_counter_totals(&self, tenant: u32) -> Vec<(Label, u64)> {
-        let mut m: BTreeMap<Label, u64> = BTreeMap::new();
-        for e in self.log.iter().filter(|e| e.scope.tenant == tenant) {
-            if let TraceEvent::Counter { label, delta } = &e.event {
-                *m.entry(label.clone()).or_insert(0) += delta;
-            }
-        }
-        m.into_iter().collect()
-    }
-
     /// The tenants that appear anywhere in the log, ascending.
     pub fn tenants(&self) -> Vec<u32> {
         let mut t: Vec<u32> = self
@@ -189,40 +145,6 @@ impl<'a> TraceQuery<'a> {
         t.sort_unstable();
         t.dedup();
         t
-    }
-
-    /// The chain of spans ending at job completion, each the
-    /// latest-ending span that finished no later than its successor
-    /// started — a lower-bound critical path through the recorded
-    /// activity. Returned in chronological order; empty when the log has
-    /// no spans.
-    pub fn critical_path(&self) -> Vec<SpanRec> {
-        // Deterministic tie-break: later end wins, then scope key.
-        let best = |a: &SpanRec, b: &SpanRec| -> std::cmp::Ordering {
-            a.end_secs()
-                .total_cmp(&b.end_secs())
-                .then_with(|| b.scope.sort_key().cmp(&a.scope.sort_key()))
-        };
-        let spans = self.spans();
-        let Some(mut cur) = spans.iter().max_by(|a, b| best(a, b)).copied() else {
-            return Vec::new();
-        };
-        let mut path = vec![cur];
-        loop {
-            let pred = spans
-                .iter()
-                .filter(|s| s.end_secs() <= cur.start_secs())
-                .max_by(|a, b| best(a, b));
-            match pred {
-                Some(p) => {
-                    cur = *p;
-                    path.push(cur);
-                }
-                None => break,
-            }
-        }
-        path.reverse();
-        path
     }
 
     /// Number of spans of `kind` in `job` active at `t_secs` — one point
@@ -277,14 +199,6 @@ impl<'a> TraceQuery<'a> {
             .fold(0.0f64, f64::max)
     }
 
-    /// Latest span end within one job, in seconds.
-    pub fn job_last_end_secs(&self, job: u32) -> f64 {
-        self.span_iter()
-            .filter(|s| s.scope.job == job)
-            .map(|s| s.end_secs())
-            .fold(0.0f64, f64::max)
-    }
-
     /// Heap series of one reducer in one job: `(seconds, bytes)`.
     pub fn heap_series(&self, job: u32, reducer: u32) -> Vec<(f64, u64)> {
         self.log
@@ -313,43 +227,12 @@ impl<'a> TraceQuery<'a> {
             .collect()
     }
 
-    /// Snapshot publications of one reducer: `(seconds, estimate
-    /// records)`.
-    pub fn snapshot_series(&self, job: u32, reducer: u32) -> Vec<(f64, u64)> {
-        self.log
-            .iter()
-            .filter(|e| {
-                e.scope.job == job && e.scope.kind == TaskKind::Reduce && e.scope.index == reducer
-            })
-            .filter_map(|e| match e.event {
-                TraceEvent::SnapshotMark { at, records, .. } => Some((at.as_secs_f64(), records)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Number of snapshot publications in one job.
     pub fn snapshot_count(&self, job: u32) -> usize {
         self.log
             .iter()
             .filter(|e| e.scope.job == job && matches!(e.event, TraceEvent::SnapshotMark { .. }))
             .count()
-    }
-
-    /// Handoff departures of one upstream reducer: `(seconds, records)`.
-    pub fn handoff_series(&self, job: u32, upstream_reducer: u32) -> Vec<(f64, u64)> {
-        self.log
-            .iter()
-            .filter(|e| {
-                e.scope.job == job
-                    && e.scope.kind == TaskKind::Reduce
-                    && e.scope.index == upstream_reducer
-            })
-            .filter_map(|e| match e.event {
-                TraceEvent::HandoffMark { at, records, .. } => Some((at.as_secs_f64(), records)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// First handoff departure instant of one job, in seconds.
@@ -373,36 +256,6 @@ impl<'a> TraceQuery<'a> {
             .count()
     }
 
-    /// The deadline instant of one job, if a deadline fired.
-    pub fn deadline_secs(&self, job: u32) -> Option<f64> {
-        self.log
-            .iter()
-            .filter(|e| e.scope.job == job)
-            .find_map(|e| match e.event {
-                TraceEvent::DeadlineMark { at } => Some(at.as_secs_f64()),
-                _ => None,
-            })
-    }
-
-    /// Cache marks of one job: `(seconds, hits, misses, hit bytes)` —
-    /// the sealed result-cache accounting of each run that consulted
-    /// the shared cache.
-    pub fn cache_marks(&self, job: u32) -> Vec<(f64, u64, u64, u64)> {
-        self.log
-            .iter()
-            .filter(|e| e.scope.job == job)
-            .filter_map(|e| match e.event {
-                TraceEvent::CacheMark {
-                    at,
-                    hits,
-                    misses,
-                    bytes,
-                } => Some((at.as_secs_f64(), hits, misses, bytes)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Cache marks attributed to one tenant: `(job, hits, misses, hit
     /// bytes)` — the per-tenant view of shared-cache behaviour under
     /// the job service.
@@ -420,17 +273,6 @@ impl<'a> TraceQuery<'a> {
                 _ => None,
             })
             .collect()
-    }
-
-    /// When one chain stage finished, if its driver marked completion.
-    pub fn stage_done_secs(&self, job: u32) -> Option<f64> {
-        self.log
-            .iter()
-            .filter(|e| e.scope.job == job)
-            .find_map(|e| match e.event {
-                TraceEvent::StageDone { at } => Some(at.as_secs_f64()),
-                _ => None,
-            })
     }
 }
 
@@ -494,14 +336,14 @@ mod tests {
         let q = TraceQuery::new(&log);
         assert_eq!(q.spans_by_kind(SpanKind::Map).len(), 3);
         assert_eq!(q.job_spans_by_kind(0, SpanKind::Map).len(), 2);
-        assert_eq!(q.counter_total("map.output.records"), 120);
-        assert_eq!(q.counter_total("nope"), 0);
-        assert_eq!(q.counter_totals().len(), 1);
+        assert_eq!(
+            q.counter_totals(),
+            vec![(Label::Static("map.output.records"), 120)]
+        );
         assert_eq!(q.job_counter_totals(1), vec![]);
         assert_eq!(q.active_at(0, SpanKind::Map, 5.0), 2);
         assert_eq!(q.active_at(0, SpanKind::Map, 14.0), 0, "end exclusive");
         assert_eq!(q.last_end_secs(), 24.0);
-        assert_eq!(q.job_last_end_secs(0), 22.0);
         assert_eq!(q.kind_window(0, SpanKind::Map), Some((0.0, 14.0)));
         assert_eq!(q.kind_window(1, SpanKind::Map), Some((15.0, 24.0)));
         assert_eq!(q.kind_window(1, SpanKind::Output), None);
@@ -509,35 +351,6 @@ mod tests {
         assert_eq!(s[0], (0.0, 2));
         assert_eq!(s[1], (5.0, 2));
         assert_eq!(s[3].1, 0);
-    }
-
-    #[test]
-    fn stage_and_node_breakdowns() {
-        let log = demo_log();
-        let q = TraceQuery::new(&log);
-        let b: BTreeMap<SpanKind, f64> = q.stage_breakdown(0).into_iter().collect();
-        assert_eq!(b[&SpanKind::Map], 24.0);
-        assert_eq!(b[&SpanKind::ShuffleReduce], 18.0);
-        assert_eq!(b[&SpanKind::Output], 2.0);
-        let nodes = q.per_node_secs();
-        assert_eq!(nodes[&2], 20.0);
-        assert_eq!(nodes[&3], 9.0);
-    }
-
-    #[test]
-    fn critical_path_walks_back_through_latest_predecessors() {
-        let log = demo_log();
-        let q = TraceQuery::new(&log);
-        let path = q.critical_path();
-        // j1 map ends last (24.0); its predecessor must end <= 15.0: the
-        // j0 map ending at 14.0; that one's predecessor must end <= 0.0:
-        // none.
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[0].scope.job, 0);
-        assert_eq!(path[0].end_secs(), 14.0);
-        assert_eq!(path[1].scope.job, 1);
-        assert_eq!(path[1].end_secs(), 24.0);
-        assert!(TraceQuery::new(&TraceLog::new()).critical_path().is_empty());
     }
 
     #[test]
@@ -590,17 +403,11 @@ mod tests {
         let q = TraceQuery::new(&log);
         assert_eq!(q.heap_series(0, 0), vec![(1.0, 64)]);
         assert_eq!(q.heap_samples(0), vec![(0, 1.0, 64)]);
-        assert_eq!(q.snapshot_series(0, 0), vec![(2.0, 9)]);
         assert_eq!(q.snapshot_count(0), 1);
-        assert_eq!(q.handoff_series(0, 0), vec![(3.0, 7)]);
         assert_eq!(q.first_handoff_secs(0), Some(3.0));
         assert_eq!(q.first_handoff_secs(1), None);
         assert_eq!(q.speculation_count(SpecEvent::Launched), 1);
         assert_eq!(q.speculation_count(SpecEvent::Won), 0);
-        assert_eq!(q.deadline_secs(0), Some(5.0));
-        assert_eq!(q.stage_done_secs(0), Some(6.0));
-        assert_eq!(q.cache_marks(0), vec![(7.0, 3, 1, 640)]);
-        assert_eq!(q.cache_marks(1), vec![]);
         assert_eq!(q.tenant_cache_marks(2), vec![(0, 3, 1, 640)]);
         assert_eq!(q.tenant_cache_marks(9), vec![]);
     }
@@ -634,8 +441,6 @@ mod tests {
         assert_eq!(q.tenant_spans(3).len(), 2);
         assert_eq!(q.tenant_spans(7), vec![]);
         assert_eq!(q.tenants(), vec![1, 3]);
-        assert_eq!(q.tenant_counter_totals(1).len(), 1);
-        assert_eq!(q.tenant_counter_totals(3), vec![]);
         let canon = log.to_canonical_string();
         assert!(canon.contains("t3 j0 map[0]a0 n0"));
         assert!(
@@ -657,7 +462,6 @@ mod tests {
         disp.submit(rec.into_batch());
         let log = disp.finish();
         let q = TraceQuery::new(&log);
-        assert_eq!(q.counter_total(&tenant), 15);
         let totals = q.counter_totals();
         assert_eq!(totals.len(), 1, "static and owned labels merged by content");
         assert_eq!(totals[0].0.as_str(), "tenant.7.records");

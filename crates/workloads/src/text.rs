@@ -54,11 +54,6 @@ impl TextWorkload {
             })
             .collect()
     }
-
-    /// Total records a job over `chunks` chunks will see.
-    pub fn total_lines(&self, chunks: u64) -> u64 {
-        chunks * self.lines_per_chunk as u64
-    }
 }
 
 #[cfg(test)]
@@ -128,6 +123,5 @@ mod tests {
         let lines = w.chunk(2);
         assert_eq!(lines.len(), 7);
         assert!(lines.iter().all(|(_, l)| l.split_whitespace().count() == 3));
-        assert_eq!(w.total_lines(10), 70);
     }
 }

@@ -49,3 +49,8 @@ pub use mr_kvstore as kvstore;
 pub use mr_net as net;
 pub use mr_sim as sim;
 pub use mr_workloads as workloads;
+
+/// README.md's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
