@@ -6,7 +6,7 @@
 //! time on the real executor; charged virtual time in the simulator via
 //! `CostModel::snapshot_cpu_per_record`). Three sections: the real
 //! threaded executor under increasingly aggressive record-driven
-//! policies, the spill store (whose snapshots must re-read run files to
+//! policies, the spill store (whose snapshots must re-read its runs to
 //! stay self-consistent), and one simulated-cluster A/B.
 //!
 //! Run: `cargo run --release -p mr-bench --bin ablation_snapshot`
@@ -112,7 +112,7 @@ fn main() {
     println!("\n(byte-exact final output at every row)\n");
 
     // ------------------------------------------------- the spill store
-    println!("--- spill store (threshold 16 KiB): snapshots merge run files ---");
+    println!("--- spill store (threshold 16 KiB): snapshots merge the spilled runs ---");
     let mut rows = Vec::new();
     let mut spill_outputs = Vec::new();
     for (label, policy) in [
@@ -170,7 +170,7 @@ fn main() {
         )
     );
     println!(
-        "\n(byte-exact output; snapshots of a spilled store merge its run files\n\
+        "\n(byte-exact output; snapshots of a spilled store merge its runs\n\
          with the live map on every walk — the snap-bytes column is that cost)\n"
     );
 

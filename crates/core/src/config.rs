@@ -367,8 +367,9 @@ pub enum MemoryPolicy {
     /// Fails with an out-of-memory error when `heap_cap_bytes` (if set)
     /// is exceeded — reproducing Figure 5(a).
     InMemory,
-    /// Disk spill and merge (§5.1): spill the sorted store to a run file
-    /// when it reaches `threshold_bytes`; k-way merge runs at finalize.
+    /// Disk spill and merge (§5.1): append the sorted store to a spill
+    /// file as a run when it reaches `threshold_bytes`; k-way merge runs
+    /// at finalize.
     SpillMerge {
         /// Spill trigger, in *modelled* heap bytes.
         threshold_bytes: u64,
@@ -436,7 +437,7 @@ pub struct JobConfig {
     /// simulator scales record volume down; this scales accounting back
     /// up so thresholds like "240 MB" stay meaningful. 1.0 for real runs.
     pub heap_scale: f64,
-    /// Directory for spill files and KV-store segments.
+    /// Directory for the spill stores' files and the KV stores' segments.
     pub scratch_dir: PathBuf,
     /// Map-side combining policy. Only applications that return `true`
     /// from [`combine_enabled`](crate::Application::combine_enabled)

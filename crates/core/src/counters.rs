@@ -50,9 +50,10 @@ pub enum CounterName {
     ReduceOutputRecords,
     /// Distinct key groups reduced (barrier engine).
     ReduceGroups,
-    /// Spill files written by the spill-and-merge store.
+    /// Runs spilled by the spill-and-merge store (`spill.files`: one
+    /// file holds all of a store's runs, the name predates that).
     SpillFiles,
-    /// Bytes written to spill files.
+    /// Bytes written to spill runs.
     SpillBytes,
     /// Partial results merged during the merge phase.
     SpillMergedStates,
@@ -206,9 +207,9 @@ pub mod names {
     pub const REDUCE_OUTPUT_RECORDS: CounterName = CounterName::ReduceOutputRecords;
     /// Distinct key groups reduced (barrier engine).
     pub const REDUCE_GROUPS: CounterName = CounterName::ReduceGroups;
-    /// Spill files written by the spill-and-merge store.
+    /// Runs spilled by the spill-and-merge store (`spill.files`).
     pub const SPILL_FILES: CounterName = CounterName::SpillFiles;
-    /// Bytes written to spill files.
+    /// Bytes written to spill runs.
     pub const SPILL_BYTES: CounterName = CounterName::SpillBytes;
     /// Partial results merged during the merge phase.
     pub const SPILL_MERGED_STATES: CounterName = CounterName::SpillMergedStates;

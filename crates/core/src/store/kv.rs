@@ -7,16 +7,30 @@
 //! policy loses to spill-and-merge on high-key-cardinality workloads in
 //! Figures 9/10.
 
-use super::{PartialStore, ScratchDir, StoreReport};
+use super::{PartialStore, StoreReport};
 use crate::codec::{Codec, KeyCow};
 use crate::error::MrResult;
 use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
 use mr_kvstore::{Store, StoreConfig};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static KV_SERIAL: AtomicU64 = AtomicU64::new(0);
+
+/// The store's scratch directory, deleted with everything in it when
+/// the guard drops — after a finalize, a failed one, or a store dropped
+/// unfinished by a failed or abandoned reduce task. The store declares it
+/// after the handles that live in the directory, so they close first.
+/// The guard, not the store, implements `Drop`, so `finalize_into` can
+/// still move the store's other fields out.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
 
 /// Partial results held in a disk-spilling KV store.
 pub struct KvBackedStore<A: Application> {

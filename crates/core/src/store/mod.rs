@@ -25,21 +25,6 @@ use crate::config::{JobConfig, MemoryPolicy};
 use crate::error::MrResult;
 use crate::traits::{Application, Emit};
 use std::borrow::Cow;
-use std::path::PathBuf;
-
-/// A disk store's scratch directory, deleted with everything in it when
-/// the guard drops — after a finalize, a failed one, or a store dropped
-/// unfinished by a failed or abandoned reduce task. A store declares it
-/// after the handles that live in the directory, so they close first.
-/// The guard, not the store, implements `Drop`, so `finalize_into` can
-/// still move the store's other fields out.
-struct ScratchDir(PathBuf);
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 /// Statistics a store reports after finishing.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +35,8 @@ pub struct StoreReport {
     pub peak_entries: usize,
     /// Largest modelled heap footprint reached, in bytes.
     pub peak_bytes: u64,
-    /// Spill run files written (spill-and-merge only).
+    /// Runs spilled (spill-and-merge only). All of a store's runs lie in
+    /// its one spill file; the name predates that.
     pub spill_files: u64,
     /// Bytes written to spill runs.
     pub spill_bytes: u64,
@@ -109,7 +95,7 @@ pub trait PartialStore<A: Application>: Send {
     ///
     /// Observation only: the store's contents, byte accounting and spill
     /// cadence are unchanged afterwards (the spill store re-reads its
-    /// run files from disk and merges them with the live map, so a
+    /// runs from its spill file and merges them with the live map, so a
     /// snapshot is complete even mid-spill; the KV store scans its
     /// segments). `&mut self` is needed for scan plumbing, never for
     /// mutation of logical contents.

@@ -276,7 +276,7 @@ proptest! {
     /// Snapshots are invisible: for every memory policy, any snapshot interval — down to the pathological every-1-record
     /// policy — leaves the final output byte-identical to the
     /// snapshot-free run, and every snapshot is key-sorted and
-    /// duplicate-free (the spill store's snapshots must merge run files
+    /// duplicate-free (the spill store's snapshots must merge its runs
     /// with the live map, or a key split across runs would appear twice).
     #[test]
     fn snapshot_policy_is_invisible_under_every_store(

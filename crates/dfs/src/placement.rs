@@ -58,16 +58,11 @@ pub struct ReadSource {
     pub local: bool,
 }
 
-struct FileMeta {
-    #[allow(dead_code)]
-    name: String,
-    chunks: Vec<ChunkId>,
-}
-
 /// The namenode: chunk metadata and placement policy.
 pub struct Dfs {
     cfg: DfsConfig,
-    files: Vec<FileMeta>,
+    /// Each file's chunks, in file order, indexed by `FileId`.
+    files: Vec<Vec<ChunkId>>,
     chunks: Vec<Chunk>,
     /// Replica count per node, for balance reporting.
     node_load: Vec<u64>,
@@ -98,7 +93,8 @@ impl Dfs {
     }
 
     /// Loads a file of `bytes` into the FS, chunking and placing replicas.
-    pub fn create_file(&mut self, name: &str, bytes: u64) -> FileId {
+    /// The name is the caller's label; the namenode keeps only the id.
+    pub fn create_file(&mut self, _name: &str, bytes: u64) -> FileId {
         assert!(bytes > 0, "empty files are not useful to MapReduce");
         let id = FileId(self.files.len() as u32);
         let n_chunks = bytes.div_ceil(self.cfg.chunk_bytes);
@@ -123,16 +119,13 @@ impl Dfs {
             });
             chunk_ids.push(cid);
         }
-        self.files.push(FileMeta {
-            name: name.to_string(),
-            chunks: chunk_ids,
-        });
+        self.files.push(chunk_ids);
         id
     }
 
     /// Chunk ids of `file`, in file order.
     pub fn file_chunks(&self, file: FileId) -> &[ChunkId] {
-        &self.files[file.0 as usize].chunks
+        &self.files[file.0 as usize]
     }
 
     /// Metadata for a chunk.
