@@ -9,25 +9,60 @@
 //! policies, the spill store (whose snapshots must re-read its runs to
 //! stay self-consistent), and one simulated-cluster A/B.
 //!
+//! A real-executor job takes a few milliseconds, so its wall time is the
+//! median of `REPEATS` runs with the quartiles beside it, the rows of a
+//! section timed in turn, and an overhead whose median lies inside the
+//! snapshot-free row's quartiles is marked as noise.
+//!
 //! Run: `cargo run --release -p mr-bench --bin ablation_snapshot`
 
 use mr_bench::appcfg::{run_wordcount, scratch};
 use mr_bench::chart::table;
+use mr_bench::stats::BoxStats;
 use mr_core::counters::names;
 use mr_core::local::LocalRunner;
 use mr_core::{CombinerPolicy, Engine, JobConfig, MemoryPolicy, SnapshotPolicy};
 use mr_workloads::TextWorkload;
 use std::time::Instant;
 
-/// Best-of-3 wall milliseconds.
-fn best_of_3(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+/// Runs of each real-executor row.
+const REPEATS: usize = 21;
+
+/// Wall milliseconds of a WordCount run under each of `cfgs`, timed in
+/// `REPEATS` rounds through all of them, so a drift in the machine's
+/// speed moves every row alike.
+fn wall_ms(splits: &[Vec<(u64, String)>], cfgs: &[JobConfig]) -> Vec<BoxStats> {
+    let mut ms = vec![Vec::with_capacity(REPEATS); cfgs.len()];
+    for _ in 0..REPEATS {
+        for (cfg, ms) in cfgs.iter().zip(&mut ms) {
+            let start = Instant::now();
+            LocalRunner::new(4)
+                .run(&mr_apps::WordCount, splits.to_vec(), cfg)
+                .expect("local run");
+            ms.push(start.elapsed().as_secs_f64() * 1e3);
+        }
     }
-    best
+    ms.iter_mut().map(|ms| BoxStats::from_values(ms)).collect()
+}
+
+/// `median [q1–q3]`.
+fn show(wall: &BoxStats) -> String {
+    format!("{:.1} [{:.1}–{:.1}]", wall.median, wall.q1, wall.q3)
+}
+
+/// Row `row`'s median against row 0's, the snapshot-free one (`-` on
+/// that row), marked as noise when it lies inside row 0's quartiles.
+fn vs_off(walls: &[BoxStats], row: usize) -> String {
+    let (base, wall) = (&walls[0], &walls[row]);
+    if row == 0 {
+        return "-".to_string();
+    }
+    let pct = format!("{:+.0}%", 100.0 * (wall.median / base.median - 1.0));
+    if (base.q1..=base.q3).contains(&wall.median) {
+        format!("{pct} (noise)")
+    } else {
+        pct
+    }
 }
 
 fn main() {
@@ -58,40 +93,32 @@ fn main() {
             SnapshotPolicy::EveryRecords { records: 128 },
         ),
     ];
-    let mut rows = Vec::new();
-    let mut baseline_ms = f64::NAN;
-    let mut baseline_out = None;
     // Both real-executor sections run on one pool worker: the absorb
     // order, and with it every column not derived from wall time, repeats
     // exactly from run to run.
-    for (label, policy) in policies {
-        let cfg = JobConfig::new(8)
-            .engine(Engine::barrierless())
-            .snapshots(policy)
-            .pool_workers(1)
-            .scratch_dir(scratch());
-        let wall_ms = best_of_3(|| {
-            LocalRunner::new(4)
-                .run(&mr_apps::WordCount, splits.clone(), &cfg)
-                .expect("local run");
-        });
+    let cfgs: Vec<JobConfig> = policies
+        .iter()
+        .map(|(_, policy)| {
+            JobConfig::new(8)
+                .engine(Engine::barrierless())
+                .snapshots(*policy)
+                .pool_workers(1)
+                .scratch_dir(scratch())
+        })
+        .collect();
+    let walls = wall_ms(&splits, &cfgs);
+    let mut rows = Vec::new();
+    let mut baseline_out = None;
+    for (row, ((label, _), cfg)) in policies.iter().zip(&cfgs).enumerate() {
         let out = LocalRunner::new(4)
-            .run(&mr_apps::WordCount, splits.clone(), &cfg)
+            .run(&mr_apps::WordCount, splits.clone(), cfg)
             .expect("local run");
-        let snaps = out.counters.get(names::SNAPSHOT_COUNT);
-        let snap_records = out.counters.get(names::SNAPSHOT_RECORDS);
-        let overhead = if baseline_ms.is_nan() {
-            baseline_ms = wall_ms;
-            "-".to_string()
-        } else {
-            format!("{:+.0}%", 100.0 * (wall_ms / baseline_ms - 1.0))
-        };
         rows.push(vec![
             label.to_string(),
-            format!("{wall_ms:.1}"),
-            snaps.to_string(),
-            snap_records.to_string(),
-            overhead,
+            show(&walls[row]),
+            out.counters.get(names::SNAPSHOT_COUNT).to_string(),
+            out.counters.get(names::SNAPSHOT_RECORDS).to_string(),
+            vs_off(&walls, row),
         ]);
         let sorted = out.into_sorted_output();
         match &baseline_out {
@@ -105,7 +132,13 @@ fn main() {
     print!(
         "{}",
         table(
-            &["policy", "wall (ms)", "snapshots", "est. records", "vs off"],
+            &[
+                "policy",
+                "wall (ms) [IQR]",
+                "snapshots",
+                "est. records",
+                "vs off"
+            ],
             &rows
         )
     );
@@ -113,31 +146,33 @@ fn main() {
 
     // ------------------------------------------------- the spill store
     println!("--- spill store (threshold 16 KiB): snapshots merge the spilled runs ---");
-    let mut rows = Vec::new();
-    let mut spill_outputs = Vec::new();
-    for (label, policy) in [
+    let policies = [
         ("disabled", SnapshotPolicy::Disabled),
         (
             "every 4096 rec",
             SnapshotPolicy::EveryRecords { records: 4096 },
         ),
-    ] {
-        let cfg = JobConfig::new(4)
-            .engine(Engine::BarrierLess {
-                memory: MemoryPolicy::SpillMerge {
-                    threshold_bytes: 16 << 10,
-                },
-            })
-            .snapshots(policy)
-            .pool_workers(1)
-            .scratch_dir(scratch());
-        let wall_ms = best_of_3(|| {
-            LocalRunner::new(4)
-                .run(&mr_apps::WordCount, splits.clone(), &cfg)
-                .expect("spill run");
-        });
+    ];
+    let cfgs: Vec<JobConfig> = policies
+        .iter()
+        .map(|(_, policy)| {
+            JobConfig::new(4)
+                .engine(Engine::BarrierLess {
+                    memory: MemoryPolicy::SpillMerge {
+                        threshold_bytes: 16 << 10,
+                    },
+                })
+                .snapshots(*policy)
+                .pool_workers(1)
+                .scratch_dir(scratch())
+        })
+        .collect();
+    let walls = wall_ms(&splits, &cfgs);
+    let mut rows = Vec::new();
+    let mut spill_outputs = Vec::new();
+    for (row, ((label, _), cfg)) in policies.iter().zip(&cfgs).enumerate() {
         let out = LocalRunner::new(4)
-            .run(&mr_apps::WordCount, splits.clone(), &cfg)
+            .run(&mr_apps::WordCount, splits.clone(), cfg)
             .expect("spill run");
         assert!(
             out.counters.get(names::SPILL_FILES) > 0,
@@ -145,7 +180,8 @@ fn main() {
         );
         rows.push(vec![
             label.to_string(),
-            format!("{wall_ms:.1}"),
+            show(&walls[row]),
+            vs_off(&walls, row),
             out.counters.get(names::SPILL_FILES).to_string(),
             out.counters.get(names::SNAPSHOT_COUNT).to_string(),
             out.counters.get(names::SNAPSHOT_BYTES).to_string(),
@@ -161,7 +197,8 @@ fn main() {
         table(
             &[
                 "policy",
-                "wall (ms)",
+                "wall (ms) [IQR]",
+                "vs off",
                 "spill files",
                 "snapshots",
                 "snap bytes"

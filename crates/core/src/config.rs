@@ -363,7 +363,8 @@ pub enum StoreIndex {
 /// How the barrier-less engine stores partial results (§5).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemoryPolicy {
-    /// Keep everything in an in-memory ordered map (the paper's TreeMap).
+    /// Keep everything in memory, in one hashed map sorted once at drain
+    /// (the paper used an ordered TreeMap; only the drain needs order).
     /// Fails with an out-of-memory error when `heap_cap_bytes` (if set)
     /// is exceeded — reproducing Figure 5(a).
     InMemory,
@@ -437,7 +438,7 @@ pub struct JobConfig {
     /// simulator scales record volume down; this scales accounting back
     /// up so thresholds like "240 MB" stay meaningful. 1.0 for real runs.
     pub heap_scale: f64,
-    /// Directory for the spill stores' files and the KV stores' segments.
+    /// Directory for the spill stores' files and the KV stores' log files.
     pub scratch_dir: PathBuf,
     /// Map-side combining policy. Only applications that return `true`
     /// from [`combine_enabled`](crate::Application::combine_enabled)

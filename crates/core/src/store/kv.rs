@@ -13,26 +13,11 @@ use crate::error::MrResult;
 use crate::size::SizeEstimate;
 use crate::traits::{Application, Emit};
 use mr_kvstore::{Store, StoreConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
-static KV_SERIAL: AtomicU64 = AtomicU64::new(0);
-
-/// The store's scratch directory, deleted with everything in it when
-/// the guard drops — after a finalize, a failed one, or a store dropped
-/// unfinished by a failed or abandoned reduce task. The store declares it
-/// after the handles that live in the directory, so they close first.
-/// The guard, not the store, implements `Drop`, so `finalize_into` can
-/// still move the store's other fields out.
-struct ScratchDir(PathBuf);
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// Partial results held in a disk-spilling KV store.
+/// Partial results held in a disk-spilling KV store. The store's log file
+/// is removed when it drops — after a finalize, a failed one, or a store
+/// dropped unfinished by a failed or abandoned reduce task.
 pub struct KvBackedStore<A: Application> {
     kv: Store,
     heap_scale: f64,
@@ -44,24 +29,13 @@ pub struct KvBackedStore<A: Application> {
     peak_entries: usize,
     peak_bytes: u64,
     _marker: std::marker::PhantomData<fn() -> A>,
-    /// Holds `kv`'s segments; deleted after `kv` closes them.
-    _dir: ScratchDir,
 }
 
 impl<A: Application> KvBackedStore<A> {
-    /// Opens a fresh store under `scratch_dir` with `cache_bytes` of
-    /// record cache.
-    pub fn new(
-        scratch_dir: &Path,
-        cache_bytes: usize,
-        heap_scale: f64,
-        reducer: usize,
-    ) -> MrResult<Self> {
-        let serial = KV_SERIAL.fetch_add(1, Ordering::Relaxed);
-        let dir = scratch_dir.join(format!("kv-{}-r{reducer}-{serial}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let dir = ScratchDir(dir);
-        let kv = Store::open(StoreConfig::new(&dir.0).cache_bytes(cache_bytes))?;
+    /// Opens a fresh store, its log in `scratch_dir`, with `cache_bytes`
+    /// of record cache.
+    pub fn new(scratch_dir: &Path, cache_bytes: usize, heap_scale: f64) -> MrResult<Self> {
+        let kv = Store::open(StoreConfig::new(scratch_dir).cache_bytes(cache_bytes))?;
         Ok(KvBackedStore {
             kv,
             heap_scale,
@@ -70,8 +44,21 @@ impl<A: Application> KvBackedStore<A> {
             peak_entries: 0,
             peak_bytes: 0,
             _marker: std::marker::PhantomData,
-            _dir: dir,
         })
+    }
+
+    /// Every partial result, decoded and sorted by the real key: the
+    /// store scans in encoded-byte order, which is not key order. The
+    /// scan reads through the cache and counts as store I/O, and the
+    /// whole store is materialized once — real host memory outside the
+    /// modelled budget.
+    fn sorted(&mut self) -> MrResult<Vec<(A::MapKey, A::State)>> {
+        let mut all = Vec::with_capacity(self.kv.len());
+        for (key, state) in self.kv.scan_sorted()? {
+            all.push((A::MapKey::from_bytes(&key)?, A::State::from_bytes(&state)?));
+        }
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(all)
     }
 }
 
@@ -106,31 +93,20 @@ impl<A: Application> PartialStore<A> for KvBackedStore<A> {
     }
 
     fn finalize_into(
-        self: Box<Self>,
+        mut self: Box<Self>,
         app: &A,
         shared: &mut A::Shared,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<StoreReport> {
-        let mut this = *self;
-        let entries = this.kv.len();
-        // Cursor over everything; encoded-byte order is not key order, so
-        // decode first and sort by the real key for deterministic output.
-        let mut all: Vec<(A::MapKey, A::State)> = Vec::with_capacity(entries);
-        for (key_bytes, state_bytes) in this.kv.scan_sorted()? {
-            all.push((
-                A::MapKey::from_bytes(&key_bytes)?,
-                A::State::from_bytes(&state_bytes)?,
-            ));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, state) in all {
+        let entries = self.kv.len();
+        for (key, state) in self.sorted()? {
             app.finalize(key, state, shared, out);
         }
         Ok(StoreReport {
             entries,
-            peak_entries: this.peak_entries,
-            peak_bytes: this.peak_bytes,
-            kv_stats: Some(this.kv.stats()),
+            peak_entries: self.peak_entries,
+            peak_bytes: self.peak_bytes,
+            kv_stats: Some(self.kv.stats()),
             ..StoreReport::default()
         })
     }
@@ -140,24 +116,10 @@ impl<A: Application> PartialStore<A> for KvBackedStore<A> {
         app: &A,
         out: &mut dyn Emit<A::OutKey, A::OutValue>,
     ) -> MrResult<u64> {
-        // Scan everything (encoded-byte order), decode, sort by the real
-        // key — the same canonicalization (and the same transient
-        // whole-store materialization) finalize performs, but leaving
-        // every record in place. Scan reads count as store I/O and show
-        // up in `io_bytes`, which is honest: a snapshot of a disk-backed
-        // store costs disk. Note the transient Vec is real host memory
-        // outside the modelled budget, exactly like finalize's — a
-        // store too big to materialize once cannot finalize either.
-        let mut all: Vec<(A::MapKey, A::State)> = Vec::with_capacity(self.kv.len());
-        for (key_bytes, state_bytes) in self.kv.scan_sorted()? {
-            all.push((
-                A::MapKey::from_bytes(&key_bytes)?,
-                A::State::from_bytes(&state_bytes)?,
-            ));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        // The same canonicalization finalize performs, leaving every
+        // record in place. A snapshot of a disk-backed store costs disk.
         let mut bytes = 0u64;
-        for (key, state) in &all {
+        for (key, state) in &self.sorted()? {
             bytes += (key.estimated_bytes() + state.estimated_bytes()) as u64;
             app.snapshot_emit(key, state, out);
         }
@@ -181,21 +143,108 @@ impl<A: Application> PartialStore<A> for KvBackedStore<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MrError;
     use crate::testutil::{scratch_dir, WordCountApp};
+    use std::io;
+    use std::path::PathBuf;
+
+    /// The `kv-*` entries under `root`.
+    fn logs(root: &Path) -> Vec<PathBuf> {
+        let entries = std::fs::read_dir(root).expect("read scratch root");
+        entries
+            .map(|entry| entry.expect("entry").path())
+            .filter(|path| {
+                let name = path.file_name().expect("name").to_string_lossy();
+                name.starts_with("kv-")
+            })
+            .collect()
+    }
+
+    fn absorb(store: &mut KvBackedStore<WordCountApp>, word: &str) -> MrResult<()> {
+        store.absorb(&WordCountApp, word.to_string(), 1, &mut (), &mut Vec::new())
+    }
+
+    /// A store whose 256-byte cache holds a few of its 200 words, with
+    /// every record written to its log file.
+    fn flushed(root: &Path) -> Box<KvBackedStore<WordCountApp>> {
+        let mut store = Box::new(KvBackedStore::new(root, 256, 1.0).expect("store"));
+        for i in 0..200 {
+            absorb(&mut store, &format!("w{i:03}")).expect("absorb");
+        }
+        // A miss on a buffered record writes the whole buffer out.
+        absorb(&mut store, "w000").expect("absorb");
+        store
+    }
+
+    fn is_io(result: &MrResult<impl std::fmt::Debug>, kind: io::ErrorKind) -> bool {
+        matches!(result, Err(MrError::Io(e)) if e.kind() == kind)
+    }
 
     #[test]
-    fn an_unfinished_store_deletes_its_directory_when_dropped() {
-        let root = scratch_dir("kv-drop");
-        let mut store = KvBackedStore::<WordCountApp>::new(&root, 256, 1.0, 0).expect("store");
-        for i in 0..200 {
-            store
-                .absorb(&WordCountApp, format!("w{i}"), 1, &mut (), &mut Vec::new())
-                .expect("absorb");
-        }
-        let dir = store.kv.dir().to_path_buf();
-        assert!(dir.exists());
+    fn a_store_keeps_one_log_file_and_removes_it_when_dropped() {
+        let root = scratch_dir("kv-one-file");
+        let store = flushed(&root);
+        assert_eq!(logs(&root).len(), 1);
+        let mut out = Vec::new();
+        store
+            .finalize_into(&WordCountApp, &mut (), &mut out)
+            .expect("finalize");
+        assert_eq!(out.len(), 200);
+        assert_eq!(logs(&root), Vec::<PathBuf>::new(), "finalized");
+
+        let store = flushed(&root);
+        let log = logs(&root);
+        assert_eq!(log.len(), 1);
+        std::fs::File::options()
+            .write(true)
+            .open(&log[0])
+            .and_then(|file| file.set_len(0))
+            .expect("truncate");
+        let failed = store.finalize_into(&WordCountApp, &mut (), &mut Vec::new());
+        assert!(failed.is_err());
+        assert_eq!(logs(&root), Vec::<PathBuf>::new(), "failed");
+
+        let store = flushed(&root);
+        assert_eq!(logs(&root).len(), 1);
         drop(store);
-        assert!(!dir.exists(), "{dir:?} left behind");
+        assert_eq!(logs(&root), Vec::<PathBuf>::new(), "unfinished");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_damaged_log_fails_absorb_and_finalize_with_io_errors() {
+        let root = scratch_dir("kv-damage");
+        // Cut in half: a record past the cut reads short.
+        let mut store = flushed(&root);
+        let log = logs(&root).remove(0);
+        let len = std::fs::metadata(&log).expect("stat").len();
+        std::fs::File::options()
+            .write(true)
+            .open(&log)
+            .and_then(|file| file.set_len(len / 2))
+            .expect("truncate");
+        let eof = io::ErrorKind::UnexpectedEof;
+        assert!(is_io(&absorb(&mut store, "w150"), eof));
+        let finalize = store.finalize_into(&WordCountApp, &mut (), &mut Vec::new());
+        assert!(is_io(&finalize, eof), "{finalize:?}");
+
+        // One record's key rewritten: it no longer holds the key its
+        // index entry names.
+        let mut store = flushed(&root);
+        let log = logs(&root).remove(0);
+        let mut bytes = std::fs::read(&log).expect("read log");
+        let at = bytes
+            .windows(4)
+            .position(|w| w == b"w150")
+            .expect("w150's record");
+        bytes[at] = b'x';
+        // Rewrites the file in place: the store's descriptor sees it.
+        std::fs::write(&log, bytes).expect("write log");
+        let invalid = io::ErrorKind::InvalidData;
+        assert!(is_io(&absorb(&mut store, "w150"), invalid));
+        let finalize = store.finalize_into(&WordCountApp, &mut (), &mut Vec::new());
+        assert!(is_io(&finalize, invalid), "{finalize:?}");
+        assert_eq!(logs(&root), Vec::<PathBuf>::new());
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! | Policy | Paper section | Type |
 //! |---|---|---|
-//! | In-memory ordered map (TreeMap) | §3.2 | [`InMemoryStore`] |
+//! | In memory (the paper's TreeMap; here one hashed map, sorted once at drain) | §3.2 | [`InMemoryStore`] |
 //! | Disk spill and merge | §5.1 | [`SpillMergeStore`] |
 //! | Disk-spilling key/value store (BerkeleyDB) | §5.2 | [`KvBackedStore`] |
 
@@ -96,9 +96,9 @@ pub trait PartialStore<A: Application>: Send {
     /// Observation only: the store's contents, byte accounting and spill
     /// cadence are unchanged afterwards (the spill store re-reads its
     /// runs from its spill file and merges them with the live map, so a
-    /// snapshot is complete even mid-spill; the KV store scans its
-    /// segments). `&mut self` is needed for scan plumbing, never for
-    /// mutation of logical contents.
+    /// snapshot is complete even mid-spill; the KV store scans its log
+    /// through its cache). `&mut self` is needed for scan plumbing, never
+    /// for mutation of logical contents.
     fn snapshot_into(
         &mut self,
         app: &A,
@@ -141,7 +141,6 @@ pub fn make_store<A: Application>(
             &cfg.scratch_dir,
             *cache_bytes,
             cfg.heap_scale,
-            reducer,
         )?),
     })
 }

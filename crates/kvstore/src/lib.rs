@@ -6,17 +6,18 @@
 //! without guaranteeing fault-tolerance". This crate re-implements exactly
 //! the mechanisms that matter for the comparison in Figures 9/10:
 //!
-//! * **Log-structured writes** — every `put` appends to the active segment
-//!   file through a buffered writer (BDB JE is also a log-structured tree;
-//!   transaction logs were kept in memory in the paper's configuration).
-//! * **In-memory index** — key → (segment, offset) map, so a miss costs one
-//!   seek + read.
+//! * **One append-only log** — every `put` appends a record to the store's
+//!   one log file through a write buffer (BDB JE is also a log-structured
+//!   tree; transaction logs were kept in memory in the paper's
+//!   configuration). The store creates the file in the directory it is
+//!   given and removes it when it drops: nothing outlives the store, so
+//!   nothing is recovered.
+//! * **In-memory index** — key → (offset, length) map, so a miss costs
+//!   one positional read.
 //! * **Byte-budgeted LRU record cache** — hits are memory-speed, misses go
 //!   to disk, hot keys stay resident ("BerkeleyDB … performs caching and
 //!   prefetching of common entries … can therefore exploit temporal
 //!   locality", §5.3).
-//! * **Recovery** — reopening a directory replays its segments to
-//!   rebuild the index.
 //!
 //! The read-modify-update cycle the barrier-less reducer performs maps to
 //! `get` + `put`; [`StoreStats`] exposes hit/miss/eviction counts so the
@@ -25,7 +26,7 @@
 //! ```
 //! # fn main() -> std::io::Result<()> {
 //! use mr_kvstore::{Store, StoreConfig};
-//! let dir = std::env::temp_dir().join(format!("kv-doc-{}", std::process::id()));
+//! let dir = std::env::temp_dir().join(format!("mr-kv-doc-{}", std::process::id()));
 //! let mut kv = Store::open(StoreConfig::new(&dir).cache_bytes(1 << 20))?;
 //! kv.put(b"word", b"42")?;
 //! assert_eq!(kv.get(b"word")?.as_deref(), Some(&b"42"[..]));
@@ -34,9 +35,6 @@
 //! ```
 
 mod lru;
-mod segment;
 mod store;
 
-pub use lru::{LruCache, OversizeEntry};
-pub use segment::{SegmentId, SegmentReader, SegmentWriter};
 pub use store::{Store, StoreConfig, StoreStats};

@@ -15,9 +15,7 @@ const NIL: usize = usize::MAX;
 /// Typed rejection for an entry whose charge exceeds the whole budget.
 ///
 /// Admitting such an entry would evict everything else and still not fit,
-/// so [`LruCache::put`] refuses it up front. Returning the rejection as an
-/// error (instead of silently bypassing the cache) lets callers count the
-/// event — the result-cache layer reports it as `cache.oversize.count`.
+/// so [`LruCache::put`] refuses it up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OversizeEntry {
     /// Bytes the entry would have charged (including `ENTRY_OVERHEAD`).
@@ -88,15 +86,9 @@ impl LruCache {
 
     /// Inserts or replaces `key`, evicting cold entries as needed.
     ///
-    /// Returns the evicted entries (coldest first). An entry larger than
-    /// the whole budget is refused with a typed [`OversizeEntry`] so the
-    /// caller can count the rejection; resident entries are undisturbed.
-    #[allow(clippy::type_complexity)]
-    pub fn put(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Vec<(Box<[u8]>, Box<[u8]>)>, OversizeEntry> {
+    /// An entry larger than the whole budget is refused with a typed
+    /// [`OversizeEntry`]; resident entries are undisturbed.
+    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), OversizeEntry> {
         let charge = Self::charge(key, value);
         if charge > self.budget {
             return Err(OversizeEntry {
@@ -104,7 +96,6 @@ impl LruCache {
                 budget: self.budget,
             });
         }
-        let mut evicted = Vec::new();
         if let Some(&idx) = self.map.get(key) {
             // Replace in place, adjust charge.
             self.used -= Self::charge(&self.slab[idx].key, &self.slab[idx].value);
@@ -118,24 +109,10 @@ impl LruCache {
             self.push_front(idx);
             self.used += charge;
         }
-        while self.used > self.budget {
-            if let Some(entry) = self.evict_coldest() {
-                evicted.push(entry);
-            } else {
-                break;
-            }
+        while self.used > self.budget && self.tail != NIL {
+            self.evict_coldest();
         }
-        Ok(evicted)
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        Ok(())
     }
 
     /// Bytes currently charged against the budget.
@@ -143,37 +120,20 @@ impl LruCache {
         self.used
     }
 
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
     /// Lifetime eviction count.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    #[allow(clippy::type_complexity)]
-    fn evict_coldest(&mut self) -> Option<(Box<[u8]>, Box<[u8]>)> {
-        if self.tail == NIL {
-            return None;
-        }
+    fn evict_coldest(&mut self) {
         let idx = self.tail;
         self.unlink(idx);
-        let node = std::mem::replace(
-            &mut self.slab[idx],
-            Node {
-                key: Box::default(),
-                value: Box::default(),
-                prev: NIL,
-                next: NIL,
-            },
-        );
-        self.used -= Self::charge(&node.key, &node.value);
-        self.map.remove(&node.key);
+        let key = std::mem::take(&mut self.slab[idx].key);
+        let value = std::mem::take(&mut self.slab[idx].value);
+        self.used -= Self::charge(&key, &value);
+        self.map.remove(&key);
         self.free.push(idx);
         self.evictions += 1;
-        Some((node.key, node.value))
     }
 
     fn alloc(&mut self, key: Box<[u8]>, value: Box<[u8]>) -> usize {
@@ -237,7 +197,7 @@ mod tests {
         assert_eq!(c.get(b"a"), Some(&b"1"[..]));
         assert_eq!(c.get(b"b"), Some(&b"2"[..]));
         assert_eq!(c.get(b"z"), None);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -246,13 +206,11 @@ mod tests {
         c.put(b"a", b"1").unwrap();
         c.put(b"b", b"2").unwrap();
         c.get(b"a"); // promote a; b is now coldest
-        let evicted = c.put(b"c", b"3").unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(&*evicted[0].0, b"b");
+        c.put(b"c", b"3").unwrap();
+        assert_eq!(c.evictions(), 1);
         assert!(c.get(b"a").is_some());
         assert!(c.get(b"b").is_none());
         assert!(c.get(b"c").is_some());
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -263,7 +221,7 @@ mod tests {
         c.put(b"k", b"a-much-longer-value").unwrap();
         assert!(c.used_bytes() > before);
         assert_eq!(c.get(b"k"), Some(&b"a-much-longer-value"[..]));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
     }
 
     #[test]
@@ -272,7 +230,7 @@ mod tests {
         let err = c.put(b"big", &[0u8; 1000]).unwrap_err();
         assert_eq!(err.charge, 3 + 1000 + ENTRY_OVERHEAD);
         assert_eq!(err.budget, 32);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
         assert_eq!(c.get(b"big"), None);
     }
 
@@ -290,14 +248,14 @@ mod tests {
     fn budget_boundary_is_exact() {
         // charge == budget: fits.
         let mut c = LruCache::new(1 + 1 + ENTRY_OVERHEAD);
-        assert!(c.put(b"a", b"1").unwrap().is_empty());
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.used_bytes(), c.budget_bytes());
+        c.put(b"a", b"1").unwrap();
+        assert_eq!((c.map.len(), c.evictions()), (1, 0));
+        assert_eq!(c.used_bytes(), c.budget);
         // charge == budget + 1: rejected, not silently dropped.
         let mut c = LruCache::new(1 + 1 + ENTRY_OVERHEAD - 1);
         let err = c.put(b"a", b"1").unwrap_err();
         assert_eq!(err.charge, err.budget + 1);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -307,7 +265,7 @@ mod tests {
             c.put(&[i], b"v").unwrap();
         }
         // Only one resident at a time; slab should not grow unbounded.
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
         assert!(c.slab.len() <= 2, "slab grew to {}", c.slab.len());
     }
 
@@ -320,9 +278,12 @@ mod tests {
         c.get(b"a");
         c.get(b"c");
         // LRU order now: b (coldest), a, c.
-        let ev = c.put(b"d", b"4").unwrap();
-        assert_eq!(&*ev[0].0, b"b");
-        let ev = c.put(b"e", b"5").unwrap();
-        assert_eq!(&*ev[0].0, b"a");
+        c.put(b"d", b"4").unwrap();
+        assert!(!c.map.contains_key(&b"b"[..]) && c.map.contains_key(&b"a"[..]));
+        c.put(b"e", b"5").unwrap();
+        assert!(!c.map.contains_key(&b"a"[..]));
+        for resident in [b"c", b"d", b"e"] {
+            assert!(c.map.contains_key(&resident[..]));
+        }
     }
 }

@@ -49,8 +49,11 @@ fn main() {
             None,
         ),
     ] {
+        // One pool worker: each reducer's arrival order, and with it the
+        // KV store's miss count, repeats from run to run.
         let mut cfg = JobConfig::new(2)
             .engine(Engine::BarrierLess { memory: policy })
+            .pool_workers(1)
             .scratch_dir(&scratch);
         cfg.heap_cap_bytes = cap;
         match runner.run(&UniqueListens, splits.clone(), &cfg) {
